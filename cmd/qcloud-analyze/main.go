@@ -9,6 +9,7 @@
 //	qcloud-analyze -seed 42                 # generate and analyze
 //	qcloud-analyze -trace trace.json       # analyze a stored trace
 //	qcloud-analyze -seed 42 -fig 3,4,12a   # subset of figures
+//	qcloud-analyze -seed 42 -cpuprofile cpu.prof   # then: go tool pprof -top cpu.prof
 package main
 
 import (
@@ -26,6 +27,7 @@ import (
 	"qcloud/internal/cloud"
 	"qcloud/internal/par"
 	"qcloud/internal/predict"
+	"qcloud/internal/prof"
 	"qcloud/internal/stats"
 	"qcloud/internal/trace"
 	"qcloud/internal/workload"
@@ -41,9 +43,20 @@ func main() {
 		figs      = flag.String("fig", "all", "comma-separated figure ids (2a,2b,3,4,5,6,7,8,9,10,11,12a,12b,13,14,15,16) or 'all'")
 		largeQFT  = flag.Int("fig5-large", 64, "large QFT size for Fig 5 (the paper uses 980; that run takes hours)")
 		workers   = flag.Int("workers", 0, "worker pool size for simulation and the analysis sweeps (0 = NumCPU, 1 = serial; results are identical either way)")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this path (output is unaffected)")
+		memProf   = flag.String("memprofile", "", "write a heap profile at exit to this path (output is unaffected)")
 	)
 	flag.Parse()
 	par.SetWorkers(*workers)
+	stopProf, err := prof.Start(*cpuProf, *memProf)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer func() {
+		if err := stopProf(); err != nil {
+			log.Fatal(err)
+		}
+	}()
 
 	tr, err := loadOrGenerate(*tracePath, *seed, *jobs)
 	if err != nil {

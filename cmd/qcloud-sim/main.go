@@ -25,6 +25,7 @@
 //	qcloud-sim -seed 42 -faults adversarial -restore snap.qcsn -csv trace.csv
 //	qcloud-sim -seed 42 -journal run.journal -csv trace.csv
 //	qcloud-sim -seed 42 -journal run.journal -recover -csv trace.csv
+//	qcloud-sim -seed 42 -q -cpuprofile cpu.prof   # then: go tool pprof -top cpu.prof
 //
 // -tenants runs a multi-tenant brokered session instead: a
 // workload.TenantScenarios preset builds a quota tree plus a
@@ -47,6 +48,7 @@ import (
 	"qcloud/internal/backend"
 	"qcloud/internal/cloud"
 	"qcloud/internal/par"
+	"qcloud/internal/prof"
 	"qcloud/internal/tenant"
 	"qcloud/internal/trace"
 	"qcloud/internal/workload"
@@ -74,9 +76,20 @@ func main() {
 		tcount   = flag.Int("tenant-count", 0, "tenant queue count for -tenants (0 = scenario default)")
 		preempt  = flag.String("preempt", "scenario", "broker preemption for -tenants: scenario, on, or off")
 		quiet    = flag.Bool("q", false, "suppress the summary")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this path (output is unaffected)")
+		memProf  = flag.String("memprofile", "", "write a heap profile at exit to this path (output is unaffected)")
 	)
 	flag.Parse()
 	par.SetWorkers(*workers)
+	stopProf, err := prof.Start(*cpuProf, *memProf)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer func() {
+		if err := stopProf(); err != nil {
+			log.Fatal(err)
+		}
+	}()
 
 	start, end := backend.StudyStart, backend.StudyEnd
 	if *days > 0 {
@@ -110,7 +123,6 @@ func main() {
 		return
 	}
 	var sess *cloud.Session
-	var err error
 	if *restore != "" {
 		f, err := os.Open(*restore)
 		if err != nil {

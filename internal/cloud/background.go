@@ -113,12 +113,14 @@ type backgroundStream struct {
 	r        *rand.Rand
 	startSec float64
 	endSec   float64
-	// rampStartSec/rampEndSec span the machine's absolute lifetime (its
-	// online date to the end of the study), so demand growth does not
-	// depend on the simulated window.
-	rampStartSec, rampEndSec float64
-	meanExec                 float64
-	peakRate                 float64 // arrivals/sec at demand multiplier 1, diurnal 1
+	// The demand ramp runs over the machine's absolute lifetime (its
+	// online date, rampStartSec, to the end of the study), so demand
+	// growth does not depend on the simulated window. rampSpan is that
+	// lifetime and rampFrac the model's RampFraction, both clamped away
+	// from zero once: they are rateAt's denominators.
+	rampStartSec, rampSpan, rampFrac float64
+	meanExec                         float64
+	peakRate                         float64 // arrivals/sec at demand multiplier 1, diurnal 1
 	// surges are episodes of elevated demand (conference deadlines,
 	// course assignments): [start, end, factor] triples. They produce
 	// the day-plus queuing tail of Fig 3.
@@ -126,13 +128,57 @@ type backgroundStream struct {
 	surgeIdx  int
 	nextAt    float64
 	exhausted bool
+	// segFactor is diurnalFactor over [segStart, segEnd), the interior
+	// of one hour-of-day bucket (see diurnal). The zero value is empty.
+	segStart, segEnd, segFactor float64
+}
+
+// diurnalGuardSec keeps the cached segment this far inside its bucket:
+// five orders of magnitude above the rounding error of diurnalFactor's
+// divisions at two years of sim-seconds (~1e-8 s), so a query whose
+// float bucket decision could differ from the exact one is never
+// answered from the cache.
+const diurnalGuardSec = 1e-3
+
+// diurnalBuckets are the hour-of-day boundaries diurnalFactor switches
+// on; the day-of-week factor switches at hour 0, which is one of them.
+var diurnalBuckets = [...]float64{0, 7, 13, 23, 24}
+
+// diurnal is diurnalFactor(t) without its two software fmods for every
+// query strictly inside a bucket: the factor is constant there, so it
+// is computed once per bucket (by diurnalFactor itself) and reused.
+// Queries within diurnalGuardSec of a boundary fall outside every
+// cached segment and go through diurnalFactor, which keeps the bucket
+// decision bit-exact.
+//
+//qcloud:noalloc
+func (bs *backgroundStream) diurnal(t float64) float64 {
+	if t >= bs.segStart && t < bs.segEnd {
+		return bs.segFactor
+	}
+	f := diurnalFactor(t)
+	day := math.Floor(t/86400) * 86400
+	hour := (t - day) / 3600
+	for i := 1; i < len(diurnalBuckets); i++ {
+		if hour < diurnalBuckets[i] {
+			start := day + diurnalBuckets[i-1]*3600 + diurnalGuardSec
+			end := day + diurnalBuckets[i]*3600 - diurnalGuardSec
+			if t >= start && t < end {
+				bs.segStart, bs.segEnd, bs.segFactor = start, end, f
+			}
+			break
+		}
+	}
+	return f
 }
 
 func newBackgroundStream(model *BackgroundModel, m *backend.Machine, r *rand.Rand, startSec, endSec, rampStartSec, rampEndSec float64) *backgroundStream {
 	bs := &backgroundStream{
 		model: model, machine: m, r: r,
 		startSec: startSec, endSec: endSec,
-		rampStartSec: rampStartSec, rampEndSec: rampEndSec,
+		rampStartSec: rampStartSec,
+		rampSpan:     math.Max(rampEndSec-rampStartSec, 1),
+		rampFrac:     math.Max(model.RampFraction, 1e-9),
 	}
 	bs.meanExec = model.MeanExecSeconds(m)
 	bs.peakRate = model.targetUtil(m) / bs.meanExec
@@ -164,14 +210,18 @@ func (bs *backgroundStream) surgeFactor(t float64) float64 {
 }
 
 // rateAt returns the instantaneous arrival rate at sim-second t.
+//
+//qcloud:noalloc
 func (bs *backgroundStream) rateAt(t float64) float64 {
-	frac := (t - bs.rampStartSec) / math.Max(bs.rampEndSec-bs.rampStartSec, 1)
-	ramp := bs.model.RampFloor + (1-bs.model.RampFloor)*math.Min(1, math.Max(frac, 0)/math.Max(bs.model.RampFraction, 1e-9))
-	return bs.peakRate * ramp * diurnalFactor(t) * bs.surgeFactor(t)
+	frac := (t - bs.rampStartSec) / bs.rampSpan
+	ramp := bs.model.RampFloor + (1-bs.model.RampFloor)*math.Min(1, math.Max(frac, 0)/bs.rampFrac)
+	return bs.peakRate * ramp * bs.diurnal(t) * bs.surgeFactor(t)
 }
 
 // advance samples the next arrival time by thinning against the peak
 // possible rate.
+//
+//qcloud:noalloc
 func (bs *backgroundStream) advance() {
 	const maxFactor = 1.9 * 1.9 // max diurnal factor x max surge factor
 	lambdaMax := bs.peakRate * maxFactor

@@ -236,16 +236,20 @@ func (ms *machineSim) checkpoint() MachineCheckpoint {
 	mc.Stats = *ms.mstats
 	mc.WaitRatios = append([]float64(nil), ms.waitRatios...)
 
-	var users []string
-	for u := range ms.usage {
-		users = append(users, u)
+	// Accumulators are serialized by name, sorted, whichever table holds
+	// them; account maps the names back on restore.
+	for n := range ms.bgAccts {
+		if a := &ms.bgAccts[n]; a.seen {
+			mc.Usage = append(mc.Usage, UserUsageCheckpoint{User: ms.bgNames[n], Usage: a.usage, LastDecay: a.last})
+		}
 	}
-	sort.Strings(users)
-	for _, u := range users {
-		mc.Usage = append(mc.Usage, UserUsageCheckpoint{
-			User: u, Usage: *ms.usage[u], LastDecay: ms.lastDecay[u],
-		})
+	// Names are unique across both tables, so the sort below fixes the
+	// order whatever the map yields.
+	//qcloud:orderinvariant
+	for u, a := range ms.namedAccts {
+		mc.Usage = append(mc.Usage, UserUsageCheckpoint{User: u, Usage: a.usage, LastDecay: a.last})
 	}
+	sort.Slice(mc.Usage, func(i, j int) bool { return mc.Usage[i].User < mc.Usage[j].User })
 	var spenders []string
 	for u := range ms.retrySpent {
 		spenders = append(spenders, u)
@@ -332,12 +336,8 @@ func (ms *machineSim) restore(mc *MachineCheckpoint) error {
 	}
 	ms.specIdx = mc.SpecIdx
 
-	ms.usage = make(map[string]*float64, len(mc.Usage))
-	ms.lastDecay = make(map[string]float64, len(mc.Usage))
 	for _, u := range mc.Usage {
-		v := u.Usage
-		ms.usage[u.User] = &v
-		ms.lastDecay[u.User] = u.LastDecay
+		*ms.account(u.User) = acct{usage: u.Usage, last: u.LastDecay, seen: true}
 	}
 
 	ms.queue = make(jobHeap, 0, len(mc.Queue))
@@ -353,8 +353,8 @@ func (ms *machineSim) restore(mc *MachineCheckpoint) error {
 			}
 			q.spec = ms.specs[cj.SpecIdx]
 		}
-		q.userUsage = ms.usage[cj.User]
-		if q.userUsage == nil {
+		q.acct = ms.account(cj.User)
+		if !q.acct.seen {
 			return fmt.Errorf("cloud: restore %s: queue entry for %q has no usage accumulator", ms.m.Name, cj.User)
 		}
 		ms.queue = append(ms.queue, q)

@@ -203,15 +203,18 @@ func Simulate(cfg Config, specs []*JobSpec) (*trace.Trace, error) {
 
 // queuedJob is a job waiting in a machine queue (study or background).
 type queuedJob struct {
-	spec      *JobSpec // nil for background jobs
-	submit    float64  // seconds since sim start
-	execSec   float64
-	patience  float64 // 0 = infinite
-	priority  float64 // fair-share score: lower runs first
-	seq       int64   // tiebreaker
-	userUsage *float64
+	spec     *JobSpec // nil for background jobs
+	submit   float64  // seconds since sim start
+	execSec  float64
+	patience float64 // 0 = infinite
+	priority float64 // fair-share score: lower runs first
+	seq      int64   // tiebreaker
+	// acct is the submitter's fair-share accumulator, charged when the
+	// job is served.
+	acct *acct
 	// user is the fair-share key (kept by name so retries and
-	// checkpoints can re-link the usage accumulator).
+	// checkpoints can re-link the accumulator; background names come
+	// from the session's interned table, never built per job).
 	user string
 	// id identifies the job across retries: the seq of its first
 	// enqueue, stable while seq changes on every requeue.
@@ -247,11 +250,17 @@ func (h *jobHeap) push(j *queuedJob) {
 	}
 }
 
+// pop removes and returns the minimum. The vacated backing-array slot
+// is cleared: machineSim recycles popped records, and a stale pointer
+// left there would alias a record that is live again.
+//
+//qcloud:noalloc
 func (h *jobHeap) pop() *queuedJob {
 	old := *h
 	top := old[0]
 	last := len(old) - 1
 	old[0] = old[last]
+	old[last] = nil
 	*h = old[:last]
 	i := 0
 	for {
@@ -286,6 +295,31 @@ const usageDecayHours = 24
 // a half-life of usageDecayHours.
 func decayFactor(dt float64) float64 {
 	return math.Exp2(-dt / (usageDecayHours * 3600))
+}
+
+// acct is one user's fair-share accumulator on one machine: QPU-seconds
+// charged, exponentially decayed up to last.
+type acct struct {
+	usage float64
+	last  float64 // instant usage was last decayed to
+	seen  bool    // charged at least once (only seen accounts are checkpointed)
+}
+
+// charged decays the accumulator to now and returns the usage a job
+// submitted at now is scored against. A first sighting starts from
+// zero at now.
+//
+//qcloud:noalloc
+func (a *acct) charged(now float64) float64 {
+	if !a.seen {
+		a.seen, a.last = true, now
+		return a.usage
+	}
+	if dt := now - a.last; dt > 0 {
+		a.usage *= decayFactor(dt)
+		a.last = now
+	}
+	return a.usage
 }
 
 // genDowntimes samples maintenance windows over [startSec, endSec):

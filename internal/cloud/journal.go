@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"qcloud/internal/journal"
-	"qcloud/internal/par"
 	"qcloud/internal/trace"
 )
 
@@ -408,9 +407,7 @@ func (s *Session) drainJournal() (JournalStats, error) {
 		jr.close()
 		return JournalStats{}, err
 	}
-	par.ForEach(len(s.sims), s.cfg.Workers, func(i int) {
-		s.sims[i].finalize()
-	})
+	s.forEachSim((*machineSim).finalize)
 	if err := jr.haltErr(); err != nil {
 		jr.close()
 		return JournalStats{}, err

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"qcloud/internal/backend"
@@ -112,19 +114,29 @@ type machineSim struct {
 	retries    []pendingRetry
 	retrySpent map[string]int
 
-	// Fair-share usage accounting, exponentially decayed.
-	usage     map[string]*float64
-	lastDecay map[string]float64
+	// Fair-share usage accounting, exponentially decayed. Background
+	// user n's accumulator is bgAccts[n] and its name bgNames[n] (the
+	// session's shared "bg-<n>" table); every other name lives in
+	// namedAccts. account resolves a name to either.
+	bgAccts    []acct
+	bgNames    []string
+	namedAccts map[string]*acct
 
-	queue      jobHeap
+	queue jobHeap
+	// free holds served queue records for reuse, so a steady-state
+	// arrival allocates nothing.
+	free       []*queuedJob
 	seq        int64
 	waitRatios []float64
 
 	// specs holds not-yet-admitted study submissions sorted by
 	// SubmitTime (ties keep submission order); specIdx is the admitted
-	// prefix.
-	specs   []*JobSpec
-	specIdx int
+	// prefix. headSpecSec caches nextSpecTime for specs[specIdx] while
+	// headSpec still points at it.
+	specs       []*JobSpec
+	specIdx     int
+	headSpec    *JobSpec
+	headSpecSec float64
 
 	sampleEvery float64
 	nextSample  float64
@@ -157,7 +169,34 @@ type machineSim struct {
 	jbuf []byte
 }
 
-func newMachineSim(cfg Config, m *backend.Machine, sess *Session) *machineSim {
+// backgroundUserNames interns the background pool's fair-share keys,
+// "bg-<n>" for n < users, once per session.
+func backgroundUserNames(users int) []string {
+	names := make([]string, max(users, 0))
+	for n := range names {
+		names[n] = "bg-" + strconv.Itoa(n)
+	}
+	return names
+}
+
+// backgroundUserIndex inverts backgroundUserNames: it reports n when
+// user is exactly names[n], so a study user (or a checkpointed name)
+// spelled like a background user resolves to the same accumulator.
+// Anything else — outside the pool, or a non-canonical spelling such as
+// "bg-07" — is an ordinary name.
+func backgroundUserIndex(user string, names []string) (int, bool) {
+	digits, ok := strings.CutPrefix(user, "bg-")
+	if !ok {
+		return 0, false
+	}
+	n, err := strconv.Atoi(digits)
+	if err != nil || n < 0 || n >= len(names) || names[n] != user {
+		return 0, false
+	}
+	return n, true
+}
+
+func newMachineSim(cfg Config, m *backend.Machine, sess *Session, bgNames []string) *machineSim {
 	src := newCountingSource(cfg.Seed*7919 + m.Seed)
 	ms := &machineSim{
 		cfg:          cfg,
@@ -167,8 +206,9 @@ func newMachineSim(cfg Config, m *backend.Machine, sess *Session) *machineSim {
 		rsrc:         src,
 		mstats:       &trace.MachineStats{Name: m.Name, Qubits: m.NumQubits(), Public: m.Public},
 		simStart:     cfg.Start,
-		usage:        make(map[string]*float64),
-		lastDecay:    make(map[string]float64),
+		bgAccts:      make([]acct, len(bgNames)),
+		bgNames:      bgNames,
+		namedAccts:   make(map[string]*acct),
 		handles:      make(map[*JobSpec]*JobHandle),
 		cancelledAt:  make(map[*JobSpec]float64),
 		cancelReason: make(map[*JobSpec]CancelReason),
@@ -217,6 +257,16 @@ func newMachineSim(cfg Config, m *backend.Machine, sess *Session) *machineSim {
 	ms.nextSample = ms.toSec(online) + ms.sampleEvery
 	ms.busyUntil = ms.toSec(online)
 	return ms
+}
+
+// expectedLoad estimates the machine's simulation cost as its expected
+// background arrivals at full demand: peak rate times online window
+// (zero for a machine that is never online).
+func (ms *machineSim) expectedLoad() float64 {
+	if ms.dead {
+		return 0
+	}
+	return ms.bg.peakRate * (ms.bg.endSec - ms.bg.startSec)
 }
 
 func (ms *machineSim) toSec(t time.Time) float64 { return t.Sub(ms.simStart).Seconds() }
@@ -314,32 +364,42 @@ func (ms *machineSim) cancel(spec *JobSpec, atSec float64, reason CancelReason) 
 	return nil
 }
 
-// chargedUsage returns the user's decayed fair-share usage accumulator.
-func (ms *machineSim) chargedUsage(user string, now float64) *float64 {
-	u, ok := ms.usage[user]
-	if !ok {
-		v := 0.0
-		u = &v
-		ms.usage[user] = u
-		ms.lastDecay[user] = now
-	} else {
-		dt := now - ms.lastDecay[user]
-		if dt > 0 {
-			*u *= decayFactor(dt)
-			ms.lastDecay[user] = now
-		}
+// account resolves a fair-share key to its accumulator, creating it on
+// first sight. Only named paths come through here (study specs,
+// retries, restore); background arrivals index bgAccts directly.
+func (ms *machineSim) account(user string) *acct {
+	if n, ok := backgroundUserIndex(user, ms.bgNames); ok {
+		return &ms.bgAccts[n]
 	}
-	return u
+	a := ms.namedAccts[user]
+	if a == nil {
+		a = &acct{}
+		ms.namedAccts[user] = a
+	}
+	return a
 }
 
-func (ms *machineSim) enqueue(spec *JobSpec, submit, execSec, patience float64, user string) {
-	u := ms.chargedUsage(user, submit)
+// newQueued returns a queue record to fill in: a recycled one when the
+// free list has any.
+func (ms *machineSim) newQueued() *queuedJob {
+	if n := len(ms.free); n > 0 {
+		q := ms.free[n-1]
+		ms.free = ms.free[:n-1]
+		return q
+	}
+	return &queuedJob{}
+}
+
+func (ms *machineSim) enqueue(spec *JobSpec, submit, execSec, patience float64, user string, a *acct) {
+	u := a.charged(submit)
 	ms.seq++
-	ms.push(&queuedJob{
+	q := ms.newQueued()
+	*q = queuedJob{
 		spec: spec, submit: submit, execSec: execSec, patience: patience,
-		priority: submit + fairSharePenalty*(*u), seq: ms.seq, userUsage: u,
+		priority: submit + fairSharePenalty*u, seq: ms.seq, acct: a,
 		user: user, id: ms.seq, pendingAtSubmit: len(ms.queue),
-	})
+	}
+	ms.push(q)
 }
 
 // requeue re-enters a transiently-failed job after its backoff: same
@@ -348,11 +408,13 @@ func (ms *machineSim) enqueue(spec *JobSpec, submit, execSec, patience float64, 
 // through. Emits requeue then enqueue, keeping retry ≡ requeue and
 // enqueue ≡ start+cancel conservation.
 func (ms *machineSim) requeue(rt pendingRetry) {
-	u := ms.chargedUsage(rt.user, rt.at)
+	a := ms.account(rt.user)
+	u := a.charged(rt.at)
 	ms.seq++
-	q := &queuedJob{
+	q := ms.newQueued()
+	*q = queuedJob{
 		spec: rt.spec, submit: rt.at, execSec: rt.execSec, patience: rt.patience,
-		priority: rt.at + fairSharePenalty*(*u), seq: ms.seq, userUsage: u,
+		priority: rt.at + fairSharePenalty*u, seq: ms.seq, acct: a,
 		user: rt.user, id: rt.id, attempt: rt.attempt,
 		pendingAtSubmit: len(ms.queue),
 	}
@@ -403,16 +465,23 @@ func (ms *machineSim) nextRetryTime() (float64, bool) {
 	return ms.retries[0].at, true
 }
 
+// nextSpecTime is the head pending spec's arrival instant. The admit
+// loop asks once per background arrival, so the time.Time arithmetic
+// is done once per head spec and remembered against its pointer.
 func (ms *machineSim) nextSpecTime() (float64, bool) {
 	if ms.specIdx >= len(ms.specs) {
 		return 0, false
 	}
 	s := ms.specs[ms.specIdx]
-	if s.SubmitTime.Before(ms.online) {
-		// Submitted before machine online: queue at online time.
-		return ms.toSec(ms.online), true
+	if s != ms.headSpec {
+		at := s.SubmitTime
+		if at.Before(ms.online) {
+			// Submitted before machine online: queue at online time.
+			at = ms.online
+		}
+		ms.headSpec, ms.headSpecSec = s, ms.toSec(at)
 	}
-	return ms.toSec(s.SubmitTime), true
+	return ms.headSpecSec, true
 }
 
 // admitArrivals pulls every arrival (retry + study + background) with
@@ -444,14 +513,14 @@ func (ms *machineSim) admitArrivals(horizon float64, strict bool) {
 		case bgOK && (!spOK || bgT <= spT):
 			ms.bg.next()
 			execSec := ms.bg.sampleExecSeconds(ms.r)
-			user := fmt.Sprintf("bg-%d", ms.r.Intn(ms.cfg.Background.Users))
-			ms.enqueue(nil, bgT, execSec, ms.bg.samplePatience(ms.r), user)
+			n := ms.r.Intn(len(ms.bgAccts))
+			ms.enqueue(nil, bgT, execSec, ms.bg.samplePatience(ms.r), ms.bgNames[n], &ms.bgAccts[n])
 			ms.mstats.BackgroundJobs++
 		case spOK:
 			s := ms.specs[ms.specIdx]
 			ms.specIdx++
 			execSec := ms.m.ExecSeconds(s.BatchSize, s.Shots, s.TotalDepth) * (0.9 + 0.2*ms.r.Float64())
-			ms.enqueue(s, spT, execSec, s.PatienceSec, s.User)
+			ms.enqueue(s, spT, execSec, s.PatienceSec, s.User, ms.account(s.User))
 		default:
 			return
 		}
@@ -589,11 +658,18 @@ func (ms *machineSim) recordSpecCancelled(s *JobSpec, at time.Time) {
 	ms.record(s, at, at, trace.StatusCancelled)
 }
 
-// startNext pops the highest-priority queued job and serves it: the
-// first half of the legacy loop's busy step. Completing jobs open an
-// in-flight step whose admissions run up to the completion horizon.
+// startNext pops the highest-priority queued job, serves it, and
+// recycles its record (a scheduled retry has copied what it keeps).
 func (ms *machineSim) startNext() {
 	q := ms.queue.pop()
+	ms.serve(q)
+	ms.free = append(ms.free, q)
+}
+
+// serve is the first half of the legacy loop's busy step. Completing
+// jobs open an in-flight step whose admissions run up to the
+// completion horizon.
+func (ms *machineSim) serve(q *queuedJob) {
 	if q.spec != nil {
 		if cancelAt, ok := ms.cancelledAt[q.spec]; ok {
 			ms.recordStudy(q, cancelAt, cancelAt, trace.StatusCancelled)
@@ -689,7 +765,7 @@ func (ms *machineSim) startNext() {
 		})
 	}
 	// Charge fair-share usage at completion.
-	*q.userUsage += execSec
+	q.acct.usage += execSec
 	ms.busyUntil = end
 	ms.inStep = true
 	ms.stepEndsAt = end
@@ -751,7 +827,7 @@ func (ms *machineSim) startTransientFail(q *queuedJob, start float64) {
 			})
 		}
 	}
-	*q.userUsage += burnt
+	q.acct.usage += burnt
 	ms.busyUntil = failT
 	ms.inStep = true
 	ms.stepEndsAt = failT

@@ -180,6 +180,9 @@ type Session struct {
 	cfg    Config
 	sims   []*machineSim
 	byName map[string]*machineSim
+	// order lists sims indices heaviest expected background load first:
+	// the order forEachSim hands machines to workers.
+	order []int
 
 	obsMu     sync.Mutex
 	observers []*observer
@@ -198,13 +201,19 @@ func Open(cfg Config) (*Session, error) {
 	c := cfg.withDefaults()
 	s := &Session{cfg: c, byName: make(map[string]*machineSim)}
 	s.sims = make([]*machineSim, len(c.Machines))
+	bgNames := backgroundUserNames(c.Background.Users)
 	par.ForEach(len(c.Machines), c.Workers, func(i int) {
-		s.sims[i] = newMachineSim(c, c.Machines[i], s)
+		s.sims[i] = newMachineSim(c, c.Machines[i], s, bgNames)
 		s.sims[i].idx = i
 	})
-	for _, ms := range s.sims {
+	s.order = make([]int, len(s.sims))
+	for i, ms := range s.sims {
 		s.byName[ms.m.Name] = ms
+		s.order[i] = i
 	}
+	sort.SliceStable(s.order, func(a, b int) bool {
+		return s.sims[s.order[a]].expectedLoad() > s.sims[s.order[b]].expectedLoad()
+	})
 	if c.Journal != nil {
 		if c.Journal.Dir == "" {
 			return nil, errors.New("cloud: Config.Journal needs a Dir")
@@ -339,13 +348,19 @@ func (s *Session) AdvanceTo(t time.Time) {
 	if s.closed {
 		return
 	}
-	par.ForEach(len(s.sims), s.cfg.Workers, func(i int) {
-		ms := s.sims[i]
-		ms.advanceTo(ms.toSec(t))
-	})
+	s.forEachSim(func(ms *machineSim) { ms.advanceTo(ms.toSec(t)) })
 	if s.jr != nil {
 		s.journalAfterAdvance(t)
 	}
+}
+
+// forEachSim runs fn on every machine under the config's worker
+// budget, longest expected run first: workers pull machines in that
+// order, so the heaviest machine is not the one left running alone at
+// the end. Each machine writes only its own state and results are read
+// back by fleet index, so the order is invisible in every output.
+func (s *Session) forEachSim(fn func(ms *machineSim)) {
+	par.ForEach(len(s.order), s.cfg.Workers, func(k int) { fn(s.sims[s.order[k]]) })
 }
 
 // QueueState returns the live queue snapshot of one machine at its
@@ -447,9 +462,7 @@ func (s *Session) Run() (*trace.Trace, error) {
 		}
 		return ReadJournalTrace(cfg)
 	}
-	par.ForEach(len(s.sims), s.cfg.Workers, func(i int) {
-		s.sims[i].finalize()
-	})
+	s.forEachSim((*machineSim).finalize)
 	// Job IDs are assigned in (machine order, record order) — the
 	// exact sequence the serial batch loop produced — keeping traces
 	// bit-identical across worker counts.
