@@ -89,7 +89,15 @@ func main() {
 	// The harness greps this line for the bound address; keep the
 	// format stable.
 	fmt.Printf("listening on %s\n", ln.Addr())
-	srv := &http.Server{Handler: d.Handler()}
+	// Bound what a slow or silent client can hold: headers must arrive
+	// promptly and idle keep-alive connections are reaped. Bodies are
+	// bounded by size in the handlers; no whole-request timeout, since a
+	// trace CSV legitimately takes long to compute.
+	srv := &http.Server{
+		Handler:           d.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 

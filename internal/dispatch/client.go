@@ -92,6 +92,14 @@ func (c *Client) Seal() error {
 	return c.do(http.MethodPost, "/v1/seal", wire.SealRequest{V: wire.Version}, &resp)
 }
 
+// Exchange is a worker's whole turn in one round trip: report results
+// and lease up to pull new units (see wire.ResultsRequest).
+func (c *Client) Exchange(worker string, results []wire.UnitResult, pull int) (wire.ResultsResponse, error) {
+	var resp wire.ResultsResponse
+	err := c.do(http.MethodPost, "/v1/results", wire.ResultsRequest{V: wire.Version, Worker: worker, Results: results, Pull: pull}, &resp)
+	return resp, err
+}
+
 // Cancel cancels by key or seq.
 func (c *Client) Cancel(key string, seq int64) (wire.ResultResponse, error) {
 	var resp wire.ResultResponse

@@ -20,6 +20,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -37,7 +38,12 @@ const (
 	TaskDone
 	TaskFailed
 	TaskCancelled
+	numTaskStates
 )
+
+// TaskUnknown is not a lifecycle state: it answers a report that names
+// a seq the queue never assigned.
+const TaskUnknown TaskState = -1
 
 func (s TaskState) String() string {
 	switch s {
@@ -51,6 +57,8 @@ func (s TaskState) String() string {
 		return "failed"
 	case TaskCancelled:
 		return "cancelled"
+	case TaskUnknown:
+		return "unknown"
 	}
 	return fmt.Sprintf("TaskState(%d)", int(s))
 }
@@ -134,12 +142,17 @@ func (c QueueConfig) withDefaults() QueueConfig {
 
 // Queue is the dispatcher's durable pull queue. Every accepted
 // mutation (submit, seal, lease expiry, result, cancel) is appended to
-// a WAL and flushed to the OS before it is acknowledged, so a SIGKILL
-// at any instant loses nothing that was acked; recovery replays both
+// a WAL, and every call flushes what it appended to the OS — once,
+// however many records that was — before it returns, so a SIGKILL at
+// any instant loses nothing that was acked; recovery replays both
 // streams. Leases are NOT journaled — they are leases precisely
 // because losing them is safe: a restarted dispatcher forgets all
-// in-flight leases and the units become pullable again, and the
+// in-flight leases and backoff gates (replay only ever produces queued
+// and terminal tasks), the units become pullable again, and the
 // deterministic merge makes re-execution idempotent.
+//
+// No call walks the task list: tally answers Stats, ready bounds where
+// Pull looks, and timers says which leases and backoff gates are due.
 type Queue struct {
 	cfg QueueConfig
 
@@ -149,6 +162,17 @@ type Queue struct {
 	byKey     map[string]int64
 	sealed    bool
 	recovered bool
+
+	// tally counts tasks per state.
+	tally [numTaskStates]int
+	// ready is the lease cursor: every task below it is leased,
+	// terminal, or queued behind a backoff gate whose timer will pull
+	// the cursor back when it opens.
+	ready int64
+	// timers holds one wake-up per live lease and per closed backoff
+	// gate; due is the sweep's scratch list.
+	timers timerHeap
+	due    []int64
 
 	submits *journal.Writer // submit/seal records
 	results *journal.Writer // expire/result/cancel records
@@ -222,19 +246,24 @@ func OpenQueue(cfg QueueConfig) (*Queue, error) {
 		return nil, fmt.Errorf("dispatch: opening completion log: %w", err)
 	}
 	q.recovered = subScan.Records > 0 || resScan.Records > 0
-	// Recovery forgets leases: anything non-terminal is queued and
-	// immediately eligible (its backoff, if any, died with the
-	// process — harmless, since eligibility timing never reaches the
-	// merged outputs).
-	for _, t := range q.tasks {
-		if !t.State.terminal() {
-			t.State = TaskQueued
-			t.Worker = ""
-			t.notBefore = time.Time{}
-			t.requeuePending = false
-		}
-	}
 	return q, nil
+}
+
+// addTaskLocked appends a freshly submitted (or replayed) task.
+func (q *Queue) addTaskLocked(t *Task) {
+	q.tasks = append(q.tasks, t)
+	q.tally[TaskQueued]++
+	if t.Key != "" {
+		q.byKey[t.Key] = t.Seq
+	}
+}
+
+// setStateLocked is the only place a task changes state, so tally
+// cannot drift from the tasks.
+func (q *Queue) setStateLocked(t *Task, s TaskState) {
+	q.tally[t.State]--
+	q.tally[s]++
+	t.State = s
 }
 
 // replaySubmit applies one submit-log record during recovery.
@@ -252,10 +281,7 @@ func (q *Queue) replaySubmit(rec int64, payload []byte) error {
 		if sr.Seq != int64(len(q.tasks)) {
 			return fmt.Errorf("submit record %d: seq %d out of order (want %d)", rec, sr.Seq, len(q.tasks))
 		}
-		q.tasks = append(q.tasks, &Task{Seq: sr.Seq, Key: sr.Key, Spec: sr.Spec})
-		if sr.Key != "" {
-			q.byKey[sr.Key] = sr.Seq
-		}
+		q.addTaskLocked(&Task{Seq: sr.Seq, Key: sr.Key, Spec: sr.Spec})
 	case wire.RecSeal:
 		q.sealed = true
 	default:
@@ -306,9 +332,11 @@ func (q *Queue) replayResult(rec int64, payload []byte) error {
 			t.Attempt = rr.Attempt
 		}
 		if rr.Err != "" {
-			t.State, t.Err = TaskFailed, rr.Err
+			t.Err = rr.Err
+			q.setStateLocked(t, TaskFailed)
 		} else {
-			t.State, t.Counts = TaskDone, wire.PairsToCounts(rr.Counts)
+			t.Counts = wire.PairsToCounts(rr.Counts)
+			q.setStateLocked(t, TaskDone)
 		}
 	case wire.RecCancel:
 		var cr wire.CancelRec
@@ -320,7 +348,7 @@ func (q *Queue) replayResult(rec int64, payload []byte) error {
 			return err
 		}
 		if !t.State.terminal() {
-			t.State = TaskCancelled
+			q.setStateLocked(t, TaskCancelled)
 		}
 	default:
 		return fmt.Errorf("completion record %d: unexpected type %q", rec, env.Type)
@@ -343,24 +371,50 @@ func (q *Queue) emit(ev wire.Event) {
 	}
 }
 
-// appendLocked journals one record to w and flushes it to the OS —
-// the ack barrier. A failure here is sticky: the queue stops accepting
-// mutations rather than diverging from its log.
+// appendLocked journals one record to w. It does not flush: the call
+// that appended flushes once, through flushLocked, before it returns.
+// A failure here is sticky: the queue stops accepting mutations rather
+// than diverging from its log.
 func (q *Queue) appendLocked(w *journal.Writer, typ string, payload any) error {
 	if q.err != nil {
 		return q.err
 	}
 	raw, err := wire.EncodeRecord(typ, payload)
 	if err == nil {
-		if err = w.Append(raw); err == nil {
-			err = w.Flush()
-		}
+		err = w.Append(raw)
 	}
-	if err != nil {
-		q.err = fmt.Errorf("dispatch: journal append failed, queue is read-only: %w", err)
+	return q.failLocked(err)
+}
+
+// flushLocked hands everything appended so far to the OS — the ack
+// barrier. A flush that fails leaves the in-memory state ahead of the
+// log by the records it could not write; none of them was acked, the
+// queue is read-only from here, and a restart replays the log.
+func (q *Queue) flushLocked() error {
+	if q.err != nil {
 		return q.err
 	}
-	return nil
+	err := q.submits.Flush()
+	if err == nil {
+		err = q.results.Flush()
+	}
+	return q.failLocked(err)
+}
+
+// failLocked makes a journal error sticky.
+func (q *Queue) failLocked(err error) error {
+	if err != nil {
+		q.err = fmt.Errorf("dispatch: journal write failed, queue is read-only: %w", err)
+	}
+	return q.err
+}
+
+// commitLocked appends one record and flushes: the single-record calls.
+func (q *Queue) commitLocked(w *journal.Writer, typ string, payload any) error {
+	if err := q.appendLocked(w, typ, payload); err != nil {
+		return err
+	}
+	return q.flushLocked()
 }
 
 // Submit accepts one spec under an idempotency key. A repeated key
@@ -380,13 +434,10 @@ func (q *Queue) Submit(key string, spec wire.Spec) (seq int64, dup bool, err err
 		return 0, false, ErrSealed
 	}
 	seq = int64(len(q.tasks))
-	if err := q.appendLocked(q.submits, wire.RecSubmit, wire.SubmitRec{Seq: seq, Key: key, Spec: spec}); err != nil {
+	if err := q.commitLocked(q.submits, wire.RecSubmit, wire.SubmitRec{Seq: seq, Key: key, Spec: spec}); err != nil {
 		return 0, false, err
 	}
-	q.tasks = append(q.tasks, &Task{Seq: seq, Key: key, Spec: spec})
-	if key != "" {
-		q.byKey[key] = seq
-	}
+	q.addTaskLocked(&Task{Seq: seq, Key: key, Spec: spec})
 	q.emit(wire.Event{Kind: cloud.EventEnqueue, Seq: seq})
 	return seq, false, nil
 }
@@ -401,7 +452,7 @@ func (q *Queue) Seal() error {
 	if q.sealed {
 		return nil
 	}
-	if err := q.appendLocked(q.submits, wire.RecSeal, wire.SealRec{}); err != nil {
+	if err := q.commitLocked(q.submits, wire.RecSeal, wire.SealRec{}); err != nil {
 		return err
 	}
 	q.sealed = true
@@ -418,79 +469,196 @@ func (q *Queue) Sealed() bool {
 // sweepLocked advances lease and backoff state to now: expired leases
 // consume an attempt and either requeue through the retry policy or
 // fail terminally; requeued tasks whose backoff gate has opened fire
-// their requeue event.
+// their requeue event and become pullable. It pops only the timers
+// that are due and handles their tasks in ascending seq, so the WAL
+// records and events come out in the order a walk over every task
+// would produce them, and flushes what it journaled.
 func (q *Queue) sweepLocked(now time.Time) {
-	for _, t := range q.tasks {
-		switch t.State {
-		case TaskLeased:
-			if t.deadline.After(now) {
-				continue
-			}
-			t.Attempt++
-			worker := t.Worker
-			t.Worker = ""
-			if q.appendLocked(q.results, wire.RecExpire, wire.ExpireRec{Seq: t.Seq, Attempt: t.Attempt}) != nil {
+	if q.err != nil || len(q.timers) == 0 || q.timers[0].at.After(now) {
+		return
+	}
+	due := q.due[:0]
+	for len(q.timers) > 0 && !q.timers[0].at.After(now) {
+		due = append(due, q.timers.pop().seq)
+	}
+	q.due = due
+	slices.Sort(due)
+	for _, seq := range due {
+		t := q.tasks[seq]
+		switch {
+		case t.State == TaskQueued && t.requeuePending && !t.notBefore.After(now):
+			t.requeuePending = false
+			q.ready = min(q.ready, seq)
+			q.emit(wire.Event{Kind: cloud.EventRequeue, Seq: seq, Attempt: t.Attempt})
+		case t.State == TaskLeased && t.deadline.After(now):
+			// Heartbeats moved the deadline since this timer was set.
+			q.timers.push(timer{t.deadline, seq})
+		case t.State == TaskLeased:
+			if !q.expireLocked(t, now) {
 				return
 			}
-			if t.Attempt >= q.cfg.Retry.MaxAttempts {
-				errMsg := fmt.Sprintf("lease expired on attempt %d/%d (last worker %s)",
-					t.Attempt, q.cfg.Retry.MaxAttempts, worker)
-				if q.appendLocked(q.results, wire.RecResult, wire.ResultRec{Seq: t.Seq, Attempt: t.Attempt, Err: errMsg}) != nil {
-					return
-				}
-				t.State, t.Err = TaskFailed, errMsg
-				q.noteCompletionLocked()
-				q.emit(wire.Event{Kind: cloud.EventError, Seq: t.Seq, Attempt: t.Attempt, Worker: worker, Err: errMsg})
-				continue
-			}
-			delay := q.cfg.Retry.Backoff(t.Attempt, q.cfg.Seed, 0, t.Seq)
-			t.State = TaskQueued
-			t.notBefore = now.Add(time.Duration(delay * float64(time.Second)))
-			t.requeuePending = true
-			q.emit(wire.Event{Kind: cloud.EventRetry, Seq: t.Seq, Attempt: t.Attempt, Worker: worker, NextAttemptAt: t.notBefore})
-		case TaskQueued:
-			if t.requeuePending && !t.notBefore.After(now) {
-				t.requeuePending = false
-				q.emit(wire.Event{Kind: cloud.EventRequeue, Seq: t.Seq, Attempt: t.Attempt})
-			}
+		}
+		// Anything else finished or was cancelled since its timer was
+		// set: a stale hint.
+	}
+	_ = q.flushLocked() // a failure is sticky in q.err
+}
+
+// expireLocked ends t's lease at now, reporting false when the journal
+// failed.
+func (q *Queue) expireLocked(t *Task, now time.Time) bool {
+	t.Attempt++
+	worker := t.Worker
+	t.Worker = ""
+	if q.appendLocked(q.results, wire.RecExpire, wire.ExpireRec{Seq: t.Seq, Attempt: t.Attempt}) != nil {
+		return false
+	}
+	if t.Attempt >= q.cfg.Retry.MaxAttempts {
+		errMsg := fmt.Sprintf("lease expired on attempt %d/%d (last worker %s)",
+			t.Attempt, q.cfg.Retry.MaxAttempts, worker)
+		if q.appendLocked(q.results, wire.RecResult, wire.ResultRec{Seq: t.Seq, Attempt: t.Attempt, Err: errMsg}) != nil {
+			return false
+		}
+		t.Err = errMsg
+		q.setStateLocked(t, TaskFailed)
+		q.noteCompletionLocked()
+		q.emit(wire.Event{Kind: cloud.EventError, Seq: t.Seq, Attempt: t.Attempt, Worker: worker, Err: errMsg})
+		return true
+	}
+	delay := q.cfg.Retry.Backoff(t.Attempt, q.cfg.Seed, 0, t.Seq)
+	q.setStateLocked(t, TaskQueued)
+	t.notBefore = now.Add(time.Duration(delay * float64(time.Second)))
+	t.requeuePending = true
+	q.timers.push(timer{t.notBefore, t.Seq})
+	q.emit(wire.Event{Kind: cloud.EventRetry, Seq: t.Seq, Attempt: t.Attempt, Worker: worker, NextAttemptAt: t.notBefore})
+	return true
+}
+
+// Report is one unit's outcome as a worker reports it. Err non-empty
+// means the payload itself failed deterministically.
+type Report struct {
+	Seq     int64
+	Attempt int
+	Counts  map[string]int
+	Err     string
+}
+
+// Outcome answers one Report. Accepted=false means the task was already
+// terminal (duplicate or post-cancel report) and the first outcome was
+// kept, or — State TaskUnknown — that the queue has no such seq.
+type Outcome struct {
+	Accepted bool
+	State    TaskState
+}
+
+// Exchanged is what one Exchange produced: an Outcome per report, in
+// order, and the units leased.
+type Exchanged struct {
+	Outcomes []Outcome
+	Units    []wire.Unit
+	Sealed   bool
+}
+
+// Exchange is a worker's whole turn under one lock acquisition and one
+// flush: record the outcomes it reports, make them durable, and only
+// then lease it up to pull eligible units, lowest seq first (none when
+// pull is 0). A report naming an unknown seq is answered TaskUnknown
+// and does not disturb the others. Pull and Result are its one-sided
+// forms.
+func (q *Queue) Exchange(worker string, reports []Report, pull int) (Exchanged, error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.err != nil {
+		return Exchanged{}, q.err
+	}
+	now := q.cfg.Now()
+	q.sweepLocked(now)
+	ex := Exchanged{Sealed: q.sealed}
+	if len(reports) > 0 {
+		ex.Outcomes = make([]Outcome, len(reports))
+		for i := range reports {
+			ex.Outcomes[i] = q.resultLocked(worker, &reports[i])
 		}
 	}
+	if err := q.flushLocked(); err != nil {
+		return Exchanged{}, err
+	}
+	if pull > 0 {
+		ex.Units = q.leaseLocked(worker, pull, now)
+	}
+	return ex, nil
+}
+
+// resultLocked records one reported outcome; first outcome wins. A late
+// result from an expired lease is accepted: the work is deterministic,
+// so the outcome is the one any other attempt would produce. A journal
+// failure leaves q.err set for the caller's flush to report.
+func (q *Queue) resultLocked(worker string, r *Report) Outcome {
+	if r.Seq < 0 || r.Seq >= int64(len(q.tasks)) {
+		return Outcome{State: TaskUnknown}
+	}
+	t := q.tasks[r.Seq]
+	if t.State.terminal() {
+		return Outcome{State: t.State}
+	}
+	rr := wire.ResultRec{Seq: r.Seq, Attempt: r.Attempt, Worker: worker, Err: r.Err}
+	if r.Err == "" {
+		rr.Counts = wire.CountsToPairs(r.Counts)
+	}
+	if q.appendLocked(q.results, wire.RecResult, rr) != nil {
+		return Outcome{State: t.State}
+	}
+	t.Worker = worker
+	if r.Attempt > t.Attempt {
+		t.Attempt = r.Attempt
+	}
+	if r.Err != "" {
+		t.Err = r.Err
+		q.setStateLocked(t, TaskFailed)
+		q.emit(wire.Event{Kind: cloud.EventError, Seq: r.Seq, Attempt: r.Attempt, Worker: worker, Err: r.Err})
+	} else {
+		t.Counts = r.Counts
+		q.setStateLocked(t, TaskDone)
+		q.emit(wire.Event{Kind: cloud.EventDone, Seq: r.Seq, Attempt: r.Attempt, Worker: worker})
+	}
+	q.noteCompletionLocked()
+	return Outcome{Accepted: true, State: t.State}
+}
+
+// leaseLocked leases up to n pullable units to the worker, lowest seq
+// first, starting at the ready cursor and leaving it where it stopped.
+func (q *Queue) leaseLocked(worker string, n int, now time.Time) []wire.Unit {
+	var units []wire.Unit
+	seq := q.ready
+	for ; seq < int64(len(q.tasks)) && len(units) < n; seq++ {
+		t := q.tasks[seq]
+		if t.State != TaskQueued || t.requeuePending {
+			continue
+		}
+		q.setStateLocked(t, TaskLeased)
+		t.Worker = worker
+		t.deadline = now.Add(q.cfg.Lease)
+		q.timers.push(timer{t.deadline, seq})
+		units = append(units, wire.Unit{
+			Seq:      seq,
+			Attempt:  t.Attempt,
+			Spec:     t.Spec,
+			LeaseSec: q.cfg.Lease.Seconds(),
+		})
+		q.emit(wire.Event{Kind: cloud.EventStart, Seq: seq, Attempt: t.Attempt, Worker: worker})
+	}
+	q.ready = seq
+	return units
 }
 
 // Pull leases up to max eligible units to the worker, lowest seq
 // first.
 func (q *Queue) Pull(worker string, max int) ([]wire.Unit, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.err != nil {
-		return nil, q.err
-	}
-	now := q.cfg.Now()
-	q.sweepLocked(now)
 	if max <= 0 {
 		max = 1
 	}
-	var units []wire.Unit
-	for _, t := range q.tasks {
-		if len(units) >= max {
-			break
-		}
-		if t.State != TaskQueued || t.notBefore.After(now) {
-			continue
-		}
-		t.State = TaskLeased
-		t.Worker = worker
-		t.deadline = now.Add(q.cfg.Lease)
-		t.requeuePending = false
-		units = append(units, wire.Unit{
-			Seq:      t.Seq,
-			Attempt:  t.Attempt,
-			Spec:     t.Spec,
-			LeaseSec: q.cfg.Lease.Seconds(),
-		})
-		q.emit(wire.Event{Kind: cloud.EventStart, Seq: t.Seq, Attempt: t.Attempt, Worker: worker})
-	}
-	return units, nil
+	ex, err := q.Exchange(worker, nil, max)
+	return ex.Units, err
 }
 
 // Heartbeat extends the worker's live leases, returning how many were
@@ -507,6 +675,8 @@ func (q *Queue) Heartbeat(worker string, seqs []int64) int {
 		}
 		t := q.tasks[seq]
 		if t.State == TaskLeased && t.Worker == worker {
+			// The lease's timer stays where it is; the sweep re-arms it
+			// at the new deadline when it surfaces.
 			t.deadline = now.Add(q.cfg.Lease)
 			extended++
 		}
@@ -514,45 +684,18 @@ func (q *Queue) Heartbeat(worker string, seqs []int64) int {
 	return extended
 }
 
-// Result records one unit's outcome. accepted=false means the task
-// was already terminal (duplicate or post-cancel report) and the first
-// outcome was kept. A late result from an expired lease is accepted:
-// the work is deterministic, so the outcome is the one any other
-// attempt would produce.
+// Result records one unit's outcome: Exchange with one report and no
+// pull. An unknown seq is an error here.
 func (q *Queue) Result(worker string, seq int64, attempt int, counts map[string]int, errMsg string) (accepted bool, state TaskState, err error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.err != nil {
-		return false, 0, q.err
-	}
-	q.sweepLocked(q.cfg.Now())
-	if seq < 0 || seq >= int64(len(q.tasks)) {
-		return false, 0, fmt.Errorf("dispatch: result for unknown seq %d", seq)
-	}
-	t := q.tasks[seq]
-	if t.State.terminal() {
-		return false, t.State, nil
-	}
-	rr := wire.ResultRec{Seq: seq, Attempt: attempt, Worker: worker, Err: errMsg}
-	if errMsg == "" {
-		rr.Counts = wire.CountsToPairs(counts)
-	}
-	if err := q.appendLocked(q.results, wire.RecResult, rr); err != nil {
+	ex, err := q.Exchange(worker, []Report{{Seq: seq, Attempt: attempt, Counts: counts, Err: errMsg}}, 0)
+	if err != nil {
 		return false, 0, err
 	}
-	t.Worker = worker
-	if attempt > t.Attempt {
-		t.Attempt = attempt
+	o := ex.Outcomes[0]
+	if o.State == TaskUnknown {
+		return false, 0, fmt.Errorf("dispatch: result for unknown seq %d", seq)
 	}
-	if errMsg != "" {
-		t.State, t.Err = TaskFailed, errMsg
-		q.emit(wire.Event{Kind: cloud.EventError, Seq: seq, Attempt: attempt, Worker: worker, Err: errMsg})
-	} else {
-		t.State, t.Counts = TaskDone, counts
-		q.emit(wire.Event{Kind: cloud.EventDone, Seq: seq, Attempt: attempt, Worker: worker})
-	}
-	q.noteCompletionLocked()
-	return true, t.State, nil
+	return o.Accepted, o.State, nil
 }
 
 // Cancel cancels by key (preferred) or seq. accepted=false means the
@@ -578,10 +721,10 @@ func (q *Queue) Cancel(key string, seq int64) (accepted bool, state TaskState, e
 	if t.State.terminal() {
 		return false, t.State, nil
 	}
-	if err := q.appendLocked(q.results, wire.RecCancel, wire.CancelRec{Seq: seq}); err != nil {
+	if err := q.commitLocked(q.results, wire.RecCancel, wire.CancelRec{Seq: seq}); err != nil {
 		return false, 0, err
 	}
-	t.State = TaskCancelled
+	q.setStateLocked(t, TaskCancelled)
 	q.noteCompletionLocked()
 	q.emit(wire.Event{Kind: cloud.EventCancel, Seq: seq, Attempt: t.Attempt})
 	return true, TaskCancelled, nil
@@ -601,27 +744,20 @@ type Stats struct {
 // Terminal reports the number of finished tasks.
 func (s Stats) Terminal() int { return s.Done + s.Failed + s.Cancelled }
 
-// Stats sweeps and tallies.
+// Stats sweeps and reads the tally.
 func (q *Queue) Stats() Stats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.sweepLocked(q.cfg.Now())
-	st := Stats{Sealed: q.sealed, Jobs: len(q.tasks)}
-	for _, t := range q.tasks {
-		switch t.State {
-		case TaskQueued:
-			st.Queued++
-		case TaskLeased:
-			st.Leased++
-		case TaskDone:
-			st.Done++
-		case TaskFailed:
-			st.Failed++
-		case TaskCancelled:
-			st.Cancelled++
-		}
+	return Stats{
+		Sealed:    q.sealed,
+		Jobs:      len(q.tasks),
+		Queued:    q.tally[TaskQueued],
+		Leased:    q.tally[TaskLeased],
+		Done:      q.tally[TaskDone],
+		Failed:    q.tally[TaskFailed],
+		Cancelled: q.tally[TaskCancelled],
 	}
-	return st
 }
 
 // Results assembles the counts-plane merge of every terminal task.
@@ -675,8 +811,15 @@ func (q *Queue) noteCompletionLocked() {
 
 // writeCheckpointLocked persists the watermark (best-effort: a failed
 // checkpoint only weakens future damage detection, never correctness).
+// It flushes first: Records counts buffered frames, and a checkpoint
+// taken in the middle of a batch must not pin a record the OS does not
+// hold yet — a crash right after it would leave a log shorter than its
+// watermark, which OpenQueue refuses.
 func (q *Queue) writeCheckpointLocked() {
 	q.sinceCkpt = 0
+	if q.flushLocked() != nil {
+		return
+	}
 	ck := checkpoint{V: wire.Version, SubmitRecs: q.submits.Records(), ResultRecs: q.results.Records()}
 	_ = writeCheckpointFile(filepath.Join(q.cfg.Dir, ckptName), ck)
 }

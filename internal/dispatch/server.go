@@ -20,6 +20,10 @@ import (
 // the durable record.
 const eventRingCap = 1 << 16
 
+// maxBodyBytes bounds a request body — the limit the worker applies to
+// the dispatcher's responses.
+const maxBodyBytes = 64 << 20
+
 // Config parameterizes a Dispatcher.
 type Config struct {
 	// Dir, Seed, Lease, Retry, CheckpointEvery, SyncEvery, Now pass
@@ -58,10 +62,13 @@ type Dispatcher struct {
 	draining bool
 	workers  map[string]time.Time // name → last seen
 
-	evMu    sync.Mutex
-	evBase  int64 // stream index of events[0]
-	events  []wire.Event
-	evTrunc bool
+	evMu sync.Mutex
+	// events is a ring: it grows to eventRingCap, then event number n of
+	// the stream overwrites slot n % eventRingCap. evNext is the number
+	// the next event gets, so the oldest one retained is
+	// evNext - len(events).
+	events []wire.Event
+	evNext int64
 
 	traceMu   sync.Mutex
 	traceCSV  []byte // computed once after seal
@@ -98,12 +105,34 @@ func (d *Dispatcher) Recovered() bool { return d.q.Recovered() }
 func (d *Dispatcher) appendEvent(ev wire.Event) {
 	d.evMu.Lock()
 	defer d.evMu.Unlock()
-	d.events = append(d.events, ev)
-	if over := len(d.events) - eventRingCap; over > 0 {
-		d.events = append(d.events[:0], d.events[over:]...)
-		d.evBase += int64(over)
-		d.evTrunc = true
+	if len(d.events) < eventRingCap {
+		d.events = append(d.events, ev)
+	} else {
+		d.events[d.evNext%eventRingCap] = ev
 	}
+	d.evNext++
+}
+
+// eventsSince copies out the retained events numbered since and later,
+// oldest first. truncated reports that since is older than the ring
+// reaches; the window then starts at the oldest event retained.
+func (d *Dispatcher) eventsSince(since int64) (events []wire.Event, next int64, truncated bool) {
+	d.evMu.Lock()
+	defer d.evMu.Unlock()
+	oldest := d.evNext - int64(len(d.events))
+	if since < oldest {
+		since, truncated = oldest, true
+	}
+	if n := d.evNext - since; n > 0 {
+		// Slot since%cap holds event since (before the ring wraps, slot i
+		// holds event i); the window runs to the end of the slice and
+		// continues from its start.
+		from := since % eventRingCap
+		first := min(n, int64(len(d.events))-from)
+		events = make([]wire.Event, 0, n)
+		events = append(append(events, d.events[from:from+first]...), d.events[:n-first]...)
+	}
+	return events, d.evNext, truncated
 }
 
 // BeginDrain puts the dispatcher into graceful-shutdown mode: new
@@ -244,6 +273,7 @@ func (d *Dispatcher) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/pull", d.handlePull)
 	mux.HandleFunc("POST /v1/heartbeat", d.handleHeartbeat)
 	mux.HandleFunc("POST /v1/result", d.handleResult)
+	mux.HandleFunc("POST /v1/results", d.handleResults)
 	mux.HandleFunc("POST /v1/cancel", d.handleCancel)
 	mux.HandleFunc("GET /v1/status", d.handleStatus)
 	mux.HandleFunc("GET /v1/events", d.handleEvents)
@@ -252,10 +282,15 @@ func (d *Dispatcher) Handler() http.Handler {
 	return mux
 }
 
-// decode parses a versioned JSON body.
+// decode parses a versioned JSON body of at most maxBodyBytes.
 func decode[T interface{ version() int }](w http.ResponseWriter, r *http.Request, dst T) bool {
-	if err := json.NewDecoder(r.Body).Decode(dst); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(dst); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, code, fmt.Sprintf("bad request body: %v", err))
 		return false
 	}
 	if err := wire.CheckVersion(dst.version()); err != nil {
@@ -352,9 +387,51 @@ func (d *Dispatcher) handlePull(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		resp.Units = units
-		d.mu.Lock()
-		d.workers[req.Worker] = time.Now()
-		d.mu.Unlock()
+		d.touch(req.Worker)
+	}
+	writeJSON(w, resp)
+}
+
+// touch records that the worker was just seen asking for work.
+func (d *Dispatcher) touch(worker string) {
+	d.mu.Lock()
+	d.workers[worker] = time.Now()
+	d.mu.Unlock()
+}
+
+// handleResults is the worker's whole exchange: reports in, leases out.
+// While draining the reports still land but nothing is leased.
+func (d *Dispatcher) handleResults(w http.ResponseWriter, r *http.Request) {
+	var req resultsReq
+	if !decode(w, r, &req) {
+		return
+	}
+	if req.Worker == "" {
+		httpError(w, http.StatusBadRequest, "worker name required")
+		return
+	}
+	reports := make([]Report, len(req.Results))
+	for i, u := range req.Results {
+		reports[i] = Report{Seq: u.Seq, Attempt: u.Attempt, Counts: wire.PairsToCounts(u.Counts), Err: u.Err}
+	}
+	pull := req.Pull
+	if d.Draining() {
+		pull = 0
+	}
+	ex, err := d.q.Exchange(req.Worker, reports, pull)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	if pull > 0 {
+		d.touch(req.Worker)
+	}
+	resp := wire.ResultsResponse{V: wire.Version, Sealed: ex.Sealed, Units: ex.Units}
+	if len(ex.Outcomes) > 0 {
+		resp.Results = make([]wire.UnitAck, len(ex.Outcomes))
+		for i, o := range ex.Outcomes {
+			resp.Results[i] = wire.UnitAck{Accepted: o.Accepted, State: o.State.String()}
+		}
 	}
 	writeJSON(w, resp)
 }
@@ -406,17 +483,8 @@ func (d *Dispatcher) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	d.evMu.Lock()
 	resp := wire.EventsResponse{V: wire.Version}
-	if since < d.evBase {
-		resp.Truncated = d.evTrunc || since < d.evBase
-		since = d.evBase
-	}
-	if idx := since - d.evBase; idx < int64(len(d.events)) {
-		resp.Events = append([]wire.Event(nil), d.events[idx:]...)
-	}
-	resp.Next = d.evBase + int64(len(d.events))
-	d.evMu.Unlock()
+	resp.Events, resp.Next, resp.Truncated = d.eventsSince(since)
 	writeJSON(w, resp)
 }
 
@@ -450,6 +518,7 @@ type (
 	pullReq      struct{ wire.PullRequest }
 	heartbeatReq struct{ wire.HeartbeatRequest }
 	resultReq    struct{ wire.ResultRequest }
+	resultsReq   struct{ wire.ResultsRequest }
 	cancelReq    struct{ wire.CancelRequest }
 )
 
@@ -459,4 +528,5 @@ func (r *registerReq) version() int  { return r.V }
 func (r *pullReq) version() int      { return r.V }
 func (r *heartbeatReq) version() int { return r.V }
 func (r *resultReq) version() int    { return r.V }
+func (r *resultsReq) version() int   { return r.V }
 func (r *cancelReq) version() int    { return r.V }

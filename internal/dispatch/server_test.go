@@ -1,0 +1,204 @@
+package dispatch
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+
+	"qcloud/internal/dispatch/wire"
+)
+
+func newTestDispatcher(t *testing.T) *Dispatcher {
+	t.Helper()
+	d, err := New(Config{Dir: t.TempDir(), Seed: 11, Lease: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	return d
+}
+
+// post drives the handler directly (no socket), so a refused body is
+// always answered rather than sometimes surfacing as a broken pipe.
+func post(t *testing.T, h http.Handler, path string, body io.Reader, resp any) int {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, body))
+	if err := json.Unmarshal(rec.Body.Bytes(), resp); err != nil {
+		t.Fatalf("%s answered %d with a body that is not JSON: %q", path, rec.Code, rec.Body.String())
+	}
+	return rec.Code
+}
+
+func postJSON(t *testing.T, h http.Handler, path string, req, resp any) int {
+	t.Helper()
+	raw, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return post(t, h, path, bytes.NewReader(raw), resp)
+}
+
+// zeros is an endless run of the character 0.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = '0'
+	}
+	return len(p), nil
+}
+
+// TestHTTPRefusesBadBodies: a body over the limit, malformed JSON and a
+// wrong protocol version are each answered with the matching status and
+// a GenericResponse naming the problem, and change nothing.
+func TestHTTPRefusesBadBodies(t *testing.T) {
+	d := newTestDispatcher(t)
+	h := d.Handler()
+	bodies := []struct {
+		name string
+		body func() io.Reader
+		code int
+	}{
+		{"oversized", func() io.Reader {
+			// A valid request but for its size: refused at the limit.
+			return io.MultiReader(strings.NewReader(`{"v":1,"worker":"w","key":"`), io.LimitReader(zeros{}, maxBodyBytes), strings.NewReader(`"}`))
+		}, http.StatusRequestEntityTooLarge},
+		{"malformed", func() io.Reader { return strings.NewReader(`{"v":1,"worker":`) }, http.StatusBadRequest},
+		{"not an object", func() io.Reader { return strings.NewReader(`[1,2,3]`) }, http.StatusBadRequest},
+		{"wrong version", func() io.Reader { return strings.NewReader(`{"v":2,"worker":"w","pull":1,"key":"k"}`) }, http.StatusBadRequest},
+		{"no version", func() io.Reader { return strings.NewReader(`{"worker":"w","pull":1,"key":"k"}`) }, http.StatusBadRequest},
+	}
+	for _, path := range []string{"/v1/submit", "/v1/results", "/v1/pull", "/v1/result", "/v1/cancel", "/v1/heartbeat", "/v1/seal", "/v1/register"} {
+		for _, b := range bodies {
+			if b.name == "oversized" && path != "/v1/results" {
+				continue // decode is shared; reading 64 MiB once is enough
+			}
+			var resp wire.GenericResponse
+			if code := post(t, h, path, b.body(), &resp); code != b.code || resp.V != wire.Version || resp.Err == "" {
+				t.Errorf("%s, %s body: answered %d %+v, want %d and an error", path, b.name, code, resp, b.code)
+			}
+		}
+	}
+	if st := d.Stats(); st.Jobs != 0 || st.Sealed || len(st.Workers) != 0 {
+		t.Errorf("refused requests changed state: %+v", st)
+	}
+}
+
+// TestResultsExchange drives /v1/results by hand: a pull-only exchange,
+// a batch whose bad items — an unknown seq, a repeat — are answered per
+// item while the rest land, and a report during drain that lands but
+// leases nothing.
+func TestResultsExchange(t *testing.T) {
+	plans := testPlans(t, 3, 12)
+	d := newTestDispatcher(t)
+	h := d.Handler()
+	for i := 0; i < 5; i++ {
+		var resp wire.SubmitResponse
+		if code := postJSON(t, h, "/v1/submit", wire.SubmitRequest{V: wire.Version, Key: fmt.Sprintf("k/%d", i), Spec: plans[i]}, &resp); code != http.StatusOK {
+			t.Fatalf("submit %d answered %d", i, code)
+		}
+	}
+	var resp wire.ResultsResponse
+	if code := postJSON(t, h, "/v1/results", wire.ResultsRequest{V: wire.Version, Pull: 3}, &wire.GenericResponse{}); code != http.StatusBadRequest {
+		t.Fatalf("exchange without a worker name answered %d", code)
+	}
+	if code := postJSON(t, h, "/v1/results", wire.ResultsRequest{V: wire.Version, Worker: "w", Pull: 3}, &resp); code != http.StatusOK {
+		t.Fatalf("pull-only exchange answered %d", code)
+	}
+	if len(resp.Units) != 3 || len(resp.Results) != 0 || resp.Sealed || resp.Units[2].Seq != 2 || resp.Units[0].LeaseSec != 10 {
+		t.Fatalf("pull-only exchange = %+v", resp)
+	}
+	if st := d.Stats(); len(st.Workers) != 1 || st.Workers[0] != "w" || st.Leased != 3 {
+		t.Fatalf("after the pull: %+v", st)
+	}
+
+	counts := []wire.Count{{Bits: "00", N: 16}}
+	resp = wire.ResultsResponse{}
+	code := postJSON(t, h, "/v1/results", wire.ResultsRequest{V: wire.Version, Worker: "w", Pull: 1, Results: []wire.UnitResult{
+		{Seq: 0, Counts: counts},
+		{Seq: 99, Counts: counts},
+		{Seq: 1, Err: "deterministic build failure"},
+		{Seq: 0, Counts: []wire.Count{{Bits: "11", N: 16}}},
+		{Seq: -1},
+	}}, &resp)
+	want := []wire.UnitAck{{Accepted: true, State: "done"}, {State: "unknown"}, {Accepted: true, State: "failed"}, {State: "done"}, {State: "unknown"}}
+	if code != http.StatusOK || fmt.Sprint(resp.Results) != fmt.Sprint(want) {
+		t.Fatalf("batch answered %d %+v, want 200 %+v", code, resp.Results, want)
+	}
+	if len(resp.Units) != 1 || resp.Units[0].Seq != 3 {
+		t.Fatalf("batch leased %+v, want seq 3", resp.Units)
+	}
+	if st := d.Stats(); st.Done != 1 || st.Failed != 1 || st.Leased != 2 || st.Queued != 1 {
+		t.Fatalf("after the batch: %+v", st)
+	}
+	if res, _ := d.Queue().Results().Get(0); res.Counts["00"] != 16 || len(res.Counts) != 1 {
+		t.Fatalf("seq 0 kept %+v, want its first outcome", res)
+	}
+
+	d.BeginDrain()
+	resp = wire.ResultsResponse{}
+	code = postJSON(t, h, "/v1/results", wire.ResultsRequest{V: wire.Version, Worker: "w", Pull: 4, Results: []wire.UnitResult{{Seq: 2, Counts: counts}}}, &resp)
+	if code != http.StatusOK || len(resp.Results) != 1 || !resp.Results[0].Accepted || len(resp.Units) != 0 {
+		t.Fatalf("exchange during drain answered %d %+v, want the report accepted and nothing leased", code, resp)
+	}
+	if st := d.Stats(); st.Done != 2 || st.Queued != 1 || st.Leased != 1 {
+		t.Fatalf("after the drain-time report: %+v", st)
+	}
+}
+
+// TestEventRing: once full, the ring takes an event without moving or
+// allocating anything; a cursor older than the ring reaches is told so
+// and resumes at the oldest event retained; cursors inside it page
+// exactly, across the wrap point too.
+func TestEventRing(t *testing.T) {
+	d := &Dispatcher{}
+	check := func(since, wantFirst, wantNext int64, wantN int, wantTrunc bool) {
+		t.Helper()
+		evs, next, trunc := d.eventsSince(since)
+		if next != wantNext || len(evs) != wantN || trunc != wantTrunc {
+			t.Fatalf("eventsSince(%d) = %d events, next %d, truncated %v; want %d, %d, %v", since, len(evs), next, trunc, wantN, wantNext, wantTrunc)
+		}
+		for i, ev := range evs {
+			if ev.Seq != wantFirst+int64(i) {
+				t.Fatalf("eventsSince(%d)[%d] is event %d, want %d", since, i, ev.Seq, wantFirst+int64(i))
+			}
+		}
+	}
+	check(0, 0, 0, 0, false)
+	n := int64(0)
+	add := func() {
+		d.appendEvent(wire.Event{Seq: n}) // Seq doubles as the stream index
+		n++
+	}
+	for n < 5 {
+		add()
+	}
+	check(0, 0, 5, 5, false)
+	check(2, 2, 5, 3, false)
+	check(5, 0, 5, 0, false)
+	check(9, 0, 5, 0, false)
+	check(-1, 0, 5, 5, true)
+
+	for n < 300_000 {
+		add()
+	}
+	if avg := testing.AllocsPerRun(1000, add); avg != 0 {
+		t.Errorf("an append to the full ring allocates %.1f times", avg)
+	}
+	oldest := n - eventRingCap
+	check(0, oldest, n, eventRingCap, true)
+	check(oldest-1, oldest, n, eventRingCap, true)
+	check(oldest, oldest, n, eventRingCap, false)
+	check(n-10, n-10, n, 10, false)
+	check(n, 0, n, 0, false)
+	// A window that starts before the wrap point and ends after it.
+	wrap := n - n%eventRingCap
+	check(wrap-7, wrap-7, n, int(n-wrap+7), false)
+}

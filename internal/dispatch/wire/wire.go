@@ -204,6 +204,44 @@ type ResultResponse struct {
 	State    string `json:"state"`
 }
 
+// UnitResult is one finished unit inside a ResultsRequest: the
+// ResultRequest fields that vary per unit.
+type UnitResult struct {
+	Seq     int64   `json:"seq"`
+	Attempt int     `json:"attempt"`
+	Counts  []Count `json:"counts,omitempty"`
+	Err     string  `json:"err,omitempty"`
+}
+
+// ResultsRequest is the worker's whole exchange in one round trip:
+// report the batch it just executed and lease up to Pull new units.
+// The dispatcher applies the reports, makes them durable, and only then
+// leases. Either side may be empty: Results alone is a drain-time
+// report, Pull alone is /v1/pull.
+type ResultsRequest struct {
+	V       int          `json:"v"`
+	Worker  string       `json:"worker"`
+	Results []UnitResult `json:"results,omitempty"`
+	Pull    int          `json:"pull"`
+}
+
+// UnitAck answers one UnitResult. State "unknown" (never accepted)
+// means the dispatcher has no such seq; the other reports of the batch
+// are applied regardless.
+type UnitAck struct {
+	Accepted bool   `json:"accepted"`
+	State    string `json:"state"`
+}
+
+// ResultsResponse acks the reports in request order and carries the
+// newly leased units (none while the dispatcher drains).
+type ResultsResponse struct {
+	V       int       `json:"v"`
+	Results []UnitAck `json:"results,omitempty"`
+	Sealed  bool      `json:"sealed"`
+	Units   []Unit    `json:"units,omitempty"`
+}
+
 // CancelRequest cancels by idempotency key or by seq (key wins when
 // both are set).
 type CancelRequest struct {

@@ -1,11 +1,8 @@
 package dispatch
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -55,14 +52,22 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 	return c
 }
 
-// Worker is the pulling daemon: register, lease units, heartbeat while
-// executing, report counts, repeat. Graceful-shutdown contract: when
-// the run context is cancelled the worker finishes the batch it is
-// executing, reports it, deregisters, and returns — so a SIGTERM'd
-// worker never wastes a lease. (A SIGKILL'd worker simply stops
-// heartbeating; the dispatcher's lease expiry requeues its units.)
+// reportTries bounds how many polls a worker keeps re-sending results
+// an unreachable dispatcher has not acked before it leaves them to lease
+// expiry.
+const reportTries = 50
+
+// Worker is the pulling daemon: register, then one exchange per batch —
+// report the units just executed and lease the next ones — with
+// heartbeats running from the lease until the report is acked.
+// Graceful-shutdown contract: when the run context is cancelled the
+// worker finishes the batch it is executing, reports it, deregisters,
+// and returns — so a SIGTERM'd worker never wastes a lease. (A
+// SIGKILL'd worker simply stops heartbeating; the dispatcher's lease
+// expiry requeues its units.)
 type Worker struct {
 	cfg   WorkerConfig
+	cl    *Client // own timeout per call, not the run context: a drain must still report
 	units atomic.Int64
 }
 
@@ -71,57 +76,23 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Server == "" || cfg.Name == "" {
 		return nil, fmt.Errorf("dispatch: worker needs Server and Name")
 	}
-	w := &Worker{cfg: cfg.withDefaults()}
-	return w, nil
+	cfg = cfg.withDefaults()
+	return &Worker{cfg: cfg, cl: &Client{Server: cfg.Server, HTTP: cfg.Client, Timeout: cfg.RequestTimeout}}, nil
 }
 
 // Units reports how many units this worker has completed.
 func (w *Worker) Units() int64 { return w.units.Load() }
 
-// post sends one versioned JSON request. Calls deliberately use their
-// own timeout context rather than the run context: a drain must still
-// be able to report the final batch after cancellation.
-func (w *Worker) post(path string, req, resp any) error {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), w.cfg.RequestTimeout)
-	defer cancel()
-	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, w.cfg.Server+path, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	hr.Header.Set("Content-Type", "application/json")
-	res, err := w.cfg.Client.Do(hr)
-	if err != nil {
-		return err
-	}
-	defer res.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(res.Body, 64<<20))
-	if err != nil {
-		return err
-	}
-	if res.StatusCode != http.StatusOK {
-		var ge wire.GenericResponse
-		if json.Unmarshal(data, &ge) == nil && ge.Err != "" {
-			return fmt.Errorf("dispatch: %s: %s", path, ge.Err)
-		}
-		return fmt.Errorf("dispatch: %s: HTTP %d", path, res.StatusCode)
-	}
-	return json.Unmarshal(data, resp)
-}
-
-// Run drives the pull loop until ctx is cancelled (graceful exit) or a
-// non-recoverable error occurs. Transient dispatcher unavailability —
-// connection refused during a restart, timeouts — is retried
-// indefinitely: workers are designed to idle through dispatcher
-// crashes and reconnect.
+// Run drives the exchange loop until ctx is cancelled (graceful exit).
+// Transient dispatcher unavailability — connection refused during a
+// restart, timeouts — is retried: indefinitely while idle, since
+// workers are designed to idle through dispatcher crashes and
+// reconnect, and reportTries polls while results are held, so a drain
+// or restart cannot lose a computed result.
 func (w *Worker) Run(ctx context.Context) error {
-	// Register, riding out an unreachable dispatcher.
+	reg := wire.RegisterRequest{V: wire.Version, Name: w.cfg.Name}
 	for {
-		var resp wire.GenericResponse
-		err := w.post("/v1/register", wire.RegisterRequest{V: wire.Version, Name: w.cfg.Name}, &resp)
+		err := w.cl.do(http.MethodPost, "/v1/register", reg, &wire.GenericResponse{})
 		if err == nil {
 			break
 		}
@@ -131,28 +102,59 @@ func (w *Worker) Run(ctx context.Context) error {
 		}
 	}
 	w.cfg.Logf("registered with %s", w.cfg.Server)
-	defer w.deregister()
-
-	for {
-		if ctx.Err() != nil {
-			return nil
+	defer func() {
+		if err := w.cl.do(http.MethodPost, "/v1/deregister", reg, &wire.GenericResponse{}); err != nil {
+			w.cfg.Logf("deregister: %v", err)
+		} else {
+			w.cfg.Logf("deregistered")
 		}
-		var pull wire.PullResponse
-		err := w.post("/v1/pull", wire.PullRequest{V: wire.Version, Worker: w.cfg.Name, Max: w.cfg.MaxUnits}, &pull)
-		if err != nil {
+	}()
+
+	// held is the batch executed and not yet acked; stopHB ends its
+	// heartbeats once it is.
+	var held []wire.UnitResult
+	stopHB := func() {}
+	for tries := 0; ; {
+		pull := w.cfg.MaxUnits
+		if ctx.Err() != nil {
+			if len(held) == 0 {
+				return nil
+			}
+			pull = 0 // shutting down: land the batch, lease nothing
+		}
+		resp, err := w.cl.Exchange(w.cfg.Name, held, pull)
+		if err != nil && len(held) == 0 {
 			w.cfg.Logf("pull: %v (retrying)", err)
 			if !w.sleep(ctx) {
 				return nil
 			}
 			continue
 		}
-		if len(pull.Units) == 0 {
+		if err != nil {
+			if tries++; tries < reportTries {
+				w.cfg.Logf("reporting %d units: %v (retrying)", len(held), err)
+				time.Sleep(w.cfg.Poll) // not ctx: a cancelled worker still lands its batch
+				continue
+			}
+			w.cfg.Logf("giving up on reporting %d units; lease expiry will requeue them", len(held))
+		} else {
+			w.units.Add(int64(len(held)))
+			for i, ack := range resp.Results {
+				if !ack.Accepted && i < len(held) {
+					w.cfg.Logf("unit %d already %s (duplicate report dropped)", held[i].Seq, ack.State)
+				}
+			}
+		}
+		stopHB()
+		stopHB, held, tries = func() {}, nil, 0
+		if len(resp.Units) == 0 {
 			if !w.sleep(ctx) {
 				return nil
 			}
 			continue
 		}
-		w.execute(pull.Units)
+		stopHB = w.startHeartbeats(resp.Units)
+		held = w.execute(resp.Units)
 	}
 }
 
@@ -166,30 +168,17 @@ func (w *Worker) sleep(ctx context.Context) bool {
 	}
 }
 
-func (w *Worker) deregister() {
-	var resp wire.GenericResponse
-	if err := w.post("/v1/deregister", wire.RegisterRequest{V: wire.Version, Name: w.cfg.Name}, &resp); err != nil {
-		w.cfg.Logf("deregister: %v", err)
-	} else {
-		w.cfg.Logf("deregistered")
-	}
-}
-
-// execute runs one leased batch end to end: heartbeats in the
-// background, one BatchRun across all units' jobs, one report per
-// unit.
-func (w *Worker) execute(units []wire.Unit) {
-	stopHB := w.startHeartbeats(units)
-	defer stopHB()
-
+// execute runs one leased batch: one BatchRun across all units' jobs,
+// folded back into one result per unit.
+func (w *Worker) execute(units []wire.Unit) []wire.UnitResult {
 	var jobs []qsim.BatchJob
 	spans := make([][2]int, len(units))
-	buildErr := make([]error, len(units))
+	out := make([]wire.UnitResult, len(units))
 	for i := range units {
+		out[i] = wire.UnitResult{Seq: units[i].Seq, Attempt: units[i].Attempt}
 		js, err := wire.BuildBatch(&units[i].Spec)
 		if err != nil {
-			buildErr[i] = err
-			spans[i] = [2]int{-1, -1}
+			out[i].Err = err.Error()
 			continue
 		}
 		spans[i] = [2]int{len(jobs), len(jobs) + len(js)}
@@ -197,46 +186,18 @@ func (w *Worker) execute(units []wire.Unit) {
 	}
 	res := qsim.BatchRun(jobs, qsim.Parallelism{Workers: w.cfg.SimWorkers})
 
-	for i, u := range units {
-		var counts map[string]int
-		var errMsg string
-		if buildErr[i] != nil {
-			errMsg = buildErr[i].Error()
+	for i := range units {
+		if out[i].Err != "" {
+			continue
+		}
+		m, err := wire.MergeBatch(res[spans[i][0]:spans[i][1]])
+		if err != nil {
+			out[i].Err = err.Error()
 		} else {
-			m, err := wire.MergeBatch(res[spans[i][0]:spans[i][1]])
-			if err != nil {
-				errMsg = err.Error()
-			} else {
-				counts = m
-			}
+			out[i].Counts = wire.CountsToPairs(m)
 		}
-		w.report(u, counts, errMsg)
 	}
-}
-
-// report delivers one unit's outcome, retrying through transient
-// dispatcher unavailability so a drain or restart cannot lose a
-// computed result.
-func (w *Worker) report(u wire.Unit, counts map[string]int, errMsg string) {
-	req := wire.ResultRequest{
-		V: wire.Version, Worker: w.cfg.Name,
-		Seq: u.Seq, Attempt: u.Attempt,
-		Counts: wire.CountsToPairs(counts), Err: errMsg,
-	}
-	for tries := 0; tries < 50; tries++ {
-		var resp wire.ResultResponse
-		err := w.post("/v1/result", req, &resp)
-		if err == nil {
-			w.units.Add(1)
-			if !resp.Accepted {
-				w.cfg.Logf("unit %d already %s (duplicate report dropped)", u.Seq, resp.State)
-			}
-			return
-		}
-		w.cfg.Logf("result %d: %v (retrying)", u.Seq, err)
-		time.Sleep(w.cfg.Poll)
-	}
-	w.cfg.Logf("unit %d: giving up on report; lease expiry will requeue it", u.Seq)
+	return out
 }
 
 // startHeartbeats extends the batch's leases a few times per lease
@@ -266,7 +227,7 @@ func (w *Worker) startHeartbeats(units []wire.Unit) (stop func()) {
 				return
 			case <-t.C:
 				var resp wire.HeartbeatResponse
-				if err := w.post("/v1/heartbeat", wire.HeartbeatRequest{V: wire.Version, Worker: w.cfg.Name, Seqs: seqs}, &resp); err != nil {
+				if err := w.cl.do(http.MethodPost, "/v1/heartbeat", wire.HeartbeatRequest{V: wire.Version, Worker: w.cfg.Name, Seqs: seqs}, &resp); err != nil {
 					w.cfg.Logf("heartbeat: %v", err)
 				}
 			}
