@@ -77,8 +77,11 @@ func startDaemon(t *testing.T, readyLine string, bin string, args ...string) *da
 	cmd := exec.Command(bin, args...)
 	var buf syncBuffer
 	pr, pw := io.Pipe()
-	cmd.Stdout = io.MultiWriter(&buf, pw)
-	cmd.Stderr = io.MultiWriter(&buf, pw)
+	// One writer for both streams: os/exec then hands the child a single
+	// pipe, so a stderr log line written before the stdout ready line is
+	// also read before it.
+	out := io.MultiWriter(&buf, pw)
+	cmd.Stdout, cmd.Stderr = out, out
 	if err := cmd.Start(); err != nil {
 		t.Fatalf("start %s: %v", bin, err)
 	}

@@ -6,6 +6,7 @@
 // load, a two-year synthetic workload, and analyses regenerating every
 // figure of the paper. See README.md and DESIGN.md.
 //
-// The root package exists only to anchor the per-figure benchmarks in
-// bench_test.go; all functionality lives under internal/.
+// The root package exists only to anchor the design-choice ablations
+// in ablation_test.go; all functionality lives under internal/, and
+// every timing is produced by the harness in bench/.
 package qcloud

@@ -3,8 +3,8 @@ package cloud
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
-	"time"
+
+	"qcloud/internal/journal"
 )
 
 // Binary codec for the journal's input log. The original jrecSubmit
@@ -23,147 +23,47 @@ const submitWireVersion byte = 1
 // extended slice.
 func appendSubmitRecord(buf []byte, machine string, submitSeq int64, s *JobSpec) []byte {
 	buf = append(buf, jrecSubmit2, submitWireVersion)
-	buf = appendSubmitString(buf, machine)
+	buf = journal.AppendString(buf, machine)
 	buf = binary.AppendVarint(buf, submitSeq)
 	buf = binary.AppendVarint(buf, s.SubmitTime.UnixNano())
-	buf = appendSubmitString(buf, s.User)
-	buf = appendSubmitString(buf, s.Machine)
+	buf = journal.AppendString(buf, s.User)
+	buf = journal.AppendString(buf, s.Machine)
 	buf = binary.AppendVarint(buf, int64(s.BatchSize))
 	buf = binary.AppendVarint(buf, int64(s.Shots))
-	buf = appendSubmitString(buf, s.CircuitName)
+	buf = journal.AppendString(buf, s.CircuitName)
 	buf = binary.AppendVarint(buf, int64(s.Width))
 	buf = binary.AppendVarint(buf, int64(s.TotalDepth))
 	buf = binary.AppendVarint(buf, int64(s.TotalGateOps))
 	buf = binary.AppendVarint(buf, int64(s.CXTotal))
 	buf = binary.AppendVarint(buf, int64(s.MemSlots))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.PatienceSec))
-	if s.Privileged {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	return buf
+	buf = journal.AppendFloat64(buf, s.PatienceSec)
+	return journal.AppendBool(buf, s.Privileged)
 }
 
 // decodeSubmitRecord decodes one jrecSubmit2 payload (record type byte
 // already stripped). Malformed input is an error, never a panic — the
 // second line of defense behind the journal's frame checksums.
 func decodeSubmitRecord(b []byte) (journalSubmit, error) {
-	d := &submitDecoder{b: b}
-	if v := d.byte(); v != submitWireVersion {
-		if d.err == nil {
-			d.err = fmt.Errorf("cloud: submit record version %d, want %d", v, submitWireVersion)
-		}
-		return journalSubmit{}, d.err
-	}
+	d := journal.NewRecordReader(b)
+	d.Version(submitWireVersion)
 	var js journalSubmit
-	js.Machine = d.string()
-	js.SubmitSeq = d.varint()
-	js.Spec.SubmitTime = time.Unix(0, d.varint()).UTC()
-	js.Spec.User = d.string()
-	js.Spec.Machine = d.string()
-	js.Spec.BatchSize = d.int()
-	js.Spec.Shots = d.int()
-	js.Spec.CircuitName = d.string()
-	js.Spec.Width = d.int()
-	js.Spec.TotalDepth = d.int()
-	js.Spec.TotalGateOps = d.int()
-	js.Spec.CXTotal = d.int()
-	js.Spec.MemSlots = d.int()
-	js.Spec.PatienceSec = d.float64()
-	js.Spec.Privileged = d.byte() != 0
-	if d.err != nil {
-		return journalSubmit{}, d.err
-	}
-	if len(d.b) != d.off {
-		return journalSubmit{}, fmt.Errorf("cloud: submit record has %d trailing bytes", len(d.b)-d.off)
+	js.Machine = d.String()
+	js.SubmitSeq = d.Varint()
+	js.Spec.SubmitTime = d.Time()
+	js.Spec.User = d.String()
+	js.Spec.Machine = d.String()
+	js.Spec.BatchSize = d.Int()
+	js.Spec.Shots = d.Int()
+	js.Spec.CircuitName = d.String()
+	js.Spec.Width = d.Int()
+	js.Spec.TotalDepth = d.Int()
+	js.Spec.TotalGateOps = d.Int()
+	js.Spec.CXTotal = d.Int()
+	js.Spec.MemSlots = d.Int()
+	js.Spec.PatienceSec = d.Float64()
+	js.Spec.Privileged = d.Bool()
+	if err := d.Finish(); err != nil {
+		return journalSubmit{}, fmt.Errorf("cloud: submit record: %w", err)
 	}
 	return js, nil
-}
-
-func appendSubmitString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-// submitDecoder reads the fixed field sequence with a sticky error, so
-// the decode body stays a flat field list.
-type submitDecoder struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *submitDecoder) fail(msg string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("cloud: truncated submit record: %s at offset %d", msg, d.off)
-	}
-}
-
-func (d *submitDecoder) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if d.off >= len(d.b) {
-		d.fail("byte")
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *submitDecoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("varint")
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *submitDecoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("uvarint")
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *submitDecoder) int() int { return int(d.varint()) }
-
-func (d *submitDecoder) string() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(len(d.b)-d.off) {
-		d.fail("string body")
-		return ""
-	}
-	s := string(d.b[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s
-}
-
-func (d *submitDecoder) float64() float64 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b)-d.off < 8 {
-		d.fail("float64")
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b[d.off:]))
-	d.off += 8
-	return v
 }

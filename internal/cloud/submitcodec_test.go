@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"time"
 )
@@ -55,6 +56,45 @@ func TestSubmitRecordMalformed(t *testing.T) {
 	if _, err := decodeSubmitRecord(append(append([]byte{}, full...), 0x7f)); err == nil {
 		t.Fatal("decode with trailing byte succeeded")
 	}
+}
+
+// FuzzDecodeSubmitRecord feeds decodeSubmitRecord arbitrary bytes,
+// seeded with the round-trip fixtures, every truncation of one record,
+// a version-mangled copy and a trailing-byte copy. It must never
+// panic, and whatever it accepts must survive decode → encode → decode.
+func FuzzDecodeSubmitRecord(f *testing.F) {
+	specs := submitCodecSpecs()
+	for _, js := range specs {
+		f.Add(appendSubmitRecord(nil, js.Machine, js.SubmitSeq, &js.Spec)[1:])
+	}
+	full := appendSubmitRecord(nil, specs[0].Machine, specs[0].SubmitSeq, &specs[0].Spec)[1:]
+	for n := 0; n < len(full); n++ {
+		f.Add(full[:n])
+	}
+	bad := bytes.Clone(full)
+	bad[0] = 99
+	f.Add(bad)
+	f.Add(append(bytes.Clone(full), 0x7f))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		js, err := decodeSubmitRecord(b)
+		if err != nil {
+			return
+		}
+		again, err := decodeSubmitRecord(appendSubmitRecord(nil, js.Machine, js.SubmitSeq, &js.Spec)[1:])
+		if err != nil {
+			t.Fatalf("re-encoded submit record does not decode: %v", err)
+		}
+		// A NaN patience is unequal to itself: compare its bits, then
+		// the rest of the struct.
+		if math.Float64bits(again.Spec.PatienceSec) != math.Float64bits(js.Spec.PatienceSec) {
+			t.Fatalf("decode → encode → decode changed PatienceSec: %x, want %x",
+				math.Float64bits(again.Spec.PatienceSec), math.Float64bits(js.Spec.PatienceSec))
+		}
+		again.Spec.PatienceSec, js.Spec.PatienceSec = 0, 0
+		if again != js {
+			t.Fatalf("decode → encode → decode changed the record:\n got %+v\nwant %+v", again, js)
+		}
+	})
 }
 
 // TestJournalLegacyGobSubmitsRecoverable pins old-format support: a

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -478,8 +479,9 @@ func (d *Dispatcher) handleStatus(w http.ResponseWriter, r *http.Request) {
 func (d *Dispatcher) handleEvents(w http.ResponseWriter, r *http.Request) {
 	var since int64
 	if s := r.URL.Query().Get("since"); s != "" {
-		if _, err := fmt.Sscanf(s, "%d", &since); err != nil {
-			httpError(w, http.StatusBadRequest, "bad since cursor")
+		var err error
+		if since, err = strconv.ParseInt(s, 10, 64); err != nil || since < 0 {
+			httpError(w, http.StatusBadRequest, "bad since cursor: want a non-negative integer")
 			return
 		}
 	}

@@ -153,6 +153,44 @@ func TestResultsExchange(t *testing.T) {
 	}
 }
 
+// TestEventsCursor: GET /v1/events takes a non-negative decimal cursor
+// and nothing else — a cursor with trailing junk or a negative one is
+// answered 400 with a GenericResponse, not read as a number or clamped
+// to a "truncated" window on a ring that has dropped nothing; a cursor
+// past next is an empty, untruncated page.
+func TestEventsCursor(t *testing.T) {
+	d := newTestDispatcher(t)
+	h := d.Handler()
+	for i := int64(0); i < 5; i++ {
+		d.appendEvent(wire.Event{Seq: i})
+	}
+	get := func(query string, resp any) int {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/events"+query, nil))
+		if err := json.Unmarshal(rec.Body.Bytes(), resp); err != nil {
+			t.Fatalf("/v1/events%s answered %d with a body that is not JSON: %q", query, rec.Code, rec.Body.String())
+		}
+		return rec.Code
+	}
+	for _, q := range []string{"?since=12abc", "?since=abc", "?since=-1", "?since=1.5", "?since=99999999999999999999"} {
+		var resp wire.GenericResponse
+		if code := get(q, &resp); code != http.StatusBadRequest || resp.V != wire.Version || resp.Err == "" {
+			t.Errorf("%s answered %d %+v, want 400 and an error", q, code, resp)
+		}
+	}
+	pages := []struct {
+		query string
+		n     int
+	}{{"", 5}, {"?since=", 5}, {"?since=0", 5}, {"?since=3", 2}, {"?since=5", 0}, {"?since=9", 0}}
+	for _, p := range pages {
+		var resp wire.EventsResponse
+		if code := get(p.query, &resp); code != http.StatusOK || len(resp.Events) != p.n || resp.Next != 5 || resp.Truncated {
+			t.Errorf("%q answered %d: %d events, next %d, truncated %v; want 200, %d, 5, false", p.query, code, len(resp.Events), resp.Next, resp.Truncated, p.n)
+		}
+	}
+}
+
 // TestEventRing: once full, the ring takes an event without moving or
 // allocating anything; a cursor older than the ring reaches is told so
 // and resumes at the oldest event retained; cursors inside it page

@@ -45,7 +45,7 @@ import (
 // stream costs tens of microseconds, which a sub-1024-amplitude
 // evolution cannot recover. Trajectory runs always fuse — the compile
 // amortizes across shots. Measured crossover: fused wins from ~11
-// qubits up (see BENCH_*.json's StatevectorScaling/8q vs 12q rows).
+// qubits up.
 const exactFuseMinQubits = 11
 
 // maxDiagQubits caps the touched-qubit set of one fused diagonal run:
@@ -243,8 +243,8 @@ func compileProgram(c *circuit.Circuit, noise *NoiseModel, fuse, fuse2q bool) (*
 // KernelCounts reports the compiled op-stream length of circuit c under
 // each fusion setting: no fusion, 1q-chain + diagonal-run fusion (the
 // PR 2 engine), and full two-qubit block fusion. It is the
-// kernel-sweep-count lever the prepasses pull, recorded per compiled
-// circuit by cmd/qcloud-bench.
+// kernel-sweep-count lever the prepasses pull, recorded by bench/ as
+// qsim.kernel_sweeps_per_circuit.
 func KernelCounts(c *circuit.Circuit, noise *NoiseModel) (unfused, fused1q, blocked int, err error) {
 	for _, cfg := range []struct {
 		fuse, fuse2q bool

@@ -64,6 +64,11 @@ func ReadCSV(r io.Reader) ([]*Job, error) {
 	if len(header) != len(csvHeader) {
 		return nil, fmt.Errorf("trace: header has %d columns, want %d", len(header), len(csvHeader))
 	}
+	for i, want := range csvHeader {
+		if header[i] != want {
+			return nil, fmt.Errorf("trace: header column %d is %q, want %q", i+1, header[i], want)
+		}
+	}
 	var jobs []*Job
 	for line := 2; ; line++ {
 		rec, err := cr.Read()

@@ -3,7 +3,8 @@ package trace
 import (
 	"encoding/binary"
 	"fmt"
-	"time"
+
+	"qcloud/internal/journal"
 )
 
 // Streaming job codec: a compact binary encoding of single Job
@@ -25,11 +26,11 @@ const jobWireVersion byte = 1
 func AppendJob(buf []byte, j *Job) []byte {
 	buf = append(buf, jobWireVersion)
 	buf = binary.AppendVarint(buf, j.ID)
-	buf = appendString(buf, j.User)
-	buf = appendString(buf, j.Machine)
+	buf = journal.AppendString(buf, j.User)
+	buf = journal.AppendString(buf, j.Machine)
 	buf = binary.AppendVarint(buf, int64(j.MachineQubits))
-	buf = appendBool(buf, j.Public)
-	buf = appendString(buf, j.CircuitName)
+	buf = journal.AppendBool(buf, j.Public)
+	buf = journal.AppendString(buf, j.CircuitName)
 	buf = binary.AppendVarint(buf, int64(j.BatchSize))
 	buf = binary.AppendVarint(buf, int64(j.Shots))
 	buf = binary.AppendVarint(buf, int64(j.Width))
@@ -40,7 +41,7 @@ func AppendJob(buf []byte, j *Job) []byte {
 	buf = binary.AppendVarint(buf, j.SubmitTime.UnixNano())
 	buf = binary.AppendVarint(buf, j.StartTime.UnixNano())
 	buf = binary.AppendVarint(buf, j.EndTime.UnixNano())
-	buf = appendString(buf, string(j.Status))
+	buf = journal.AppendString(buf, string(j.Status))
 	buf = binary.AppendVarint(buf, int64(j.CompileEpoch))
 	buf = binary.AppendVarint(buf, int64(j.ExecEpoch))
 	return buf
@@ -50,125 +51,30 @@ func AppendJob(buf []byte, j *Job) []byte {
 // panics: malformed input (truncation, bad lengths) is an error, a
 // second line of defense behind the journal's frame checksums.
 func DecodeJob(b []byte) (*Job, error) {
-	d := &jobDecoder{b: b}
-	if v := d.byte(); v != jobWireVersion {
-		if d.err == nil {
-			d.err = fmt.Errorf("trace: job record version %d, want %d", v, jobWireVersion)
-		}
-		return nil, d.err
-	}
+	d := journal.NewRecordReader(b)
+	d.Version(jobWireVersion)
 	j := &Job{}
-	j.ID = d.varint()
-	j.User = d.string()
-	j.Machine = d.string()
-	j.MachineQubits = d.int()
-	j.Public = d.bool()
-	j.CircuitName = d.string()
-	j.BatchSize = d.int()
-	j.Shots = d.int()
-	j.Width = d.int()
-	j.TotalDepth = d.int()
-	j.TotalGateOps = d.int()
-	j.CXTotal = d.int()
-	j.MemSlots = d.int()
-	j.SubmitTime = d.time()
-	j.StartTime = d.time()
-	j.EndTime = d.time()
-	j.Status = Status(d.string())
-	j.CompileEpoch = d.int()
-	j.ExecEpoch = d.int()
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.b) != d.off {
-		return nil, fmt.Errorf("trace: job record has %d trailing bytes", len(d.b)-d.off)
+	j.ID = d.Varint()
+	j.User = d.String()
+	j.Machine = d.String()
+	j.MachineQubits = d.Int()
+	j.Public = d.Bool()
+	j.CircuitName = d.String()
+	j.BatchSize = d.Int()
+	j.Shots = d.Int()
+	j.Width = d.Int()
+	j.TotalDepth = d.Int()
+	j.TotalGateOps = d.Int()
+	j.CXTotal = d.Int()
+	j.MemSlots = d.Int()
+	j.SubmitTime = d.Time()
+	j.StartTime = d.Time()
+	j.EndTime = d.Time()
+	j.Status = Status(d.String())
+	j.CompileEpoch = d.Int()
+	j.ExecEpoch = d.Int()
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("trace: job record: %w", err)
 	}
 	return j, nil
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-func appendBool(buf []byte, v bool) []byte {
-	if v {
-		return append(buf, 1)
-	}
-	return append(buf, 0)
-}
-
-// jobDecoder reads the fixed field sequence with a sticky error, so
-// the decode body stays a flat field list.
-type jobDecoder struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *jobDecoder) fail(msg string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("trace: truncated job record: %s at offset %d", msg, d.off)
-	}
-}
-
-func (d *jobDecoder) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if d.off >= len(d.b) {
-		d.fail("byte")
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *jobDecoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("varint")
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *jobDecoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("uvarint")
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *jobDecoder) int() int { return int(d.varint()) }
-
-func (d *jobDecoder) bool() bool { return d.byte() != 0 }
-
-func (d *jobDecoder) string() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(len(d.b)-d.off) {
-		d.fail("string body")
-		return ""
-	}
-	s := string(d.b[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s
-}
-
-func (d *jobDecoder) time() time.Time {
-	return time.Unix(0, d.varint()).UTC()
 }

@@ -96,6 +96,38 @@ func TestJobStreamTruncationSafe(t *testing.T) {
 	}
 }
 
+// FuzzDecodeJob feeds DecodeJob arbitrary bytes, seeded with the
+// round-trip fixtures, every truncation of one record, a
+// version-mangled copy and a trailing-byte copy. It must never panic,
+// and whatever it accepts must survive decode → encode → decode.
+func FuzzDecodeJob(f *testing.F) {
+	jobs := streamJobs()
+	for _, j := range jobs {
+		f.Add(AppendJob(nil, j))
+	}
+	full := AppendJob(nil, jobs[7])
+	for n := 0; n < len(full); n++ {
+		f.Add(full[:n])
+	}
+	bad := bytes.Clone(full)
+	bad[0] = 99
+	f.Add(bad)
+	f.Add(append(bytes.Clone(full), 0x7f))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		j, err := DecodeJob(b)
+		if err != nil {
+			return
+		}
+		again, err := DecodeJob(AppendJob(nil, j))
+		if err != nil {
+			t.Fatalf("re-encoded job does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(again, j) {
+			t.Fatalf("decode → encode → decode changed the job:\n got %+v\nwant %+v", again, j)
+		}
+	})
+}
+
 func TestSnapshotChecksumRoundTrip(t *testing.T) {
 	type payload struct {
 		Name  string

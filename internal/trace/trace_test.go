@@ -106,6 +106,16 @@ func TestCSVRejectsCorrupt(t *testing.T) {
 	if _, err := ReadCSV(strings.NewReader(corrupted)); err == nil {
 		t.Fatal("corrupt field should fail")
 	}
+	// Same column count, wrong names: the rows would land in the wrong
+	// fields, so the header is refused and the error names the column.
+	renamed := strings.Replace(buf.String(), "user,machine,", "user,qubits,", 1)
+	if _, err := ReadCSV(strings.NewReader(renamed)); err == nil || !strings.Contains(err.Error(), `column 3 is "qubits", want "machine"`) {
+		t.Fatalf("renamed header column: got %v", err)
+	}
+	reordered := strings.Replace(buf.String(), "batch_size,shots,", "shots,batch_size,", 1)
+	if _, err := ReadCSV(strings.NewReader(reordered)); err == nil || !strings.Contains(err.Error(), `column 7 is "shots", want "batch_size"`) {
+		t.Fatalf("reordered header columns: got %v", err)
+	}
 }
 
 func TestJSONRoundtrip(t *testing.T) {
