@@ -14,7 +14,6 @@ package dispatch
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -176,6 +175,8 @@ type Queue struct {
 
 	submits *journal.Writer // submit/seal records
 	results *journal.Writer // expire/result/cancel records
+	// recBuf is the one buffer every record is encoded through.
+	recBuf []byte
 
 	sinceCkpt int
 }
@@ -187,9 +188,8 @@ type Queue struct {
 // silently replaying less than was acked would un-happen
 // acknowledged work.
 type checkpoint struct {
-	V          int   `json:"v"`
-	SubmitRecs int64 `json:"submit_recs"`
-	ResultRecs int64 `json:"result_recs"`
+	SubmitRecs int64
+	ResultRecs int64
 }
 
 var ckptMagic = []byte("QDC1")
@@ -215,11 +215,17 @@ func OpenQueue(cfg QueueConfig) (*Queue, error) {
 	subDir := filepath.Join(cfg.Dir, submitsDirName)
 	resDir := filepath.Join(cfg.Dir, resultsDirName)
 
-	subScan, err := journal.ForEach(subDir, q.replaySubmit)
+	// One record is decoded at a time, into rec.
+	var rec wire.WALRecord
+	subScan, err := journal.ForEach(subDir, func(i int64, payload []byte) error {
+		return q.replaySubmit(i, payload, &rec)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: replaying submit log: %w", err)
 	}
-	resScan, err := journal.ForEach(resDir, q.replayResult)
+	resScan, err := journal.ForEach(resDir, func(i int64, payload []byte) error {
+		return q.replayResult(i, payload, &rec)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: replaying completion log: %w", err)
 	}
@@ -266,92 +272,57 @@ func (q *Queue) setStateLocked(t *Task, s TaskState) {
 	t.State = s
 }
 
-// replaySubmit applies one submit-log record during recovery.
-func (q *Queue) replaySubmit(rec int64, payload []byte) error {
-	env, err := wire.DecodeRecord(payload)
-	if err != nil {
-		return fmt.Errorf("submit record %d: %w", rec, err)
+// replaySubmit applies submit-log record i during recovery.
+func (q *Queue) replaySubmit(i int64, payload []byte, rec *wire.WALRecord) error {
+	if err := wire.DecodeWALRecord(payload, rec); err != nil {
+		return fmt.Errorf("submit record %d: %w", i, err)
 	}
-	switch env.Type {
-	case wire.RecSubmit:
-		var sr wire.SubmitRec
-		if err := json.Unmarshal(env.Data, &sr); err != nil {
-			return fmt.Errorf("submit record %d: %w", rec, err)
+	switch rec.Type {
+	case wire.WALSubmit:
+		if rec.Seq != int64(len(q.tasks)) {
+			return fmt.Errorf("submit record %d: seq %d out of order (want %d)", i, rec.Seq, len(q.tasks))
 		}
-		if sr.Seq != int64(len(q.tasks)) {
-			return fmt.Errorf("submit record %d: seq %d out of order (want %d)", rec, sr.Seq, len(q.tasks))
-		}
-		q.addTaskLocked(&Task{Seq: sr.Seq, Key: sr.Key, Spec: sr.Spec})
-	case wire.RecSeal:
+		q.addTaskLocked(&Task{Seq: rec.Seq, Key: rec.Key, Spec: rec.Spec})
+	case wire.WALSeal:
 		q.sealed = true
 	default:
-		return fmt.Errorf("submit record %d: unexpected type %q", rec, env.Type)
+		return fmt.Errorf("submit record %d: unexpected type %s", i, rec.Type)
 	}
 	return nil
 }
 
-// replayResult applies one completion-log record during recovery.
-func (q *Queue) replayResult(rec int64, payload []byte) error {
-	env, err := wire.DecodeRecord(payload)
-	if err != nil {
-		return fmt.Errorf("completion record %d: %w", rec, err)
+// replayResult applies completion-log record i during recovery.
+func (q *Queue) replayResult(i int64, payload []byte, rec *wire.WALRecord) error {
+	if err := wire.DecodeWALRecord(payload, rec); err != nil {
+		return fmt.Errorf("completion record %d: %w", i, err)
 	}
-	task := func(seq int64) (*Task, error) {
-		if seq < 0 || seq >= int64(len(q.tasks)) {
-			return nil, fmt.Errorf("completion record %d: unknown seq %d", rec, seq)
-		}
-		return q.tasks[seq], nil
+	if rec.Type != wire.WALExpire && rec.Type != wire.WALResult && rec.Type != wire.WALCancel {
+		return fmt.Errorf("completion record %d: unexpected type %s", i, rec.Type)
 	}
-	switch env.Type {
-	case wire.RecExpire:
-		var er wire.ExpireRec
-		if err := json.Unmarshal(env.Data, &er); err != nil {
-			return err
-		}
-		t, err := task(er.Seq)
-		if err != nil {
-			return err
-		}
-		if er.Attempt > t.Attempt {
-			t.Attempt = er.Attempt
-		}
-	case wire.RecResult:
-		var rr wire.ResultRec
-		if err := json.Unmarshal(env.Data, &rr); err != nil {
-			return err
-		}
-		t, err := task(rr.Seq)
-		if err != nil {
-			return err
-		}
+	if rec.Seq < 0 || rec.Seq >= int64(len(q.tasks)) {
+		return fmt.Errorf("completion record %d: unknown seq %d", i, rec.Seq)
+	}
+	t := q.tasks[rec.Seq]
+	switch rec.Type {
+	case wire.WALExpire:
+		t.Attempt = max(t.Attempt, rec.Attempt)
+	case wire.WALResult:
 		if t.State.terminal() {
 			break // first outcome wins, exactly like the live path
 		}
-		t.Worker = rr.Worker
-		if rr.Attempt > t.Attempt {
-			t.Attempt = rr.Attempt
-		}
-		if rr.Err != "" {
-			t.Err = rr.Err
+		t.Worker = rec.Worker
+		t.Attempt = max(t.Attempt, rec.Attempt)
+		if rec.Err != "" {
+			t.Err = rec.Err
 			q.setStateLocked(t, TaskFailed)
 		} else {
-			t.Counts = wire.PairsToCounts(rr.Counts)
+			t.Counts = wire.PairsToCounts(rec.Counts)
 			q.setStateLocked(t, TaskDone)
 		}
-	case wire.RecCancel:
-		var cr wire.CancelRec
-		if err := json.Unmarshal(env.Data, &cr); err != nil {
-			return err
-		}
-		t, err := task(cr.Seq)
-		if err != nil {
-			return err
-		}
+	case wire.WALCancel:
 		if !t.State.terminal() {
 			q.setStateLocked(t, TaskCancelled)
 		}
-	default:
-		return fmt.Errorf("completion record %d: unexpected type %q", rec, env.Type)
 	}
 	return nil
 }
@@ -375,15 +346,12 @@ func (q *Queue) emit(ev wire.Event) {
 // that appended flushes once, through flushLocked, before it returns.
 // A failure here is sticky: the queue stops accepting mutations rather
 // than diverging from its log.
-func (q *Queue) appendLocked(w *journal.Writer, typ string, payload any) error {
+func (q *Queue) appendLocked(w *journal.Writer, rec *wire.WALRecord) error {
 	if q.err != nil {
 		return q.err
 	}
-	raw, err := wire.EncodeRecord(typ, payload)
-	if err == nil {
-		err = w.Append(raw)
-	}
-	return q.failLocked(err)
+	q.recBuf = wire.AppendWALRecord(q.recBuf[:0], rec)
+	return q.failLocked(w.Append(q.recBuf))
 }
 
 // flushLocked hands everything appended so far to the OS — the ack
@@ -410,8 +378,8 @@ func (q *Queue) failLocked(err error) error {
 }
 
 // commitLocked appends one record and flushes: the single-record calls.
-func (q *Queue) commitLocked(w *journal.Writer, typ string, payload any) error {
-	if err := q.appendLocked(w, typ, payload); err != nil {
+func (q *Queue) commitLocked(w *journal.Writer, rec *wire.WALRecord) error {
+	if err := q.appendLocked(w, rec); err != nil {
 		return err
 	}
 	return q.flushLocked()
@@ -434,7 +402,7 @@ func (q *Queue) Submit(key string, spec wire.Spec) (seq int64, dup bool, err err
 		return 0, false, ErrSealed
 	}
 	seq = int64(len(q.tasks))
-	if err := q.commitLocked(q.submits, wire.RecSubmit, wire.SubmitRec{Seq: seq, Key: key, Spec: spec}); err != nil {
+	if err := q.commitLocked(q.submits, &wire.WALRecord{Type: wire.WALSubmit, Seq: seq, Key: key, Spec: spec}); err != nil {
 		return 0, false, err
 	}
 	q.addTaskLocked(&Task{Seq: seq, Key: key, Spec: spec})
@@ -452,7 +420,7 @@ func (q *Queue) Seal() error {
 	if q.sealed {
 		return nil
 	}
-	if err := q.commitLocked(q.submits, wire.RecSeal, wire.SealRec{}); err != nil {
+	if err := q.commitLocked(q.submits, &wire.WALRecord{Type: wire.WALSeal}); err != nil {
 		return err
 	}
 	q.sealed = true
@@ -510,13 +478,13 @@ func (q *Queue) expireLocked(t *Task, now time.Time) bool {
 	t.Attempt++
 	worker := t.Worker
 	t.Worker = ""
-	if q.appendLocked(q.results, wire.RecExpire, wire.ExpireRec{Seq: t.Seq, Attempt: t.Attempt}) != nil {
+	if q.appendLocked(q.results, &wire.WALRecord{Type: wire.WALExpire, Seq: t.Seq, Attempt: t.Attempt}) != nil {
 		return false
 	}
 	if t.Attempt >= q.cfg.Retry.MaxAttempts {
 		errMsg := fmt.Sprintf("lease expired on attempt %d/%d (last worker %s)",
 			t.Attempt, q.cfg.Retry.MaxAttempts, worker)
-		if q.appendLocked(q.results, wire.RecResult, wire.ResultRec{Seq: t.Seq, Attempt: t.Attempt, Err: errMsg}) != nil {
+		if q.appendLocked(q.results, &wire.WALRecord{Type: wire.WALResult, Seq: t.Seq, Attempt: t.Attempt, Err: errMsg}) != nil {
 			return false
 		}
 		t.Err = errMsg
@@ -601,11 +569,11 @@ func (q *Queue) resultLocked(worker string, r *Report) Outcome {
 	if t.State.terminal() {
 		return Outcome{State: t.State}
 	}
-	rr := wire.ResultRec{Seq: r.Seq, Attempt: r.Attempt, Worker: worker, Err: r.Err}
+	rec := wire.WALRecord{Type: wire.WALResult, Seq: r.Seq, Attempt: r.Attempt, Worker: worker, Err: r.Err}
 	if r.Err == "" {
-		rr.Counts = wire.CountsToPairs(r.Counts)
+		rec.Counts = wire.CountsToPairs(r.Counts)
 	}
-	if q.appendLocked(q.results, wire.RecResult, rr) != nil {
+	if q.appendLocked(q.results, &rec) != nil {
 		return Outcome{State: t.State}
 	}
 	t.Worker = worker
@@ -721,7 +689,7 @@ func (q *Queue) Cancel(key string, seq int64) (accepted bool, state TaskState, e
 	if t.State.terminal() {
 		return false, t.State, nil
 	}
-	if err := q.commitLocked(q.results, wire.RecCancel, wire.CancelRec{Seq: seq}); err != nil {
+	if err := q.commitLocked(q.results, &wire.WALRecord{Type: wire.WALCancel, Seq: seq}); err != nil {
 		return false, 0, err
 	}
 	q.setStateLocked(t, TaskCancelled)
@@ -820,7 +788,7 @@ func (q *Queue) writeCheckpointLocked() {
 	if q.flushLocked() != nil {
 		return
 	}
-	ck := checkpoint{V: wire.Version, SubmitRecs: q.submits.Records(), ResultRecs: q.results.Records()}
+	ck := checkpoint{SubmitRecs: q.submits.Records(), ResultRecs: q.results.Records()}
 	_ = writeCheckpointFile(filepath.Join(q.cfg.Dir, ckptName), ck)
 }
 
@@ -849,12 +817,11 @@ func (q *Queue) Close() error {
 
 // writeCheckpointFile frames the checkpoint as magic · u32le len ·
 // u32le CRC32C(payload) · payload, written to a temp file and renamed
-// into place so a crash never leaves a half-written checkpoint.
+// into place so a crash never leaves a half-written checkpoint. The
+// payload is a record like the WAL's: the layout version byte, then
+// the two watermarks as varints.
 func writeCheckpointFile(path string, ck checkpoint) error {
-	payload, err := json.Marshal(ck)
-	if err != nil {
-		return err
-	}
+	payload := binary.AppendVarint(binary.AppendVarint([]byte{wire.WALVersion}, ck.SubmitRecs), ck.ResultRecs)
 	buf := make([]byte, 0, len(ckptMagic)+8+len(payload))
 	buf = append(buf, ckptMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
@@ -888,11 +855,10 @@ func readCheckpoint(path string) (*checkpoint, error) {
 	if uint32(len(payload)) != n || crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)) != crc {
 		return nil, nil
 	}
-	var ck checkpoint
-	if err := json.Unmarshal(payload, &ck); err != nil {
-		return nil, nil
-	}
-	if ck.V != wire.Version {
+	d := journal.NewRecordReader(payload)
+	d.Version(wire.WALVersion)
+	ck := checkpoint{SubmitRecs: d.Varint(), ResultRecs: d.Varint()}
+	if d.Finish() != nil {
 		return nil, nil
 	}
 	return &ck, nil

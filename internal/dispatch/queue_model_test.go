@@ -80,15 +80,13 @@ func (q *refQueue) emit(ev wire.Event) {
 	}
 }
 
-func (q *refQueue) appendLocked(w *journal.Writer, typ string, payload any) error {
+func (q *refQueue) appendLocked(w *journal.Writer, rec wire.WALRecord) error {
 	if q.err != nil {
 		return q.err
 	}
-	raw, err := wire.EncodeRecord(typ, payload)
+	err := w.Append(wire.AppendWALRecord(nil, &rec))
 	if err == nil {
-		if err = w.Append(raw); err == nil {
-			err = w.Flush()
-		}
+		err = w.Flush()
 	}
 	if err != nil {
 		q.err = fmt.Errorf("dispatch: journal append failed, queue is read-only: %w", err)
@@ -110,7 +108,7 @@ func (q *refQueue) Submit(key string, spec wire.Spec) (seq int64, dup bool, err 
 		return 0, false, ErrSealed
 	}
 	seq = int64(len(q.tasks))
-	if err := q.appendLocked(q.submits, wire.RecSubmit, wire.SubmitRec{Seq: seq, Key: key, Spec: spec}); err != nil {
+	if err := q.appendLocked(q.submits, wire.WALRecord{Type: wire.WALSubmit, Seq: seq, Key: key, Spec: spec}); err != nil {
 		return 0, false, err
 	}
 	q.tasks = append(q.tasks, &Task{Seq: seq, Key: key, Spec: spec})
@@ -128,7 +126,7 @@ func (q *refQueue) Seal() error {
 	if q.sealed {
 		return nil
 	}
-	if err := q.appendLocked(q.submits, wire.RecSeal, wire.SealRec{}); err != nil {
+	if err := q.appendLocked(q.submits, wire.WALRecord{Type: wire.WALSeal}); err != nil {
 		return err
 	}
 	q.sealed = true
@@ -145,13 +143,13 @@ func (q *refQueue) sweepLocked(now time.Time) {
 			t.Attempt++
 			worker := t.Worker
 			t.Worker = ""
-			if q.appendLocked(q.results, wire.RecExpire, wire.ExpireRec{Seq: t.Seq, Attempt: t.Attempt}) != nil {
+			if q.appendLocked(q.results, wire.WALRecord{Type: wire.WALExpire, Seq: t.Seq, Attempt: t.Attempt}) != nil {
 				return
 			}
 			if t.Attempt >= q.cfg.Retry.MaxAttempts {
 				errMsg := fmt.Sprintf("lease expired on attempt %d/%d (last worker %s)",
 					t.Attempt, q.cfg.Retry.MaxAttempts, worker)
-				if q.appendLocked(q.results, wire.RecResult, wire.ResultRec{Seq: t.Seq, Attempt: t.Attempt, Err: errMsg}) != nil {
+				if q.appendLocked(q.results, wire.WALRecord{Type: wire.WALResult, Seq: t.Seq, Attempt: t.Attempt, Err: errMsg}) != nil {
 					return
 				}
 				t.State, t.Err = TaskFailed, errMsg
@@ -233,11 +231,11 @@ func (q *refQueue) Result(worker string, seq int64, attempt int, counts map[stri
 	if t.State.terminal() {
 		return false, t.State, nil
 	}
-	rr := wire.ResultRec{Seq: seq, Attempt: attempt, Worker: worker, Err: errMsg}
+	rr := wire.WALRecord{Type: wire.WALResult, Seq: seq, Attempt: attempt, Worker: worker, Err: errMsg}
 	if errMsg == "" {
 		rr.Counts = wire.CountsToPairs(counts)
 	}
-	if err := q.appendLocked(q.results, wire.RecResult, rr); err != nil {
+	if err := q.appendLocked(q.results, rr); err != nil {
 		return false, 0, err
 	}
 	t.Worker = worker
@@ -273,7 +271,7 @@ func (q *refQueue) Cancel(key string, seq int64) (accepted bool, state TaskState
 	if t.State.terminal() {
 		return false, t.State, nil
 	}
-	if err := q.appendLocked(q.results, wire.RecCancel, wire.CancelRec{Seq: seq}); err != nil {
+	if err := q.appendLocked(q.results, wire.WALRecord{Type: wire.WALCancel, Seq: seq}); err != nil {
 		return false, 0, err
 	}
 	t.State = TaskCancelled

@@ -1,13 +1,17 @@
 package dispatch
 
 import (
+	"bytes"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"qcloud/internal/cloud"
 	"qcloud/internal/dispatch/wire"
+	"qcloud/internal/journal"
 	"qcloud/internal/workload"
 )
 
@@ -309,5 +313,128 @@ func TestQueueTornTailTolerated(t *testing.T) {
 	defer r.Close()
 	if st := r.Stats(); st.Jobs != 3 {
 		t.Fatalf("recovered stats = %+v", st)
+	}
+}
+
+// appendFrame appends one well-framed record, whatever its payload, to
+// a WAL stream that already holds at records.
+func appendFrame(t *testing.T, dir string, at int64, payload []byte) {
+	t.Helper()
+	w, err := journal.OpenAt(dir, at, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQueueReplayErrorsNameStreamAndRecord: a record whose frame is
+// intact and whose payload is not — a short field, an unknown tag,
+// bytes left over, another layout version, a type that belongs to the
+// other stream, a seq nobody submitted — stops recovery with an error
+// naming the stream and the record's index. It never recovers to a
+// queue that is silently one record short.
+func TestQueueReplayErrorsNameStreamAndRecord(t *testing.T) {
+	plans := testPlans(t, 3, 10)
+	enc := func(r wire.WALRecord) []byte { return wire.AppendWALRecord(nil, &r) }
+	submit := enc(wire.WALRecord{Type: wire.WALSubmit, Seq: 2, Key: "c/2", Spec: plans[2]})
+	result := enc(wire.WALRecord{Type: wire.WALResult, Seq: 1, Worker: "w1", Counts: []wire.Count{{Bits: "00", N: 1}}})
+	cancel := enc(wire.WALRecord{Type: wire.WALCancel, Seq: 1})
+	withVersion := func(b []byte, v byte) []byte { return append([]byte{v}, b[1:]...) }
+	for _, c := range []struct {
+		name, stream string
+		payload      []byte
+		want         string
+	}{
+		{"truncated field", submitsDirName, submit[:len(submit)-3], "submit record 2: wire: WAL record: truncated"},
+		{"unknown tag", submitsDirName, []byte{wire.WALVersion, 9}, "submit record 2: wire: WAL record: unknown type tag 9"},
+		{"trailing bytes", submitsDirName, append(bytes.Clone(submit), 0, 0), "submit record 2: wire: WAL record: 2 trailing bytes"},
+		{"wrong layout version", submitsDirName, withVersion(submit, 7), "submit record 2: wire: WAL record: version 7, want 1"},
+		{"completion type in the submit log", submitsDirName, cancel, "submit record 2: unexpected type cancel"},
+		{"seq out of order", submitsDirName, enc(wire.WALRecord{Type: wire.WALSubmit, Seq: 5, Spec: plans[2]}), "submit record 2: seq 5 out of order (want 2)"},
+		{"truncated field", resultsDirName, result[:len(result)-1], "completion record 1: wire: WAL record: truncated"},
+		{"unknown tag", resultsDirName, []byte{wire.WALVersion, 0}, "completion record 1: wire: WAL record: unknown type tag 0"},
+		{"trailing bytes", resultsDirName, append(bytes.Clone(cancel), 0), "completion record 1: wire: WAL record: 1 trailing bytes"},
+		{"wrong layout version", resultsDirName, withVersion(cancel, 0), "completion record 1: wire: WAL record: version 0, want 1"},
+		{"submit type in the completion log", resultsDirName, enc(wire.WALRecord{Type: wire.WALSeal}), "completion record 1: unexpected type seal"},
+		{"unknown seq", resultsDirName, enc(wire.WALRecord{Type: wire.WALExpire, Seq: 2, Attempt: 1}), "completion record 1: unknown seq 2"},
+	} {
+		t.Run(c.stream+"/"+c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			q := openTestQueue(t, dir, nil, nil)
+			for i, p := range plans[:2] {
+				if _, _, err := q.Submit(key(t, i), p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, _, err := q.Result("w1", 0, 0, map[string]int{"00": 1}, ""); err != nil {
+				t.Fatal(err)
+			}
+			if err := q.Close(); err != nil {
+				t.Fatal(err)
+			}
+			at := map[string]int64{submitsDirName: 2, resultsDirName: 1}[c.stream]
+			appendFrame(t, filepath.Join(dir, c.stream), at, c.payload)
+
+			r, err := OpenQueue(QueueConfig{Dir: dir, Seed: 11})
+			if err == nil {
+				st := r.Stats()
+				r.Close()
+				t.Fatalf("recovered to %+v", st)
+			}
+			stream := map[string]string{submitsDirName: "replaying submit log: ", resultsDirName: "replaying completion log: "}[c.stream]
+			if !strings.Contains(err.Error(), stream+c.want) {
+				t.Errorf("error %q\n does not contain %q", err, stream+c.want)
+			}
+		})
+	}
+}
+
+// TestQueueRefusesJSONEraStateDir: a state dir whose WAL holds the JSON
+// envelope records of earlier versions is refused by name — the record,
+// and the layout version its first byte reads as — and is left exactly
+// as it was found: no truncation, no new segment.
+func TestQueueRefusesJSONEraStateDir(t *testing.T) {
+	dir := t.TempDir()
+	old := `{"v":1,"type":"submit","data":{"seq":0,"key":"c/0","spec":{"submit_time":"2019-01-02T03:04:05Z","user":"u","machine":"m","exec_kind":"ghz","exec_width":2,"exec_batch":1,"exec_shots":1,"exec_seed":7}}}`
+	appendFrame(t, filepath.Join(dir, submitsDirName), 0, []byte(old))
+	snapshot := func() map[string]string {
+		files := map[string]string{}
+		err := filepath.WalkDir(dir, func(path string, e fs.DirEntry, err error) error {
+			if err != nil || e.IsDir() {
+				return err
+			}
+			b, err := os.ReadFile(path)
+			files[path] = string(b)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return files
+	}
+	before := snapshot()
+
+	q, err := OpenQueue(QueueConfig{Dir: dir, Seed: 11})
+	if err == nil {
+		st := q.Stats()
+		q.Close()
+		t.Fatalf("a JSON-era state dir was opened: %+v", st)
+	}
+	if want := "submit record 0: wire: WAL record: version 123, want 1"; !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not contain %q", err, want)
+	}
+	after := snapshot()
+	if len(before) != 1 || len(after) != len(before) {
+		t.Fatalf("the state dir held %d files and holds %d", len(before), len(after))
+	}
+	for path, b := range before {
+		if after[path] != b {
+			t.Errorf("%s changed", path)
+		}
 	}
 }

@@ -240,3 +240,76 @@ func TestEventRing(t *testing.T) {
 	wrap := n - n%eventRingCap
 	check(wrap-7, wrap-7, n, int(n-wrap+7), false)
 }
+
+// TestSubmitInstantsSurviveRestart: whatever submit_time encoding/json
+// can deliver — none at all, a year a varint of nanoseconds cannot
+// hold, a zone offset — is the instant the queue replays after a
+// restart, and the trace served then is the trace served before.
+func TestSubmitInstantsSurviveRestart(t *testing.T) {
+	plans := testPlans(t, 3, 12)
+	cfg := Config{Dir: t.TempDir(), Seed: 11}
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { d.Close() }()
+	h := d.Handler()
+	for i, at := range []string{
+		``, // no submit_time: the zero Time
+		`"1600-02-29T01:02:03.000000004Z"`,
+		`"2300-01-01T00:00:00.999999999Z"`,
+		`"2019-03-04T05:06:07.000000008+02:00"`,
+		`"` + plans[4].SubmitTime.Format(time.RFC3339Nano) + `"`,
+	} {
+		var spec map[string]json.RawMessage
+		raw, _ := json.Marshal(plans[i])
+		if err := json.Unmarshal(raw, &spec); err != nil {
+			t.Fatal(err)
+		}
+		delete(spec, "submit_time")
+		if at != "" {
+			spec["submit_time"] = json.RawMessage(at)
+		}
+		var resp wire.SubmitResponse
+		if code := postJSON(t, h, "/v1/submit", map[string]any{"v": wire.Version, "key": fmt.Sprintf("k/%d", i), "spec": spec}, &resp); code != http.StatusOK {
+			t.Fatalf("submit %d (submit_time %s) answered %d", i, at, code)
+		}
+	}
+	if code := postJSON(t, h, "/v1/seal", wire.SealRequest{V: wire.Version}, &wire.GenericResponse{}); code != http.StatusOK {
+		t.Fatalf("seal answered %d", code)
+	}
+	sent, _ := d.Queue().TraceInputs()
+	if !sent[0].SubmitTime.IsZero() || sent[1].SubmitTime.Year() != 1600 || sent[2].SubmitTime.Year() != 2300 {
+		t.Fatalf("the handler decoded submit times %v, %v, %v", sent[0].SubmitTime, sent[1].SubmitTime, sent[2].SubmitTime)
+	}
+	if _, off := sent[3].SubmitTime.Zone(); off != 2*3600 {
+		t.Fatalf("the handler decoded the +02:00 submit time as %v", sent[3].SubmitTime)
+	}
+	before, err := d.TraceCSV()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if d, err = New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	replayed, _ := d.Queue().TraceInputs()
+	if len(replayed) != len(sent) {
+		t.Fatalf("replayed %d of %d specs", len(replayed), len(sent))
+	}
+	for i := range sent {
+		if !replayed[i].SubmitTime.Equal(sent[i].SubmitTime) {
+			t.Errorf("spec %d was submitted at %v and replays at %v", i, sent[i].SubmitTime, replayed[i].SubmitTime)
+		}
+	}
+	after, err := d.TraceCSV()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Errorf("the trace CSV changed across the restart:\n before:\n%s\n after:\n%s", before, after)
+	}
+}

@@ -1,10 +1,11 @@
-// Package wire defines the dispatcher's versioned JSON wire protocol
-// and the deterministic execution-payload builders shared by the
-// dispatcher, the workers, and the load client.
+// Package wire defines the dispatcher's versioned JSON wire protocol,
+// the binary records of its WAL, and the deterministic
+// execution-payload builders shared by the dispatcher, the workers,
+// and the load client.
 //
 // The package splits the service decomposition along the determinism
-// boundary: everything here — message schemas, the WAL record
-// envelope, the spec → trajectory-batch expansion, the counts
+// boundary: everything here — message schemas, the WAL record codec,
+// the spec → trajectory-batch expansion, the counts
 // canonicalization feeding the merged CSV — must be bit-identical
 // across hosts, worker counts, and restarts, so the package joins
 // lint.DeterministicPackages (no wall clock, no global rand, no
@@ -19,7 +20,6 @@
 package wire
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"time"
@@ -27,9 +27,9 @@ import (
 	"qcloud/internal/cloud"
 )
 
-// Version is the wire-protocol version. Every HTTP body and every WAL
-// record carries it; both sides reject other versions loudly rather
-// than guessing.
+// Version is the wire-protocol version. Every HTTP body carries it;
+// both sides reject other versions loudly rather than guessing. (WAL
+// records carry WALVersion.)
 const Version = 1
 
 // Spec is one submission: the trace-plane JobSpec the dispatcher's
@@ -38,9 +38,10 @@ const Version = 1
 // from the JobSpec by Plan with capped width/batch/shots (study-scale
 // circuits are queue-model entities, not statevector payloads).
 type Spec struct {
-	// Trace plane — mirrors cloud.JobSpec field for field. time.Time
-	// round-trips RFC3339-nano in UTC, so replaying a decoded Spec
-	// through cloud.Simulate is bit-identical to submitting the
+	// Trace plane — mirrors cloud.JobSpec field for field. SubmitTime
+	// keeps its instant to the nanosecond through JSON (RFC 3339) and
+	// through the WAL (seconds and nanoseconds), so replaying a decoded
+	// Spec through cloud.Simulate is bit-identical to submitting the
 	// original.
 	SubmitTime   time.Time `json:"submit_time"`
 	User         string    `json:"user"`
@@ -284,77 +285,6 @@ type EventsResponse struct {
 	Next      int64   `json:"next"`
 	Truncated bool    `json:"truncated,omitempty"`
 	Events    []Event `json:"events"`
-}
-
-// --- WAL record envelope -------------------------------------------------
-
-// Record types appearing in the dispatcher's journals. The submit log
-// carries submit/seal; the completion log carries expire/result/cancel.
-const (
-	RecSubmit = "submit"
-	RecSeal   = "seal"
-	RecExpire = "expire"
-	RecResult = "result"
-	RecCancel = "cancel"
-)
-
-// Envelope frames one WAL record: a version, a type tag, and the
-// type's own JSON payload.
-type Envelope struct {
-	V    int             `json:"v"`
-	Type string          `json:"type"`
-	Data json.RawMessage `json:"data"`
-}
-
-// SubmitRec journals one accepted submission.
-type SubmitRec struct {
-	Seq  int64  `json:"seq"`
-	Key  string `json:"key"`
-	Spec Spec   `json:"spec"`
-}
-
-// SealRec journals the submission stream's seal.
-type SealRec struct{}
-
-// ExpireRec journals one lease expiry: the attempt that was lost.
-type ExpireRec struct {
-	Seq     int64 `json:"seq"`
-	Attempt int   `json:"attempt"`
-}
-
-// ResultRec journals one terminal execution outcome.
-type ResultRec struct {
-	Seq     int64   `json:"seq"`
-	Attempt int     `json:"attempt"`
-	Worker  string  `json:"worker,omitempty"`
-	Counts  []Count `json:"counts,omitempty"`
-	Err     string  `json:"err,omitempty"`
-}
-
-// CancelRec journals one cancellation.
-type CancelRec struct {
-	Seq int64 `json:"seq"`
-}
-
-// EncodeRecord wraps a typed payload in a versioned envelope.
-func EncodeRecord(typ string, payload any) ([]byte, error) {
-	data, err := json.Marshal(payload)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(Envelope{V: Version, Type: typ, Data: data})
-}
-
-// DecodeRecord unwraps an envelope, enforcing the version.
-func DecodeRecord(raw []byte) (*Envelope, error) {
-	var env Envelope
-	if err := json.Unmarshal(raw, &env); err != nil {
-		return nil, fmt.Errorf("wire: bad record: %w", err)
-	}
-	if env.V != Version {
-		return nil, fmt.Errorf("wire: record version %d, want %d", env.V, Version)
-	}
-	return &env, nil
 }
 
 // CheckVersion validates an HTTP body's version field.

@@ -89,61 +89,6 @@ func TestCheckVersion(t *testing.T) {
 	}
 }
 
-// TestRecordEnvelope round-trips every WAL record type and rejects
-// what a torn or damaged frame could hand DecodeRecord.
-func TestRecordEnvelope(t *testing.T) {
-	recs := []struct {
-		typ     string
-		payload any
-		back    any
-	}{
-		{RecSubmit, SubmitRec{Seq: 3, Key: "load/3", Spec: testSpec("ghz", 3)}, &SubmitRec{}},
-		{RecSeal, SealRec{}, &SealRec{}},
-		{RecExpire, ExpireRec{Seq: 3, Attempt: 2}, &ExpireRec{}},
-		{RecResult, ResultRec{Seq: 3, Attempt: 2, Worker: "w1", Counts: []Count{{Bits: "01", N: 5}}}, &ResultRec{}},
-		{RecResult, ResultRec{Seq: 4, Attempt: 5, Err: "lease expired on attempt 5/5"}, &ResultRec{}},
-		{RecCancel, CancelRec{Seq: 3}, &CancelRec{}},
-	}
-	var valid []byte
-	for _, r := range recs {
-		raw, err := EncodeRecord(r.typ, r.payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		env, err := DecodeRecord(raw)
-		if err != nil {
-			t.Fatalf("%s: %v", r.typ, err)
-		}
-		if env.Type != r.typ || env.V != Version {
-			t.Errorf("%s decoded as type %q v%d", r.typ, env.Type, env.V)
-		}
-		if err := json.Unmarshal(env.Data, r.back); err != nil {
-			t.Fatal(err)
-		}
-		if got := reflect.ValueOf(r.back).Elem().Interface(); !reflect.DeepEqual(got, r.payload) {
-			t.Errorf("%s payload changed: %+v -> %+v", r.typ, r.payload, got)
-		}
-		if again, _ := EncodeRecord(r.typ, r.payload); string(again) != string(raw) {
-			t.Errorf("%s encodes to different bytes the second time", r.typ)
-		}
-		valid = raw
-	}
-	for cut := 0; cut < len(valid); cut++ {
-		if _, err := DecodeRecord(valid[:cut]); err == nil {
-			t.Fatalf("record truncated to %d of %d bytes was accepted", cut, len(valid))
-		}
-	}
-	for _, bad := range []string{"", "\x00\xff\xfe", "[]", `"submit"`, `{"v":"1"}`,
-		`{"v":2,"type":"submit","data":{}}`, `{"type":"submit","data":{}}`} {
-		if _, err := DecodeRecord([]byte(bad)); err == nil {
-			t.Errorf("garbage record %q was accepted", bad)
-		}
-	}
-	if _, err := EncodeRecord(RecSubmit, make(chan int)); err == nil {
-		t.Error("an unencodable payload was accepted")
-	}
-}
-
 // TestCountsCanonicalForm: however a counts map was built, its wire
 // form is the same sorted list, and the inverse folds repeated
 // bitstrings together.

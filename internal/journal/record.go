@@ -9,10 +9,16 @@ import (
 
 // Record payload primitives: the field encodings the packages above
 // the journal build their record codecs from (the trace job record,
-// the cloud submit record). Integers are varints, strings are a
-// uvarint length and the bytes, floats are 8 little-endian bytes of
-// the IEEE-754 bits, bools are one byte, and instants are varint UTC
-// Unix nanoseconds (binary.AppendVarint of t.UnixNano()).
+// the cloud submit record, the dispatcher's WAL records). Integers are
+// varints, strings are a uvarint length and the bytes, floats are 8
+// little-endian bytes of the IEEE-754 bits, bools are one byte, and
+// instants come in two widths: varint UTC Unix nanoseconds
+// (binary.AppendVarint of t.UnixNano()) for instants the simulator
+// produced, which lie in the study window, and AppendInstant's seconds
+// and nanoseconds for instants a client chose.
+//
+// Every value has one encoding and RecordReader accepts no other, so a
+// payload that decodes re-encodes to the same bytes.
 
 // AppendString appends s as a uvarint length followed by its bytes.
 func AppendString(buf []byte, s string) []byte {
@@ -31,6 +37,16 @@ func AppendBool(buf []byte, v bool) []byte {
 // AppendFloat64 appends the IEEE-754 bits of v, little-endian.
 func AppendFloat64(buf []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+}
+
+// AppendInstant appends t as varint Unix seconds and uvarint
+// nanoseconds within the second. Unlike a single varint of
+// nanoseconds, which holds the years 1678 to 2262 only, it round-trips
+// every instant a time.Time holds — the zero Time and every RFC 3339
+// year included.
+func AppendInstant(buf []byte, t time.Time) []byte {
+	buf = binary.AppendVarint(buf, t.Unix())
+	return binary.AppendUvarint(buf, uint64(t.Nanosecond()))
 }
 
 // RecordReader reads one record payload as a fixed field sequence.
@@ -56,10 +72,23 @@ func (d *RecordReader) Finish() error {
 	return d.err
 }
 
+// Err reports the sticky error so far, for a loop that should stop at
+// the first malformed element.
+func (d *RecordReader) Err() error { return d.err }
+
 // fail records the first malformed field; every caller has already
 // returned early on a set error.
 func (d *RecordReader) fail(field string) {
 	d.err = fmt.Errorf("truncated: %s at offset %d", field, d.off)
+}
+
+// Reject fails the record on a check the codec above makes itself (an
+// unknown tag, a list out of order). Like every failure it is sticky
+// and yields to an earlier one.
+func (d *RecordReader) Reject(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf(format, args...)
+	}
 }
 
 // Version reads the leading layout version byte and fails the record
@@ -84,35 +113,62 @@ func (d *RecordReader) Byte() byte {
 	return v
 }
 
-// Bool reads one byte; any non-zero value is true.
-func (d *RecordReader) Bool() bool { return d.Byte() != 0 }
+// Bool reads one byte, 1 or 0.
+func (d *RecordReader) Bool() bool {
+	v := d.Byte()
+	if v > 1 {
+		d.Reject("bool byte %d at offset %d", v, d.off-1)
+	}
+	return v == 1
+}
 
 // Varint reads a signed varint.
 func (d *RecordReader) Varint() int64 {
+	ux := d.uvarint("varint")
+	return int64(ux>>1) ^ -int64(ux&1) // zigzag, as encoding/binary writes it
+}
+
+// Uvarint reads an unsigned varint.
+func (d *RecordReader) Uvarint() uint64 { return d.uvarint("uvarint") }
+
+// uvarint reads the groups of either kind of varint. One that
+// overflows 64 bits is malformed, and so is a padded one — a trailing
+// zero group, which encoding/binary reads and never writes.
+func (d *RecordReader) uvarint(field string) uint64 {
 	if d.err != nil {
 		return 0
 	}
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("varint")
+	if d.off < len(d.b) && d.b[d.off] < 0x80 {
+		// One group: most fields, and it cannot be padded.
+		d.off++
+		return uint64(d.b[d.off-1])
+	}
+	v, n := binary.Uvarint(d.b[d.off:])
+	switch {
+	case n == 0:
+		d.fail(field)
+		return 0
+	case n < 0 || d.b[d.off+n-1] == 0:
+		d.Reject("malformed %s at offset %d", field, d.off)
 		return 0
 	}
 	d.off += n
 	return v
 }
 
-// Uvarint reads an unsigned varint.
-func (d *RecordReader) Uvarint() uint64 {
+// Count reads a uvarint element count for a list whose elements take at
+// least minBytes each, and fails — before the caller sizes anything by
+// it — if the rest of the payload could not hold that many.
+func (d *RecordReader) Count(minBytes int) int {
+	n := d.Uvarint()
 	if d.err != nil {
 		return 0
 	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("uvarint")
+	if n > uint64((len(d.b)-d.off)/minBytes) {
+		d.fail("list body")
 		return 0
 	}
-	d.off += n
-	return v
+	return int(n)
 }
 
 // Int reads a signed varint as an int.
@@ -150,4 +206,14 @@ func (d *RecordReader) Float64() float64 {
 // Time reads a varint of Unix nanoseconds as a UTC instant.
 func (d *RecordReader) Time() time.Time {
 	return time.Unix(0, d.Varint()).UTC()
+}
+
+// Instant reads what AppendInstant wrote, as a UTC instant.
+func (d *RecordReader) Instant() time.Time {
+	sec, nsec := d.Varint(), d.Uvarint()
+	if nsec >= 1e9 {
+		d.Reject("instant with %d nanoseconds at offset %d", nsec, d.off)
+		return time.Time{}
+	}
+	return time.Unix(sec, int64(nsec)).UTC()
 }

@@ -16,7 +16,7 @@ import (
 // envelope so readers can reject incompatible payloads before
 // decoding them.
 //
-// Envelope versions 2 and above end with a 4-byte little-endian
+// Framing versions 2 and above end with a 4-byte little-endian
 // CRC32C footer over the gob payload, so a bit-flipped or torn
 // checkpoint is rejected with a checksum error instead of being fed
 // to gob. Version 1 files (written before the footer existed) have no
