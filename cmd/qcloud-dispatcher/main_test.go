@@ -401,7 +401,9 @@ func TestDispatcherSIGTERMGraceful(t *testing.T) {
 
 // TestWorkerSIGTERMGraceful pins the worker half: SIGTERM mid-batch
 // finishes the batch, reports it, deregisters, and exits 0 — no lease
-// expiry, no requeue.
+// expiry, no requeue. The worker runs with both profiling flags: the
+// profiles are written on that exit and the counts are the unprofiled
+// in-process run's.
 func TestWorkerSIGTERMGraceful(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess harness")
@@ -417,13 +419,27 @@ func TestWorkerSIGTERMGraceful(t *testing.T) {
 	cl := &dispatch.Client{Server: server, Timeout: 2 * time.Second}
 	submitSlow(t, cl)
 
-	w := startDaemon(t, "registered", workerBin, "-server", server, "-name", "w0", "-workers", "1", "-poll", "10ms")
+	cpuProf, memProf := filepath.Join(bins, "cpu.prof"), filepath.Join(bins, "mem.prof")
+	w := startDaemon(t, "registered", workerBin, "-server", server, "-name", "w0", "-workers", "1", "-poll", "10ms",
+		"-cpuprofile", cpuProf, "-memprofile", memProf)
 	waitStatus(t, cl, 30*time.Second, "unit leased", func(st wire.StatusResponse) bool {
 		return st.Leased == 1
 	})
 	signalAndWait(t, w, syscall.SIGTERM, time.Minute)
 	if !strings.Contains(w.out.String(), "1 units completed") {
 		t.Fatalf("worker did not report its batch before exiting:\n%s", w.out.String())
+	}
+	for _, p := range []string{cpuProf, memProf} {
+		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+			t.Errorf("profile %s missing or empty after graceful exit (err %v)", filepath.Base(p), err)
+		}
+	}
+	got, err := cl.CountsCSV(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := slowGoldenCounts(t); !bytes.Equal(got, want) {
+		t.Errorf("counts CSV of the profiled worker differs from the in-process run (%d vs %d bytes)", len(got), len(want))
 	}
 
 	st, err := cl.Status()

@@ -6,6 +6,11 @@
 // SIGTERM is graceful: the worker finishes the batch it is executing,
 // reports it, deregisters, and exits 0. SIGKILL is safe: the
 // dispatcher's lease expiry requeues anything the worker held.
+//
+// -cpuprofile / -memprofile profile the daemon that burns an execute
+// workload's CPU; the files are written on the graceful exit:
+//
+//	qcloud-worker -cpuprofile cpu.prof   # SIGTERM, then: go tool pprof -top cpu.prof
 package main
 
 import (
@@ -19,6 +24,7 @@ import (
 	"time"
 
 	"qcloud/internal/dispatch"
+	"qcloud/internal/prof"
 )
 
 func main() {
@@ -29,6 +35,8 @@ func main() {
 		simWorkers = flag.Int("workers", 0, "BatchRun parallelism (0 = all cores)")
 		poll       = flag.Duration("poll", 200*time.Millisecond, "idle wait between empty pulls")
 		quiet      = flag.Bool("q", false, "suppress progress logging")
+		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the run to this path at graceful exit (results are unaffected)")
+		memProf    = flag.String("memprofile", "", "write a heap profile at graceful exit to this path (results are unaffected)")
 	)
 	flag.Parse()
 	if *name == "" {
@@ -53,10 +61,18 @@ func main() {
 		log.Fatalf("qcloud-worker: %v", err)
 	}
 
+	stopProf, err := prof.Start(*cpuProf, *memProf)
+	if err != nil {
+		log.Fatalf("qcloud-worker: %v", err)
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
-	if err := w.Run(ctx); err != nil {
-		log.Fatalf("qcloud-worker: %v", err)
+	runErr := w.Run(ctx)
+	if err := stopProf(); err != nil {
+		log.Printf("qcloud-worker: %v", err)
+	}
+	if runErr != nil {
+		log.Fatalf("qcloud-worker: %v", runErr)
 	}
 	fmt.Printf("worker %s exiting: %d units completed\n", *name, w.Units())
 }

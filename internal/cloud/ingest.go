@@ -94,14 +94,20 @@ func FormatCounts(m map[string]int) string {
 		ks = append(ks, k)
 	}
 	sort.Strings(ks)
-	out := ""
+	size := 0
+	for _, k := range ks {
+		size += len(k) + len(":12345 ") // a longer count only grows the buffer
+	}
+	out := make([]byte, 0, size)
 	for i, k := range ks {
 		if i > 0 {
-			out += " "
+			out = append(out, ' ')
 		}
-		out += k + ":" + strconv.Itoa(m[k])
+		out = append(out, k...)
+		out = append(out, ':')
+		out = strconv.AppendInt(out, int64(m[k]), 10)
 	}
-	return out
+	return string(out)
 }
 
 // WriteCSV writes the merged results in seq order. The bytes are a

@@ -51,16 +51,23 @@ const batchChunkShots = 64
 // batchWorker owns one pool slot's reusable buffers, shared across
 // every unit (and therefore every job) the slot executes.
 type batchWorker struct {
-	// states caches one simulator state per register width, since a
-	// batch may interleave jobs of different widths.
-	states map[int]*State
+	// st is the slot's one simulator state, allocated width qubits wide.
+	// A batch may interleave jobs of different widths: state reslices
+	// it to each unit's width and reallocates only for a wider one, so a
+	// slot retains its widest state (and cum) until BatchRun returns,
+	// not one per width. Every user Resets the state before evolving it.
+	st     *State
+	width  int
 	sr     *rand.Rand
 	clbits []int
 	dense  []int
+	// cum is the exact units' cumulative-distribution scratch.
+	cum []float64
 }
 
 func (bw *batchWorker) state(n, workers, minAmps int) (*State, error) {
-	if st, ok := bw.states[n]; ok {
+	if st := bw.st; 0 < n && n <= bw.width {
+		st.n, st.re, st.im = n, st.re[:1<<uint(n)], st.im[:1<<uint(n)]
 		return st, nil
 	}
 	st, err := NewState(n)
@@ -68,7 +75,7 @@ func (bw *batchWorker) state(n, workers, minAmps int) (*State, error) {
 		return nil, err
 	}
 	st.SetWorkers(workers).SetKernelMinAmps(minAmps)
-	bw.states[n] = st
+	bw.st, bw.width = st, n
 	return st, nil
 }
 
@@ -147,29 +154,24 @@ func BatchRun(jobs []BatchJob, p Parallelism) []BatchResult {
 	par.ForEachWorker(len(units), workers, func(w, u int) {
 		ut := units[u]
 		job := &jobs[ut.job]
-		if progs[ut.job].exact {
-			// One evolution + multinomial sampling; the job's generator
-			// is created here so its draw sequence matches RunOpts.
-			counts, err := runExact(job.Circ, job.Shots, rand.New(rand.NewSource(job.Seed)), Parallelism{
-				Workers:         kernelWorkers,
-				KernelMinAmps:   p.KernelMinAmps,
-				DisableFusion:   p.DisableFusion,
-				DisableFusion2Q: p.DisableFusion2Q,
-			})
-			unitCounts[u], unitErrs[u] = counts, err
-			return
-		}
 		bw := &pool[w]
-		if bw.sr == nil {
-			bw.states = make(map[int]*State)
-			// Reseeded per shot; lfSource replays the rand.NewSource
-			// streams with a ~4x cheaper reseed (see rngsource.go).
-			bw.sr = rand.New(newLFSource())
-		}
 		st, err := bw.state(job.Circ.NQubits, kernelWorkers, p.KernelMinAmps)
 		if err != nil {
 			unitErrs[u] = err
 			return
+		}
+		if progs[ut.job].exact {
+			// One evolution + multinomial sampling on the slot's state
+			// and scratch; the job's generator is created here so its
+			// draw sequence matches RunOpts.
+			st.Reset()
+			unitCounts[u], bw.cum, unitErrs[u] = sampleExact(job.Circ, job.Shots, rand.New(rand.NewSource(job.Seed)), p, st, bw.cum)
+			return
+		}
+		if bw.sr == nil {
+			// Reseeded per shot; lfSource replays the rand.NewSource
+			// streams with a ~4x cheaper reseed (see rngsource.go).
+			bw.sr = rand.New(newLFSource())
 		}
 		nclbits := job.Circ.NClbits
 		if cap(bw.clbits) < nclbits {

@@ -54,6 +54,38 @@ func TestBatchRunMatchesPerJobRuns(t *testing.T) {
 	}
 }
 
+// TestBatchRunExactJobsReuseState interleaves exact jobs of different
+// widths, so a slot evolves each GHZ circuit on its one state, resliced
+// from what a dense circuit at least as wide left behind, and samples
+// it through scratch last sized for another width: a stale amplitude
+// would be silent divergence from the standalone run.
+func TestBatchRunExactJobsReuseState(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	jobs := []BatchJob{
+		{Circ: gens.HardwareEfficientAnsatz(r, 12, 2), Shots: 400, Seed: 1},
+		{Circ: gens.QFT(5), Shots: 200, Seed: 2},
+		{Circ: gens.GHZ(12), Shots: 300, Seed: 3},
+		{Circ: gens.HardwareEfficientAnsatz(r, 16, 2), Shots: 500, Seed: 4},
+		{Circ: gens.GHZ(5), Shots: 250, Seed: 5},
+	}
+	for _, w := range []int{1, 2} {
+		got := BatchRun(jobs, Parallelism{Workers: w})
+		for j, job := range jobs {
+			want, err := RunOpts(job.Circ, job.Shots, nil, rand.New(rand.NewSource(job.Seed)), Parallelism{Workers: 1})
+			if err != nil {
+				t.Fatalf("job %d reference: %v", j, err)
+			}
+			if got[j].Err != nil {
+				t.Fatalf("workers=%d job %d: %v", w, j, got[j].Err)
+			}
+			if !reflect.DeepEqual(want, got[j].Counts) {
+				t.Fatalf("workers=%d job %d (%d qubits): batched counts diverge from standalone RunOpts:\n%v\nvs\n%v",
+					w, j, job.Circ.NQubits, got[j].Counts, want)
+			}
+		}
+	}
+}
+
 // TestBatchRunFusionToggles checks the batch path honors the A/B
 // toggles without changing counts.
 func TestBatchRunFusionToggles(t *testing.T) {

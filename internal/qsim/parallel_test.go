@@ -73,9 +73,19 @@ func TestKernelShardingMatchesSerial(t *testing.T) {
 		s.ApplyCX(0, n-1)
 		s.ApplyCZ(1, n-2)
 		s.ApplyCPhase(2, n-3, 0.7)
-		// SWAP and CCX on low/high/adjacent/straddling bit positions:
-		// the block-iteration kernels clip differently when the bits
-		// are below, at, or above the shard-chunk granularity.
+		// CX, SWAP and CCX on low/high/adjacent/straddling bit
+		// positions (CX in both control/target orders): the
+		// block-iteration kernels clip differently when the bits are
+		// below, at, or above the shard-chunk granularity.
+		s.ApplyCX(n-1, 0)
+		s.ApplyCX(0, 1)
+		s.ApplyCX(1, 0)
+		s.ApplyCX(n-2, n-1)
+		s.ApplyCX(n-1, n-2)
+		s.ApplyCX(3, n-4)
+		s.ApplyCX(n-4, 3)
+		s.ApplyCX(n-1, 2)
+		s.ApplyCX(2, n-1)
 		s.ApplySWAP(3, n-4)
 		s.ApplySWAP(0, 1)
 		s.ApplySWAP(n-2, n-1)

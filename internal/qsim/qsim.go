@@ -12,13 +12,15 @@
 // diagonal runs each collapse into single kernels) so the per-shot
 // loop does no map lookups or matrix construction, amplitudes live in
 // split real/imag (SoA) arrays so kernel sweeps are flat float64
-// loops, gate kernels shard the amplitude array across a goroutine
-// pool once the state is large enough to amortize the fan-out, and
-// noisy shots run on a worker pool with deterministic per-shot RNG
-// streams (see rngsource.go) over pooled state buffers. Many small
-// jobs share one pool through BatchRun (see batch.go). Results are
-// bit-identical for a fixed seed regardless of worker count (see
-// Parallelism in run.go).
+// loops (on amd64 with AVX2 the 2x2 and complex 4x4 sweeps hand each run
+// of four or more lanes to assembly that is bit-identical to those
+// loops; see kernels_amd64.go), gate kernels shard the amplitude array across
+// a goroutine pool once the state is large enough to amortize the
+// fan-out, and noisy shots run on a worker pool with deterministic
+// per-shot RNG streams (see rngsource.go) over pooled state buffers.
+// Many small jobs share one pool through BatchRun (see batch.go).
+// Results are bit-identical for a fixed seed regardless of worker count
+// (see Parallelism in run.go).
 package qsim
 
 import (
@@ -223,6 +225,11 @@ func (s *State) apply1QRange(m circuit.Mat2, q, lo, hi int) {
 	m10r, m10i := real(m[2]), imag(m[2])
 	m11r, m11i := real(m[3]), imag(m[3])
 	re, im := s.re, s.im
+	// Whole four-lane groups of each run (bit long) go to the AVX2 run
+	// kernel (see kernels_amd64.go); the loop below is its
+	// specification, bit for bit, and finishes what is left. The same
+	// hand-off sits in apply1QRealRange and apply2QRange.
+	vec := hasAVX2 && bit >= 4
 	step := bit << 1
 	for base := lo &^ (step - 1); base < hi; base += step {
 		first, last := base, base+bit
@@ -231,6 +238,10 @@ func (s *State) apply1QRange(m circuit.Mat2, q, lo, hi int) {
 		}
 		if last > hi {
 			last = hi
+		}
+		if n := (last - first) &^ 3; vec && n > 0 {
+			run1Q(&re[first], &im[first], bit, n, &m)
+			first += n
 		}
 		for i := first; i < last; i++ {
 			j := i | bit
@@ -255,6 +266,7 @@ func (s *State) apply1QRealRange(m circuit.Mat2, q, lo, hi int) {
 	m00, m01 := real(m[0]), real(m[1])
 	m10, m11 := real(m[2]), real(m[3])
 	re, im := s.re, s.im
+	vec := hasAVX2 && bit >= 4
 	step := bit << 1
 	for base := lo &^ (step - 1); base < hi; base += step {
 		first, last := base, base+bit
@@ -263,6 +275,10 @@ func (s *State) apply1QRealRange(m circuit.Mat2, q, lo, hi int) {
 		}
 		if last > hi {
 			last = hi
+		}
+		if n := (last - first) &^ 3; vec && n > 0 {
+			run1QReal(&re[first], &im[first], bit, n, &m)
+			first += n
 		}
 		for i := first; i < last; i++ {
 			j := i | bit
@@ -318,6 +334,14 @@ func (s *State) apply2QRange(m *circuit.Mat4, q0, q1, lo, hi int) {
 	if bl > bh {
 		bl, bh = bh, bl
 	}
+	// The run kernel's matrix operand, built only when the sweep has
+	// runs (bl long) that reach four lanes.
+	var tab [32][4]float64
+	vec := hasAVX2 && bl >= 4
+	if vec {
+		lanes4(tab[:16], &mr)
+		lanes4(tab[16:], &mi)
+	}
 	stepH, stepL := bh<<1, bl<<1
 	for baseH := lo &^ (stepH - 1); baseH < hi; baseH += stepH {
 		hFirst, hLast := baseH, baseH+bh
@@ -334,6 +358,10 @@ func (s *State) apply2QRange(m *circuit.Mat4, q0, q1, lo, hi int) {
 			}
 			if last > hLast {
 				last = hLast
+			}
+			if n := (last - first) &^ 3; vec && n > 0 {
+				run2Q(&re[first], &im[first], b0, b1, n, &tab)
+				first += n
 			}
 			for i := first; i < last; i++ {
 				i1, i2 := i|b0, i|b1
@@ -357,7 +385,8 @@ func (s *State) apply2QRange(m *circuit.Mat4, q0, q1, lo, hi int) {
 
 // apply2QRealRange is apply2QRange specialized for matrices with no
 // imaginary parts: half the multiplies, and the real and imaginary
-// state halves decouple into independent SIMD-friendly streams.
+// state halves decouple into independent SIMD-friendly streams. It has
+// no run kernel: the sweep is 1.5 % of an execute worker's CPU profile.
 //
 //qcloud:noalloc
 func (s *State) apply2QRealRange(m *circuit.Mat4, q0, q1, lo, hi int) {
@@ -408,6 +437,16 @@ func (s *State) apply2QRealRange(m *circuit.Mat4, q0, q1, lo, hi int) {
 	}
 }
 
+// lanes4 replicates each of src's scalars into the four lanes of the
+// matching dst entry: the 4x4 run kernels multiply from these.
+//
+//qcloud:noalloc
+func lanes4(dst [][4]float64, src *[16]float64) {
+	for k, v := range src {
+		dst[k] = [4]float64{v, v, v, v}
+	}
+}
+
 // isRealMat4 reports whether every entry of m is real.
 func isRealMat4(m *circuit.Mat4) bool {
 	for _, v := range m {
@@ -448,17 +487,13 @@ func (s *State) apply2Q(m *circuit.Mat4, q0, q1 int) {
 	s.shard(func(lo, hi int) { s.apply2QRange(m, q0, q1, lo, hi) })
 }
 
+// applyCXRange exchanges the target pair of every index whose control
+// bit is set: quad base i (both bits clear) owns i|cb and i|cb|tb.
+//
 //qcloud:noalloc
 func (s *State) applyCXRange(ctrl, tgt, lo, hi int) {
 	cb, tb := 1<<uint(ctrl), 1<<uint(tgt)
-	re, im := s.re, s.im
-	for i := lo; i < hi; i++ {
-		if i&cb != 0 && i&tb == 0 {
-			j := i | tb
-			re[i], re[j] = re[j], re[i]
-			im[i], im[j] = im[j], im[i]
-		}
-	}
+	s.exchangeQuadsRange(cb, tb, cb, cb|tb, lo, hi)
 }
 
 // ApplyCX applies a controlled-X with the given control and target.
@@ -519,17 +554,27 @@ func (s *State) ApplyCPhase(a, b int, theta float64) {
 	s.shard(func(lo, hi int) { s.applyCPhaseRange(a, b, ph, lo, hi) })
 }
 
-// applySWAPRange exchanges the (a=1,b=0) and (a=0,b=1) amplitudes.
-// Like apply2QRange it walks quad bases (both bits clear) with
-// two-level bit-aligned block iteration instead of skip-scanning the
-// full index space; a shard owning base i writes only i|ab and i|bb,
-// which no other shard enumerates, so sharded sweeps stay race-free.
+// applySWAPRange exchanges the (a=1,b=0) and (a=0,b=1) amplitudes:
+// quad base i owns i|ab and i|bb.
 //
 //qcloud:noalloc
 func (s *State) applySWAPRange(a, b, lo, hi int) {
 	ab, bb := 1<<uint(a), 1<<uint(b)
+	s.exchangeQuadsRange(ab, bb, ab, bb, lo, hi)
+}
+
+// exchangeQuadsRange swaps amplitudes i|p and i|q for every quad base i
+// (bits b0 and b1 both clear) in [lo, hi); p and q are subsets of
+// b0|b1. Like apply2QRange it walks the bases with two-level
+// bit-aligned block iteration — a quarter of the index space,
+// branch-free — instead of skip-scanning it; a shard owning base i
+// writes only i|p and i|q, which no other shard enumerates, so sharded
+// sweeps stay race-free.
+//
+//qcloud:noalloc
+func (s *State) exchangeQuadsRange(b0, b1, p, q, lo, hi int) {
 	re, im := s.re, s.im
-	bl, bh := ab, bb
+	bl, bh := b0, b1
 	if bl > bh {
 		bl, bh = bh, bl
 	}
@@ -551,9 +596,9 @@ func (s *State) applySWAPRange(a, b, lo, hi int) {
 				last = hLast
 			}
 			for i := first; i < last; i++ {
-				p, q := i|ab, i|bb
-				re[p], re[q] = re[q], re[p]
-				im[p], im[q] = im[q], im[p]
+				x, y := i|p, i|q
+				re[x], re[y] = re[y], re[x]
+				im[x], im[y] = im[y], im[x]
 			}
 		}
 	}

@@ -193,22 +193,32 @@ func isTerminalMeasureOnly(c *circuit.Circuit) bool {
 	return true
 }
 
-// runExact evolves the state once through the fused op stream (with
-// parallel gate kernels) and samples the terminal measurement
-// distribution multinomially from the caller's generator, exactly as
-// the serial engine did.
+// runExact evolves a fresh state once and samples it; BatchRun calls
+// sampleExact directly on its slot's reused state and scratch.
 func runExact(c *circuit.Circuit, shots int, r *rand.Rand, p Parallelism) (Counts, error) {
-	fuse, fuse2q := p.fusePasses()
-	fuse = fuse && c.NQubits >= exactFuseMinQubits
-	prog, err := compileProgram(c, nil, fuse, fuse && fuse2q)
-	if err != nil {
-		return nil, err
-	}
 	st, err := NewState(c.NQubits)
 	if err != nil {
 		return nil, err
 	}
 	st.SetWorkers(p.Workers).SetKernelMinAmps(p.KernelMinAmps)
+	counts, _, err := sampleExact(c, shots, r, p, st, nil)
+	return counts, err
+}
+
+// sampleExact evolves st (which must be |0...0> over c.NQubits) through
+// the fused op stream (with parallel gate kernels) and samples the
+// terminal measurement distribution multinomially from the caller's
+// generator, exactly as the serial engine did. cum is scratch for the
+// cumulative distribution, returned (grown if it was too small) for the
+// next call; the sums are taken in index order whatever its origin, so
+// the samples do not depend on it.
+func sampleExact(c *circuit.Circuit, shots int, r *rand.Rand, p Parallelism, st *State, cum []float64) (Counts, []float64, error) {
+	fuse, fuse2q := p.fusePasses()
+	fuse = fuse && c.NQubits >= exactFuseMinQubits
+	prog, err := compileProgram(c, nil, fuse, fuse && fuse2q)
+	if err != nil {
+		return nil, cum, err
+	}
 	type meas struct{ q, clbit int }
 	var measures []meas
 	for oi := range prog.ops {
@@ -219,12 +229,15 @@ func runExact(c *circuit.Circuit, shots int, r *rand.Rand, p Parallelism) (Count
 		}
 		op.applyFast(st)
 	}
-	probs := st.Probabilities()
 	// Cumulative distribution for sampling.
-	cum := make([]float64, len(probs))
+	re, im := st.re, st.im
+	if cap(cum) < len(re) {
+		cum = make([]float64, len(re))
+	}
+	cum = cum[:len(re)]
 	total := 0.0
-	for i, p := range probs {
-		total += p
+	for i := range cum {
+		total += re[i]*re[i] + im[i]*im[i]
 		cum[i] = total
 	}
 	counts := make(Counts)
@@ -249,7 +262,7 @@ func runExact(c *circuit.Circuit, shots int, r *rand.Rand, p Parallelism) (Count
 		}
 		counts[bitstring(clbits)]++
 	}
-	return counts, nil
+	return counts, cum, nil
 }
 
 // shotSeed derives shot s's RNG seed from the run's base seed with a
