@@ -40,6 +40,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -80,6 +81,12 @@ func main() {
 		memProf  = flag.String("memprofile", "", "write a heap profile at exit to this path (output is unaffected)")
 	)
 	flag.Parse()
+	if *recov && *journal == "" {
+		log.Fatal("-recover requires -journal")
+	}
+	if *tenants != "" && (*journal != "" || *restore != "" || *ckptPath != "") {
+		log.Fatal("-tenants cannot combine with -journal/-recover/-restore/-checkpoint")
+	}
 	par.SetWorkers(*workers)
 	stopProf, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
@@ -101,8 +108,6 @@ func main() {
 			Dir:             *journal,
 			CheckpointEvery: time.Duration(*jrnlDays * 24 * float64(time.Hour)),
 		}
-	} else if *recov {
-		log.Fatal("-recover requires -journal")
 	}
 	if *faults != "" {
 		sc, err := workload.FindFaultScenario(*faults)
@@ -116,9 +121,6 @@ func main() {
 		cfg = sc.Apply(cfg)
 	}
 	if *tenants != "" {
-		if *journal != "" || *recov || *restore != "" || *ckptPath != "" {
-			log.Fatal("-tenants cannot combine with -journal/-recover/-restore/-checkpoint")
-		}
 		runTenants(cfg, *tenants, *tcount, *jobs, *preempt, *events, *csvPath, *jsPath, *quiet)
 		return
 	}
@@ -148,21 +150,9 @@ func main() {
 	} else if sess, err = cloud.Open(cfg); err != nil {
 		log.Fatal(err)
 	}
-	// Event totals are tallied from the observation stream while the
-	// fleet advances; the channel closes once the session ends.
-	tallied := make(chan map[cloud.EventKind]int64, 1)
+	var tallied <-chan map[cloud.EventKind]int64
 	if *events {
-		stream, err := sess.Observe(cloud.EventFilter{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		go func() {
-			counts := make(map[cloud.EventKind]int64)
-			for ev := range stream {
-				counts[ev.Kind]++
-			}
-			tallied <- counts
-		}()
+		tallied = tallyEvents(sess)
 	}
 	if *restore == "" {
 		// A restored session already carries its submitted workload; a
@@ -172,14 +162,7 @@ func main() {
 		// the input log, so only the unsubmitted suffix of the (fully
 		// deterministic) stream is submitted again.
 		specs := workload.Generate(workload.Config{Seed: *seed, TotalJobs: *jobs, Start: start, End: end})
-		skip := 0
-		if *recov {
-			skip = int(sess.JournaledSubmits())
-			if skip > len(specs) {
-				skip = len(specs)
-			}
-		}
-		for _, s := range specs[skip:] {
+		for _, s := range specs[min(int(sess.JournaledSubmits()), len(specs)):] {
 			if _, err := sess.SubmitRetried(s, 0); err != nil {
 				log.Fatal(err)
 			}
@@ -192,16 +175,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		f, err := os.Create(*ckptPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := cloud.WriteCheckpoint(f, ck); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
+		writeFile(*ckptPath, func(w io.Writer) error { return cloud.WriteCheckpoint(w, ck) })
 		log.Printf("checkpoint at %s written to %s", at.Format(time.RFC3339), *ckptPath)
 	}
 	tr, err := sess.Run()
@@ -221,29 +195,45 @@ func main() {
 
 func writeOutputs(tr *trace.Trace, csvPath, jsPath string) {
 	if csvPath != "" {
-		f, err := os.Create(csvPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := trace.WriteCSV(f, tr.Jobs); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
+		writeFile(csvPath, func(w io.Writer) error { return trace.WriteCSV(w, tr.Jobs) })
 	}
 	if jsPath != "" {
-		f, err := os.Create(jsPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := trace.WriteJSON(f, tr); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
+		writeFile(jsPath, func(w io.Writer) error { return trace.WriteJSON(w, tr) })
 	}
+}
+
+// writeFile creates path, has write fill it and closes it; any failure
+// ends the run.
+func writeFile(path string, write func(io.Writer) error) {
+	f, err := os.Create(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := write(f); err != nil {
+		log.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// tallyEvents counts the session's events by kind from its observation
+// stream while the fleet advances. The totals arrive on the returned
+// channel once the session has ended and closed the stream.
+func tallyEvents(sess *cloud.Session) <-chan map[cloud.EventKind]int64 {
+	stream, err := sess.Observe(cloud.EventFilter{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	tallied := make(chan map[cloud.EventKind]int64, 1)
+	go func() {
+		counts := make(map[cloud.EventKind]int64)
+		for ev := range stream {
+			counts[ev.Kind]++
+		}
+		tallied <- counts
+	}()
+	return tallied
 }
 
 func printEventTally(counts map[cloud.EventKind]int64) {
@@ -304,19 +294,9 @@ func runTenants(cfg cloud.Config, scenario string, tenantCount, jobs int, preemp
 	if err != nil {
 		log.Fatal(err)
 	}
-	tallied := make(chan map[cloud.EventKind]int64, 1)
+	var tallied <-chan map[cloud.EventKind]int64
 	if events {
-		stream, err := b.Session().Observe(cloud.EventFilter{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		go func() {
-			counts := make(map[cloud.EventKind]int64)
-			for ev := range stream {
-				counts[ev.Kind]++
-			}
-			tallied <- counts
-		}()
+		tallied = tallyEvents(b.Session())
 	}
 	if err := b.Play(subs); err != nil {
 		log.Fatal(err)

@@ -1,26 +1,27 @@
 package cloud
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"time"
 
 	"qcloud/internal/fault"
+	"qcloud/internal/journal"
 	"qcloud/internal/trace"
 )
 
-// checkpointVersion is the snapshot payload version; bump it whenever
-// MachineCheckpoint's layout or semantics change so stale snapshots
-// are rejected instead of silently misread. Version 2 adds the CRC32C
-// snapshot footer and the Journal* resume fields; version 3 adds the
-// cancel-reason classification on pending withdrawals. Older files are
-// still readable (missing fields decode as zero / unclassified).
-const checkpointVersion byte = 3
-
-// checkpointOldestReadable is the oldest envelope version
-// ReadCheckpoint still accepts.
-const checkpointOldestReadable byte = 1
+// A checkpoint file is the magic, one version byte and one journal
+// frame holding the checkpoint record. The version sits outside the
+// frame so a file from another era (1-3 were gob payloads) is named by
+// its version before a checksum is attempted. Bump it whenever the
+// checkpoint or machine record layout changes.
+const (
+	checkpointMagic        = "QCSN"
+	checkpointVersion byte = 4
+)
 
 // Checkpoint is a complete, restorable snapshot of an open session:
 // every machine's queue heap, arrival-stream cursors, fair-share
@@ -37,8 +38,6 @@ type Checkpoint struct {
 	// was taken under (both shape the event timeline).
 	Faults *fault.Profile
 	Retry  *RetryPolicy
-	// Machines holds per-machine state in fleet order.
-	Machines []MachineCheckpoint
 
 	// Journal* pin the durable-journal resume point for sessions in
 	// journal mode (zero otherwise): the per-machine stream record
@@ -49,106 +48,10 @@ type Checkpoint struct {
 	JournalSubmits        int64
 	JournalSeq            int64
 	JournalNextCkpt       time.Time
-}
 
-// MachineCheckpoint is one machine's serialized state. Spec-pointer
-// fields are stored as indices into Specs; the RNG is pinned by its
-// draw count (construction replays deterministically, then the source
-// fast-forwards to the recorded count).
-type MachineCheckpoint struct {
-	Name string
-	Dead bool
-
-	RNGDraws          uint64
-	Frontier          float64
-	FrontierInclusive bool
-	Finished          bool
-	BusyUntil         float64
-	InStep            bool
-	StepEndsAt        float64
-	AdmittedDuring    int
-	Seq               int64
-	NextSample        float64
-
-	// Monotone cursors: downtime displacement, outage announcement,
-	// burst/staleness windows, submit-fault sequence, background
-	// surge/arrival stream.
-	DtIdx       int
-	AnnIdx      int
-	AnnPhase    int
-	BurstIdx    int
-	StaleIdx    int
-	SubmitSeq   int64
-	BgSurgeIdx  int
-	BgNextAt    float64
-	BgExhausted bool
-
-	Specs   []JobSpec
-	SpecIdx int
-	// Queue preserves the heap slice verbatim (a valid heap reloads as
-	// one); Retries preserves the (at, id)-sorted backoff list.
-	Queue   []QueuedJobCheckpoint
-	Retries []RetryCheckpoint
-	// CancelledAt / Recorded mark specs (by index) withdrawn but not
-	// yet recorded, and specs with a terminal trace record.
-	CancelledAt []SpecCancelCheckpoint
-	Recorded    []int
-
-	Jobs       []trace.Job
-	Stats      trace.MachineStats
-	WaitRatios []float64
-
-	Usage      []UserUsageCheckpoint
-	RetrySpent []UserCountCheckpoint
-}
-
-// QueuedJobCheckpoint is one queue-heap entry; SpecIdx is -1 for
-// background jobs.
-type QueuedJobCheckpoint struct {
-	SpecIdx         int
-	Submit          float64
-	ExecSec         float64
-	Patience        float64
-	Priority        float64
-	Seq             int64
-	ID              int64
-	User            string
-	Attempt         int
-	PendingAtSubmit int
-}
-
-// RetryCheckpoint is one pending retry; SpecIdx is -1 for background
-// jobs.
-type RetryCheckpoint struct {
-	SpecIdx  int
-	At       float64
-	ExecSec  float64
-	Patience float64
-	User     string
-	ID       int64
-	Attempt  int
-}
-
-// SpecCancelCheckpoint marks a queued spec withdrawn at At. Reason is
-// the cancel classification carried onto the eventual terminal event
-// (empty in pre-v3 snapshots, which restore as unclassified cancels).
-type SpecCancelCheckpoint struct {
-	SpecIdx int
-	At      float64
-	Reason  CancelReason
-}
-
-// UserUsageCheckpoint is one fair-share accumulator.
-type UserUsageCheckpoint struct {
-	User      string
-	Usage     float64
-	LastDecay float64
-}
-
-// UserCountCheckpoint is one per-user retry-budget counter.
-type UserCountCheckpoint struct {
-	User string
-	N    int
+	// machines holds one machine record per fleet member, in fleet
+	// order: what machineSim.appendCheckpoint wrote and restore reads.
+	machines [][]byte
 }
 
 // Checkpoint snapshots the session's full state at its current
@@ -164,101 +67,138 @@ func (s *Session) Checkpoint() (*Checkpoint, error) {
 		}
 	}
 	ck := &Checkpoint{
-		Seed:   s.cfg.Seed,
-		Start:  s.cfg.Start,
-		End:    s.cfg.End,
-		Faults: s.cfg.Faults,
-		Retry:  s.cfg.Retry,
+		Seed:     s.cfg.Seed,
+		Start:    s.cfg.Start,
+		End:      s.cfg.End,
+		Faults:   s.cfg.Faults,
+		Retry:    s.cfg.Retry,
+		machines: make([][]byte, len(s.sims)),
 	}
-	for _, ms := range s.sims {
-		ck.Machines = append(ck.Machines, ms.checkpoint())
+	for i, ms := range s.sims {
+		ck.machines[i] = ms.appendCheckpoint(nil)
 	}
 	return ck, nil
 }
 
-func (ms *machineSim) checkpoint() MachineCheckpoint {
-	mc := MachineCheckpoint{Name: ms.m.Name, Dead: ms.dead}
+// appendCheckpoint appends the machine record: ms's state written
+// straight from its fields, in the order restore reads them. A pointer
+// to a spec becomes its position in the spec list, counted from 1 (0 =
+// a background job); the RNG is pinned by its draw count (construction
+// replays deterministically, then restore fast-forwards the source).
+// Every list goes in an order the state fixes, so two sessions at one
+// frontier write the same bytes whatever their worker counts.
+func (ms *machineSim) appendCheckpoint(buf []byte) []byte {
+	buf = journal.AppendString(buf, ms.m.Name)
+	buf = journal.AppendBool(buf, ms.dead)
 	if ms.dead {
-		return mc
+		return buf
 	}
-	mc.RNGDraws = ms.rsrc.draws
-	mc.Frontier, mc.FrontierInclusive = ms.frontier, ms.frontierInclusive
-	mc.Finished = ms.finished
-	mc.BusyUntil = ms.busyUntil
-	mc.InStep, mc.StepEndsAt, mc.AdmittedDuring = ms.inStep, ms.stepEndsAt, ms.admittedDuringStep
-	mc.Seq, mc.NextSample = ms.seq, ms.nextSample
-	mc.DtIdx, mc.AnnIdx, mc.AnnPhase = ms.dtIdx, ms.annIdx, ms.annPhase
-	mc.BurstIdx, mc.StaleIdx, mc.SubmitSeq = ms.burstIdx, ms.staleIdx, ms.submitSeq
-	mc.BgSurgeIdx, mc.BgNextAt, mc.BgExhausted = ms.bg.surgeIdx, ms.bg.nextAt, ms.bg.exhausted
+	buf = binary.AppendUvarint(buf, ms.rsrc.draws)
+	buf = journal.AppendFloat64(buf, ms.frontier)
+	buf = journal.AppendBool(buf, ms.frontierInclusive)
+	buf = journal.AppendBool(buf, ms.finished)
+	buf = journal.AppendFloat64(buf, ms.busyUntil)
+	buf = journal.AppendBool(buf, ms.inStep)
+	buf = journal.AppendFloat64(buf, ms.stepEndsAt)
+	buf = binary.AppendVarint(buf, int64(ms.admittedDuringStep))
+	buf = binary.AppendVarint(buf, ms.seq)
+	buf = journal.AppendFloat64(buf, ms.nextSample)
+	// Monotone cursors: downtime displacement, outage announcement,
+	// burst/staleness windows, submit-fault sequence, background
+	// surge/arrival stream.
+	buf = binary.AppendVarint(buf, int64(ms.dtIdx))
+	buf = binary.AppendVarint(buf, int64(ms.annIdx))
+	buf = binary.AppendVarint(buf, int64(ms.annPhase))
+	buf = binary.AppendVarint(buf, int64(ms.burstIdx))
+	buf = binary.AppendVarint(buf, int64(ms.staleIdx))
+	buf = binary.AppendVarint(buf, ms.submitSeq)
+	buf = binary.AppendVarint(buf, int64(ms.bg.surgeIdx))
+	buf = journal.AppendFloat64(buf, ms.bg.nextAt)
+	buf = journal.AppendBool(buf, ms.bg.exhausted)
 
-	specIndex := make(map[*JobSpec]int, len(ms.specs))
+	// Each spec carries its own terminal-record and pending-withdrawal
+	// marks, so the spec-keyed maps are walked through the ordered spec
+	// slice (specs removed by a pre-admission cancel were recorded
+	// immediately and are unreachable after a restore; dropping them is
+	// safe). specRef[nil] is the 0 of a background job.
+	specRef := make(map[*JobSpec]uint64, len(ms.specs))
+	buf = binary.AppendUvarint(buf, uint64(len(ms.specs)))
 	for i, sp := range ms.specs {
-		specIndex[sp] = i
-		mc.Specs = append(mc.Specs, *sp)
-		// Spec-keyed maps are walked through the ordered spec slice, so
-		// checkpoint bytes are deterministic (specs removed by a
-		// pre-admission cancel were recorded immediately and are
-		// unreachable after a restore; dropping them is safe).
-		if at, ok := ms.cancelledAt[sp]; ok {
-			mc.CancelledAt = append(mc.CancelledAt, SpecCancelCheckpoint{SpecIdx: i, At: at, Reason: ms.cancelReason[sp]})
-		}
-		if ms.recorded[sp] {
-			mc.Recorded = append(mc.Recorded, i)
+		specRef[sp] = uint64(i) + 1
+		buf = appendJobSpec(buf, sp)
+		buf = journal.AppendBool(buf, ms.recorded[sp])
+		at, cancelled := ms.cancelledAt[sp]
+		buf = journal.AppendBool(buf, cancelled)
+		if cancelled {
+			buf = journal.AppendFloat64(buf, at)
+			buf = journal.AppendString(buf, string(ms.cancelReason[sp]))
 		}
 	}
-	mc.SpecIdx = ms.specIdx
+	buf = binary.AppendVarint(buf, int64(ms.specIdx))
 
-	for _, q := range ms.queue {
-		cj := QueuedJobCheckpoint{
-			SpecIdx: -1, Submit: q.submit, ExecSec: q.execSec, Patience: q.patience,
-			Priority: q.priority, Seq: q.seq, ID: q.id, User: q.user,
-			Attempt: q.attempt, PendingAtSubmit: q.pendingAtSubmit,
-		}
-		if q.spec != nil {
-			cj.SpecIdx = specIndex[q.spec]
-		}
-		mc.Queue = append(mc.Queue, cj)
-	}
-	for _, rt := range ms.retries {
-		cr := RetryCheckpoint{
-			SpecIdx: -1, At: rt.at, ExecSec: rt.execSec, Patience: rt.patience,
-			User: rt.user, ID: rt.id, Attempt: rt.attempt,
-		}
-		if rt.spec != nil {
-			cr.SpecIdx = specIndex[rt.spec]
-		}
-		mc.Retries = append(mc.Retries, cr)
-	}
-
-	for _, j := range ms.jobs {
-		mc.Jobs = append(mc.Jobs, *j)
-	}
-	mc.Stats = *ms.mstats
-	mc.WaitRatios = append([]float64(nil), ms.waitRatios...)
-
-	// Accumulators are serialized by name, sorted, whichever table holds
-	// them; account maps the names back on restore.
+	// Accumulators go by name, whichever table holds them (restore's
+	// account maps the names back), before the queue that refers to them.
+	// A user's retry budget goes with them: only a job that was queued,
+	// so whose user has an accumulator, can have spent any.
+	var users []string
 	for n := range ms.bgAccts {
-		if a := &ms.bgAccts[n]; a.seen {
-			mc.Usage = append(mc.Usage, UserUsageCheckpoint{User: ms.bgNames[n], Usage: a.usage, LastDecay: a.last})
+		if ms.bgAccts[n].seen {
+			users = append(users, ms.bgNames[n])
 		}
 	}
 	// Names are unique across both tables, so the sort below fixes the
 	// order whatever the map yields.
 	//qcloud:orderinvariant
-	for u, a := range ms.namedAccts {
-		mc.Usage = append(mc.Usage, UserUsageCheckpoint{User: u, Usage: a.usage, LastDecay: a.last})
+	for u := range ms.namedAccts {
+		users = append(users, u)
 	}
-	sort.Slice(mc.Usage, func(i, j int) bool { return mc.Usage[i].User < mc.Usage[j].User })
-	var spenders []string
-	for u := range ms.retrySpent {
-		spenders = append(spenders, u)
+	sort.Strings(users)
+	buf = binary.AppendUvarint(buf, uint64(len(users)))
+	for _, u := range users {
+		a := ms.account(u)
+		buf = journal.AppendString(buf, u)
+		buf = journal.AppendFloat64(buf, a.usage)
+		buf = journal.AppendFloat64(buf, a.last)
+		buf = binary.AppendVarint(buf, int64(ms.retrySpent[u]))
 	}
-	sort.Strings(spenders)
-	for _, u := range spenders {
-		mc.RetrySpent = append(mc.RetrySpent, UserCountCheckpoint{User: u, N: ms.retrySpent[u]})
+
+	// The heap slice goes verbatim (a valid heap reloads as one), the
+	// retries in their (at, id) order.
+	buf = binary.AppendUvarint(buf, uint64(len(ms.queue)))
+	for _, q := range ms.queue {
+		buf = binary.AppendUvarint(buf, specRef[q.spec])
+		buf = journal.AppendFloat64(buf, q.submit)
+		buf = journal.AppendFloat64(buf, q.execSec)
+		buf = journal.AppendFloat64(buf, q.patience)
+		buf = journal.AppendFloat64(buf, q.priority)
+		buf = binary.AppendVarint(buf, q.seq)
+		buf = binary.AppendVarint(buf, q.id)
+		buf = journal.AppendString(buf, q.user)
+		buf = binary.AppendVarint(buf, int64(q.attempt))
+		buf = binary.AppendVarint(buf, int64(q.pendingAtSubmit))
 	}
-	return mc
+	buf = binary.AppendUvarint(buf, uint64(len(ms.retries)))
+	for i := range ms.retries {
+		rt := &ms.retries[i]
+		buf = binary.AppendUvarint(buf, specRef[rt.spec])
+		buf = journal.AppendFloat64(buf, rt.at)
+		buf = journal.AppendFloat64(buf, rt.execSec)
+		buf = journal.AppendFloat64(buf, rt.patience)
+		buf = journal.AppendString(buf, rt.user)
+		buf = binary.AppendVarint(buf, rt.id)
+		buf = binary.AppendVarint(buf, int64(rt.attempt))
+	}
+
+	buf = binary.AppendUvarint(buf, uint64(len(ms.jobs)))
+	for _, j := range ms.jobs {
+		buf = trace.AppendJob(buf, j)
+	}
+	buf = trace.AppendMachineStats(buf, ms.mstats)
+	buf = binary.AppendUvarint(buf, uint64(len(ms.waitRatios)))
+	for _, w := range ms.waitRatios {
+		buf = journal.AppendFloat64(buf, w)
+	}
+	return buf
 }
 
 // Restore opens a new session from cfg and overwrites its state with
@@ -288,146 +228,252 @@ func Restore(cfg Config, ck *Checkpoint) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(s.sims) != len(ck.Machines) {
-		return nil, fmt.Errorf("cloud: restore fleet mismatch: %d machines vs checkpoint %d", len(s.sims), len(ck.Machines))
+	if len(s.sims) != len(ck.machines) {
+		return nil, fmt.Errorf("cloud: restore fleet mismatch: %d machines vs checkpoint %d", len(s.sims), len(ck.machines))
 	}
-	for i := range ck.Machines {
-		ms := s.sims[i]
-		mc := &ck.Machines[i]
-		if ms.m.Name != mc.Name {
-			return nil, fmt.Errorf("cloud: restore fleet mismatch: machine %d is %s, checkpoint has %s", i, ms.m.Name, mc.Name)
-		}
-		if ms.dead != mc.Dead {
-			return nil, fmt.Errorf("cloud: restore mismatch: machine %s dead=%v vs checkpoint %v", ms.m.Name, ms.dead, mc.Dead)
-		}
-		if ms.dead {
-			continue
-		}
-		if err := ms.restore(mc); err != nil {
-			return nil, err
+	// A machine that fails part-way is left half-read; the session is
+	// dropped with it, so that state is never visible.
+	for i, ms := range s.sims {
+		if err := ms.restore(journal.NewRecordReader(ck.machines[i])); err != nil {
+			return nil, fmt.Errorf("cloud: restore machine %d (%s): %w", i, ms.m.Name, err)
 		}
 	}
 	return s, nil
 }
 
-func (ms *machineSim) restore(mc *MachineCheckpoint) error {
-	if mc.RNGDraws < ms.rsrc.draws {
-		return fmt.Errorf("cloud: restore %s: checkpoint RNG count %d behind construction's %d (corrupt snapshot?)",
-			ms.m.Name, mc.RNGDraws, ms.rsrc.draws)
+// restore reads the machine record appendCheckpoint wrote into ms,
+// freshly constructed from the checkpointed session's config. Each
+// Count is given a floor on its element's encoded size. The RNG
+// fast-forwards only once the whole record has read cleanly: that loop
+// is as long as the record says, and all a checksum alone guards.
+func (ms *machineSim) restore(d *journal.RecordReader) error {
+	if name, dead := d.String(), d.Bool(); d.Err() == nil && (name != ms.m.Name || dead != ms.dead) {
+		d.Reject("record is for machine %s (dead=%v), not %s (dead=%v)", name, dead, ms.m.Name, ms.dead)
 	}
-	for ms.rsrc.draws < mc.RNGDraws {
+	if ms.dead || d.Err() != nil {
+		return d.Finish()
+	}
+	draws := d.Uvarint()
+	ms.frontier = d.Float64()
+	ms.frontierInclusive = d.Bool()
+	ms.finished = d.Bool()
+	ms.busyUntil = d.Float64()
+	ms.inStep = d.Bool()
+	ms.stepEndsAt = d.Float64()
+	ms.admittedDuringStep = d.Int()
+	ms.seq = d.Varint()
+	ms.nextSample = d.Float64()
+	ms.dtIdx = d.Int()
+	ms.annIdx = d.Int()
+	ms.annPhase = d.Int()
+	ms.burstIdx = d.Int()
+	ms.staleIdx = d.Int()
+	ms.submitSeq = d.Varint()
+	ms.bg.surgeIdx = d.Int()
+	ms.bg.nextAt = d.Float64()
+	ms.bg.exhausted = d.Bool()
+
+	ms.specs = make([]*JobSpec, d.Count(20+2))
+	for i := range ms.specs {
+		sp := &JobSpec{}
+		readJobSpec(d, sp)
+		ms.specs[i] = sp
+		ms.handles[sp] = &JobHandle{spec: sp, machine: ms.m.Name, sess: ms.sess}
+		if d.Bool() {
+			ms.recorded[sp] = true
+		}
+		if d.Bool() {
+			ms.cancelledAt[sp] = d.Float64()
+			ms.cancelReason[sp] = CancelReason(d.String())
+		}
+	}
+	ms.specIdx = d.Int()
+	specRef := func() *JobSpec {
+		i := d.Uvarint()
+		if i > uint64(len(ms.specs)) {
+			d.Reject("spec reference %d out of range (%d specs)", i, len(ms.specs))
+		}
+		if i == 0 || d.Err() != nil {
+			return nil
+		}
+		return ms.specs[i-1]
+	}
+
+	// Names go strictly ascending and an unspent budget is a 0, never a
+	// map entry: what decodes re-encodes to the same bytes.
+	for i, prev, n := 0, "", d.Count(1+8+8+1); i < n; i++ {
+		u := d.String()
+		if i > 0 && u <= prev {
+			d.Reject("usage accumulators out of order: %q after %q", u, prev)
+		}
+		prev = u
+		a := ms.account(u)
+		a.usage = d.Float64()
+		a.last = d.Float64()
+		a.seen = true
+		if spent := d.Int(); spent != 0 && ms.retrySpent == nil {
+			d.Reject("retry budget for %q on a machine with no retry policy", u)
+		} else if spent != 0 {
+			ms.retrySpent[u] = spent
+		}
+	}
+	ms.queue = make(jobHeap, d.Count(1+4*8+5))
+	for i := range ms.queue {
+		q := &queuedJob{}
+		ms.queue[i] = q
+		q.spec = specRef()
+		q.submit = d.Float64()
+		q.execSec = d.Float64()
+		q.patience = d.Float64()
+		q.priority = d.Float64()
+		q.seq = d.Varint()
+		q.id = d.Varint()
+		q.user = d.String()
+		q.attempt = d.Int()
+		q.pendingAtSubmit = d.Int()
+		if q.acct = ms.account(q.user); !q.acct.seen {
+			d.Reject("queue entry for %q has no usage accumulator", q.user)
+		}
+	}
+	ms.retries = make([]pendingRetry, d.Count(1+3*8+3))
+	for i := range ms.retries {
+		rt := &ms.retries[i]
+		rt.spec = specRef()
+		rt.at = d.Float64()
+		rt.execSec = d.Float64()
+		rt.patience = d.Float64()
+		rt.user = d.String()
+		rt.id = d.Varint()
+		rt.attempt = d.Int()
+	}
+
+	ms.jobs = make([]*trace.Job, d.Count(20))
+	for i := range ms.jobs {
+		ms.jobs[i] = trace.ReadJob(d)
+	}
+	ms.mstats = trace.ReadMachineStats(d)
+	ms.waitRatios = make([]float64, d.Count(8))
+	for i := range ms.waitRatios {
+		ms.waitRatios[i] = d.Float64()
+	}
+	if err := d.Finish(); err != nil {
+		return err
+	}
+	if draws < ms.rsrc.draws {
+		return fmt.Errorf("RNG count %d behind construction's %d (corrupt snapshot?)", draws, ms.rsrc.draws)
+	}
+	for ms.rsrc.draws < draws {
 		ms.rsrc.Uint64()
-	}
-	ms.frontier, ms.frontierInclusive = mc.Frontier, mc.FrontierInclusive
-	ms.finished = mc.Finished
-	ms.busyUntil = mc.BusyUntil
-	ms.inStep, ms.stepEndsAt, ms.admittedDuringStep = mc.InStep, mc.StepEndsAt, mc.AdmittedDuring
-	ms.seq, ms.nextSample = mc.Seq, mc.NextSample
-	ms.dtIdx, ms.annIdx, ms.annPhase = mc.DtIdx, mc.AnnIdx, mc.AnnPhase
-	ms.burstIdx, ms.staleIdx, ms.submitSeq = mc.BurstIdx, mc.StaleIdx, mc.SubmitSeq
-	ms.bg.surgeIdx, ms.bg.nextAt, ms.bg.exhausted = mc.BgSurgeIdx, mc.BgNextAt, mc.BgExhausted
-
-	ms.specs = make([]*JobSpec, len(mc.Specs))
-	ms.handles = make(map[*JobSpec]*JobHandle, len(mc.Specs))
-	for i := range mc.Specs {
-		sp := mc.Specs[i]
-		ms.specs[i] = &sp
-		ms.handles[&sp] = &JobHandle{spec: &sp, machine: ms.m.Name, sess: ms.sess}
-	}
-	ms.specIdx = mc.SpecIdx
-
-	for _, u := range mc.Usage {
-		*ms.account(u.User) = acct{usage: u.Usage, last: u.LastDecay, seen: true}
-	}
-
-	ms.queue = make(jobHeap, 0, len(mc.Queue))
-	for _, cj := range mc.Queue {
-		q := &queuedJob{
-			submit: cj.Submit, execSec: cj.ExecSec, patience: cj.Patience,
-			priority: cj.Priority, seq: cj.Seq, id: cj.ID, user: cj.User,
-			attempt: cj.Attempt, pendingAtSubmit: cj.PendingAtSubmit,
-		}
-		if cj.SpecIdx >= 0 {
-			if cj.SpecIdx >= len(ms.specs) {
-				return fmt.Errorf("cloud: restore %s: queue entry spec index %d out of range", ms.m.Name, cj.SpecIdx)
-			}
-			q.spec = ms.specs[cj.SpecIdx]
-		}
-		q.acct = ms.account(cj.User)
-		if !q.acct.seen {
-			return fmt.Errorf("cloud: restore %s: queue entry for %q has no usage accumulator", ms.m.Name, cj.User)
-		}
-		ms.queue = append(ms.queue, q)
-	}
-
-	ms.retries = nil
-	for _, cr := range mc.Retries {
-		rt := pendingRetry{
-			at: cr.At, execSec: cr.ExecSec, patience: cr.Patience,
-			user: cr.User, id: cr.ID, attempt: cr.Attempt,
-		}
-		if cr.SpecIdx >= 0 {
-			if cr.SpecIdx >= len(ms.specs) {
-				return fmt.Errorf("cloud: restore %s: retry spec index %d out of range", ms.m.Name, cr.SpecIdx)
-			}
-			rt.spec = ms.specs[cr.SpecIdx]
-		}
-		ms.retries = append(ms.retries, rt)
-	}
-
-	ms.cancelledAt = make(map[*JobSpec]float64, len(mc.CancelledAt))
-	ms.cancelReason = make(map[*JobSpec]CancelReason, len(mc.CancelledAt))
-	for _, cc := range mc.CancelledAt {
-		if cc.SpecIdx < 0 || cc.SpecIdx >= len(ms.specs) {
-			return fmt.Errorf("cloud: restore %s: cancel spec index %d out of range", ms.m.Name, cc.SpecIdx)
-		}
-		ms.cancelledAt[ms.specs[cc.SpecIdx]] = cc.At
-		if cc.Reason != "" {
-			ms.cancelReason[ms.specs[cc.SpecIdx]] = cc.Reason
-		}
-	}
-	ms.recorded = make(map[*JobSpec]bool, len(mc.Recorded))
-	for _, ri := range mc.Recorded {
-		if ri < 0 || ri >= len(ms.specs) {
-			return fmt.Errorf("cloud: restore %s: recorded spec index %d out of range", ms.m.Name, ri)
-		}
-		ms.recorded[ms.specs[ri]] = true
-	}
-
-	ms.jobs = make([]*trace.Job, len(mc.Jobs))
-	for i := range mc.Jobs {
-		j := mc.Jobs[i]
-		ms.jobs[i] = &j
-	}
-	st := mc.Stats
-	ms.mstats = &st
-	ms.waitRatios = append([]float64(nil), mc.WaitRatios...)
-
-	if ms.retrySpent != nil || len(mc.RetrySpent) > 0 {
-		ms.retrySpent = make(map[string]int, len(mc.RetrySpent))
-		for _, uc := range mc.RetrySpent {
-			ms.retrySpent[uc.User] = uc.N
-		}
 	}
 	return nil
 }
 
-// WriteCheckpoint serializes the checkpoint through the versioned
-// trace snapshot codec.
-func WriteCheckpoint(w io.Writer, ck *Checkpoint) error {
-	return trace.WriteSnapshot(w, checkpointVersion, ck)
+// faultFields lists p's fields in their checkpoint order, for the
+// writer and the reader alike.
+func faultFields(p *fault.Profile) [11]*float64 {
+	return [...]*float64{
+		&p.OutageMeanGapDays, &p.OutageMeanHours, &p.OutageMaxHours,
+		&p.TransientErrorRate,
+		&p.BurstMeanGapDays, &p.BurstMeanHours, &p.BurstErrorRate,
+		&p.StaleMeanGapDays, &p.StaleMeanHours, &p.StaleErrorFactor,
+		&p.SubmitErrorRate,
+	}
 }
 
-// ReadCheckpoint decodes a checkpoint, rejecting snapshots from other
-// format versions.
-func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
-	ck := &Checkpoint{}
-	v, err := trace.ReadSnapshot(r, ck)
-	if err != nil {
-		return nil, err
+// WriteCheckpoint writes ck as a checkpoint file: the magic, the
+// version, and one journal frame around the checkpoint record.
+func WriteCheckpoint(w io.Writer, ck *Checkpoint) error {
+	var rec []byte
+	rec = binary.AppendVarint(rec, ck.Seed)
+	rec = journal.AppendInstant(rec, ck.Start)
+	rec = journal.AppendInstant(rec, ck.End)
+	rec = journal.AppendBool(rec, ck.Faults != nil)
+	if ck.Faults != nil {
+		for _, f := range faultFields(ck.Faults) {
+			rec = journal.AppendFloat64(rec, *f)
+		}
 	}
-	if v < checkpointOldestReadable || v > checkpointVersion {
-		return nil, fmt.Errorf("cloud: checkpoint version %d not supported (want %d..%d)", v, checkpointOldestReadable, checkpointVersion)
+	rec = journal.AppendBool(rec, ck.Retry != nil)
+	if p := ck.Retry; p != nil {
+		rec = binary.AppendVarint(rec, int64(p.MaxAttempts))
+		rec = binary.AppendVarint(rec, int64(p.BaseBackoff))
+		rec = binary.AppendVarint(rec, int64(p.MaxBackoff))
+		rec = journal.AppendFloat64(rec, p.JitterFrac)
+		rec = binary.AppendVarint(rec, int64(p.BudgetPerUser))
+	}
+	rec = binary.AppendUvarint(rec, uint64(len(ck.JournalMachineRecords)))
+	for _, n := range ck.JournalMachineRecords {
+		rec = binary.AppendVarint(rec, n)
+	}
+	rec = binary.AppendVarint(rec, ck.JournalSubmits)
+	rec = binary.AppendVarint(rec, ck.JournalSeq)
+	rec = journal.AppendInstant(rec, ck.JournalNextCkpt)
+	rec = binary.AppendUvarint(rec, uint64(len(ck.machines)))
+	for _, m := range ck.machines {
+		rec = journal.AppendBytes(rec, m)
+	}
+	if uint64(len(rec)) > math.MaxUint32 {
+		return fmt.Errorf("cloud: checkpoint record of %d bytes exceeds a frame's 32-bit length", len(rec))
+	}
+	file := journal.AppendFrame(append([]byte(checkpointMagic), checkpointVersion), rec)
+	if _, err := w.Write(file); err != nil {
+		return fmt.Errorf("cloud: write checkpoint: %w", err)
+	}
+	return nil
+}
+
+// ReadCheckpoint reads a checkpoint file. Any version but this one is
+// refused by its number; a torn or bit-flipped file fails the frame
+// checksum before a field is read. The machine records are only
+// delimited here: Restore reads them, into the machines.
+func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
+	file, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("cloud: read checkpoint: %w", err)
+	}
+	if len(file) <= len(checkpointMagic) || string(file[:len(checkpointMagic)]) != checkpointMagic {
+		return nil, fmt.Errorf("cloud: not a checkpoint file (no %q header)", checkpointMagic)
+	}
+	if v := file[len(checkpointMagic)]; v != checkpointVersion {
+		return nil, fmt.Errorf("cloud: checkpoint version %d not supported (this build reads version %d only)", v, checkpointVersion)
+	}
+	rec, err := journal.Frame(file[len(checkpointMagic)+1:])
+	if err != nil {
+		return nil, fmt.Errorf("cloud: checkpoint: %w", err)
+	}
+	d := journal.NewRecordReader(rec)
+	ck := &Checkpoint{}
+	ck.Seed = d.Varint()
+	ck.Start = d.Instant()
+	ck.End = d.Instant()
+	if d.Bool() {
+		ck.Faults = &fault.Profile{}
+		for _, f := range faultFields(ck.Faults) {
+			*f = d.Float64()
+		}
+	}
+	if d.Bool() {
+		p := &RetryPolicy{}
+		p.MaxAttempts = d.Int()
+		p.BaseBackoff = time.Duration(d.Varint())
+		p.MaxBackoff = time.Duration(d.Varint())
+		p.JitterFrac = d.Float64()
+		p.BudgetPerUser = d.Int()
+		ck.Retry = p
+	}
+	ck.JournalMachineRecords = make([]int64, d.Count(1))
+	for i := range ck.JournalMachineRecords {
+		ck.JournalMachineRecords[i] = d.Varint()
+	}
+	ck.JournalSubmits = d.Varint()
+	ck.JournalSeq = d.Varint()
+	ck.JournalNextCkpt = d.Instant()
+	ck.machines = make([][]byte, d.Count(1))
+	for i := range ck.machines {
+		ck.machines[i] = d.Bytes()
+	}
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("cloud: checkpoint record: %w", err)
 	}
 	return ck, nil
 }

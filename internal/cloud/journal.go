@@ -1,8 +1,6 @@
 package cloud
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
@@ -45,13 +43,10 @@ type JournalConfig struct {
 	SyncEvery    int
 
 	// Test hooks (white-box): kill the session deterministically after
-	// N journal appends, cap write retries, intercept segment file
-	// opens with a faulty writer, or write the input log in the legacy
-	// gob framing (to pin that old journals stay recoverable).
+	// N journal appends, or intercept segment file opens with a faulty
+	// writer.
 	killAfterRecords int64
-	retryAppends     int
 	openFile         func(path string) (journal.File, error)
-	legacyGobSubmits bool
 }
 
 func (jc *JournalConfig) withDefaults() *JournalConfig {
@@ -66,18 +61,18 @@ func (jc *JournalConfig) options() journal.Options {
 	return journal.Options{
 		SegmentBytes: jc.SegmentBytes,
 		SyncEvery:    jc.SyncEvery,
-		RetryAppends: jc.retryAppends,
 		OpenFile:     jc.openFile,
 	}
 }
 
-// Journal record types: the first payload byte of every frame.
+// Journal record types: the first payload byte of every frame. Types 2
+// and 4 were the gob stats frame and submission: no reader is kept and
+// the numbers are not reused, so such a record is refused, not misread.
 const (
-	jrecJob     byte = 1 // machine stream: one trace.Job (binary codec)
-	jrecStats   byte = 2 // machine stream: the machine's final MachineStats (gob)
+	jrecJob     byte = 1 // machine stream: one trace.Job
 	jrecEnd     byte = 3 // machine stream: seal marker — the run completed
-	jrecSubmit  byte = 4 // input log: one accepted study submission (legacy gob)
-	jrecSubmit2 byte = 5 // input log: one accepted study submission (binary codec)
+	jrecSubmit2 byte = 5 // input log: one accepted study submission
+	jrecStats2  byte = 6 // machine stream: the machine's final trace.MachineStats
 )
 
 // journalSubmit is one accepted study submission in the input log.
@@ -214,19 +209,8 @@ func (jr *sessionJournal) appendSubmit(ms *machineSim, spec *JobSpec) error {
 	if err := jr.haltErr(); err != nil {
 		return err
 	}
-	if jr.jc.legacyGobSubmits {
-		// Legacy framing, kept behind a test hook so the read path's
-		// old-format support stays exercised.
-		var buf bytes.Buffer
-		buf.WriteByte(jrecSubmit)
-		if err := gob.NewEncoder(&buf).Encode(journalSubmit{Machine: ms.m.Name, SubmitSeq: ms.submitSeq, Spec: *spec}); err != nil {
-			return fmt.Errorf("cloud: encode submit record: %w", err)
-		}
-		jr.append(jr.submits, buf.Bytes())
-	} else {
-		jr.subBuf = appendSubmitRecord(jr.subBuf[:0], ms.m.Name, ms.submitSeq, spec)
-		jr.append(jr.submits, jr.subBuf)
-	}
+	jr.subBuf = appendSubmitRecord(jr.subBuf[:0], ms.m.Name, ms.submitSeq, spec)
+	jr.append(jr.submits, jr.subBuf)
 	if err := jr.haltErr(); err != nil {
 		return err
 	}
@@ -415,13 +399,7 @@ func (s *Session) drainJournal() (JournalStats, error) {
 	// Seal each machine stream: final stats, then the end marker. Both
 	// appended from the driver goroutine — the machines are done.
 	for i, ms := range s.sims {
-		var buf bytes.Buffer
-		buf.WriteByte(jrecStats)
-		if err := gob.NewEncoder(&buf).Encode(ms.mstats); err != nil {
-			jr.close()
-			return JournalStats{}, fmt.Errorf("cloud: encode machine stats: %w", err)
-		}
-		jr.append(jr.machines[i], buf.Bytes())
+		jr.append(jr.machines[i], trace.AppendMachineStats([]byte{jrecStats2}, ms.mstats))
 		jr.append(jr.machines[i], []byte{jrecEnd})
 	}
 	if err := jr.haltErr(); err != nil {
@@ -541,23 +519,9 @@ func Recover(cfg Config) (*Session, error) {
 		if rec < from {
 			return nil
 		}
-		var js journalSubmit
-		switch {
-		case len(payload) == 0:
-			return fmt.Errorf("cloud: input log record %d is not a submission", rec)
-		case payload[0] == jrecSubmit2:
-			var err error
-			if js, err = decodeSubmitRecord(payload[1:]); err != nil {
-				return fmt.Errorf("cloud: decode input log record %d: %w", rec, err)
-			}
-		case payload[0] == jrecSubmit:
-			// Legacy gob framing, kept readable so pre-existing journal
-			// directories recover unchanged.
-			if err := gob.NewDecoder(bytes.NewReader(payload[1:])).Decode(&js); err != nil {
-				return fmt.Errorf("cloud: decode input log record %d: %w", rec, err)
-			}
-		default:
-			return fmt.Errorf("cloud: input log record %d is not a submission", rec)
+		js, err := decodeSubmitRecord(payload)
+		if err != nil {
+			return fmt.Errorf("cloud: input log record %d: %w", rec, err)
 		}
 		ms := s.byName[js.Machine]
 		if ms == nil {
@@ -583,7 +547,7 @@ func pickCheckpoint(c Config, dir string, subScan journal.ScanResult, mScans []j
 	for i := len(seqs) - 1; i >= 0; i-- {
 		ck, err := readCheckpointFile(ckptFilePath(dir, seqs[i]))
 		if err != nil {
-			continue // torn or corrupt (CRC): fall back to an older one
+			continue // torn, corrupt or another version: fall back to an older one
 		}
 		if !checkpointUsable(c, ck, subScan, mScans) {
 			continue
@@ -672,15 +636,18 @@ func ReadJournalTrace(cfg Config) (*trace.Trace, error) {
 	out := &trace.Trace{}
 	var nextID int64
 	for _, m := range c.Machines {
-		sealed := false
+		// A sealed stream is job* stats end.
 		var mstats *trace.MachineStats
+		sealed := false
 		dir := machineStreamDir(c.Journal.Dir, m.Name)
 		_, err := journal.ForEach(dir, func(rec int64, payload []byte) error {
-			if len(payload) == 0 {
+			switch {
+			case len(payload) == 0:
 				return fmt.Errorf("cloud: %s record %d is empty", dir, rec)
-			}
-			if sealed {
-				return fmt.Errorf("cloud: %s has records past its seal marker", dir)
+			case sealed:
+				return fmt.Errorf("cloud: %s record %d lies past the seal marker", dir, rec)
+			case mstats != nil && payload[0] != jrecEnd:
+				return fmt.Errorf("cloud: %s record %d (type %d) follows the stats frame, which only the seal marker may", dir, rec, payload[0])
 			}
 			switch payload[0] {
 			case jrecJob:
@@ -691,13 +658,16 @@ func ReadJournalTrace(cfg Config) (*trace.Trace, error) {
 				nextID++
 				j.ID = nextID
 				out.Jobs = append(out.Jobs, j)
-			case jrecStats:
-				var st trace.MachineStats
-				if err := gob.NewDecoder(bytes.NewReader(payload[1:])).Decode(&st); err != nil {
-					return fmt.Errorf("cloud: %s record %d: %w", dir, rec, err)
+			case jrecStats2:
+				d := journal.NewRecordReader(payload[1:])
+				mstats = trace.ReadMachineStats(d)
+				if err := d.Finish(); err != nil {
+					return fmt.Errorf("cloud: %s record %d: machine stats: %w", dir, rec, err)
 				}
-				mstats = &st
 			case jrecEnd:
+				if mstats == nil {
+					return fmt.Errorf("cloud: %s record %d seals the stream before any stats frame", dir, rec)
+				}
 				sealed = true
 			default:
 				return fmt.Errorf("cloud: %s record %d has unknown type %d", dir, rec, payload[0])
@@ -707,7 +677,7 @@ func ReadJournalTrace(cfg Config) (*trace.Trace, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !sealed || mstats == nil {
+		if !sealed {
 			return nil, fmt.Errorf("cloud: journal stream for %s is not sealed — the run did not complete (use Recover)", m.Name)
 		}
 		out.Machines = append(out.Machines, mstats)

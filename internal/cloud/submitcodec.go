@@ -7,12 +7,9 @@ import (
 	"qcloud/internal/journal"
 )
 
-// Binary codec for the journal's input log. The original jrecSubmit
-// format framed every record with a fresh gob stream — each one
-// carrying full type metadata, which dominated the journaled session's
-// submit-path cost. jrecSubmit2 uses the same compact varint layout as
-// the trace job codec; old gob records stay readable, so a journal
-// written by a previous version recovers unchanged.
+// Binary codec for the journal's input log, in the same compact varint
+// layout as the trace job codec. The spec's field list is shared with
+// the session checkpoint, which holds every spec a machine has accepted.
 
 // submitWireVersion stamps each jrecSubmit2 payload so the layout can
 // evolve without guessing.
@@ -25,6 +22,30 @@ func appendSubmitRecord(buf []byte, machine string, submitSeq int64, s *JobSpec)
 	buf = append(buf, jrecSubmit2, submitWireVersion)
 	buf = journal.AppendString(buf, machine)
 	buf = binary.AppendVarint(buf, submitSeq)
+	return appendJobSpec(buf, s)
+}
+
+// decodeSubmitRecord decodes what appendSubmitRecord wrote. Malformed
+// input, a record of any other type included, is an error, never a
+// panic — the second line of defense behind the journal's frame
+// checksums.
+func decodeSubmitRecord(b []byte) (journalSubmit, error) {
+	d := journal.NewRecordReader(b)
+	if t := d.Byte(); d.Err() == nil && t != jrecSubmit2 {
+		d.Reject("unknown type %d", t)
+	}
+	d.Version(submitWireVersion)
+	var js journalSubmit
+	js.Machine = d.String()
+	js.SubmitSeq = d.Varint()
+	readJobSpec(d, &js.Spec)
+	if err := d.Finish(); err != nil {
+		return journalSubmit{}, fmt.Errorf("cloud: submit record: %w", err)
+	}
+	return js, nil
+}
+
+func appendJobSpec(buf []byte, s *JobSpec) []byte {
 	buf = binary.AppendVarint(buf, s.SubmitTime.UnixNano())
 	buf = journal.AppendString(buf, s.User)
 	buf = journal.AppendString(buf, s.Machine)
@@ -40,30 +61,20 @@ func appendSubmitRecord(buf []byte, machine string, submitSeq int64, s *JobSpec)
 	return journal.AppendBool(buf, s.Privileged)
 }
 
-// decodeSubmitRecord decodes one jrecSubmit2 payload (record type byte
-// already stripped). Malformed input is an error, never a panic — the
-// second line of defense behind the journal's frame checksums.
-func decodeSubmitRecord(b []byte) (journalSubmit, error) {
-	d := journal.NewRecordReader(b)
-	d.Version(submitWireVersion)
-	var js journalSubmit
-	js.Machine = d.String()
-	js.SubmitSeq = d.Varint()
-	js.Spec.SubmitTime = d.Time()
-	js.Spec.User = d.String()
-	js.Spec.Machine = d.String()
-	js.Spec.BatchSize = d.Int()
-	js.Spec.Shots = d.Int()
-	js.Spec.CircuitName = d.String()
-	js.Spec.Width = d.Int()
-	js.Spec.TotalDepth = d.Int()
-	js.Spec.TotalGateOps = d.Int()
-	js.Spec.CXTotal = d.Int()
-	js.Spec.MemSlots = d.Int()
-	js.Spec.PatienceSec = d.Float64()
-	js.Spec.Privileged = d.Bool()
-	if err := d.Finish(); err != nil {
-		return journalSubmit{}, fmt.Errorf("cloud: submit record: %w", err)
-	}
-	return js, nil
+// readJobSpec reads what appendJobSpec wrote, 20 bytes at the least,
+// into s; the caller owns d's error.
+func readJobSpec(d *journal.RecordReader, s *JobSpec) {
+	s.SubmitTime = d.Time()
+	s.User = d.String()
+	s.Machine = d.String()
+	s.BatchSize = d.Int()
+	s.Shots = d.Int()
+	s.CircuitName = d.String()
+	s.Width = d.Int()
+	s.TotalDepth = d.Int()
+	s.TotalGateOps = d.Int()
+	s.CXTotal = d.Int()
+	s.MemSlots = d.Int()
+	s.PatienceSec = d.Float64()
+	s.Privileged = d.Bool()
 }

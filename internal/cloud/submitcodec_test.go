@@ -33,7 +33,7 @@ func TestSubmitRecordRoundTrip(t *testing.T) {
 		if buf[0] != jrecSubmit2 {
 			t.Fatalf("record %d: type byte %d, want jrecSubmit2", i, buf[0])
 		}
-		got, err := decodeSubmitRecord(buf[1:])
+		got, err := decodeSubmitRecord(buf)
 		if err != nil {
 			t.Fatalf("record %d: decode: %v", i, err)
 		}
@@ -47,7 +47,7 @@ func TestSubmitRecordRoundTrip(t *testing.T) {
 // trailing garbage are errors, never panics.
 func TestSubmitRecordMalformed(t *testing.T) {
 	js := submitCodecSpecs()[0]
-	full := appendSubmitRecord(nil, js.Machine, js.SubmitSeq, &js.Spec)[1:]
+	full := appendSubmitRecord(nil, js.Machine, js.SubmitSeq, &js.Spec)
 	for n := 0; n < len(full); n++ {
 		if _, err := decodeSubmitRecord(full[:n]); err == nil {
 			t.Fatalf("decode of %d/%d byte prefix succeeded", n, len(full))
@@ -65,22 +65,24 @@ func TestSubmitRecordMalformed(t *testing.T) {
 func FuzzDecodeSubmitRecord(f *testing.F) {
 	specs := submitCodecSpecs()
 	for _, js := range specs {
-		f.Add(appendSubmitRecord(nil, js.Machine, js.SubmitSeq, &js.Spec)[1:])
+		f.Add(appendSubmitRecord(nil, js.Machine, js.SubmitSeq, &js.Spec))
 	}
-	full := appendSubmitRecord(nil, specs[0].Machine, specs[0].SubmitSeq, &specs[0].Spec)[1:]
+	full := appendSubmitRecord(nil, specs[0].Machine, specs[0].SubmitSeq, &specs[0].Spec)
 	for n := 0; n < len(full); n++ {
 		f.Add(full[:n])
 	}
-	bad := bytes.Clone(full)
-	bad[0] = 99
-	f.Add(bad)
+	for _, at := range []int{0, 1} { // the type byte, the version
+		bad := bytes.Clone(full)
+		bad[at] = 99
+		f.Add(bad)
+	}
 	f.Add(append(bytes.Clone(full), 0x7f))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		js, err := decodeSubmitRecord(b)
 		if err != nil {
 			return
 		}
-		again, err := decodeSubmitRecord(appendSubmitRecord(nil, js.Machine, js.SubmitSeq, &js.Spec)[1:])
+		again, err := decodeSubmitRecord(appendSubmitRecord(nil, js.Machine, js.SubmitSeq, &js.Spec))
 		if err != nil {
 			t.Fatalf("re-encoded submit record does not decode: %v", err)
 		}
@@ -95,32 +97,4 @@ func FuzzDecodeSubmitRecord(f *testing.F) {
 			t.Fatalf("decode → encode → decode changed the record:\n got %+v\nwant %+v", again, js)
 		}
 	})
-}
-
-// TestJournalLegacyGobSubmitsRecoverable pins old-format support: a
-// journal whose input log was written with the original per-record gob
-// framing recovers to the same byte-identical trace.
-func TestJournalLegacyGobSubmitsRecoverable(t *testing.T) {
-	golden := jtGolden(t, 1)
-
-	cfg := jtConfig(3, 1)
-	cfg.Journal = &JournalConfig{
-		Dir:              t.TempDir(),
-		CheckpointEvery:  36 * time.Hour,
-		legacyGobSubmits: true,
-		killAfterRecords: 120,
-	}
-	specs := jtSpecs()
-	if _, killed := runJournaled(t, cfg, specs); !killed {
-		t.Fatal("kill hook did not fire; raise the spec count or lower killAfterRecords")
-	}
-	// Recovery replays the gob-framed input log; the resumed session
-	// appends new submissions in the binary framing, so the recovered
-	// log is mixed-format — exactly what an upgraded deployment sees.
-	cfg.Journal.killAfterRecords = 0
-	cfg.Journal.legacyGobSubmits = false
-	tr := recoverAndFinish(t, cfg, specs)
-	if got := jtJSON(t, tr); !bytes.Equal(got, golden) {
-		t.Fatal("trace recovered from legacy gob input log differs from the uninterrupted run")
-	}
 }

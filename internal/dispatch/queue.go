@@ -13,10 +13,10 @@
 package dispatch
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"slices"
@@ -192,9 +192,8 @@ type checkpoint struct {
 	ResultRecs int64
 }
 
-var ckptMagic = []byte("QDC1")
-
 const (
+	ckptMagic      = "QDC1"
 	submitsDirName = "submits"
 	resultsDirName = "results"
 	ckptName       = "checkpoint"
@@ -666,6 +665,11 @@ func (q *Queue) Result(worker string, seq int64, attempt int, counts map[string]
 	return o.Accepted, o.State, nil
 }
 
+// ErrUnknownTask is the error, under errors.Is, of a Cancel naming a key
+// or seq the queue never accepted: the caller's mistake, where every
+// other Cancel error is the queue's own failure.
+var ErrUnknownTask = errors.New("no such task")
+
 // Cancel cancels by key (preferred) or seq. accepted=false means the
 // task was already terminal.
 func (q *Queue) Cancel(key string, seq int64) (accepted bool, state TaskState, err error) {
@@ -678,12 +682,12 @@ func (q *Queue) Cancel(key string, seq int64) (accepted bool, state TaskState, e
 	if key != "" {
 		s, ok := q.byKey[key]
 		if !ok {
-			return false, 0, fmt.Errorf("dispatch: cancel of unknown key %q", key)
+			return false, 0, fmt.Errorf("dispatch: cancel of unknown key %q: %w", key, ErrUnknownTask)
 		}
 		seq = s
 	}
 	if seq < 0 || seq >= int64(len(q.tasks)) {
-		return false, 0, fmt.Errorf("dispatch: cancel of unknown seq %d", seq)
+		return false, 0, fmt.Errorf("dispatch: cancel of unknown seq %d: %w", seq, ErrUnknownTask)
 	}
 	t := q.tasks[seq]
 	if t.State.terminal() {
@@ -815,20 +819,14 @@ func (q *Queue) Close() error {
 
 // --- checkpoint file framing ---------------------------------------------
 
-// writeCheckpointFile frames the checkpoint as magic · u32le len ·
-// u32le CRC32C(payload) · payload, written to a temp file and renamed
-// into place so a crash never leaves a half-written checkpoint. The
-// payload is a record like the WAL's: the layout version byte, then
-// the two watermarks as varints.
+// writeCheckpointFile writes the watermark as its magic and one journal
+// frame, to a temp file renamed into place so a crash never leaves a
+// half-written checkpoint. The frame's payload is a record like the
+// WAL's: the layout version byte, then the two watermarks as varints.
 func writeCheckpointFile(path string, ck checkpoint) error {
 	payload := binary.AppendVarint(binary.AppendVarint([]byte{wire.WALVersion}, ck.SubmitRecs), ck.ResultRecs)
-	buf := make([]byte, 0, len(ckptMagic)+8+len(payload))
-	buf = append(buf, ckptMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
-	buf = append(buf, payload...)
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
+	if err := os.WriteFile(tmp, journal.AppendFrame([]byte(ckptMagic), payload), 0o644); err != nil {
 		return err
 	}
 	return os.Rename(tmp, path)
@@ -846,13 +844,9 @@ func readCheckpoint(path string) (*checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(buf) < len(ckptMagic)+8 || string(buf[:len(ckptMagic)]) != string(ckptMagic) {
-		return nil, nil
-	}
-	n := binary.LittleEndian.Uint32(buf[len(ckptMagic):])
-	crc := binary.LittleEndian.Uint32(buf[len(ckptMagic)+4:])
-	payload := buf[len(ckptMagic)+8:]
-	if uint32(len(payload)) != n || crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)) != crc {
+	framed, ok := bytes.CutPrefix(buf, []byte(ckptMagic))
+	payload, err := journal.Frame(framed)
+	if !ok || err != nil {
 		return nil, nil
 	}
 	d := journal.NewRecordReader(payload)

@@ -466,7 +466,12 @@ func (d *Dispatcher) handleCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	accepted, state, err := d.q.Cancel(req.Key, req.Seq)
 	if err != nil {
-		httpError(w, http.StatusNotFound, err.Error())
+		// A failed WAL write or a closed queue is not the client's error.
+		status := http.StatusInternalServerError
+		if errors.Is(err, ErrUnknownTask) {
+			status = http.StatusNotFound
+		}
+		httpError(w, status, err.Error())
 		return
 	}
 	writeJSON(w, wire.ResultResponse{V: wire.Version, Accepted: accepted, State: state.String()})

@@ -153,6 +153,35 @@ func TestResultsExchange(t *testing.T) {
 	}
 }
 
+// TestCancelStatus: /v1/cancel answers 404 only for a key or seq the
+// queue never accepted. Any other refusal is the dispatcher's own
+// failure — here a closed queue, as a failed WAL write would be — and
+// is a 500 carrying the queue's message, not "no such job".
+func TestCancelStatus(t *testing.T) {
+	d := newTestDispatcher(t)
+	h := d.Handler()
+	var sub wire.SubmitResponse
+	if code := postJSON(t, h, "/v1/submit", wire.SubmitRequest{V: wire.Version, Key: "k/0", Spec: testPlans(t, 3, 1)[0]}, &sub); code != http.StatusOK {
+		t.Fatalf("submit answered %d", code)
+	}
+	for name, req := range map[string]wire.CancelRequest{
+		"unknown key": {V: wire.Version, Key: "k/none"},
+		"unknown seq": {V: wire.Version, Seq: 7},
+	} {
+		var resp wire.GenericResponse
+		if code := postJSON(t, h, "/v1/cancel", req, &resp); code != http.StatusNotFound || !strings.Contains(resp.Err, "no such task") {
+			t.Errorf("%s: answered %d %q, want 404", name, code, resp.Err)
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var resp wire.GenericResponse
+	if code := postJSON(t, h, "/v1/cancel", wire.CancelRequest{V: wire.Version, Key: "k/0"}, &resp); code != http.StatusInternalServerError || !strings.Contains(resp.Err, "queue closed") {
+		t.Errorf("cancel on a closed queue: answered %d %q, want 500 with the queue's message", code, resp.Err)
+	}
+}
+
 // TestEventsCursor: GET /v1/events takes a non-negative decimal cursor
 // and nothing else — a cursor with trailing junk or a negative one is
 // answered 400 with a GenericResponse, not read as a number or clamped

@@ -31,6 +31,7 @@
 package journal
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -139,4 +140,29 @@ func segments(dir string) ([]int64, error) {
 func frameCRC(hdr []byte, payload []byte) uint32 {
 	crc := crc32.Update(0, castagnoli, hdr[:4])
 	return crc32.Update(crc, castagnoli, payload)
+}
+
+// AppendFrame appends payload to buf as one frame, the envelope of
+// every checksummed file in the repo: a segment is a run of frames, a
+// session checkpoint or the dispatcher's watermark a magic and one
+// frame. The length field holds 32 bits; Writer.Append enforces the
+// smaller per-record cap of a stream.
+func AppendFrame(buf, payload []byte) []byte {
+	var hdr [frameHeaderLen]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:8], frameCRC(hdr[:], payload))
+	return append(append(buf, hdr[:]...), payload...)
+}
+
+// Frame returns the payload of b, which must be exactly one frame: a
+// short, long, torn or bit-flipped b is an error. The payload aliases b.
+func Frame(b []byte) ([]byte, error) {
+	if len(b) < frameHeaderLen || uint64(binary.LittleEndian.Uint32(b[0:4])) != uint64(len(b)-frameHeaderLen) {
+		return nil, fmt.Errorf("journal: torn frame: %d bytes are not a header and the payload length it declares", len(b))
+	}
+	payload := b[frameHeaderLen:]
+	if have, want := frameCRC(b, payload), binary.LittleEndian.Uint32(b[4:8]); have != want {
+		return nil, fmt.Errorf("journal: frame checksum mismatch (have %08x, want %08x): torn or corrupt", have, want)
+	}
+	return payload, nil
 }

@@ -8,9 +8,10 @@ import (
 )
 
 // Record payload primitives: the field encodings the packages above
-// the journal build their record codecs from (the trace job record,
-// the cloud submit record, the dispatcher's WAL records). Integers are
-// varints, strings are a uvarint length and the bytes, floats are 8
+// the journal build their record codecs from (the trace job and machine
+// stats records, the cloud submit record and session checkpoint, the
+// dispatcher's WAL records). Integers are varints, strings and nested
+// records are a uvarint length and the bytes, floats are 8
 // little-endian bytes of the IEEE-754 bits, bools are one byte, and
 // instants come in two widths: varint UTC Unix nanoseconds
 // (binary.AppendVarint of t.UnixNano()) for instants the simulator
@@ -24,6 +25,12 @@ import (
 func AppendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
+}
+
+// AppendBytes appends b, a nested record, as AppendString would.
+func AppendBytes(buf, b []byte) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(b)))
+	return append(buf, b...)
 }
 
 // AppendBool appends v as one byte, 1 or 0.
@@ -175,18 +182,22 @@ func (d *RecordReader) Count(minBytes int) int {
 func (d *RecordReader) Int() int { return int(d.Varint()) }
 
 // String reads a uvarint length and that many bytes.
-func (d *RecordReader) String() string {
+func (d *RecordReader) String() string { return string(d.Bytes()) }
+
+// Bytes reads a uvarint length and that many bytes, which alias the
+// payload: a nested record for a reader of its own.
+func (d *RecordReader) Bytes() []byte {
 	n := d.Uvarint()
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if n > uint64(len(d.b)-d.off) {
 		d.fail("string body")
-		return ""
+		return nil
 	}
-	s := string(d.b[d.off : d.off+int(n)])
+	b := d.b[d.off : d.off+int(n)]
 	d.off += int(n)
-	return s
+	return b
 }
 
 // Float64 reads 8 little-endian bytes of IEEE-754 bits.

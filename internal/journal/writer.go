@@ -1,7 +1,6 @@
 package journal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -164,11 +163,7 @@ func (w *Writer) Append(payload []byte) error {
 			return err
 		}
 	}
-	var hdr [frameHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], frameCRC(hdr[:], payload))
-	w.pending = append(w.pending, hdr[:]...)
-	w.pending = append(w.pending, payload...)
+	w.pending = AppendFrame(w.pending, payload)
 	w.recs++
 	w.bytes += frameLen
 	if len(w.pending) >= flushChunk {

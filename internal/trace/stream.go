@@ -52,6 +52,16 @@ func AppendJob(buf []byte, j *Job) []byte {
 // second line of defense behind the journal's frame checksums.
 func DecodeJob(b []byte) (*Job, error) {
 	d := journal.NewRecordReader(b)
+	j := ReadJob(d)
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("trace: job record: %w", err)
+	}
+	return j, nil
+}
+
+// ReadJob reads what AppendJob wrote from a record that holds more
+// than the one job (a session checkpoint); the caller owns d's error.
+func ReadJob(d *journal.RecordReader) *Job {
 	d.Version(jobWireVersion)
 	j := &Job{}
 	j.ID = d.Varint()
@@ -73,8 +83,48 @@ func DecodeJob(b []byte) (*Job, error) {
 	j.Status = Status(d.String())
 	j.CompileEpoch = d.Int()
 	j.ExecEpoch = d.Int()
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("trace: job record: %w", err)
+	return j
+}
+
+// AppendMachineStats appends the binary encoding of st: the machine
+// stream's sealing stats frame, and a field of the session checkpoint.
+func AppendMachineStats(buf []byte, st *MachineStats) []byte {
+	buf = journal.AppendString(buf, st.Name)
+	buf = binary.AppendVarint(buf, int64(st.Qubits))
+	buf = journal.AppendBool(buf, st.Public)
+	buf = binary.AppendVarint(buf, st.BackgroundJobs)
+	buf = binary.AppendUvarint(buf, uint64(len(st.PendingSamples)))
+	for i := range st.PendingSamples {
+		p := &st.PendingSamples[i]
+		buf = journal.AppendString(buf, p.Machine)
+		buf = binary.AppendVarint(buf, p.Time.UnixNano())
+		buf = binary.AppendVarint(buf, int64(p.Pending))
 	}
-	return j, nil
+	buf = journal.AppendFloat64(buf, st.WaitRatioP10)
+	buf = journal.AppendFloat64(buf, st.WaitRatioP50)
+	return journal.AppendFloat64(buf, st.WaitRatioP90)
+}
+
+// ReadMachineStats reads what AppendMachineStats wrote; the caller
+// owns d's error. No samples decode as a nil slice, which WriteJSON
+// prints as the null a machine that never sampled prints.
+func ReadMachineStats(d *journal.RecordReader) *MachineStats {
+	st := &MachineStats{}
+	st.Name = d.String()
+	st.Qubits = d.Int()
+	st.Public = d.Bool()
+	st.BackgroundJobs = d.Varint()
+	if n := d.Count(3); n > 0 { // a sample is three bytes at the least
+		st.PendingSamples = make([]PendingSample, n)
+		for i := range st.PendingSamples {
+			p := &st.PendingSamples[i]
+			p.Machine = d.String()
+			p.Time = d.Time()
+			p.Pending = d.Int()
+		}
+	}
+	st.WaitRatioP10 = d.Float64()
+	st.WaitRatioP50 = d.Float64()
+	st.WaitRatioP90 = d.Float64()
+	return st
 }

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"qcloud/internal/journal"
 )
 
 // streamJobs builds a deterministic job set covering the field space:
@@ -128,76 +130,36 @@ func FuzzDecodeJob(f *testing.F) {
 	})
 }
 
-func TestSnapshotChecksumRoundTrip(t *testing.T) {
-	type payload struct {
-		Name  string
-		Count int
-		When  time.Time
-	}
-	in := payload{Name: "fleet", Count: 42, When: time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC)}
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, 2, in); err != nil {
-		t.Fatal(err)
-	}
-	var out payload
-	v, err := ReadSnapshot(bytes.NewReader(buf.Bytes()), &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 2 || !reflect.DeepEqual(in, out) {
-		t.Fatalf("round trip: version %d payload %+v", v, out)
-	}
-}
-
-// TestSnapshotBitFlipRejected flips one bit at every byte position of
-// a checksummed snapshot: every corruption must surface as a clear
-// error (never a panic, never a silent wrong decode).
-func TestSnapshotBitFlipRejected(t *testing.T) {
-	type payload struct {
-		Name  string
-		Count int
-	}
-	in := payload{Name: "fleet", Count: 42}
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, 2, in); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	for pos := 0; pos < len(data); pos++ {
-		corrupt := bytes.Clone(data)
-		corrupt[pos] ^= 0x04
-		var out payload
-		v, err := ReadSnapshot(bytes.NewReader(corrupt), &out)
-		if err == nil && v == 2 && reflect.DeepEqual(in, out) {
-			// Flipping the version byte alone changes the envelope,
-			// not the payload; the caller's version check owns that.
-			if pos != len(snapshotMagic) {
-				t.Fatalf("bit flip at byte %d went undetected", pos)
+// TestMachineStatsRoundTrip pins the stats codec the machine stream's
+// seal and the session checkpoint share: every field survives, a
+// machine that never sampled reads back with the nil slice it had (its
+// JSON is null, not []), and every strict prefix is an error.
+func TestMachineStatsRoundTrip(t *testing.T) {
+	at := time.Date(2019, 3, 14, 9, 26, 53, 0, time.UTC)
+	for name, st := range map[string]*MachineStats{
+		"sampled": {
+			Name: "ibmq_athens", Qubits: 5, Public: true, BackgroundJobs: 1 << 33,
+			PendingSamples: []PendingSample{{"ibmq_athens", at, 0}, {"ibmq_athens", at.Add(6 * time.Hour), 4217}},
+			WaitRatioP10:   0.25, WaitRatioP50: 1, WaitRatioP90: 17.5,
+		},
+		"never sampled": {Name: "ibmq_rome", Qubits: 5},
+	} {
+		full := AppendMachineStats(nil, st)
+		d := journal.NewRecordReader(full)
+		got := ReadMachineStats(d)
+		if err := d.Finish(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		gj, _ := json.Marshal(got)
+		wj, _ := json.Marshal(st)
+		if !reflect.DeepEqual(got, st) || !bytes.Equal(gj, wj) {
+			t.Fatalf("%s: round trip mismatch:\n got %s\nwant %s", name, gj, wj)
+		}
+		for n := 0; n < len(full); n++ {
+			d := journal.NewRecordReader(full[:n])
+			if ReadMachineStats(d); d.Finish() == nil {
+				t.Fatalf("%s: prefix of %d/%d bytes decoded without error", name, n, len(full))
 			}
 		}
-	}
-	// Torn footer: a file cut inside the checksum is corrupt, not
-	// silently short.
-	var out payload
-	if _, err := ReadSnapshot(bytes.NewReader(data[:len(data)-2]), &out); err == nil {
-		t.Fatal("torn checksum footer went undetected")
-	}
-}
-
-// TestSnapshotV1StillReadable pins backward compatibility: version-1
-// envelopes (pre-checksum) decode as before.
-func TestSnapshotV1StillReadable(t *testing.T) {
-	type payload struct{ Count int }
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, 1, payload{Count: 7}); err != nil {
-		t.Fatal(err)
-	}
-	var out payload
-	v, err := ReadSnapshot(bytes.NewReader(buf.Bytes()), &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 1 || out.Count != 7 {
-		t.Fatalf("v1 decode: version %d payload %+v", v, out)
 	}
 }
