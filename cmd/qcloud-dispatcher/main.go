@@ -7,9 +7,15 @@
 // Durability: every accepted mutation is WAL-backed under -state; a
 // SIGKILL'd dispatcher restarted on the same directory recovers by
 // replay and the merged outputs are byte-identical to an uninterrupted
-// run. SIGTERM drains gracefully: submissions are rejected, no new
-// leases are granted, in-flight leases get -drain-timeout to land, and
-// the journal streams are sealed before exit.
+// run. The first trace CSV computed on a sealed stream is kept under
+// -state too, bound to the seed, window and cancellations it came
+// from, so a restart serves it without re-simulating the window; a
+// restart whose -seed or -days differs, or a cancel accepted since,
+// computes it afresh.
+//
+// SIGTERM drains gracefully: submissions are rejected, no new leases
+// are granted, in-flight leases get -drain-timeout to land, and the
+// journal streams are sealed before exit.
 package main
 
 import (
@@ -32,7 +38,7 @@ import (
 func main() {
 	var (
 		listen       = flag.String("listen", "127.0.0.1:8042", "listen address (host:port; port 0 picks a free port)")
-		state        = flag.String("state", "", "queue state directory (required; WALs + checkpoint)")
+		state        = flag.String("state", "", "queue state directory (required; WALs + checkpoint + trace file)")
 		seed         = flag.Int64("seed", 1, "deterministic seed (must match the workload's)")
 		days         = flag.Float64("days", 0, "trace-plane window length in days (0 = full study window)")
 		simWorkers   = flag.Int("sim-workers", 0, "embedded session's per-machine fan-out (0 = all cores)")

@@ -49,7 +49,7 @@ func TestDowntimeFaultWindowsAtExactJobStart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ms := sess.byName["ibmq_rome"]
+		ms := sess.sim("ibmq_rome")
 		submitAt := cfg.Start.Add(5 * 24 * time.Hour)
 		s := ms.toSec(submitAt)
 		// Two abutting windows, the first beginning exactly at the
@@ -90,7 +90,7 @@ func TestCancelInsideDowntimeWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms := sess.byName["ibmq_rome"]
+	ms := sess.sim("ibmq_rome")
 	base := cfg.Start.Add(5 * 24 * time.Hour)
 	s := ms.toSec(base)
 
@@ -149,7 +149,7 @@ func TestCancelBeforeAdmissionInsideDowntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms := sess.byName["ibmq_rome"]
+	ms := sess.sim("ibmq_rome")
 	submitAt := cfg.Start.Add(5 * 24 * time.Hour)
 	s := ms.toSec(submitAt)
 	ms.downtimes = []dtWin{{start: s - 600, end: s + 7200, fault: true}}

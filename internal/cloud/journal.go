@@ -523,7 +523,7 @@ func Recover(cfg Config) (*Session, error) {
 		if err != nil {
 			return fmt.Errorf("cloud: input log record %d: %w", rec, err)
 		}
-		ms := s.byName[js.Machine]
+		ms := s.sim(js.Machine)
 		if ms == nil {
 			return fmt.Errorf("cloud: input log record %d targets unknown machine %q", rec, js.Machine)
 		}

@@ -177,9 +177,10 @@ func (q QueueSnapshot) EstimatedWaitSeconds() float64 {
 // Event channels returned by Observe deliver asynchronously and may be
 // consumed from any goroutine.
 type Session struct {
-	cfg    Config
-	sims   []*machineSim
-	byName map[string]*machineSim
+	cfg  Config
+	sims []*machineSim
+	// fleet indexes sims by machine name.
+	fleet FleetIndex
 	// order lists sims indices heaviest expected background load first:
 	// the order forEachSim hands machines to workers.
 	order []int
@@ -199,7 +200,7 @@ type Session struct {
 // streams are created (an existing journal must go through Recover).
 func Open(cfg Config) (*Session, error) {
 	c := cfg.withDefaults()
-	s := &Session{cfg: c, byName: make(map[string]*machineSim)}
+	s := &Session{cfg: c, fleet: indexFleet(c.Machines)}
 	s.sims = make([]*machineSim, len(c.Machines))
 	bgNames := backgroundUserNames(c.Background.Users)
 	par.ForEach(len(c.Machines), c.Workers, func(i int) {
@@ -207,8 +208,7 @@ func Open(cfg Config) (*Session, error) {
 		s.sims[i].idx = i
 	})
 	s.order = make([]int, len(s.sims))
-	for i, ms := range s.sims {
-		s.byName[ms.m.Name] = ms
+	for i := range s.sims {
 		s.order[i] = i
 	}
 	sort.SliceStable(s.order, func(a, b int) bool {
@@ -233,6 +233,42 @@ func (s *Session) Machines() []*backend.Machine { return s.cfg.Machines }
 // Window returns the simulated window after defaulting.
 func (s *Session) Window() (start, end time.Time) { return s.cfg.Start, s.cfg.End }
 
+// FleetIndex maps each machine name of a fleet to its index in that
+// fleet. It is how a session resolves a study job's Machine, so a
+// caller that accepts specs for a session it has not opened yet checks
+// them against IndexFleet of that session's Config and refuses what
+// the session would.
+type FleetIndex map[string]int
+
+// IndexFleet indexes the fleet a session opened with cfg simulates.
+func IndexFleet(cfg Config) FleetIndex { return indexFleet(cfg.withDefaults().Machines) }
+
+func indexFleet(ms []*backend.Machine) FleetIndex {
+	f := make(FleetIndex, len(ms))
+	for i, m := range ms {
+		f[m.Name] = i
+	}
+	return f
+}
+
+// Check returns nil when the fleet has the named machine, and otherwise
+// the error Submit refuses a study job targeting it with.
+func (f FleetIndex) Check(machine string) error {
+	if _, ok := f[machine]; !ok {
+		return fmt.Errorf("cloud: study job targets unknown machine %q", machine)
+	}
+	return nil
+}
+
+// sim returns the named machine's state machine, nil when the fleet
+// has no such machine.
+func (s *Session) sim(machine string) *machineSim {
+	if i, ok := s.fleet[machine]; ok {
+		return s.sims[i]
+	}
+	return nil
+}
+
 // Submit enters a study job into its machine's arrival stream. It is
 // valid mid-run: the job may be submitted any time before the session
 // has advanced past its submit instant, and the resulting trace is
@@ -243,9 +279,9 @@ func (s *Session) Submit(spec *JobSpec) (*JobHandle, error) {
 	if s.closed {
 		return nil, ErrSessionClosed
 	}
-	ms := s.byName[spec.Machine]
+	ms := s.sim(spec.Machine)
 	if ms == nil {
-		return nil, fmt.Errorf("cloud: study job targets unknown machine %q", spec.Machine)
+		return nil, s.fleet.Check(spec.Machine)
 	}
 	h, err := ms.submit(spec)
 	if err != nil {
@@ -306,7 +342,7 @@ func (s *Session) JobStatus(h *JobHandle) (JobState, error) {
 	if h == nil || h.sess != s {
 		return "", fmt.Errorf("cloud: handle does not belong to this session")
 	}
-	return s.byName[h.machine].jobState(h.spec), nil
+	return s.sim(h.machine).jobState(h.spec), nil
 }
 
 // Cancel withdraws a submitted job that has not finished; it is
@@ -331,7 +367,7 @@ func (s *Session) CancelWithReason(h *JobHandle, reason CancelReason) error {
 	if reason == "" {
 		reason = CancelUser
 	}
-	ms := s.byName[h.machine]
+	ms := s.sim(h.machine)
 	at := ms.frontier
 	if sub := ms.toSec(h.spec.SubmitTime); at < sub || math.IsInf(at, -1) {
 		at = sub
@@ -366,7 +402,7 @@ func (s *Session) forEachSim(fn func(ms *machineSim)) {
 // QueueState returns the live queue snapshot of one machine at its
 // current frontier.
 func (s *Session) QueueState(machine string) (QueueSnapshot, error) {
-	ms := s.byName[machine]
+	ms := s.sim(machine)
 	if ms == nil {
 		return QueueSnapshot{}, fmt.Errorf("cloud: unknown machine %q", machine)
 	}

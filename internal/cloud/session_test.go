@@ -196,7 +196,8 @@ func quietSpec(i int, machine string, at time.Time) *cloud.JobSpec {
 }
 
 func TestSubmitBehindFrontierRejected(t *testing.T) {
-	sess, err := cloud.Open(quietConfig(3, "ibmq_rome"))
+	cfg := quietConfig(3, "ibmq_rome")
+	sess, err := cloud.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,8 +211,20 @@ func TestSubmitBehindFrontierRejected(t *testing.T) {
 	if _, err := sess.Submit(quietSpec(1, "ibmq_rome", at)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Submit(&cloud.JobSpec{Machine: "nope", SubmitTime: at, BatchSize: 1, Shots: 1}); err == nil {
-		t.Fatal("unknown machine should fail")
+	if err := cloud.IndexFleet(cfg).Check("ibmq_rome"); err != nil {
+		t.Fatalf("the fleet index refuses a machine the session accepted: %v", err)
+	}
+	// A machine of the default fleet that this session does not have is
+	// as unknown as a name no fleet has, and the index refuses both with
+	// Submit's own error.
+	for _, name := range []string{"nope", "ibmq_athens"} {
+		_, err := sess.Submit(&cloud.JobSpec{Machine: name, SubmitTime: at, BatchSize: 1, Shots: 1})
+		if err == nil {
+			t.Fatalf("%s: unknown machine should fail", name)
+		}
+		if cerr := cloud.IndexFleet(cfg).Check(name); cerr == nil || cerr.Error() != err.Error() {
+			t.Fatalf("%s: the fleet index answers %v where Submit answers %v", name, cerr, err)
+		}
 	}
 }
 

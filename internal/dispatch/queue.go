@@ -92,7 +92,8 @@ var ErrSealed = errors.New("dispatch: submission stream sealed")
 // QueueConfig parameterizes a durable queue.
 type QueueConfig struct {
 	// Dir is the queue's state directory: Dir/submits and Dir/results
-	// hold the two WAL streams, Dir/checkpoint the watermark file.
+	// hold the two WAL streams, Dir/checkpoint the watermark file (and a
+	// Dispatcher keeps its trace file, Dir/trace, beside them).
 	Dir string
 	// Seed drives the deterministic backoff jitter (same seed as the
 	// workload it queues).
@@ -758,18 +759,33 @@ func (q *Queue) Results() *cloud.ResultSet {
 	return rs
 }
 
-// TraceInputs returns every submission's spec in seq order plus its
-// cancelled flag — the trace plane's replay input.
-func (q *Queue) TraceInputs() (specs []wire.Spec, cancelled []bool) {
+// TraceInputs returns every submission's spec in seq order — the trace
+// plane's replay input.
+func (q *Queue) TraceInputs() []wire.Spec {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	specs = make([]wire.Spec, len(q.tasks))
-	cancelled = make([]bool, len(q.tasks))
+	specs := make([]wire.Spec, len(q.tasks))
 	for i, t := range q.tasks {
 		specs[i] = t.Spec
-		cancelled[i] = t.State == TaskCancelled
 	}
-	return specs, cancelled
+	return specs
+}
+
+// cancelledSeqs reports whether the stream is sealed, how many tasks it
+// holds, and which of them are cancelled, ascending: the part of the
+// trace plane's input a late cancel still moves.
+func (q *Queue) cancelledSeqs() (sealed bool, jobs int64, cancelled []int64) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.tally[TaskCancelled] > 0 {
+		cancelled = make([]int64, 0, q.tally[TaskCancelled])
+		for _, t := range q.tasks {
+			if t.State == TaskCancelled {
+				cancelled = append(cancelled, t.Seq)
+			}
+		}
+	}
+	return q.sealed, int64(len(q.tasks)), cancelled
 }
 
 // noteCompletionLocked counts completion-log activity toward the
@@ -820,13 +836,20 @@ func (q *Queue) Close() error {
 // --- checkpoint file framing ---------------------------------------------
 
 // writeCheckpointFile writes the watermark as its magic and one journal
-// frame, to a temp file renamed into place so a crash never leaves a
-// half-written checkpoint. The frame's payload is a record like the
-// WAL's: the layout version byte, then the two watermarks as varints.
+// frame. The frame's payload is a record like the WAL's: the layout
+// version byte, then the two watermarks as varints.
 func writeCheckpointFile(path string, ck checkpoint) error {
 	payload := binary.AppendVarint(binary.AppendVarint([]byte{wire.WALVersion}, ck.SubmitRecs), ck.ResultRecs)
+	return replaceFile(path, journal.AppendFrame([]byte(ckptMagic), payload))
+}
+
+// replaceFile writes data to a temp file renamed over path, so a crash
+// never leaves a half-written file at path. It does not fsync: the
+// watermark and the trace file are each one checked frame, and a file
+// that a power loss tore or lost reads as no file at all.
+func replaceFile(path string, data []byte) error {
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, journal.AppendFrame([]byte(ckptMagic), payload), 0o644); err != nil {
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return err
 	}
 	return os.Rename(tmp, path)

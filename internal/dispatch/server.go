@@ -5,7 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"sync"
@@ -47,7 +50,11 @@ type Config struct {
 // Dispatcher is the queue-owning daemon: it accepts submissions,
 // leases units to pulling workers, merges their results, and — once
 // the stream is sealed — replays the submissions through an embedded
-// deterministic cloud.Session to produce the trace-plane result.
+// deterministic cloud.Session to produce the trace-plane result. That
+// replay runs once per state dir, not once per process: its CSV is
+// kept in the trace file beside the WALs, bound to the seed, window,
+// submission count and cancellations it was computed from, and a
+// restart serves the file while that binding still holds.
 //
 // Determinism contract: both result CSVs are pure functions of (seed,
 // sealed submission stream, cancellations). The trace CSV is exactly
@@ -58,6 +65,11 @@ type Config struct {
 type Dispatcher struct {
 	cfg Config
 	q   *Queue
+	// fleet is the trace-plane session's fleet: a submission naming a
+	// machine outside it is refused, since the replay would refuse it.
+	// It is built on the first submission, so a restart that takes none
+	// does not pay for it.
+	fleet func() cloud.FleetIndex
 
 	mu       sync.Mutex
 	draining bool
@@ -71,16 +83,36 @@ type Dispatcher struct {
 	events []wire.Event
 	evNext int64
 
-	traceMu   sync.Mutex
-	traceCSV  []byte // computed once after seal
-	traceErr  error
-	traceDone bool
+	traceMu sync.Mutex
+	// trace is the trace plane's answer for one binding — the in-memory
+	// form of the trace file, served while the binding is the queue's.
+	trace *traceAnswer
 }
+
+// traceAnswer is the trace plane's answer for one binding. A replay
+// error is an answer too: the replay is deterministic, and would fail
+// again on the same input.
+type traceAnswer struct {
+	bind wire.TraceBinding
+	csv  []byte
+	err  error
+}
+
+// traceFileName is the trace file in the state dir (wire.EncodeTraceFile
+// has its layout).
+const traceFileName = "trace"
+
+// ErrNotReady is the error, under errors.Is, of a result asked for
+// before it is final: a trace before the seal, counts before every task
+// is terminal. The client may ask again later; any other result error
+// is the dispatcher's own.
+var ErrNotReady = errors.New("result not final yet")
 
 // New opens the dispatcher's durable queue (recovering any prior
 // state) and returns the daemon.
 func New(cfg Config) (*Dispatcher, error) {
 	d := &Dispatcher{cfg: cfg, workers: make(map[string]time.Time)}
+	d.fleet = sync.OnceValue(func() cloud.FleetIndex { return cloud.IndexFleet(d.sessionConfig()) })
 	qcfg := QueueConfig{
 		Dir:             cfg.Dir,
 		Seed:            cfg.Seed,
@@ -190,57 +222,84 @@ func (d *Dispatcher) Stats() wire.StatusResponse {
 	}
 }
 
-// TraceCSV runs the embedded deterministic session over the sealed
-// submission stream (once; cached) and returns the trace-plane CSV.
+// sessionConfig configures the trace plane's embedded session.
+func (d *Dispatcher) sessionConfig() cloud.Config {
+	return cloud.Config{Seed: d.cfg.Seed, Start: d.cfg.Start, End: d.cfg.End, Workers: d.cfg.SimWorkers}
+}
+
+// traceBinding is what the trace CSV is a function of right now.
+func (d *Dispatcher) traceBinding() (wire.TraceBinding, error) {
+	sealed, jobs, cancelled := d.q.cancelledSeqs()
+	if !sealed {
+		return wire.TraceBinding{}, fmt.Errorf("dispatch: trace requires a sealed submission stream: %w", ErrNotReady)
+	}
+	return wire.TraceBinding{Seed: d.cfg.Seed, Start: d.cfg.Start, End: d.cfg.End, Jobs: jobs, Cancelled: cancelled}, nil
+}
+
+// TraceCSV returns the trace-plane CSV of the sealed submission stream
+// and its cancellations: the answer in memory if its binding is still
+// the queue's, else the trace file's if that is, else a replay's, which
+// is then written to the trace file for the next process. A cancel
+// accepted after the seal moves the binding, so it is never answered
+// from before.
 func (d *Dispatcher) TraceCSV() ([]byte, error) {
-	if !d.q.Sealed() {
-		return nil, errors.New("dispatch: trace requires a sealed submission stream")
+	b, err := d.traceBinding()
+	if err != nil {
+		return nil, err
 	}
 	d.traceMu.Lock()
 	defer d.traceMu.Unlock()
-	if d.traceDone {
-		return d.traceCSV, d.traceErr
+	if a := d.trace; a != nil && a.bind.Equal(&b) {
+		return a.csv, a.err
 	}
-	d.traceCSV, d.traceErr = d.runTrace()
-	d.traceDone = true
-	return d.traceCSV, d.traceErr
+	path := filepath.Join(d.cfg.Dir, traceFileName)
+	a := &traceAnswer{bind: b}
+	// A file that is missing or unreadable is as good as a stale one:
+	// the answer is to recompute.
+	if file, err := os.ReadFile(path); err == nil {
+		a.csv = wire.DecodeTraceFile(file, &b)
+	}
+	if a.csv == nil {
+		var file []byte
+		if file, a.csv, a.err = d.runTrace(&b); a.err == nil {
+			// Best-effort, like the watermark: a file that is not there
+			// only costs the next process a replay.
+			_ = replaceFile(path, file)
+		}
+	}
+	d.trace = a
+	return a.csv, a.err
 }
 
 // runTrace is the trace-plane replay: submit every spec in seq order
 // to a fresh session (cancelling the cancelled ones), run the window,
 // and serialize — byte-identical to cloud.Simulate of the same specs.
-func (d *Dispatcher) runTrace() ([]byte, error) {
-	specs, cancelled := d.q.TraceInputs()
-	sess, err := cloud.Open(cloud.Config{
-		Seed:    d.cfg.Seed,
-		Start:   d.cfg.Start,
-		End:     d.cfg.End,
-		Workers: d.cfg.SimWorkers,
-	})
+// It returns the trace file bound to b and the CSV inside it.
+func (d *Dispatcher) runTrace(b *wire.TraceBinding) (file, csv []byte, err error) {
+	specs := d.q.TraceInputs()
+	sess, err := cloud.Open(d.sessionConfig())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer sess.Close()
+	cancelled := b.Cancelled
 	for i := range specs {
 		h, err := sess.SubmitRetried(specs[i].JobSpec(), 0)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		if cancelled[i] {
+		if len(cancelled) > 0 && cancelled[0] == int64(i) {
+			cancelled = cancelled[1:]
 			if err := sess.Cancel(h); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 	}
 	tr, err := sess.Run()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var buf bytes.Buffer
-	if err := trace.WriteCSV(&buf, tr.Jobs); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return wire.EncodeTraceFile(b, func(w io.Writer) error { return trace.WriteCSV(w, tr.Jobs) })
 }
 
 // CountsCSV merges the counts plane. Unless partial is set it requires
@@ -249,10 +308,10 @@ func (d *Dispatcher) CountsCSV(partial bool) ([]byte, error) {
 	st := d.q.Stats()
 	if !partial {
 		if !st.Sealed {
-			return nil, errors.New("dispatch: counts require a sealed submission stream")
+			return nil, fmt.Errorf("dispatch: counts require a sealed submission stream: %w", ErrNotReady)
 		}
 		if st.Terminal() != st.Jobs {
-			return nil, fmt.Errorf("dispatch: counts incomplete: %d/%d terminal", st.Terminal(), st.Jobs)
+			return nil, fmt.Errorf("dispatch: counts incomplete: %d/%d terminal: %w", st.Terminal(), st.Jobs, ErrNotReady)
 		}
 	}
 	var buf bytes.Buffer
@@ -315,6 +374,10 @@ func writeJSON(w http.ResponseWriter, v any) {
 func (d *Dispatcher) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitReq
 	if !decode(w, r, &req) {
+		return
+	}
+	if err := d.fleet().Check(req.Spec.Machine); err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if d.Draining() {
@@ -497,19 +560,23 @@ func (d *Dispatcher) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 func (d *Dispatcher) handleTraceCSV(w http.ResponseWriter, r *http.Request) {
 	csv, err := d.TraceCSV()
-	if err != nil {
-		httpError(w, http.StatusConflict, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "text/csv")
-	_, _ = w.Write(csv)
+	writeCSV(w, csv, err)
 }
 
 func (d *Dispatcher) handleCountsCSV(w http.ResponseWriter, r *http.Request) {
-	partial := r.URL.Query().Get("partial") == "1"
-	csv, err := d.CountsCSV(partial)
+	csv, err := d.CountsCSV(r.URL.Query().Get("partial") == "1")
+	writeCSV(w, csv, err)
+}
+
+// writeCSV answers a result route: the CSV, 409 for a result that is
+// not final yet, 500 for any other failure.
+func writeCSV(w http.ResponseWriter, csv []byte, err error) {
 	if err != nil {
-		httpError(w, http.StatusConflict, err.Error())
+		status := http.StatusInternalServerError
+		if errors.Is(err, ErrNotReady) {
+			status = http.StatusConflict
+		}
+		httpError(w, status, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "text/csv")

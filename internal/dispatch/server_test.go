@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -182,6 +184,68 @@ func TestCancelStatus(t *testing.T) {
 	}
 }
 
+// TestSubmitRefusesUnknownMachine: a spec whose machine the trace
+// plane's fleet lacks is the client's error, answered 400 before
+// anything is journaled — accepted, it would fail the sealed stream's
+// replay on every request and every restart.
+func TestSubmitRefusesUnknownMachine(t *testing.T) {
+	d := newTestDispatcher(t)
+	spec := testPlans(t, 3, 1)[0]
+	spec.Machine = "ibmq_nowhere"
+	var resp wire.GenericResponse
+	if code := postJSON(t, d.Handler(), "/v1/submit", wire.SubmitRequest{V: wire.Version, Key: "k/0", Spec: spec}, &resp); code != http.StatusBadRequest || !strings.Contains(resp.Err, `unknown machine "ibmq_nowhere"`) {
+		t.Fatalf("answered %d %q, want 400 naming the machine", code, resp.Err)
+	}
+	if st := d.Stats(); st.Jobs != 0 || d.q.submits.Records() != 0 {
+		t.Fatalf("a refused spec was journaled: %+v, %d submit records", st, d.q.submits.Records())
+	}
+}
+
+// getResult fetches a result route and returns its status and error.
+func getResult(t *testing.T, h http.Handler, path string) (int, string) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+	var resp wire.GenericResponse
+	if rec.Code != http.StatusOK {
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("%s answered %d with a body that is not JSON: %q", path, rec.Code, rec.Body.String())
+		}
+	}
+	return rec.Code, resp.Err
+}
+
+// TestResultRouteStatus: the CSV routes answer 409 only for a result
+// that is not final yet — no seal, counts not all in — and 500 for the
+// dispatcher's own failures, here a replay that fails on a spec an
+// older binary journaled without checking its machine.
+func TestResultRouteStatus(t *testing.T) {
+	d := newTestDispatcher(t)
+	h := d.Handler()
+	for _, path := range []string{"/v1/result/trace", "/v1/result/counts"} {
+		if code, msg := getResult(t, h, path); code != http.StatusConflict || !strings.Contains(msg, "sealed") {
+			t.Errorf("%s before the seal: answered %d %q, want 409", path, code, msg)
+		}
+	}
+	spec := testPlans(t, 3, 1)[0]
+	spec.Machine = "ibmq_nowhere"
+	if _, _, err := d.Queue().Submit("k/0", spec); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Queue().Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if code, msg := getResult(t, h, "/v1/result/counts"); code != http.StatusConflict || !strings.Contains(msg, "0/1 terminal") {
+		t.Errorf("counts before the last result: answered %d %q, want 409", code, msg)
+	}
+	if code, msg := getResult(t, h, "/v1/result/counts?partial=1"); code != http.StatusOK {
+		t.Errorf("partial counts: answered %d %q, want 200", code, msg)
+	}
+	if code, msg := getResult(t, h, "/v1/result/trace"); code != http.StatusInternalServerError || !strings.Contains(msg, `unknown machine "ibmq_nowhere"`) {
+		t.Errorf("trace of a stream whose replay fails: answered %d %q, want 500 with the replay's error", code, msg)
+	}
+}
+
 // TestEventsCursor: GET /v1/events takes a non-negative decimal cursor
 // and nothing else — a cursor with trailing junk or a negative one is
 // answered 400 with a GenericResponse, not read as a number or clamped
@@ -307,7 +371,7 @@ func TestSubmitInstantsSurviveRestart(t *testing.T) {
 	if code := postJSON(t, h, "/v1/seal", wire.SealRequest{V: wire.Version}, &wire.GenericResponse{}); code != http.StatusOK {
 		t.Fatalf("seal answered %d", code)
 	}
-	sent, _ := d.Queue().TraceInputs()
+	sent := d.Queue().TraceInputs()
 	if !sent[0].SubmitTime.IsZero() || sent[1].SubmitTime.Year() != 1600 || sent[2].SubmitTime.Year() != 2300 {
 		t.Fatalf("the handler decoded submit times %v, %v, %v", sent[0].SubmitTime, sent[1].SubmitTime, sent[2].SubmitTime)
 	}
@@ -325,7 +389,7 @@ func TestSubmitInstantsSurviveRestart(t *testing.T) {
 	if d, err = New(cfg); err != nil {
 		t.Fatal(err)
 	}
-	replayed, _ := d.Queue().TraceInputs()
+	replayed := d.Queue().TraceInputs()
 	if len(replayed) != len(sent) {
 		t.Fatalf("replayed %d of %d specs", len(replayed), len(sent))
 	}
@@ -333,6 +397,11 @@ func TestSubmitInstantsSurviveRestart(t *testing.T) {
 		if !replayed[i].SubmitTime.Equal(sent[i].SubmitTime) {
 			t.Errorf("spec %d was submitted at %v and replays at %v", i, sent[i].SubmitTime, replayed[i].SubmitTime)
 		}
+	}
+	// Without the trace file the restarted dispatcher re-simulates, so
+	// the trace below is computed from the instants the WAL replayed.
+	if err := os.Remove(filepath.Join(cfg.Dir, traceFileName)); err != nil {
+		t.Fatal(err)
 	}
 	after, err := d.TraceCSV()
 	if err != nil {
