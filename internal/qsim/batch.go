@@ -8,13 +8,13 @@
 // simulator state (per register width), RNG, and histogram buffers
 // across jobs.
 //
-// Determinism: job j's shot s runs on the stream
-// shotSeed(base_j, s) where base_j is derived from BatchJob.Seed
-// exactly as RunOpts derives it from the caller's generator, so a
-// job's Counts are bit-identical to a standalone
+// Determinism: job j's shot s runs on the stream shotSeed(base_j, s),
+// where base_j is the first Int63 of the job's generator, so a job's
+// Counts are the same for any worker count and any unit granularity
+// (counts merge by commutative integer addition). RunOpts is a one-job
+// batch whose generator is the caller's, so BatchRun's job j is
 // RunOpts(job.Circ, job.Shots, job.Noise, rand.New(rand.NewSource(job.Seed)), p)
-// for any worker count and any unit granularity (counts merge by
-// commutative integer addition).
+// by construction.
 package qsim
 
 import (
@@ -67,7 +67,7 @@ type batchWorker struct {
 
 func (bw *batchWorker) state(n, workers, minAmps int) (*State, error) {
 	if st := bw.st; 0 < n && n <= bw.width {
-		st.n, st.re, st.im = n, st.re[:1<<uint(n)], st.im[:1<<uint(n)]
+		st.view(n)
 		return st, nil
 	}
 	st, err := NewState(n)
@@ -85,6 +85,16 @@ func (bw *batchWorker) state(n, workers, minAmps int) (*State, error) {
 // are split into shot-range units so many small jobs spread across the
 // pool instead of nesting serial inner pools.
 func BatchRun(jobs []BatchJob, p Parallelism) []BatchResult {
+	return runJobs(jobs, func(j int) *rand.Rand { return rand.New(rand.NewSource(jobs[j].Seed)) }, p, true, true)
+}
+
+// runJobs is BatchRun and RunOpts: gen(j) is job j's generator (called
+// once per job, before its trajectory units or inside its exact unit),
+// which contributes the trajectory base seed or every exact sample.
+// fuse and fuse2q are compileProgram's passes; production runs both,
+// and the equivalence suites turn them off to compare against the
+// unfused engine.
+func runJobs(jobs []BatchJob, gen func(j int) *rand.Rand, p Parallelism, fuse, fuse2q bool) []BatchResult {
 	results := make([]BatchResult, len(jobs))
 	type jobProg struct {
 		prog  *program
@@ -97,7 +107,7 @@ func BatchRun(jobs []BatchJob, p Parallelism) []BatchResult {
 		lo, hi int // trajectory shot range (unused for exact jobs)
 	}
 	var units []unit
-	fuse, fuse2q := p.fusePasses()
+	workers := p.workers()
 	for j := range jobs {
 		job := &jobs[j]
 		if job.Circ == nil {
@@ -108,8 +118,8 @@ func BatchRun(jobs []BatchJob, p Parallelism) []BatchResult {
 			results[j].Err = fmt.Errorf("qsim: batch job %d: shots must be positive, got %d", j, job.Shots)
 			continue
 		}
-		if usedQubits(job.Circ) > MaxQubits {
-			results[j].Err = fmt.Errorf("qsim: batch job %d: circuit touches qubits beyond the %d-qubit dense limit", j, MaxQubits)
+		if job.Circ.NQubits > MaxQubits {
+			results[j].Err = fmt.Errorf("qsim: batch job %d: register width %d exceeds the %d-qubit dense limit", j, job.Circ.NQubits, MaxQubits)
 			continue
 		}
 		if job.Noise == nil && isTerminalMeasureOnly(job.Circ) {
@@ -123,23 +133,27 @@ func BatchRun(jobs []BatchJob, p Parallelism) []BatchResult {
 			continue
 		}
 		progs[j].prog = prog
-		// The base seed is the first Int63 of the job's generator —
-		// exactly what runTrajectories would have drawn.
-		progs[j].base = rand.New(rand.NewSource(job.Seed)).Int63()
-		for lo := 0; lo < job.Shots; lo += batchChunkShots {
-			hi := lo + batchChunkShots
+		progs[j].base = gen(j).Int63()
+		// Units spread a job's shots across pool slots; a one-slot pool
+		// runs each job as one unit, converting its histogram once.
+		chunk := batchChunkShots
+		if workers == 1 {
+			chunk = job.Shots
+		}
+		for lo := 0; lo < job.Shots; lo += chunk {
+			hi := lo + chunk
 			if hi > job.Shots {
 				hi = job.Shots
 			}
 			units = append(units, unit{j, lo, hi})
 		}
 	}
-	workers := p.workers()
 	if workers > len(units) {
 		workers = len(units)
 	}
-	// As in runTrajectories: once the unit pool is parallel it
-	// saturates the CPUs, so per-unit kernels stay serial.
+	// Once the unit pool is parallel it saturates the CPUs, so per-unit
+	// kernels stay serial; a lone unit inherits the run's kernel
+	// parallelism.
 	kernelWorkers := p.Workers
 	if workers > 1 {
 		kernelWorkers = 1
@@ -162,10 +176,9 @@ func BatchRun(jobs []BatchJob, p Parallelism) []BatchResult {
 		}
 		if progs[ut.job].exact {
 			// One evolution + multinomial sampling on the slot's state
-			// and scratch; the job's generator is created here so its
-			// draw sequence matches RunOpts.
+			// and scratch, drawing from the job's generator.
 			st.Reset()
-			unitCounts[u], bw.cum, unitErrs[u] = sampleExact(job.Circ, job.Shots, rand.New(rand.NewSource(job.Seed)), p, st, bw.cum)
+			unitCounts[u], bw.cum, unitErrs[u] = sampleExact(job.Circ, job.Shots, gen(ut.job), fuse, fuse2q, st, bw.cum)
 			return
 		}
 		if bw.sr == nil {
@@ -221,13 +234,14 @@ func BatchRun(jobs []BatchJob, p Parallelism) []BatchResult {
 	}
 	for u := range units {
 		j := units[u].job
-		if results[j].Err != nil {
-			continue
+		switch {
+		case results[j].Err != nil:
+		case results[j].Counts == nil:
+			// The unit's map is its own: adopt it rather than copy it.
+			results[j].Counts = unitCounts[u]
+		default:
+			results[j].Counts.merge(unitCounts[u])
 		}
-		if results[j].Counts == nil {
-			results[j].Counts = make(Counts)
-		}
-		results[j].Counts.merge(unitCounts[u])
 	}
 	for j := range results {
 		if results[j].Err != nil {

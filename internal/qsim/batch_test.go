@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"qcloud/internal/circuit"
 	"qcloud/internal/circuit/gens"
 )
 
@@ -24,18 +25,20 @@ func batchCases() []BatchJob {
 }
 
 // TestBatchRunMatchesPerJobRuns is the batching determinism contract:
-// every job's Counts are bit-identical to a standalone RunOpts with
-// rand.NewSource(job.Seed), for any shared-pool worker count — batched
-// vs per-job pools changes scheduling only, never results.
+// every job's Counts are bit-identical to an independent per-job oracle
+// seeded from rand.NewSource(job.Seed) — the fresh-state-per-shot
+// reference engine for trajectory jobs, referenceExact for exact ones —
+// for any shared-pool worker count: the shared pool changes scheduling
+// only, never results.
 func TestBatchRunMatchesPerJobRuns(t *testing.T) {
 	jobs := batchCases()
 	want := make([]Counts, len(jobs))
 	for j, job := range jobs {
-		counts, err := RunOpts(job.Circ, job.Shots, job.Noise, rand.New(rand.NewSource(job.Seed)), Parallelism{Workers: 1})
-		if err != nil {
-			t.Fatalf("job %d reference: %v", j, err)
+		if job.Noise == nil && isTerminalMeasureOnly(job.Circ) {
+			want[j] = referenceExact(t, job.Circ, job.Shots, job.Seed)
+		} else {
+			want[j] = referenceTrajectories(t, job.Circ, job.Shots, job.Noise, job.Seed)
 		}
-		want[j] = counts
 	}
 	for _, w := range []int{1, 2, 3, runtime.NumCPU()} {
 		got := BatchRun(jobs, Parallelism{Workers: w})
@@ -86,25 +89,60 @@ func TestBatchRunExactJobsReuseState(t *testing.T) {
 	}
 }
 
-// TestBatchRunFusionToggles checks the batch path honors the A/B
-// toggles without changing counts.
+// TestBatchRunFusionToggles checks the batch path gives the same counts
+// with compileProgram's fusion passes on or off.
 func TestBatchRunFusionToggles(t *testing.T) {
 	jobs := batchCases()
+	seeded := func(j int) *rand.Rand { return rand.New(rand.NewSource(jobs[j].Seed)) }
 	base := BatchRun(jobs, Parallelism{Workers: 2})
-	for _, p := range []Parallelism{
-		{Workers: 2, DisableFusion2Q: true},
-		{Workers: 2, DisableFusion: true},
-		{Workers: runtime.NumCPU(), DisableFusion: true, DisableFusion2Q: true},
-	} {
-		got := BatchRun(jobs, p)
-		for j := range jobs {
-			if got[j].Err != nil {
-				t.Fatalf("job %d (%+v): %v", j, p, got[j].Err)
+	for _, w := range []int{2, runtime.NumCPU()} {
+		for _, mode := range fusionModes {
+			got := runJobs(jobs, seeded, Parallelism{Workers: w}, mode.fuse, mode.fuse2q)
+			for j := range jobs {
+				if got[j].Err != nil {
+					t.Fatalf("job %d (%s, workers=%d): %v", j, mode.name, w, got[j].Err)
+				}
+				if !reflect.DeepEqual(base[j].Counts, got[j].Counts) {
+					t.Fatalf("job %d: counts change under %s at workers=%d:\n%v\nvs\n%v",
+						j, mode.name, w, got[j].Counts, base[j].Counts)
+				}
 			}
-			if !reflect.DeepEqual(base[j].Counts, got[j].Counts) {
-				t.Fatalf("job %d: counts change under %+v:\n%v\nvs\n%v",
-					j, p, got[j].Counts, base[j].Counts)
-			}
+		}
+	}
+}
+
+// TestExactPrefixRestoresSlotWidth runs a narrow-prefix exact unit (a
+// 12-qubit register whose ops populate two qubits) after a wider one on
+// the same slot, then the wide one again: each leaves the slot's state
+// at its unit's full width with the slot's widest arrays behind it, and
+// samples what a fresh state would.
+func TestExactPrefixRestoresSlotWidth(t *testing.T) {
+	wide := gens.HardwareEfficientAnsatz(rand.New(rand.NewSource(4)), 14, 2)
+	narrow := circuit.New("narrow", 12)
+	narrow.H(0).CX(0, 1).MeasureAll()
+	var bw batchWorker
+	for k, c := range []*circuit.Circuit{wide, narrow, wide} {
+		st, err := bw.state(c.NQubits, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Reset()
+		var got Counts
+		got, bw.cum, err = sampleExact(c, 300, rand.New(rand.NewSource(int64(k))), true, true, st, bw.cum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := c.NQubits
+		if st.n != n || len(st.re) != 1<<n || len(st.im) != 1<<n || cap(st.re) != 1<<14 {
+			t.Fatalf("unit %d (%d qubits): slot state left at n=%d len=%d/%d cap=%d",
+				k, n, st.n, len(st.re), len(st.im), cap(st.re))
+		}
+		want, err := RunOpts(c, 300, nil, rand.New(rand.NewSource(int64(k))), Parallelism{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("unit %d (%d qubits): reused slot samples\n%v\nwant\n%v", k, n, got, want)
 		}
 	}
 }

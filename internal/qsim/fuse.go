@@ -173,10 +173,9 @@ func gateNoiseP(noise *NoiseModel, g circuit.Gate) float64 {
 
 // compileProgram lowers a circuit into a fused op stream. With fuse
 // false every unitary becomes its own opSrc — the pre-fusion engine,
-// kept for A/B benchmarks and equivalence tests. fuse2q additionally
-// enables two-qubit block fusion (4x4 kernels); it is an independent
-// A/B toggle so benchmarks can isolate the 2q lever, and is ignored
-// when fuse is false.
+// which small exact evolutions run and the equivalence tests and
+// KernelCounts compare against. fuse2q additionally enables two-qubit
+// block fusion (4x4 kernels), and is ignored when fuse is false.
 func compileProgram(c *circuit.Circuit, noise *NoiseModel, fuse, fuse2q bool) (*program, error) {
 	p := &program{nqubits: c.NQubits, nclbits: c.NClbits, noisy: noise != nil}
 	p.ops = make([]fusedOp, 0, len(c.Gates))

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sort"
 	"testing"
 
 	"qcloud/internal/circuit"
@@ -30,7 +31,7 @@ func fusionCases() []struct {
 	}{
 		{"exact-qft", gens.QFTBench(5), nil},
 		// 12 qubits is above exactFuseMinQubits, so this case drives the
-		// fused runExact path (the 5q exact cases compile unfused).
+		// fused exact path (the 5q exact cases compile unfused).
 		{"exact-qft-fused", gens.QFTBench(12), nil},
 		{"exact-ghz", gens.GHZ(5), nil},
 		{"noisy-qft", gens.QFTBench(5), UniformNoise(0.002, 0.02, 0.02)},
@@ -43,27 +44,36 @@ func fusionCases() []struct {
 	}
 }
 
+// fusionModes are compileProgram's pass settings the equivalence suites
+// compare: full 2q block fusion (what Run uses), 1q-chain and
+// diagonal-run fusion only, and the unfused engine.
+var fusionModes = []struct {
+	name         string
+	fuse, fuse2q bool
+}{
+	{"blocked", true, true},
+	{"fused-no2q", true, false},
+	{"unfused", false, false},
+}
+
+// runFusion is RunOpts with compileProgram's passes chosen and the
+// generator seeded from seed.
+func runFusion(c *circuit.Circuit, shots int, noise *NoiseModel, seed int64, p Parallelism, fuse, fuse2q bool) (Counts, error) {
+	r := rand.New(rand.NewSource(seed))
+	res := runJobs([]BatchJob{{Circ: c, Shots: shots, Noise: noise}}, func(int) *rand.Rand { return r }, p, fuse, fuse2q)
+	return res[0].Counts, res[0].Err
+}
+
 // TestFusedMatchesUnfusedCounts is the fusion prepass's contract: for a
 // fixed seed, Counts are bit-identical across {2q block fusion on/off,
 // all fusion on/off} on both the exact and trajectory paths, for every
 // worker count.
 func TestFusedMatchesUnfusedCounts(t *testing.T) {
-	fusionModes := []struct {
-		name               string
-		disable, disable2q bool
-	}{
-		{"blocked", false, false},
-		{"fused-no2q", false, true},
-		{"unfused", true, false},
-	}
 	for _, tc := range fusionCases() {
 		var want Counts
 		for _, w := range []int{1, 2, runtime.NumCPU()} {
 			for _, mode := range fusionModes {
-				r := rand.New(rand.NewSource(41))
-				got, err := RunOpts(tc.circ, 600, tc.noise, r, Parallelism{
-					Workers: w, DisableFusion: mode.disable, DisableFusion2Q: mode.disable2q,
-				})
+				got, err := runFusion(tc.circ, 600, tc.noise, 41, Parallelism{Workers: w}, mode.fuse, mode.fuse2q)
 				if err != nil {
 					t.Fatalf("%s workers=%d %s: %v", tc.name, w, mode.name, err)
 				}
@@ -117,6 +127,51 @@ func referenceTrajectories(t *testing.T, c *circuit.Circuit, shots int, noise *N
 				if noise != nil {
 					noise.applyAfterGate(st, g, sr)
 				}
+			}
+		}
+		counts[bitstring(clbits)]++
+	}
+	return counts
+}
+
+// referenceExact is the exact path's oracle: gate-by-gate ApplyGate on a
+// full-width state, then the terminal distribution sampled from
+// rand.NewSource(seed) — one Float64 per shot against the cumulative
+// sums in index order, as the serial engine sampled it.
+func referenceExact(t *testing.T, c *circuit.Circuit, shots int, seed int64) Counts {
+	t.Helper()
+	st, err := NewState(c.NQubits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.SetWorkers(1)
+	measured := make(map[int]int) // clbit -> qubit
+	for _, g := range c.Gates {
+		switch g.Op {
+		case circuit.OpMeasure:
+			measured[g.Clbit] = g.Qubits[0]
+		case circuit.OpBarrier:
+		default:
+			if err := st.ApplyGate(g); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cum := make([]float64, len(st.re))
+	total := 0.0
+	for i := range cum {
+		total += st.re[i]*st.re[i] + st.im[i]*st.im[i]
+		cum[i] = total
+	}
+	r := rand.New(rand.NewSource(seed))
+	counts := make(Counts)
+	clbits := make([]int, c.NClbits)
+	for s := 0; s < shots; s++ {
+		idx := sort.SearchFloat64s(cum, r.Float64()*total)
+		for cb := range clbits {
+			clbits[cb] = 0
+			if q, ok := measured[cb]; ok {
+				clbits[cb] = idx >> uint(q) & 1
 			}
 		}
 		counts[bitstring(clbits)]++

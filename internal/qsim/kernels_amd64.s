@@ -246,3 +246,143 @@ loop2q:
 	JNZ  loop2q
 	VZEROUPPER
 	RET
+
+// func runSwap(re, im *float64, p, q, n int)
+//
+// The exchange of exchangeQuadsRange: re[i+p] <-> re[i+q] and the same
+// on im, four positions a step. No arithmetic, so nothing to round.
+TEXT ·runSwap(SB), NOSPLIT, $0-40
+	MOVQ re+0(FP), SI
+	MOVQ im+8(FP), DI
+	MOVQ p+16(FP), R8
+	MOVQ q+24(FP), R9
+	MOVQ n+32(FP), CX
+	SHLQ $3, R8
+	SHLQ $3, R9
+loopswap:
+	VMOVUPD (SI)(R8*1), Y0
+	VMOVUPD (SI)(R9*1), Y1
+	VMOVUPD (DI)(R8*1), Y2
+	VMOVUPD (DI)(R9*1), Y3
+	VMOVUPD Y1, (SI)(R8*1)
+	VMOVUPD Y0, (SI)(R9*1)
+	VMOVUPD Y3, (DI)(R8*1)
+	VMOVUPD Y2, (DI)(R9*1)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	SUBQ $4, CX
+	JNZ  loopswap
+	VZEROUPPER
+	RET
+
+// The in-register 2x2 kernels serve qubits 0 and 1, whose pairs lie
+// inside one group of four lanes. Each step loads one group per stream
+// and spreads it into a = the low element of each lane's pair and b =
+// the high one: for bit 1 (lane pairs 0-1, 2-3) VMOVDDUP gives
+// [x0 x0 x2 x2] and VPERMILPD $0xF [x1 x1 x3 x3]; for bit 2 (lane pairs
+// 0-2, 1-3) VPERM2F128 $0x00 gives [x0 x1 x0 x1] and $0x11
+// [x2 x3 x2 x3]. The table (lowLanes) holds per-lane coefficients: a
+// lane that is its pair's low element takes m's first row, the high
+// element the second, so one expression computes both halves of the
+// pair — the Go loop's re[i] and re[j] lines, lane by lane.
+// Y8..Y11 = table rows c0..c3; ar ai br bi arrive in Y2 Y4 Y3 Y5.
+
+// LOWCPLX: Y6 = c0*ar - c1*ai + c2*br - c3*bi (the Go loop's re line),
+// Y7 = c0*ai + c1*ar + c2*bi + c3*br (its im line).
+#define LOWCPLX \
+	VMULPD Y8, Y2, Y6; \
+	VMULPD Y9, Y4, Y12; \
+	VSUBPD Y12, Y6, Y6; \
+	VMULPD Y10, Y3, Y12; \
+	VADDPD Y12, Y6, Y6; \
+	VMULPD Y11, Y5, Y12; \
+	VSUBPD Y12, Y6, Y6; \
+	VMULPD Y8, Y4, Y7; \
+	VMULPD Y9, Y2, Y12; \
+	VADDPD Y12, Y7, Y7; \
+	VMULPD Y10, Y5, Y12; \
+	VADDPD Y12, Y7, Y7; \
+	VMULPD Y11, Y3, Y12; \
+	VADDPD Y12, Y7, Y7
+
+// LOWREAL: Y6 = c0*ar + c2*br, Y7 = c0*ai + c2*bi (the real loop's
+// lines; c1 and c3 are unused).
+#define LOWREAL \
+	VMULPD Y8, Y2, Y6; \
+	VMULPD Y10, Y3, Y12; \
+	VADDPD Y12, Y6, Y6; \
+	VMULPD Y8, Y4, Y7; \
+	VMULPD Y10, Y5, Y12; \
+	VADDPD Y12, Y7, Y7
+
+// SPREAD1 / SPREAD2 split the loaded groups Y0 (re) and Y1 (im) into
+// ar br ai bi for bit 1 and bit 2.
+#define SPREAD1 \
+	VMOVDDUP Y0, Y2; \
+	VPERMILPD $0xF, Y0, Y3; \
+	VMOVDDUP Y1, Y4; \
+	VPERMILPD $0xF, Y1, Y5
+
+#define SPREAD2 \
+	VPERM2F128 $0x00, Y0, Y0, Y2; \
+	VPERM2F128 $0x11, Y0, Y0, Y3; \
+	VPERM2F128 $0x00, Y1, Y1, Y4; \
+	VPERM2F128 $0x11, Y1, Y1, Y5
+
+// LOWLOOP is one kernel loop: label, spread, arithmetic.
+#define LOWLOOP(label, spread, arith) \
+label: \
+	VMOVUPD (SI), Y0; \
+	VMOVUPD (DI), Y1; \
+	spread; \
+	arith; \
+	VMOVUPD Y6, (SI); \
+	VMOVUPD Y7, (DI); \
+	ADDQ $32, SI; \
+	ADDQ $32, DI; \
+	SUBQ $4, CX; \
+	JNZ  label
+
+// LOWTAB loads the table rows from AX. (The argument loads stay in each
+// TEXT body, where vet's asmdecl can check them.)
+#define LOWTAB \
+	VMOVUPD 0(AX), Y8; \
+	VMOVUPD 32(AX), Y9; \
+	VMOVUPD 64(AX), Y10; \
+	VMOVUPD 96(AX), Y11
+
+// func run1QLow(re, im *float64, bit, n int, tab *[4][4]float64)
+TEXT ·run1QLow(SB), NOSPLIT, $0-40
+	MOVQ re+0(FP), SI
+	MOVQ im+8(FP), DI
+	MOVQ bit+16(FP), BX
+	MOVQ n+24(FP), CX
+	MOVQ tab+32(FP), AX
+	LOWTAB
+	CMPQ BX, $1
+	JNE  lowc2
+	LOWLOOP(lowc1loop, SPREAD1, LOWCPLX)
+	VZEROUPPER
+	RET
+lowc2:
+	LOWLOOP(lowc2loop, SPREAD2, LOWCPLX)
+	VZEROUPPER
+	RET
+
+// func run1QLowReal(re, im *float64, bit, n int, tab *[4][4]float64)
+TEXT ·run1QLowReal(SB), NOSPLIT, $0-40
+	MOVQ re+0(FP), SI
+	MOVQ im+8(FP), DI
+	MOVQ bit+16(FP), BX
+	MOVQ n+24(FP), CX
+	MOVQ tab+32(FP), AX
+	LOWTAB
+	CMPQ BX, $1
+	JNE  lowr2
+	LOWLOOP(lowr1loop, SPREAD1, LOWREAL)
+	VZEROUPPER
+	RET
+lowr2:
+	LOWLOOP(lowr2loop, SPREAD2, LOWREAL)
+	VZEROUPPER
+	RET

@@ -13,9 +13,9 @@ import (
 // TestAVX2RunsMatchGo is the run kernels' contract: with the assembly
 // on, every sweep that has one leaves exactly the amplitudes its Go loop
 // leaves — compared with ==, not a tolerance — for every qubit (complex
-// and real 2x2) and every ordered pair (complex 4x4), over the full
-// index range and over shard ranges whose ends fall inside a four-lane
-// run.
+// and real 2x2; qubits 0 and 1 take the in-register kernels) and every
+// ordered pair (complex 4x4, CX, SWAP), over the full index range and
+// over shard ranges whose ends fall inside a four-lane run.
 func TestAVX2RunsMatchGo(t *testing.T) {
 	if !hasAVX2 {
 		t.Skip("host has no AVX2: the Go loops are the only path and there is nothing to compare")
@@ -55,7 +55,9 @@ func TestAVX2RunsMatchGo(t *testing.T) {
 				continue
 			}
 			sweeps = append(sweeps,
-				sweep{fmt.Sprintf("apply2QRange q0=%d q1=%d", q, q1), func(s *State, lo, hi int) { s.apply2QRange(&cm4, q, q1, lo, hi) }})
+				sweep{fmt.Sprintf("apply2QRange q0=%d q1=%d", q, q1), func(s *State, lo, hi int) { s.apply2QRange(&cm4, q, q1, lo, hi) }},
+				sweep{fmt.Sprintf("applyCXRange c=%d t=%d", q, q1), func(s *State, lo, hi int) { s.applyCXRange(q, q1, lo, hi) }},
+				sweep{fmt.Sprintf("applySWAPRange a=%d b=%d", q, q1), func(s *State, lo, hi int) { s.applySWAPRange(q, q1, lo, hi) }})
 		}
 	}
 	// One sweep is every range of a set applied in turn, as shards would.

@@ -11,6 +11,9 @@ import "qcloud/internal/circuit"
 // as dead code.
 const hasAVX2 = false
 
-func run1Q(re, im *float64, bit, n int, m *circuit.Mat2)        { panic("qsim: no run kernels") }
-func run1QReal(re, im *float64, bit, n int, m *circuit.Mat2)    { panic("qsim: no run kernels") }
-func run2Q(re, im *float64, b0, b1, n int, tab *[32][4]float64) { panic("qsim: no run kernels") }
+func run1Q(re, im *float64, bit, n int, m *circuit.Mat2)           { panic("qsim: no run kernels") }
+func run1QReal(re, im *float64, bit, n int, m *circuit.Mat2)       { panic("qsim: no run kernels") }
+func run2Q(re, im *float64, b0, b1, n int, tab *[32][4]float64)    { panic("qsim: no run kernels") }
+func runSwap(re, im *float64, p, q, n int)                         { panic("qsim: no run kernels") }
+func run1QLow(re, im *float64, bit, n int, tab *[4][4]float64)     { panic("qsim: no run kernels") }
+func run1QLowReal(re, im *float64, bit, n int, tab *[4][4]float64) { panic("qsim: no run kernels") }

@@ -12,9 +12,11 @@
 // diagonal runs each collapse into single kernels) so the per-shot
 // loop does no map lookups or matrix construction, amplitudes live in
 // split real/imag (SoA) arrays so kernel sweeps are flat float64
-// loops (on amd64 with AVX2 the 2x2 and complex 4x4 sweeps hand each run
-// of four or more lanes to assembly that is bit-identical to those
-// loops; see kernels_amd64.go), gate kernels shard the amplitude array across
+// loops (on amd64 with AVX2 the 2x2, complex 4x4 and CX/SWAP exchange
+// sweeps hand their four-lane groups to assembly that is bit-identical
+// to those loops; see kernels_amd64.go), exact evolutions run each op
+// on the populated prefix of the register (see evolveExact in run.go),
+// gate kernels shard the amplitude array across
 // a goroutine pool once the state is large enough to amortize the
 // fan-out, and noisy shots run on a worker pool with deterministic
 // per-shot RNG streams (see rngsource.go) over pooled state buffers.
@@ -84,6 +86,14 @@ func (s *State) Reset() {
 	clear(s.re)
 	clear(s.im)
 	s.re[0] = 1
+}
+
+// view reslices s to its first 2^k amplitudes as a k-qubit state; k may
+// grow back up to the width the arrays were allocated with.
+//
+//qcloud:noalloc
+func (s *State) view(k int) {
+	s.n, s.re, s.im = k, s.re[:1<<uint(k)], s.im[:1<<uint(k)]
 }
 
 // SetWorkers pins the kernel worker count for this state (0 = process
@@ -228,10 +238,23 @@ func (s *State) apply1QRange(m circuit.Mat2, q, lo, hi int) {
 	// Whole four-lane groups of each run (bit long) go to the AVX2 run
 	// kernel (see kernels_amd64.go); the loop below is its
 	// specification, bit for bit, and finishes what is left. The same
-	// hand-off sits in apply1QRealRange and apply2QRange.
+	// hand-off sits in apply1QRealRange, apply2QRange and
+	// exchangeQuadsRange. Qubits 0 and 1 have runs under four lanes:
+	// their 4-aligned body goes to the in-register kernel whole when the
+	// loop reaches it, and the loop does the head and tail.
 	vec := hasAVX2 && bit >= 4
+	var tab [4][4]float64
+	body, end := lowBody(bit, lo, hi)
+	if body < end {
+		lowLanes(&tab, &m, bit)
+	}
 	step := bit << 1
 	for base := lo &^ (step - 1); base < hi; base += step {
+		if base == body {
+			run1QLow(&re[base], &im[base], bit, end-body, &tab)
+			base = end - step
+			continue
+		}
 		first, last := base, base+bit
 		if first < lo {
 			first = lo
@@ -267,8 +290,18 @@ func (s *State) apply1QRealRange(m circuit.Mat2, q, lo, hi int) {
 	m10, m11 := real(m[2]), real(m[3])
 	re, im := s.re, s.im
 	vec := hasAVX2 && bit >= 4
+	var tab [4][4]float64
+	body, end := lowBody(bit, lo, hi)
+	if body < end {
+		lowLanes(&tab, &m, bit)
+	}
 	step := bit << 1
 	for base := lo &^ (step - 1); base < hi; base += step {
+		if base == body {
+			run1QLowReal(&re[base], &im[base], bit, end-body, &tab)
+			base = end - step
+			continue
+		}
 		first, last := base, base+bit
 		if first < lo {
 			first = lo
@@ -289,6 +322,37 @@ func (s *State) apply1QRealRange(m circuit.Mat2, q, lo, hi int) {
 			re[j] = m10*ar + m11*br
 			im[j] = m10*ai + m11*bi
 		}
+	}
+}
+
+// lowBody returns the span [body, end) of a sweep over [lo, hi) on the
+// qubit with mask bit that the in-register kernels take: for bit 1 or 2
+// on an AVX2 host, the 4-aligned interior, whose groups of four hold
+// whole pairs. Otherwise, or when that span is empty, body is -1, which
+// no loop base equals.
+func lowBody(bit, lo, hi int) (body, end int) {
+	if body, end = (lo+3)&^3, hi&^3; hasAVX2 && bit < 4 && body < end {
+		return body, end
+	}
+	return -1, -1
+}
+
+// lowLanes lays m out for the in-register kernels on qubit 0 or 1 (bit 1
+// or 2): row k of tab is the coefficient the lane multiplies into the
+// k-th product of the Go loop's expression (ar, ai, br, bi for the re
+// line), and a lane whose index has bit set is its pair's high element
+// j, so it takes m's second row (m10, m11) where a low lane takes the
+// first (m00, m01).
+//
+//qcloud:noalloc
+func lowLanes(tab *[4][4]float64, m *circuit.Mat2, bit int) {
+	for l := range 4 {
+		a, b := m[0], m[1]
+		if l&bit != 0 {
+			a, b = m[2], m[3]
+		}
+		tab[0][l], tab[1][l] = real(a), imag(a)
+		tab[2][l], tab[3][l] = real(b), imag(b)
 	}
 }
 
@@ -578,6 +642,9 @@ func (s *State) exchangeQuadsRange(b0, b1, p, q, lo, hi int) {
 	if bl > bh {
 		bl, bh = bh, bl
 	}
+	// Bases in a run have both bits clear, so i|p is i+p: the run kernel
+	// exchanges whole four-lane groups at those offsets.
+	vec := hasAVX2 && bl >= 4
 	stepH, stepL := bh<<1, bl<<1
 	for baseH := lo &^ (stepH - 1); baseH < hi; baseH += stepH {
 		hFirst, hLast := baseH, baseH+bh
@@ -594,6 +661,10 @@ func (s *State) exchangeQuadsRange(b0, b1, p, q, lo, hi int) {
 			}
 			if last > hLast {
 				last = hLast
+			}
+			if n := (last - first) &^ 3; vec && n > 0 {
+				runSwap(&re[first], &im[first], p, q, n)
+				first += n
 			}
 			for i := first; i < last; i++ {
 				x, y := i|p, i|q

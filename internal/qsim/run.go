@@ -1,7 +1,6 @@
 package qsim
 
 import (
-	"fmt"
 	"math/rand"
 	"strings"
 
@@ -17,11 +16,11 @@ import (
 //
 // Determinism contract: for a fixed caller seed (and fixed
 // KernelMinAmps), Run produces bit-identical Counts for every worker
-// count and whether or not fusion is enabled. Kernels write the same
-// amplitudes regardless of sharding, reductions use size-dependent (not
-// worker-dependent) chunk boundaries, each noisy shot derives its own
-// RNG stream from the caller's generator rather than sharing it, and
-// the fusion prepass never changes a shot's RNG draw sequence (see
+// count, and the same Counts the unfused engine would. Kernels write the
+// same amplitudes regardless of sharding, reductions use size-dependent
+// (not worker-dependent) chunk boundaries, each noisy shot derives its
+// own RNG stream from the caller's generator rather than sharing it,
+// and the fusion prepass never changes a shot's RNG draw sequence (see
 // fuse.go).
 type Parallelism struct {
 	Workers int
@@ -33,21 +32,6 @@ type Parallelism struct {
 	// part of the fixed configuration the determinism contract assumes,
 	// because chunk boundaries move with it.
 	KernelMinAmps int
-	// DisableFusion skips the fusion prepass and executes one kernel
-	// per source gate (the pre-fusion engine). Purely a benchmarking
-	// and verification knob: Counts are identical either way.
-	DisableFusion bool
-	// DisableFusion2Q keeps the 1q-chain and diagonal-run fusion but
-	// skips two-qubit block fusion (the PR 2 engine) — an A/B toggle
-	// isolating the 2q lever. Implied by DisableFusion; Counts are
-	// identical either way.
-	DisableFusion2Q bool
-}
-
-// fusePasses resolves the (fuse, fuse2q) compile flags.
-func (p Parallelism) fusePasses() (fuse, fuse2q bool) {
-	fuse = !p.DisableFusion
-	return fuse, fuse && !p.DisableFusion2Q
 }
 
 // workers resolves the effective worker count.
@@ -145,28 +129,14 @@ func Run(c *circuit.Circuit, shots int, noise *NoiseModel, r *rand.Rand) (Counts
 	return RunOpts(c, shots, noise, r, Parallelism{})
 }
 
-// RunOpts is Run with an explicit Parallelism. The circuit is compiled
-// once into a fused op stream (unless p.DisableFusion) and executed
+// RunOpts is Run with an explicit Parallelism: a one-job BatchRun whose
+// job draws from r instead of a generator seeded from BatchJob.Seed.
+// The circuit is compiled once into a fused op stream and executed
 // shot by shot on pooled per-worker state buffers. Counts are
 // bit-identical across worker counts for the same caller seed.
 func RunOpts(c *circuit.Circuit, shots int, noise *NoiseModel, r *rand.Rand, p Parallelism) (Counts, error) {
-	if shots <= 0 {
-		return nil, fmt.Errorf("qsim: shots must be positive, got %d", shots)
-	}
-	if usedQubits(c) > MaxQubits {
-		return nil, fmt.Errorf("qsim: circuit touches qubits beyond the %d-qubit dense limit", MaxQubits)
-	}
-	if noise == nil && isTerminalMeasureOnly(c) {
-		return runExact(c, shots, r, p)
-	}
-	return runTrajectories(c, shots, noise, r, p)
-}
-
-// usedQubits returns 1 + the largest qubit index referenced (compiled
-// circuits are machine-wide, but simulation cost depends on the full
-// register width, so callers should compact first when possible).
-func usedQubits(c *circuit.Circuit) int {
-	return c.NQubits
+	res := runJobs([]BatchJob{{Circ: c, Shots: shots, Noise: noise}}, func(int) *rand.Rand { return r }, p, true, true)
+	return res[0].Counts, res[0].Err
 }
 
 // isTerminalMeasureOnly reports whether every measurement is terminal
@@ -193,42 +163,20 @@ func isTerminalMeasureOnly(c *circuit.Circuit) bool {
 	return true
 }
 
-// runExact evolves a fresh state once and samples it; BatchRun calls
-// sampleExact directly on its slot's reused state and scratch.
-func runExact(c *circuit.Circuit, shots int, r *rand.Rand, p Parallelism) (Counts, error) {
-	st, err := NewState(c.NQubits)
-	if err != nil {
-		return nil, err
-	}
-	st.SetWorkers(p.Workers).SetKernelMinAmps(p.KernelMinAmps)
-	counts, _, err := sampleExact(c, shots, r, p, st, nil)
-	return counts, err
-}
-
 // sampleExact evolves st (which must be |0...0> over c.NQubits) through
-// the fused op stream (with parallel gate kernels) and samples the
-// terminal measurement distribution multinomially from the caller's
-// generator, exactly as the serial engine did. cum is scratch for the
-// cumulative distribution, returned (grown if it was too small) for the
-// next call; the sums are taken in index order whatever its origin, so
-// the samples do not depend on it.
-func sampleExact(c *circuit.Circuit, shots int, r *rand.Rand, p Parallelism, st *State, cum []float64) (Counts, []float64, error) {
-	fuse, fuse2q := p.fusePasses()
+// the op stream compiled with the given fusion passes (with parallel
+// gate kernels) and samples the terminal measurement distribution
+// multinomially from the caller's generator, exactly as the serial
+// engine did. cum is scratch for the cumulative distribution, returned
+// (grown if it was too small) for the next call; the sums are taken in
+// index order whatever its origin, so the samples do not depend on it.
+func sampleExact(c *circuit.Circuit, shots int, r *rand.Rand, fuse, fuse2q bool, st *State, cum []float64) (Counts, []float64, error) {
 	fuse = fuse && c.NQubits >= exactFuseMinQubits
 	prog, err := compileProgram(c, nil, fuse, fuse && fuse2q)
 	if err != nil {
 		return nil, cum, err
 	}
-	type meas struct{ q, clbit int }
-	var measures []meas
-	for oi := range prog.ops {
-		op := &prog.ops[oi]
-		if op.kind == opMeasure {
-			measures = append(measures, meas{op.q0, op.clbit})
-			continue
-		}
-		op.applyFast(st)
-	}
+	measures := evolveExact(prog, st)
 	// Cumulative distribution for sampling.
 	re, im := st.re, st.im
 	if cap(cum) < len(re) {
@@ -265,6 +213,78 @@ func sampleExact(c *circuit.Circuit, shots int, r *rand.Rand, p Parallelism, st 
 	return counts, cum, nil
 }
 
+// exactMeasure is one terminal measurement of an exact evolution.
+type exactMeasure struct{ q, clbit int }
+
+// evolveExact applies prog's unitary ops to st, which must be |0...0>,
+// and returns its terminal measurements in program order. Each op runs
+// on the populated prefix of the register: qubits no op has populated
+// yet are still |0>, so the first 2^w amplitudes are the w-qubit state
+// and the rest are zero, and the op sweeps only those (st is resliced
+// to them and restored to its full width before returning). The width
+// w starts at 0 and grows by populates.
+//
+// Every amplitude comes out == to a full-width evolution's. Each kernel
+// writes the same value to every amplitude it touches, and amplitudes
+// past the prefix are zero in both. They can differ only in sign: +0
+// here, where a full-width sweep may write -0 (m*0 - m'*0). Arithmetic
+// on ±0 gives results that differ at most in the sign of a zero; ==,
+// re²+im² and every count treat the two alike; and no kernel divides.
+//
+// Exact path only: trajectories measure through reduce, whose chunk
+// boundaries depend on the state's length, so a prefix would regroup
+// the ProbOne sums and could move a sampled outcome.
+func evolveExact(prog *program, st *State) []exactMeasure {
+	var measures []exactMeasure
+	n, w := st.n, 0
+	for oi := range prog.ops {
+		op := &prog.ops[oi]
+		if op.kind == opMeasure {
+			measures = append(measures, exactMeasure{op.q0, op.clbit})
+			continue
+		}
+		grown, run := op.populates(w)
+		if !run {
+			continue
+		}
+		w = grown
+		st.view(max(w, 1))
+		op.applyFast(st)
+	}
+	st.view(n)
+	return measures
+}
+
+// populates returns the populated width after op, given that every
+// qubit at or above w is still |0>, and whether op has to run: an op
+// that is the identity on that support is skipped, and the caller keeps
+// w. A diagonal Mat2 populates too — both halves of its pair must lie
+// in the view — while phase tables and CZ/CPhase apply on the view as
+// they are, where the bits of unpopulated qubits read 0.
+func (op *fusedOp) populates(w int) (int, bool) {
+	switch op.kind {
+	case opMat2:
+		return max(w, op.q0+1), !op.identity
+	case opMat4:
+		return max(w, op.q0+1, op.q1+1), !op.identity
+	case opDiag:
+		return w, !op.identity
+	}
+	g := &op.src[0]
+	switch g.op {
+	case circuit.OpCZ, circuit.OpCPhase:
+		return w, true
+	case circuit.OpCX:
+		// A control still |0> makes it the identity on the support.
+		return max(w, g.q1+1), g.q0 < w
+	case circuit.OpSWAP:
+		return max(w, g.q0+1, g.q1+1), g.q0 < w || g.q1 < w
+	case circuit.OpCCX:
+		return max(w, g.q2+1), g.q0 < w && g.q1 < w
+	}
+	return max(w, g.q0+1), true
+}
+
 // shotSeed derives shot s's RNG seed from the run's base seed with a
 // splitmix64 finalizer, giving every shot a well-separated stream that
 // depends only on (base, s) — never on which worker runs it.
@@ -273,103 +293,6 @@ func shotSeed(base int64, s int) int64 {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return int64(z ^ (z >> 31))
-}
-
-// runTrajectories runs each shot as an independent noisy trajectory on
-// a worker pool. The caller's generator contributes one Int63 draw as
-// the base seed; each shot then uses its own derived stream, so the
-// merged Counts are identical for any worker count.
-//
-// Steady-state shot execution is allocation-free: each worker owns one
-// State (Reset in place between shots), one reseeded RNG, one clbit
-// scratch buffer, and — for registers up to maxDenseClbits — a dense
-// outcome histogram that is converted to Counts once at the end.
-func runTrajectories(c *circuit.Circuit, shots int, noise *NoiseModel, r *rand.Rand, p Parallelism) (Counts, error) {
-	fuse, fuse2q := p.fusePasses()
-	prog, err := compileProgram(c, noise, fuse, fuse2q)
-	if err != nil {
-		return nil, err
-	}
-	base := r.Int63()
-	workers := p.workers()
-	if workers > shots {
-		workers = shots
-	}
-	// Shot-level parallelism saturates the CPUs whenever it is active;
-	// per-trajectory states then keep their kernels serial. A lone shot
-	// (or workers=1 overall) inherits the run's kernel parallelism.
-	kernelWorkers := p.Workers
-	if workers > 1 {
-		kernelWorkers = 1
-	}
-
-	type shard struct {
-		counts Counts
-		err    error
-	}
-	nShards := workers
-	if nShards < 1 {
-		nShards = 1
-	}
-	shards := make([]shard, nShards)
-	per := (shots + nShards - 1) / nShards
-	par.ForEach(nShards, workers, func(w int) {
-		lo, hi := w*per, (w+1)*per
-		if hi > shots {
-			hi = shots
-		}
-		local := make(Counts)
-		shards[w].counts = local
-		if lo >= hi {
-			return
-		}
-		st, err := NewState(c.NQubits)
-		if err != nil {
-			shards[w].err = err
-			return
-		}
-		st.SetWorkers(kernelWorkers).SetKernelMinAmps(p.KernelMinAmps)
-		// lfSource replays exactly the rand.NewSource streams with a
-		// ~4x cheaper per-shot reseed (see rngsource.go).
-		sr := rand.New(newLFSource())
-		clbits := make([]int, c.NClbits)
-		var dense []int
-		if c.NClbits <= maxDenseClbits {
-			dense = make([]int, 1<<uint(c.NClbits))
-		}
-		for s := lo; s < hi; s++ {
-			// Reseeding replays the exact stream rand.NewSource(seed)
-			// would produce, without the per-shot source allocation.
-			sr.Seed(shotSeed(base, s))
-			st.Reset()
-			for i := range clbits {
-				clbits[i] = 0
-			}
-			prog.exec(st, clbits, sr)
-			if dense != nil {
-				idx := 0
-				for i, b := range clbits {
-					idx |= b << uint(i)
-				}
-				dense[idx]++
-			} else {
-				local[bitstring(clbits)]++
-			}
-		}
-		for idx, n := range dense {
-			if n > 0 {
-				local[indexBitstring(idx, c.NClbits)] = n
-			}
-		}
-	})
-	counts := make(Counts)
-	for _, sh := range shards {
-		if sh.err != nil {
-			return nil, sh.err
-		}
-		counts.merge(sh.counts)
-	}
-	return counts, nil
 }
 
 // ProbabilityOfSuccess executes c with the given noise and returns the
