@@ -16,6 +16,11 @@
 // SIGTERM drains gracefully: submissions are rejected, no new leases
 // are granted, in-flight leases get -drain-timeout to land, and the
 // journal streams are sealed before exit.
+//
+// -cpuprofile / -memprofile profile the daemon from start-up (WAL
+// replay included) to that exit, where the files are written:
+//
+//	qcloud-dispatcher -state s -cpuprofile cpu.prof   # SIGTERM, then: go tool pprof -top cpu.prof
 package main
 
 import (
@@ -33,6 +38,7 @@ import (
 	"qcloud/internal/backend"
 	"qcloud/internal/cloud"
 	"qcloud/internal/dispatch"
+	"qcloud/internal/prof"
 )
 
 func main() {
@@ -50,6 +56,8 @@ func main() {
 		syncEvery    = flag.Int("sync-every", 0, "fsync the WALs every N records (0 = flush only)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight leases on SIGTERM")
 		quiet        = flag.Bool("q", false, "suppress progress logging")
+		cpuProf      = flag.String("cpuprofile", "", "write a CPU profile of the run to this path at graceful exit (outputs are unaffected)")
+		memProf      = flag.String("memprofile", "", "write a heap profile at graceful exit to this path (outputs are unaffected)")
 	)
 	flag.Parse()
 	logf := log.Printf
@@ -59,6 +67,10 @@ func main() {
 	if *state == "" {
 		fmt.Fprintln(os.Stderr, "qcloud-dispatcher: -state is required")
 		os.Exit(2)
+	}
+	stopProf, err := prof.Start(*cpuProf, *memProf)
+	if err != nil {
+		log.Fatalf("qcloud-dispatcher: %v", err)
 	}
 
 	cfg := dispatch.Config{
@@ -131,6 +143,9 @@ func main() {
 	_ = srv.Shutdown(ctx)
 	if err := d.Close(); err != nil {
 		log.Fatalf("qcloud-dispatcher: sealing journals: %v", err)
+	}
+	if err := stopProf(); err != nil {
+		log.Printf("qcloud-dispatcher: %v", err)
 	}
 	fmt.Println("shutdown complete: leases drained, journals sealed")
 }

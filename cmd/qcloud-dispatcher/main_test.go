@@ -346,7 +346,10 @@ func TestWorkerSIGKILLRequeue(t *testing.T) {
 // TestDispatcherSIGTERMGraceful pins the dispatcher half of the
 // graceful-shutdown contract: SIGTERM while a unit is mid-lease drains
 // — the in-flight result lands, the journals seal, the process exits
-// 0 — and a restart on the same state shows the completed work.
+// 0 — and a restart on the same state shows the completed work. The
+// first dispatcher runs with both profiling flags: the profiles are
+// written on that exit and the counts are the unprofiled in-process
+// run's.
 func TestDispatcherSIGTERMGraceful(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess harness")
@@ -357,8 +360,10 @@ func TestDispatcherSIGTERMGraceful(t *testing.T) {
 
 	addr := freePort(t)
 	state := filepath.Join(t.TempDir(), "state")
+	cpuProf, memProf := filepath.Join(bins, "cpu.prof"), filepath.Join(bins, "mem.prof")
 	disp := startDaemon(t, "listening on", dispatcherBin,
-		"-listen", addr, "-state", state, "-seed", "9", "-drain-timeout", "60s")
+		"-listen", addr, "-state", state, "-seed", "9", "-drain-timeout", "60s",
+		"-cpuprofile", cpuProf, "-memprofile", memProf)
 	server := "http://" + addr
 	cl := &dispatch.Client{Server: server, Timeout: 2 * time.Second}
 	submitSlow(t, cl)
@@ -375,6 +380,11 @@ func TestDispatcherSIGTERMGraceful(t *testing.T) {
 	}
 	if strings.Contains(disp.out.String(), "drain timeout") {
 		t.Fatalf("drain timed out instead of landing the in-flight lease:\n%s", disp.out.String())
+	}
+	for _, p := range []string{cpuProf, memProf} {
+		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+			t.Errorf("profile %s missing or empty after graceful exit (err %v)", filepath.Base(p), err)
+		}
 	}
 
 	// The drained state — including the result that landed during the

@@ -15,11 +15,18 @@
 // batch whose generator is the caller's, so BatchRun's job j is
 // RunOpts(job.Circ, job.Shots, job.Noise, rand.New(rand.NewSource(job.Seed)), p)
 // by construction.
+//
+// Exact jobs whose circuits are equal (sameCircuit) share one unit: it
+// evolves the circuit once and samples each job's shots from that one
+// distribution with the job's own generator, which is what each job's
+// own evolution would have given it.
 package qsim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 
 	"qcloud/internal/circuit"
 	"qcloud/internal/par"
@@ -56,13 +63,35 @@ type batchWorker struct {
 	// it to each unit's width and reallocates only for a wider one, so a
 	// slot retains its widest state (and cum) until BatchRun returns,
 	// not one per width. Every user Resets the state before evolving it.
-	st     *State
-	width  int
+	st    *State
+	width int
+	// sr is reseeded per job and per shot; lfSource replays the
+	// rand.NewSource streams with a ~4x cheaper reseed and no allocation
+	// (see rngsource.go).
 	sr     *rand.Rand
 	clbits []int
 	dense  []int
 	// cum is the exact units' cumulative-distribution scratch.
 	cum []float64
+}
+
+// source returns the slot's reseedable generator.
+func (bw *batchWorker) source() *rand.Rand {
+	if bw.sr == nil {
+		bw.sr = rand.New(newLFSource())
+	}
+	return bw.sr
+}
+
+// rng returns a job's generator: the caller's r when there is one, else
+// the slot's generator reseeded to the job's seed.
+func (bw *batchWorker) rng(r *rand.Rand, seed int64) *rand.Rand {
+	if r != nil {
+		return r
+	}
+	sr := bw.source()
+	sr.Seed(seed)
+	return sr
 }
 
 func (bw *batchWorker) state(n, workers, minAmps int) (*State, error) {
@@ -83,18 +112,20 @@ func (bw *batchWorker) state(n, workers, minAmps int) (*State, error) {
 // returns per-job results in input order. Exact-path jobs (no noise,
 // terminal measurement only) run as single work units; trajectory jobs
 // are split into shot-range units so many small jobs spread across the
-// pool instead of nesting serial inner pools.
+// pool instead of nesting serial inner pools. Exact jobs with equal
+// circuits share one unit and one evolution.
 func BatchRun(jobs []BatchJob, p Parallelism) []BatchResult {
-	return runJobs(jobs, func(j int) *rand.Rand { return rand.New(rand.NewSource(jobs[j].Seed)) }, p, true, true)
+	return runJobs(jobs, nil, p, true, true)
 }
 
-// runJobs is BatchRun and RunOpts: gen(j) is job j's generator (called
-// once per job, before its trajectory units or inside its exact unit),
-// which contributes the trajectory base seed or every exact sample.
-// fuse and fuse2q are compileProgram's passes; production runs both,
-// and the equivalence suites turn them off to compare against the
-// unfused engine.
-func runJobs(jobs []BatchJob, gen func(j int) *rand.Rand, p Parallelism, fuse, fuse2q bool) []BatchResult {
+// runJobs is BatchRun and RunOpts. A job's generator contributes its
+// trajectory base seed or every exact sample: the caller's r when it is
+// not nil (RunOpts' one job), else a pool slot's generator reseeded to
+// the job's Seed, which replays rand.NewSource(Seed). fuse and fuse2q
+// are compileProgram's passes; production runs both, and the
+// equivalence suites turn them off to compare against the unfused
+// engine.
+func runJobs(jobs []BatchJob, r *rand.Rand, p Parallelism, fuse, fuse2q bool) []BatchResult {
 	results := make([]BatchResult, len(jobs))
 	type jobProg struct {
 		prog  *program
@@ -104,9 +135,18 @@ func runJobs(jobs []BatchJob, gen func(j int) *rand.Rand, p Parallelism, fuse, f
 	progs := make([]jobProg, len(jobs))
 	type unit struct {
 		job    int
-		lo, hi int // trajectory shot range (unused for exact jobs)
+		lo, hi int // trajectory shot range (unused for exact units)
+		// twins are the later exact jobs whose circuits equal job's: the
+		// unit samples them from job's evolution.
+		twins []int
 	}
 	var units []unit
+	// exactUnit maps a circuit fingerprint to an exact unit with that
+	// fingerprint; a hit is confirmed gate by gate.
+	var exactUnit map[uint64]int
+	// setup draws the trajectory base seeds; pool slot 0 inherits its
+	// generator.
+	var setup batchWorker
 	workers := p.workers()
 	for j := range jobs {
 		job := &jobs[j]
@@ -124,6 +164,15 @@ func runJobs(jobs []BatchJob, gen func(j int) *rand.Rand, p Parallelism, fuse, f
 		}
 		if job.Noise == nil && isTerminalMeasureOnly(job.Circ) {
 			progs[j].exact = true
+			fp := fingerprint(job.Circ)
+			if u, ok := exactUnit[fp]; ok && sameCircuit(jobs[units[u].job].Circ, job.Circ) {
+				units[u].twins = append(units[u].twins, j)
+				continue
+			}
+			if exactUnit == nil {
+				exactUnit = make(map[uint64]int)
+			}
+			exactUnit[fp] = len(units)
 			units = append(units, unit{job: j})
 			continue
 		}
@@ -133,7 +182,7 @@ func runJobs(jobs []BatchJob, gen func(j int) *rand.Rand, p Parallelism, fuse, f
 			continue
 		}
 		progs[j].prog = prog
-		progs[j].base = gen(j).Int63()
+		progs[j].base = setup.rng(r, job.Seed).Int63()
 		// Units spread a job's shots across pool slots; a one-slot pool
 		// runs each job as one unit, converting its histogram once.
 		chunk := batchChunkShots
@@ -145,7 +194,7 @@ func runJobs(jobs []BatchJob, gen func(j int) *rand.Rand, p Parallelism, fuse, f
 			if hi > job.Shots {
 				hi = job.Shots
 			}
-			units = append(units, unit{j, lo, hi})
+			units = append(units, unit{job: j, lo: lo, hi: hi})
 		}
 	}
 	if workers > len(units) {
@@ -163,10 +212,11 @@ func runJobs(jobs []BatchJob, gen func(j int) *rand.Rand, p Parallelism, fuse, f
 		nSlots = 1
 	}
 	pool := make([]batchWorker, nSlots)
+	pool[0].sr = setup.sr
 	unitCounts := make([]Counts, len(units))
 	unitErrs := make([]error, len(units))
 	par.ForEachWorker(len(units), workers, func(w, u int) {
-		ut := units[u]
+		ut := &units[u]
 		job := &jobs[ut.job]
 		bw := &pool[w]
 		st, err := bw.state(job.Circ.NQubits, kernelWorkers, p.KernelMinAmps)
@@ -175,17 +225,23 @@ func runJobs(jobs []BatchJob, gen func(j int) *rand.Rand, p Parallelism, fuse, f
 			return
 		}
 		if progs[ut.job].exact {
-			// One evolution + multinomial sampling on the slot's state
-			// and scratch, drawing from the job's generator.
+			// One evolution and cumulative sum on the slot's state and
+			// scratch; each job samples them with its own generator, and
+			// a twin's counts go straight to its result.
 			st.Reset()
-			unitCounts[u], bw.cum, unitErrs[u] = sampleExact(job.Circ, job.Shots, gen(ut.job), fuse, fuse2q, st, bw.cum)
+			dist, err := evolveDist(job.Circ, fuse, fuse2q, st, bw.cum)
+			bw.cum = dist.cum
+			if err != nil {
+				unitErrs[u] = err
+				return
+			}
+			unitCounts[u] = dist.sample(job.Shots, bw.rng(r, job.Seed))
+			for _, j := range ut.twins {
+				results[j].Counts = dist.sample(jobs[j].Shots, bw.rng(r, jobs[j].Seed))
+			}
 			return
 		}
-		if bw.sr == nil {
-			// Reseeded per shot; lfSource replays the rand.NewSource
-			// streams with a ~4x cheaper reseed (see rngsource.go).
-			bw.sr = rand.New(newLFSource())
-		}
+		sr := bw.source()
 		nclbits := job.Circ.NClbits
 		if cap(bw.clbits) < nclbits {
 			bw.clbits = make([]int, nclbits)
@@ -203,12 +259,12 @@ func runJobs(jobs []BatchJob, gen func(j int) *rand.Rand, p Parallelism, fuse, f
 		prog := progs[ut.job].prog
 		base := progs[ut.job].base
 		for s := ut.lo; s < ut.hi; s++ {
-			bw.sr.Seed(shotSeed(base, s))
+			sr.Seed(shotSeed(base, s))
 			st.Reset()
 			for i := range clbits {
 				clbits[i] = 0
 			}
-			prog.exec(st, clbits, bw.sr)
+			prog.exec(st, clbits, sr)
 			if dense != nil {
 				idx := 0
 				for i, b := range clbits {
@@ -227,9 +283,16 @@ func runJobs(jobs []BatchJob, gen func(j int) *rand.Rand, p Parallelism, fuse, f
 		unitCounts[u] = local
 	})
 	for u := range units {
-		j := units[u].job
-		if unitErrs[u] != nil && results[j].Err == nil {
-			results[j].Err = unitErrs[u]
+		err := unitErrs[u]
+		if err == nil {
+			continue
+		}
+		if j := units[u].job; results[j].Err == nil {
+			results[j].Err = err
+		}
+		// An evolution's error is every twin's too.
+		for _, j := range units[u].twins {
+			results[j].Err = err
 		}
 	}
 	for u := range units {
@@ -249,4 +312,52 @@ func runJobs(jobs []BatchJob, gen func(j int) *rand.Rand, p Parallelism, fuse, f
 		}
 	}
 	return results
+}
+
+// fingerprint hashes what sameCircuit compares (FNV-1a over 64-bit
+// words): equal circuits hash alike.
+func fingerprint(c *circuit.Circuit) uint64 {
+	h := uint64(14695981039346656037)
+	mix := func(v uint64) { h = (h ^ v) * 1099511628211 }
+	mix(uint64(c.NQubits))
+	mix(uint64(c.NClbits))
+	mix(uint64(len(c.Gates)))
+	for i := range c.Gates {
+		g := &c.Gates[i]
+		mix(uint64(g.Op))
+		mix(uint64(g.Clbit))
+		mix(uint64(len(g.Qubits)))
+		for _, q := range g.Qubits {
+			mix(uint64(q))
+		}
+		mix(uint64(len(g.Params)))
+		for _, v := range g.Params {
+			mix(math.Float64bits(v))
+		}
+	}
+	return h
+}
+
+// sameCircuit reports whether a and b run as the same exact evolution
+// and sampling: the same pointer, or the same register sizes and the
+// same gates — op, qubits, clbit and the bits of every parameter.
+func sameCircuit(a, b *circuit.Circuit) bool {
+	if a == b {
+		return true
+	}
+	if a.NQubits != b.NQubits || a.NClbits != b.NClbits || len(a.Gates) != len(b.Gates) {
+		return false
+	}
+	for i := range a.Gates {
+		g, h := &a.Gates[i], &b.Gates[i]
+		if g.Op != h.Op || g.Clbit != h.Clbit || !slices.Equal(g.Qubits, h.Qubits) || len(g.Params) != len(h.Params) {
+			return false
+		}
+		for k, v := range g.Params {
+			if math.Float64bits(v) != math.Float64bits(h.Params[k]) {
+				return false
+			}
+		}
+	}
+	return true
 }

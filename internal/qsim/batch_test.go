@@ -1,6 +1,7 @@
 package qsim
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -93,11 +94,10 @@ func TestBatchRunExactJobsReuseState(t *testing.T) {
 // with compileProgram's fusion passes on or off.
 func TestBatchRunFusionToggles(t *testing.T) {
 	jobs := batchCases()
-	seeded := func(j int) *rand.Rand { return rand.New(rand.NewSource(jobs[j].Seed)) }
 	base := BatchRun(jobs, Parallelism{Workers: 2})
 	for _, w := range []int{2, runtime.NumCPU()} {
 		for _, mode := range fusionModes {
-			got := runJobs(jobs, seeded, Parallelism{Workers: w}, mode.fuse, mode.fuse2q)
+			got := runJobs(jobs, nil, Parallelism{Workers: w}, mode.fuse, mode.fuse2q)
 			for j := range jobs {
 				if got[j].Err != nil {
 					t.Fatalf("job %d (%s, workers=%d): %v", j, mode.name, w, got[j].Err)
@@ -127,11 +127,12 @@ func TestExactPrefixRestoresSlotWidth(t *testing.T) {
 			t.Fatal(err)
 		}
 		st.Reset()
-		var got Counts
-		got, bw.cum, err = sampleExact(c, 300, rand.New(rand.NewSource(int64(k))), true, true, st, bw.cum)
+		dist, err := evolveDist(c, true, true, st, bw.cum)
 		if err != nil {
 			t.Fatal(err)
 		}
+		bw.cum = dist.cum
+		got := dist.sample(300, rand.New(rand.NewSource(int64(k))))
 		n := c.NQubits
 		if st.n != n || len(st.re) != 1<<n || len(st.im) != 1<<n || cap(st.re) != 1<<14 {
 			t.Fatalf("unit %d (%d qubits): slot state left at n=%d len=%d/%d cap=%d",
@@ -144,6 +145,89 @@ func TestExactPrefixRestoresSlotWidth(t *testing.T) {
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("unit %d (%d qubits): reused slot samples\n%v\nwant\n%v", k, n, got, want)
 		}
+	}
+}
+
+// TestBatchRunSharedCircuits pins exact-unit dedup: jobs whose circuits
+// are the same pointer or structurally equal share one evolution, yet
+// every job's result is its own one-job BatchRun's — with its own shots
+// and seed — at 1 and 4 workers. A near-twin one parameter bit apart
+// does not merge, a noisy copy stays a trajectory job, an evolution
+// error reaches every copy, and a zero-shot copy fails alone.
+func TestBatchRunSharedCircuits(t *testing.T) {
+	qft := gens.QFT(12)
+	ansatz := func() *circuit.Circuit { return gens.HardwareEfficientAnsatz(rand.New(rand.NewSource(5)), 11, 2) }
+	near := ansatz().Clone()
+	for i := range near.Gates {
+		if g := &near.Gates[i]; len(g.Params) > 0 {
+			g.Params[0] = math.Float64frombits(math.Float64bits(g.Params[0]) ^ 1)
+			break
+		}
+	}
+	bad := circuit.New("bad", 3)
+	bad.Gates = append(bad.Gates, circuit.Gate{Op: circuit.Op(250), Qubits: []int{0}, Clbit: -1})
+	bad.MeasureAll()
+
+	if !sameCircuit(qft, gens.QFT(12)) || fingerprint(qft) != fingerprint(gens.QFT(12)) {
+		t.Fatal("two builds of one QFT do not compare equal")
+	}
+	if sameCircuit(ansatz(), near) {
+		t.Fatal("a circuit one parameter bit apart compares equal")
+	}
+
+	jobs := []BatchJob{
+		{Circ: qft, Shots: 300, Seed: 1},
+		{Circ: qft, Shots: 200, Seed: 2},          // pointer-shared
+		{Circ: gens.QFT(12), Shots: 128, Seed: 3}, // structurally equal
+		{Circ: ansatz(), Shots: 250, Seed: 4},
+		{Circ: near, Shots: 250, Seed: 4}, // near-twin: its own unit
+		{Circ: ansatz(), Shots: 90, Seed: 5},
+		{Circ: qft, Shots: 150, Noise: UniformNoise(0.001, 0.01, 0.01), Seed: 6}, // noisy: trajectories
+		{Circ: bad, Shots: 10, Seed: 7},
+		{Circ: bad, Shots: 20, Seed: 8},  // failing duplicate
+		{Circ: qft, Shots: 0, Seed: 9},   // zero-shot copy
+		{Circ: qft, Shots: 300, Seed: 1}, // the first job again
+	}
+	want := make([]BatchResult, len(jobs))
+	for j := range jobs {
+		want[j] = BatchRun(jobs[j:j+1], Parallelism{Workers: 1})[0]
+	}
+	for _, w := range []int{1, 4} {
+		got := BatchRun(jobs, Parallelism{Workers: w})
+		for j := range jobs {
+			if (got[j].Err == nil) != (want[j].Err == nil) {
+				t.Fatalf("workers=%d job %d: error %v, alone %v", w, j, got[j].Err, want[j].Err)
+			}
+			if !reflect.DeepEqual(got[j].Counts, want[j].Counts) {
+				t.Fatalf("workers=%d job %d: counts\n%v\nalone\n%v", w, j, got[j].Counts, want[j].Counts)
+			}
+		}
+		for _, j := range []int{7, 8, 9} {
+			if got[j].Err == nil {
+				t.Fatalf("workers=%d job %d: no error", w, j)
+			}
+		}
+	}
+}
+
+// TestExactBatchAllocs pins what a batch of exact 2-qubit one-shot jobs
+// (the shape of a minimal exec plan) allocates per job: no generator of
+// its own — a stdlib source is two allocations and 4.9 KB a job — only
+// the compiled program, measurements, distribution and counts. Twelve
+// and a share of the batch's own; with a stdlib source per job it was
+// fourteen.
+func TestExactBatchAllocs(t *testing.T) {
+	const n = 16
+	jobs := make([]BatchJob, n)
+	for j := range jobs {
+		c := circuit.New("min", 2)
+		c.RY(0, 0.1*float64(j+1)).CX(0, 1).MeasureAll()
+		jobs[j] = BatchJob{Circ: c, Shots: 1, Seed: int64(j)}
+	}
+	const maxPerJob = 13
+	got := testing.AllocsPerRun(20, func() { BatchRun(jobs, Parallelism{Workers: 1}) })
+	if perJob := got / n; perJob > maxPerJob {
+		t.Fatalf("exact 2-qubit batch allocates %.1f times a job, want at most %d", perJob, maxPerJob)
 	}
 }
 

@@ -517,32 +517,66 @@ func (s *State) applyDiagRange(op *fusedOp, lo, hi int) {
 	}
 }
 
-// applyDiag sweeps a fused diagonal run over the state.
-func (s *State) applyDiag(op *fusedOp) {
-	if s.serialKernel() {
-		s.applyDiagRange(op, 0, len(s.re))
-		return
-	}
-	s.shard(func(lo, hi int) { s.applyDiagRange(op, lo, hi) })
+// rangeKernel is a kernel that can run over part of the state: its
+// applyRange updates the amplitudes whose pair, quad or octet base (for
+// a diagonal kernel, whose index) lies in [lo, hi), and writes no other
+// range's, so the ranges of any split may run in any order or at once.
+type rangeKernel interface {
+	applyRange(st *State, lo, hi int)
 }
 
-// applySrc dispatches one lowered source gate onto the state.
+// sweep applies k to the whole state: in place for a serial state, else
+// split across the kernel shards.
+func (s *State) sweep(k rangeKernel) {
+	if s.serialKernel() {
+		k.applyRange(s, 0, len(s.re))
+		return
+	}
+	s.shard(func(lo, hi int) { k.applyRange(s, lo, hi) })
+}
+
+// applyRange applies one lowered source gate over [lo, hi).
 //
 //qcloud:noalloc
-func applySrc(st *State, g *srcGate) {
+func (g *srcGate) applyRange(st *State, lo, hi int) {
 	switch g.op {
 	case circuit.OpCX:
-		st.ApplyCX(g.q0, g.q1)
+		st.applyCXRange(g.q0, g.q1, lo, hi)
 	case circuit.OpCZ:
-		st.ApplyCZ(g.q0, g.q1)
+		st.applyCZRange(g.q0, g.q1, lo, hi)
 	case circuit.OpCPhase:
-		st.ApplyCPhase(g.q0, g.q1, g.theta)
+		// A zero angle is the identity: no sweep.
+		if g.theta != 0 {
+			st.applyCPhaseRange(g.q0, g.q1, cmplx.Exp(complex(0, g.theta)), lo, hi)
+		}
 	case circuit.OpSWAP:
-		st.ApplySWAP(g.q0, g.q1)
+		st.applySWAPRange(g.q0, g.q1, lo, hi)
 	case circuit.OpCCX:
-		st.ApplyCCX(g.q0, g.q1, g.q2)
+		st.applyCCXRange(g.q0, g.q1, g.q2, lo, hi)
 	default:
-		st.Apply1Q(g.mat, g.q0)
+		st.apply1QMatRange(g.mat, g.q0, lo, hi)
+	}
+}
+
+// applyRange applies the op's fused kernel over [lo, hi): the one
+// dispatch from op kind to kernel, which applyFast runs over the whole
+// state (or per shard) and evolveExact tile by tile. Measurements and
+// resets are no kernel; their executors handle them.
+//
+//qcloud:noalloc
+func (op *fusedOp) applyRange(st *State, lo, hi int) {
+	if op.identity {
+		return
+	}
+	switch op.kind {
+	case opSrc:
+		op.src[0].applyRange(st, lo, hi)
+	case opMat2:
+		st.apply1QMatRange(op.mat, op.q0, lo, hi)
+	case opMat4:
+		st.apply2QMatRange(&op.mat4, op.q0, op.q1, lo, hi)
+	case opDiag:
+		st.applyDiagRange(op, lo, hi)
 	}
 }
 
@@ -550,22 +584,7 @@ func applySrc(st *State, g *srcGate) {
 //
 //qcloud:noalloc
 func (op *fusedOp) applyFast(st *State) {
-	switch op.kind {
-	case opSrc:
-		applySrc(st, &op.src[0])
-	case opMat2:
-		if !op.identity {
-			st.Apply1Q(op.mat, op.q0)
-		}
-	case opMat4:
-		if !op.identity {
-			st.apply2Q(&op.mat4, op.q0, op.q1)
-		}
-	case opDiag:
-		if !op.identity {
-			st.applyDiag(op)
-		}
-	}
+	st.sweep(op)
 }
 
 // applySlow replays the op's original gates one by one because the
@@ -579,7 +598,7 @@ func (op *fusedOp) applyFast(st *State) {
 func (op *fusedOp) applySlow(st *State, sr *rand.Rand, fired int) {
 	for k := range op.src {
 		g := &op.src[k]
-		applySrc(st, g)
+		st.sweep(g)
 		if k < fired {
 			continue
 		}

@@ -60,7 +60,7 @@ var fusionModes = []struct {
 // generator seeded from seed.
 func runFusion(c *circuit.Circuit, shots int, noise *NoiseModel, seed int64, p Parallelism, fuse, fuse2q bool) (Counts, error) {
 	r := rand.New(rand.NewSource(seed))
-	res := runJobs([]BatchJob{{Circ: c, Shots: shots, Noise: noise}}, func(int) *rand.Rand { return r }, p, fuse, fuse2q)
+	res := runJobs([]BatchJob{{Circ: c, Shots: shots, Noise: noise}}, r, p, fuse, fuse2q)
 	return res[0].Counts, res[0].Err
 }
 

@@ -15,12 +15,14 @@
 // loops (on amd64 with AVX2 the 2x2, complex 4x4 and CX/SWAP exchange
 // sweeps hand their four-lane groups to assembly that is bit-identical
 // to those loops; see kernels_amd64.go), exact evolutions run each op
-// on the populated prefix of the register (see evolveExact in run.go),
+// on the populated prefix of the register and runs of low-qubit and
+// diagonal ops tile by tile (see evolveExact in run.go),
 // gate kernels shard the amplitude array across
 // a goroutine pool once the state is large enough to amortize the
 // fan-out, and noisy shots run on a worker pool with deterministic
 // per-shot RNG streams (see rngsource.go) over pooled state buffers.
-// Many small jobs share one pool through BatchRun (see batch.go).
+// Many small jobs share one pool through BatchRun, which evolves each
+// distinct exact circuit of a batch once (see batch.go).
 // Results are bit-identical for a fixed seed regardless of worker count
 // (see Parallelism in run.go).
 package qsim
@@ -361,21 +363,25 @@ func isRealMat(m circuit.Mat2) bool {
 	return imag(m[0]) == 0 && imag(m[1]) == 0 && imag(m[2]) == 0 && imag(m[3]) == 0
 }
 
+// apply1QMatRange is apply1QRealRange for a real m and apply1QRange
+// otherwise.
+//
+//qcloud:noalloc
+func (s *State) apply1QMatRange(m circuit.Mat2, q, lo, hi int) {
+	if isRealMat(m) {
+		s.apply1QRealRange(m, q, lo, hi)
+		return
+	}
+	s.apply1QRange(m, q, lo, hi)
+}
+
 // Apply1Q applies a 2x2 unitary to qubit q.
 func (s *State) Apply1Q(m circuit.Mat2, q int) {
-	if isRealMat(m) {
-		if s.serialKernel() {
-			s.apply1QRealRange(m, q, 0, len(s.re))
-			return
-		}
-		s.shard(func(lo, hi int) { s.apply1QRealRange(m, q, lo, hi) })
-		return
-	}
 	if s.serialKernel() {
-		s.apply1QRange(m, q, 0, len(s.re))
+		s.apply1QMatRange(m, q, 0, len(s.re))
 		return
 	}
-	s.shard(func(lo, hi int) { s.apply1QRange(m, q, lo, hi) })
+	s.shard(func(lo, hi int) { s.apply1QMatRange(m, q, lo, hi) })
 }
 
 // apply2QRange applies a 4x4 unitary to the pair (q0, q1) over the
@@ -525,30 +531,26 @@ func isRealMat4(m *circuit.Mat4) bool {
 // q0 is the matrix's low basis bit b0 and q1 the high bit b1 (see
 // circuit.Mat4). The two qubits must be distinct.
 func (s *State) Apply2Q(m circuit.Mat4, q0, q1 int) {
-	s.apply2Q(&m, q0, q1)
-}
-
-// apply2Q is the pointer-taking kernel entry the fused executor uses:
-// a Mat4 is too large for by-value closure capture, so taking it by
-// pointer (into the heap-resident compiled program) keeps the
-// steady-state shot loop allocation-free.
-func (s *State) apply2Q(m *circuit.Mat4, q0, q1 int) {
 	if q0 == q1 {
 		panic("qsim: Apply2Q requires distinct qubits")
 	}
-	if isRealMat4(m) {
-		if s.serialKernel() {
-			s.apply2QRealRange(m, q0, q1, 0, len(s.re))
-			return
-		}
-		s.shard(func(lo, hi int) { s.apply2QRealRange(m, q0, q1, lo, hi) })
-		return
-	}
 	if s.serialKernel() {
-		s.apply2QRange(m, q0, q1, 0, len(s.re))
+		s.apply2QMatRange(&m, q0, q1, 0, len(s.re))
 		return
 	}
-	s.shard(func(lo, hi int) { s.apply2QRange(m, q0, q1, lo, hi) })
+	s.shard(func(lo, hi int) { s.apply2QMatRange(&m, q0, q1, lo, hi) })
+}
+
+// apply2QMatRange is apply2QRealRange for a real m and apply2QRange
+// otherwise.
+//
+//qcloud:noalloc
+func (s *State) apply2QMatRange(m *circuit.Mat4, q0, q1, lo, hi int) {
+	if isRealMat4(m) {
+		s.apply2QRealRange(m, q0, q1, lo, hi)
+		return
+	}
+	s.apply2QRange(m, q0, q1, lo, hi)
 }
 
 // applyCXRange exchanges the target pair of every index whose control

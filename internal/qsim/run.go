@@ -135,7 +135,7 @@ func Run(c *circuit.Circuit, shots int, noise *NoiseModel, r *rand.Rand) (Counts
 // shot by shot on pooled per-worker state buffers. Counts are
 // bit-identical across worker counts for the same caller seed.
 func RunOpts(c *circuit.Circuit, shots int, noise *NoiseModel, r *rand.Rand, p Parallelism) (Counts, error) {
-	res := runJobs([]BatchJob{{Circ: c, Shots: shots, Noise: noise}}, func(int) *rand.Rand { return r }, p, true, true)
+	res := runJobs([]BatchJob{{Circ: c, Shots: shots, Noise: noise}}, r, p, true, true)
 	return res[0].Counts, res[0].Err
 }
 
@@ -163,21 +163,27 @@ func isTerminalMeasureOnly(c *circuit.Circuit) bool {
 	return true
 }
 
-// sampleExact evolves st (which must be |0...0> over c.NQubits) through
-// the op stream compiled with the given fusion passes (with parallel
-// gate kernels) and samples the terminal measurement distribution
-// multinomially from the caller's generator, exactly as the serial
-// engine did. cum is scratch for the cumulative distribution, returned
-// (grown if it was too small) for the next call; the sums are taken in
-// index order whatever its origin, so the samples do not depend on it.
-func sampleExact(c *circuit.Circuit, shots int, r *rand.Rand, fuse, fuse2q bool, st *State, cum []float64) (Counts, []float64, error) {
+// exactDist is an exact evolution's terminal distribution: the
+// cumulative probability over amplitude indices, and the measurements
+// that read a sampled index's clbits.
+type exactDist struct {
+	cum      []float64
+	measures []exactMeasure
+	nclbits  int
+}
+
+// evolveDist evolves st (which must be |0...0> over c.NQubits) through
+// the op stream compiled with the given fusion passes and sums its
+// cumulative distribution into cum, grown if it is too small; the
+// returned dist holds it for the caller's next call. The sums are taken
+// in index order whatever cum held, so the samples do not depend on it.
+func evolveDist(c *circuit.Circuit, fuse, fuse2q bool, st *State, cum []float64) (exactDist, error) {
 	fuse = fuse && c.NQubits >= exactFuseMinQubits
 	prog, err := compileProgram(c, nil, fuse, fuse && fuse2q)
 	if err != nil {
-		return nil, cum, err
+		return exactDist{cum: cum}, err
 	}
 	measures := evolveExact(prog, st)
-	// Cumulative distribution for sampling.
 	re, im := st.re, st.im
 	if cap(cum) < len(re) {
 		cum = make([]float64, len(re))
@@ -188,8 +194,16 @@ func sampleExact(c *circuit.Circuit, shots int, r *rand.Rand, fuse, fuse2q bool,
 		total += re[i]*re[i] + im[i]*im[i]
 		cum[i] = total
 	}
+	return exactDist{cum, measures, c.NClbits}, nil
+}
+
+// sample draws shots terminal outcomes multinomially from r, exactly as
+// the serial engine did.
+func (d *exactDist) sample(shots int, r *rand.Rand) Counts {
+	cum := d.cum
+	total := cum[len(cum)-1]
 	counts := make(Counts)
-	clbits := make([]int, c.NClbits)
+	clbits := make([]int, d.nclbits)
 	for s := 0; s < shots; s++ {
 		x := r.Float64() * total
 		// Binary search the cumulative distribution.
@@ -205,16 +219,23 @@ func sampleExact(c *circuit.Circuit, shots int, r *rand.Rand, fuse, fuse2q bool,
 		for i := range clbits {
 			clbits[i] = 0
 		}
-		for _, m := range measures {
+		for _, m := range d.measures {
 			clbits[m.clbit] = (lo >> uint(m.q)) & 1
 		}
 		counts[bitstring(clbits)]++
 	}
-	return counts, cum, nil
+	return counts
 }
 
 // exactMeasure is one terminal measurement of an exact evolution.
 type exactMeasure struct{ q, clbit int }
+
+// tileQubits sets the tile of tiled evolution: 2^16 amplitudes, whose
+// re and im arrays (1 MiB) stay in half of a 2 MiB L2 while a run of ops
+// passes over them. A smaller state already stays there and is not
+// tiled. Of 13 to 17, 16 timed best on execute's units (DESIGN.md,
+// "Tiled evolution"). Only tests change it.
+var tileQubits = 16
 
 // evolveExact applies prog's unitary ops to st, which must be |0...0>,
 // and returns its terminal measurements in program order. Each op runs
@@ -231,14 +252,20 @@ type exactMeasure struct{ q, clbit int }
 // on ±0 gives results that differ at most in the sign of a zero; ==,
 // re²+im² and every count treat the two alike; and no kernel divides.
 //
+// Once w exceeds tileQubits, a maximal run of consecutive ops that tile
+// at w (see tiles) is applied tile by tile (see applyTiled), streaming
+// the state through the cache once per run instead of once per op.
+//
 // Exact path only: trajectories measure through reduce, whose chunk
 // boundaries depend on the state's length, so a prefix would regroup
-// the ProbOne sums and could move a sampled outcome.
+// the ProbOne sums and could move a sampled outcome; and their noise
+// draws fall between ops, where a tile has no place to take them.
 func evolveExact(prog *program, st *State) []exactMeasure {
 	var measures []exactMeasure
+	ops := prog.ops
 	n, w := st.n, 0
-	for oi := range prog.ops {
-		op := &prog.ops[oi]
+	for oi := 0; oi < len(ops); oi++ {
+		op := &ops[oi]
 		if op.kind == opMeasure {
 			measures = append(measures, exactMeasure{op.q0, op.clbit})
 			continue
@@ -249,10 +276,70 @@ func evolveExact(prog *program, st *State) []exactMeasure {
 		}
 		w = grown
 		st.view(max(w, 1))
-		op.applyFast(st)
+		if w <= tileQubits || !op.tiles(w) {
+			op.applyFast(st)
+			continue
+		}
+		end := oi + 1
+		for end < len(ops) && ops[end].tiles(w) {
+			end++
+		}
+		st.applyTiled(ops[oi:end])
+		oi = end - 1
 	}
 	st.view(n)
 	return measures
+}
+
+// tiles reports whether op can join a run applied tile by tile at
+// populated width w: it runs without widening w, and it is diagonal
+// (each amplitude is updated alone) or every qubit it touches is below
+// tileQubits, so each pair, quad or octet it updates lies inside one
+// 2^tileQubits-aligned tile.
+func (op *fusedOp) tiles(w int) bool {
+	if op.kind == opMeasure || op.kind == opReset {
+		return false
+	}
+	if grown, run := op.populates(w); !run || grown > w {
+		return false
+	}
+	switch op.kind {
+	case opDiag:
+		return true
+	case opSrc:
+		g := &op.src[0]
+		if g.op == circuit.OpCZ || g.op == circuit.OpCPhase {
+			return true
+		}
+		return max(g.q0, g.q1, g.q2) < tileQubits
+	}
+	return max(op.q0, op.q1) < tileQubits
+}
+
+// applyTiled applies ops, in order, to one 2^tileQubits-amplitude tile
+// after another; a sharded state hands each shard whole tiles. Every
+// op's pairs, quads and octets lie inside a tile (tiles), so each
+// amplitude meets the same ops in the same order, with the same
+// operands, as op-by-op sweeps give it: the result is ==.
+func (s *State) applyTiled(ops []fusedOp) {
+	n := len(s.re) >> tileQubits
+	if s.serialKernel() {
+		applyTiles(s, ops, 0, n)
+		return
+	}
+	par.Shard(n, par.Resolve(s.workers), func(lo, hi int) { applyTiles(s, ops, lo, hi) })
+}
+
+// applyTiles applies ops to tiles [lo, hi), each tile whole.
+//
+//qcloud:noalloc
+func applyTiles(s *State, ops []fusedOp, lo, hi int) {
+	size := 1 << tileQubits
+	for t := lo * size; t < hi*size; t += size {
+		for k := range ops {
+			ops[k].applyRange(s, t, t+size)
+		}
+	}
 }
 
 // populates returns the populated width after op, given that every
