@@ -158,15 +158,16 @@ func fig2b(tr *trace.Trace) {
 
 func fig3(tr *trace.Trace) {
 	header("3", "sorted per-circuit queuing times (paper: ~20% <1min, median ~60min, ~10% >=1day)")
-	s := analysis.QueueShapeOf(tr)
+	qs := analysis.SortedCircuitQueuingTimes(tr)
+	s := analysis.QueueShapeOfSorted(qs)
 	fmt.Printf("  circuits:       %d\n", s.TotalCircuits)
 	fmt.Printf("  median:         %.1f min\n", s.MedianMinutes)
 	fmt.Printf("  frac < 1 min:   %.1f%%\n", s.FracUnderMin*100)
 	fmt.Printf("  frac > 2 h:     %.1f%%\n", s.FracOver2h*100)
 	fmt.Printf("  frac >= 1 day:  %.1f%%\n", s.FracOverDay*100)
-	qs := analysis.SortedCircuitQueuingTimes(tr)
-	for _, q := range []float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.99} {
-		fmt.Printf("  p%-4.0f           %.2f min\n", q*100, stats.Quantile(qs, q))
+	ps := []float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.99}
+	for i, v := range stats.QuantilesSorted(qs, ps...) {
+		fmt.Printf("  p%-4.0f           %.2f min\n", ps[i]*100, v)
 	}
 }
 

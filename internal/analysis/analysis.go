@@ -7,6 +7,8 @@
 package analysis
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"time"
 
@@ -83,16 +85,30 @@ func StatusBreakdown(tr *trace.Trace) map[trace.Status]float64 {
 // SortedCircuitQueuingTimes expands each executed job's queuing time to
 // its constituent circuits (every circuit in a batch waits once, as a
 // whole) and returns the per-circuit queuing times in minutes, sorted
-// ascending — the Fig 3 series.
+// ascending — the Fig 3 series. It sorts the per-job values and then
+// expands them: a job's circuits share one value and equal values are
+// interchangeable, so the array is the one sorting the expansion would
+// give, for a sort over jobs instead of circuits.
 func SortedCircuitQueuingTimes(tr *trace.Trace) []float64 {
-	var out []float64
+	type jobQueue struct {
+		minutes  float64
+		circuits int
+	}
+	var jobs []jobQueue
+	total := 0
 	for _, j := range tr.Completed() {
-		q := j.QueueSeconds() / 60
-		for c := 0; c < j.BatchSize; c++ {
-			out = append(out, q)
+		if j.BatchSize > 0 {
+			jobs = append(jobs, jobQueue{j.QueueSeconds() / 60, j.BatchSize})
+			total += j.BatchSize
 		}
 	}
-	sort.Float64s(out)
+	slices.SortFunc(jobs, func(a, b jobQueue) int { return cmp.Compare(a.minutes, b.minutes) })
+	out := make([]float64, 0, total)
+	for _, jq := range jobs {
+		for c := 0; c < jq.circuits; c++ {
+			out = append(out, jq.minutes)
+		}
+	}
 	return out
 }
 
@@ -107,9 +123,15 @@ type QueueShape struct {
 
 // QueueShapeOf computes the headline queuing-shape numbers.
 func QueueShapeOf(tr *trace.Trace) QueueShape {
-	q := SortedCircuitQueuingTimes(tr)
+	return QueueShapeOfSorted(SortedCircuitQueuingTimes(tr))
+}
+
+// QueueShapeOfSorted computes the headline numbers from the series
+// SortedCircuitQueuingTimes returns, for callers that also need the
+// series itself.
+func QueueShapeOfSorted(q []float64) QueueShape {
 	return QueueShape{
-		MedianMinutes: stats.Median(q),
+		MedianMinutes: stats.QuantilesSorted(q, 0.5)[0],
 		FracUnderMin:  stats.FractionBelow(q, 1),
 		FracOver2h:    stats.FractionAtLeast(q, 120),
 		FracOverDay:   stats.FractionAtLeast(q, 24*60),

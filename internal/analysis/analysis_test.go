@@ -1,6 +1,9 @@
 package analysis
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -94,6 +97,57 @@ func TestFig03QueueShape(t *testing.T) {
 	for i := 1; i < len(qs); i += 10_000 {
 		if qs[i] < qs[i-1] {
 			t.Fatal("queuing series must be sorted")
+		}
+	}
+}
+
+// naiveCircuitQueuingTimes is the Fig 3 series by definition: every
+// circuit's queuing time, expanded first and then sorted.
+func naiveCircuitQueuingTimes(tr *trace.Trace) []float64 {
+	var out []float64
+	for _, j := range tr.Completed() {
+		q := j.QueueSeconds() / 60
+		for c := 0; c < j.BatchSize; c++ {
+			out = append(out, q)
+		}
+	}
+	sort.Float64s(out)
+	return out
+}
+
+// TestSortedCircuitQueuingTimesMatchesExpansion pins sort-then-expand
+// against expand-then-sort: on a generated trace whose queue times tie
+// often (a handful of distinct waits, zero waits, cancelled and
+// zero-batch jobs) and on the simulated fixture.
+func TestSortedCircuitQueuingTimesMatchesExpansion(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	base := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
+	gen := &trace.Trace{}
+	for i := 0; i < 2000; i++ {
+		submit := base.Add(time.Duration(r.Intn(1000)) * time.Minute)
+		wait := time.Duration(r.Intn(6)) * 17 * time.Second
+		if r.Intn(10) == 0 {
+			wait = time.Duration(r.Int63n(int64(48 * time.Hour)))
+		}
+		status := trace.StatusDone
+		if r.Intn(8) == 0 {
+			status = trace.StatusCancelled
+		}
+		gen.Jobs = append(gen.Jobs, &trace.Job{
+			ID: int64(i), BatchSize: r.Intn(40), Status: status,
+			SubmitTime: submit, StartTime: submit.Add(wait), EndTime: submit.Add(wait + time.Minute),
+		})
+	}
+	for name, tr := range map[string]*trace.Trace{"generated": gen, "fixture": studyTrace(t)} {
+		got, want := SortedCircuitQueuingTimes(tr), naiveCircuitQueuingTimes(tr)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: sorted-then-expanded series (%d) differs from the naive expansion (%d)", name, len(got), len(want))
+		}
+		if QueueShapeOfSorted(got) != QueueShapeOf(tr) {
+			t.Fatalf("%s: QueueShapeOfSorted disagrees with QueueShapeOf", name)
+		}
+		if m := stats.Median(want); QueueShapeOf(tr).MedianMinutes != m {
+			t.Fatalf("%s: median %v, want %v", name, QueueShapeOf(tr).MedianMinutes, m)
 		}
 	}
 }

@@ -41,22 +41,22 @@ func DefaultBackground() *BackgroundModel {
 		PrivateUtil:  0.50,
 		RampFraction: 0.5,
 		RampFloor:    0.35,
-		BatchDist: stats.Mixture{
-			Weights: []float64{0.55, 0.28, 0.17},
-			Components: []stats.Sampler{
-				stats.Clamped{S: stats.LogNormal{Mu: 0.8, Sigma: 0.9}, Lo: 1, Hi: 40},
-				stats.Clamped{S: stats.LogNormal{Mu: 3.6, Sigma: 0.7}, Lo: 10, Hi: 300},
-				stats.Clamped{S: stats.LogNormal{Mu: 5.8, Sigma: 0.5}, Lo: 100, Hi: 900},
+		BatchDist: stats.NewMixture(
+			[]float64{0.55, 0.28, 0.17},
+			[]stats.Sampler{
+				&stats.Clamped{S: &stats.LogNormal{Mu: 0.8, Sigma: 0.9}, Lo: 1, Hi: 40},
+				&stats.Clamped{S: &stats.LogNormal{Mu: 3.6, Sigma: 0.7}, Lo: 10, Hi: 300},
+				&stats.Clamped{S: &stats.LogNormal{Mu: 5.8, Sigma: 0.5}, Lo: 100, Hi: 900},
 			},
-		},
-		ShotsDist: stats.Mixture{
-			Weights: []float64{0.35, 0.40, 0.25},
-			Components: []stats.Sampler{
-				stats.Uniform{Lo: 1000, Hi: 1048},
-				stats.Uniform{Lo: 4072, Hi: 4120},
-				stats.Uniform{Lo: 8168, Hi: 8216},
+		),
+		ShotsDist: stats.NewMixture(
+			[]float64{0.35, 0.40, 0.25},
+			[]stats.Sampler{
+				&stats.Uniform{Lo: 1000, Hi: 1048},
+				&stats.Uniform{Lo: 4072, Hi: 4120},
+				&stats.Uniform{Lo: 8168, Hi: 8216},
 			},
-		},
+		),
 		MeanPatienceSec: 3 * 24 * 3600,
 	}
 }
@@ -119,8 +119,12 @@ type backgroundStream struct {
 	// lifetime and rampFrac the model's RampFraction, both clamped away
 	// from zero once: they are rateAt's denominators.
 	rampStartSec, rampSpan, rampFrac float64
-	meanExec                         float64
-	peakRate                         float64 // arrivals/sec at demand multiplier 1, diurnal 1
+	// rampDone records that the ramp saturated; rampSat is the value it
+	// saturated at (see ramp).
+	rampDone bool
+	rampSat  float64
+	meanExec float64
+	peakRate float64 // arrivals/sec at demand multiplier 1, diurnal 1
 	// surges are episodes of elevated demand (conference deadlines,
 	// course assignments): [start, end, factor] triples. They produce
 	// the day-plus queuing tail of Fig 3.
@@ -213,9 +217,37 @@ func (bs *backgroundStream) surgeFactor(t float64) float64 {
 //
 //qcloud:noalloc
 func (bs *backgroundStream) rateAt(t float64) float64 {
-	frac := (t - bs.rampStartSec) / bs.rampSpan
-	ramp := bs.model.RampFloor + (1-bs.model.RampFloor)*math.Min(1, math.Max(frac, 0)/bs.rampFrac)
-	return bs.peakRate * ramp * bs.diurnal(t) * bs.surgeFactor(t)
+	return bs.peakRate * bs.ramp(t) * bs.diurnal(t) * bs.surgeFactor(t)
+}
+
+// ramp is the demand multiplier RampFloor + (1-RampFloor)·min(1,
+// max(frac, 0)/rampFrac) at sim-second t. Plain compares replace
+// math.Min/Max: exact for these finite, non-NaN operands, and x <= 0
+// maps -0 to +0 as math.Max does. Queries only move forward and
+// correctly rounded subtraction and division are monotone, so once the
+// clamp saturates it stays saturated: the value the expression
+// produced then is cached and returned for every later query.
+//
+//qcloud:noalloc
+func (bs *backgroundStream) ramp(t float64) float64 {
+	if bs.rampDone {
+		return bs.rampSat
+	}
+	x := (t - bs.rampStartSec) / bs.rampSpan
+	if x <= 0 {
+		x = 0
+	}
+	x /= bs.rampFrac
+	saturated := x >= 1
+	if saturated {
+		x = 1
+	}
+	floor := bs.model.RampFloor
+	r := floor + (1-floor)*x
+	if saturated {
+		bs.rampDone, bs.rampSat = true, r
+	}
+	return r
 }
 
 // advance samples the next arrival time by thinning against the peak

@@ -2,6 +2,8 @@ package cloud
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -143,5 +145,161 @@ func TestBackgroundSteadyStateAllocs(t *testing.T) {
 	t.Logf("%.0f allocations over %d background jobs = %.5f per job", allocs, measured, perJob)
 	if perJob >= 0.05 {
 		t.Fatalf("%.5f allocations per background job, want < 0.05", perJob)
+	}
+}
+
+// TestRampCacheMatchesExpression sweeps t across the demand ramp's
+// saturation instant — the instant itself and its ±1..3 ulp
+// neighbours, plus points before the ramp and long after it — for
+// several RampFloor/RampFraction values, and requires the cached
+// rateAt to equal the uncached expression with ==. A floor of -1.7
+// saturates at 1.0000000000000002, not 1: the cache must hold the
+// value the expression produced, not assume 1.
+func TestRampCacheMatchesExpression(t *testing.T) {
+	const rampStart, rampEnd = 3.5e6, 7.1e7
+	for _, floor := range []float64{0.35, 0, 0.9, 1.3, -1.7} {
+		for _, fraction := range []float64{0.5, 1e-9, 0.3, 1, 2.5} {
+			model := &BackgroundModel{RampFloor: floor, RampFraction: fraction}
+			bs := &backgroundStream{
+				model: model, peakRate: 0.0123,
+				rampStartSec: rampStart,
+				rampSpan:     math.Max(rampEnd-rampStart, 1),
+				rampFrac:     math.Max(fraction, 1e-9),
+			}
+			sat := rampStart + bs.rampFrac*bs.rampSpan
+			times := []float64{0, rampStart - 1, rampStart, rampStart + 1, (rampStart + sat) / 2}
+			lo, hi := sat, sat
+			for k := 0; k < 3; k++ {
+				lo, hi = math.Nextafter(lo, math.Inf(-1)), math.Nextafter(hi, math.Inf(1))
+				times = append(times, lo, hi)
+			}
+			times = append(times, sat, sat+1, rampEnd, 2*rampEnd)
+			sort.Float64s(times)
+			for _, q := range times {
+				frac := (q - bs.rampStartSec) / bs.rampSpan
+				ramp := floor + (1-floor)*math.Min(1, math.Max(frac, 0)/bs.rampFrac)
+				want := bs.peakRate * ramp * diurnalFactor(q) * 1
+				if got := bs.rateAt(q); got != want {
+					t.Fatalf("floor %v fraction %v: rateAt(%v) = %v, expression %v (cached=%v)",
+						floor, fraction, q, got, want, bs.rampDone)
+				}
+			}
+			if !bs.rampDone {
+				t.Fatalf("floor %v fraction %v: the sweep past saturation never cached the ramp", floor, fraction)
+			}
+		}
+	}
+}
+
+// TestCountingSourceCountsSteps drives a countingSource through a
+// mixed sequence of the rand.Rand draws the simulation makes (Float64,
+// ExpFloat64, NormFloat64, Intn(1200), some of which loop on
+// rejection) and requires the draw count to be the number of source
+// steps: the stream so far equals the stdlib's, and a fresh source
+// fast-forwarded by the count continues it exactly, as restore does.
+func TestCountingSourceCountsSteps(t *testing.T) {
+	const seed = 7919*3 + 41
+	cs := newCountingSource(seed)
+	r, ref := rand.New(cs), rand.New(rand.NewSource(seed))
+	for k := 0; k < 5000; k++ {
+		var got, want float64
+		switch k % 4 {
+		case 0:
+			got, want = r.Float64(), ref.Float64()
+		case 1:
+			got, want = r.ExpFloat64(), ref.ExpFloat64()
+		case 2:
+			got, want = r.NormFloat64(), ref.NormFloat64()
+		default:
+			got, want = float64(r.Intn(1200)), float64(ref.Intn(1200))
+		}
+		if got != want {
+			t.Fatalf("draw %d: %v, stdlib %v", k, got, want)
+		}
+	}
+	if cs.draws < 5000 {
+		t.Fatalf("draws = %d after 5000 derived draws", cs.draws)
+	}
+	ff := newCountingSource(seed)
+	for ff.draws < cs.draws {
+		ff.Uint64()
+	}
+	for k := 0; k < 700; k++ {
+		if a, b := ff.src.Uint64(), cs.src.Uint64(); a != b {
+			t.Fatalf("fast-forward by draws=%d: step %d gives %d, the live source %d", cs.draws, k, a, b)
+		}
+	}
+}
+
+// TestCountingSourceSeedResetsDraws: reseeding restarts the count with
+// the stream, so a checkpointed count is always steps since the seed
+// restore replays.
+func TestCountingSourceSeedResetsDraws(t *testing.T) {
+	cs := newCountingSource(1)
+	r := rand.New(cs)
+	for k := 0; k < 100; k++ {
+		r.Float64()
+	}
+	r.Seed(42)
+	if cs.draws != 0 {
+		t.Fatalf("draws = %d after Seed, want 0", cs.draws)
+	}
+	ref := rand.NewSource(42).(rand.Source64)
+	for k := 0; k < 10; k++ {
+		if got, want := cs.Uint64(), ref.Uint64(); got != want {
+			t.Fatalf("reseeded step %d: %d, stdlib %d", k, got, want)
+		}
+	}
+	if cs.draws != 10 {
+		t.Fatalf("draws = %d after 10 steps from Seed, want 10", cs.draws)
+	}
+}
+
+// TestCountingSourceNoAlloc pins the //qcloud:noalloc methods.
+func TestCountingSourceNoAlloc(t *testing.T) {
+	cs := newCountingSource(5)
+	var sink uint64
+	if n := testing.AllocsPerRun(20, func() {
+		sink += cs.Uint64() + uint64(cs.Int63())
+		cs.Seed(6)
+	}); n != 0 {
+		t.Fatalf("countingSource allocates %v per call, want 0", n)
+	}
+	_ = sink
+}
+
+// TestEnqueueOverwritesRecycledRecord: enqueue stores a recycled
+// record's fields one by one instead of assigning a fresh literal, so
+// every field must be among them. The field count is a tripwire for a
+// field added to queuedJob but not to enqueue.
+func TestEnqueueOverwritesRecycledRecord(t *testing.T) {
+	if n := reflect.TypeOf(queuedJob{}).NumField(); n != 11 {
+		t.Fatalf("queuedJob has %d fields, enqueue stores 11: store the new one there and update this count", n)
+	}
+	m, err := backend.FindMachine(backend.Fleet(), "ibmq_16_melbourne")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := Open(Config{Seed: 3, Machines: []*backend.Machine{m}, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	ms := sess.sims[0]
+	spec := &JobSpec{User: "u"}
+	dirty := &queuedJob{
+		spec: spec, submit: 1, execSec: 2, patience: 3, priority: 4, seq: 5,
+		acct: &acct{}, user: "stale", id: 6, attempt: 7, pendingAtSubmit: 8,
+	}
+	ms.free = append(ms.free, dirty)
+	a := &ms.bgAccts[0]
+	pending, seq := len(ms.queue), ms.seq+1
+	ms.enqueue(nil, 100, 20, 30, ms.bgNames[0], a)
+	want := queuedJob{
+		submit: 100, execSec: 20, patience: 30, priority: 100 + fairSharePenalty*a.charged(100),
+		seq: seq, acct: a, user: ms.bgNames[0], id: seq, pendingAtSubmit: pending,
+	}
+	if *dirty != want {
+		t.Fatalf("recycled record after enqueue = %+v, want %+v", *dirty, want)
 	}
 }

@@ -266,7 +266,7 @@ func TestFairShareReordersHeavyUser(t *testing.T) {
 		Background: &BackgroundModel{
 			Users: 1, PublicUtil: 0, PrivateUtil: 0,
 			RampFraction: 1, RampFloor: 0,
-			BatchDist: stats.Uniform{Lo: 1, Hi: 2}, ShotsDist: stats.Uniform{Lo: 1024, Hi: 1025},
+			BatchDist: &stats.Uniform{Lo: 1, Hi: 2}, ShotsDist: &stats.Uniform{Lo: 1024, Hi: 1025},
 			MeanPatienceSec: 1e9,
 		},
 	}

@@ -19,27 +19,42 @@ import (
 // Every Int63 or Uint64 call advances the underlying generator exactly
 // once, so the count alone pins the RNG state: a restored machine
 // replays construction (deterministic) and then fast-forwards the
-// source by the checkpointed draw count.
+// source by the checkpointed draw count. The generator is held by
+// value, so a draw is one dynamic call (rand.Rand to here) with the
+// lagged-Fibonacci step inlined, not a second hop through
+// rand.Source64.
 type countingSource struct {
-	src   rand.Source64
+	src   stats.Source
 	draws uint64
 }
 
 func newCountingSource(seed int64) *countingSource {
-	return &countingSource{src: rand.NewSource(seed).(rand.Source64)}
+	c := &countingSource{}
+	c.Seed(seed)
+	return c
 }
 
+//qcloud:noalloc
 func (c *countingSource) Int63() int64 {
 	c.draws++
 	return c.src.Int63()
 }
 
+//qcloud:noalloc
 func (c *countingSource) Uint64() uint64 {
 	c.draws++
 	return c.src.Uint64()
 }
 
-func (c *countingSource) Seed(s int64) { c.src.Seed(s) }
+// Seed restarts the stream and its count: draws counts steps since the
+// last Seed, which is what restore fast-forwards from a freshly seeded
+// source.
+//
+//qcloud:noalloc
+func (c *countingSource) Seed(s int64) {
+	c.src.Seed(s)
+	c.draws = 0
+}
 
 // dtWin is one downtime window: a planned maintenance window from the
 // vendor calendar, or (fault=true) an unplanned outage from the fault
@@ -394,11 +409,12 @@ func (ms *machineSim) enqueue(spec *JobSpec, submit, execSec, patience float64, 
 	u := a.charged(submit)
 	ms.seq++
 	q := ms.newQueued()
-	*q = queuedJob{
-		spec: spec, submit: submit, execSec: execSec, patience: patience,
-		priority: submit + fairSharePenalty*u, seq: ms.seq, acct: a,
-		user: user, id: ms.seq, pendingAtSubmit: len(ms.queue),
-	}
+	// Every field is stored directly (attempt included, since q may be
+	// recycled): assigning a composite literal through the pointer
+	// builds it on the stack and block-copies it, once per arrival.
+	q.spec, q.submit, q.execSec, q.patience = spec, submit, execSec, patience
+	q.priority, q.seq, q.acct = submit+fairSharePenalty*u, ms.seq, a
+	q.user, q.id, q.attempt, q.pendingAtSubmit = user, ms.seq, 0, len(ms.queue)
 	ms.push(q)
 }
 

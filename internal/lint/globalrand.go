@@ -10,8 +10,8 @@ import (
 // ambient source: the draw sequence then depends on goroutine
 // interleaving and on every other caller in the process, which breaks
 // the per-(job,shot) stream contract (each shot's RNG derives from
-// splitmix64(base, shot) and replays identically at any worker count —
-// see qsim/rngsource.go). Constructors (rand.New, rand.NewSource, ...)
+// splitmix64(base, shot) — qsim's shotSeed — and replays identically at
+// any worker count). Constructors (rand.New, rand.NewSource, ...)
 // are allowed; only ambient draws and rand.Seed are not.
 var GlobalRand = &Analyzer{
 	Name:  "globalrand",
@@ -49,7 +49,7 @@ func runGlobalRand(p *Pass) error {
 			if !ok || globalRandAllowed[fn.Name()] {
 				return true
 			}
-			p.Reportf(sel.Pos(), "%s.%s uses the process-global source; derive a per-(job,shot) stream (rand.New(rand.NewSource(seed)) or the qsim rngsource/splitmix64 plumbing)",
+			p.Reportf(sel.Pos(), "%s.%s uses the process-global source; derive a per-(job,shot) stream (rand.New(rand.NewSource(seed)) or a seeded stats.Source)",
 				pn.Imported().Name(), fn.Name())
 			return true
 		})

@@ -140,6 +140,9 @@ var DeterministicPackages = []string{
 	"qcloud/internal/workload",
 	"qcloud/internal/journal",
 	"qcloud/internal/tenant",
+	// stats hosts Source, the generator qsim and cloud draw from, and
+	// the samplers of the workload and background models.
+	"qcloud/internal/stats",
 	// The dispatcher's wire/queue-ordering layer feeds the
 	// deterministic merge, so it carries the same contracts. Its parent
 	// qcloud/internal/dispatch — the daemons themselves — is

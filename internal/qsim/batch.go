@@ -30,6 +30,7 @@ import (
 
 	"qcloud/internal/circuit"
 	"qcloud/internal/par"
+	"qcloud/internal/stats"
 )
 
 // BatchJob is one circuit execution submitted to BatchRun.
@@ -65,9 +66,8 @@ type batchWorker struct {
 	// not one per width. Every user Resets the state before evolving it.
 	st    *State
 	width int
-	// sr is reseeded per job and per shot; lfSource replays the
-	// rand.NewSource streams with a ~4x cheaper reseed and no allocation
-	// (see rngsource.go).
+	// sr is reseeded per job and per shot; stats.Source replays the
+	// rand.NewSource streams with a ~4x cheaper reseed and no allocation.
 	sr     *rand.Rand
 	clbits []int
 	dense  []int
@@ -78,7 +78,7 @@ type batchWorker struct {
 // source returns the slot's reseedable generator.
 func (bw *batchWorker) source() *rand.Rand {
 	if bw.sr == nil {
-		bw.sr = rand.New(newLFSource())
+		bw.sr = rand.New(&stats.Source{})
 	}
 	return bw.sr
 }

@@ -20,7 +20,7 @@
 // gate kernels shard the amplitude array across
 // a goroutine pool once the state is large enough to amortize the
 // fan-out, and noisy shots run on a worker pool with deterministic
-// per-shot RNG streams (see rngsource.go) over pooled state buffers.
+// per-shot RNG streams (see stats.Source) over pooled state buffers.
 // Many small jobs share one pool through BatchRun, which evolves each
 // distinct exact circuit of a batch once (see batch.go).
 // Results are bit-identical for a fixed seed regardless of worker count

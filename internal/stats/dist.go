@@ -7,7 +7,10 @@ import (
 
 // Sampler draws values from a distribution using the provided source.
 // All workload-model distributions in qcloud implement Sampler so that
-// generators can be composed and swapped in tests.
+// generators can be composed and swapped in tests. The distributions
+// below implement it on pointer receivers: an interface holding a
+// pointer calls the method directly, where a value receiver behind an
+// interface pays a wrapper that copies the struct on every draw.
 type Sampler interface {
 	Sample(r *rand.Rand) float64
 }
@@ -16,20 +19,20 @@ type Sampler interface {
 type Uniform struct{ Lo, Hi float64 }
 
 // Sample implements Sampler.
-func (u Uniform) Sample(r *rand.Rand) float64 { return u.Lo + r.Float64()*(u.Hi-u.Lo) }
+func (u *Uniform) Sample(r *rand.Rand) float64 { return u.Lo + r.Float64()*(u.Hi-u.Lo) }
 
 // Exponential samples from an exponential distribution with the given
 // mean (not rate). Used for inter-arrival times.
 type Exponential struct{ Mean float64 }
 
 // Sample implements Sampler.
-func (e Exponential) Sample(r *rand.Rand) float64 { return r.ExpFloat64() * e.Mean }
+func (e *Exponential) Sample(r *rand.Rand) float64 { return r.ExpFloat64() * e.Mean }
 
 // Normal samples from a normal distribution.
 type Normal struct{ Mu, Sigma float64 }
 
 // Sample implements Sampler.
-func (n Normal) Sample(r *rand.Rand) float64 { return n.Mu + n.Sigma*r.NormFloat64() }
+func (n *Normal) Sample(r *rand.Rand) float64 { return n.Mu + n.Sigma*r.NormFloat64() }
 
 // LogNormal samples from a log-normal distribution parameterized by the
 // mean and stddev of the underlying normal. Queuing and service-time
@@ -38,7 +41,7 @@ func (n Normal) Sample(r *rand.Rand) float64 { return n.Mu + n.Sigma*r.NormFloat
 type LogNormal struct{ Mu, Sigma float64 }
 
 // Sample implements Sampler.
-func (l LogNormal) Sample(r *rand.Rand) float64 {
+func (l *LogNormal) Sample(r *rand.Rand) float64 {
 	return math.Exp(l.Mu + l.Sigma*r.NormFloat64())
 }
 
@@ -51,7 +54,7 @@ type Pareto struct {
 }
 
 // Sample implements Sampler.
-func (p Pareto) Sample(r *rand.Rand) float64 {
+func (p *Pareto) Sample(r *rand.Rand) float64 {
 	u := r.Float64()
 	for u == 0 {
 		u = r.Float64()
@@ -92,13 +95,17 @@ type Clamped struct {
 }
 
 // Sample implements Sampler.
-func (c Clamped) Sample(r *rand.Rand) float64 {
-	x := c.S.Sample(r)
-	if x < c.Lo {
-		return c.Lo
+func (c *Clamped) Sample(r *rand.Rand) float64 {
+	return Clamp(c.S.Sample(r), c.Lo, c.Hi)
+}
+
+// Clamp limits x to [lo, hi], as Clamped does to its sampler's draws.
+func Clamp(x, lo, hi float64) float64 {
+	if x < lo {
+		return lo
 	}
-	if x > c.Hi {
-		return c.Hi
+	if x > hi {
+		return hi
 	}
 	return x
 }
@@ -106,25 +113,44 @@ func (c Clamped) Sample(r *rand.Rand) float64 {
 // Mixture samples from one of several component distributions chosen
 // with the given weights. Weights need not be normalized.
 type Mixture struct {
-	Weights    []float64
-	Components []Sampler
+	weights    []float64
+	components []Sampler
+	total      float64 // the weights' positive sum, as WeightedChoice sums it
+}
+
+// NewMixture returns a Mixture with its weight total computed once.
+// The total is summed exactly as WeightedChoice sums it, so every draw
+// picks the index WeightedChoice would. The slices are kept, not
+// copied: they must not change afterwards.
+func NewMixture(weights []float64, components []Sampler) *Mixture {
+	return &Mixture{weights: weights, components: components, total: positiveSum(weights)}
 }
 
 // Sample implements Sampler.
-func (m Mixture) Sample(r *rand.Rand) float64 {
-	i := WeightedChoice(r, m.Weights)
-	return m.Components[i].Sample(r)
+func (m *Mixture) Sample(r *rand.Rand) float64 {
+	return m.components[weightedIndex(r, m.weights, m.total)].Sample(r)
 }
 
 // WeightedChoice returns an index drawn proportionally to weights.
 // All-zero or empty weights return 0.
 func WeightedChoice(r *rand.Rand, weights []float64) int {
+	return weightedIndex(r, weights, positiveSum(weights))
+}
+
+// positiveSum is the sum of the positive weights, in index order.
+func positiveSum(weights []float64) float64 {
 	total := 0.0
 	for _, w := range weights {
 		if w > 0 {
 			total += w
 		}
 	}
+	return total
+}
+
+// weightedIndex draws WeightedChoice's index given the weights'
+// positive sum.
+func weightedIndex(r *rand.Rand, weights []float64, total float64) int {
 	if total <= 0 {
 		return 0
 	}

@@ -16,7 +16,7 @@ func sampleN(s Sampler, r *rand.Rand, n int) []float64 {
 
 func TestUniformRange(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	xs := sampleN(Uniform{Lo: 2, Hi: 5}, r, 10000)
+	xs := sampleN(&Uniform{Lo: 2, Hi: 5}, r, 10000)
 	if Min(xs) < 2 || Max(xs) >= 5 {
 		t.Fatalf("uniform out of range: [%v,%v]", Min(xs), Max(xs))
 	}
@@ -27,7 +27,7 @@ func TestUniformRange(t *testing.T) {
 
 func TestExponentialMean(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
-	xs := sampleN(Exponential{Mean: 4}, r, 50000)
+	xs := sampleN(&Exponential{Mean: 4}, r, 50000)
 	if !almostEqual(Mean(xs), 4, 0.1) {
 		t.Fatalf("exp mean = %v, want ~4", Mean(xs))
 	}
@@ -35,7 +35,7 @@ func TestExponentialMean(t *testing.T) {
 
 func TestLogNormalPositive(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	xs := sampleN(LogNormal{Mu: 1, Sigma: 2}, r, 10000)
+	xs := sampleN(&LogNormal{Mu: 1, Sigma: 2}, r, 10000)
 	if Min(xs) <= 0 {
 		t.Fatal("lognormal produced non-positive value")
 	}
@@ -47,7 +47,7 @@ func TestLogNormalPositive(t *testing.T) {
 
 func TestParetoTail(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
-	p := Pareto{Xm: 1, Alpha: 1.5}
+	p := &Pareto{Xm: 1, Alpha: 1.5}
 	xs := sampleN(p, r, 20000)
 	if Min(xs) < 1 {
 		t.Fatal("pareto below scale")
@@ -79,7 +79,7 @@ func TestPoissonMean(t *testing.T) {
 
 func TestClamped(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
-	c := Clamped{S: Normal{Mu: 0, Sigma: 100}, Lo: -1, Hi: 1}
+	c := &Clamped{S: &Normal{Mu: 0, Sigma: 100}, Lo: -1, Hi: 1}
 	xs := sampleN(c, r, 1000)
 	if Min(xs) < -1 || Max(xs) > 1 {
 		t.Fatal("clamped out of range")
@@ -88,10 +88,7 @@ func TestClamped(t *testing.T) {
 
 func TestMixtureWeights(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	m := Mixture{
-		Weights:    []float64{9, 1},
-		Components: []Sampler{Uniform{0, 1}, Uniform{100, 101}},
-	}
+	m := NewMixture([]float64{9, 1}, []Sampler{&Uniform{0, 1}, &Uniform{100, 101}})
 	xs := sampleN(m, r, 20000)
 	frac := FractionAtLeast(xs, 50)
 	if !almostEqual(frac, 0.1, 0.02) {
@@ -124,6 +121,49 @@ func TestWeightedChoiceProportions(t *testing.T) {
 		got := float64(counts[i]) / float64(n)
 		if !almostEqual(got, want, 0.02) {
 			t.Fatalf("choice %d frequency = %v, want ~%v", i, got, want)
+		}
+	}
+}
+
+// TestMixtureCachedTotalMatchesWeightedChoice pins NewMixture's cached
+// total: its draws pick exactly WeightedChoice's index stream, and so
+// leave the generator where WeightedChoice would. The weights are
+// chosen so their float sum depends on summation order, and include a
+// non-positive weight WeightedChoice skips.
+func TestMixtureCachedTotalMatchesWeightedChoice(t *testing.T) {
+	for _, weights := range [][]float64{
+		{0.55, 0.28, 0.17},
+		{0.35, 0.40, 0.25},
+		{0.1, 0.2, 0.3, 1e-17, 0.4},
+		{0.3, -1, 0, 0.7, 0.1},
+		{1e16, 1, 1, 1},
+	} {
+		comps := make([]Sampler, len(weights))
+		for i := range comps {
+			comps[i] = &Uniform{Lo: float64(i), Hi: float64(i)}
+		}
+		m := NewMixture(weights, comps)
+		sum := 0.0 // WeightedChoice's summation, in index order
+		for _, w := range weights {
+			if w > 0 {
+				sum += w
+			}
+		}
+		if m.total != sum {
+			t.Fatalf("weights %v: cached total %v, WeightedChoice sums %v", weights, m.total, sum)
+		}
+		rm := rand.New(rand.NewSource(11))
+		rw := rand.New(rand.NewSource(11))
+		for k := 0; k < 5000; k++ {
+			got := int(m.Sample(rm))
+			want := WeightedChoice(rw, weights)
+			rw.Float64() // the component's draw
+			if got != want {
+				t.Fatalf("weights %v draw %d: Mixture picked %d, WeightedChoice %d", weights, k, got, want)
+			}
+		}
+		if rm.Uint64() != rw.Uint64() {
+			t.Fatalf("weights %v: generators diverged", weights)
 		}
 	}
 }

@@ -1,31 +1,30 @@
-// Fast reseedable RNG source for the per-shot streams.
+// Stdlib-identical RNG source.
 //
-// The determinism contract pins every shot to the stream
-// rand.NewSource(shotSeed(base, s)) — the kept-verbatim PR 1 reference
-// engine draws from exactly that generator, so the pooled engines may
-// not change the stream, only produce it faster. Profiling the Fig 7
-// trajectory sweep shows ~3/4 of per-shot wall time inside
-// rand.(*rngSource).Seed: the additive-lagged-Fibonacci warm-up runs
-// 1841 steps of the seeding LCG x' = 48271·x mod 2³¹-1, each paying an
-// integer division (Schrage's algorithm).
+// Every deterministic package in the repository draws from the stream
+// rand.NewSource(seed) produces: qsim's per-shot streams (the kept
+// reference engine draws from exactly that generator) and cloud's
+// per-machine streams (golden trace hashes and checkpoint draw counts
+// pin them). Source reproduces that stream bit for bit, so callers may
+// only produce it faster, never change it. It differs from the stdlib
+// source in three ways that are invisible in the output:
 //
-// lfSource is a bit-identical reimplementation of that source with two
-// changes invisible in the output stream:
-//
+//   - it is a concrete, exported type, so a wrapper can hold it by
+//     value and every draw is a direct (inlinable) call instead of a
+//     second dynamic dispatch through rand.Source64;
 //   - the seeding LCG reduces mod the Mersenne prime 2³¹-1 by folding
 //     (v & p) + (v >> 31) — two adds and a compare instead of a
-//     division, ~4x faster per step;
+//     division, ~4x faster per step (profiling the Fig 7 trajectory
+//     sweep showed ~3/4 of per-shot wall time inside the stdlib Seed);
 //   - the stdlib's unexported rngCooked seeding table is recovered
 //     once at init from the public API (see recoverCooked), so no
 //     internal state is copied and any upstream change to the
 //     generator would be caught by the stream-equality test instead of
 //     silently diverging.
 //
-// Workers reseed one lfSource-backed rand.Rand per shot; everything
-// above the Source64 interface (Float64, Intn) is the stdlib's own
-// mapping, so counts are unchanged by construction — and pinned by the
-// reference-engine equivalence suites.
-package qsim
+// Everything above the Source64 interface (Float64, Intn, ExpFloat64,
+// NormFloat64) is the stdlib's own rand.Rand mapping, so derived draws
+// are unchanged by construction.
+package stats
 
 import "math/rand"
 
@@ -59,15 +58,13 @@ func lfSeedrand(x int32) int32 {
 	return int32(v)
 }
 
-// lfSource is the fast reseedable source. It implements rand.Source64.
-type lfSource struct {
+// Source is the stdlib-identical additive lagged-Fibonacci generator.
+// It implements rand.Source64. The zero value is unseeded (it yields
+// zeros); Seed it before use.
+type Source struct {
 	vec       [lfLen]int64
 	tap, feed int
 }
-
-// newLFSource returns an unseeded source; callers must Seed before use
-// (the trajectory pools reseed per shot).
-func newLFSource() *lfSource { return &lfSource{} }
 
 // lfStep advances one seeding lane by an arbitrary multiplier mod
 // 2³¹-1 (x, mul < 2³¹, so the product fits 62 bits and two folds plus
@@ -84,15 +81,15 @@ func lfStep(x, mul uint64) uint64 {
 	return v
 }
 
-// Seed produces exactly the register state rand.(*rngSource).Seed
-// does: same seed reduction, same 20-step warm-up, same per-slot
-// 64-bit assembly from three consecutive LCG values, same cooked-table
-// XOR. Slot i consumes chain values x_{3i+1..3i+3}, so the fill runs
-// as three strided lanes stepped by 48271³ — independent dependency
+// Seed produces exactly the register state rand.NewSource(seed) has:
+// same seed reduction, same 20-step warm-up, same per-slot 64-bit
+// assembly from three consecutive LCG values, same cooked-table XOR.
+// Slot i consumes chain values x_{3i+1..3i+3}, so the fill runs as
+// three strided lanes stepped by 48271³ — independent dependency
 // chains the CPU can overlap — instead of 3·607 serial multiplies.
 //
 //qcloud:noalloc
-func (s *lfSource) Seed(seed int64) {
+func (s *Source) Seed(seed int64) {
 	s.tap = 0
 	s.feed = lfLen - lfTap
 	seed = seed % int31max
@@ -117,8 +114,11 @@ func (s *lfSource) Seed(seed int64) {
 	}
 }
 
+// Uint64 advances the generator one step. It is small enough to
+// inline, so a wrapper holding a Source by value pays no call for it.
+//
 //qcloud:noalloc
-func (s *lfSource) Uint64() uint64 {
+func (s *Source) Uint64() uint64 {
 	s.tap--
 	if s.tap < 0 {
 		s.tap += lfLen
@@ -132,8 +132,10 @@ func (s *lfSource) Uint64() uint64 {
 	return uint64(x)
 }
 
+// Int63 advances the generator one step, as Uint64 does.
+//
 //qcloud:noalloc
-func (s *lfSource) Int63() int64 {
+func (s *Source) Int63() int64 {
 	return int64(s.Uint64() & lfMask)
 }
 

@@ -129,7 +129,7 @@ func tenantJob(r *rand.Rand, c TenantConfig, cache templateCache, at time.Time) 
 		width = machine.NumQubits()
 	}
 	m := cache.metrics(kind, width, r)
-	batch := 1 + int(stats.Clamped{S: stats.LogNormal{Mu: 2.2, Sigma: 0.8}, Lo: 0, Hi: 120}.Sample(r))
+	batch := 1 + int(stats.Clamp((&stats.LogNormal{Mu: 2.2, Sigma: 0.8}).Sample(r), 0, 120))
 	shots := []int{1024, 4096, 8192}[r.Intn(3)]
 	varf := 0.85 + 0.3*r.Float64()
 	return &cloud.JobSpec{

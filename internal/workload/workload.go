@@ -248,7 +248,7 @@ func makeJob(r *rand.Rand, cfg Config, u *user, cache templateCache, at time.Tim
 		TotalGateOps: int(float64(m.GateOps*batch) * varf),
 		CXTotal:      int(float64(m.CXCount*batch) * varf),
 		MemSlots:     m.Width,
-		PatienceSec:  stats.LogNormal{Mu: math.Log(2.2 * 24 * 3600), Sigma: 0.8}.Sample(r),
+		PatienceSec:  (&stats.LogNormal{Mu: math.Log(2.2 * 24 * 3600), Sigma: 0.8}).Sample(r),
 		Privileged:   u.privileged,
 	}
 	return spec
@@ -264,15 +264,15 @@ func pickKind(r *rand.Rand, u *user) circuitKind {
 // pickWidth draws a circuit width: NISQ-era circuits are small, with
 // the tail growing as the study progresses.
 func pickWidth(r *rand.Rand, progress float64) int {
-	base := stats.Clamped{S: stats.LogNormal{Mu: 1.1 + 0.5*progress, Sigma: 0.45}, Lo: 2, Hi: 30}
-	return int(base.Sample(r))
+	base := &stats.LogNormal{Mu: 1.1 + 0.5*progress, Sigma: 0.45}
+	return int(stats.Clamp(base.Sample(r), 2, 30))
 }
 
 // pickBatch draws the circuits-per-job batch size (Fig 11's 1-900
 // spread). Disciplined users and later periods batch more.
 func pickBatch(r *rand.Rand, u *user, progress float64) int {
 	mu := 1.8 + 2.6*u.batchDiscipline + 1.7*progress
-	b := int(stats.Clamped{S: stats.LogNormal{Mu: mu, Sigma: 1.0}, Lo: 1, Hi: 900}.Sample(r))
+	b := int(stats.Clamp((&stats.LogNormal{Mu: mu, Sigma: 1.0}).Sample(r), 1, 900))
 	// A slice of disciplined users max the batch out entirely.
 	if u.batchDiscipline > 0.85 && r.Float64() < 0.25 {
 		b = 900
