@@ -1,11 +1,14 @@
 package cloud
 
 import (
-	"encoding/csv"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
+	"unicode"
+	"unicode/utf8"
 )
 
 // JobResult is one execution outcome arriving from a worker (or from
@@ -85,63 +88,137 @@ func (rs *ResultSet) Seqs() []int64 {
 	return ks
 }
 
-// FormatCounts canonicalizes a counts map as "bits:n" pairs joined by
-// spaces in bitstring order — the CSV cell form. Every serialization
-// of the same counts is byte-identical.
-func FormatCounts(m map[string]int) string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
+// Count is one bitstring tally. A unit's counts travel as a []Count
+// sorted by Bits without repeats — over the dispatcher's wire and WAL
+// (wire.Count is this type) and into the CSV cell — so every
+// serialization of the same counts is byte-identical and a cell is
+// written from the slice as it stands.
+type Count struct {
+	Bits string `json:"bits"`
+	N    int    `json:"n"`
+}
+
+// SortedCounts returns a counts map as a []Count sorted by Bits, the
+// cell order.
+func SortedCounts(m map[string]int) []Count {
+	out := make([]Count, 0, len(m))
+	// Map keys are unique, so sorting by Bits is a total order.
+	//qcloud:orderinvariant
+	for bits, n := range m {
+		out = append(out, Count{Bits: bits, N: n})
 	}
-	sort.Strings(ks)
-	size := 0
-	for _, k := range ks {
-		size += len(k) + len(":12345 ") // a longer count only grows the buffer
-	}
-	out := make([]byte, 0, size)
-	for i, k := range ks {
+	slices.SortFunc(out, func(a, b Count) int { return strings.Compare(a.Bits, b.Bits) })
+	return out
+}
+
+// appendCounts appends the cell form of counts sorted by Bits: "bits:n"
+// pairs joined by spaces.
+func appendCounts(buf []byte, counts []Count) []byte {
+	for i, c := range counts {
 		if i > 0 {
-			out = append(out, ' ')
+			buf = append(buf, ' ')
 		}
-		out = append(out, k...)
-		out = append(out, ':')
-		out = strconv.AppendInt(out, int64(m[k]), 10)
+		buf = append(buf, c.Bits...)
+		buf = append(buf, ':')
+		buf = strconv.AppendInt(buf, int64(c.N), 10)
 	}
-	return string(out)
+	return buf
+}
+
+// FormatCounts canonicalizes a counts map as its CSV cell: "bits:n"
+// pairs joined by spaces in bitstring order. Every serialization of the
+// same counts is byte-identical.
+func FormatCounts(m map[string]int) string {
+	counts := SortedCounts(m)
+	size := 0
+	for _, c := range counts {
+		size += len(c.Bits) + len(":12345 ") // a longer count only grows the buffer
+	}
+	return string(appendCounts(make([]byte, 0, size), counts))
+}
+
+// CountsHeader is the counts-plane CSV's header line.
+const CountsHeader = "seq,circuit,batch,shots,status,error,counts\n"
+
+// AppendCountsRow appends one unit's counts-plane CSV row to buf, with
+// the bytes encoding/csv's Writer would write for it. ResultSet.WriteCSV
+// and the dispatcher's task table both write through it, so the status
+// names, the quoting and the cell form exist once. A cancelled unit's
+// status is "cancelled" whatever else it carries; otherwise a non-empty
+// errMsg makes it "error". counts must be sorted by Bits without
+// repeats.
+func AppendCountsRow(buf []byte, seq int64, circuit string, batch, shots int, cancelled bool, errMsg string, counts []Count) []byte {
+	status := "ok"
+	switch {
+	case cancelled:
+		status = "cancelled"
+	case errMsg != "":
+		status = "error"
+	}
+	buf = strconv.AppendInt(buf, seq, 10)
+	buf = appendField(append(buf, ','), circuit)
+	buf = strconv.AppendInt(append(buf, ','), int64(batch), 10)
+	buf = strconv.AppendInt(append(buf, ','), int64(shots), 10)
+	buf = append(append(buf, ','), status...)
+	buf = appendField(append(buf, ','), errMsg)
+	buf = append(buf, ',')
+	// The cell is built in place; one whose bits need quoting is
+	// rewritten.
+	at := len(buf)
+	buf = appendCounts(buf, counts)
+	if needsQuotes(buf[at:]) {
+		buf = appendField(buf[:at], string(buf[at:]))
+	}
+	return append(buf, '\n')
+}
+
+// needsQuotes reports whether encoding/csv's Writer (Comma ',', UseCRLF
+// false) quotes field f: f is `\.`, holds a comma, a quote, CR or LF,
+// or starts with a space rune.
+func needsQuotes[T string | []byte](f T) bool {
+	if len(f) == 0 {
+		return false
+	}
+	if string(f) == `\.` {
+		return true
+	}
+	for i := 0; i < len(f); i++ {
+		switch f[i] {
+		case ',', '"', '\r', '\n':
+			return true
+		}
+	}
+	r, _ := utf8.DecodeRuneInString(string(f[:min(len(f), utf8.UTFMax)]))
+	return unicode.IsSpace(r)
+}
+
+// appendField appends f as encoding/csv's Writer writes a field: as it
+// is, or quoted with each quote doubled when needsQuotes says so.
+func appendField(buf []byte, f string) []byte {
+	if !needsQuotes(f) {
+		return append(buf, f...)
+	}
+	buf = append(buf, '"')
+	for i := 0; i < len(f); i++ {
+		if f[i] == '"' {
+			buf = append(buf, '"')
+		}
+		buf = append(buf, f[i])
+	}
+	return append(buf, '"')
 }
 
 // WriteCSV writes the merged results in seq order. The bytes are a
 // pure function of the merged outcomes: a dispatcher + N workers run
 // and the in-process reference runner produce identical files.
 func (rs *ResultSet) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"seq", "circuit", "batch", "shots", "status", "error", "counts"}); err != nil {
-		return err
-	}
+	buf := []byte(CountsHeader)
 	for _, seq := range rs.Seqs() {
 		r, _ := rs.Get(seq)
-		status := "ok"
-		switch {
-		case r.Cancelled:
-			status = "cancelled"
-		case r.Err != "":
-			status = "error"
-		}
-		row := []string{
-			strconv.FormatInt(r.Seq, 10),
-			r.Circuit,
-			strconv.Itoa(r.Batch),
-			strconv.Itoa(r.Shots),
-			status,
-			r.Err,
-			FormatCounts(r.Counts),
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
+		buf = AppendCountsRow(buf, r.Seq, r.Circuit, r.Batch, r.Shots, r.Cancelled, r.Err, SortedCounts(r.Counts))
 	}
-	cw.Flush()
-	return cw.Error()
+	_, err := w.Write(buf)
+	return err
 }
 
 // Backoff exposes the retry policy's deterministic backoff schedule to

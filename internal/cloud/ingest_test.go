@@ -2,7 +2,9 @@ package cloud_test
 
 import (
 	"bytes"
+	"encoding/csv"
 	"fmt"
+	"strconv"
 	"testing"
 
 	"qcloud/internal/cloud"
@@ -28,7 +30,7 @@ func TestFormatCountsCanonicalForm(t *testing.T) {
 }
 
 // TestFormatCountsLinear pins the cell builder at a handful of
-// allocations (key slice, buffer, string) however many entries the cell
+// allocations (pair slice, buffer, string) however many entries the cell
 // has: appending to a string per entry costs two allocations per entry,
 // 2 048 here.
 func TestFormatCountsLinear(t *testing.T) {
@@ -110,4 +112,40 @@ func TestResultSetFirstWriteWins(t *testing.T) {
 	if after := resultCSV(t, rs); after != before {
 		t.Fatalf("duplicates changed the file:\n%s\nvs\n%s", after, before)
 	}
+}
+
+// FuzzAppendCountsRow holds the counts row to encoding/csv: whatever
+// the label, error string and bitstrings, AppendCountsRow writes the
+// bytes a csv.Writer writes for the same fields.
+func FuzzAppendCountsRow(f *testing.F) {
+	f.Add(int64(3), "qft8", 2, 512, false, "", "01", 300)
+	f.Add(int64(-1), `a,"b"`, 0, -5, false, " leading space", `\.`, 0)
+	f.Add(int64(7), "\u00a0nbsp", 1, 1, true, "line\r\nbreak", " x,y", 1)
+	f.Add(int64(0), `\.`, 1, 1, false, `\.`, "", 2)
+	f.Add(int64(9), "\t", 1, 1, false, "cr\ronly", "\"", -3)
+	f.Add(int64(11), "\xff", 1, 1, false, "\xff", "\xff", 4)
+	f.Fuzz(func(t *testing.T, seq int64, circuit string, batch, shots int, cancelled bool, errMsg, bits string, n int) {
+		// Two pairs, sorted without repeats; no pairs when bits is empty.
+		var counts []cloud.Count
+		cell := ""
+		if bits != "" {
+			counts = []cloud.Count{{Bits: bits, N: n}, {Bits: bits + "1", N: n / 2}}
+			cell = fmt.Sprintf("%s:%d %s1:%d", bits, n, bits, n/2)
+		}
+		status := "ok"
+		if cancelled {
+			status = "cancelled"
+		} else if errMsg != "" {
+			status = "error"
+		}
+		var want bytes.Buffer
+		cw := csv.NewWriter(&want)
+		if err := cw.Write([]string{strconv.FormatInt(seq, 10), circuit, strconv.Itoa(batch), strconv.Itoa(shots), status, errMsg, cell}); err != nil {
+			t.Fatal(err)
+		}
+		cw.Flush()
+		if got := cloud.AppendCountsRow(nil, seq, circuit, batch, shots, cancelled, errMsg, counts); !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("AppendCountsRow = %q, encoding/csv writes %q", got, want.Bytes())
+		}
+	})
 }

@@ -36,6 +36,10 @@ func (c *Client) timeout() time.Duration {
 	return 10 * time.Second
 }
 
+// maxResponseBytes bounds a response body the client reads. It is a
+// variable only so that tests can lower it.
+var maxResponseBytes int64 = 256 << 20
+
 // do runs one JSON round trip; non-200 responses surface the server's
 // error string.
 func (c *Client) do(method, path string, req, resp any) error {
@@ -61,9 +65,14 @@ func (c *Client) do(method, path string, req, resp any) error {
 		return err
 	}
 	defer res.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(res.Body, 256<<20))
+	// One byte past the cap tells a response at the cap from a longer
+	// one, which would otherwise come back truncated as a success.
+	data, err := io.ReadAll(io.LimitReader(res.Body, maxResponseBytes+1))
 	if err != nil {
 		return err
+	}
+	if int64(len(data)) > maxResponseBytes {
+		return fmt.Errorf("dispatch: %s: response exceeds %d bytes", path, maxResponseBytes)
 	}
 	if res.StatusCode != http.StatusOK {
 		var ge wire.GenericResponse

@@ -75,7 +75,7 @@ type Task struct {
 	State   TaskState
 	Attempt int // lease attempts consumed (expired leases + the completing one)
 	Worker  string
-	Counts  map[string]int
+	Counts  []wire.Count // sorted by Bits without repeats
 	Err     string
 
 	deadline  time.Time // lease expiry, valid while leased
@@ -151,8 +151,10 @@ func (c QueueConfig) withDefaults() QueueConfig {
 // and terminal tasks), the units become pullable again, and the
 // deterministic merge makes re-execution idempotent.
 //
-// No call walks the task list: tally answers Stats, ready bounds where
-// Pull looks, and timers says which leases and backoff gates are due.
+// No call on the submit or worker path walks the task list: tally
+// answers Stats, ready bounds where Pull looks, and timers says which
+// leases and backoff gates are due. Only the readouts (CountsCSV, the
+// trace plane's inputs) and replay visit every task.
 type Queue struct {
 	cfg QueueConfig
 
@@ -316,7 +318,9 @@ func (q *Queue) replayResult(i int64, payload []byte, rec *wire.WALRecord) error
 			t.Err = rec.Err
 			q.setStateLocked(t, TaskFailed)
 		} else {
-			t.Counts = wire.PairsToCounts(rec.Counts)
+			// DecodeWALRecord refused unsorted or repeated bits; it
+			// reuses its array for the next record.
+			t.Counts = slices.Clone(rec.Counts)
 			q.setStateLocked(t, TaskDone)
 		}
 	case wire.WALCancel:
@@ -503,11 +507,13 @@ func (q *Queue) expireLocked(t *Task, now time.Time) bool {
 }
 
 // Report is one unit's outcome as a worker reports it. Err non-empty
-// means the payload itself failed deterministically.
+// means the payload itself failed deterministically. Counts may come in
+// any order: the queue canonicalizes them (wire.Canonical) and keeps
+// the resulting slice, so the caller must not modify it afterwards.
 type Report struct {
 	Seq     int64
 	Attempt int
-	Counts  map[string]int
+	Counts  []wire.Count
 	Err     string
 }
 
@@ -571,7 +577,9 @@ func (q *Queue) resultLocked(worker string, r *Report) Outcome {
 	}
 	rec := wire.WALRecord{Type: wire.WALResult, Seq: r.Seq, Attempt: r.Attempt, Worker: worker, Err: r.Err}
 	if r.Err == "" {
-		rec.Counts = wire.CountsToPairs(r.Counts)
+		// The one form from here on: the WAL record, the task and the
+		// CSV cell all hold this slice.
+		rec.Counts = wire.Canonical(r.Counts)
 	}
 	if q.appendLocked(q.results, &rec) != nil {
 		return Outcome{State: t.State}
@@ -585,7 +593,7 @@ func (q *Queue) resultLocked(worker string, r *Report) Outcome {
 		q.setStateLocked(t, TaskFailed)
 		q.emit(wire.Event{Kind: cloud.EventError, Seq: r.Seq, Attempt: r.Attempt, Worker: worker, Err: r.Err})
 	} else {
-		t.Counts = r.Counts
+		t.Counts = rec.Counts
 		q.setStateLocked(t, TaskDone)
 		q.emit(wire.Event{Kind: cloud.EventDone, Seq: r.Seq, Attempt: r.Attempt, Worker: worker})
 	}
@@ -655,13 +663,22 @@ func (q *Queue) Heartbeat(worker string, seqs []int64) int {
 // Result records one unit's outcome: Exchange with one report and no
 // pull. An unknown seq is an error here.
 func (q *Queue) Result(worker string, seq int64, attempt int, counts map[string]int, errMsg string) (accepted bool, state TaskState, err error) {
-	ex, err := q.Exchange(worker, []Report{{Seq: seq, Attempt: attempt, Counts: counts, Err: errMsg}}, 0)
+	r := Report{Seq: seq, Attempt: attempt, Err: errMsg}
+	if errMsg == "" {
+		r.Counts = wire.CountsToPairs(counts)
+	}
+	return q.report(worker, r)
+}
+
+// report is Result for counts that are already pairs.
+func (q *Queue) report(worker string, r Report) (accepted bool, state TaskState, err error) {
+	ex, err := q.Exchange(worker, []Report{r}, 0)
 	if err != nil {
 		return false, 0, err
 	}
 	o := ex.Outcomes[0]
 	if o.State == TaskUnknown {
-		return false, 0, fmt.Errorf("dispatch: result for unknown seq %d", seq)
+		return false, 0, fmt.Errorf("dispatch: result for unknown seq %d", r.Seq)
 	}
 	return o.Accepted, o.State, nil
 }
@@ -733,30 +750,30 @@ func (q *Queue) Stats() Stats {
 	}
 }
 
-// Results assembles the counts-plane merge of every terminal task.
-func (q *Queue) Results() *cloud.ResultSet {
+// CountsCSV writes the counts-plane CSV of every terminal task straight
+// from the task table: the tasks are in seq order and their counts in
+// cell order already, so nothing is copied or sorted. The bytes are
+// those of wire.RunLocal's ResultSet.WriteCSV for the same outcomes —
+// both write their rows with cloud.AppendCountsRow.
+func (q *Queue) CountsCSV() []byte {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	rs := cloud.NewResultSet()
+	buf := []byte(cloud.CountsHeader)
 	for _, t := range q.tasks {
-		if !t.State.terminal() {
+		var errMsg string
+		var counts []wire.Count
+		switch t.State {
+		case TaskDone:
+			counts = t.Counts
+		case TaskFailed:
+			errMsg = t.Err
+		case TaskCancelled:
+		default:
 			continue
 		}
-		jr := cloud.JobResult{
-			Seq: t.Seq, Circuit: t.Spec.ExecLabel(),
-			Batch: t.Spec.ExecBatch, Shots: t.Spec.ExecShots,
-		}
-		switch t.State {
-		case TaskCancelled:
-			jr.Cancelled = true
-		case TaskFailed:
-			jr.Err = t.Err
-		case TaskDone:
-			jr.Counts = t.Counts
-		}
-		rs.Ingest(jr)
+		buf = cloud.AppendCountsRow(buf, t.Seq, t.Spec.ExecLabel(), t.Spec.ExecBatch, t.Spec.ExecShots, t.State == TaskCancelled, errMsg, counts)
 	}
-	return rs
+	return buf
 }
 
 // TraceInputs returns every submission's spec in seq order — the trace

@@ -12,6 +12,7 @@ import (
 	"qcloud/internal/cloud"
 	"qcloud/internal/dispatch/wire"
 	"qcloud/internal/journal"
+	"qcloud/internal/qsim"
 	"qcloud/internal/workload"
 )
 
@@ -215,6 +216,7 @@ func TestQueueReopenRestoresStateAndForgetsLeases(t *testing.T) {
 	if err := q.Seal(); err != nil {
 		t.Fatal(err)
 	}
+	before := q.CountsCSV()
 	if err := q.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -233,10 +235,9 @@ func TestQueueReopenRestoresStateAndForgetsLeases(t *testing.T) {
 	if _, dup, err := r.Submit(key(t, 4), plans[4]); err != nil || !dup {
 		t.Fatalf("post-recovery duplicate = (%v, %v)", dup, err)
 	}
-	// The completed counts survive byte-exactly.
-	res, ok := r.Results().Get(0)
-	if !ok || res.Counts["0000"] != 16 {
-		t.Fatalf("recovered result = %+v, %v", res, ok)
+	// The done, failed and cancelled rows survive byte-exactly.
+	if after := r.CountsCSV(); !bytes.Equal(after, before) || !bytes.Contains(after, []byte(",ok,,0000:16\n")) {
+		t.Fatalf("recovered counts CSV\n%s\nbefore the restart\n%s", after, before)
 	}
 }
 
@@ -436,5 +437,60 @@ func TestQueueRefusesJSONEraStateDir(t *testing.T) {
 		if after[path] != b {
 			t.Errorf("%s changed", path)
 		}
+	}
+}
+
+// TestCountsCSVMatchesRunLocal: the counts CSV written from the task
+// table is byte-identical to wire.RunLocal's ResultSet.WriteCSV over the
+// same outcomes — done, failed and cancelled rows; error strings and a
+// circuit label that need CSV quoting; a cell of more than 1 000 keys.
+func TestCountsCSVMatchesRunLocal(t *testing.T) {
+	plans := testPlans(t, 3, 12)[:7]
+	// Seq 0: a uniform 11-qubit distribution, thousands of distinct keys.
+	plans[0].ExecKind, plans[0].ExecWidth, plans[0].ExecBatch, plans[0].ExecShots = "qft", 11, 1, 8192
+	// Seq 2 fails to build, naming a kind that needs quoting.
+	plans[2].ExecKind = "a,\"b\" c"
+	rs, err := wire.RunLocal(plans[:3], qsim.Parallelism{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, _ := rs.Get(0); len(r.Counts) <= 1000 {
+		t.Fatalf("seq 0 has %d keys, want more than 1 000", len(r.Counts))
+	}
+	// Outcomes RunLocal never produces: reported failures and cancels.
+	failed := map[int64]string{3: "a, \"quoted\"\nsecond line", 4: " leading space"}
+	for seq, msg := range failed {
+		rs.Ingest(cloud.JobResult{Seq: seq, Circuit: plans[seq].ExecLabel(), Batch: plans[seq].ExecBatch, Shots: plans[seq].ExecShots, Err: msg})
+	}
+	rs.Ingest(cloud.JobResult{Seq: 5, Circuit: plans[5].ExecLabel(), Batch: plans[5].ExecBatch, Shots: plans[5].ExecShots, Cancelled: true})
+	var want bytes.Buffer
+	if err := rs.WriteCSV(&want); err != nil {
+		t.Fatal(err)
+	}
+
+	q := openTestQueue(t, t.TempDir(), nil, nil)
+	defer q.Close()
+	for i, p := range plans {
+		if _, _, err := q.Submit(key(t, i), p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reports := make([]Report, 0, 5)
+	for seq := int64(0); seq < 3; seq++ {
+		r, _ := rs.Get(seq)
+		reports = append(reports, Report{Seq: seq, Counts: wire.CountsToPairs(r.Counts), Err: r.Err})
+	}
+	for seq, msg := range failed {
+		reports = append(reports, Report{Seq: seq, Err: msg})
+	}
+	if _, err := q.Exchange("w1", reports, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := q.Cancel("", 5); err != nil {
+		t.Fatal(err)
+	}
+	// Seq 6 is still queued: no row.
+	if got := q.CountsCSV(); !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("task-table counts CSV\n%.2000s\nResultSet.WriteCSV\n%.2000s", got, want.Bytes())
 	}
 }

@@ -1,7 +1,6 @@
 package dispatch
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -24,8 +23,8 @@ import (
 // the durable record.
 const eventRingCap = 1 << 16
 
-// maxBodyBytes bounds a request body — the limit the worker applies to
-// the dispatcher's responses.
+// maxBodyBytes bounds a request body the dispatcher reads. (The client
+// bounds the responses it reads by maxResponseBytes.)
 const maxBodyBytes = 64 << 20
 
 // Config parameterizes a Dispatcher.
@@ -314,11 +313,7 @@ func (d *Dispatcher) CountsCSV(partial bool) ([]byte, error) {
 			return nil, fmt.Errorf("dispatch: counts incomplete: %d/%d terminal: %w", st.Terminal(), st.Jobs, ErrNotReady)
 		}
 	}
-	var buf bytes.Buffer
-	if err := d.q.Results().WriteCSV(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return d.q.CountsCSV(), nil
 }
 
 // --- HTTP plumbing -------------------------------------------------------
@@ -476,7 +471,7 @@ func (d *Dispatcher) handleResults(w http.ResponseWriter, r *http.Request) {
 	}
 	reports := make([]Report, len(req.Results))
 	for i, u := range req.Results {
-		reports[i] = Report{Seq: u.Seq, Attempt: u.Attempt, Counts: wire.PairsToCounts(u.Counts), Err: u.Err}
+		reports[i] = Report{Seq: u.Seq, Attempt: u.Attempt, Counts: u.Counts, Err: u.Err}
 	}
 	pull := req.Pull
 	if d.Draining() {
@@ -514,7 +509,7 @@ func (d *Dispatcher) handleResult(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
-	accepted, state, err := d.q.Result(req.Worker, req.Seq, req.Attempt, wire.PairsToCounts(req.Counts), req.Err)
+	accepted, state, err := d.q.report(req.Worker, Report{Seq: req.Seq, Attempt: req.Attempt, Counts: req.Counts, Err: req.Err})
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return

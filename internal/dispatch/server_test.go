@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -140,8 +141,8 @@ func TestResultsExchange(t *testing.T) {
 	if st := d.Stats(); st.Done != 1 || st.Failed != 1 || st.Leased != 2 || st.Queued != 1 {
 		t.Fatalf("after the batch: %+v", st)
 	}
-	if res, _ := d.Queue().Results().Get(0); res.Counts["00"] != 16 || len(res.Counts) != 1 {
-		t.Fatalf("seq 0 kept %+v, want its first outcome", res)
+	if got := d.Queue().tasks[0].Counts; !slices.Equal(got, counts) {
+		t.Fatalf("seq 0 kept %v, want its first outcome %v", got, counts)
 	}
 
 	d.BeginDrain()
@@ -409,5 +410,69 @@ func TestSubmitInstantsSurviveRestart(t *testing.T) {
 	}
 	if !bytes.Equal(before, after) {
 		t.Errorf("the trace CSV changed across the restart:\n before:\n%s\n after:\n%s", before, after)
+	}
+}
+
+// TestNonCanonicalReportLandsAsTheMapPath: a report whose pairs are
+// unsorted, repeat a bitstring and carry a zero count lands exactly as
+// the same counts merged through a map and reported by Queue.Result —
+// the same WAL record bytes, the same task counts, the same CSV row —
+// whether it comes through /v1/results, /v1/result or Queue.Exchange.
+func TestNonCanonicalReportLandsAsTheMapPath(t *testing.T) {
+	plans := testPlans(t, 3, 12)[:2]
+	hostile := []wire.Count{{Bits: "11", N: 2}, {Bits: "00", N: 1}, {Bits: "11", N: 3}, {Bits: "01", N: 0}}
+	paths := map[string]func(d *Dispatcher) error{
+		"Queue.Result": func(d *Dispatcher) error {
+			_, _, err := d.Queue().Result("w", 1, 0, map[string]int{"00": 1, "01": 0, "11": 5}, "")
+			return err
+		},
+		"/v1/results": func(d *Dispatcher) error {
+			var resp wire.ResultsResponse
+			if code := postJSON(t, d.Handler(), "/v1/results", wire.ResultsRequest{V: wire.Version, Worker: "w", Results: []wire.UnitResult{{Seq: 1, Counts: hostile}}}, &resp); code != http.StatusOK {
+				return fmt.Errorf("answered %d", code)
+			}
+			return nil
+		},
+		"/v1/result": func(d *Dispatcher) error {
+			var resp wire.ResultResponse
+			if code := postJSON(t, d.Handler(), "/v1/result", wire.ResultRequest{V: wire.Version, Worker: "w", Seq: 1, Counts: hostile}, &resp); code != http.StatusOK {
+				return fmt.Errorf("answered %d", code)
+			}
+			return nil
+		},
+		"Queue.Exchange": func(d *Dispatcher) error {
+			_, err := d.Queue().Exchange("w", []Report{{Seq: 1, Counts: slices.Clone(hostile)}}, 0)
+			return err
+		},
+	}
+	type landed struct {
+		wal, csv []byte
+		counts   []wire.Count
+	}
+	results := make(map[string]landed)
+	for name, report := range paths {
+		d := newTestDispatcher(t)
+		for i, p := range plans {
+			if _, _, err := d.Queue().Submit(fmt.Sprintf("k/%d", i), p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := report(d); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		csv, err := d.CountsCSV(true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results[name] = landed{wal: streamBytes(t, d.cfg.Dir, resultsDirName), csv: csv, counts: d.Queue().tasks[1].Counts}
+	}
+	want := results["Queue.Result"]
+	if len(want.wal) == 0 || !bytes.Contains(want.csv, []byte(",ok,,00:1 01:0 11:5\n")) {
+		t.Fatalf("map path journaled %d bytes and wrote\n%s", len(want.wal), want.csv)
+	}
+	for name, got := range results {
+		if !bytes.Equal(got.wal, want.wal) || !bytes.Equal(got.csv, want.csv) || !slices.Equal(got.counts, want.counts) {
+			t.Errorf("%s landed counts %v, CSV\n%s\nthe map path %v, CSV\n%s", name, got.counts, got.csv, want.counts, want.csv)
+		}
 	}
 }

@@ -16,7 +16,7 @@ func walFixtures() []WALRecord {
 		{Type: WALSubmit, Seq: 3, Key: "load/3", Spec: testSpec("ghz", 3)},
 		{Type: WALSeal},
 		{Type: WALExpire, Seq: 3, Attempt: 2},
-		{Type: WALResult, Seq: 3, Attempt: 2, Worker: "w1", Counts: []Count{{"00", 3}, {"01", 5}, {"11", 24}}},
+		{Type: WALResult, Seq: 3, Attempt: 2, Worker: "w1", Counts: []Count{{Bits: "00", N: 3}, {Bits: "01", N: 5}, {Bits: "11", N: 24}}},
 		{Type: WALResult, Seq: 4, Attempt: 5, Err: "lease expired on attempt 5/5 (last worker w1)"},
 		{Type: WALCancel, Seq: 3},
 	}

@@ -21,7 +21,7 @@ package wire
 
 import (
 	"fmt"
-	"sort"
+	"strconv"
 	"time"
 
 	"qcloud/internal/cloud"
@@ -88,16 +88,17 @@ func (s *Spec) JobSpec() *cloud.JobSpec {
 // ExecLabel names the exec-plane circuit family the way workload names
 // trace circuits (kind + width).
 func (s *Spec) ExecLabel() string {
-	return fmt.Sprintf("%s%d", s.ExecKind, s.ExecWidth)
+	// Every counts-CSV row names its circuit, so this skips fmt.
+	var buf [32]byte
+	return string(strconv.AppendInt(append(buf[:0], s.ExecKind...), int64(s.ExecWidth), 10))
 }
 
-// Count is one bitstring tally. Counts cross the wire and the WAL as
-// sorted []Count rather than map[string]int so every serialization of
-// the same result is byte-identical.
-type Count struct {
-	Bits string `json:"bits"`
-	N    int    `json:"n"`
-}
+// Count is one bitstring tally. Counts cross the wire and the WAL, and
+// sit on the dispatcher's tasks, as a []Count sorted by Bits without
+// repeats rather than a map[string]int, so every serialization of the
+// same result is byte-identical and the counts CSV is written from the
+// slice as it stands. It is cloud.Count, the type of the CSV cell.
+type Count = cloud.Count
 
 // Event mirrors cloud.Event for the dispatcher's observable stream.
 // Seq is the dispatcher-assigned submission sequence (the analogue of
@@ -296,18 +297,7 @@ func CheckVersion(v int) error {
 }
 
 // CountsToPairs canonicalizes a counts map into the sorted wire form.
-func CountsToPairs(m map[string]int) []Count {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	out := make([]Count, len(ks))
-	for i, k := range ks {
-		out[i] = Count{Bits: k, N: m[k]}
-	}
-	return out
-}
+func CountsToPairs(m map[string]int) []Count { return cloud.SortedCounts(m) }
 
 // PairsToCounts inverts CountsToPairs.
 func PairsToCounts(cs []Count) map[string]int {
@@ -316,4 +306,18 @@ func PairsToCounts(cs []Count) map[string]int {
 		m[c.Bits] += c.N
 	}
 	return m
+}
+
+// Canonical returns cs in CountsToPairs' form. Pairs already strictly
+// ascending by Bits — what every worker sends — come back as the same
+// slice after one O(n) check; anything else, such as a hostile
+// reporter's unsorted or repeated bits, is CountsToPairs(PairsToCounts(cs)),
+// so it lands exactly as a report merged through a map would.
+func Canonical(cs []Count) []Count {
+	for i := 1; i < len(cs); i++ {
+		if cs[i].Bits <= cs[i-1].Bits {
+			return CountsToPairs(PairsToCounts(cs))
+		}
+	}
+	return cs
 }

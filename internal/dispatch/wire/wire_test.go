@@ -3,7 +3,10 @@ package wire
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -93,7 +96,7 @@ func TestCheckVersion(t *testing.T) {
 // form is the same sorted list, and the inverse folds repeated
 // bitstrings together.
 func TestCountsCanonicalForm(t *testing.T) {
-	want := []Count{{"000", 4}, {"011", 1}, {"101", 7}, {"110", 2}, {"111", 9}}
+	want := []Count{{Bits: "000", N: 4}, {Bits: "011", N: 1}, {Bits: "101", N: 7}, {Bits: "110", N: 2}, {Bits: "111", N: 9}}
 	for rot := 0; rot < len(want); rot++ {
 		m := make(map[string]int)
 		for i := range want {
@@ -112,10 +115,67 @@ func TestCountsCanonicalForm(t *testing.T) {
 	if got := CountsToPairs(nil); len(got) != 0 {
 		t.Errorf("CountsToPairs(nil) = %v", got)
 	}
-	unsorted := []Count{{"11", 2}, {"00", 1}, {"11", 3}}
+	unsorted := []Count{{Bits: "11", N: 2}, {Bits: "00", N: 1}, {Bits: "11", N: 3}}
 	if got := PairsToCounts(unsorted); !reflect.DeepEqual(got, map[string]int{"00": 1, "11": 5}) {
 		t.Errorf("PairsToCounts(%v) = %v", unsorted, got)
 	}
+}
+
+// TestExecLabel: the label is the fmt form it replaces, for every exec
+// kind and for widths at the edges of int.
+func TestExecLabel(t *testing.T) {
+	for _, kind := range []string{"ghz", "bv", "qft", "qaoa", "vqe", "random", ""} {
+		for _, w := range []int{0, 2, 18, -1, math.MinInt} {
+			s := Spec{ExecKind: kind, ExecWidth: w}
+			if got, want := s.ExecLabel(), fmt.Sprintf("%s%d", kind, w); got != want {
+				t.Errorf("ExecLabel(%q, %d) = %q, want %q", kind, w, got, want)
+			}
+		}
+	}
+}
+
+// countsFromBytes reads pairs two bytes at a time: the low two bits of
+// the first byte give a length of 0-3 and the next bits the
+// bitstring; the second byte, signed, is the count. Short bitstrings
+// from a small alphabet make repeats and disorder common.
+func countsFromBytes(b []byte) []Count {
+	var cs []Count
+	for ; len(b) >= 2; b = b[2:] {
+		bits := make([]byte, b[0]&3)
+		for i := range bits {
+			bits[i] = '0' + b[0]>>(2+i)&1
+		}
+		cs = append(cs, Count{Bits: string(bits), N: int(int8(b[1]))})
+	}
+	return cs
+}
+
+// FuzzCanonicalCounts: Canonical is CountsToPairs(PairsToCounts(cs)) for
+// any pairs, and hands pairs already in that form back as the same
+// slice.
+func FuzzCanonicalCounts(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x01, 3, 0x05, 5, 0x07, 24})   // "0", "1", "100": ascending
+	f.Add([]byte{0x07, 2, 0x01, 1, 0x07, 3})    // unsorted, a repeat
+	f.Add([]byte{0x00, 0x80, 0x02, 0, 0x02, 0}) // ascending but for a repeat; a negative, a zero
+	f.Fuzz(func(t *testing.T, b []byte) {
+		cs := countsFromBytes(b)
+		in := slices.Clone(cs)
+		want := CountsToPairs(PairsToCounts(cs))
+		got := Canonical(cs)
+		if !slices.Equal(got, want) {
+			t.Fatalf("Canonical(%v) = %v, want %v", in, got, want)
+		}
+		if !slices.Equal(cs, in) {
+			t.Fatalf("Canonical modified its input %v to %v", in, cs)
+		}
+		if again := Canonical(want); len(want) > 0 && &again[0] != &want[0] {
+			t.Fatalf("canonical %v came back as a copy", want)
+		}
+		if slices.Equal(cs, want) && len(cs) > 0 && &got[0] != &cs[0] {
+			t.Fatalf("canonical input %v came back as a copy", cs)
+		}
+	})
 }
 
 // TestMergeBatch: a unit's counts are the per-bitstring sum over its
