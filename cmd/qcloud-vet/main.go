@@ -4,7 +4,8 @@
 // every PR's bit-identity pins rely on: no map-order-dependent output,
 // no wall-clock reads in sim paths, no ambient RNG, no allocations in
 // //qcloud:noalloc kernels, no event emission outside the owned
-// machineSim loops.
+// machineSim loops, and no declaration that no binary reaches
+// (unreachable, which judges only a load holding every main package).
 //
 // Usage:
 //
@@ -36,7 +37,9 @@ func main() {
 	if *list {
 		for _, a := range analyzers {
 			scope := "all packages"
-			if len(a.Scope) > 0 {
+			if a.Program != nil {
+				scope = "whole module"
+			} else if len(a.Scope) > 0 {
 				scope = fmt.Sprint(a.Scope)
 			}
 			fmt.Printf("%-12s %s\n%14s scope: %s\n", a.Name, a.Doc, "", scope)

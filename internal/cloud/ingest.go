@@ -125,18 +125,6 @@ func appendCounts(buf []byte, counts []Count) []byte {
 	return buf
 }
 
-// FormatCounts canonicalizes a counts map as its CSV cell: "bits:n"
-// pairs joined by spaces in bitstring order. Every serialization of the
-// same counts is byte-identical.
-func FormatCounts(m map[string]int) string {
-	counts := SortedCounts(m)
-	size := 0
-	for _, c := range counts {
-		size += len(c.Bits) + len(":12345 ") // a longer count only grows the buffer
-	}
-	return string(appendCounts(make([]byte, 0, size), counts))
-}
-
 // CountsHeader is the counts-plane CSV's header line.
 const CountsHeader = "seq,circuit,batch,shots,status,error,counts\n"
 

@@ -10,6 +10,9 @@ import (
 	"qcloud/internal/cloud"
 )
 
+// TestFormatCountsCanonicalForm pins the counts cell AppendCountsRow
+// writes from SortedCounts: "bits:n" pairs joined by spaces in bitstring
+// order.
 func TestFormatCountsCanonicalForm(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -23,23 +26,27 @@ func TestFormatCountsCanonicalForm(t *testing.T) {
 		{"count wider than the size estimate", map[string]int{"1": 1234567890123, "0": 7}, "0:7 1:1234567890123"},
 		{"mixed key lengths", map[string]int{"10": 1, "1": 2, "": 3}, ":3 1:2 10:1"},
 	} {
-		if got := cloud.FormatCounts(tc.in); got != tc.want {
-			t.Errorf("%s: FormatCounts = %q, want %q", tc.name, got, tc.want)
+		row := string(cloud.AppendCountsRow(nil, 0, "c", 1, 1, false, "", cloud.SortedCounts(tc.in)))
+		if want := "0,c,1,1,ok,," + tc.want + "\n"; row != want {
+			t.Errorf("%s: row = %q, want %q", tc.name, row, want)
 		}
 	}
 }
 
 // TestFormatCountsLinear pins the cell builder at a handful of
-// allocations (pair slice, buffer, string) however many entries the cell
-// has: appending to a string per entry costs two allocations per entry,
-// 2 048 here.
+// allocations (the pair slice; the row buffer is reused, as the CSV
+// writers reuse theirs) however many entries the cell has: appending to
+// a string per entry costs two allocations per entry, 2 048 here.
 func TestFormatCountsLinear(t *testing.T) {
 	m := make(map[string]int, 1024)
 	for i := 0; i < 1024; i++ {
 		m[fmt.Sprintf("%018b", i*251)] = i%7 + 1
 	}
-	if avg := testing.AllocsPerRun(20, func() { cloud.FormatCounts(m) }); avg > 4 {
-		t.Fatalf("FormatCounts of 1 024 entries allocates %v times, want <= 4", avg)
+	var buf []byte
+	if avg := testing.AllocsPerRun(20, func() {
+		buf = cloud.AppendCountsRow(buf[:0], 0, "c", 1, 1, false, "", cloud.SortedCounts(m))
+	}); avg > 4 {
+		t.Fatalf("a row of 1 024 entries allocates %v times, want <= 4", avg)
 	}
 }
 

@@ -367,9 +367,8 @@ func (s *Session) HeldTraceEntries() int {
 // fleet at the checkpoint cadence, finalizing, and sealing every
 // stream — without materializing the trace in memory. This is the
 // constant-memory path for million-job sessions: consume events
-// through Observe/ObserveBuffered while it runs, and read the trace
-// back later with ReadJournalTrace if needed. The session is closed
-// when it returns.
+// through Observe while it runs, and read the trace back later with
+// ReadJournalTrace if needed. The session is closed when it returns.
 func (s *Session) DrainJournal() (JournalStats, error) {
 	if s.closed {
 		return JournalStats{}, ErrSessionClosed

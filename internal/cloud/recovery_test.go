@@ -317,8 +317,8 @@ func TestRetryBackoffRecoveryProperty(t *testing.T) {
 		}
 		for h, k := range attempts {
 			if k > policy.MaxAttempts-1 {
-				t.Fatalf("seed %d: job %s retried %d times, budget is %d attempts total",
-					seed, h.Spec().User, k, policy.MaxAttempts)
+				t.Fatalf("seed %d: job %p retried %d times, budget is %d attempts total",
+					seed, h, k, policy.MaxAttempts)
 			}
 		}
 		if counts[cloud.EventRetry] > policy.BudgetPerUser {

@@ -117,12 +117,6 @@ type JobHandle struct {
 	sess    *Session
 }
 
-// Spec returns the submitted job spec.
-func (h *JobHandle) Spec() *JobSpec { return h.spec }
-
-// Machine returns the backend the job was submitted to.
-func (h *JobHandle) Machine() string { return h.machine }
-
 // QueueSnapshot is a live view of one machine's queue at its frontier
 // — the information a vendor-side scheduler can act on at a job's
 // submit instant (the paper's §IV-D machine-aware management and
@@ -415,59 +409,7 @@ func (s *Session) QueueState(machine string) (QueueSnapshot, error) {
 // closes once the session ends and the backlog has drained. Observing
 // a closed session returns ErrSessionClosed.
 func (s *Session) Observe(f EventFilter) (<-chan Event, error) {
-	o, err := s.attachObserver(newObserver(f))
-	if err != nil {
-		return nil, err
-	}
-	return o.ch, nil
-}
-
-// OverflowPolicy selects what a bounded observer does when its buffer
-// is full.
-type OverflowPolicy int
-
-const (
-	// BlockOnFull stalls the producing machine until the consumer
-	// drains — backpressure: no event is ever lost, at the cost of
-	// coupling simulation speed to the consumer.
-	BlockOnFull OverflowPolicy = iota
-	// DropOldest evicts the oldest buffered events to admit new ones;
-	// the simulation never stalls and Dropped counts the evictions.
-	DropOldest
-)
-
-// BufferedObserver is a bounded event subscription (ObserveBuffered).
-type BufferedObserver struct {
-	o *observer
-}
-
-// Events is the subscription channel; it closes once the session ends
-// and the (bounded) backlog drains.
-func (b *BufferedObserver) Events() <-chan Event { return b.o.ch }
-
-// Dropped reports how many events a DropOldest observer has evicted.
-func (b *BufferedObserver) Dropped() int64 { return b.o.dropped.Load() }
-
-// ObserveBuffered subscribes like Observe but bounds the observer's
-// backlog to n events, so a slow consumer on a long (million-job)
-// session costs O(n) memory instead of an unbounded buffer. The policy
-// picks the overflow behavior: BlockOnFull backpressures the
-// simulation, DropOldest sheds the oldest events and counts them. The
-// default Observe path is untouched — unbounded, never blocking.
-func (s *Session) ObserveBuffered(f EventFilter, n int, policy OverflowPolicy) (*BufferedObserver, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("cloud: ObserveBuffered needs a positive buffer bound, got %d", n)
-	}
 	o := newObserver(f)
-	o.limit = n
-	o.policy = policy
-	if _, err := s.attachObserver(o); err != nil {
-		return nil, err
-	}
-	return &BufferedObserver{o: o}, nil
-}
-
-func (s *Session) attachObserver(o *observer) (*observer, error) {
 	s.obsMu.Lock()
 	closed := s.closed
 	if !closed {
@@ -479,7 +421,7 @@ func (s *Session) attachObserver(o *observer) (*observer, error) {
 	}
 	s.hasObs.Store(true)
 	go o.pump()
-	return o, nil
+	return o.ch, nil
 }
 
 // Run advances every machine to the end of the window, assembles the
@@ -578,13 +520,6 @@ type observer struct {
 	study    bool
 	ch       chan Event
 
-	// limit bounds the backlog (0 = unbounded, the Observe default);
-	// policy applies when it is hit; dropped counts DropOldest
-	// evictions.
-	limit   int
-	policy  OverflowPolicy
-	dropped atomic.Int64
-
 	mu   sync.Mutex
 	cond *sync.Cond
 	buf  []Event
@@ -626,25 +561,9 @@ func (o *observer) matches(ev Event) bool {
 
 func (o *observer) send(ev Event) {
 	o.mu.Lock()
-	if o.limit > 0 && len(o.buf) >= o.limit {
-		switch o.policy {
-		case BlockOnFull:
-			// Backpressure: park the producing machine until the pump
-			// takes the batch (or the session finishes).
-			for len(o.buf) >= o.limit && !o.done {
-				o.cond.Wait()
-			}
-		case DropOldest:
-			drop := len(o.buf) - o.limit + 1
-			o.buf = append(o.buf[:0], o.buf[drop:]...)
-			o.dropped.Add(int64(drop))
-		}
-	}
 	o.buf = append(o.buf, ev)
 	o.mu.Unlock()
-	// Broadcast, not Signal: with a bounded Block observer both the
-	// pump and stalled producers may be waiting on the same cond.
-	o.cond.Broadcast()
+	o.cond.Signal()
 }
 
 func (o *observer) finish() {
@@ -671,9 +590,6 @@ func (o *observer) pump() {
 		o.buf = nil
 		done := o.done
 		o.mu.Unlock()
-		// Taking the batch freed the whole buffer — wake any producers
-		// blocked on a full bounded buffer.
-		o.cond.Broadcast()
 		for _, ev := range batch {
 			o.ch <- ev
 		}

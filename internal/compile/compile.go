@@ -88,25 +88,6 @@ type Result struct {
 	LayoutMethod string
 }
 
-// TotalSeconds returns the summed wall time across all passes.
-func (r *Result) TotalSeconds() float64 {
-	total := 0.0
-	for _, t := range r.Timings {
-		total += t.Seconds
-	}
-	return total
-}
-
-// TimingFor returns the cumulative seconds spent in the named pass.
-func (r *Result) TimingFor(name string) float64 {
-	for _, t := range r.Timings {
-		if t.Name == name {
-			return t.Seconds
-		}
-	}
-	return 0
-}
-
 // Options tunes the pipeline.
 type Options struct {
 	// Seed drives stochastic passes; the same seed reproduces the same
@@ -290,10 +271,10 @@ func layoutMethodName(ctx *Context) string {
 	}
 }
 
-// Layout method identifiers stored in Props["layout_method"].
+// Layout method identifiers stored in Props["layout_method"]; zero is
+// a missing entry, no layout pass ran.
 const (
-	layoutNone = iota
-	layoutCSP
+	layoutCSP = iota + 1
 	layoutNoise
 	layoutDense
 	layoutTrivial

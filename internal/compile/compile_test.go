@@ -138,8 +138,10 @@ func TestTimingsCoverPipeline(t *testing.T) {
 		"BarrierBeforeFinalMeasurements",
 	}
 	have := make(map[string]bool)
+	total := 0.0
 	for _, tm := range res.Timings {
 		have[tm.Name] = true
+		total += tm.Seconds
 		if tm.Seconds < 0 {
 			t.Fatalf("negative timing for %s", tm.Name)
 		}
@@ -149,7 +151,7 @@ func TestTimingsCoverPipeline(t *testing.T) {
 			t.Fatalf("pass %s missing from timings (have %v)", name, have)
 		}
 	}
-	if res.TotalSeconds() <= 0 {
+	if total <= 0 {
 		t.Fatal("total compile time should be positive")
 	}
 }

@@ -11,8 +11,6 @@ var identity2 = circuit.Identity2
 
 func gateMat2(g circuit.Gate) (mat2, bool) { return circuit.GateMat2(g) }
 
-func u3Mat(theta, phi, lambda float64) mat2 { return circuit.U3Mat(theta, phi, lambda) }
-
 func zyzAngles(u mat2) (theta, phi, lambda float64) { return circuit.ZYZAngles(u) }
 
 func normAngle(a float64) float64 { return circuit.NormAngle(a) }

@@ -53,7 +53,7 @@ func TestZSXZSXZIdentity(t *testing.T) {
 		th := r.Float64()*4*math.Pi - 2*math.Pi
 		ph := r.Float64()*4*math.Pi - 2*math.Pi
 		la := r.Float64()*4*math.Pi - 2*math.Pi
-		want := u3Mat(th, ph, la)
+		want := circuit.U3Mat(th, ph, la)
 		got := rzMat(ph + math.Pi).Mul(sxMat()).Mul(rzMat(th + math.Pi)).Mul(sxMat()).Mul(rzMat(la))
 		if !equalUpToPhase(got, want, 1e-9) {
 			t.Fatalf("ZSXZSXZ mismatch for (%.3f, %.3f, %.3f)", th, ph, la)
@@ -68,7 +68,7 @@ func TestU2Identity(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		ph := r.Float64() * 2 * math.Pi
 		la := r.Float64() * 2 * math.Pi
-		want := u3Mat(math.Pi/2, ph, la)
+		want := circuit.U3Mat(math.Pi/2, ph, la)
 		got := rzMat(ph + math.Pi/2).Mul(sxMat()).Mul(rzMat(la - math.Pi/2))
 		if !equalUpToPhase(got, want, 1e-9) {
 			t.Fatalf("U2 identity mismatch for (%.3f, %.3f)", ph, la)
@@ -80,7 +80,7 @@ func TestU2Identity(t *testing.T) {
 // translator: H = U(π/2, 0, π).
 func TestHadamardDecomposition(t *testing.T) {
 	h, _ := gateMat2(circuit.NewGate(circuit.OpH, []int{0}))
-	if !equalUpToPhase(u3Mat(math.Pi/2, 0, math.Pi), h, 1e-12) {
+	if !equalUpToPhase(circuit.U3Mat(math.Pi/2, 0, math.Pi), h, 1e-12) {
 		t.Fatal("H != U(π/2, 0, π)")
 	}
 }
@@ -104,7 +104,7 @@ func TestZYZRoundtripProperty(t *testing.T) {
 			u = m.Mul(u)
 		}
 		th, ph, la := zyzAngles(u)
-		return equalUpToPhase(u3Mat(th, ph, la), u, 1e-8)
+		return equalUpToPhase(circuit.U3Mat(th, ph, la), u, 1e-8)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -120,13 +120,13 @@ func TestZYZSpecialCases(t *testing.T) {
 	// Pure X (θ=π, cos=0 branch).
 	x, _ := gateMat2(circuit.NewGate(circuit.OpX, []int{0}))
 	th, ph, la = zyzAngles(x)
-	if !equalUpToPhase(u3Mat(th, ph, la), x, 1e-9) {
+	if !equalUpToPhase(circuit.U3Mat(th, ph, la), x, 1e-9) {
 		t.Fatal("X roundtrip failed")
 	}
 	// Pure RZ (sin=0 branch).
 	z := rzMat(1.3)
 	th, ph, la = zyzAngles(z)
-	if !equalUpToPhase(u3Mat(th, ph, la), z, 1e-9) {
+	if !equalUpToPhase(circuit.U3Mat(th, ph, la), z, 1e-9) {
 		t.Fatal("RZ roundtrip failed")
 	}
 }

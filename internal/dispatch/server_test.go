@@ -141,7 +141,7 @@ func TestResultsExchange(t *testing.T) {
 	if st := d.Stats(); st.Done != 1 || st.Failed != 1 || st.Leased != 2 || st.Queued != 1 {
 		t.Fatalf("after the batch: %+v", st)
 	}
-	if got := d.Queue().tasks[0].Counts; !slices.Equal(got, counts) {
+	if got := d.q.tasks[0].Counts; !slices.Equal(got, counts) {
 		t.Fatalf("seq 0 kept %v, want its first outcome %v", got, counts)
 	}
 
@@ -230,10 +230,10 @@ func TestResultRouteStatus(t *testing.T) {
 	}
 	spec := testPlans(t, 3, 1)[0]
 	spec.Machine = "ibmq_nowhere"
-	if _, _, err := d.Queue().Submit("k/0", spec); err != nil {
+	if _, _, err := d.q.Submit("k/0", spec); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Queue().Seal(); err != nil {
+	if err := d.q.Seal(); err != nil {
 		t.Fatal(err)
 	}
 	if code, msg := getResult(t, h, "/v1/result/counts"); code != http.StatusConflict || !strings.Contains(msg, "0/1 terminal") {
@@ -372,7 +372,7 @@ func TestSubmitInstantsSurviveRestart(t *testing.T) {
 	if code := postJSON(t, h, "/v1/seal", wire.SealRequest{V: wire.Version}, &wire.GenericResponse{}); code != http.StatusOK {
 		t.Fatalf("seal answered %d", code)
 	}
-	sent := d.Queue().TraceInputs()
+	sent := d.q.TraceInputs()
 	if !sent[0].SubmitTime.IsZero() || sent[1].SubmitTime.Year() != 1600 || sent[2].SubmitTime.Year() != 2300 {
 		t.Fatalf("the handler decoded submit times %v, %v, %v", sent[0].SubmitTime, sent[1].SubmitTime, sent[2].SubmitTime)
 	}
@@ -390,7 +390,7 @@ func TestSubmitInstantsSurviveRestart(t *testing.T) {
 	if d, err = New(cfg); err != nil {
 		t.Fatal(err)
 	}
-	replayed := d.Queue().TraceInputs()
+	replayed := d.q.TraceInputs()
 	if len(replayed) != len(sent) {
 		t.Fatalf("replayed %d of %d specs", len(replayed), len(sent))
 	}
@@ -423,7 +423,7 @@ func TestNonCanonicalReportLandsAsTheMapPath(t *testing.T) {
 	hostile := []wire.Count{{Bits: "11", N: 2}, {Bits: "00", N: 1}, {Bits: "11", N: 3}, {Bits: "01", N: 0}}
 	paths := map[string]func(d *Dispatcher) error{
 		"Queue.Result": func(d *Dispatcher) error {
-			_, _, err := d.Queue().Result("w", 1, 0, map[string]int{"00": 1, "01": 0, "11": 5}, "")
+			_, _, err := d.q.Result("w", 1, 0, map[string]int{"00": 1, "01": 0, "11": 5}, "")
 			return err
 		},
 		"/v1/results": func(d *Dispatcher) error {
@@ -441,7 +441,7 @@ func TestNonCanonicalReportLandsAsTheMapPath(t *testing.T) {
 			return nil
 		},
 		"Queue.Exchange": func(d *Dispatcher) error {
-			_, err := d.Queue().Exchange("w", []Report{{Seq: 1, Counts: slices.Clone(hostile)}}, 0)
+			_, err := d.q.Exchange("w", []Report{{Seq: 1, Counts: slices.Clone(hostile)}}, 0)
 			return err
 		},
 	}
@@ -453,7 +453,7 @@ func TestNonCanonicalReportLandsAsTheMapPath(t *testing.T) {
 	for name, report := range paths {
 		d := newTestDispatcher(t)
 		for i, p := range plans {
-			if _, _, err := d.Queue().Submit(fmt.Sprintf("k/%d", i), p); err != nil {
+			if _, _, err := d.q.Submit(fmt.Sprintf("k/%d", i), p); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -464,7 +464,7 @@ func TestNonCanonicalReportLandsAsTheMapPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		results[name] = landed{wal: streamBytes(t, d.cfg.Dir, resultsDirName), csv: csv, counts: d.Queue().tasks[1].Counts}
+		results[name] = landed{wal: streamBytes(t, d.cfg.Dir, resultsDirName), csv: csv, counts: d.q.tasks[1].Counts}
 	}
 	want := results["Queue.Result"]
 	if len(want.wal) == 0 || !bytes.Contains(want.csv, []byte(",ok,,00:1 01:0 11:5\n")) {

@@ -39,14 +39,14 @@ func traceFixture(t *testing.T) (Config, []wire.Spec) {
 	}
 	d := openDispatcher(t, cfg)
 	for i := range plans {
-		if _, _, err := d.Queue().Submit(fmt.Sprintf("k/%d", i), plans[i]); err != nil {
+		if _, _, err := d.q.Submit(fmt.Sprintf("k/%d", i), plans[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := d.Queue().Cancel("k/1", 0); err != nil {
+	if _, _, err := d.q.Cancel("k/1", 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Queue().Seal(); err != nil {
+	if err := d.q.Seal(); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Close(); err != nil {
@@ -251,7 +251,7 @@ func TestTraceAfterLateCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if accepted, _, err := d.Queue().Cancel("k/2", 0); err != nil || !accepted {
+	if accepted, _, err := d.q.Cancel("k/2", 0); err != nil || !accepted {
 		t.Fatalf("late cancel = %v, %v", accepted, err)
 	}
 	after, err := d.TraceCSV()
@@ -297,7 +297,7 @@ func TestTraceCSVConcurrent(t *testing.T) {
 			}
 		}()
 	}
-	if _, _, err := d.Queue().Cancel("k/2", 0); err != nil {
+	if _, _, err := d.q.Cancel("k/2", 0); err != nil {
 		t.Error(err)
 	}
 	wg.Wait()

@@ -507,11 +507,11 @@ func TestPersistentWriteErrorFailStops(t *testing.T) {
 	if stuck == nil {
 		t.Fatal("persistent write failures did not surface")
 	}
-	if w.Err() == nil {
+	if w.err == nil {
 		t.Fatal("writer did not fail-stop")
 	}
-	if err := w.Append([]byte("more")); !errors.Is(err, w.Err()) {
-		t.Fatalf("append after fail-stop returned %v, want sticky %v", err, w.Err())
+	if err := w.Append([]byte("more")); !errors.Is(err, w.err) {
+		t.Fatalf("append after fail-stop returned %v, want sticky %v", err, w.err)
 	}
 	got, res := readAll(t, dir)
 	checkPrefix(t, got, payloads, good)

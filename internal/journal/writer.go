@@ -275,9 +275,6 @@ func (w *Writer) Records() int64 { return w.recs }
 // buffered frames.
 func (w *Writer) Bytes() int64 { return w.bytes }
 
-// Err returns the sticky write error, if the writer has fail-stopped.
-func (w *Writer) Err() error { return w.err }
-
 func (w *Writer) stickyOrClosed() error {
 	if w.err != nil {
 		return w.err

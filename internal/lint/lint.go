@@ -25,6 +25,9 @@
 //   - eventorder: Event-channel sends and trace.Trace appends may not
 //     happen on goroutines outside the session's owned delivery path
 //     (//qcloud:eventowner).
+//   - unreachable: no declaration of a non-main package that no main,
+//     init, var initializer or other package's test reaches, unless it
+//     is marked //qcloud:keep with a reason; whole-module loads only.
 package lint
 
 import (
@@ -53,6 +56,10 @@ const (
 	// session's owned event-delivery machinery and may therefore send
 	// events from its own goroutine.
 	DirectiveEventOwner = "qcloud:eventowner"
+	// DirectiveKeep keeps a declaration the unreachable analyzer would
+	// report; the text after it must say why (the test that compares
+	// against a reference implementation, the CI step that runs it).
+	DirectiveKeep = "qcloud:keep"
 )
 
 // Diagnostic is one analyzer finding at a source position.
@@ -79,6 +86,10 @@ type Analyzer struct {
 	// IncludeTests extends the analyzer to _test.go files.
 	IncludeTests bool
 	Run          func(*Pass) error
+	// Program, set instead of Run, sees every loaded package at once
+	// through a Pass that carries only the analyzer, Fset and Reportf.
+	// Scope and IncludeTests do not apply.
+	Program func(*Pass, []*Pkg) error
 }
 
 // applies reports whether the analyzer's scope covers the import path.
@@ -124,7 +135,7 @@ func (p *Pass) IsTestFile(f *ast.File) bool { return p.pkg.TestFiles[f] }
 
 // Analyzers returns the qcloud-vet suite in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{MapRange, Wallclock, GlobalRand, NoAlloc, EventOrder}
+	return []*Analyzer{MapRange, Wallclock, GlobalRand, NoAlloc, EventOrder, Unreachable}
 }
 
 // DeterministicPackages are the packages whose outputs are pinned
@@ -167,9 +178,17 @@ func Vet(pkgs []*Pkg, analyzers []*Analyzer) ([]Diagnostic, error) {
 			diags = append(diags, d)
 		}
 	}
+	for _, a := range analyzers {
+		if a.Program != nil && len(pkgs) > 0 {
+			pass := &Pass{Analyzer: a, Fset: pkgs[0].Fset, report: collect}
+			if err := a.Program(pass, pkgs); err != nil {
+				return nil, fmt.Errorf("lint: %s: %w", a.Name, err)
+			}
+		}
+	}
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
-			if !a.applies(pkg.PkgPath) {
+			if a.Run == nil || !a.applies(pkg.PkgPath) {
 				continue
 			}
 			files := pkg.Files

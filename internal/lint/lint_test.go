@@ -81,11 +81,21 @@ func collectWants(t *testing.T, dir string) []fixtureWant {
 // suite, and matches diagnostics against the want marks exactly.
 func checkFixture(t *testing.T, fixture, pkgPath string) {
 	t.Helper()
-	dir := filepath.Join("testdata", "src", fixture)
-	pkg, err := sharedLoader(t).LoadDir(pkgPath, dir)
+	checkPkg(t, fixture, loadFixture(t, fixture, pkgPath))
+}
+
+func loadFixture(t *testing.T, fixture, pkgPath string) *lint.Pkg {
+	t.Helper()
+	pkg, err := sharedLoader(t).LoadDir(pkgPath, filepath.Join("testdata", "src", fixture))
 	if err != nil {
 		t.Fatalf("LoadDir(%s): %v", fixture, err)
 	}
+	return pkg
+}
+
+func checkPkg(t *testing.T, fixture string, pkg *lint.Pkg) {
+	t.Helper()
+	dir := filepath.Join("testdata", "src", fixture)
 	diags, err := lint.Vet([]*lint.Pkg{pkg}, lint.Analyzers())
 	if err != nil {
 		t.Fatalf("Vet(%s): %v", fixture, err)
@@ -168,6 +178,29 @@ func TestWallclockDispatchFixtures(t *testing.T) {
 	checkFixture(t, "wallclock_dispatch_fixed", "qcloud/internal/dispatch/wire/lintfixture")
 }
 
+// The unreachable twins are each a whole program of their own: their
+// roots are their var initializers and init.
+func TestUnreachableFixtures(t *testing.T) {
+	for _, fixture := range []string{"unreachable_broken", "unreachable_fixed"} {
+		pkg := loadFixture(t, fixture, "qcloud/internal/lintfixture")
+		pkg.Whole = true
+		checkPkg(t, fixture, pkg)
+	}
+}
+
+// A load without every main package cannot tell dead code from code a
+// binary outside it reaches, so the broken twin goes quiet.
+func TestUnreachablePartialLoadQuiet(t *testing.T) {
+	pkg := loadFixture(t, "unreachable_broken", "qcloud/internal/lintfixture")
+	diags, err := lint.Vet([]*lint.Pkg{pkg}, lint.Analyzers())
+	if err != nil {
+		t.Fatalf("Vet: %v", err)
+	}
+	for _, d := range diags {
+		t.Errorf("partial load still diagnosed: %s", d)
+	}
+}
+
 // The same broken source claimed on the daemon side of the boundary
 // must go quiet: listing the wire subpackage in DeterministicPackages
 // must not pull its parent qcloud/internal/dispatch into scope.
@@ -204,7 +237,7 @@ func TestScopeFiltering(t *testing.T) {
 }
 
 func TestSuiteComplete(t *testing.T) {
-	want := []string{"maprange", "wallclock", "globalrand", "noalloc", "eventorder"}
+	want := []string{"maprange", "wallclock", "globalrand", "noalloc", "eventorder", "unreachable"}
 	got := lint.Analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(got), len(want))

@@ -28,6 +28,11 @@ type Pkg struct {
 	TestFiles map[*ast.File]bool
 	Types     *types.Package
 	Info      *types.Info
+	// Whole is set on every package of a load that holds every main
+	// package of the module: only then can a whole-program analyzer
+	// (unreachable) tell dead code from code a binary outside the load
+	// reaches.
+	Whole bool
 }
 
 // Loader parses and type-checks packages of the enclosing module using
@@ -90,6 +95,7 @@ func findModuleRoot(dir string) (string, error) {
 // listedPkg is the subset of `go list -json` output the loader needs.
 type listedPkg struct {
 	ImportPath   string
+	Name         string
 	Dir          string
 	Standard     bool
 	GoFiles      []string
@@ -104,25 +110,23 @@ func (l *Loader) Load(patterns ...string) ([]*Pkg, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	args := append([]string{"list", "-json"}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = l.ModuleRoot
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
+	listed, err := l.list(patterns)
 	if err != nil {
-		return nil, fmt.Errorf("lint: go list %v: %v\n%s", patterns, err, stderr.String())
+		return nil, err
 	}
-	dec := json.NewDecoder(bytes.NewReader(out))
-	var listed []listedPkg
-	for {
-		var p listedPkg
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("lint: decoding go list output: %v", err)
+	module, err := l.list([]string{"./..."})
+	if err != nil {
+		return nil, err
+	}
+	loaded := make(map[string]bool)
+	for _, lp := range listed {
+		loaded[lp.ImportPath] = true
+	}
+	whole := true
+	for _, lp := range module {
+		if lp.Name == "main" && !loaded[lp.ImportPath] {
+			whole = false
 		}
-		listed = append(listed, p)
 	}
 	var pkgs []*Pkg
 	for _, lp := range listed {
@@ -144,13 +148,41 @@ func (l *Loader) Load(patterns ...string) ([]*Pkg, error) {
 			pkgs = append(pkgs, pkg)
 		}
 	}
+	for _, pkg := range pkgs {
+		pkg.Whole = whole
+	}
 	return pkgs, nil
+}
+
+// list runs `go list -json` over the patterns at the module root.
+func (l *Loader) list(patterns []string) ([]listedPkg, error) {
+	cmd := exec.Command("go", append([]string{"list", "-json"}, patterns...)...)
+	cmd.Dir = l.ModuleRoot
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("lint: go list %v: %v\n%s", patterns, err, stderr.String())
+	}
+	dec := json.NewDecoder(bytes.NewReader(out))
+	var listed []listedPkg
+	for {
+		var p listedPkg
+		if err := dec.Decode(&p); err == io.EOF {
+			return listed, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("lint: decoding go list output: %v", err)
+		}
+		listed = append(listed, p)
+	}
 }
 
 // LoadDir parses and type-checks the .go files of one directory as a
 // single package under the claimed import path, treating _test.go
 // files as test files. Used by the fixture tests (testdata packages
 // are invisible to `go list`).
+//
+//qcloud:keep loads the testdata fixtures of lint_test.go
 func (l *Loader) LoadDir(pkgPath, dir string) (*Pkg, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {

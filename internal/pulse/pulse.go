@@ -72,17 +72,6 @@ func (s *Schedule) DurationUs() float64 {
 	return end
 }
 
-// CountKind returns how many instructions have the given kind.
-func (s *Schedule) CountKind(k Kind) int {
-	n := 0
-	for _, in := range s.Instructions {
-		if in.Kind == k {
-			n++
-		}
-	}
-	return n
-}
-
 // Lower converts a hardware-basis circuit (the output of compile) into
 // a pulse schedule under the given calibration. Noisier couplers get
 // proportionally longer cross-resonance pulses, which is why schedules

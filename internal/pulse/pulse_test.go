@@ -167,3 +167,14 @@ func TestScheduleSortedByStart(t *testing.T) {
 		}
 	}
 }
+
+// CountKind returns how many instructions have the given kind.
+func (s *Schedule) CountKind(k Kind) int {
+	n := 0
+	for _, in := range s.Instructions {
+		if in.Kind == k {
+			n++
+		}
+	}
+	return n
+}

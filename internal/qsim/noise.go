@@ -34,6 +34,8 @@ func (n *NoiseModel) ReadoutError(q int) float64 {
 // Pauli placement from precomputed per-gate probabilities (see fuse.go
 // and the equivalence tests), so the per-shot hot path never calls the
 // model closures or rebuilds Pauli matrices.
+//
+//qcloud:keep the noise channel's reference: referenceTrajectories (fuse_test.go) holds the fused draws to it
 func (n *NoiseModel) applyAfterGate(st *State, g circuit.Gate, r *rand.Rand) {
 	var p float64
 	switch {

@@ -159,12 +159,6 @@ func (s *State) forRange(fn func(lo, hi int)) {
 	s.shard(fn)
 }
 
-// NumQubits returns the register size.
-func (s *State) NumQubits() int { return s.n }
-
-// Amplitude returns the amplitude of basis state i.
-func (s *State) Amplitude(i int) complex128 { return complex(s.re[i], s.im[i]) }
-
 // reduceFn is a chunk reducer: a partial sum over [lo, hi) of some
 // per-amplitude quantity, parameterized by one int (e.g. a qubit bit
 // mask). Implementations are method expressions so passing them does
@@ -220,6 +214,8 @@ func (s *State) normChunk(_, lo, hi int) float64 {
 }
 
 // Norm returns the squared norm of the state (1 for a valid state).
+//
+//qcloud:keep the norm probe of the unitarity and sharding tests (qsim_test.go, parallel_test.go)
 func (s *State) Norm() float64 {
 	return s.reduce((*State).normChunk, 0)
 }
@@ -530,6 +526,8 @@ func isRealMat4(m *circuit.Mat4) bool {
 // Apply2Q applies a 4x4 unitary to the ordered qubit pair (q0, q1):
 // q0 is the matrix's low basis bit b0 and q1 the high bit b1 (see
 // circuit.Mat4). The two qubits must be distinct.
+//
+//qcloud:keep the sharded 4x4 entry fuse2q_test.go and TestKernelShardingMatchesSerial check the block kernels through
 func (s *State) Apply2Q(m circuit.Mat4, q0, q1 int) {
 	if q0 == q1 {
 		panic("qsim: Apply2Q requires distinct qubits")
@@ -823,6 +821,8 @@ func (s *State) ResetQubit(q int, r *rand.Rand) {
 
 // ApplyGate dispatches one circuit gate onto the state. Measurement,
 // reset, and barrier are not handled here — Run owns those.
+//
+//qcloud:keep the gate-by-gate oracle referenceExact and referenceTrajectories (fuse_test.go) hold the run paths to
 func (s *State) ApplyGate(g circuit.Gate) error {
 	switch g.Op {
 	case circuit.OpCX:
@@ -848,6 +848,8 @@ func (s *State) ApplyGate(g circuit.Gate) error {
 }
 
 // Probabilities returns the |amp|² distribution over basis states.
+//
+//qcloud:keep the distribution probe equivalence_test.go and parallel_test.go compare states by
 func (s *State) Probabilities() []float64 {
 	ps := make([]float64, len(s.re))
 	s.forRange(func(lo, hi int) {

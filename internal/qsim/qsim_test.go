@@ -265,3 +265,28 @@ func TestMidCircuitMeasurementUsesTrajectories(t *testing.T) {
 		t.Fatalf("P(1) = %v, want ~0.5", p1)
 	}
 }
+
+// NumQubits returns the register size.
+func (s *State) NumQubits() int { return s.n }
+
+// Amplitude returns the amplitude of basis state i.
+func (s *State) Amplitude(i int) complex128 { return complex(s.re[i], s.im[i]) }
+
+// MostFrequent returns the modal bitstring (ties broken
+// lexicographically) and its count. An empty Counts map has no mode:
+// it returns ("", 0) so the count is usable as a frequency without a
+// sentinel check.
+func (c Counts) MostFrequent() (string, int) {
+	best, bestN := "", 0
+	first := true
+	// The lexicographic tie-break totally orders candidates, so the
+	// selected mode is independent of iteration order.
+	//qcloud:orderinvariant
+	for b, n := range c {
+		if first || n > bestN || (n == bestN && b < best) {
+			best, bestN = b, n
+			first = false
+		}
+	}
+	return best, bestN
+}

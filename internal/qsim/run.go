@@ -65,25 +65,6 @@ func (c Counts) Prob(bits string) float64 {
 	return float64(c[bits]) / float64(t)
 }
 
-// MostFrequent returns the modal bitstring (ties broken
-// lexicographically) and its count. An empty Counts map has no mode:
-// it returns ("", 0) so the count is usable as a frequency without a
-// sentinel check.
-func (c Counts) MostFrequent() (string, int) {
-	best, bestN := "", 0
-	first := true
-	// The lexicographic tie-break totally orders candidates, so the
-	// selected mode is independent of iteration order.
-	//qcloud:orderinvariant
-	for b, n := range c {
-		if first || n > bestN || (n == bestN && b < best) {
-			best, bestN = b, n
-			first = false
-		}
-	}
-	return best, bestN
-}
-
 // merge adds other's observations into c.
 func (c Counts) merge(other Counts) {
 	// Per-key integer addition commutes exactly.

@@ -130,6 +130,8 @@ func (p LiveFidelityAware) ChooseLive(spec *cloud.JobSpec, cands []*backend.Mach
 // additionally withdraws its own queued jobs from machines that have
 // since gone down and re-places them, the reactive half of the
 // vendor-side management the paper argues for.
+//
+//qcloud:keep CI's chaos pass runs it: TestFaultAwareRecoveryUnderAdversarialFaults
 type LiveFaultAware struct{}
 
 // Name implements OnlinePolicy.

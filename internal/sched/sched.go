@@ -63,9 +63,6 @@ func NewFleetInfo(cfg cloud.Config) *FleetInfo {
 	return f
 }
 
-// MeanExecSeconds returns the machine's mean background service time.
-func (f *FleetInfo) MeanExecSeconds(machine string) float64 { return f.meanExec[machine] }
-
 // Estimator predicts per-machine waiting times from observed queue
 // state — the §V-E.1 "research on predicting queuing times" primitive.
 // It extends FleetInfo with queue-length time series and wait-ratio

@@ -22,17 +22,13 @@ type Uniform struct{ Lo, Hi float64 }
 func (u *Uniform) Sample(r *rand.Rand) float64 { return u.Lo + r.Float64()*(u.Hi-u.Lo) }
 
 // Exponential samples from an exponential distribution with the given
-// mean (not rate). Used for inter-arrival times.
+// mean (not rate).
+//
+//qcloud:keep no model draws it; it goes with TestExponentialMean in the next sweep (ROADMAP item 9)
 type Exponential struct{ Mean float64 }
 
 // Sample implements Sampler.
 func (e *Exponential) Sample(r *rand.Rand) float64 { return r.ExpFloat64() * e.Mean }
-
-// Normal samples from a normal distribution.
-type Normal struct{ Mu, Sigma float64 }
-
-// Sample implements Sampler.
-func (n *Normal) Sample(r *rand.Rand) float64 { return n.Mu + n.Sigma*r.NormFloat64() }
 
 // LogNormal samples from a log-normal distribution parameterized by the
 // mean and stddev of the underlying normal. Queuing and service-time
@@ -48,6 +44,8 @@ func (l *LogNormal) Sample(r *rand.Rand) float64 {
 // Pareto samples from a Pareto (power-law) distribution with scale Xm
 // and shape Alpha. Heavy tails model the "queued for days" extreme of
 // the paper's queuing data.
+//
+//qcloud:keep no model draws it; it goes with TestParetoTail in the next sweep (ROADMAP item 9)
 type Pareto struct {
 	Xm    float64
 	Alpha float64

@@ -79,7 +79,7 @@ func TestPoissonMean(t *testing.T) {
 
 func TestClamped(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
-	c := &Clamped{S: &Normal{Mu: 0, Sigma: 100}, Lo: -1, Hi: 1}
+	c := &Clamped{S: &Uniform{Lo: -100, Hi: 100}, Lo: -1, Hi: 1}
 	xs := sampleN(c, r, 1000)
 	if Min(xs) < -1 || Max(xs) > 1 {
 		t.Fatal("clamped out of range")

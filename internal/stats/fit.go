@@ -216,23 +216,3 @@ func CurveFit(f ModelFunc, X [][]float64, y []float64, theta0 []float64, opts Cu
 	}
 	return theta, nil
 }
-
-// RSquared returns the coefficient of determination of predictions yhat
-// against observations y.
-func RSquared(y, yhat []float64) float64 {
-	if len(y) != len(yhat) || len(y) == 0 {
-		return math.NaN()
-	}
-	m := Mean(y)
-	var ssRes, ssTot float64
-	for i := range y {
-		d := y[i] - yhat[i]
-		ssRes += d * d
-		t := y[i] - m
-		ssTot += t * t
-	}
-	if ssTot == 0 {
-		return math.NaN()
-	}
-	return 1 - ssRes/ssTot
-}

@@ -134,3 +134,23 @@ func TestRSquaredPerfect(t *testing.T) {
 		t.Fatal("R² of constant y should be NaN")
 	}
 }
+
+// RSquared returns the coefficient of determination of predictions yhat
+// against observations y.
+func RSquared(y, yhat []float64) float64 {
+	if len(y) != len(yhat) || len(y) == 0 {
+		return math.NaN()
+	}
+	m := Mean(y)
+	var ssRes, ssTot float64
+	for i := range y {
+		d := y[i] - yhat[i]
+		ssRes += d * d
+		t := y[i] - m
+		ssTot += t * t
+	}
+	if ssTot == 0 {
+		return math.NaN()
+	}
+	return 1 - ssRes/ssTot
+}

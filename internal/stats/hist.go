@@ -7,6 +7,8 @@ import (
 
 // Histogram is a fixed-bucket histogram over [Lo, Hi). Values outside the
 // range are clamped into the first/last bucket so no observation is lost.
+//
+//qcloud:keep no figure bins with it; it goes with the seven Histogram tests of hist_test.go in the next sweep (ROADMAP item 9)
 type Histogram struct {
 	Lo, Hi float64
 	Counts []int64
@@ -17,6 +19,8 @@ type Histogram struct {
 // NewHistogram returns a linear-bucket histogram with n buckets over
 // [lo, hi). It panics if n < 1 or hi <= lo, since those are programming
 // errors, not data errors.
+//
+//qcloud:keep goes with Histogram
 func NewHistogram(lo, hi float64, n int) *Histogram {
 	if n < 1 || hi <= lo {
 		panic(fmt.Sprintf("stats: invalid histogram [%g,%g) n=%d", lo, hi, n))
@@ -28,6 +32,8 @@ func NewHistogram(lo, hi float64, n int) *Histogram {
 // log-space over [lo, hi). lo must be positive. Log-space buckets suit
 // the heavy-tailed queuing-time distributions in the paper (Fig 3 spans
 // 10^-2 to 10^3 minutes).
+//
+//qcloud:keep goes with Histogram
 func NewLogHistogram(lo, hi float64, n int) *Histogram {
 	if lo <= 0 {
 		panic(fmt.Sprintf("stats: log histogram requires lo > 0, got %g", lo))

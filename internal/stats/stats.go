@@ -36,6 +36,8 @@ func Mean(xs []float64) float64 {
 
 // GeoMean returns the geometric mean of xs. All values must be positive;
 // non-positive values yield NaN. Empty input yields NaN.
+//
+//qcloud:keep no figure averages with it; it goes with TestGeoMean in the next sweep (ROADMAP item 9)
 func GeoMean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()
@@ -67,6 +69,8 @@ func Variance(xs []float64) float64 {
 
 // SampleVariance returns the sample variance of xs (divide by n-1), or
 // NaN when len(xs) < 2.
+//
+//qcloud:keep no figure uses it; it goes with TestSampleVariance in the next sweep (ROADMAP item 9)
 func SampleVariance(xs []float64) float64 {
 	if len(xs) < 2 {
 		return math.NaN()

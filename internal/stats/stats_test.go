@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -160,34 +159,5 @@ func TestMeanBetweenMinMaxProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRunningMatchesBatch(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	xs := make([]float64, 1000)
-	var run Running
-	for i := range xs {
-		xs[i] = r.NormFloat64()*3 + 7
-		run.Add(xs[i])
-	}
-	if !almostEqual(run.Mean(), Mean(xs), 1e-9) {
-		t.Fatalf("running mean %v vs batch %v", run.Mean(), Mean(xs))
-	}
-	if !almostEqual(run.Variance(), Variance(xs), 1e-9) {
-		t.Fatalf("running var %v vs batch %v", run.Variance(), Variance(xs))
-	}
-	if run.Min() != Min(xs) || run.Max() != Max(xs) {
-		t.Fatal("running min/max mismatch")
-	}
-	if run.N() != 1000 {
-		t.Fatalf("N = %d", run.N())
-	}
-}
-
-func TestRunningEmpty(t *testing.T) {
-	var run Running
-	if !math.IsNaN(run.Mean()) || !math.IsNaN(run.Variance()) || !math.IsNaN(run.Min()) || !math.IsNaN(run.Max()) {
-		t.Fatal("empty Running should report NaN")
 	}
 }

@@ -37,12 +37,6 @@ type Job struct {
 	cur      *cloud.JobSpec // the currently admitted session-side clone
 }
 
-// Queue returns the name of the queue the job was submitted to.
-func (j *Job) Queue() string { return j.queue.cfg.Name }
-
-// Preemptions returns how many times the job has been displaced.
-func (j *Job) Preemptions() int { return j.preempts }
-
 type jobState uint8
 
 const (
@@ -169,9 +163,6 @@ func (b *Broker) Session() *cloud.Session { return b.sess }
 
 // Ledger exposes the allocation ledger for assertions and dumps.
 func (b *Broker) Ledger() *Ledger { return b.ledger }
-
-// Preemptions returns how many jobs the broker has displaced so far.
-func (b *Broker) Preemptions() int { return b.preemptions }
 
 // Now returns the broker's decision frontier in sim-seconds.
 func (b *Broker) Now() float64 { return b.nowSec }

@@ -177,18 +177,23 @@ func TestPreemptionBoundsPriorityWait(t *testing.T) {
 		if raw := b.Ledger().RawTotal(); math.Abs(raw-busy) > 1e-6*math.Max(busy, 1) {
 			t.Fatalf("preempt=%v: ledger %.3f != busy %.3f", preempt, raw, busy)
 		}
-		st, ok := b.State("interactive")
-		if !ok || st.Done == 0 {
+		var st tenant.TenantState
+		for _, s := range b.States() {
+			if s.Name == "interactive" {
+				st = s
+			}
+		}
+		if st.Done == 0 {
 			t.Fatalf("preempt=%v: interactive queue ran nothing (%+v)", preempt, st)
 		}
 		return st.WaitMean, b
 	}
 	off, bOff := waitOf(false)
 	on, bOn := waitOf(true)
-	if bOff.Preemptions() != 0 {
-		t.Fatalf("preemption disabled but %d preemptions fired", bOff.Preemptions())
+	if bOff.Metrics().Preemptions != 0 {
+		t.Fatalf("preemption disabled but %d preemptions fired", bOff.Metrics().Preemptions)
 	}
-	if bOn.Preemptions() == 0 {
+	if bOn.Metrics().Preemptions == 0 {
 		t.Fatal("preemption enabled but never fired")
 	}
 	if on >= 0.7*off {
@@ -245,10 +250,10 @@ func TestPreemptReasonDistinct(t *testing.T) {
 			}
 		}
 	}
-	if got := reasons[cloud.CancelPreempted]; got != b.Preemptions() {
-		t.Fatalf("%d cancel events carry CancelPreempted, broker reports %d preemptions", got, b.Preemptions())
+	if got := reasons[cloud.CancelPreempted]; got != b.Metrics().Preemptions {
+		t.Fatalf("%d cancel events carry CancelPreempted, broker reports %d preemptions", got, b.Metrics().Preemptions)
 	}
-	if b.Preemptions() == 0 {
+	if b.Metrics().Preemptions == 0 {
 		t.Fatal("fixture fired no preemptions")
 	}
 	if reasons[cloud.CancelUser] == 0 {
@@ -258,8 +263,8 @@ func TestPreemptReasonDistinct(t *testing.T) {
 	for _, st := range b.States() {
 		preempted += st.Preempted
 	}
-	if preempted != b.Preemptions() {
-		t.Fatalf("per-queue preempted counters sum to %d, broker reports %d", preempted, b.Preemptions())
+	if preempted != b.Metrics().Preemptions {
+		t.Fatalf("per-queue preempted counters sum to %d, broker reports %d", preempted, b.Metrics().Preemptions)
 	}
 	// The only cancel allowed to skip the queue entirely is the one
 	// explicit pre-admission user cancel; every broker preemption must

@@ -81,21 +81,6 @@ func (b *Broker) States() []TenantState {
 	return out
 }
 
-// State returns one queue's snapshot, or false for unknown or internal
-// queues.
-func (b *Broker) State(name string) (TenantState, bool) {
-	q := b.byName[name]
-	if q == nil || !q.leaf {
-		return TenantState{}, false
-	}
-	for _, st := range b.States() {
-		if st.Name == name {
-			return st, true
-		}
-	}
-	return TenantState{}, false
-}
-
 // Metrics computes run-level fairness figures from the current ledger.
 // Queues that never had demand (no arrivals) are excluded: an idle
 // queue holding none of its deserved share is not unfairness.

@@ -2,11 +2,11 @@
 // counts — the debugging/verification layer the paper's recommendation
 // 1 calls for ("debugging and verification strategies are a must to
 // maximize useful system utilization", citing Huang & Martonosi's
-// statistical assertions). Assertions are chi-square hypothesis tests:
-// a program states what distribution a register should have (classical
-// value, uniform superposition, GHZ-style correlation) and the verifier
-// checks observed counts against it before the user burns more machine
-// time on a buggy circuit.
+// statistical assertions). An assertion is a hypothesis test: a
+// program states what distribution a register should have (here the
+// GHZ-style correlation of AssertEqualBits) and the verifier checks
+// observed counts against it before the user burns more machine time on
+// a buggy circuit.
 package verify
 
 import (
@@ -36,17 +36,6 @@ func (r Result) String() string {
 		status = "FAIL"
 	}
 	return fmt.Sprintf("%s (chi2=%.2f dof=%d crit=%.2f): %s", status, r.ChiSquare, r.DoF, r.Critical, r.Detail)
-}
-
-// chiSquareCritical approximates the upper critical value of the
-// chi-square distribution at significance alpha using the
-// Wilson-Hilferty cube transformation, accurate to a few percent for
-// dof >= 1 — ample for assertion checking.
-func chiSquareCritical(dof int, alpha float64) float64 {
-	z := normalQuantile(1 - alpha)
-	k := float64(dof)
-	t := 1 - 2/(9*k) + z*math.Sqrt(2/(9*k))
-	return k * t * t * t
 }
 
 // normalQuantile is the standard normal inverse CDF (Acklam's rational
@@ -81,56 +70,6 @@ func normalQuantile(p float64) float64 {
 	}
 }
 
-// AssertClassical checks that the register is (almost) always the
-// given bitstring: a binomial test that P(other outcomes) is consistent
-// with tolerance. Use tolerance to allow for known hardware error
-// rates; alpha is the false-positive budget.
-func AssertClassical(counts qsim.Counts, want string, tolerance, alpha float64) Result {
-	total := counts.Total()
-	if total == 0 {
-		return Result{Passed: false, Detail: "no shots"}
-	}
-	bad := total - counts[want]
-	// Normal approximation to the binomial: reject if bad count
-	// exceeds the tolerance budget by more than z sigma.
-	expBad := tolerance * float64(total)
-	sigma := math.Sqrt(float64(total) * tolerance * (1 - tolerance))
-	z := normalQuantile(1 - alpha)
-	limit := expBad + z*math.Max(sigma, 1)
-	passed := float64(bad) <= limit
-	return Result{
-		Passed: passed,
-		Detail: fmt.Sprintf("classical %q: %d/%d off-value shots (limit %.1f)", want, bad, total, limit),
-	}
-}
-
-// AssertUniform checks that the counts are uniform over all 2^width
-// bitstrings via a chi-square goodness-of-fit test.
-func AssertUniform(counts qsim.Counts, width int, alpha float64) Result {
-	total := counts.Total()
-	bins := 1 << uint(width)
-	if total == 0 || bins < 2 {
-		return Result{Passed: false, Detail: "no data"}
-	}
-	expected := float64(total) / float64(bins)
-	chi := 0.0
-	seen := 0
-	for i := 0; i < bins; i++ {
-		key := fmt.Sprintf("%0*b", width, i)
-		d := float64(counts[key]) - expected
-		chi += d * d / expected
-		if counts[key] > 0 {
-			seen++
-		}
-	}
-	dof := bins - 1
-	crit := chiSquareCritical(dof, alpha)
-	return Result{
-		Passed: chi <= crit, ChiSquare: chi, DoF: dof, Critical: crit,
-		Detail: fmt.Sprintf("uniform over %d outcomes (%d observed)", bins, seen),
-	}
-}
-
 // AssertEqualBits checks the GHZ-style correlation: all bits of every
 // shot agree (all zeros or all ones), with a tolerance for hardware
 // error, and that both branches appear with roughly equal weight.
@@ -162,24 +101,6 @@ func AssertEqualBits(counts qsim.Counts, width int, tolerance, alpha float64) Re
 	}
 	return Result{Passed: true,
 		Detail: fmt.Sprintf("equal-bits with balance %d/%d", zeros, ones)}
-}
-
-// AssertProbability checks that one bitstring's frequency matches an
-// expected probability within binomial sampling error.
-func AssertProbability(counts qsim.Counts, bits string, p, alpha float64) Result {
-	total := counts.Total()
-	if total == 0 {
-		return Result{Passed: false, Detail: "no shots"}
-	}
-	obs := float64(counts[bits])
-	exp := p * float64(total)
-	sigma := math.Sqrt(float64(total) * p * (1 - p))
-	z := normalQuantile(1 - alpha/2) // two-sided
-	passed := math.Abs(obs-exp) <= z*math.Max(sigma, 1)
-	return Result{
-		Passed: passed,
-		Detail: fmt.Sprintf("P(%s): observed %.4f vs expected %.4f", bits, obs/float64(total), p),
-	}
 }
 
 func allBits(b byte, n int) string {

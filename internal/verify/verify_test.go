@@ -5,20 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
-	"qcloud/internal/circuit"
 	"qcloud/internal/circuit/gens"
 	"qcloud/internal/qsim"
 )
-
-// buildHLayer returns n qubits in uniform superposition, measured.
-func buildHLayer(n int) *circuit.Circuit {
-	c := circuit.New("hlayer", n)
-	for q := 0; q < n; q++ {
-		c.H(q)
-	}
-	c.MeasureAll()
-	return c
-}
 
 func TestNormalQuantile(t *testing.T) {
 	cases := map[float64]float64{
@@ -34,67 +23,6 @@ func TestNormalQuantile(t *testing.T) {
 	}
 	if !math.IsNaN(normalQuantile(0)) || !math.IsNaN(normalQuantile(1)) {
 		t.Fatal("degenerate quantiles should be NaN")
-	}
-}
-
-func TestChiSquareCritical(t *testing.T) {
-	// Known values: chi2(0.05, 3) = 7.815, chi2(0.05, 10) = 18.307.
-	if got := chiSquareCritical(3, 0.05); math.Abs(got-7.815) > 0.15 {
-		t.Fatalf("crit(3) = %v, want ~7.815", got)
-	}
-	if got := chiSquareCritical(10, 0.05); math.Abs(got-18.307) > 0.2 {
-		t.Fatalf("crit(10) = %v, want ~18.307", got)
-	}
-}
-
-func TestAssertClassicalOnBV(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	counts, err := qsim.Run(gens.BernsteinVazirani(5, 0b10101), 2000, nil, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := AssertClassical(counts, "10101", 0.01, 0.01); !res.Passed {
-		t.Fatalf("correct BV failed assertion: %s", res)
-	}
-	if res := AssertClassical(counts, "11111", 0.01, 0.01); res.Passed {
-		t.Fatalf("wrong value passed assertion: %s", res)
-	}
-}
-
-func TestAssertClassicalToleratesHardwareNoise(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	noise := qsim.UniformNoise(1e-4, 5e-3, 0.01)
-	counts, err := qsim.Run(gens.BernsteinVazirani(4, 0b1001), 3000, noise, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With a tolerance sized for the noise, the assertion passes.
-	if res := AssertClassical(counts, "1001", 0.10, 0.01); !res.Passed {
-		t.Fatalf("tolerant assertion failed: %s", res)
-	}
-	// With zero tolerance it catches the corruption.
-	if res := AssertClassical(counts, "1001", 0, 0.01); res.Passed {
-		t.Fatalf("strict assertion should fail under noise: %s", res)
-	}
-}
-
-func TestAssertUniformOnSuperposition(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	circ := buildHLayer(3)
-	counts, err := qsim.Run(circ, 8000, nil, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := AssertUniform(counts, 3, 0.01); !res.Passed {
-		t.Fatalf("uniform superposition failed: %s", res)
-	}
-	// GHZ is maximally non-uniform over the full register.
-	ghzCounts, err := qsim.Run(gens.GHZ(3), 8000, nil, rand.New(rand.NewSource(4)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := AssertUniform(ghzCounts, 3, 0.01); res.Passed {
-		t.Fatalf("GHZ passed uniformity: %s", res)
 	}
 }
 
@@ -116,26 +44,10 @@ func TestAssertEqualBits(t *testing.T) {
 	}
 }
 
-func TestAssertProbability(t *testing.T) {
-	counts, err := qsim.Run(gens.WState(4), 8000, nil, rand.New(rand.NewSource(7)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := AssertProbability(counts, "0001", 0.25, 0.01); !res.Passed {
-		t.Fatalf("W state P(0001)=1/4 failed: %s", res)
-	}
-	if res := AssertProbability(counts, "0001", 0.5, 0.001); res.Passed {
-		t.Fatalf("wrong probability passed: %s", res)
-	}
-}
-
 func TestEmptyCounts(t *testing.T) {
 	var empty qsim.Counts
-	if AssertClassical(empty, "0", 0, 0.05).Passed ||
-		AssertUniform(empty, 2, 0.05).Passed ||
-		AssertEqualBits(empty, 2, 0, 0.05).Passed ||
-		AssertProbability(empty, "0", 0.5, 0.05).Passed {
-		t.Fatal("assertions on empty counts must fail")
+	if AssertEqualBits(empty, 2, 0, 0.05).Passed {
+		t.Fatal("an assertion on empty counts must fail")
 	}
 }
 

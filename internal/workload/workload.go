@@ -83,6 +83,7 @@ const (
 	kindQFT
 	kindQAOA
 	kindVQE
+	//qcloud:keep pickKind draws this sixth kind by index and the default branches build it
 	kindRandom
 	numKinds
 )
