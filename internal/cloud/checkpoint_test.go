@@ -301,7 +301,11 @@ func TestReadJournalTraceSealGrammar(t *testing.T) {
 		"end without stats":   {[][]byte{end}, 0, "seals the stream before any stats frame"},
 		"gob-era stats frame": {[][]byte{{2, 0x2d, 0xff, 0x81}, end}, 0, "has unknown type 2"},
 	} {
-		w, err := journal.OpenAt(mdir, jobs, journal.Options{})
+		scan, err := journal.Scan(mdir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := journal.OpenAt(mdir, scan, jobs, journal.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -487,7 +487,7 @@ func Recover(cfg Config) (*Session, error) {
 	}
 	jr := &sessionJournal{jc: jc, every: jc.CheckpointEvery, killAfter: jc.killAfterRecords}
 	opts := jc.options()
-	if jr.submits, err = journal.OpenAt(submitStreamDir(jc.Dir), subScan.Records, opts); err != nil {
+	if jr.submits, err = journal.OpenAt(submitStreamDir(jc.Dir), subScan, subScan.Records, opts); err != nil {
 		return nil, err
 	}
 	jr.machines = make([]*journal.Writer, len(s.sims))
@@ -496,7 +496,7 @@ func Recover(cfg Config) (*Session, error) {
 		if chosen != nil {
 			at = chosen.JournalMachineRecords[i]
 		}
-		if jr.machines[i], err = journal.OpenAt(machineStreamDir(jc.Dir, ms.m.Name), at, opts); err != nil {
+		if jr.machines[i], err = journal.OpenAt(machineStreamDir(jc.Dir, ms.m.Name), mScans[i], at, opts); err != nil {
 			return nil, err
 		}
 	}

@@ -158,9 +158,14 @@ func (c QueueConfig) withDefaults() QueueConfig {
 type Queue struct {
 	cfg QueueConfig
 
-	mu        sync.Mutex
-	err       error // sticky WAL failure; queue refuses mutations after
-	tasks     []*Task
+	mu    sync.Mutex
+	err   error // sticky WAL failure; queue refuses mutations after
+	tasks []*Task
+	// spare is the unused rest of the chunk new tasks are carved from.
+	spare []Task
+	// byKey is the idempotency index, nil until the first keyed Submit
+	// or Cancel builds it (keyIndexLocked): a restart that takes none
+	// never does.
 	byKey     map[string]int64
 	sealed    bool
 	recovered bool
@@ -202,8 +207,18 @@ const (
 	ckptName       = "checkpoint"
 )
 
+// taskChunk is how many tasks one allocation holds. A chunk never
+// grows, so the pointers q.tasks holds into it stay put.
+const taskChunk = 256
+
+// minSubmitFrame is the fewest bytes a submit record's frame takes:
+// every varint one byte, every string empty.
+var minSubmitFrame = int64(len(journal.AppendFrame(nil, wire.AppendWALRecord(nil,
+	&wire.WALRecord{Type: wire.WALSubmit, Spec: wire.Spec{SubmitTime: time.Unix(0, 0)}}))))
+
 // OpenQueue opens (or creates) the durable queue rooted at cfg.Dir,
-// replaying any existing state.
+// replaying any existing state. Each stream is walked once: the scan
+// that replays it tells the writer where to resume.
 func OpenQueue(cfg QueueConfig) (*Queue, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Dir == "" {
@@ -212,10 +227,26 @@ func OpenQueue(cfg QueueConfig) (*Queue, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	q := &Queue{cfg: cfg, byKey: make(map[string]int64)}
+	q := &Queue{cfg: cfg}
 
 	subDir := filepath.Join(cfg.Dir, submitsDirName)
 	resDir := filepath.Join(cfg.Dir, resultsDirName)
+
+	// The watermark is read before the scans, which it sizes the task
+	// table for, and checked after them.
+	ck, err := readCheckpoint(filepath.Join(cfg.Dir, ckptName))
+	if err != nil {
+		return nil, err
+	}
+	if ck != nil && ck.SubmitRecs > 0 {
+		// Believe the watermark only as far as the stream's bytes could
+		// hold that many records: a damaged one must not size anything.
+		size, err := journal.Size(subDir)
+		if err != nil {
+			return nil, fmt.Errorf("dispatch: sizing submit log: %w", err)
+		}
+		q.tasks = make([]*Task, 0, min(ck.SubmitRecs, size/minSubmitFrame))
+	}
 
 	// One record is decoded at a time, into rec.
 	var rec wire.WALRecord
@@ -231,10 +262,6 @@ func OpenQueue(cfg QueueConfig) (*Queue, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: replaying completion log: %w", err)
 	}
-	ck, err := readCheckpoint(filepath.Join(cfg.Dir, ckptName))
-	if err != nil {
-		return nil, err
-	}
 	if ck != nil {
 		if subScan.Records < ck.SubmitRecs {
 			return nil, fmt.Errorf("dispatch: submit log has %d valid records but checkpoint pins %d — log damaged beyond the crash tail",
@@ -246,10 +273,10 @@ func OpenQueue(cfg QueueConfig) (*Queue, error) {
 		}
 	}
 	opts := journal.Options{SyncEvery: cfg.SyncEvery}
-	if q.submits, err = journal.OpenAt(subDir, subScan.Records, opts); err != nil {
+	if q.submits, err = journal.OpenAt(subDir, subScan, subScan.Records, opts); err != nil {
 		return nil, fmt.Errorf("dispatch: opening submit log: %w", err)
 	}
-	if q.results, err = journal.OpenAt(resDir, resScan.Records, opts); err != nil {
+	if q.results, err = journal.OpenAt(resDir, resScan, resScan.Records, opts); err != nil {
 		q.submits.Abandon()
 		return nil, fmt.Errorf("dispatch: opening completion log: %w", err)
 	}
@@ -257,13 +284,35 @@ func OpenQueue(cfg QueueConfig) (*Queue, error) {
 	return q, nil
 }
 
-// addTaskLocked appends a freshly submitted (or replayed) task.
-func (q *Queue) addTaskLocked(t *Task) {
+// addTaskLocked appends a freshly submitted (or replayed) task, carved
+// from the current chunk.
+func (q *Queue) addTaskLocked(seq int64, key string, spec *wire.Spec) {
+	if len(q.spare) == 0 {
+		q.spare = make([]Task, taskChunk)
+	}
+	t := &q.spare[0]
+	q.spare = q.spare[1:]
+	t.Seq, t.Key, t.Spec = seq, key, *spec
 	q.tasks = append(q.tasks, t)
 	q.tally[TaskQueued]++
-	if t.Key != "" {
-		q.byKey[t.Key] = t.Seq
+	if key != "" && q.byKey != nil {
+		q.byKey[key] = seq
 	}
+}
+
+// keyIndexLocked returns the idempotency index, building it from the
+// task table on first use. A key a log holds twice names its later
+// task.
+func (q *Queue) keyIndexLocked() map[string]int64 {
+	if q.byKey == nil {
+		q.byKey = make(map[string]int64, len(q.tasks))
+		for _, t := range q.tasks {
+			if t.Key != "" {
+				q.byKey[t.Key] = t.Seq
+			}
+		}
+	}
+	return q.byKey
 }
 
 // setStateLocked is the only place a task changes state, so tally
@@ -284,7 +333,7 @@ func (q *Queue) replaySubmit(i int64, payload []byte, rec *wire.WALRecord) error
 		if rec.Seq != int64(len(q.tasks)) {
 			return fmt.Errorf("submit record %d: seq %d out of order (want %d)", i, rec.Seq, len(q.tasks))
 		}
-		q.addTaskLocked(&Task{Seq: rec.Seq, Key: rec.Key, Spec: rec.Spec})
+		q.addTaskLocked(rec.Seq, rec.Key, &rec.Spec)
 	case wire.WALSeal:
 		q.sealed = true
 	default:
@@ -398,7 +447,7 @@ func (q *Queue) Submit(key string, spec wire.Spec) (seq int64, dup bool, err err
 		return 0, false, q.err
 	}
 	if key != "" {
-		if s, ok := q.byKey[key]; ok {
+		if s, ok := q.keyIndexLocked()[key]; ok {
 			return s, true, nil
 		}
 	}
@@ -409,7 +458,7 @@ func (q *Queue) Submit(key string, spec wire.Spec) (seq int64, dup bool, err err
 	if err := q.commitLocked(q.submits, &wire.WALRecord{Type: wire.WALSubmit, Seq: seq, Key: key, Spec: spec}); err != nil {
 		return 0, false, err
 	}
-	q.addTaskLocked(&Task{Seq: seq, Key: key, Spec: spec})
+	q.addTaskLocked(seq, key, &spec)
 	q.emit(wire.Event{Kind: cloud.EventEnqueue, Seq: seq})
 	return seq, false, nil
 }
@@ -698,7 +747,7 @@ func (q *Queue) Cancel(key string, seq int64) (accepted bool, state TaskState, e
 	}
 	q.sweepLocked(q.cfg.Now())
 	if key != "" {
-		s, ok := q.byKey[key]
+		s, ok := q.keyIndexLocked()[key]
 		if !ok {
 			return false, 0, fmt.Errorf("dispatch: cancel of unknown key %q: %w", key, ErrUnknownTask)
 		}

@@ -53,14 +53,24 @@ func openRef(t *testing.T, cfg QueueConfig, from *refQueue) *refQueue {
 			}
 		}
 	}
-	var err error
-	if q.submits, err = journal.OpenAt(filepath.Join(cfg.Dir, submitsDirName), subRecs, journal.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if q.results, err = journal.OpenAt(filepath.Join(cfg.Dir, resultsDirName), resRecs, journal.Options{}); err != nil {
-		t.Fatal(err)
-	}
+	q.submits = openStreamAt(t, filepath.Join(cfg.Dir, submitsDirName), subRecs)
+	q.results = openStreamAt(t, filepath.Join(cfg.Dir, resultsDirName), resRecs)
 	return q
+}
+
+// openStreamAt resumes the WAL stream in dir at record at, after
+// scanning it.
+func openStreamAt(t *testing.T, dir string, at int64) *journal.Writer {
+	t.Helper()
+	scan, err := journal.Scan(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := journal.OpenAt(dir, scan, at, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
 }
 
 func (q *refQueue) close(t *testing.T) {

@@ -5,19 +5,19 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"qcloud/internal/cloud"
 	"qcloud/internal/dispatch/wire"
-	"qcloud/internal/journal"
 	"qcloud/internal/qsim"
 	"qcloud/internal/workload"
 )
 
 // testPlans builds a small deterministic workload's exec plans.
-func testPlans(t *testing.T, seed int64, jobs int) []wire.Spec {
+func testPlans(t testing.TB, seed int64, jobs int) []wire.Spec {
 	t.Helper()
 	start := time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC)
 	specs := workload.Generate(workload.Config{
@@ -246,6 +246,24 @@ func key(t *testing.T, i int) string {
 	return "c/" + string(rune('0'+i))
 }
 
+// segFiles reads every segment of both streams, by path.
+func segFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "*", "*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string]string, len(segs))
+	for _, s := range segs {
+		b, err := os.ReadFile(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[s] = string(b)
+	}
+	return files
+}
+
 func TestQueueWatermarkViolationRefusesRecovery(t *testing.T) {
 	plans := testPlans(t, 3, 10)
 	dir := t.TempDir()
@@ -277,8 +295,28 @@ func TestQueueWatermarkViolationRefusesRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A torn tail on the surviving stream is what opening it for
+	// append would cut away.
+	subSegs, err := filepath.Glob(filepath.Join(dir, submitsDirName, "*.seg"))
+	if err != nil || len(subSegs) == 0 {
+		t.Fatalf("no submit segments: %v %v", subSegs, err)
+	}
+	f, err := os.OpenFile(subSegs[len(subSegs)-1], os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{0xde, 0xad, 0xbe}); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	before := segFiles(t, dir)
 	if _, err := OpenQueue(QueueConfig{Dir: dir, Seed: 11}); err == nil {
 		t.Fatal("recovery succeeded despite completion log loss")
+	}
+	// The refusal comes between the scans and the opens: a damaged log
+	// is evidence, and nothing of it is truncated, removed or created.
+	if after := segFiles(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatalf("a refused recovery changed the logs: %d segments before, %d after", len(before), len(after))
 	}
 }
 
@@ -321,10 +359,7 @@ func TestQueueTornTailTolerated(t *testing.T) {
 // a WAL stream that already holds at records.
 func appendFrame(t *testing.T, dir string, at int64, payload []byte) {
 	t.Helper()
-	w, err := journal.OpenAt(dir, at, journal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := openStreamAt(t, dir, at)
 	if err := w.Append(payload); err != nil {
 		t.Fatal(err)
 	}

@@ -75,7 +75,9 @@ func FuzzFrame(f *testing.F) {
 // ForEach must not panic or fail — damage ends the prefix, it is not an
 // error — and must agree; Records and Bytes must describe a prefix of
 // the file that is exactly the delivered payloads framed again, and
-// DroppedBytes the rest of it.
+// DroppedBytes the rest of it. Resuming from that scan and appending
+// one frame must then scan as the same prefix plus that frame, with
+// nothing dropped.
 func FuzzScan(f *testing.F) {
 	var stream []byte
 	for _, p := range testPayloads(4) {
@@ -115,6 +117,26 @@ func FuzzScan(f *testing.F) {
 		}
 		if rest := int64(len(data)) - res.Bytes; res.DroppedBytes != rest || res.Truncated != (rest > 0) || (res.Reason == "") != (rest == 0) {
 			t.Fatalf("%d bytes follow the valid prefix: %+v", rest, res)
+		}
+
+		w, err := OpenAt(dir, res, res.Records, Options{})
+		if err != nil {
+			t.Fatalf("OpenAt after the scan: %v", err)
+		}
+		resumed := []byte("resumed")
+		if err := w.Append(resumed); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var again []byte
+		res2, err := ForEach(dir, func(_ int64, payload []byte) error {
+			again = AppendFrame(again, payload)
+			return nil
+		})
+		if want := AppendFrame(framed, resumed); err != nil || res2.Records != res.Records+1 || res2.Truncated || !bytes.Equal(again, want) {
+			t.Fatalf("resumed after %+v, appended one frame: rescan %+v, %v (payloads as framed: %v)", res, res2, err, bytes.Equal(again, want))
 		}
 	})
 }

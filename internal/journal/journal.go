@@ -17,6 +17,17 @@
 // follows the first damaged frame (torn tail from a crash mid-write,
 // checksum mismatch from media corruption, or a missing segment).
 //
+// A writer resumes a stream from the scan that validated it: Scan and
+// ForEach record where the valid prefix ends (the segment and the byte
+// offset in it), and OpenAt, handed that result, truncates the torn
+// tail and removes later segments there without reading a frame again,
+// so a restart walks each stream once. A caller that cuts further back
+// — to the record count a checkpoint pinned — names that record, and
+// OpenAt walks only the segment holding it. OpenAt is what repairs the
+// tail, so a caller that holds the prefix to an outside watermark
+// checks it between the scan and the open: a log it refuses stays on
+// disk as it was found.
+//
 // Durability is configurable: SyncEvery fsyncs the active segment
 // every N records, and rotation/Close always fsync, so a sealed
 // segment is durable even across power loss. A process kill (SIGKILL)
@@ -133,6 +144,25 @@ func segments(dir string) ([]int64, error) {
 	}
 	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
 	return starts, nil
+}
+
+// Size returns the on-disk bytes of the stream in dir, damage and all:
+// the most a scan of it can deliver, for a reader that sizes its
+// tables before it scans. A missing directory is an empty stream.
+func Size(dir string) (int64, error) {
+	starts, err := segments(dir)
+	if err != nil {
+		return 0, err
+	}
+	var n int64
+	for _, s := range starts {
+		fi, err := os.Stat(segPath(dir, s))
+		if err != nil {
+			return 0, err
+		}
+		n += fi.Size()
+	}
+	return n, nil
 }
 
 // frameCRC computes the frame checksum over the length header bytes

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -297,7 +298,7 @@ func TestOpenAtResume(t *testing.T) {
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
-			rw, err := OpenAt(dir, at, opts)
+			rw, err := OpenAt(dir, mustScan(t, dir), at, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -334,7 +335,11 @@ func TestOpenAtTruncatesTornTail(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)-3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rw, err := OpenAt(dir, int64(len(payloads)-1), Options{})
+	scan := mustScan(t, dir)
+	if scan.Records != int64(len(payloads)-1) || !scan.Truncated {
+		t.Fatalf("torn stream scans as %+v", scan)
+	}
+	rw, err := OpenAt(dir, scan, scan.Records, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,8 +362,127 @@ func TestOpenAtPastValidPrefix(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenAt(dir, 9, Options{}); err == nil {
+	if _, err := OpenAt(dir, mustScan(t, dir), 9, Options{}); err == nil {
 		t.Fatal("OpenAt past the valid prefix must fail")
+	}
+}
+
+func mustScan(t *testing.T, dir string) ScanResult {
+	t.Helper()
+	scan, err := Scan(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return scan
+}
+
+// streamFiles reads every file of the stream in dir, by name.
+func streamFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string]string, len(ents))
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(b)
+	}
+	return files
+}
+
+// boundaryStream writes payloads in small segments, then damages the
+// next-to-last segment so the valid prefix ends exactly at a rotation
+// boundary: that segment is torn inside its first frame ("torn"), cut
+// to nothing ("empty") or gone ("gone"), and the last segment, intact,
+// no longer connects. It returns the prefix's record count, the
+// damaged segment's first-record index.
+func boundaryStream(t *testing.T, dir string, payloads [][]byte, opts Options, shape string) int64 {
+	t.Helper()
+	if err := writeStream(t, dir, payloads, opts).Close(); err != nil {
+		t.Fatal(err)
+	}
+	starts, err := segments(dir)
+	if err != nil || len(starts) < 3 {
+		t.Fatalf("want several segments, have %v (%v)", starts, err)
+	}
+	damaged := starts[len(starts)-2]
+	path := segPath(dir, damaged)
+	switch shape {
+	case "torn":
+		data, err := os.ReadFile(path)
+		if err == nil {
+			err = os.WriteFile(path, data[:frameHeaderLen-3], 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	case "empty":
+		if err := os.Truncate(path, 0); err != nil {
+			t.Fatal(err)
+		}
+	case "gone":
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return damaged
+}
+
+// TestOpenAtRotationBoundary is TestOpenAtResume,
+// TestOpenAtTruncatesTornTail and TestOpenAtPastValidPrefix on streams
+// whose valid prefix ends exactly where one segment rotated to the
+// next and a later segment survives: the scan's tail is then the start
+// of a segment (or the end of the one before it), not the last file,
+// and resuming there must read as if never interrupted, exactly as a
+// walk to the record would.
+func TestOpenAtRotationBoundary(t *testing.T) {
+	payloads := testPayloads(200)
+	opts := Options{SegmentBytes: 8 << 10}
+	for _, shape := range []string{"torn", "empty", "gone"} {
+		t.Run(shape, func(t *testing.T) {
+			end := boundaryStream(t, t.TempDir(), payloads, opts, shape)
+			for _, at := range []int64{0, 1, end - 1, end} {
+				dir := t.TempDir()
+				boundaryStream(t, dir, payloads, opts, shape)
+				scan := mustScan(t, dir)
+				if scan.Records != end || !scan.Truncated {
+					t.Fatalf("boundary stream scans as %+v, want %d records", scan, end)
+				}
+				rw, err := OpenAt(dir, scan, at, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rw.Records() != at {
+					t.Fatalf("at=%d: resumed writer reports %d records", at, rw.Records())
+				}
+				for _, p := range payloads[at:] {
+					if err := rw.Append(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := rw.Close(); err != nil {
+					t.Fatal(err)
+				}
+				got, res := readAll(t, dir)
+				checkPrefix(t, got, payloads, len(payloads))
+				if res.Truncated || res.Bytes != rw.Bytes() {
+					t.Fatalf("at=%d: resumed stream reads %+v, writer wrote %d bytes", at, res, rw.Bytes())
+				}
+			}
+			dir := t.TempDir()
+			boundaryStream(t, dir, payloads, opts, shape)
+			before := streamFiles(t, dir)
+			if _, err := OpenAt(dir, mustScan(t, dir), end+1, opts); err == nil {
+				t.Fatal("OpenAt past the valid prefix must fail")
+			}
+			if after := streamFiles(t, dir); !reflect.DeepEqual(after, before) {
+				t.Fatal("a refused OpenAt changed the stream")
+			}
+		})
 	}
 }
 

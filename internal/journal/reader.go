@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
 )
 
 // ScanResult describes the longest valid prefix of a journal stream
@@ -30,6 +31,11 @@ type ScanResult struct {
 	// Reason says what ended the prefix: "torn frame", "checksum
 	// mismatch", "implausible frame length", or "segment gap".
 	Reason string
+
+	// tailSeg and tailOff say where the valid prefix ends: the
+	// first-record index of the last segment scanned and the byte
+	// offset in it. OpenAt resumes there without reading a frame.
+	tailSeg, tailOff int64
 }
 
 // Scan validates the stream in dir and reports its valid prefix. A
@@ -86,6 +92,7 @@ func ForEach(dir string, fn func(rec int64, payload []byte) error) (ScanResult, 
 		}
 		out.Records = res.nextRec
 		out.Bytes += res.validBytes
+		out.tailSeg, out.tailOff = s, res.validBytes
 		if res.reason != "" {
 			out.DamagedFile = segPath(dir, s)
 			out.Reason = res.reason
@@ -97,6 +104,13 @@ func ForEach(dir string, fn func(rec int64, payload []byte) error) (ScanResult, 
 	}
 	return out, nil
 }
+
+// readers recycles the scanners' read buffers, so the streams a
+// restart scans one after another share one buffer rather than
+// allocating one per segment. 64 KiB a read keeps the syscalls per
+// segment few; a frame longer than that is read straight into its
+// payload.
+var readers = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64<<10) }}
 
 // segScan is one segment's validation outcome.
 type segScan struct {
@@ -121,7 +135,12 @@ func scanSegment(path string, rec, upTo int64, fn func(rec int64, payload []byte
 	} else {
 		out.size = fi.Size()
 	}
-	br := bufio.NewReaderSize(f, 256<<10)
+	br := readers.Get().(*bufio.Reader)
+	br.Reset(f)
+	defer func() {
+		br.Reset(nil)
+		readers.Put(br)
+	}()
 	var hdr [frameHeaderLen]byte
 	var payload []byte
 	for upTo < 0 || out.nextRec < upTo {

@@ -57,11 +57,17 @@ func Create(dir string, opts Options) (*Writer, error) {
 	return w, nil
 }
 
-// OpenAt resumes appending to an existing stream with exactly rec
-// records: everything past record rec — later valid records, torn
-// tails, damaged frames, whole segments — is removed first. rec must
-// not exceed the stream's valid prefix.
-func OpenAt(dir string, rec int64, opts Options) (*Writer, error) {
+// OpenAt resumes appending to the stream in dir at record rec, after
+// scan, the Scan or ForEach of dir just before it: everything past
+// record rec — later valid records, torn tails, damaged frames, whole
+// segments — is removed first. rec must not exceed scan.Records.
+// Resuming at the end of the scanned prefix reads no frame, because
+// the scan knows where that prefix ends; an earlier rec walks the
+// segment that holds it.
+func OpenAt(dir string, scan ScanResult, rec int64, opts Options) (*Writer, error) {
+	if rec < 0 || rec > scan.Records {
+		return nil, fmt.Errorf("journal: OpenAt(%d) outside the %d valid records scanned in %s", rec, scan.Records, dir)
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -79,11 +85,16 @@ func OpenAt(dir string, rec int64, opts Options) (*Writer, error) {
 		}
 		return w, nil
 	}
-	// Locate record rec: the segment holding it and the byte offset of
-	// its frame within that segment's valid prefix.
-	seg, off, total, err := locate(dir, starts, rec)
-	if err != nil {
-		return nil, err
+	if starts[0] != 0 {
+		return nil, fmt.Errorf("journal: stream %s is missing its first segment", dir)
+	}
+	// The resume point: the segment that will hold record rec and the
+	// byte offset of its frame within that segment's valid prefix.
+	seg, off, total := scan.tailSeg, scan.tailOff, scan.Bytes
+	if rec < scan.Records {
+		if seg, off, total, err = locate(dir, starts, rec); err != nil {
+			return nil, err
+		}
 	}
 	// Drop every segment after the resume point, truncate the resume
 	// segment at the frame boundary, and append there.
@@ -107,13 +118,11 @@ func OpenAt(dir string, rec int64, opts Options) (*Writer, error) {
 	return w, nil
 }
 
-// locate finds record rec in the stream: the start index of the
-// segment that will hold it and the byte offset of its frame. total is
-// the on-disk frame bytes of records [0, rec).
+// locate finds record rec, which lies inside the stream's valid
+// prefix: the start index of the segment that will hold it and the
+// byte offset of its frame. total is the on-disk frame bytes of
+// records [0, rec).
 func locate(dir string, starts []int64, rec int64) (seg, off, total int64, err error) {
-	if starts[0] != 0 {
-		return 0, 0, 0, fmt.Errorf("journal: stream %s is missing its first segment", dir)
-	}
 	// The target segment is the last one starting at or before rec.
 	seg = starts[0]
 	for _, s := range starts {
