@@ -1,8 +1,9 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out:
-// routing trial count, layout method, stale re-compilation, and
-// vendor-side scheduling policies. These report domain metrics
-// (swaps, CX counts, POS, queue minutes) via b.ReportMetric alongside
-// wall time.
+// Ablation benchmarks for four choices the paper weighs: the layout
+// method (Fig 5's pipeline), stale versus fresh compilation (§V-E.2),
+// vendor-side placement policies, and multi-programming two circuits
+// on one machine (§IV-D.3). Each reports its domain metric (CX count,
+// POS gap, queue minutes and fidelity, utilization) via
+// b.ReportMetric alongside wall time.
 package qcloud_test
 
 import (
@@ -17,28 +18,6 @@ import (
 	"qcloud/internal/sched"
 	"qcloud/internal/workload"
 )
-
-// BenchmarkAblationRoutingTrials measures how stochastic-swap trial
-// count trades compile time against inserted swaps.
-func BenchmarkAblationRoutingTrials(b *testing.B) {
-	m := backend.FleetByName()["ibmq_guadalupe"]
-	cal := m.CalibrationAt(time.Date(2021, 3, 1, 12, 0, 0, 0, time.UTC))
-	circ := gens.QFT(12)
-	for _, trials := range []int{1, 4, 8} {
-		trials := trials
-		b.Run(map[int]string{1: "trials=1", 4: "trials=4", 8: "trials=8"}[trials], func(b *testing.B) {
-			totalSwaps := 0
-			for i := 0; i < b.N; i++ {
-				res, err := compile.Compile(circ, m, cal, compile.Options{Seed: int64(i), RoutingTrials: trials})
-				if err != nil {
-					b.Fatal(err)
-				}
-				totalSwaps += res.SwapsInserted
-			}
-			b.ReportMetric(float64(totalSwaps)/float64(b.N), "swaps/op")
-		})
-	}
-}
 
 // BenchmarkAblationLayoutMethod compares the layout strategies by the
 // CX count of the compiled circuit (lower is better for fidelity).
@@ -148,26 +127,4 @@ func BenchmarkAblationMultiProgram(b *testing.B) {
 			b.ReportMetric(res.Utilization*100, "util%")
 		}
 	})
-}
-
-// BenchmarkAblationRouter compares the two routing algorithms on a
-// dense workload: swaps inserted and wall time per compile.
-func BenchmarkAblationRouter(b *testing.B) {
-	m := backend.FleetByName()["ibmq_16_melbourne"]
-	cal := m.CalibrationAt(time.Date(2021, 3, 1, 12, 0, 0, 0, time.UTC))
-	circ := gens.QFT(10)
-	for _, router := range []string{"stochastic", "sabre"} {
-		router := router
-		b.Run(router, func(b *testing.B) {
-			total := 0
-			for i := 0; i < b.N; i++ {
-				res, err := compile.Compile(circ, m, cal, compile.Options{Seed: int64(i), Router: router, SkipCSP: true})
-				if err != nil {
-					b.Fatal(err)
-				}
-				total += res.SwapsInserted
-			}
-			b.ReportMetric(float64(total)/float64(b.N), "swaps/op")
-		})
-	}
 }

@@ -43,7 +43,7 @@ func main() {
 		retryFor  = flag.Duration("retry-for", 60*time.Second, "how long to retry an unreachable dispatcher per call")
 		poll      = flag.Duration("poll", 100*time.Millisecond, "status poll interval for -wait")
 		events    = flag.Bool("events", false, "tally the dispatcher's terminal event stream after the run")
-		traceCSV  = flag.String("trace-csv", "", "write the merged trace-plane CSV here (implies -wait is satisfied first)")
+		traceCSV  = flag.String("trace-csv", "", "write the merged trace-plane CSV here (needs only the sealed stream, so it does not wait for jobs to finish)")
 		countsCSV = flag.String("counts-csv", "", "write the merged counts-plane CSV here")
 		local     = flag.Bool("local", false, "run in-process instead of against a dispatcher (reference mode)")
 		simW      = flag.Int("workers", 0, "parallelism for -local (0 = all cores; output identical at any value)")

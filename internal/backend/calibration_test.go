@@ -9,7 +9,7 @@ import (
 )
 
 func TestGenCalibrationDeterministic(t *testing.T) {
-	topo := Falcon27()
+	topo := falcon27()
 	model := DefaultCalibModel(0)
 	// Fixed timestamps keep the test input reproducible: a failure
 	// replays bit-for-bit, and the wallclock analyzer's test-package
@@ -62,7 +62,7 @@ func TestCalibrationVariationSpatial(t *testing.T) {
 // TestCalibrationVariationTemporal checks the ">2x variation in error
 // rates in terms of day-to-day averages" claim drives our model.
 func TestCalibrationVariationTemporal(t *testing.T) {
-	topo := Falcon27()
+	topo := falcon27()
 	model := DefaultCalibModel(0)
 	var dayMeans []float64
 	for epoch := 0; epoch < 120; epoch++ {
@@ -86,7 +86,7 @@ func TestCXErrorLookup(t *testing.T) {
 }
 
 func TestMeanCXErrorEmpty(t *testing.T) {
-	cal := GenCalibration(MustTopology(1, nil), DefaultCalibModel(0), 1, 0, time.Time{})
+	cal := GenCalibration(mustTopology(1, nil), DefaultCalibModel(0), 1, 0, time.Time{})
 	if cal.MeanCXError() != 0 {
 		t.Fatal("no couplers should mean 0")
 	}

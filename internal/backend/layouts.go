@@ -12,22 +12,22 @@ func Line(n int) *Topology {
 	for i := 0; i+1 < n; i++ {
 		edges = append(edges, [2]int{i, i + 1})
 	}
-	return MustTopology(n, edges)
+	return mustTopology(n, edges)
 }
 
-// FullyConnected returns the complete graph on n qubits; used for the
+// fullyConnected returns the complete graph on n qubits; used for the
 // ibmq_qasm_simulator pseudo-backend, which has no routing constraints.
-func FullyConnected(n int) *Topology {
+func fullyConnected(n int) *Topology {
 	var edges [][2]int
 	for a := 0; a < n; a++ {
 		for b := a + 1; b < n; b++ {
 			edges = append(edges, [2]int{a, b})
 		}
 	}
-	return MustTopology(n, edges)
+	return mustTopology(n, edges)
 }
 
-// TShape5 returns the 5-qubit "T" map used by vigo, ourense, valencia,
+// tShape5 returns the 5-qubit "T" map used by vigo, ourense, valencia,
 // london, burlington, essex, belem, lima and quito:
 //
 //	0 - 1 - 2
@@ -35,16 +35,16 @@ func FullyConnected(n int) *Topology {
 //	    3
 //	    |
 //	    4
-func TShape5() *Topology {
-	return MustTopology(5, [][2]int{{0, 1}, {1, 2}, {1, 3}, {3, 4}})
+func tShape5() *Topology {
+	return mustTopology(5, [][2]int{{0, 1}, {1, 2}, {1, 3}, {3, 4}})
 }
 
-// Bowtie5 returns the ibmqx2/ibmqx4 5-qubit bowtie map.
-func Bowtie5() *Topology {
-	return MustTopology(5, [][2]int{{0, 1}, {0, 2}, {1, 2}, {2, 3}, {2, 4}, {3, 4}})
+// bowtie5 returns the ibmqx2/ibmqx4 5-qubit bowtie map.
+func bowtie5() *Topology {
+	return mustTopology(5, [][2]int{{0, 1}, {0, 2}, {1, 2}, {2, 3}, {2, 4}, {3, 4}})
 }
 
-// HShape7 returns the 7-qubit heavy-hex "H" fragment used by casablanca
+// hShape7 returns the 7-qubit heavy-hex "H" fragment used by casablanca
 // (and jakarta, lagos):
 //
 //	0 - 1 - 2
@@ -52,32 +52,32 @@ func Bowtie5() *Topology {
 //	    3
 //	    |
 //	4 - 5 - 6
-func HShape7() *Topology {
-	return MustTopology(7, [][2]int{{0, 1}, {1, 2}, {1, 3}, {3, 5}, {4, 5}, {5, 6}})
+func hShape7() *Topology {
+	return mustTopology(7, [][2]int{{0, 1}, {1, 2}, {1, 3}, {3, 5}, {4, 5}, {5, 6}})
 }
 
-// Melbourne15 returns the 15-qubit ladder map of ibmq_16_melbourne.
-func Melbourne15() *Topology {
-	return MustTopology(15, [][2]int{
+// melbourne15 returns the 15-qubit ladder map of ibmq_16_melbourne.
+func melbourne15() *Topology {
+	return mustTopology(15, [][2]int{
 		{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6},
 		{7, 8}, {8, 9}, {9, 10}, {10, 11}, {11, 12}, {12, 13}, {13, 14},
 		{0, 14}, {1, 13}, {2, 12}, {3, 11}, {4, 10}, {5, 9}, {6, 8},
 	})
 }
 
-// Guadalupe16 returns the 16-qubit heavy-hex fragment of ibmq_guadalupe.
-func Guadalupe16() *Topology {
-	return MustTopology(16, [][2]int{
+// guadalupe16 returns the 16-qubit heavy-hex fragment of ibmq_guadalupe.
+func guadalupe16() *Topology {
+	return mustTopology(16, [][2]int{
 		{0, 1}, {1, 2}, {1, 4}, {2, 3}, {3, 5}, {4, 7}, {5, 8},
 		{6, 7}, {7, 10}, {8, 9}, {8, 11}, {10, 12}, {11, 14},
 		{12, 13}, {12, 15}, {13, 14},
 	})
 }
 
-// Falcon27 returns the 27-qubit heavy-hex map shared by toronto, paris,
+// falcon27 returns the 27-qubit heavy-hex map shared by toronto, paris,
 // and the other Falcon-generation devices.
-func Falcon27() *Topology {
-	return MustTopology(27, [][2]int{
+func falcon27() *Topology {
+	return mustTopology(27, [][2]int{
 		{0, 1}, {1, 2}, {1, 4}, {2, 3}, {3, 5}, {4, 7}, {5, 8},
 		{6, 7}, {7, 10}, {8, 9}, {8, 11}, {10, 12}, {11, 14},
 		{12, 13}, {12, 15}, {13, 14}, {14, 16}, {15, 18}, {16, 19},
@@ -86,9 +86,9 @@ func Falcon27() *Topology {
 	})
 }
 
-// Tokyo20 returns the 20-qubit ibmq_20_tokyo map: a 4x5 grid with
+// tokyo20 returns the 20-qubit ibmq_20_tokyo map: a 4x5 grid with
 // diagonal couplers, the densest topology in the fleet.
-func Tokyo20() *Topology {
+func tokyo20() *Topology {
 	edges := [][2]int{
 		{0, 1}, {1, 2}, {2, 3}, {3, 4},
 		{5, 6}, {6, 7}, {7, 8}, {8, 9},
@@ -101,13 +101,13 @@ func Tokyo20() *Topology {
 		{5, 11}, {6, 10}, {7, 13}, {8, 12},
 		{11, 17}, {12, 16}, {13, 19}, {14, 18},
 	}
-	return MustTopology(20, edges)
+	return mustTopology(20, edges)
 }
 
-// Penguin20 returns the sparser 20-qubit map used by johannesburg,
+// penguin20 returns the sparser 20-qubit map used by johannesburg,
 // boeblingen and poughkeepsie: a 4x5 grid with only the outer-column
 // verticals.
-func Penguin20() *Topology {
+func penguin20() *Topology {
 	edges := [][2]int{
 		{0, 1}, {1, 2}, {2, 3}, {3, 4},
 		{5, 6}, {6, 7}, {7, 8}, {8, 9},
@@ -115,7 +115,7 @@ func Penguin20() *Topology {
 		{15, 16}, {16, 17}, {17, 18}, {18, 19},
 		{0, 5}, {4, 9}, {5, 10}, {7, 12}, {9, 14}, {10, 15}, {14, 19}, {2, 7}, {12, 17},
 	}
-	return MustTopology(20, edges)
+	return mustTopology(20, edges)
 }
 
 // HeavyHexLike generates a heavy-hex-style topology with exactly n
@@ -127,7 +127,7 @@ func Penguin20() *Topology {
 // 1000-qubit machine of Fig 5.
 func HeavyHexLike(n int) *Topology {
 	if n < 2 {
-		return MustTopology(n, nil)
+		return mustTopology(n, nil)
 	}
 	// Pick chain length ~ sqrt(3n) to keep the lattice roughly square.
 	chainLen := 4
@@ -171,7 +171,7 @@ func HeavyHexLike(n int) *Topology {
 	// Trimming can strand trailing fragments; stitch each disconnected
 	// component to its predecessor qubit until the graph is connected.
 	for {
-		t := MustTopology(n, kept)
+		t := mustTopology(n, kept)
 		if t.IsConnected() {
 			return t
 		}

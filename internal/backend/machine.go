@@ -138,35 +138,35 @@ func minInt(a, b int) int {
 // sees the fleet evolve (tokyo retiring, manhattan arriving, ...).
 func Fleet() []*Machine {
 	ms := []*Machine{
-		newMachine("ibmqx4", Bowtie5(), true, 2, date(2017, 9, 1), date(2019, 6, 1), 2.0, 101),
-		newMachine("ibmqx2", Bowtie5(), true, 2, date(2017, 1, 1), time.Time{}, 3.0, 102),
-		newMachine("ibmq_16_melbourne", Melbourne15(), true, 2, date(2018, 9, 1), time.Time{}, 4.0, 103),
-		newMachine("ibmq_20_tokyo", Tokyo20(), false, 1, date(2018, 9, 1), date(2019, 9, 1), 0.6, 104),
-		newMachine("ibmq_poughkeepsie", Penguin20(), false, 1, date(2019, 2, 1), date(2020, 4, 1), 0.5, 105),
-		newMachine("ibmq_johannesburg", Penguin20(), false, 1, date(2019, 5, 1), date(2020, 9, 1), 0.6, 106),
-		newMachine("ibmq_boeblingen", Penguin20(), false, 1, date(2019, 7, 1), date(2021, 1, 1), 0.6, 107),
-		newMachine("ibmq_ourense", TShape5(), false, 1, date(2019, 7, 1), date(2021, 1, 15), 0.9, 108),
-		newMachine("ibmq_vigo", TShape5(), false, 1, date(2019, 7, 1), date(2021, 1, 15), 0.9, 109),
-		newMachine("ibmq_valencia", TShape5(), false, 1, date(2019, 7, 15), date(2021, 1, 15), 0.8, 110),
-		newMachine("ibmq_london", TShape5(), false, 1, date(2019, 9, 1), date(2021, 1, 15), 0.7, 111),
-		newMachine("ibmq_burlington", TShape5(), false, 1, date(2019, 9, 1), date(2021, 1, 15), 0.7, 112),
-		newMachine("ibmq_essex", TShape5(), false, 1, date(2019, 9, 1), date(2021, 1, 15), 0.7, 113),
-		newMachine("ibmq_armonk", MustTopology(1, nil), true, 1, date(2019, 10, 1), time.Time{}, 1.2, 114),
+		newMachine("ibmqx4", bowtie5(), true, 2, date(2017, 9, 1), date(2019, 6, 1), 2.0, 101),
+		newMachine("ibmqx2", bowtie5(), true, 2, date(2017, 1, 1), time.Time{}, 3.0, 102),
+		newMachine("ibmq_16_melbourne", melbourne15(), true, 2, date(2018, 9, 1), time.Time{}, 4.0, 103),
+		newMachine("ibmq_20_tokyo", tokyo20(), false, 1, date(2018, 9, 1), date(2019, 9, 1), 0.6, 104),
+		newMachine("ibmq_poughkeepsie", penguin20(), false, 1, date(2019, 2, 1), date(2020, 4, 1), 0.5, 105),
+		newMachine("ibmq_johannesburg", penguin20(), false, 1, date(2019, 5, 1), date(2020, 9, 1), 0.6, 106),
+		newMachine("ibmq_boeblingen", penguin20(), false, 1, date(2019, 7, 1), date(2021, 1, 1), 0.6, 107),
+		newMachine("ibmq_ourense", tShape5(), false, 1, date(2019, 7, 1), date(2021, 1, 15), 0.9, 108),
+		newMachine("ibmq_vigo", tShape5(), false, 1, date(2019, 7, 1), date(2021, 1, 15), 0.9, 109),
+		newMachine("ibmq_valencia", tShape5(), false, 1, date(2019, 7, 15), date(2021, 1, 15), 0.8, 110),
+		newMachine("ibmq_london", tShape5(), false, 1, date(2019, 9, 1), date(2021, 1, 15), 0.7, 111),
+		newMachine("ibmq_burlington", tShape5(), false, 1, date(2019, 9, 1), date(2021, 1, 15), 0.7, 112),
+		newMachine("ibmq_essex", tShape5(), false, 1, date(2019, 9, 1), date(2021, 1, 15), 0.7, 113),
+		newMachine("ibmq_armonk", mustTopology(1, nil), true, 1, date(2019, 10, 1), time.Time{}, 1.2, 114),
 		newMachine("ibmq_rochester", HeavyHexLike(53), false, 1, date(2019, 11, 1), date(2021, 1, 1), 0.5, 115),
-		newMachine("ibmq_paris", Falcon27(), false, 0, date(2020, 4, 1), time.Time{}, 1.0, 116),
+		newMachine("ibmq_paris", falcon27(), false, 0, date(2020, 4, 1), time.Time{}, 1.0, 116),
 		newMachine("ibmq_rome", Line(5), false, 0, date(2020, 4, 15), time.Time{}, 1.0, 117),
 		newMachine("ibmq_athens", Line(5), true, 0, date(2020, 5, 1), time.Time{}, 6.0, 118),
-		newMachine("ibmq_toronto", Falcon27(), false, 0, date(2020, 7, 1), time.Time{}, 1.2, 119),
+		newMachine("ibmq_toronto", falcon27(), false, 0, date(2020, 7, 1), time.Time{}, 1.2, 119),
 		newMachine("ibmq_bogota", Line(5), false, 0, date(2020, 8, 1), time.Time{}, 1.0, 120),
 		newMachine("ibmq_santiago", Line(5), true, 0, date(2020, 9, 1), time.Time{}, 4.5, 121),
-		newMachine("ibmq_casablanca", HShape7(), false, 0, date(2020, 10, 1), time.Time{}, 1.1, 122),
+		newMachine("ibmq_casablanca", hShape7(), false, 0, date(2020, 10, 1), time.Time{}, 1.1, 122),
 		newMachine("ibmq_manhattan", HeavyHexLike(65), false, 0, date(2020, 11, 1), time.Time{}, 1.3, 123),
-		newMachine("ibmq_guadalupe", Guadalupe16(), false, 0, date(2021, 1, 15), time.Time{}, 0.9, 124),
-		newMachine("ibmq_belem", TShape5(), true, 0, date(2021, 1, 15), time.Time{}, 3.5, 125),
-		newMachine("ibmq_lima", TShape5(), true, 0, date(2021, 2, 1), time.Time{}, 3.0, 126),
-		newMachine("ibmq_quito", TShape5(), true, 0, date(2021, 3, 1), time.Time{}, 2.5, 127),
+		newMachine("ibmq_guadalupe", guadalupe16(), false, 0, date(2021, 1, 15), time.Time{}, 0.9, 124),
+		newMachine("ibmq_belem", tShape5(), true, 0, date(2021, 1, 15), time.Time{}, 3.5, 125),
+		newMachine("ibmq_lima", tShape5(), true, 0, date(2021, 2, 1), time.Time{}, 3.0, 126),
+		newMachine("ibmq_quito", tShape5(), true, 0, date(2021, 3, 1), time.Time{}, 2.5, 127),
 	}
-	sim := newMachine("ibmq_qasm_simulator", FullyConnected(32), true, 0, date(2017, 1, 1), time.Time{}, 2.0, 128)
+	sim := newMachine("ibmq_qasm_simulator", fullyConnected(32), true, 0, date(2017, 1, 1), time.Time{}, 2.0, 128)
 	sim.Simulator = true
 	// The simulator executes far faster than hardware and never queues
 	// long; shrink its cost parameters accordingly.

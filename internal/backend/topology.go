@@ -58,9 +58,9 @@ func NewTopology(n int, edges [][2]int) (*Topology, error) {
 	return t, nil
 }
 
-// MustTopology is NewTopology that panics on error; used for the
+// mustTopology is NewTopology that panics on error; used for the
 // hard-coded device maps, where an error is a programming mistake.
-func MustTopology(n int, edges [][2]int) *Topology {
+func mustTopology(n int, edges [][2]int) *Topology {
 	t, err := NewTopology(n, edges)
 	if err != nil {
 		panic(err)

@@ -26,7 +26,7 @@ func TestNewTopologyValidation(t *testing.T) {
 }
 
 func TestNeighborsAndDegree(t *testing.T) {
-	tp := TShape5()
+	tp := tShape5()
 	if got := tp.Neighbors(1); len(got) != 3 || got[0] != 0 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("Neighbors(1) = %v", got)
 	}
@@ -43,25 +43,25 @@ func TestConnectivity(t *testing.T) {
 		"line":      Line(10),
 		"ring":      ring(8),
 		"grid":      grid(3, 4),
-		"tshape":    TShape5(),
-		"bowtie":    Bowtie5(),
-		"hshape":    HShape7(),
-		"melbourne": Melbourne15(),
-		"guadalupe": Guadalupe16(),
-		"falcon":    Falcon27(),
-		"tokyo":     Tokyo20(),
-		"penguin":   Penguin20(),
-		"full":      FullyConnected(6),
+		"tshape":    tShape5(),
+		"bowtie":    bowtie5(),
+		"hshape":    hShape7(),
+		"melbourne": melbourne15(),
+		"guadalupe": guadalupe16(),
+		"falcon":    falcon27(),
+		"tokyo":     tokyo20(),
+		"penguin":   penguin20(),
+		"full":      fullyConnected(6),
 	} {
 		if !tp.IsConnected() {
 			t.Fatalf("%s topology is disconnected", name)
 		}
 	}
-	disc := MustTopology(4, [][2]int{{0, 1}, {2, 3}})
+	disc := mustTopology(4, [][2]int{{0, 1}, {2, 3}})
 	if disc.IsConnected() {
 		t.Fatal("disconnected graph reported connected")
 	}
-	if !MustTopology(1, nil).IsConnected() {
+	if !mustTopology(1, nil).IsConnected() {
 		t.Fatal("single qubit should be connected")
 	}
 }
@@ -72,7 +72,7 @@ func TestDistances(t *testing.T) {
 	if d[0][4] != 4 || d[2][2] != 0 || d[1][3] != 2 {
 		t.Fatalf("line distances wrong: %v", d)
 	}
-	disc := MustTopology(3, [][2]int{{0, 1}})
+	disc := mustTopology(3, [][2]int{{0, 1}})
 	if disc.Distances()[0][2] != -1 {
 		t.Fatal("unreachable pair should be -1")
 	}
@@ -111,10 +111,10 @@ func TestBisectionManhattanLow(t *testing.T) {
 
 func TestBisectionExactSmall(t *testing.T) {
 	// K4: balanced split cuts exactly 4 edges.
-	if got := FullyConnected(4).BisectionBandwidth(); got != 4 {
+	if got := fullyConnected(4).BisectionBandwidth(); got != 4 {
 		t.Fatalf("K4 bisection = %d, want 4", got)
 	}
-	if got := MustTopology(1, nil).BisectionBandwidth(); got != 0 {
+	if got := mustTopology(1, nil).BisectionBandwidth(); got != 0 {
 		t.Fatalf("singleton bisection = %d, want 0", got)
 	}
 }
@@ -147,7 +147,7 @@ func TestHeavyHexConnectedProperty(t *testing.T) {
 }
 
 func TestComponents(t *testing.T) {
-	tp := MustTopology(5, [][2]int{{0, 1}, {3, 4}})
+	tp := mustTopology(5, [][2]int{{0, 1}, {3, 4}})
 	comps := components(tp)
 	if len(comps) != 3 {
 		t.Fatalf("components = %v", comps)
@@ -160,7 +160,7 @@ func ring(n int) *Topology {
 	for i := 0; i < n; i++ {
 		edges = append(edges, [2]int{i, (i + 1) % n})
 	}
-	return MustTopology(n, edges)
+	return mustTopology(n, edges)
 }
 
 // grid returns a rows x cols mesh; qubit r*cols+c.
@@ -177,5 +177,5 @@ func grid(rows, cols int) *Topology {
 			}
 		}
 	}
-	return MustTopology(rows*cols, edges)
+	return mustTopology(rows*cols, edges)
 }

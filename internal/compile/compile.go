@@ -21,14 +21,14 @@ import (
 	"qcloud/internal/circuit"
 )
 
-// Pass is one transpilation stage. Run mutates the Context in place.
-type Pass interface {
+// pass is one transpilation stage. Run mutates the passContext in place.
+type pass interface {
 	Name() string
-	Run(ctx *Context) error
+	Run(ctx *passContext) error
 }
 
-// Context is the mutable state threaded through the pass pipeline.
-type Context struct {
+// passContext is the mutable state threaded through the pass pipeline.
+type passContext struct {
 	// Circ is the circuit being transformed. Before ApplyLayout it is
 	// logical-width; after, machine-width with physical indices.
 	Circ *circuit.Circuit
@@ -54,12 +54,12 @@ type Context struct {
 }
 
 // IsExcluded reports whether physical qubit q is off-limits.
-func (ctx *Context) IsExcluded(q int) bool {
+func (ctx *passContext) IsExcluded(q int) bool {
 	return q < len(ctx.excluded) && ctx.excluded[q]
 }
 
 // Distances returns (and caches) the machine's all-pairs hop distances.
-func (ctx *Context) Distances() [][]int {
+func (ctx *passContext) Distances() [][]int {
 	if ctx.dists == nil {
 		ctx.dists = ctx.Machine.Topo.Distances()
 	}
@@ -93,14 +93,6 @@ type Options struct {
 	// Seed drives stochastic passes; the same seed reproduces the same
 	// compilation byte for byte.
 	Seed int64
-	// RoutingTrials is the number of full stochastic-swap attempts
-	// (best kept). 0 picks an adaptive default.
-	RoutingTrials int
-	// CSPBudget bounds the CSP layout search in visited search nodes.
-	// 0 picks a default that scales with machine size.
-	CSPBudget int
-	// OptimizeIterations caps the fixed-point optimization loop.
-	OptimizeIterations int
 	// SkipCSP disables the CSP layout search (useful for benchmarks
 	// isolating other passes).
 	SkipCSP bool
@@ -109,27 +101,19 @@ type Options struct {
 	// should pair this with a coupling map whose edges avoid the
 	// excluded qubits so routing cannot traverse them.
 	Excluded []int
-	// Router selects the routing pass: "stochastic" (default — the
-	// Qiskit router of the paper's study period, Fig 5) or "sabre"
-	// (lookahead routing, usually fewer swaps).
-	Router string
 }
 
-func (o Options) withDefaults(nGates int) Options {
-	if o.RoutingTrials <= 0 {
-		if nGates > 50_000 {
-			o.RoutingTrials = 1
-		} else {
-			o.RoutingTrials = 4
-		}
+// optimizeIterations caps the fixed-point optimization loop.
+const optimizeIterations = 5
+
+// routingTrials is the number of full stochastic-swap attempts (best
+// kept) for an input circuit of nGates gates, counted before
+// unrolling: one above 50 000, four otherwise.
+func routingTrials(nGates int) int {
+	if nGates > 50_000 {
+		return 1
 	}
-	if o.CSPBudget <= 0 {
-		o.CSPBudget = 200_000
-	}
-	if o.OptimizeIterations <= 0 {
-		o.OptimizeIterations = 5
-	}
-	return o
+	return 4
 }
 
 // Compile runs the full pipeline of c against machine m with
@@ -138,18 +122,17 @@ func Compile(c *circuit.Circuit, m *backend.Machine, cal *backend.Calibration, o
 	if c.NQubits > m.NumQubits() {
 		return nil, fmt.Errorf("compile: circuit needs %d qubits but %s has %d", c.NQubits, m.Name, m.NumQubits())
 	}
-	o := opts.withDefaults(len(c.Gates))
-	ctx := &Context{
+	ctx := &passContext{
 		Circ:    c.Clone(),
 		Machine: m,
 		Calib:   cal,
-		Rand:    rand.New(rand.NewSource(o.Seed)),
+		Rand:    rand.New(rand.NewSource(opts.Seed)),
 		Props:   make(map[string]int),
 	}
-	if len(o.Excluded) > 0 {
+	if len(opts.Excluded) > 0 {
 		ctx.excluded = make([]bool, m.NumQubits())
 		free := m.NumQubits()
-		for _, q := range o.Excluded {
+		for _, q := range opts.Excluded {
 			if q >= 0 && q < len(ctx.excluded) && !ctx.excluded[q] {
 				ctx.excluded[q] = true
 				free--
@@ -162,7 +145,7 @@ func Compile(c *circuit.Circuit, m *backend.Machine, cal *backend.Calibration, o
 	res := &Result{}
 	timings := make(map[string]float64)
 	var order []string
-	runPass := func(p Pass) error {
+	runPass := func(p pass) error {
 		start := time.Now()
 		err := p.Run(ctx)
 		sec := time.Since(start).Seconds()
@@ -173,34 +156,25 @@ func Compile(c *circuit.Circuit, m *backend.Machine, cal *backend.Calibration, o
 		return err
 	}
 
-	pipeline := []Pass{
-		&Unroll3qOrMore{},
-		&RemoveResetInZeroState{},
-		&UnrollCustomDefinitions{},
+	pipeline := []pass{
+		&unroll3qOrMore{},
+		&removeResetInZeroState{},
+		&unrollCustomDefinitions{},
 	}
-	if !o.SkipCSP {
-		pipeline = append(pipeline, &CSPLayout{Budget: o.CSPBudget})
-	}
-	var router Pass
-	switch o.Router {
-	case "", "stochastic":
-		router = &StochasticSwap{Trials: o.RoutingTrials}
-	case "sabre":
-		router = &SabreSwap{}
-	default:
-		return nil, fmt.Errorf("compile: unknown router %q", o.Router)
+	if !opts.SkipCSP {
+		pipeline = append(pipeline, &cspLayout{})
 	}
 	pipeline = append(pipeline,
-		&NoiseAdaptiveLayout{},
-		&DenseLayout{},
-		&TrivialLayout{},
-		&SetLayout{},
-		&FullAncillaAllocate{},
-		&EnlargeWithAncilla{},
-		&ApplyLayout{},
-		&CheckMap{},
-		router,
-		&BasisTranslator{},
+		&noiseAdaptiveLayout{},
+		&denseLayout{},
+		&trivialLayout{},
+		&setLayout{},
+		&fullAncillaAllocate{},
+		&enlargeWithAncilla{},
+		&applyLayout{},
+		&checkMap{},
+		&stochasticSwap{Trials: routingTrials(len(c.Gates))},
+		&basisTranslator{},
 	)
 	for _, p := range pipeline {
 		if err := runPass(p); err != nil {
@@ -209,20 +183,20 @@ func Compile(c *circuit.Circuit, m *backend.Machine, cal *backend.Calibration, o
 	}
 
 	// Fixed-point optimization loop, as Qiskit's level 3 does: iterate
-	// until depth and size stop improving (bounded by OptimizeIterations).
-	optLoop := []Pass{
-		&Depth{},
-		&Collect2qBlocks{},
-		&ConsolidateBlocks{},
-		&UnitarySynthesis{},
-		&Optimize1qGates{},
-		&CommutationAnalysis{},
-		&CommutativeCancellation{},
-		&RemoveDiagonalGatesBeforeMeasure{},
-		&FixedPoint{},
+	// until depth and size stop improving (bounded by optimizeIterations).
+	optLoop := []pass{
+		&depth{},
+		&collect2qBlocks{},
+		&consolidateBlocks{},
+		&unitarySynthesis{},
+		&optimize1qGates{},
+		&commutationAnalysis{},
+		&commutativeCancellation{},
+		&removeDiagonalGatesBeforeMeasure{},
+		&fixedPoint{},
 	}
 	prevDepth, prevSize := -1, -1
-	for iter := 0; iter < o.OptimizeIterations; iter++ {
+	for iter := 0; iter < optimizeIterations; iter++ {
 		for _, p := range optLoop {
 			if err := runPass(p); err != nil {
 				return nil, fmt.Errorf("compile: pass %s: %w", p.Name(), err)
@@ -235,9 +209,9 @@ func Compile(c *circuit.Circuit, m *backend.Machine, cal *backend.Calibration, o
 		prevDepth, prevSize = d, s
 	}
 
-	final := []Pass{
-		&BarrierBeforeFinalMeasurements{},
-		&CheckMap{},
+	final := []pass{
+		&barrierBeforeFinalMeasurements{},
+		&checkMap{},
 	}
 	for _, p := range final {
 		if err := runPass(p); err != nil {
@@ -256,7 +230,7 @@ func Compile(c *circuit.Circuit, m *backend.Machine, cal *backend.Calibration, o
 	return res, nil
 }
 
-func layoutMethodName(ctx *Context) string {
+func layoutMethodName(ctx *passContext) string {
 	switch ctx.Props["layout_method"] {
 	case layoutCSP:
 		return "CSPLayout"

@@ -39,15 +39,15 @@ func logicalAdjacency(k int, weights map[[2]int]int) [][]int {
 	return adj
 }
 
-// TrivialLayout maps logical qubit i to physical qubit i. It is the
+// trivialLayout maps logical qubit i to physical qubit i. It is the
 // last-resort layout and only runs if no earlier pass chose one.
-type TrivialLayout struct{}
+type trivialLayout struct{}
 
-// Name implements Pass.
-func (TrivialLayout) Name() string { return "TrivialLayout" }
+// Name implements pass.
+func (trivialLayout) Name() string { return "TrivialLayout" }
 
-// Run implements Pass.
-func (TrivialLayout) Run(ctx *Context) error {
+// Run implements pass.
+func (trivialLayout) Run(ctx *passContext) error {
 	if ctx.Layout != nil {
 		return nil
 	}
@@ -147,17 +147,17 @@ func regionEdgeStats(topo *backend.Topology, cal *backend.Calibration, region []
 	return edges, errSum
 }
 
-// DenseLayout finds a densely connected physical subregion of the
+// denseLayout finds a densely connected physical subregion of the
 // machine with as many internal couplers as possible, by greedy growth
 // from multiple seeds, and assigns logical qubits to it in interaction
 // order.
-type DenseLayout struct{}
+type denseLayout struct{}
 
-// Name implements Pass.
-func (DenseLayout) Name() string { return "DenseLayout" }
+// Name implements pass.
+func (denseLayout) Name() string { return "DenseLayout" }
 
-// Run implements Pass.
-func (DenseLayout) Run(ctx *Context) error {
+// Run implements pass.
+func (denseLayout) Run(ctx *passContext) error {
 	if ctx.Layout != nil {
 		return nil
 	}
@@ -196,18 +196,18 @@ func (DenseLayout) Run(ctx *Context) error {
 	return nil
 }
 
-// NoiseAdaptiveLayout is DenseLayout with calibration awareness: region
+// noiseAdaptiveLayout is DenseLayout with calibration awareness: region
 // growth is scored by coupler quality and readout error, so the chosen
 // mapping tracks the current calibration. Re-running it after a
 // recalibration can yield a different mapping — the staleness effect of
 // the paper's Fig 12b. It runs only when a calibration is present.
-type NoiseAdaptiveLayout struct{}
+type noiseAdaptiveLayout struct{}
 
-// Name implements Pass.
-func (NoiseAdaptiveLayout) Name() string { return "NoiseAdaptiveLayout" }
+// Name implements pass.
+func (noiseAdaptiveLayout) Name() string { return "NoiseAdaptiveLayout" }
 
-// Run implements Pass.
-func (NoiseAdaptiveLayout) Run(ctx *Context) error {
+// Run implements pass.
+func (noiseAdaptiveLayout) Run(ctx *passContext) error {
 	if ctx.Layout != nil || ctx.Calib == nil {
 		return nil
 	}
@@ -380,7 +380,7 @@ func assignCore(c *circuit.Circuit, topo *backend.Topology, cal *backend.Calibra
 	return layout
 }
 
-// CSPLayout searches for a perfect embedding of the circuit's
+// cspLayout searches for a perfect embedding of the circuit's
 // interaction graph into the coupling map (subgraph monomorphism) via
 // backtracking, bounded by a node budget, like Qiskit's CSPLayout with
 // its call/time limit. If it succeeds, routing needs no swaps; if the
@@ -389,17 +389,16 @@ func assignCore(c *circuit.Circuit, topo *backend.Topology, cal *backend.Calibra
 // pass tops the paper's Fig 5 — later layout passes take over. No
 // degree-based pruning is done, faithful to the unpruned constraint
 // solver Qiskit delegates to.
-type CSPLayout struct {
-	// Budget caps visited search nodes; 0 scales with machine size
-	// (50·N² candidate visits).
-	Budget int
-}
+type cspLayout struct{}
 
-// Name implements Pass.
-func (CSPLayout) Name() string { return "CSPLayout" }
+// cspBudget caps the candidate visits of one CSP layout search.
+const cspBudget = 200_000
 
-// Run implements Pass.
-func (p CSPLayout) Run(ctx *Context) error {
+// Name implements pass.
+func (cspLayout) Name() string { return "CSPLayout" }
+
+// Run implements pass.
+func (cspLayout) Run(ctx *passContext) error {
 	if ctx.Layout != nil {
 		return nil
 	}
@@ -423,10 +422,7 @@ func (p CSPLayout) Run(ctx *Context) error {
 		return order[a] < order[b]
 	})
 
-	budget := p.Budget
-	if budget <= 0 {
-		budget = 50 * topo.N * topo.N
-	}
+	budget := cspBudget
 	assign := make([]int, k)
 	for i := range assign {
 		assign[i] = -1
@@ -489,15 +485,15 @@ func (p CSPLayout) Run(ctx *Context) error {
 	return nil
 }
 
-// SetLayout records the chosen layout into the property set (a
+// setLayout records the chosen layout into the property set (a
 // bookkeeping pass in Qiskit; here it validates the invariants).
-type SetLayout struct{}
+type setLayout struct{}
 
-// Name implements Pass.
-func (SetLayout) Name() string { return "SetLayout" }
+// Name implements pass.
+func (setLayout) Name() string { return "SetLayout" }
 
-// Run implements Pass.
-func (SetLayout) Run(ctx *Context) error {
+// Run implements pass.
+func (setLayout) Run(ctx *passContext) error {
 	if ctx.Layout == nil {
 		return fmt.Errorf("no layout chosen")
 	}
@@ -515,15 +511,15 @@ func (SetLayout) Run(ctx *Context) error {
 	return nil
 }
 
-// FullAncillaAllocate extends the layout with the machine's unused
+// fullAncillaAllocate extends the layout with the machine's unused
 // physical qubits as ancillas.
-type FullAncillaAllocate struct{}
+type fullAncillaAllocate struct{}
 
-// Name implements Pass.
-func (FullAncillaAllocate) Name() string { return "FullAncillaAllocate" }
+// Name implements pass.
+func (fullAncillaAllocate) Name() string { return "FullAncillaAllocate" }
 
-// Run implements Pass.
-func (FullAncillaAllocate) Run(ctx *Context) error {
+// Run implements pass.
+func (fullAncillaAllocate) Run(ctx *passContext) error {
 	used := make([]bool, ctx.Machine.NumQubits())
 	for _, p := range ctx.Layout {
 		used[p] = true
@@ -538,30 +534,30 @@ func (FullAncillaAllocate) Run(ctx *Context) error {
 	return nil
 }
 
-// EnlargeWithAncilla widens the circuit register to the machine size so
+// enlargeWithAncilla widens the circuit register to the machine size so
 // ApplyLayout can relabel in place.
-type EnlargeWithAncilla struct{}
+type enlargeWithAncilla struct{}
 
-// Name implements Pass.
-func (EnlargeWithAncilla) Name() string { return "EnlargeWithAncilla" }
+// Name implements pass.
+func (enlargeWithAncilla) Name() string { return "EnlargeWithAncilla" }
 
-// Run implements Pass.
-func (EnlargeWithAncilla) Run(ctx *Context) error {
+// Run implements pass.
+func (enlargeWithAncilla) Run(ctx *passContext) error {
 	if ctx.Circ.NQubits < ctx.Machine.NumQubits() {
 		ctx.Circ.NQubits = ctx.Machine.NumQubits()
 	}
 	return nil
 }
 
-// ApplyLayout rewrites every gate's qubit operands from logical to
+// applyLayout rewrites every gate's qubit operands from logical to
 // physical indices.
-type ApplyLayout struct{}
+type applyLayout struct{}
 
-// Name implements Pass.
-func (ApplyLayout) Name() string { return "ApplyLayout" }
+// Name implements pass.
+func (applyLayout) Name() string { return "ApplyLayout" }
 
-// Run implements Pass.
-func (ApplyLayout) Run(ctx *Context) error {
+// Run implements pass.
+func (applyLayout) Run(ctx *passContext) error {
 	if ctx.Applied {
 		return nil
 	}

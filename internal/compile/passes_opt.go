@@ -6,28 +6,28 @@ import (
 	"qcloud/internal/circuit"
 )
 
-// Depth records the circuit's current critical-path depth in the
+// depth records the circuit's current critical-path depth in the
 // property set; the fixed-point loop uses it to detect convergence.
-type Depth struct{}
+type depth struct{}
 
-// Name implements Pass.
-func (Depth) Name() string { return "Depth" }
+// Name implements pass.
+func (depth) Name() string { return "Depth" }
 
-// Run implements Pass.
-func (Depth) Run(ctx *Context) error {
+// Run implements pass.
+func (depth) Run(ctx *passContext) error {
 	ctx.Props["depth"] = ctx.Circ.Depth()
 	return nil
 }
 
-// FixedPoint records whether depth and size changed since its previous
+// fixedPoint records whether depth and size changed since its previous
 // invocation, mirroring Qiskit's FixedPoint controller predicate.
-type FixedPoint struct{}
+type fixedPoint struct{}
 
-// Name implements Pass.
-func (FixedPoint) Name() string { return "FixedPoint" }
+// Name implements pass.
+func (fixedPoint) Name() string { return "FixedPoint" }
 
-// Run implements Pass.
-func (FixedPoint) Run(ctx *Context) error {
+// Run implements pass.
+func (fixedPoint) Run(ctx *passContext) error {
 	d, s := ctx.Props["depth"], len(ctx.Circ.Gates)
 	if d == ctx.Props["fp_prev_depth"] && s == ctx.Props["fp_prev_size"] {
 		ctx.Props["fixed_point"] = 1
@@ -38,16 +38,16 @@ func (FixedPoint) Run(ctx *Context) error {
 	return nil
 }
 
-// Collect2qBlocks counts maximal runs of consecutive gates confined to
+// collect2qBlocks counts maximal runs of consecutive gates confined to
 // a single qubit pair (containing at least one two-qubit gate) and
 // stores the count; ConsolidateBlocks uses the same scan to rewrite.
-type Collect2qBlocks struct{}
+type collect2qBlocks struct{}
 
-// Name implements Pass.
-func (Collect2qBlocks) Name() string { return "Collect2qBlocks" }
+// Name implements pass.
+func (collect2qBlocks) Name() string { return "Collect2qBlocks" }
 
-// Run implements Pass.
-func (Collect2qBlocks) Run(ctx *Context) error {
+// Run implements pass.
+func (collect2qBlocks) Run(ctx *passContext) error {
 	blocks := 0
 	lastPair := [2]int{-1, -1}
 	inBlock := false
@@ -73,16 +73,16 @@ func (Collect2qBlocks) Run(ctx *Context) error {
 	return nil
 }
 
-// ConsolidateBlocks merges maximal runs of consecutive single-qubit
+// consolidateBlocks merges maximal runs of consecutive single-qubit
 // unitaries on each qubit into one U gate (2x2 matrix product + ZYZ
 // extraction). Identity products are dropped entirely.
-type ConsolidateBlocks struct{}
+type consolidateBlocks struct{}
 
-// Name implements Pass.
-func (ConsolidateBlocks) Name() string { return "ConsolidateBlocks" }
+// Name implements pass.
+func (consolidateBlocks) Name() string { return "ConsolidateBlocks" }
 
-// Run implements Pass.
-func (ConsolidateBlocks) Run(ctx *Context) error {
+// Run implements pass.
+func (consolidateBlocks) Run(ctx *passContext) error {
 	gates := ctx.Circ.Gates
 	out := make([]circuit.Gate, 0, len(gates))
 	// Pending accumulated 1q unitary per qubit.
@@ -147,16 +147,16 @@ func (ConsolidateBlocks) Run(ctx *Context) error {
 	return nil
 }
 
-// UnitarySynthesis lowers U gates into the hardware basis: a pure-Z
+// unitarySynthesis lowers U gates into the hardware basis: a pure-Z
 // rotation becomes a single rz; anything else becomes the ZSXZSXZ
 // five-gate sequence.
-type UnitarySynthesis struct{}
+type unitarySynthesis struct{}
 
-// Name implements Pass.
-func (UnitarySynthesis) Name() string { return "UnitarySynthesis" }
+// Name implements pass.
+func (unitarySynthesis) Name() string { return "UnitarySynthesis" }
 
-// Run implements Pass.
-func (UnitarySynthesis) Run(ctx *Context) error {
+// Run implements pass.
+func (unitarySynthesis) Run(ctx *passContext) error {
 	hasU := false
 	for _, g := range ctx.Circ.Gates {
 		if g.Op == circuit.OpU {
@@ -204,16 +204,16 @@ func (UnitarySynthesis) Run(ctx *Context) error {
 	return nil
 }
 
-// Optimize1qGates merges adjacent rz rotations, drops zero rotations,
+// optimize1qGates merges adjacent rz rotations, drops zero rotations,
 // and cancels adjacent self-inverse pairs (x·x, h·h) — the cheap
 // peephole layer under the full resynthesis of ConsolidateBlocks.
-type Optimize1qGates struct{}
+type optimize1qGates struct{}
 
-// Name implements Pass.
-func (Optimize1qGates) Name() string { return "Optimize1qGates" }
+// Name implements pass.
+func (optimize1qGates) Name() string { return "Optimize1qGates" }
 
-// Run implements Pass.
-func (Optimize1qGates) Run(ctx *Context) error {
+// Run implements pass.
+func (optimize1qGates) Run(ctx *passContext) error {
 	gates := ctx.Circ.Gates
 	out := make([]circuit.Gate, 0, len(gates))
 	last := make(map[int]int) // qubit -> index in out of last gate touching it
@@ -272,15 +272,15 @@ func rebuildLast(out []circuit.Gate, last map[int]int) {
 	}
 }
 
-// CommutationAnalysis counts commuting adjacent gate pairs per qubit
+// commutationAnalysis counts commuting adjacent gate pairs per qubit
 // wire; CommutativeCancellation consumes the same relations to cancel.
-type CommutationAnalysis struct{}
+type commutationAnalysis struct{}
 
-// Name implements Pass.
-func (CommutationAnalysis) Name() string { return "CommutationAnalysis" }
+// Name implements pass.
+func (commutationAnalysis) Name() string { return "CommutationAnalysis" }
 
-// Run implements Pass.
-func (CommutationAnalysis) Run(ctx *Context) error {
+// Run implements pass.
+func (commutationAnalysis) Run(ctx *passContext) error {
 	lastOnWire := make(map[int]circuit.Gate)
 	commuting := 0
 	for _, g := range ctx.Circ.Gates {
@@ -328,16 +328,16 @@ func xFamilyOnWire(g circuit.Gate, q int) bool {
 	}
 }
 
-// CommutativeCancellation cancels CX pairs with identical control and
+// commutativeCancellation cancels CX pairs with identical control and
 // target that are separated only by gates commuting through the control
 // (Z-diagonal) or the target (X-family).
-type CommutativeCancellation struct{}
+type commutativeCancellation struct{}
 
-// Name implements Pass.
-func (CommutativeCancellation) Name() string { return "CommutativeCancellation" }
+// Name implements pass.
+func (commutativeCancellation) Name() string { return "CommutativeCancellation" }
 
-// Run implements Pass.
-func (CommutativeCancellation) Run(ctx *Context) error {
+// Run implements pass.
+func (commutativeCancellation) Run(ctx *passContext) error {
 	gates := ctx.Circ.Gates
 	keep := make([]bool, len(gates))
 	for i := range keep {
@@ -412,16 +412,16 @@ func (CommutativeCancellation) Run(ctx *Context) error {
 	return nil
 }
 
-// RemoveDiagonalGatesBeforeMeasure drops Z-diagonal gates whose only
+// removeDiagonalGatesBeforeMeasure drops Z-diagonal gates whose only
 // effect precedes a computational-basis measurement, where they cannot
 // change outcome statistics.
-type RemoveDiagonalGatesBeforeMeasure struct{}
+type removeDiagonalGatesBeforeMeasure struct{}
 
-// Name implements Pass.
-func (RemoveDiagonalGatesBeforeMeasure) Name() string { return "RemoveDiagonalGatesBeforeMeasure" }
+// Name implements pass.
+func (removeDiagonalGatesBeforeMeasure) Name() string { return "RemoveDiagonalGatesBeforeMeasure" }
 
-// Run implements Pass.
-func (RemoveDiagonalGatesBeforeMeasure) Run(ctx *Context) error {
+// Run implements pass.
+func (removeDiagonalGatesBeforeMeasure) Run(ctx *passContext) error {
 	gates := ctx.Circ.Gates
 	// nextIsMeasure[q] true while scanning backwards and the next thing
 	// on q's wire is a measurement.
@@ -455,15 +455,15 @@ func (RemoveDiagonalGatesBeforeMeasure) Run(ctx *Context) error {
 	return nil
 }
 
-// RemoveResetInZeroState deletes reset instructions on qubits that are
+// removeResetInZeroState deletes reset instructions on qubits that are
 // still in their initial |0> state.
-type RemoveResetInZeroState struct{}
+type removeResetInZeroState struct{}
 
-// Name implements Pass.
-func (RemoveResetInZeroState) Name() string { return "RemoveResetInZeroState" }
+// Name implements pass.
+func (removeResetInZeroState) Name() string { return "RemoveResetInZeroState" }
 
-// Run implements Pass.
-func (RemoveResetInZeroState) Run(ctx *Context) error {
+// Run implements pass.
+func (removeResetInZeroState) Run(ctx *passContext) error {
 	touched := make([]bool, ctx.Circ.NQubits)
 	out := make([]circuit.Gate, 0, len(ctx.Circ.Gates))
 	for _, g := range ctx.Circ.Gates {
@@ -481,15 +481,15 @@ func (RemoveResetInZeroState) Run(ctx *Context) error {
 	return nil
 }
 
-// BarrierBeforeFinalMeasurements inserts a barrier separating the final
+// barrierBeforeFinalMeasurements inserts a barrier separating the final
 // measurement layer from the computation, as hardware backends require.
-type BarrierBeforeFinalMeasurements struct{}
+type barrierBeforeFinalMeasurements struct{}
 
-// Name implements Pass.
-func (BarrierBeforeFinalMeasurements) Name() string { return "BarrierBeforeFinalMeasurements" }
+// Name implements pass.
+func (barrierBeforeFinalMeasurements) Name() string { return "BarrierBeforeFinalMeasurements" }
 
-// Run implements Pass.
-func (BarrierBeforeFinalMeasurements) Run(ctx *Context) error {
+// Run implements pass.
+func (barrierBeforeFinalMeasurements) Run(ctx *passContext) error {
 	gates := ctx.Circ.Gates
 	// Find the suffix consisting only of measurements/barriers.
 	split := len(gates)

@@ -7,16 +7,16 @@ import (
 	"qcloud/internal/circuit"
 )
 
-// CheckMap verifies/records whether every two-qubit gate touches a
+// checkMap verifies/records whether every two-qubit gate touches a
 // coupled physical pair. Before routing it records the violation count;
 // after routing (Props["routed"] set) any violation is an error.
-type CheckMap struct{}
+type checkMap struct{}
 
-// Name implements Pass.
-func (CheckMap) Name() string { return "CheckMap" }
+// Name implements pass.
+func (checkMap) Name() string { return "CheckMap" }
 
-// Run implements Pass.
-func (CheckMap) Run(ctx *Context) error {
+// Run implements pass.
+func (checkMap) Run(ctx *passContext) error {
 	topo := ctx.Machine.Topo
 	bad := 0
 	for _, g := range ctx.Circ.Gates {
@@ -31,33 +31,29 @@ func (CheckMap) Run(ctx *Context) error {
 	return nil
 }
 
-// StochasticSwap routes the laid-out circuit: every two-qubit gate on
+// stochasticSwap routes the laid-out circuit: every two-qubit gate on
 // an uncoupled pair gets a chain of SWAPs along a randomized shortest
 // path. Trials full routing attempts are made with independent
 // randomness and the one inserting the fewest SWAPs wins — the
 // stochastic-trials structure of Qiskit's StochasticSwap, whose cost
 // dominates Fig 5 at scale.
-type StochasticSwap struct {
+type stochasticSwap struct {
 	Trials int
 }
 
-// Name implements Pass.
-func (StochasticSwap) Name() string { return "StochasticSwap" }
+// Name implements pass.
+func (stochasticSwap) Name() string { return "StochasticSwap" }
 
-// Run implements Pass.
-func (p StochasticSwap) Run(ctx *Context) error {
+// Run implements pass.
+func (p stochasticSwap) Run(ctx *passContext) error {
 	if ctx.Props["unmapped_2q"] == 0 {
 		ctx.Props["routed"] = 1
 		ctx.Props["swaps_inserted"] = 0
 		return nil
 	}
-	trials := p.Trials
-	if trials < 1 {
-		trials = 1
-	}
 	var best *circuit.Circuit
 	bestSwaps := -1
-	for tr := 0; tr < trials; tr++ {
+	for tr := 0; tr < p.Trials; tr++ {
 		r := rand.New(rand.NewSource(ctx.Rand.Int63()))
 		routed, swaps := routeOnce(ctx, r)
 		if bestSwaps == -1 || swaps < bestSwaps {
@@ -72,7 +68,7 @@ func (p StochasticSwap) Run(ctx *Context) error {
 
 // routeOnce performs one full routing sweep with the given randomness,
 // returning the routed circuit and the number of SWAPs inserted.
-func routeOnce(ctx *Context, r *rand.Rand) (*circuit.Circuit, int) {
+func routeOnce(ctx *passContext, r *rand.Rand) (*circuit.Circuit, int) {
 	topo := ctx.Machine.Topo
 	dist := ctx.Distances()
 	n := topo.N

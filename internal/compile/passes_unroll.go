@@ -7,15 +7,15 @@ import (
 	"qcloud/internal/circuit"
 )
 
-// Unroll3qOrMore decomposes three-qubit gates (CCX) into the textbook
+// unroll3qOrMore decomposes three-qubit gates (CCX) into the textbook
 // six-CX network so downstream passes only see 1q/2q operations.
-type Unroll3qOrMore struct{}
+type unroll3qOrMore struct{}
 
-// Name implements Pass.
-func (Unroll3qOrMore) Name() string { return "Unroll3qOrMore" }
+// Name implements pass.
+func (unroll3qOrMore) Name() string { return "Unroll3qOrMore" }
 
-// Run implements Pass.
-func (Unroll3qOrMore) Run(ctx *Context) error {
+// Run implements pass.
+func (unroll3qOrMore) Run(ctx *passContext) error {
 	hasCCX := false
 	for _, g := range ctx.Circ.Gates {
 		if g.Op == circuit.OpCCX {
@@ -61,16 +61,16 @@ func (Unroll3qOrMore) Run(ctx *Context) error {
 	return nil
 }
 
-// UnrollCustomDefinitions validates that every op in the circuit has a
+// unrollCustomDefinitions validates that every op in the circuit has a
 // known definition in this compiler (the Qiskit pass resolves custom
 // gates; our IR has no custom gates, so the check is a guard).
-type UnrollCustomDefinitions struct{}
+type unrollCustomDefinitions struct{}
 
-// Name implements Pass.
-func (UnrollCustomDefinitions) Name() string { return "UnrollCustomDefinitions" }
+// Name implements pass.
+func (unrollCustomDefinitions) Name() string { return "UnrollCustomDefinitions" }
 
-// Run implements Pass.
-func (UnrollCustomDefinitions) Run(ctx *Context) error {
+// Run implements pass.
+func (unrollCustomDefinitions) Run(ctx *passContext) error {
 	for _, g := range ctx.Circ.Gates {
 		switch g.Op {
 		case circuit.OpI, circuit.OpX, circuit.OpY, circuit.OpZ, circuit.OpH,
@@ -85,13 +85,13 @@ func (UnrollCustomDefinitions) Run(ctx *Context) error {
 	return nil
 }
 
-// BasisTranslator rewrites every gate into the IBM hardware basis
+// basisTranslator rewrites every gate into the IBM hardware basis
 // {rz, sx, x, cx} (plus measure/reset/barrier), iterating until no
 // non-basis op remains.
-type BasisTranslator struct{}
+type basisTranslator struct{}
 
-// Name implements Pass.
-func (BasisTranslator) Name() string { return "BasisTranslator" }
+// Name implements pass.
+func (basisTranslator) Name() string { return "BasisTranslator" }
 
 // inBasis reports whether op needs no further translation.
 func inBasis(op circuit.Op) bool {
@@ -104,8 +104,8 @@ func inBasis(op circuit.Op) bool {
 	}
 }
 
-// Run implements Pass.
-func (BasisTranslator) Run(ctx *Context) error {
+// Run implements pass.
+func (basisTranslator) Run(ctx *passContext) error {
 	for round := 0; round < 4; round++ {
 		done := true
 		for _, g := range ctx.Circ.Gates {
@@ -196,9 +196,9 @@ func translateGate(out []circuit.Gate, g circuit.Gate) []circuit.Gate {
 	case circuit.OpCCX:
 		// Normally handled by Unroll3qOrMore; expand via that identity
 		// by reusing the single-gate path: decompose to H/T/CX first.
-		tmp := &Unroll3qOrMore{}
+		tmp := &unroll3qOrMore{}
 		cc := &circuit.Circuit{NQubits: maxQubit(g.Qubits) + 1, Gates: []circuit.Gate{g}}
-		cctx := &Context{Circ: cc}
+		cctx := &passContext{Circ: cc}
 		_ = tmp.Run(cctx)
 		for _, sub := range cc.Gates {
 			out = translateGate(out, sub)

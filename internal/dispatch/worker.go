@@ -25,8 +25,6 @@ type WorkerConfig struct {
 	SimWorkers int
 	// Poll is the idle wait between empty pulls (default 200ms).
 	Poll time.Duration
-	// RequestTimeout bounds each HTTP call (default 10s).
-	RequestTimeout time.Duration
 	// Client is the HTTP client (default http.DefaultClient).
 	Client *http.Client
 	// Logf, if set, receives progress lines.
@@ -39,9 +37,6 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 	}
 	if c.Poll <= 0 {
 		c.Poll = 200 * time.Millisecond
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 10 * time.Second
 	}
 	if c.Client == nil {
 		c.Client = http.DefaultClient
@@ -77,7 +72,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		return nil, fmt.Errorf("dispatch: worker needs Server and Name")
 	}
 	cfg = cfg.withDefaults()
-	return &Worker{cfg: cfg, cl: &Client{Server: cfg.Server, HTTP: cfg.Client, Timeout: cfg.RequestTimeout}}, nil
+	return &Worker{cfg: cfg, cl: &Client{Server: cfg.Server, HTTP: cfg.Client}}, nil
 }
 
 // Units reports how many units this worker has completed.

@@ -91,9 +91,6 @@ type Options struct {
 	// records. 0 (the default) syncs only on rotation, Sync, and
 	// Close: cheap, and still loses nothing short of power failure.
 	SyncEvery int
-	// RetryAppends caps how many times a failed file write is
-	// immediately retried before the writer fail-stops (default 3).
-	RetryAppends int
 	// OpenFile opens a segment file for appending, creating it if
 	// needed. nil uses the OS; tests inject faulty writers here.
 	OpenFile func(path string) (File, error)
@@ -102,9 +99,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
-	}
-	if o.RetryAppends <= 0 {
-		o.RetryAppends = 3
 	}
 	if o.OpenFile == nil {
 		o.OpenFile = func(path string) (File, error) {

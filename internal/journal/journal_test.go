@@ -556,7 +556,6 @@ func (ff *faultyFile) Close() error { return ff.f.Close() }
 
 func faultyOpts(failAt map[int]bool, short bool) Options {
 	return Options{
-		RetryAppends: 3,
 		OpenFile: func(path string) (File, error) {
 			f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 			if err != nil {

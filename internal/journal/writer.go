@@ -189,8 +189,12 @@ func (w *Writer) Append(payload []byte) error {
 	return nil
 }
 
+// retryAppends caps how many times a failed file write is immediately
+// retried before the writer fail-stops.
+const retryAppends = 3
+
 // flushPending hands buffered frames to the OS, retrying failed
-// writes up to RetryAppends times. Retries are immediate and
+// writes up to retryAppends times. Retries are immediate and
 // deterministic — the journal must not sleep — and a write that
 // outlives them fail-stops the writer.
 func (w *Writer) flushPending() error {
@@ -208,8 +212,8 @@ func (w *Writer) flushPending() error {
 		if err == nil {
 			continue
 		}
-		if retries++; retries > w.opts.RetryAppends {
-			w.err = fmt.Errorf("journal: write to %s failed after %d retries: %w", w.segPath, w.opts.RetryAppends, err)
+		if retries++; retries > retryAppends {
+			w.err = fmt.Errorf("journal: write to %s failed after %d retries: %w", w.segPath, retryAppends, err)
 			return w.err
 		}
 	}

@@ -137,26 +137,3 @@ func TestCompileEquivalenceStructured(t *testing.T) {
 		}
 	}
 }
-
-// TestCompileEquivalenceSabre repeats the distribution-equivalence
-// property with the SABRE router.
-func TestCompileEquivalenceSabre(t *testing.T) {
-	fleet := backend.Fleet()
-	at := time.Date(2021, 3, 20, 9, 0, 0, 0, time.UTC)
-	for seed := int64(100); seed < 115; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		src := gens.Random(r, 4, 4+r.Intn(5), 0.35)
-		m, err := backend.FindMachine(fleet, "ibmq_guadalupe")
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := compile.Compile(src, m, m.CalibrationAt(at), compile.Options{Seed: seed, Router: "sabre"})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		compacted, _ := Compact(res.Circ)
-		if tv := totalVariation(exactDistribution(t, src), exactDistribution(t, compacted)); tv > 1e-9 {
-			t.Fatalf("seed %d: sabre-compiled TV distance %v", seed, tv)
-		}
-	}
-}

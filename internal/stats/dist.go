@@ -21,15 +21,6 @@ type Uniform struct{ Lo, Hi float64 }
 // Sample implements Sampler.
 func (u *Uniform) Sample(r *rand.Rand) float64 { return u.Lo + r.Float64()*(u.Hi-u.Lo) }
 
-// Exponential samples from an exponential distribution with the given
-// mean (not rate).
-//
-//qcloud:keep no model draws it; it goes with TestExponentialMean in the next sweep (ROADMAP item 9)
-type Exponential struct{ Mean float64 }
-
-// Sample implements Sampler.
-func (e *Exponential) Sample(r *rand.Rand) float64 { return r.ExpFloat64() * e.Mean }
-
 // LogNormal samples from a log-normal distribution parameterized by the
 // mean and stddev of the underlying normal. Queuing and service-time
 // distributions in the trace model are log-normal: the paper's Fig 3
@@ -39,25 +30,6 @@ type LogNormal struct{ Mu, Sigma float64 }
 // Sample implements Sampler.
 func (l *LogNormal) Sample(r *rand.Rand) float64 {
 	return math.Exp(l.Mu + l.Sigma*r.NormFloat64())
-}
-
-// Pareto samples from a Pareto (power-law) distribution with scale Xm
-// and shape Alpha. Heavy tails model the "queued for days" extreme of
-// the paper's queuing data.
-//
-//qcloud:keep no model draws it; it goes with TestParetoTail in the next sweep (ROADMAP item 9)
-type Pareto struct {
-	Xm    float64
-	Alpha float64
-}
-
-// Sample implements Sampler.
-func (p *Pareto) Sample(r *rand.Rand) float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return p.Xm / math.Pow(u, 1/p.Alpha)
 }
 
 // Poisson draws a Poisson-distributed count with the given mean using

@@ -34,24 +34,6 @@ func Mean(xs []float64) float64 {
 	return Sum(xs) / float64(len(xs))
 }
 
-// GeoMean returns the geometric mean of xs. All values must be positive;
-// non-positive values yield NaN. Empty input yields NaN.
-//
-//qcloud:keep no figure averages with it; it goes with TestGeoMean in the next sweep (ROADMAP item 9)
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	logSum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return math.NaN()
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs)))
-}
-
 // Variance returns the population variance of xs (divide by n), or NaN
 // for empty input.
 func Variance(xs []float64) float64 {
@@ -65,23 +47,6 @@ func Variance(xs []float64) float64 {
 		ss += d * d
 	}
 	return ss / float64(len(xs))
-}
-
-// SampleVariance returns the sample variance of xs (divide by n-1), or
-// NaN when len(xs) < 2.
-//
-//qcloud:keep no figure uses it; it goes with TestSampleVariance in the next sweep (ROADMAP item 9)
-func SampleVariance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(len(xs)-1)
 }
 
 // StdDev returns the population standard deviation of xs.

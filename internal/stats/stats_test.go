@@ -28,15 +28,6 @@ func TestSumEmpty(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 100}); !almostEqual(got, 10, 1e-9) {
-		t.Fatalf("GeoMean = %v, want 10", got)
-	}
-	if !math.IsNaN(GeoMean([]float64{1, -1})) {
-		t.Fatal("GeoMean with negative input should be NaN")
-	}
-}
-
 func TestVarianceKnown(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if got := Variance(xs); !almostEqual(got, 4, 1e-12) {
@@ -44,16 +35,6 @@ func TestVarianceKnown(t *testing.T) {
 	}
 	if got := StdDev(xs); !almostEqual(got, 2, 1e-12) {
 		t.Fatalf("StdDev = %v, want 2", got)
-	}
-}
-
-func TestSampleVariance(t *testing.T) {
-	xs := []float64{1, 2, 3}
-	if got := SampleVariance(xs); !almostEqual(got, 1, 1e-12) {
-		t.Fatalf("SampleVariance = %v, want 1", got)
-	}
-	if !math.IsNaN(SampleVariance([]float64{5})) {
-		t.Fatal("SampleVariance of single element should be NaN")
 	}
 }
 
