@@ -28,7 +28,7 @@
 //	qcloud-sim -seed 42 -q -cpuprofile cpu.prof   # then: go tool pprof -top cpu.prof
 //
 // -tenants runs a multi-tenant brokered session instead: a
-// workload.TenantScenarios preset builds a quota tree plus a
+// workload.TenantScenarios preset builds the tenant queues plus a
 // contention stream, a tenant.Broker admits jobs by time-decayed
 // fair share, and the per-queue fairness table is printed after the
 // run.

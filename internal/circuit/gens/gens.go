@@ -344,7 +344,7 @@ func Teleport(theta, phi float64) *circuit.Circuit {
 // log2(n). This is the kind of "appropriate optimization threshold"
 // §III-E.2 recommends for keeping compilation tractable at 1000 qubits.
 //
-//qcloud:keep no binary builds it; it goes with its two gens_test.go tests in the next sweep (ROADMAP item 9)
+//qcloud:keep no binary builds it; it goes with its two gens_test.go tests in the next sweep (ROADMAP item 5)
 func ApproxQFT(n, degree int) *circuit.Circuit {
 	if degree < 1 {
 		degree = 1

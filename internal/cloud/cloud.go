@@ -62,15 +62,6 @@ type Config struct {
 	// PendingSampleEvery sets the queue-length sampling period
 	// (default 6h).
 	PendingSampleEvery time.Duration
-	// ErrorRate is the probability an executed job errors out
-	// (default 0.035, matching Fig 2b's ~5% non-DONE combined with
-	// cancellations). A zero value means "use the default"; set
-	// NoErrors to model a perfect-execution fleet.
-	ErrorRate float64
-	// NoErrors disables execution errors entirely. Without it an
-	// explicit zero ErrorRate is indistinguishable from "unset" and
-	// silently becomes the default.
-	NoErrors bool
 	// Workers bounds the per-machine simulation fan-out (0 = process
 	// default, 1 = serial). Machines are independent event loops with
 	// machine-seeded RNGs, so the trace is bit-identical for any
@@ -156,6 +147,11 @@ func (p *RetryPolicy) backoffSec(attempt int, seed, machineSeed, jobID int64) fl
 	return math.Min(d, p.MaxBackoff.Seconds())
 }
 
+// errorRate is the probability an executed job errors out: 0.035,
+// matching Fig 2b's ~5% non-DONE combined with cancellations. It is a
+// variable only so that tests can change it.
+var errorRate = 0.035
+
 func (c Config) withDefaults() Config {
 	if c.Machines == nil {
 		c.Machines = backend.Fleet()
@@ -171,11 +167,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PendingSampleEvery <= 0 {
 		c.PendingSampleEvery = 6 * time.Hour
-	}
-	if c.NoErrors {
-		c.ErrorRate = 0
-	} else if c.ErrorRate <= 0 {
-		c.ErrorRate = 0.035
 	}
 	return c
 }

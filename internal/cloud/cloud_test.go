@@ -124,9 +124,16 @@ func TestPublicMachineQueuesLonger(t *testing.T) {
 	}
 }
 
+// setErrorRate sets the execution error rate for the test.
+func setErrorRate(t *testing.T, r float64) {
+	old := errorRate
+	errorRate = r
+	t.Cleanup(func() { errorRate = old })
+}
+
 func TestErrorRateApproximate(t *testing.T) {
 	cfg := testConfig(5, "ibmq_rome")
-	cfg.ErrorRate = 0.2 // exaggerate to measure with fewer jobs
+	setErrorRate(t, 0.2) // exaggerate to measure with fewer jobs
 	specs := makeSpecs("ibmq_rome", 300, 30*time.Minute)
 	tr, err := Simulate(cfg, specs)
 	if err != nil {
@@ -373,24 +380,6 @@ func TestLittlesLawHolds(t *testing.T) {
 	if ratio < 0.5 || ratio > 2.0 {
 		t.Fatalf("Little's law violated: L=%.1f lambda=%.5f/s W=%.0fs ratio=%.2f",
 			L, lambda, W, ratio)
-	}
-}
-
-func TestWithDefaultsErrorRate(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  Config
-		want float64
-	}{
-		{"zero means default", Config{}, 0.035},
-		{"explicit rate kept", Config{ErrorRate: 0.2}, 0.2},
-		{"NoErrors disables", Config{NoErrors: true}, 0},
-		{"NoErrors wins over a rate", Config{NoErrors: true, ErrorRate: 0.5}, 0},
-	}
-	for _, c := range cases {
-		if got := c.cfg.withDefaults().ErrorRate; got != c.want {
-			t.Errorf("%s: ErrorRate = %v, want %v", c.name, got, c.want)
-		}
 	}
 }
 

@@ -12,7 +12,9 @@ import (
 // plant synthetic downtime calendars on the machine, which only an
 // in-package test can do.
 
-func edgeConfig(seed int64) Config {
+// edgeConfig is a quiet one-machine fleet whose jobs never error.
+func edgeConfig(t *testing.T, seed int64) Config {
+	setErrorRate(t, 0)
 	m, err := backend.FindMachine(backend.Fleet(), "ibmq_rome")
 	if err != nil {
 		panic(err)
@@ -26,7 +28,6 @@ func edgeConfig(seed int64) Config {
 		End:        time.Date(2021, 4, 1, 0, 0, 0, 0, time.UTC),
 		Machines:   []*backend.Machine{m},
 		Background: bg,
-		NoErrors:   true,
 	}
 }
 
@@ -38,13 +39,40 @@ func edgeSpec(i int, at time.Time) *JobSpec {
 	}
 }
 
+// TestNoErrorsFleet: with the error rate at 0, a fleet produces no
+// ERROR records.
+func TestNoErrorsFleet(t *testing.T) {
+	cfg := edgeConfig(t, 9)
+	var specs []*JobSpec
+	base := cfg.Start.Add(24 * time.Hour)
+	for i := 0; i < 200; i++ {
+		specs = append(specs, edgeSpec(i, base.Add(time.Duration(i)*90*time.Minute)))
+	}
+	tr, err := Simulate(cfg, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := 0
+	for _, j := range tr.Jobs {
+		if j.Status == trace.StatusError {
+			t.Fatalf("zero-error fleet produced an ERROR job: %+v", j)
+		}
+		if j.Status == trace.StatusDone {
+			done++
+		}
+	}
+	if done < 150 {
+		t.Fatalf("done jobs = %d, want most of the 200 to execute", done)
+	}
+}
+
 // TestDowntimeFaultWindowsAtExactJobStart: back-to-back downtime
 // windows whose first edge falls exactly on the instant a job would
 // start must displace the start across both windows — whether the
 // windows are planned maintenance or unplanned fault outages.
 func TestDowntimeFaultWindowsAtExactJobStart(t *testing.T) {
 	for _, asFault := range []bool{false, true} {
-		cfg := edgeConfig(7)
+		cfg := edgeConfig(t, 7)
 		sess, err := Open(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -85,7 +113,7 @@ func TestDowntimeFaultWindowsAtExactJobStart(t *testing.T) {
 // instant. Cancellation is a queue operation, not an execution — the
 // machine being down must not displace it to the window's end.
 func TestCancelInsideDowntimeWindow(t *testing.T) {
-	cfg := edgeConfig(9)
+	cfg := edgeConfig(t, 9)
 	sess, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +172,7 @@ func TestCancelInsideDowntimeWindow(t *testing.T) {
 // machine has not even admitted yet, at an instant covered by a
 // downtime window, records immediately at that instant.
 func TestCancelBeforeAdmissionInsideDowntime(t *testing.T) {
-	cfg := edgeConfig(11)
+	cfg := edgeConfig(t, 11)
 	sess, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -34,13 +34,6 @@ type JournalConfig struct {
 	// (default 30 days). Shorter cadence = less journal to re-simulate
 	// after a crash, at the cost of more checkpoint writes.
 	CheckpointEvery time.Duration
-	// SegmentBytes and SyncEvery tune the underlying journal streams
-	// (segment rotation size and per-stream fsync cadence in records);
-	// zero values use the journal package defaults. Acknowledged
-	// submissions are additionally flushed to the OS on every accept,
-	// so a process kill never loses accepted input.
-	SegmentBytes int64
-	SyncEvery    int
 
 	// Test hooks (white-box): kill the session deterministically after
 	// N journal appends, or intercept segment file opens with a faulty
@@ -58,11 +51,7 @@ func (jc *JournalConfig) withDefaults() *JournalConfig {
 }
 
 func (jc *JournalConfig) options() journal.Options {
-	return journal.Options{
-		SegmentBytes: jc.SegmentBytes,
-		SyncEvery:    jc.SyncEvery,
-		OpenFile:     jc.openFile,
-	}
+	return journal.Options{OpenFile: jc.openFile}
 }
 
 // Journal record types: the first payload byte of every frame. Types 2

@@ -735,7 +735,7 @@ func (ms *machineSim) serve(q *queuedJob) {
 	}
 	status := trace.StatusDone
 	execSec := q.execSec
-	errRate := ms.cfg.ErrorRate
+	errRate := errorRate
 	if len(ms.staleWins) > 0 {
 		// Calibration-staleness wave: jobs started inside it error at a
 		// multiple of the base rate. The single RNG draw below stays in

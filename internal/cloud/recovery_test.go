@@ -458,7 +458,4 @@ func TestEventFilterEmptyVsNil(t *testing.T) {
 	if n := run(cloud.EventFilter{Kinds: []cloud.EventKind{}}); n != 0 {
 		t.Fatalf("empty non-nil Kinds matched %d events, want none", n)
 	}
-	if n := run(cloud.EventFilter{Machines: []string{}}); n != 0 {
-		t.Fatalf("empty non-nil Machines matched %d events, want none", n)
-	}
 }

@@ -99,9 +99,6 @@ type Event struct {
 // programmatically: appending zero kinds to an allocated slice must
 // not silently subscribe to the whole stream.
 type EventFilter struct {
-	// Machines restricts to the named backends (nil = all machines,
-	// empty non-nil = none).
-	Machines []string
 	// Kinds restricts to the listed kinds (nil = all kinds, empty
 	// non-nil = none).
 	Kinds []EventKind
@@ -515,10 +512,9 @@ var ErrTransientSubmit = errors.New("cloud: transient submit failure")
 // dedicated goroutine, so a slow (or absent) consumer can never stall
 // the simulation.
 type observer struct {
-	machines map[string]bool
-	kinds    map[EventKind]bool
-	study    bool
-	ch       chan Event
+	kinds map[EventKind]bool
+	study bool
+	ch    chan Event
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -528,14 +524,8 @@ type observer struct {
 
 func newObserver(f EventFilter) *observer {
 	o := &observer{study: f.StudyOnly, ch: make(chan Event, 64)}
-	// Non-nil slices build a restriction map even when empty: an empty
-	// non-nil filter matches nothing, only nil means "all".
-	if f.Machines != nil {
-		o.machines = make(map[string]bool, len(f.Machines))
-		for _, m := range f.Machines {
-			o.machines[m] = true
-		}
-	}
+	// A non-nil slice builds a restriction map even when empty: an
+	// empty non-nil filter matches nothing, only nil means "all".
 	if f.Kinds != nil {
 		o.kinds = make(map[EventKind]bool, len(f.Kinds))
 		for _, k := range f.Kinds {
@@ -548,9 +538,6 @@ func newObserver(f EventFilter) *observer {
 
 func (o *observer) matches(ev Event) bool {
 	if o.study && ev.Background {
-		return false
-	}
-	if o.machines != nil && !o.machines[ev.Machine] {
 		return false
 	}
 	if o.kinds != nil && !o.kinds[ev.Kind] {

@@ -440,33 +440,3 @@ func TestSessionObserveBackgroundStream(t *testing.T) {
 		t.Fatalf("pending-sample events = %d, want the 6h cadence", samples)
 	}
 }
-
-// TestNoErrorsFleet covers the ErrorRate sentinel: an explicitly
-// perfect fleet produces no ERROR records, while the zero value still
-// means "default rate".
-func TestNoErrorsFleet(t *testing.T) {
-	cfg := quietConfig(9, "ibmq_rome")
-	cfg.NoErrors = true
-	cfg.ErrorRate = 0.9 // NoErrors wins over any configured rate
-	var specs []*cloud.JobSpec
-	base := sessWindow.start.Add(24 * time.Hour)
-	for i := 0; i < 200; i++ {
-		specs = append(specs, quietSpec(i, "ibmq_rome", base.Add(time.Duration(i)*90*time.Minute)))
-	}
-	tr, err := cloud.Simulate(cfg, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := 0
-	for _, j := range tr.Jobs {
-		if j.Status == trace.StatusError {
-			t.Fatalf("NoErrors fleet produced an ERROR job: %+v", j)
-		}
-		if j.Status == trace.StatusDone {
-			done++
-		}
-	}
-	if done < 150 {
-		t.Fatalf("done jobs = %d, want most of the 200 to execute", done)
-	}
-}

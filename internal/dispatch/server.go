@@ -29,7 +29,7 @@ const maxBodyBytes = 64 << 20
 
 // Config parameterizes a Dispatcher.
 type Config struct {
-	// Dir, Seed, Lease, Retry, CheckpointEvery, SyncEvery, Now pass
+	// Dir, Seed, Lease, Retry, CheckpointEvery and SyncEvery pass
 	// through to the queue.
 	Dir             string
 	Seed            int64
@@ -37,7 +37,6 @@ type Config struct {
 	Retry           *cloud.RetryPolicy
 	CheckpointEvery int
 	SyncEvery       int
-	Now             func() time.Time
 
 	// Start/End bound the embedded trace-plane session (defaults: the
 	// study window). SimWorkers is its per-machine fan-out — the trace
@@ -119,7 +118,6 @@ func New(cfg Config) (*Dispatcher, error) {
 		Retry:           cfg.Retry,
 		CheckpointEvery: cfg.CheckpointEvery,
 		SyncEvery:       cfg.SyncEvery,
-		Now:             cfg.Now,
 		OnEvent:         d.appendEvent,
 	}
 	q, err := OpenQueue(qcfg)

@@ -194,7 +194,8 @@ type ResultRequest struct {
 	Seq     int64   `json:"seq"`
 	Attempt int     `json:"attempt"`
 	Counts  []Count `json:"counts,omitempty"`
-	Err     string  `json:"err,omitempty"`
+	//qcloud:keep only encoding/json writes it, decoding a /v1/result body
+	Err string `json:"err,omitempty"`
 }
 
 type ResultResponse struct {

@@ -25,8 +25,6 @@ type WorkerConfig struct {
 	SimWorkers int
 	// Poll is the idle wait between empty pulls (default 200ms).
 	Poll time.Duration
-	// Client is the HTTP client (default http.DefaultClient).
-	Client *http.Client
 	// Logf, if set, receives progress lines.
 	Logf func(format string, args ...any)
 }
@@ -37,9 +35,6 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 	}
 	if c.Poll <= 0 {
 		c.Poll = 200 * time.Millisecond
-	}
-	if c.Client == nil {
-		c.Client = http.DefaultClient
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -72,7 +67,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		return nil, fmt.Errorf("dispatch: worker needs Server and Name")
 	}
 	cfg = cfg.withDefaults()
-	return &Worker{cfg: cfg, cl: &Client{Server: cfg.Server, HTTP: cfg.Client}}, nil
+	return &Worker{cfg: cfg, cl: &Client{Server: cfg.Server}}, nil
 }
 
 // Units reports how many units this worker has completed.

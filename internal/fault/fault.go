@@ -47,8 +47,8 @@ type Profile struct {
 	OutageMaxHours  float64
 
 	// TransientErrorRate is the probability a start attempt dies to a
-	// transient backend fault (retryable, unlike Config.ErrorRate's
-	// job-level errors).
+	// transient backend fault (retryable, unlike the session's base
+	// job-level error rate).
 	TransientErrorRate float64
 
 	// BurstMeanGapDays spaces job-failure bursts (0 disables); inside

@@ -80,13 +80,14 @@ type File interface {
 	Close() error
 }
 
+// segmentBytes rotates to a new segment once the current one reaches
+// this size. Segments always hold at least one whole frame, so a
+// record larger than the cap still fits — in a segment of its own. A
+// var only so the rotation tests can shrink it.
+var segmentBytes int64 = 4 << 20
+
 // Options configures a journal writer. The zero value is usable.
 type Options struct {
-	// SegmentBytes rotates to a new segment once the current one
-	// reaches this size (default 4 MiB). Segments always hold at
-	// least one whole frame, so a record larger than the cap still
-	// fits — in a segment of its own.
-	SegmentBytes int64
 	// SyncEvery fsyncs the active segment after every N appended
 	// records. 0 (the default) syncs only on rotation, Sync, and
 	// Close: cheap, and still loses nothing short of power failure.
@@ -97,9 +98,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 4 << 20
-	}
 	if o.OpenFile == nil {
 		o.OpenFile = func(path string) (File, error) {
 			return os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)

@@ -38,6 +38,14 @@ func testPayloads(n int) [][]byte {
 	return out
 }
 
+// smallSegments shrinks the segment cap for the test so a few hundred
+// records rotate many times.
+func smallSegments(t *testing.T, n int64) {
+	old := segmentBytes
+	segmentBytes = n
+	t.Cleanup(func() { segmentBytes = old })
+}
+
 func writeStream(t *testing.T, dir string, payloads [][]byte, opts Options) *Writer {
 	t.Helper()
 	w, err := Create(dir, opts)
@@ -85,7 +93,8 @@ func TestRoundTripWithRotation(t *testing.T) {
 	dir := t.TempDir()
 	payloads := testPayloads(400)
 	// Small segments force many rotations.
-	w := writeStream(t, dir, payloads, Options{SegmentBytes: 8 << 10})
+	smallSegments(t, 8<<10)
+	w := writeStream(t, dir, payloads, Options{})
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +157,8 @@ func lastSegment(t *testing.T, dir string) (string, []byte) {
 func TestTruncateFinalRecordEveryOffset(t *testing.T) {
 	dir := t.TempDir()
 	payloads := testPayloads(23)
-	w := writeStream(t, dir, payloads, Options{SegmentBytes: 4 << 10})
+	smallSegments(t, 4<<10)
+	w := writeStream(t, dir, payloads, Options{})
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +263,8 @@ func TestImplausibleLengthRejected(t *testing.T) {
 func TestSegmentGap(t *testing.T) {
 	dir := t.TempDir()
 	payloads := testPayloads(300)
-	w := writeStream(t, dir, payloads, Options{SegmentBytes: 8 << 10})
+	smallSegments(t, 8<<10)
+	w := writeStream(t, dir, payloads, Options{})
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +287,8 @@ func TestSegmentGap(t *testing.T) {
 
 func TestOpenAtResume(t *testing.T) {
 	payloads := testPayloads(200)
-	opts := Options{SegmentBytes: 8 << 10}
+	smallSegments(t, 8<<10)
+	opts := Options{}
 	// Resume points: start, mid-segment, and exact segment boundaries.
 	probe := t.TempDir()
 	w := writeStream(t, probe, payloads, opts)
@@ -441,7 +453,8 @@ func boundaryStream(t *testing.T, dir string, payloads [][]byte, opts Options, s
 // walk to the record would.
 func TestOpenAtRotationBoundary(t *testing.T) {
 	payloads := testPayloads(200)
-	opts := Options{SegmentBytes: 8 << 10}
+	smallSegments(t, 8<<10)
+	opts := Options{}
 	for _, shape := range []string{"torn", "empty", "gone"} {
 		t.Run(shape, func(t *testing.T) {
 			end := boundaryStream(t, t.TempDir(), payloads, opts, shape)

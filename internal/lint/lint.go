@@ -26,8 +26,10 @@
 //     happen on goroutines outside the session's owned delivery path
 //     (//qcloud:eventowner).
 //   - unreachable: no declaration of a non-main package that no main,
-//     init, var initializer or other package's test reaches, unless it
-//     is marked //qcloud:keep with a reason; whole-module loads only.
+//     init, var initializer or other package's test reaches, and no
+//     exported field of a reached struct that none of them writes,
+//     unless it is marked //qcloud:keep with a reason; whole-module
+//     loads only.
 package lint
 
 import (

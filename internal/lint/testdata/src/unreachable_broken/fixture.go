@@ -21,7 +21,13 @@ func decode[T interface{ version() int }](t T) int { return t.version() }
 // decode is reached only from this blank var's initializer.
 var _ = decode(req{v: 1})
 
-func init() { fmt.Println(req{}) }
+func init() {
+	o := estimate(Options{Set: 1}.withDefaults())
+	bind(&o.Bound)
+	o.Deep++
+	o = Pair{1, 2}.tune(o)
+	fmt.Println(req{}, o, Pair{1, 2})
+}
 
 // Exported is exported, which does not make it reached: nobody calls it.
 func Exported() int { return helper() + 1 } // want `Exported is reached by no main`
@@ -39,3 +45,57 @@ func oracle() int { return 3 }
 //
 //qcloud:keep
 func unexplained() {} // want `unexplained: //qcloud:keep needs a reason`
+
+// Options is reached from init, so each exported field needs a writer.
+type Options struct {
+	// Set is written by init's keyed literal.
+	Set int
+	// Filled is written only by the default fill of Options' own
+	// method, which writes nothing a caller chose.
+	Filled int // want `field Options.Filled is written by no main`
+	// Estimated is filled by a plain function, the shape of a package
+	// that builds the options it passes on.
+	Estimated int
+	// Tuned is filled by a method of another type.
+	Tuned int
+	// Bound is written through &o.Bound, the shape of flag.IntVar.
+	Bound int
+	// Decoded is written only by encoding/json.
+	//
+	//qcloud:keep the fixture's stand-in for a field a decoder writes
+	Decoded int
+	// Bare carries a keep with no reason.
+	//
+	//qcloud:keep
+	Bare int // want `Bare: //qcloud:keep needs a reason`
+	Inner
+}
+
+// Inner is embedded in Options; a write through Options reaches it.
+type Inner struct{ Deep int }
+
+// Pair is written only by an unkeyed literal.
+type Pair struct{ A, B int }
+
+func (o Options) withDefaults() Options {
+	if o.Filled <= 0 {
+		o.Filled = 4
+	}
+	return o
+}
+
+func estimate(o Options) Options {
+	if o.Estimated == 0 {
+		o.Estimated = 30
+	}
+	return o
+}
+
+func (p Pair) tune(o Options) Options {
+	if o.Tuned == 0 {
+		o.Tuned = p.A
+	}
+	return o
+}
+
+func bind(p *int) { *p = 5 }

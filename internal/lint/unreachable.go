@@ -11,12 +11,14 @@ import (
 // non-main packages that no binary reaches (DESIGN.md "Determinism
 // invariants" has the root set). A method of a reached type is live
 // when it is called or when any loaded interface, stdlib interfaces and
-// type-parameter constraints included, names it. The verdict needs the
-// whole program, so the analyzer stays quiet unless the load holds
-// every main package of the module.
+// type-parameter constraints included, names it. The same walk flags an
+// exported field of a reached, exported struct that nothing it reaches
+// writes, not counting a default fill in the struct's own method. The
+// verdict needs the whole program, so the analyzer stays quiet unless
+// the load holds every main package of the module.
 var Unreachable = &Analyzer{
 	Name:    "unreachable",
-	Doc:     "flag declarations of non-main packages that no main, init, var initializer or other package's test reaches, unless marked //" + DirectiveKeep + " <reason>; reports only when every main package is loaded (./...)",
+	Doc:     "flag declarations of non-main packages that no main, init, var initializer or other package's test reaches, and exported fields of reached structs that none of them writes, unless marked //" + DirectiveKeep + " <reason>; reports only when every main package is loaded (./...)",
 	Program: runUnreachable,
 }
 
@@ -100,13 +102,57 @@ func runUnreachable(p *Pass, pkgs []*Pkg) error {
 	}
 
 	ifaces := interfaceMethodNames(pkgs)
+	written := make(map[string]bool) // field keys some reached declaration writes
 	for len(work) > 0 {
 		d := work[len(work)-1]
 		work = work[:len(work)-1]
+		info := d.pkg.Info
+		write := func(v *types.Var) {
+			if v.Pkg() != nil && v.Pkg().Path() != d.skip {
+				written[fieldKey(p.Fset, v)] = true
+			}
+		}
+		fills := make(map[ast.Expr]bool)
+		writeSel := func(e ast.Expr) {
+			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok && !fills[sel] {
+				if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+					write(s.Obj().(*types.Var))
+				}
+			}
+		}
 		ast.Inspect(d.node, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				if obj := d.pkg.Info.Uses[id]; obj != nil && obj.Pkg() != nil && obj.Pkg().Path() != d.skip {
+			switch n := n.(type) {
+			case *ast.Ident:
+				if obj := info.Uses[n]; obj != nil && obj.Pkg() != nil && obj.Pkg().Path() != d.skip {
 					mark(objKey(obj))
+				}
+			case *ast.CompositeLit:
+				t := info.TypeOf(n) // *T for an elided &T{...}
+				if ptr, ok := t.Underlying().(*types.Pointer); ok {
+					t = ptr.Elem()
+				}
+				if st, ok := t.Underlying().(*types.Struct); ok {
+					for i, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							write(info.Uses[kv.Key.(*ast.Ident)].(*types.Var))
+						} else {
+							write(st.Field(i))
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, l := range n.Lhs {
+					writeSel(l)
+				}
+			case *ast.IncDecStmt:
+				writeSel(n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					writeSel(n.X)
+				}
+			case *ast.IfStmt:
+				if d.recv != "" {
+					markFills(info, n, d.recv, fills)
 				}
 			}
 			return true
@@ -126,8 +172,57 @@ func runUnreachable(p *Pass, pkgs []*Pkg) error {
 			p.Reportf(d.name.Pos(), "%s is reached by no main, init, var initializer or other package's test; delete it or mark it //%s <reason>",
 				strings.TrimPrefix(k, d.pkg.PkgPath+"."), DirectiveKeep)
 		}
+		ts, ok := d.node.(*ast.TypeSpec)
+		if !ok || !live[k] || !d.reported || !d.name.IsExported() {
+			continue
+		}
+		st, ok := ts.Type.(*ast.StructType)
+		if !ok {
+			continue
+		}
+		for _, f := range st.Fields.List {
+			for _, id := range f.Names {
+				if id.IsExported() && !keep(p, id, f.Doc, f.Comment) && !written[fieldKey(p.Fset, d.pkg.Info.Defs[id].(*types.Var))] {
+					p.Reportf(id.Pos(), "field %s.%s is written by no main, init, var initializer or other package's test; delete it or mark it //%s <reason>",
+						d.name.Name, id.Name, DirectiveKeep)
+				}
+			}
+		}
 	}
 	return nil
+}
+
+// markFills adds to fills the selectors that a default fill assigns
+// under the if statement s of a method of recv: an assignment directly
+// in its body to a field of recv that its condition reads, the
+// withDefaults idiom. Such an assignment writes only the default.
+func markFills(info *types.Info, s *ast.IfStmt, recv string, fills map[ast.Expr]bool) {
+	read := make(map[string]bool)
+	ast.Inspect(s.Cond, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok {
+			read[types.ExprString(sel)] = true
+		}
+		return true
+	})
+	for _, st := range s.Body.List {
+		if as, ok := st.(*ast.AssignStmt); ok {
+			for _, l := range as.Lhs {
+				if sel, ok := ast.Unparen(l).(*ast.SelectorExpr); ok && read[types.ExprString(sel)] {
+					if s := info.Selections[sel]; s != nil && typeKey(s.Recv()) == recv {
+						fills[sel] = true
+					}
+				}
+			}
+		}
+	}
+}
+
+// fieldKey names a struct field by its declaring file, line and
+// column: each package is type-checked on its own, parsing a file anew
+// for every check that needs it, so two checks agree on the field's
+// source position but not on its object or token.Pos.
+func fieldKey(fset *token.FileSet, v *types.Var) string {
+	return fset.Position(v.Origin().Pos()).String()
 }
 
 // keep reports whether the docs of the declaration named id carry

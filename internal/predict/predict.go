@@ -157,7 +157,7 @@ func Train(jobs []*trace.Job, features []Feature) (*Model, error) {
 	for i := 1; i < len(features); i++ {
 		theta0[2*i], theta0[2*i+1] = 0.7, 0.3
 	}
-	theta, err := stats.CurveFit(productModel, X, y, theta0, stats.CurveFitOptions{MaxIter: 300})
+	theta, err := stats.CurveFit(productModel, X, y, theta0)
 	if err != nil {
 		return nil, fmt.Errorf("predict: fit failed: %w", err)
 	}

@@ -94,7 +94,7 @@ func (bw *batchWorker) rng(r *rand.Rand, seed int64) *rand.Rand {
 	return sr
 }
 
-func (bw *batchWorker) state(n, workers, minAmps int) (*State, error) {
+func (bw *batchWorker) state(n, workers int) (*State, error) {
 	if st := bw.st; 0 < n && n <= bw.width {
 		st.view(n)
 		return st, nil
@@ -103,7 +103,7 @@ func (bw *batchWorker) state(n, workers, minAmps int) (*State, error) {
 	if err != nil {
 		return nil, err
 	}
-	st.SetWorkers(workers).SetKernelMinAmps(minAmps)
+	st.SetWorkers(workers)
 	bw.st, bw.width = st, n
 	return st, nil
 }
@@ -219,7 +219,7 @@ func runJobs(jobs []BatchJob, r *rand.Rand, p Parallelism, fuse, fuse2q bool) []
 		ut := &units[u]
 		job := &jobs[ut.job]
 		bw := &pool[w]
-		st, err := bw.state(job.Circ.NQubits, kernelWorkers, p.KernelMinAmps)
+		st, err := bw.state(job.Circ.NQubits, kernelWorkers)
 		if err != nil {
 			unitErrs[u] = err
 			return

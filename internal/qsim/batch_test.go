@@ -122,7 +122,7 @@ func TestExactPrefixRestoresSlotWidth(t *testing.T) {
 	narrow.H(0).CX(0, 1).MeasureAll()
 	var bw batchWorker
 	for k, c := range []*circuit.Circuit{wide, narrow, wide} {
-		st, err := bw.state(c.NQubits, 1, 0)
+		st, err := bw.state(c.NQubits, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

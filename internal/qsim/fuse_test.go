@@ -344,7 +344,7 @@ func TestCPhaseZeroThetaIsFree(t *testing.T) {
 	}
 }
 
-// TestKernelMinAmpsKnob exercises the exposed serial/parallel crossover
+// TestKernelMinAmpsKnob moves the serial/parallel crossover
 // threshold: forcing kernels parallel on a tiny state must not change
 // Counts (the register is far below one reduction chunk, so summation
 // order is unchanged).
@@ -355,9 +355,11 @@ func TestKernelMinAmpsKnob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	def := kernelMinAmps
+	t.Cleanup(func() { kernelMinAmps = def })
 	for _, minAmps := range []int{1, 16, 1 << 20} {
-		got, err := RunOpts(circ, 400, noise, rand.New(rand.NewSource(5)),
-			Parallelism{Workers: 4, KernelMinAmps: minAmps})
+		kernelMinAmps = minAmps
+		got, err := RunOpts(circ, 400, noise, rand.New(rand.NewSource(5)), Parallelism{Workers: 4})
 		if err != nil {
 			t.Fatalf("minAmps=%d: %v", minAmps, err)
 		}

@@ -40,11 +40,12 @@ import (
 // MaxQubits bounds the dense simulation (2^24 amplitudes = 256 MiB).
 const MaxQubits = 24
 
-// kernelMinAmps is the default state size below which gate kernels stay
-// serial: goroutine fan-out costs a few microseconds, which only pays
-// off once the per-gate sweep is tens of microseconds (>= 14 qubits).
-// Parallelism.KernelMinAmps overrides it per run.
-const kernelMinAmps = 1 << 14
+// kernelMinAmps is the state size below which gate kernels stay serial
+// and reductions take one flat pass: goroutine fan-out costs a few
+// microseconds, which only pays off once the per-gate sweep is tens of
+// microseconds (>= 14 qubits). A var only so tests can force sharded
+// kernels on small states; chunk boundaries move with it.
+var kernelMinAmps = 1 << 14
 
 // reduceChunk is the fixed block size for chunked reductions (Norm,
 // ProbOne). Chunk boundaries depend only on the state size — never on
@@ -62,9 +63,6 @@ type State struct {
 	// workers pins the kernel pool size: 0 = process default
 	// (par.Workers()), 1 = serial.
 	workers int
-	// minAmps overrides the parallel/chunked threshold (0 = the
-	// kernelMinAmps default).
-	minAmps int
 	// partial is scratch for chunked reductions, reused across calls so
 	// the steady-state trajectory loop stays allocation-free.
 	partial []float64
@@ -110,33 +108,11 @@ func (s *State) SetWorkers(n int) *State {
 	return s
 }
 
-// SetKernelMinAmps overrides the state size at which kernels go
-// parallel and reductions go chunked (0 restores the package default).
-// Changing it moves the serial/parallel crossover — and, for states
-// larger than reduceChunk, the reduction chunking — so it is a
-// performance knob that is part of the determinism contract's fixed
-// configuration (see Parallelism).
-func (s *State) SetKernelMinAmps(n int) *State {
-	if n < 0 {
-		n = 0
-	}
-	s.minAmps = n
-	return s
-}
-
-// kernelMin resolves the effective parallel threshold.
-func (s *State) kernelMin() int {
-	if s.minAmps > 0 {
-		return s.minAmps
-	}
-	return kernelMinAmps
-}
-
 // serialKernel reports whether kernel sweeps should run in place on the
 // calling goroutine. The serial path is taken branch-first (not through
 // a closure) so small-state gate application does not allocate.
 func (s *State) serialKernel() bool {
-	return len(s.re) < s.kernelMin() || par.Resolve(s.workers) <= 1
+	return len(s.re) < kernelMinAmps || par.Resolve(s.workers) <= 1
 }
 
 // shard fans a kernel body out across the amplitude index space.
@@ -152,7 +128,7 @@ func (s *State) shard(fn func(lo, hi int)) {
 // in parallel for large states. Used by cold-path sweeps; hot kernels
 // branch on serialKernel directly to keep the serial path closure-free.
 func (s *State) forRange(fn func(lo, hi int)) {
-	if len(s.re) < s.kernelMin() {
+	if len(s.re) < kernelMinAmps {
 		fn(0, len(s.re))
 		return
 	}
@@ -171,7 +147,7 @@ type reduceFn func(s *State, arg, lo, hi int) float64
 // parallel, keeping the summation order deterministic.
 func (s *State) reduce(fn reduceFn, arg int) float64 {
 	n := len(s.re)
-	if n < s.kernelMin() {
+	if n < kernelMinAmps {
 		return fn(s, arg, 0, n)
 	}
 	nChunks := (n + reduceChunk - 1) / reduceChunk

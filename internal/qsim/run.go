@@ -14,9 +14,8 @@ import (
 // (par.Workers(), i.e. runtime.NumCPU() unless a -workers flag
 // overrode it) and 1 forces fully serial execution.
 //
-// Determinism contract: for a fixed caller seed (and fixed
-// KernelMinAmps), Run produces bit-identical Counts for every worker
-// count, and the same Counts the unfused engine would. Kernels write the
+// Determinism contract: for a fixed caller seed, Run produces
+// bit-identical Counts for every worker count, and the same Counts the unfused engine would. Kernels write the
 // same amplitudes regardless of sharding, reductions use size-dependent
 // (not worker-dependent) chunk boundaries, each noisy shot derives its
 // own RNG stream from the caller's generator rather than sharing it,
@@ -24,14 +23,6 @@ import (
 // fuse.go).
 type Parallelism struct {
 	Workers int
-	// KernelMinAmps overrides the state size at which gate kernels go
-	// parallel and reductions go chunked (0 = the package default,
-	// 1<<14). Exposed so benchmarks can probe the serial/parallel
-	// crossover instead of hardcoding it. Runs with different values
-	// are individually deterministic, but — like the seed — the value is
-	// part of the fixed configuration the determinism contract assumes,
-	// because chunk boundaries move with it.
-	KernelMinAmps int
 }
 
 // workers resolves the effective worker count.

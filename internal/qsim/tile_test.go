@@ -35,8 +35,8 @@ func tiledOps(prog *program) int {
 // mode; and BatchRun samples the untiled counts.
 func TestTiledEvolutionMatchesUntiled(t *testing.T) {
 	const n, shots = 11, 300
-	untiled := tileQubits
-	t.Cleanup(func() { tileQubits = untiled })
+	untiled, minAmps := tileQubits, kernelMinAmps
+	t.Cleanup(func() { tileQubits, kernelMinAmps = untiled, minAmps })
 	r := rand.New(rand.NewSource(23))
 	for k := 0; k < 6; k++ {
 		// Diagonal ops on the top qubits go before the measurements.
@@ -61,8 +61,10 @@ func TestTiledEvolutionMatchesUntiled(t *testing.T) {
 				}
 				for _, w := range []int{1, 3} {
 					st, _ := NewState(n)
-					st.SetWorkers(w).SetKernelMinAmps(1 << 5)
+					st.SetWorkers(w)
+					kernelMinAmps = 1 << 5
 					evolveExact(prog, st)
+					kernelMinAmps = minAmps
 					for a := range ref.re {
 						if ref.re[a] != st.re[a] || ref.im[a] != st.im[a] {
 							t.Fatalf("%s %s tile %d workers=%d: amplitude %d is %v tiled, %v untiled",

@@ -102,40 +102,26 @@ func SolveLinear(A [][]float64, b []float64) ([]float64, error) {
 // parameters theta.
 type ModelFunc func(x []float64, theta []float64) float64
 
-// CurveFitOptions controls the Levenberg-Marquardt iteration in CurveFit.
-type CurveFitOptions struct {
-	MaxIter int     // maximum LM iterations (default 200)
-	Tol     float64 // relative improvement tolerance (default 1e-10)
-	Lambda0 float64 // initial damping (default 1e-3)
-}
-
-func (o CurveFitOptions) withDefaults() CurveFitOptions {
-	if o.MaxIter <= 0 {
-		o.MaxIter = 200
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-10
-	}
-	if o.Lambda0 <= 0 {
-		o.Lambda0 = 1e-3
-	}
-	return o
-}
-
 // CurveFit fits theta to minimize Σ (y_i - f(X_i, theta))² using
 // Levenberg-Marquardt with a forward-difference Jacobian. It is the Go
 // equivalent of the scipy.optimize curve_fit call the paper uses to
 // train its execution-time model (§VI-C). theta0 is the starting point
-// and is not modified; the fitted parameters are returned.
-func CurveFit(f ModelFunc, X [][]float64, y []float64, theta0 []float64, opts CurveFitOptions) ([]float64, error) {
+// and is not modified; the fitted parameters are returned. The
+// iteration runs at most 300 steps from damping 1e-3 and stops once a
+// step improves the squared residual by less than 1e-10 relative.
+func CurveFit(f ModelFunc, X [][]float64, y []float64, theta0 []float64) ([]float64, error) {
+	const (
+		maxIter = 300
+		tol     = 1e-10
+		lambda0 = 1e-3
+	)
 	n := len(X)
 	if n == 0 || n != len(y) {
 		return nil, ErrEmpty
 	}
-	o := opts.withDefaults()
 	p := len(theta0)
 	theta := append([]float64(nil), theta0...)
-	lambda := o.Lambda0
+	lambda := lambda0
 
 	residuals := func(t []float64) ([]float64, float64) {
 		r := make([]float64, n)
@@ -148,7 +134,7 @@ func CurveFit(f ModelFunc, X [][]float64, y []float64, theta0 []float64, opts Cu
 	}
 
 	r, ss := residuals(theta)
-	for iter := 0; iter < o.MaxIter; iter++ {
+	for iter := 0; iter < maxIter; iter++ {
 		// Forward-difference Jacobian J[i][j] = ∂f(X_i)/∂theta_j.
 		J := make([][]float64, n)
 		for i := range J {
@@ -203,7 +189,7 @@ func CurveFit(f ModelFunc, X [][]float64, y []float64, theta0 []float64, opts Cu
 				theta, r, ss = trial, rt, sst
 				lambda = math.Max(lambda/10, 1e-12)
 				improved = true
-				if relImprove < o.Tol {
+				if relImprove < tol {
 					return theta, nil
 				}
 				break

@@ -85,7 +85,7 @@ func TestCurveFitProductOfLinearTerms(t *testing.T) {
 		X[i] = []float64{a, b}
 		y[i] = (1 + 2*a) * (3 + 0.5*b)
 	}
-	theta, err := CurveFit(productModel, X, y, []float64{0.5, 1, 1, 1}, CurveFitOptions{})
+	theta, err := CurveFit(productModel, X, y, []float64{0.5, 1, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestCurveFitNoisy(t *testing.T) {
 		X[i] = []float64{a}
 		y[i] = (2 + 1.5*a) + r.NormFloat64()*0.2
 	}
-	theta, err := CurveFit(productModel, X, y, []float64{1, 1}, CurveFitOptions{})
+	theta, err := CurveFit(productModel, X, y, []float64{1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestCurveFitNoisy(t *testing.T) {
 }
 
 func TestCurveFitEmpty(t *testing.T) {
-	if _, err := CurveFit(productModel, nil, nil, []float64{1, 1}, CurveFitOptions{}); err == nil {
+	if _, err := CurveFit(productModel, nil, nil, []float64{1, 1}); err == nil {
 		t.Fatal("expected error on empty input")
 	}
 }

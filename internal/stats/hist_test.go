@@ -5,95 +5,6 @@ import (
 	"testing"
 )
 
-func TestHistogramBasic(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	for i, c := range h.Counts {
-		if c != 1 {
-			t.Fatalf("bucket %d count = %d, want 1", i, c)
-		}
-	}
-	if h.N != 10 {
-		t.Fatalf("N = %d", h.N)
-	}
-}
-
-func TestHistogramClamping(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	h.Add(-100)
-	h.Add(100)
-	if h.Counts[0] != 1 || h.Counts[4] != 1 {
-		t.Fatalf("clamping failed: %v", h.Counts)
-	}
-}
-
-func TestHistogramInvalidPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on invalid range")
-		}
-	}()
-	NewHistogram(5, 5, 10)
-}
-
-func TestLogHistogram(t *testing.T) {
-	h := NewLogHistogram(0.01, 1000, 5) // decades: .01-.1-1-10-100-1000
-	h.Add(0.05)
-	h.Add(0.5)
-	h.Add(5)
-	h.Add(50)
-	h.Add(500)
-	for i, c := range h.Counts {
-		if c != 1 {
-			t.Fatalf("log bucket %d count = %d (%v)", i, c, h.Counts)
-		}
-	}
-	// Non-positive value clamps to lowest bucket.
-	h.Add(0)
-	if h.Counts[0] != 2 {
-		t.Fatal("non-positive should clamp to first bucket")
-	}
-}
-
-func TestLogHistogramInvalidLo(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for lo <= 0")
-		}
-	}()
-	NewLogHistogram(0, 10, 3)
-}
-
-func TestHistogramCDF(t *testing.T) {
-	h := NewHistogram(0, 4, 4)
-	for _, x := range []float64{0.5, 1.5, 2.5, 3.5} {
-		h.Add(x)
-	}
-	if got := h.CDF(1); got != 0.5 {
-		t.Fatalf("CDF(1) = %v, want 0.5", got)
-	}
-	if got := h.CDF(3); got != 1 {
-		t.Fatalf("CDF(3) = %v, want 1", got)
-	}
-	empty := NewHistogram(0, 1, 2)
-	if !math.IsNaN(empty.CDF(0)) {
-		t.Fatal("empty CDF should be NaN")
-	}
-}
-
-func TestBucketLo(t *testing.T) {
-	h := NewHistogram(0, 100, 10)
-	if h.BucketLo(3) != 30 {
-		t.Fatalf("BucketLo = %v", h.BucketLo(3))
-	}
-	lh := NewLogHistogram(1, 1000, 3)
-	if !almostEqual(lh.BucketLo(1), 10, 1e-9) {
-		t.Fatalf("log BucketLo = %v, want 10", lh.BucketLo(1))
-	}
-}
-
 func TestViolinSummary(t *testing.T) {
 	xs := make([]float64, 101)
 	for i := range xs {

@@ -79,8 +79,7 @@ type Broker struct {
 	machines []*backend.Machine
 	machIdx  map[string]int
 
-	queues []*queueState // declaration order, internal nodes included
-	leaves []*queueState // declaration order, ledger-indexed
+	queues []*queueState // declaration order, ledger-indexed
 	byName map[string]*queueState
 	ledger *Ledger
 
@@ -103,7 +102,7 @@ type Broker struct {
 }
 
 // Open opens a session from ccfg with the broker's accounting hook
-// attached and builds the quota tree. The cloud config must not carry
+// attached and resolves the queues. The cloud config must not carry
 // its own RecordSink.
 func Open(ccfg cloud.Config, tcfg Config) (*Broker, error) {
 	if ccfg.RecordSink != nil {
@@ -121,20 +120,9 @@ func Open(ccfg cloud.Config, tcfg Config) (*Broker, error) {
 		bySpec:  make(map[*cloud.JobSpec]*admission),
 		tickSec: tcfg.Tick.Seconds(),
 	}
-	var leafNames []string
-	for _, q := range queues {
-		if !q.leaf {
-			continue
-		}
-		q.idx = len(b.leaves)
-		if q.maxInFlight == 0 {
-			q.maxInFlight = tcfg.DefaultMaxInFlight
-		}
-		b.leaves = append(b.leaves, q)
-		leafNames = append(leafNames, q.cfg.Name)
-	}
-	if len(b.leaves) == 0 {
-		return nil, fmt.Errorf("tenant: quota tree has no leaf queues")
+	names := make([]string, len(queues))
+	for i, q := range queues {
+		names[i] = q.cfg.Name
 	}
 	ccfg.RecordSink = b.sink
 	sess, err := cloud.Open(ccfg)
@@ -153,7 +141,7 @@ func Open(ccfg cloud.Config, tcfg Config) (*Broker, error) {
 	start, end := sess.Window()
 	b.start = start
 	b.endSec = end.Sub(start).Seconds()
-	b.ledger = NewLedger(leafNames, tcfg.HalfLife, 0)
+	b.ledger = NewLedger(names, tcfg.HalfLife, 0)
 	return b, nil
 }
 
@@ -188,9 +176,6 @@ func (b *Broker) Submit(queue string, spec *cloud.JobSpec) (*Job, error) {
 	q := b.byName[queue]
 	if q == nil {
 		return nil, fmt.Errorf("tenant: unknown queue %q", queue)
-	}
-	if !q.leaf {
-		return nil, fmt.Errorf("tenant: queue %q is an internal quota node; submit to a leaf", queue)
 	}
 	mi, ok := b.machIdx[spec.Machine]
 	if !ok {
@@ -361,7 +346,7 @@ func (b *Broker) orderKey(q *queueState, ts, totalBase float64) float64 {
 
 func (b *Broker) totalBase(ts float64) float64 {
 	t := 0.0
-	for _, q := range b.leaves {
+	for _, q := range b.queues {
 		t += b.ledger.DecayedAt(q.idx, ts) + q.outstanding
 	}
 	return t
@@ -383,11 +368,8 @@ func (b *Broker) decide(ts float64) error {
 	for b.totalPend > 0 {
 		total := b.totalBase(ts)
 		var cands []cand
-		for _, q := range b.leaves {
+		for _, q := range b.queues {
 			if len(q.pending) == 0 {
-				continue
-			}
-			if q.maxInFlight > 0 && q.inFlight >= q.maxInFlight {
 				continue
 			}
 			cands = append(cands, cand{q, b.orderKey(q, ts, total)})
@@ -444,7 +426,7 @@ func (b *Broker) tryPreempt(s *queueState, mi int, ts, totalBase float64) error 
 	for i := len(adm) - 1; i >= 0; i-- {
 		j := adm[i]
 		v := j.queue
-		if v == s || j.preempts >= b.cfg.MaxPreemptions {
+		if v == s || j.preempts >= maxPreemptions {
 			continue
 		}
 		if j.admitSec >= ts {
@@ -456,8 +438,8 @@ func (b *Broker) tryPreempt(s *queueState, mi int, ts, totalBase float64) error 
 		}
 		eligible := v.cfg.Priority < s.cfg.Priority ||
 			(v.cfg.Priority == s.cfg.Priority &&
-				b.shareRatio(v, ts, totalBase) > 1+b.cfg.PreemptSlack &&
-				rs < 1-b.cfg.PreemptSlack)
+				b.shareRatio(v, ts, totalBase) > 1+preemptSlack &&
+				rs < 1-preemptSlack)
 		if !eligible {
 			continue
 		}
@@ -549,7 +531,7 @@ func (b *Broker) Run() (*trace.Trace, error) {
 	if err := b.AdvanceTo(b.toTime(b.endSec)); err != nil {
 		return nil, err
 	}
-	for _, q := range b.leaves {
+	for _, q := range b.queues {
 		for _, job := range q.pending {
 			job.state = jobUnserved
 		}

@@ -51,12 +51,12 @@ type Metrics struct {
 	Preemptions int
 }
 
-// States returns a snapshot per leaf queue in declaration order, as of
+// States returns a snapshot per queue in declaration order, as of
 // the broker frontier.
 func (b *Broker) States() []TenantState {
 	rawTotal := b.ledger.RawTotal()
-	out := make([]TenantState, 0, len(b.leaves))
-	for _, q := range b.leaves {
+	out := make([]TenantState, 0, len(b.queues))
+	for _, q := range b.queues {
 		st := TenantState{
 			Name:     q.cfg.Name,
 			Priority: q.cfg.Priority,

@@ -3,18 +3,17 @@
 // into a shared fleet under contention (the paper's §IV-D
 // vendor-employed, system-wide management scenario).
 //
-// Named queues form an optionally hierarchical quota tree — each queue
-// carries a deserved share (its slice of fleet capacity), an
-// over-quota weight (how aggressively it may claim surplus), and a
-// priority band. A Broker sits between tenant submissions and a
-// cloud.Session: tenants submit into per-queue backlogs, and at a
-// fixed decision cadence the broker releases jobs into the session,
-// choosing who goes next from a time-decayed allocation ledger of
-// QPU-seconds per queue. When preemption is enabled, a higher-priority
-// or starved under-quota queue may withdraw still-queued jobs of
-// over-quota queues (Session.CancelWithReason + deterministic requeue
-// into the victim's backlog), bounding how long a deserving tenant
-// waits behind someone else's backlog.
+// Named queues each carry a deserved share (their slice of fleet
+// capacity), an over-quota weight (how aggressively they may claim
+// surplus), and a priority band. A Broker sits between tenant
+// submissions and a cloud.Session: tenants submit into per-queue
+// backlogs, and at a fixed decision cadence the broker releases jobs
+// into the session, choosing who goes next from a time-decayed
+// allocation ledger of QPU-seconds per queue. When preemption is
+// enabled, a higher-priority or starved under-quota queue may withdraw
+// still-queued jobs of over-quota queues (Session.CancelWithReason +
+// deterministic requeue into the victim's backlog), bounding how long
+// a deserving tenant waits behind someone else's backlog.
 //
 // Determinism contract: the broker runs entirely on the driver
 // goroutine, all decisions are pure functions of simulated time and
@@ -30,17 +29,13 @@ import (
 	"time"
 )
 
-// QueueConfig declares one node of the quota tree.
+// QueueConfig declares one queue.
 type QueueConfig struct {
 	// Name identifies the queue; session-side fair-share sees its jobs
 	// under the user "tenant:<name>".
 	Name string
-	// Parent nests the queue under another (empty = root). A parent's
-	// deserved share divides among its children in proportion to their
-	// Share weights; only leaf queues accept submissions.
-	Parent string
-	// Share is the queue's deserved-share weight relative to its
-	// siblings (0 = default 1). Root weights normalize across roots.
+	// Share is the queue's deserved-share weight relative to the other
+	// queues (0 = default 1).
 	Share float64
 	// OverQuotaWeight scales how strongly the queue competes for
 	// surplus capacity once it is above its deserved share (0 =
@@ -50,14 +45,11 @@ type QueueConfig struct {
 	// with preemption on, displaces) across bands before consulting
 	// fairness within a band.
 	Priority int
-	// MaxInFlight caps the queue's jobs admitted into the session and
-	// not yet recorded (0 = the broker default).
-	MaxInFlight int
 }
 
 // Config parameterizes a Broker.
 type Config struct {
-	// Queues is the quota tree in declaration order.
+	// Queues are the queues in declaration order.
 	Queues []QueueConfig
 	// HalfLife is the allocation ledger's decay half-life (default
 	// 24h): a queue's historical QPU-seconds lose half their weight
@@ -73,19 +65,19 @@ type Config struct {
 	// queue, is where tenant backlogs live — short machine queues are
 	// what make admission order translate into allocation shares.
 	MaxPerMachine int
-	// DefaultMaxInFlight is the per-queue in-flight cap used when a
-	// queue's own MaxInFlight is 0 (0 = unlimited).
-	DefaultMaxInFlight int
 	// Preemption lets the broker withdraw still-queued jobs of
 	// over-quota or lower-priority queues to free machine slots.
 	Preemption bool
-	// PreemptSlack is the dead band around the deserved share before
-	// quota-based preemption triggers (default 0.1 = ±10%).
-	PreemptSlack float64
-	// MaxPreemptions bounds how often one job can be displaced
-	// (default 3); beyond it the job becomes non-preemptible.
-	MaxPreemptions int
 }
+
+const (
+	// preemptSlack is the dead band around the deserved share before
+	// quota-based preemption triggers (±10%).
+	preemptSlack = 0.1
+	// maxPreemptions bounds how often one job can be displaced; beyond
+	// it the job becomes non-preemptible.
+	maxPreemptions = 3
+)
 
 func (c Config) withDefaults() Config {
 	if c.HalfLife <= 0 {
@@ -97,23 +89,15 @@ func (c Config) withDefaults() Config {
 	if c.MaxPerMachine <= 0 {
 		c.MaxPerMachine = 2
 	}
-	if c.PreemptSlack <= 0 {
-		c.PreemptSlack = 0.1
-	}
-	if c.MaxPreemptions <= 0 {
-		c.MaxPreemptions = 3
-	}
 	return c
 }
 
-// queueState is one resolved leaf (or internal) node at runtime.
+// queueState is one resolved queue at runtime.
 type queueState struct {
-	cfg         QueueConfig
-	idx         int     // ledger index (leaves only; -1 for internal nodes)
-	deserved    float64 // absolute deserved fraction of fleet capacity
-	oqw         float64
-	leaf        bool
-	maxInFlight int // 0 = unlimited
+	cfg      QueueConfig
+	idx      int     // ledger index: the declaration position
+	deserved float64 // absolute deserved fraction of fleet capacity
+	oqw      float64
 
 	pending []*Job // backlog ordered by (arrive, seq)
 	// outstanding sums the estimated QPU-seconds of admitted-but-
@@ -127,10 +111,9 @@ type queueState struct {
 	waitN                                                            int
 }
 
-// resolveTree validates the quota tree and computes each leaf's
-// absolute deserved fraction: roots normalize over root Share weights,
-// and every node's fraction divides among its children by their
-// weights. Returns queues in declaration order.
+// resolveTree validates the queues and computes each one's deserved
+// fraction of fleet capacity, Share / Σ Share. Returns queues in
+// declaration order.
 func resolveTree(cfgs []QueueConfig) ([]*queueState, map[string]*queueState, error) {
 	if len(cfgs) == 0 {
 		return nil, nil, fmt.Errorf("tenant: no queues configured")
@@ -147,7 +130,7 @@ func resolveTree(cfgs []QueueConfig) ([]*queueState, map[string]*queueState, err
 		if _, dup := byName[qc.Name]; dup {
 			return nil, nil, fmt.Errorf("tenant: duplicate queue %q", qc.Name)
 		}
-		q := &queueState{cfg: qc, idx: -1, leaf: true}
+		q := &queueState{cfg: qc, idx: len(states)}
 		if q.cfg.Share == 0 {
 			q.cfg.Share = 1
 		}
@@ -158,63 +141,12 @@ func resolveTree(cfgs []QueueConfig) ([]*queueState, map[string]*queueState, err
 		byName[qc.Name] = q
 		states = append(states, q)
 	}
-	children := make(map[string][]*queueState)
-	rootWeight := 0.0
+	total := 0.0
 	for _, q := range states {
-		p := q.cfg.Parent
-		if p == "" {
-			rootWeight += q.cfg.Share
-			continue
-		}
-		parent := byName[p]
-		if parent == nil {
-			return nil, nil, fmt.Errorf("tenant: queue %q has unknown parent %q", q.cfg.Name, p)
-		}
-		parent.leaf = false
-		children[p] = append(children[p], q)
-	}
-	// Cycle check: walking parents from any node must reach a root
-	// within len(states) hops.
-	for _, q := range states {
-		n := q
-		for hops := 0; n.cfg.Parent != ""; hops++ {
-			if hops > len(states) {
-				return nil, nil, fmt.Errorf("tenant: queue %q is part of a parent cycle", q.cfg.Name)
-			}
-			n = byName[n.cfg.Parent]
-		}
-	}
-	// Distribute fractions top-down from the roots, so a node's
-	// fraction is final before its children divide it.
-	frac := make(map[string]float64, len(states))
-	for _, q := range states {
-		if q.cfg.Parent == "" {
-			frac[q.cfg.Name] = q.cfg.Share / rootWeight
-		}
-	}
-	var assign func(name string)
-	assign = func(name string) {
-		kids := children[name]
-		if len(kids) == 0 {
-			return
-		}
-		total := 0.0
-		for _, k := range kids {
-			total += k.cfg.Share
-		}
-		for _, k := range kids {
-			frac[k.cfg.Name] = frac[name] * k.cfg.Share / total
-			assign(k.cfg.Name)
-		}
+		total += q.cfg.Share
 	}
 	for _, q := range states {
-		if q.cfg.Parent == "" {
-			assign(q.cfg.Name)
-		}
-	}
-	for _, q := range states {
-		q.deserved = frac[q.cfg.Name]
-		q.maxInFlight = q.cfg.MaxInFlight
+		q.deserved = q.cfg.Share / total
 	}
 	return states, byName, nil
 }

@@ -1,7 +1,6 @@
 package tenant
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -17,9 +16,9 @@ func deservedOf(t *testing.T, qs []*queueState, name string) float64 {
 	return 0
 }
 
-// TestResolveTreeFlat: root shares normalize over root weights.
+// TestResolveTreeFlat: shares normalize over the sum of the weights.
 func TestResolveTreeFlat(t *testing.T) {
-	qs, byName, err := resolveTree([]QueueConfig{
+	qs, _, err := resolveTree([]QueueConfig{
 		{Name: "big", Share: 3},
 		{Name: "small", Share: 1},
 	})
@@ -31,34 +30,6 @@ func TestResolveTreeFlat(t *testing.T) {
 	}
 	if got := deservedOf(t, qs, "small"); got != 0.25 {
 		t.Fatalf("small deserved = %g, want 0.25", got)
-	}
-	if !byName["big"].leaf || !byName["small"].leaf {
-		t.Fatal("flat queues must be leaves")
-	}
-}
-
-// TestResolveTreeHierarchy: a parent's deserved fraction divides among
-// its children by their weights, and parents stop being leaves.
-func TestResolveTreeHierarchy(t *testing.T) {
-	qs, byName, err := resolveTree([]QueueConfig{
-		{Name: "org", Share: 1},
-		{Name: "solo", Share: 1},
-		{Name: "a", Parent: "org", Share: 3},
-		{Name: "b", Parent: "org", Share: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, want := range map[string]float64{"org": 0.5, "solo": 0.5, "a": 0.375, "b": 0.125} {
-		if got := deservedOf(t, qs, name); math.Abs(got-want) > 1e-12 {
-			t.Fatalf("%s deserved = %g, want %g", name, got, want)
-		}
-	}
-	if byName["org"].leaf {
-		t.Fatal("org has children and must not be a leaf")
-	}
-	if !byName["a"].leaf || !byName["b"].leaf || !byName["solo"].leaf {
-		t.Fatal("a, b, solo must be leaves")
 	}
 }
 
@@ -85,9 +56,6 @@ func TestResolveTreeErrors(t *testing.T) {
 		{"unnamed", []QueueConfig{{Name: ""}}, "empty name"},
 		{"negative", []QueueConfig{{Name: "a", Share: -1}}, "negative"},
 		{"dup", []QueueConfig{{Name: "a"}, {Name: "a"}}, "duplicate"},
-		{"orphan", []QueueConfig{{Name: "a", Parent: "ghost"}}, "unknown parent"},
-		{"cycle", []QueueConfig{{Name: "a", Parent: "b"}, {Name: "b", Parent: "a"}}, "cycle"},
-		{"selfcycle", []QueueConfig{{Name: "a", Parent: "a"}}, "cycle"},
 	}
 	for _, tc := range cases {
 		_, _, err := resolveTree(tc.cfgs)

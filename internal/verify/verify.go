@@ -21,11 +21,6 @@ type Result struct {
 	// Passed reports whether the hypothesis survived at the requested
 	// significance.
 	Passed bool
-	// ChiSquare and DoF describe the test statistic.
-	ChiSquare float64
-	DoF       int
-	// Critical is the rejection threshold used.
-	Critical float64
 	// Detail is a human-readable explanation.
 	Detail string
 }
@@ -35,7 +30,7 @@ func (r Result) String() string {
 	if !r.Passed {
 		status = "FAIL"
 	}
-	return fmt.Sprintf("%s (chi2=%.2f dof=%d crit=%.2f): %s", status, r.ChiSquare, r.DoF, r.Critical, r.Detail)
+	return status + ": " + r.Detail
 }
 
 // normalQuantile is the standard normal inverse CDF (Acklam's rational

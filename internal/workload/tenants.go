@@ -54,7 +54,7 @@ type TenantScenario struct {
 	Name string
 	// Desc is a one-line human description for CLI listings.
 	Desc string
-	// Build produces the broker config (quota tree included) and the
+	// Build produces the broker config (queues included) and the
 	// arrival-ordered submission stream for the given parameters.
 	Build func(cfg TenantConfig) (tenant.Config, []tenant.Submission)
 }

@@ -35,9 +35,10 @@ type Config struct {
 	// GrowthPerMonth is the exponential monthly demand growth rate
 	// (default 0.22, ~e^6 over two years).
 	GrowthPerMonth float64
-	// Users is the study user-pool size (default 12).
-	Users int
 }
+
+// studyUsers is the study user-pool size.
+const studyUsers = 12
 
 func (c Config) withDefaults() Config {
 	if c.Start.IsZero() {
@@ -54,9 +55,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.GrowthPerMonth <= 0 {
 		c.GrowthPerMonth = 0.22
-	}
-	if c.Users <= 0 {
-		c.Users = 12
 	}
 	return c
 }
@@ -138,7 +136,7 @@ func (tc templateCache) metrics(kind circuitKind, width int, r *rand.Rand) circu
 func Generate(cfg Config) []*cloud.JobSpec {
 	c := cfg.withDefaults()
 	r := rand.New(rand.NewSource(c.Seed))
-	users := makeUsers(c.Users, r)
+	users := makeUsers(r)
 	cache := make(templateCache)
 
 	months := monthsBetween(c.Start, c.End)
@@ -168,8 +166,8 @@ func Generate(cfg Config) []*cloud.JobSpec {
 	return specs
 }
 
-func makeUsers(n int, r *rand.Rand) []*user {
-	users := make([]*user, n)
+func makeUsers(r *rand.Rand) []*user {
+	users := make([]*user, studyUsers)
 	for i := range users {
 		users[i] = &user{
 			name:            fmt.Sprintf("user-%02d", i),
