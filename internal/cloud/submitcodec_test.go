@@ -2,6 +2,9 @@ package cloud
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -40,6 +43,42 @@ func TestSubmitRecordRoundTrip(t *testing.T) {
 		if got.Machine != js.Machine || got.SubmitSeq != js.SubmitSeq || got.Spec != js.Spec {
 			t.Fatalf("record %d: round trip mismatch:\n got %+v\nwant %+v", i, got, js)
 		}
+	}
+}
+
+// TestSubmitRecordGolden pins the input log's bytes for the fixed
+// stream internal/dispatch/wire's TestSpecEncodingsGolden pins the JSON
+// and WAL bytes of. A round trip cannot see a change of field order;
+// this hash can.
+func TestSubmitRecordGolden(t *testing.T) {
+	zone := time.FixedZone("", -5*3600-30*60)
+	at := time.Date(2021, 3, 14, 9, 26, 53, 589793238, zone)
+	users := []string{"user-07", "tenant:team-α/grp", `<q&"a">`}
+	kinds := []string{"ghz", "bv", "qft", "qaoa", "vqe", "random"}
+	specs := []JobSpec{{}}
+	for i := 0; i < 12; i++ {
+		specs = append(specs, JobSpec{
+			SubmitTime:   at.Add(time.Duration(i)*97*time.Minute + time.Duration(i*i)),
+			User:         users[i%len(users)],
+			Machine:      []string{"ibmq_athens", "ibmq_16_melbourne"}[i%2],
+			BatchSize:    1 + 13*i,
+			Shots:        1024 << (i % 4),
+			CircuitName:  fmt.Sprint(kinds[i%len(kinds)], 3+i),
+			Width:        3 + i,
+			TotalDepth:   10*i + 1,
+			TotalGateOps: 40*i + 3,
+			CXTotal:      7 * i,
+			MemSlots:     3 + i,
+			PatienceSec:  float64(i%3) * 1800.25,
+			Privileged:   i%4 == 1,
+		})
+	}
+	h := sha256.New()
+	for i := range specs {
+		h.Write(appendSubmitRecord(nil, specs[i].Machine, int64(i), &specs[i]))
+	}
+	if got, want := hex.EncodeToString(h.Sum(nil)), "45358afc1eff97735a49c61fed3e0d3f1a83852f839e835474e84d8f4baf748b"; got != want {
+		t.Errorf("submit records hash %s, want %s", got, want)
 	}
 }
 
