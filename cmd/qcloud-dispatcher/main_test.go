@@ -158,10 +158,12 @@ func waitStatus(t *testing.T, cl *dispatch.Client, within time.Duration, desc st
 // worker mid-batch.
 func slowSpec() wire.Spec {
 	return wire.Spec{
-		SubmitTime: time.Date(2019, 1, 2, 0, 0, 0, 0, time.UTC),
-		User:       "u0",
-		Machine:    "ibmq_16_melbourne",
-		BatchSize:  1, Shots: 64, CircuitName: "qft21", Width: 21,
+		TracePlane: wire.TracePlane{
+			SubmitTime: time.Date(2019, 1, 2, 0, 0, 0, 0, time.UTC),
+			User:       "u0",
+			Machine:    "ibmq_16_melbourne",
+			BatchSize:  1, Shots: 64, CircuitName: "qft21", Width: 21,
+		},
 		ExecKind: "qft", ExecWidth: 21, ExecBatch: 6, ExecShots: 64, ExecSeed: 5,
 	}
 }

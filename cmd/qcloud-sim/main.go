@@ -6,25 +6,21 @@
 // tallied live as the fleet advances.
 //
 // Fault injection is opt-in via -faults (a workload.FaultScenarios
-// preset); -checkpoint snapshots the faulted run mid-window and
-// -restore resumes from such a snapshot, reproducing the uninterrupted
-// trace byte for byte as long as the other flags match the original
-// run.
+// preset).
 //
 // -journal streams the run into a durable journal directory (crash-safe
-// WAL + periodic auto-checkpoints) instead of holding the trace in
-// memory; a run killed at any point — SIGKILL included — resumes with
-// -recover and finishes with output byte-identical to an uninterrupted
+// WAL + a session checkpoint every -journal-ckpt-days) instead of
+// holding the trace in memory; a run killed at any point — SIGKILL
+// included — resumes with -recover, at any -workers and under the same
+// -faults, and finishes with output byte-identical to an uninterrupted
 // run.
 //
 // Usage:
 //
 //	qcloud-sim -seed 42 -jobs 6200 -workers 8 -csv trace.csv -json trace.json
 //	qcloud-sim -seed 42 -events
-//	qcloud-sim -seed 42 -faults adversarial -checkpoint snap.qcsn -checkpoint-days 365
-//	qcloud-sim -seed 42 -faults adversarial -restore snap.qcsn -csv trace.csv
-//	qcloud-sim -seed 42 -journal run.journal -csv trace.csv
-//	qcloud-sim -seed 42 -journal run.journal -recover -csv trace.csv
+//	qcloud-sim -seed 42 -faults adversarial -journal run.journal -csv trace.csv
+//	qcloud-sim -seed 42 -faults adversarial -journal run.journal -recover -workers 4 -csv trace.csv
 //	qcloud-sim -seed 42 -q -cpuprofile cpu.prof   # then: go tool pprof -top cpu.prof
 //
 // -tenants runs a multi-tenant brokered session instead: a
@@ -66,9 +62,6 @@ func main() {
 		jsPath   = flag.String("json", "", "write the full trace (jobs + machine stats) as JSON to this path")
 		events   = flag.Bool("events", false, "subscribe to the session event stream and print per-kind totals")
 		faults   = flag.String("faults", "", "fault-injection scenario preset (see -faults list)")
-		ckptPath = flag.String("checkpoint", "", "write a mid-run session checkpoint to this path")
-		ckptDays = flag.Float64("checkpoint-days", 365, "days into the window at which -checkpoint snapshots")
-		restore  = flag.String("restore", "", "resume from a checkpoint file instead of starting fresh (seed/jobs/faults must match the original run)")
 		journal  = flag.String("journal", "", "durable journal directory: stream job records to disk with auto-checkpoints instead of holding the trace in memory")
 		recov    = flag.Bool("recover", false, "resume a killed -journal run from its journal directory and finish it")
 		jrnlDays = flag.Float64("journal-ckpt-days", 30, "auto-checkpoint cadence for -journal, in simulated days")
@@ -84,8 +77,8 @@ func main() {
 	if *recov && *journal == "" {
 		log.Fatal("-recover requires -journal")
 	}
-	if *tenants != "" && (*journal != "" || *restore != "" || *ckptPath != "") {
-		log.Fatal("-tenants cannot combine with -journal/-recover/-restore/-checkpoint")
+	if *tenants != "" && *journal != "" {
+		log.Fatal("-tenants cannot combine with -journal/-recover")
 	}
 	par.SetWorkers(*workers)
 	stopProf, err := prof.Start(*cpuProf, *memProf)
@@ -125,24 +118,7 @@ func main() {
 		return
 	}
 	var sess *cloud.Session
-	if *restore != "" {
-		f, err := os.Open(*restore)
-		if err != nil {
-			log.Fatal(err)
-		}
-		ck, err := cloud.ReadCheckpoint(f)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		sess, err = cloud.Restore(cfg, ck)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("restored session from %s", *restore)
-	} else if *recov {
+	if *recov {
 		if sess, err = cloud.Recover(cfg); err != nil {
 			log.Fatal(err)
 		}
@@ -154,29 +130,16 @@ func main() {
 	if *events {
 		tallied = tallyEvents(sess)
 	}
-	if *restore == "" {
-		// A restored session already carries its submitted workload; a
-		// fresh one gets the generated study stream (SubmitRetried rides
-		// out the fault injector's transient submission rejections). A
-		// recovered journal session replays its accepted submissions from
-		// the input log, so only the unsubmitted suffix of the (fully
-		// deterministic) stream is submitted again.
-		specs := workload.Generate(workload.Config{Seed: *seed, TotalJobs: *jobs, Start: start, End: end})
-		for _, s := range specs[min(int(sess.JournaledSubmits()), len(specs)):] {
-			if _, err := sess.SubmitRetried(s, 0); err != nil {
-				log.Fatal(err)
-			}
-		}
-	}
-	if *ckptPath != "" {
-		at := backend.StudyStart.Add(time.Duration(*ckptDays * 24 * float64(time.Hour)))
-		sess.AdvanceTo(at)
-		ck, err := sess.Checkpoint()
-		if err != nil {
+	// A fresh session gets the generated study stream (SubmitRetried
+	// rides out the fault injector's transient submission rejections).
+	// A recovered journal session replays its accepted submissions from
+	// the input log, so only the unsubmitted suffix of the (fully
+	// deterministic) stream is submitted again.
+	specs := workload.Generate(workload.Config{Seed: *seed, TotalJobs: *jobs, Start: start, End: end})
+	for _, s := range specs[min(int(sess.JournaledSubmits()), len(specs)):] {
+		if _, err := sess.SubmitRetried(s, 0); err != nil {
 			log.Fatal(err)
 		}
-		writeFile(*ckptPath, func(w io.Writer) error { return cloud.WriteCheckpoint(w, ck) })
-		log.Printf("checkpoint at %s written to %s", at.Format(time.RFC3339), *ckptPath)
 	}
 	tr, err := sess.Run()
 	if err != nil {

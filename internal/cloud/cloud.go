@@ -26,27 +26,34 @@ import (
 )
 
 // JobSpec is a study job to submit: what the client sends to the cloud.
+// It is also the trace plane of a dispatcher submission (wire.Spec), so
+// the JSON tags name the fields of a POST /v1/submit body.
 type JobSpec struct {
 	// SubmitTime is when the job enters the queue.
-	SubmitTime time.Time
+	SubmitTime time.Time `json:"submit_time"`
 	// User identifies the submitter (fair-share accounting key).
-	User string
+	User string `json:"user"`
 	// Machine is the target backend name.
-	Machine string
+	Machine string `json:"machine"`
 	// BatchSize and Shots shape execution time.
-	BatchSize, Shots int
+	BatchSize int `json:"batch_size"`
+	Shots     int `json:"shots"`
 	// CircuitName labels the batch's circuit family.
-	CircuitName string
+	CircuitName string `json:"circuit_name"`
 	// Width, TotalDepth, TotalGateOps, CXTotal, MemSlots are the
 	// aggregate circuit features recorded in the trace (the paper's
 	// Fig 15 predictor features).
-	Width, TotalDepth, TotalGateOps, CXTotal, MemSlots int
+	Width        int `json:"width"`
+	TotalDepth   int `json:"total_depth"`
+	TotalGateOps int `json:"total_gate_ops"`
+	CXTotal      int `json:"cx_total"`
+	MemSlots     int `json:"mem_slots"`
 	// PatienceSec cancels the job if it has not started within this
 	// wait (0 = infinite patience).
-	PatienceSec float64
+	PatienceSec float64 `json:"patience_sec,omitempty"`
 	// Privileged marks paid-access users, who may target private
 	// machines (used by scheduling policies).
-	Privileged bool
+	Privileged bool `json:"privileged,omitempty"`
 }
 
 // Config parameterizes a simulation run.

@@ -242,11 +242,16 @@ func indexFleet(ms []*backend.Machine) FleetIndex {
 	return f
 }
 
-// Check returns nil when the fleet has the named machine, and otherwise
-// the error Submit refuses a study job targeting it with.
-func (f FleetIndex) Check(machine string) error {
-	if _, ok := f[machine]; !ok {
-		return fmt.Errorf("cloud: study job targets unknown machine %q", machine)
+// Check returns nil when a session simulating the fleet can run and
+// record the study job, and otherwise the error Submit refuses it with:
+// the fleet has no such machine, or the job's batch size or shot count
+// is one a trace record cannot hold.
+func (f FleetIndex) Check(spec *JobSpec) error {
+	if _, ok := f[spec.Machine]; !ok {
+		return fmt.Errorf("cloud: study job targets unknown machine %q", spec.Machine)
+	}
+	if spec.BatchSize < 1 || spec.Shots < 1 {
+		return fmt.Errorf("cloud: study job has batch size %d and %d shots, want at least 1 of each", spec.BatchSize, spec.Shots)
 	}
 	return nil
 }
@@ -270,10 +275,10 @@ func (s *Session) Submit(spec *JobSpec) (*JobHandle, error) {
 	if s.closed {
 		return nil, ErrSessionClosed
 	}
-	ms := s.sim(spec.Machine)
-	if ms == nil {
-		return nil, s.fleet.Check(spec.Machine)
+	if err := s.fleet.Check(spec); err != nil {
+		return nil, err
 	}
+	ms := s.sim(spec.Machine)
 	h, err := ms.submit(spec)
 	if err != nil {
 		return nil, err

@@ -211,18 +211,24 @@ func TestSubmitBehindFrontierRejected(t *testing.T) {
 	if _, err := sess.Submit(quietSpec(1, "ibmq_rome", at)); err != nil {
 		t.Fatal(err)
 	}
-	if err := cloud.IndexFleet(cfg).Check("ibmq_rome"); err != nil {
-		t.Fatalf("the fleet index refuses a machine the session accepted: %v", err)
+	if err := cloud.IndexFleet(cfg).Check(quietSpec(1, "ibmq_rome", at)); err != nil {
+		t.Fatalf("the fleet index refuses a spec the session accepted: %v", err)
 	}
 	// A machine of the default fleet that this session does not have is
-	// as unknown as a name no fleet has, and the index refuses both with
+	// as unknown as a name no fleet has, a batch or a shot count below 1
+	// is one no trace record holds, and the index refuses each with
 	// Submit's own error.
-	for _, name := range []string{"nope", "ibmq_athens"} {
-		_, err := sess.Submit(&cloud.JobSpec{Machine: name, SubmitTime: at, BatchSize: 1, Shots: 1})
+	for name, spec := range map[string]*cloud.JobSpec{
+		"nope":        {Machine: "nope", SubmitTime: at, BatchSize: 1, Shots: 1},
+		"ibmq_athens": {Machine: "ibmq_athens", SubmitTime: at, BatchSize: 1, Shots: 1},
+		"batch -5":    {Machine: "ibmq_rome", SubmitTime: at, BatchSize: -5, Shots: 1},
+		"shots 0":     {Machine: "ibmq_rome", SubmitTime: at, BatchSize: 1},
+	} {
+		_, err := sess.Submit(spec)
 		if err == nil {
-			t.Fatalf("%s: unknown machine should fail", name)
+			t.Fatalf("%s: submit should fail", name)
 		}
-		if cerr := cloud.IndexFleet(cfg).Check(name); cerr == nil || cerr.Error() != err.Error() {
+		if cerr := cloud.IndexFleet(cfg).Check(spec); cerr == nil || cerr.Error() != err.Error() {
 			t.Fatalf("%s: the fleet index answers %v where Submit answers %v", name, cerr, err)
 		}
 	}

@@ -46,7 +46,21 @@ func decodeSubmitRecord(b []byte) (journalSubmit, error) {
 }
 
 func appendJobSpec(buf []byte, s *JobSpec) []byte {
-	buf = binary.AppendVarint(buf, s.SubmitTime.UnixNano())
+	return AppendJobSpecFields(binary.AppendVarint(buf, s.SubmitTime.UnixNano()), s)
+}
+
+// readJobSpec reads what appendJobSpec wrote, 20 bytes at the least,
+// into s; the caller owns d's error.
+func readJobSpec(d *journal.RecordReader, s *JobSpec) {
+	s.SubmitTime = d.Time()
+	ReadJobSpecFields(d, s)
+}
+
+// AppendJobSpecFields appends every field of s after SubmitTime, in
+// declaration order, and returns the extended slice. It is the one
+// encoding of a spec's fields: the input log and the checkpoint put a
+// UnixNano varint before it, the dispatcher's WAL an instant.
+func AppendJobSpecFields(buf []byte, s *JobSpec) []byte {
 	buf = journal.AppendString(buf, s.User)
 	buf = journal.AppendString(buf, s.Machine)
 	buf = binary.AppendVarint(buf, int64(s.BatchSize))
@@ -61,10 +75,9 @@ func appendJobSpec(buf []byte, s *JobSpec) []byte {
 	return journal.AppendBool(buf, s.Privileged)
 }
 
-// readJobSpec reads what appendJobSpec wrote, 20 bytes at the least,
-// into s; the caller owns d's error.
-func readJobSpec(d *journal.RecordReader, s *JobSpec) {
-	s.SubmitTime = d.Time()
+// ReadJobSpecFields reads what AppendJobSpecFields wrote into s,
+// leaving s.SubmitTime alone; the caller owns d's error.
+func ReadJobSpecFields(d *journal.RecordReader, s *JobSpec) {
 	s.User = d.String()
 	s.Machine = d.String()
 	s.BatchSize = d.Int()

@@ -102,8 +102,9 @@ type QueueConfig struct {
 	// before it is requeued (default 30s).
 	Lease time.Duration
 	// Retry governs lease-expiry requeues through the session's
-	// machinery. Defaults here are daemon-scale (5 attempts, 500ms
-	// base, 15s cap) rather than the session's sim-scale defaults.
+	// machinery. Each zero field takes a daemon-scale default (5
+	// attempts, 500ms base, 15s cap) rather than the session's
+	// sim-scale one; the caller's policy is not modified.
 	Retry *cloud.RetryPolicy
 	// CheckpointEvery writes the watermark checkpoint after this many
 	// completion-log appends (default 64; Close always checkpoints).
@@ -126,13 +127,20 @@ func (c QueueConfig) withDefaults() QueueConfig {
 	if c.Lease <= 0 {
 		c.Lease = 30 * time.Second
 	}
-	if c.Retry == nil {
-		c.Retry = &cloud.RetryPolicy{
-			MaxAttempts: 5,
-			BaseBackoff: 500 * time.Millisecond,
-			MaxBackoff:  15 * time.Second,
-		}
+	var r cloud.RetryPolicy
+	if c.Retry != nil {
+		r = *c.Retry
 	}
+	if r.MaxAttempts <= 0 {
+		r.MaxAttempts = 5
+	}
+	if r.BaseBackoff <= 0 {
+		r.BaseBackoff = 500 * time.Millisecond
+	}
+	if r.MaxBackoff <= 0 {
+		r.MaxBackoff = 15 * time.Second
+	}
+	c.Retry = &r
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 64
 	}
@@ -216,7 +224,7 @@ const taskChunk = 256
 // minSubmitFrame is the fewest bytes a submit record's frame takes:
 // every varint one byte, every string empty.
 var minSubmitFrame = int64(len(journal.AppendFrame(nil, wire.AppendWALRecord(nil,
-	&wire.WALRecord{Type: wire.WALSubmit, Spec: wire.Spec{SubmitTime: time.Unix(0, 0)}}))))
+	&wire.WALRecord{Type: wire.WALSubmit, Spec: wire.Spec{TracePlane: wire.TracePlane{SubmitTime: time.Unix(0, 0)}}}))))
 
 // OpenQueue opens (or creates) the durable queue rooted at cfg.Dir,
 // replaying any existing state. Each stream is walked once: the scan

@@ -94,6 +94,40 @@ func TestQueueSubmitIdempotentAndSeal(t *testing.T) {
 	}
 }
 
+// TestQueuePartialRetryPolicy: each zero field of a caller's retry
+// policy takes the daemon default, not the session's: a zero
+// MaxAttempts does not fail a unit on its first lease expiry, and a
+// zero BaseBackoff does not hold it back for the session's minute.
+func TestQueuePartialRetryPolicy(t *testing.T) {
+	plans := testPlans(t, 3, 10)
+	for _, policy := range []cloud.RetryPolicy{{BaseBackoff: 100 * time.Millisecond}, {MaxAttempts: 2}} {
+		clk := &fakeClock{now: time.Unix(1_700_000_000, 0)}
+		given := policy
+		q, err := OpenQueue(QueueConfig{Dir: t.TempDir(), Seed: 11, Lease: time.Second, Retry: &given, Now: clk.Now})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := q.Submit("c/0", plans[0]); err != nil {
+			t.Fatal(err)
+		}
+		if units, err := q.Pull("w1", 1); err != nil || len(units) != 1 {
+			t.Fatalf("%+v: pull = %v, %v", policy, units, err)
+		}
+		clk.Advance(2 * time.Second)
+		if st := q.Stats(); st.Queued != 1 || st.Failed != 0 {
+			t.Errorf("%+v: after one lease expiry: %+v, want the unit requeued", policy, q.Stats())
+		}
+		clk.Advance(time.Second)
+		if units, err := q.Pull("w2", 1); err != nil || len(units) != 1 || units[0].Attempt != 1 {
+			t.Errorf("%+v: a second later: pull = %v, %v, want attempt 1", policy, units, err)
+		}
+		if given != policy {
+			t.Errorf("OpenQueue filled the caller's policy: %+v, was %+v", given, policy)
+		}
+		q.Close()
+	}
+}
+
 func TestQueueLeaseExpiryRequeuesThenFails(t *testing.T) {
 	plans := testPlans(t, 3, 10)
 	clk := &fakeClock{now: time.Unix(1_700_000_000, 0)}

@@ -371,7 +371,7 @@ func (d *Dispatcher) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
-	if err := d.fleet().Check(req.Spec.Machine); err != nil {
+	if err := d.fleet().Check(&req.Spec.TracePlane); err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}

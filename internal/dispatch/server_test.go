@@ -202,6 +202,27 @@ func TestSubmitRefusesUnknownMachine(t *testing.T) {
 	}
 }
 
+// TestSubmitRefusesUnrecordableSpec: a batch size or shot count below
+// 1 is one the trace CSV cannot hold (trace.ReadCSV refuses the sealed
+// stream's output), so /v1/submit answers 400 and journals nothing.
+func TestSubmitRefusesUnrecordableSpec(t *testing.T) {
+	d := newTestDispatcher(t)
+	for i, edit := range []func(*wire.Spec){
+		func(s *wire.Spec) { s.BatchSize = -5 },
+		func(s *wire.Spec) { s.Shots = 0 },
+	} {
+		spec := testPlans(t, 3, 1)[0]
+		edit(&spec)
+		var resp wire.GenericResponse
+		if code := postJSON(t, d.Handler(), "/v1/submit", wire.SubmitRequest{V: wire.Version, Key: fmt.Sprint("k/", i), Spec: spec}, &resp); code != http.StatusBadRequest || !strings.Contains(resp.Err, "want at least 1 of each") {
+			t.Errorf("batch %d, shots %d: answered %d %q, want 400", spec.BatchSize, spec.Shots, code, resp.Err)
+		}
+	}
+	if st := d.Stats(); st.Jobs != 0 || d.q.submits.Records() != 0 {
+		t.Fatalf("a refused spec was journaled: %+v, %d submit records", st, d.q.submits.Records())
+	}
+}
+
 // getResult fetches a result route and returns its status and error.
 func getResult(t *testing.T, h http.Handler, path string) (int, string) {
 	t.Helper()

@@ -96,25 +96,12 @@ func Plan(js *cloud.JobSpec, caps ExecCaps, seed int64, idx int) Spec {
 		sh = 1
 	}
 	return Spec{
-		SubmitTime:   js.SubmitTime,
-		User:         js.User,
-		Machine:      js.Machine,
-		BatchSize:    js.BatchSize,
-		Shots:        js.Shots,
-		CircuitName:  js.CircuitName,
-		Width:        js.Width,
-		TotalDepth:   js.TotalDepth,
-		TotalGateOps: js.TotalGateOps,
-		CXTotal:      js.CXTotal,
-		MemSlots:     js.MemSlots,
-		PatienceSec:  js.PatienceSec,
-		Privileged:   js.Privileged,
-
-		ExecKind:  ExecKindOf(js.CircuitName),
-		ExecWidth: w,
-		ExecBatch: b,
-		ExecShots: sh,
-		ExecSeed:  Mix(seed, int64(idx)),
+		TracePlane: *js,
+		ExecKind:   ExecKindOf(js.CircuitName),
+		ExecWidth:  w,
+		ExecBatch:  b,
+		ExecShots:  sh,
+		ExecSeed:   Mix(seed, int64(idx)),
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"qcloud/internal/cloud"
 	"qcloud/internal/journal"
 )
 
@@ -77,18 +78,7 @@ func AppendWALRecord(buf []byte, r *WALRecord) []byte {
 		s := &r.Spec
 		buf = journal.AppendString(buf, r.Key)
 		buf = journal.AppendInstant(buf, s.SubmitTime)
-		buf = journal.AppendString(buf, s.User)
-		buf = journal.AppendString(buf, s.Machine)
-		buf = binary.AppendVarint(buf, int64(s.BatchSize))
-		buf = binary.AppendVarint(buf, int64(s.Shots))
-		buf = journal.AppendString(buf, s.CircuitName)
-		buf = binary.AppendVarint(buf, int64(s.Width))
-		buf = binary.AppendVarint(buf, int64(s.TotalDepth))
-		buf = binary.AppendVarint(buf, int64(s.TotalGateOps))
-		buf = binary.AppendVarint(buf, int64(s.CXTotal))
-		buf = binary.AppendVarint(buf, int64(s.MemSlots))
-		buf = journal.AppendFloat64(buf, s.PatienceSec)
-		buf = journal.AppendBool(buf, s.Privileged)
+		buf = cloud.AppendJobSpecFields(buf, &s.TracePlane)
 		buf = journal.AppendString(buf, s.ExecKind)
 		buf = binary.AppendVarint(buf, int64(s.ExecWidth))
 		buf = binary.AppendVarint(buf, int64(s.ExecBatch))
@@ -124,18 +114,7 @@ func DecodeWALRecord(b []byte, r *WALRecord) error {
 		r.Seq = d.Varint()
 		r.Key = d.String()
 		s.SubmitTime = d.Instant()
-		s.User = d.String()
-		s.Machine = d.String()
-		s.BatchSize = d.Int()
-		s.Shots = d.Int()
-		s.CircuitName = d.String()
-		s.Width = d.Int()
-		s.TotalDepth = d.Int()
-		s.TotalGateOps = d.Int()
-		s.CXTotal = d.Int()
-		s.MemSlots = d.Int()
-		s.PatienceSec = d.Float64()
-		s.Privileged = d.Bool()
+		cloud.ReadJobSpecFields(d, &s.TracePlane)
 		s.ExecKind = d.String()
 		s.ExecWidth = d.Int()
 		s.ExecBatch = d.Int()

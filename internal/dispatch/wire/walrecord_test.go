@@ -74,7 +74,7 @@ func TestWALRecordRoundTrip(t *testing.T) {
 	// Instants JSON can deliver and a varint of nanoseconds cannot hold.
 	for _, at := range []time.Time{{}, time.Date(1600, 2, 29, 1, 2, 3, 4, time.UTC), time.Date(2300, 1, 1, 0, 0, 0, 999999999, time.UTC),
 		time.Date(9999, 12, 31, 23, 59, 59, 0, time.UTC), time.Date(2019, 3, 4, 5, 6, 7, 8, time.FixedZone("", 2*3600))} {
-		r := WALRecord{Type: WALSubmit, Spec: Spec{SubmitTime: at}}
+		r := WALRecord{Type: WALSubmit, Spec: Spec{TracePlane: TracePlane{SubmitTime: at}}}
 		var back WALRecord
 		if err := DecodeWALRecord(AppendWALRecord(nil, &r), &back); err != nil {
 			t.Fatal(err)
@@ -98,7 +98,7 @@ func TestWALRecordRoundTrip(t *testing.T) {
 	if err := DecodeWALRecord(result("00", "01"), new(WALRecord)); err != nil {
 		t.Fatalf("hand-made result record: %v", err)
 	}
-	submit := AppendWALRecord(nil, &WALRecord{Type: WALSubmit, Spec: Spec{Privileged: true}})
+	submit := AppendWALRecord(nil, &WALRecord{Type: WALSubmit, Spec: Spec{TracePlane: TracePlane{Privileged: true}}})
 	privileged := bytes.LastIndexByte(submit, 1)
 	for name, bad := range map[string][]byte{
 		"empty":               nil,

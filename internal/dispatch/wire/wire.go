@@ -16,7 +16,9 @@
 // The event taxonomy is cloud.EventKind verbatim: a dispatcher event
 // stream is read with the same vocabulary as an in-process
 // Session.Observe stream (enqueue, start, done, error, cancel, retry,
-// requeue).
+// requeue). Likewise a Spec's trace plane is cloud.JobSpec itself: its
+// JSON tags and, after the submit instant, its WAL field list
+// (cloud.AppendJobSpecFields) are the session's.
 package wire
 
 import (
@@ -32,30 +34,22 @@ import (
 // records carry WALVersion.)
 const Version = 1
 
+// TracePlane is the session's submission record under a name Spec can
+// embed: a field named JobSpec would clash with Spec's JobSpec method.
+type TracePlane = cloud.JobSpec
+
 // Spec is one submission: the trace-plane JobSpec the dispatcher's
 // embedded deterministic session replays, plus the exec plan the
 // workers execute as a qsim.BatchRun payload. The exec plan is derived
 // from the JobSpec by Plan with capped width/batch/shots (study-scale
 // circuits are queue-model entities, not statevector payloads).
 type Spec struct {
-	// Trace plane — mirrors cloud.JobSpec field for field. SubmitTime
-	// keeps its instant to the nanosecond through JSON (RFC 3339) and
-	// through the WAL (seconds and nanoseconds), so replaying a decoded
-	// Spec through cloud.Simulate is bit-identical to submitting the
-	// original.
-	SubmitTime   time.Time `json:"submit_time"`
-	User         string    `json:"user"`
-	Machine      string    `json:"machine"`
-	BatchSize    int       `json:"batch_size"`
-	Shots        int       `json:"shots"`
-	CircuitName  string    `json:"circuit_name"`
-	Width        int       `json:"width"`
-	TotalDepth   int       `json:"total_depth"`
-	TotalGateOps int       `json:"total_gate_ops"`
-	CXTotal      int       `json:"cx_total"`
-	MemSlots     int       `json:"mem_slots"`
-	PatienceSec  float64   `json:"patience_sec,omitempty"`
-	Privileged   bool      `json:"privileged,omitempty"`
+	// TracePlane is cloud.JobSpec itself, so its fields and JSON tags
+	// are Spec's. SubmitTime keeps its instant to the nanosecond through
+	// JSON (RFC 3339) and through the WAL (seconds and nanoseconds), so
+	// replaying a decoded Spec through cloud.Simulate is bit-identical
+	// to submitting the original.
+	TracePlane
 
 	// Exec plane — the worker-side trajectory batch.
 	ExecKind  string `json:"exec_kind"`
@@ -65,24 +59,11 @@ type Spec struct {
 	ExecSeed  int64  `json:"exec_seed"`
 }
 
-// JobSpec converts the trace plane back into the session's submission
-// type.
+// JobSpec returns a fresh copy of the trace plane: the session keys its
+// handles by spec pointer, so every submission gets its own.
 func (s *Spec) JobSpec() *cloud.JobSpec {
-	return &cloud.JobSpec{
-		SubmitTime:   s.SubmitTime,
-		User:         s.User,
-		Machine:      s.Machine,
-		BatchSize:    s.BatchSize,
-		Shots:        s.Shots,
-		CircuitName:  s.CircuitName,
-		Width:        s.Width,
-		TotalDepth:   s.TotalDepth,
-		TotalGateOps: s.TotalGateOps,
-		CXTotal:      s.CXTotal,
-		MemSlots:     s.MemSlots,
-		PatienceSec:  s.PatienceSec,
-		Privileged:   s.Privileged,
-	}
+	js := s.TracePlane
+	return &js
 }
 
 // ExecLabel names the exec-plane circuit family the way workload names

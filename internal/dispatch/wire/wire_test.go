@@ -253,7 +253,7 @@ func TestBuildBatchAgreesWithRunLocal(t *testing.T) {
 			t.Errorf("%s: labelled %q", kinds[i], local.Circuit)
 		}
 	}
-	if _, err := BuildBatch(&Spec{CircuitName: "empty"}); err == nil {
+	if _, err := BuildBatch(&Spec{TracePlane: TracePlane{CircuitName: "empty"}}); err == nil {
 		t.Error("an empty exec plan was built")
 	}
 }
