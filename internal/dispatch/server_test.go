@@ -185,37 +185,27 @@ func TestCancelStatus(t *testing.T) {
 	}
 }
 
-// TestSubmitRefusesUnknownMachine: a spec whose machine the trace
-// plane's fleet lacks is the client's error, answered 400 before
-// anything is journaled — accepted, it would fail the sealed stream's
-// replay on every request and every restart.
+// TestSubmitRefusesUnknownMachine: a spec the trace plane cannot
+// record is the client's error, answered 400 before anything is
+// journaled. Accepted, a machine the trace plane's fleet lacks would
+// fail the sealed stream's replay on every request and every restart,
+// and a batch size or shot count below 1 would put a job in the trace
+// CSV that trace.ReadCSV refuses.
 func TestSubmitRefusesUnknownMachine(t *testing.T) {
 	d := newTestDispatcher(t)
-	spec := testPlans(t, 3, 1)[0]
-	spec.Machine = "ibmq_nowhere"
-	var resp wire.GenericResponse
-	if code := postJSON(t, d.Handler(), "/v1/submit", wire.SubmitRequest{V: wire.Version, Key: "k/0", Spec: spec}, &resp); code != http.StatusBadRequest || !strings.Contains(resp.Err, `unknown machine "ibmq_nowhere"`) {
-		t.Fatalf("answered %d %q, want 400 naming the machine", code, resp.Err)
-	}
-	if st := d.Stats(); st.Jobs != 0 || d.q.submits.Records() != 0 {
-		t.Fatalf("a refused spec was journaled: %+v, %d submit records", st, d.q.submits.Records())
-	}
-}
-
-// TestSubmitRefusesUnrecordableSpec: a batch size or shot count below
-// 1 is one the trace CSV cannot hold (trace.ReadCSV refuses the sealed
-// stream's output), so /v1/submit answers 400 and journals nothing.
-func TestSubmitRefusesUnrecordableSpec(t *testing.T) {
-	d := newTestDispatcher(t)
-	for i, edit := range []func(*wire.Spec){
-		func(s *wire.Spec) { s.BatchSize = -5 },
-		func(s *wire.Spec) { s.Shots = 0 },
+	for i, c := range []struct {
+		edit func(*wire.Spec)
+		want string
+	}{
+		{func(s *wire.Spec) { s.Machine = "ibmq_nowhere" }, `unknown machine "ibmq_nowhere"`},
+		{func(s *wire.Spec) { s.BatchSize = -5 }, "batch size -5"},
+		{func(s *wire.Spec) { s.Shots = 0 }, "and 0 shots"},
 	} {
 		spec := testPlans(t, 3, 1)[0]
-		edit(&spec)
+		c.edit(&spec)
 		var resp wire.GenericResponse
-		if code := postJSON(t, d.Handler(), "/v1/submit", wire.SubmitRequest{V: wire.Version, Key: fmt.Sprint("k/", i), Spec: spec}, &resp); code != http.StatusBadRequest || !strings.Contains(resp.Err, "want at least 1 of each") {
-			t.Errorf("batch %d, shots %d: answered %d %q, want 400", spec.BatchSize, spec.Shots, code, resp.Err)
+		if code := postJSON(t, d.Handler(), "/v1/submit", wire.SubmitRequest{V: wire.Version, Key: fmt.Sprint("k/", i), Spec: spec}, &resp); code != http.StatusBadRequest || !strings.Contains(resp.Err, c.want) {
+			t.Errorf("answered %d %q, want 400 saying %s", code, resp.Err, c.want)
 		}
 	}
 	if st := d.Stats(); st.Jobs != 0 || d.q.submits.Records() != 0 {
