@@ -25,6 +25,10 @@ type Calibration struct {
 	ErrRO []float64
 	// ErrCX maps coupler edges (a<b) to two-qubit error probability.
 	ErrCX map[[2]int]float64
+	// meanCX is the mean of ErrCX, summed once at generation in the
+	// topology's edge order: a sum over the map would add the same
+	// floats in a different order from call to call.
+	meanCX float64
 }
 
 // CXError returns the calibrated two-qubit error for the coupler (a,b)
@@ -41,16 +45,7 @@ func (c *Calibration) CXError(a, b int, def float64) float64 {
 
 // MeanCXError returns the average two-qubit error across all couplers
 // (0 when the machine has none).
-func (c *Calibration) MeanCXError() float64 {
-	if len(c.ErrCX) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, e := range c.ErrCX {
-		s += e
-	}
-	return s / float64(len(c.ErrCX))
-}
+func (c *Calibration) MeanCXError() float64 { return c.meanCX }
 
 // CalibModel holds the machine-level parameters the calibration
 // generator draws from.
@@ -118,8 +113,13 @@ func GenCalibration(t *Topology, model CalibModel, seed int64, epoch int, at tim
 		c.Err1Q[q] = clampProb(model.Base1QErr * dayErrMult * math.Exp(r.NormFloat64()*model.SpatialSigmaCX*0.6))
 		c.ErrRO[q] = clampProb(model.BaseROErr * dayErrMult * math.Exp(r.NormFloat64()*model.SpatialSigmaCX*0.5))
 	}
+	sum := 0.0
 	for _, e := range t.Edges {
 		c.ErrCX[e] = clampProb(model.BaseCXErr * dayErrMult * math.Exp(r.NormFloat64()*model.SpatialSigmaCX))
+		sum += c.ErrCX[e]
+	}
+	if len(t.Edges) > 0 {
+		c.meanCX = sum / float64(len(t.Edges))
 	}
 	return c
 }

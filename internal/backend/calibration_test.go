@@ -85,6 +85,32 @@ func TestCXErrorLookup(t *testing.T) {
 	}
 }
 
+// TestMeanCXErrorStable pins MeanCXError to one float: the sum of
+// ErrCX in topology edge order over the edge count, bit-identical on
+// every call. A sum over the map adds in iteration order, which moves
+// the last bits from call to call on most of the fleet.
+func TestMeanCXErrorStable(t *testing.T) {
+	at := time.Date(2021, 3, 1, 12, 0, 0, 0, time.UTC)
+	for _, m := range Fleet() {
+		if !m.AvailableAt(at) {
+			continue
+		}
+		cal := m.CalibrationAt(at)
+		want := 0.0
+		for _, e := range m.Topo.Edges {
+			want += cal.ErrCX[e]
+		}
+		if n := len(m.Topo.Edges); n > 0 {
+			want /= float64(n)
+		}
+		for i := 0; i < 200; i++ {
+			if got := cal.MeanCXError(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s call %d: MeanCXError = %v, want the edge-order mean %v", m.Name, i, got, want)
+			}
+		}
+	}
+}
+
 func TestMeanCXErrorEmpty(t *testing.T) {
 	cal := GenCalibration(mustTopology(1, nil), DefaultCalibModel(0), 1, 0, time.Time{})
 	if cal.MeanCXError() != 0 {

@@ -16,7 +16,7 @@ import (
 var GlobalRand = &Analyzer{
 	Name:  "globalrand",
 	Doc:   "flag top-level math/rand draws and rand.Seed in deterministic packages; derive per-(job,shot) streams instead",
-	Scope: append([]string{"qcloud/internal/backend"}, DeterministicPackages...),
+	Scope: DeterministicPackages,
 	Run:   runGlobalRand,
 }
 

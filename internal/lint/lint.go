@@ -145,6 +145,9 @@ func Analyzers() []*Analyzer {
 // equivalence suites). The maprange/wallclock/globalrand analyzers
 // default to this set.
 var DeterministicPackages = []string{
+	// backend generates the calibrations the compiler, qsim and sched
+	// read: every fleet machine's snapshot at an instant.
+	"qcloud/internal/backend",
 	"qcloud/internal/qsim",
 	"qcloud/internal/cloud",
 	"qcloud/internal/fault",

@@ -17,7 +17,7 @@ import (
 var Wallclock = &Analyzer{
 	Name:         "wallclock",
 	Doc:          "flag time.Now/Since/Until and timer constructors in simulation packages; all time must come from sim clocks",
-	Scope:        append([]string{"qcloud/internal/backend"}, DeterministicPackages...),
+	Scope:        DeterministicPackages,
 	IncludeTests: true,
 	Run:          runWallclock,
 }
