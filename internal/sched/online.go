@@ -193,7 +193,6 @@ type Replacer interface {
 type onlineJob struct {
 	h    *cloud.JobHandle
 	spec *cloud.JobSpec
-	idx  int
 }
 
 // EvaluateOnline drives the workload through an open cloud session in
@@ -219,14 +218,13 @@ func EvaluateOnline(cfg cloud.Config, specs []*cloud.JobSpec, policy OnlinePolic
 		return ordered[i].SubmitTime.Before(ordered[j].SubmitTime)
 	})
 	replacer, _ := policy.(Replacer)
-	placed := make([]*cloud.JobSpec, len(ordered))
 	live := make([]onlineJob, 0, len(ordered))
 	replaced := 0
-	for i, s := range ordered {
+	for _, s := range ordered {
 		c := *s
 		sess.AdvanceTo(c.SubmitTime)
 		if replacer != nil {
-			n, err := replaceDown(sess, replacer, f, live, placed, c.SubmitTime)
+			n, err := replaceDown(sess, replacer, f, live, c.SubmitTime)
 			if err != nil {
 				return Summary{}, nil, err
 			}
@@ -239,21 +237,20 @@ func EvaluateOnline(cfg cloud.Config, specs []*cloud.JobSpec, policy OnlinePolic
 		if err != nil {
 			return Summary{}, nil, fmt.Errorf("sched: online submit: %w", err)
 		}
-		placed[i] = &c
-		live = append(live, onlineJob{h: h, spec: &c, idx: i})
+		live = append(live, onlineJob{h: h, spec: &c})
 	}
 	tr, err := sess.Run()
 	if err != nil {
 		return Summary{}, nil, err
 	}
-	return summarize(policy.Name(), placed, tr, f, replaced), tr, nil
+	return summarize(policy.Name(), tr, f, replaced), tr, nil
 }
 
 // replaceDown scans the still-queued jobs for machines that are down
 // at the decision instant and lets the Replacer move them. It returns
 // the number of jobs moved. live entries are updated in place;
 // finished jobs drop their handles so later scans skip them.
-func replaceDown(sess *cloud.Session, rp Replacer, f *FleetInfo, live []onlineJob, placed []*cloud.JobSpec, now time.Time) (int, error) {
+func replaceDown(sess *cloud.Session, rp Replacer, f *FleetInfo, live []onlineJob, now time.Time) (int, error) {
 	moved := 0
 	for k := range live {
 		pj := &live[k]
@@ -291,7 +288,6 @@ func replaceDown(sess *cloud.Session, rp Replacer, f *FleetInfo, live []onlineJo
 			return moved, fmt.Errorf("sched: online re-place: %w", err)
 		}
 		moved++
-		placed[pj.idx] = &c
 		pj.h, pj.spec = h, &c
 	}
 	return moved, nil

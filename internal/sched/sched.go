@@ -134,14 +134,20 @@ func (e *Estimator) EstimatedWaitSeconds(machine string, t time.Time) float64 {
 // a machine from its calibration: (1-meanCXerr)^(CX per circuit) — the
 // §IV-B compile-time CX metric used for machine selection.
 func (f *FleetInfo) EstimatedFidelity(spec *cloud.JobSpec, machine string, t time.Time) float64 {
+	return f.fidelity(machine, t, spec.BatchSize, spec.CXTotal)
+}
+
+// fidelity is EstimatedFidelity over a job's two features, which a
+// trace record carries as well as a spec.
+func (f *FleetInfo) fidelity(machine string, t time.Time, batchSize, cxTotal int) float64 {
 	m := f.machines[machine]
 	if m == nil {
 		return 0
 	}
 	cal := m.CalibrationAt(t)
 	cxPerCircuit := 0.0
-	if spec.BatchSize > 0 {
-		cxPerCircuit = float64(spec.CXTotal) / float64(spec.BatchSize)
+	if batchSize > 0 {
+		cxPerCircuit = float64(cxTotal) / float64(batchSize)
 	}
 	return math.Pow(1-cal.MeanCXError(), cxPerCircuit)
 }
@@ -292,31 +298,26 @@ func Evaluate(cfg cloud.Config, specs []*cloud.JobSpec, policy Policy, e *Estima
 	if err != nil {
 		return Summary{}, nil, err
 	}
-	return summarize(policy.Name(), placed, tr, e.FleetInfo, 0), tr, nil
+	return summarize(policy.Name(), tr, e.FleetInfo, 0), tr, nil
 }
 
 // summarize aggregates the realized queue/fidelity outcomes of a
-// placed workload's trace. replaced is the number of Replacer
+// placed workload's trace. Each job's fidelity is estimated from its
+// own record's features. replaced is the number of Replacer
 // withdrawals in the trace: each left a CANCELLED shadow record that
 // is bookkeeping, not a user-visible cancellation, so it is excluded
 // from CancelledFraction.
-func summarize(policy string, placed []*cloud.JobSpec, tr *trace.Trace, f *FleetInfo, replaced int) Summary {
+func summarize(policy string, tr *trace.Trace, f *FleetInfo, replaced int) Summary {
 	var queues []float64
 	fidSum := 0.0
 	cancelled := 0
-	byID := make(map[string]*cloud.JobSpec) // key: user+submit time
-	for _, s := range placed {
-		byID[s.User+s.SubmitTime.String()] = s
-	}
 	for _, j := range tr.Jobs {
 		if j.Status == trace.StatusCancelled {
 			cancelled++
 			continue
 		}
 		queues = append(queues, j.QueueSeconds()/60)
-		if s := byID[j.User+j.SubmitTime.String()]; s != nil {
-			fidSum += f.EstimatedFidelity(s, j.Machine, j.StartTime)
-		}
+		fidSum += f.fidelity(j.Machine, j.StartTime, j.BatchSize, j.CXTotal)
 	}
 	if cancelled >= replaced {
 		cancelled -= replaced

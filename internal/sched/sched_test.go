@@ -267,6 +267,43 @@ func TestLiveShortestWaitUsesQueueState(t *testing.T) {
 	}
 }
 
+// TestSummaryFidelityFromJobRecords pins MeanEstFidelity to each job's
+// own features. Two specs from one user at one instant, one CX-free and
+// one CX-heavy, must each be scored as themselves; a join from trace
+// records back to specs by user and submit time would score one of
+// them twice.
+func TestSummaryFidelityFromJobRecords(t *testing.T) {
+	cfg := quietOnlineConfig(33)
+	at := cfg.Start.Add(7 * 24 * time.Hour)
+	specs := []*cloud.JobSpec{
+		{SubmitTime: at, User: "twin", Machine: "ibmq_rome", Privileged: true,
+			BatchSize: 4, Shots: 1024, CircuitName: "bell", Width: 2, CXTotal: 0},
+		{SubmitTime: at, User: "twin", Machine: "ibmq_rome", Privileged: true,
+			BatchSize: 4, Shots: 1024, CircuitName: "ladder", Width: 4, CXTotal: 400},
+	}
+	f := NewFleetInfo(cfg)
+	sum, tr, err := EvaluateOnline(cfg, specs, LiveUserChoice{}, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byCX := map[int]*cloud.JobSpec{0: specs[0], 400: specs[1]}
+	want, n := 0.0, 0
+	for _, j := range tr.Jobs {
+		if j.Status == trace.StatusCancelled {
+			continue
+		}
+		want += f.EstimatedFidelity(byCX[j.CXTotal], j.Machine, j.StartTime)
+		n++
+	}
+	if n != 2 {
+		t.Fatalf("want both jobs to complete, got %d of %d", n, len(tr.Jobs))
+	}
+	want /= float64(n)
+	if sum.MeanEstFidelity != want {
+		t.Fatalf("MeanEstFidelity = %v, want %v from the jobs' own features", sum.MeanEstFidelity, want)
+	}
+}
+
 // TestOnlinePlacementBeatsUserChoice is the §IV-D A/B on the realistic
 // workload: deciding each job from live QueueState at its submit
 // instant beats the users' machine heuristics, with no estimator
