@@ -1,15 +1,17 @@
 // Scheduler: the paper's §IV-D recommendation realized two ways and
-// compared head to head on a three-month slice of the cloud.
+// compared head to head on a three-month slice of the cloud. The same
+// four policies run through the same placement loop twice; only what
+// they read differs.
 //
-// Offline (estimator + replay): a background-only pre-simulation
-// yields stale sampled queue lengths; policies rewrite the whole
-// workload up-front and the result is replayed through the simulator.
+// Offline (sched.Evaluate): a background-only pre-simulation yields
+// stale sampled queue lengths, which the policies read at each job's
+// submit instant.
 //
-// Online (session): each job is decided at its actual submit instant
-// from live QueueState snapshots — exact pending counts, the queued
-// backlog's predicted runtimes, and the maintenance calendar — with
-// no pre-simulation at all, then submitted mid-run into the same
-// event-driven session the jobs execute in.
+// Online (sched.EvaluateOnline): each job is decided at its actual
+// submit instant from live QueueState snapshots — exact pending
+// counts, the queued backlog's predicted runtimes, and the maintenance
+// calendar — with no pre-simulation at all, then submitted mid-run into
+// the same event-driven session the jobs execute in.
 package main
 
 import (
@@ -49,14 +51,14 @@ func main() {
 	}
 	fmt.Printf("placing and replaying %d study jobs under each policy...\n\n", len(specs))
 	fmt.Println(header)
-	offline := []sched.Policy{
+	policies := []sched.Policy{
 		sched.UserChoice{},
 		sched.LeastPending{},
 		sched.PredictedWait{},
 		sched.FidelityAware{WaitPenaltyPerHour: 0.01},
 	}
 	var offlineBest sched.Summary
-	for i, p := range offline {
+	for i, p := range policies {
 		sum, _, err := sched.Evaluate(cfg, specs, p, est)
 		if err != nil {
 			log.Fatal(err)
@@ -72,20 +74,14 @@ func main() {
 	fmt.Println()
 	fmt.Println(header)
 	f := sched.NewFleetInfo(cfg)
-	online := []sched.OnlinePolicy{
-		sched.LiveUserChoice{},
-		sched.LiveLeastPending{},
-		sched.LiveShortestWait{},
-		sched.LiveFidelityAware{WaitPenaltyPerHour: 0.01},
-	}
 	var liveShortest sched.Summary
-	for _, p := range online {
+	for _, p := range policies {
 		sum, _, err := sched.EvaluateOnline(cfg, specs, p, f)
 		if err != nil {
 			log.Fatal(err)
 		}
 		row(sum)
-		if sum.Policy == (sched.LiveShortestWait{}).Name() {
+		if _, ok := p.(sched.PredictedWait); ok {
 			liveShortest = sum
 		}
 	}

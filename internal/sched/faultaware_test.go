@@ -23,11 +23,11 @@ func TestFaultAwareRecoveryUnderAdversarialFaults(t *testing.T) {
 	})
 	f := NewFleetInfo(cfg)
 
-	base, _, err := EvaluateOnline(cfg, specs, LiveShortestWait{}, f)
+	base, _, err := EvaluateOnline(cfg, specs, PredictedWait{}, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aware, tr, err := EvaluateOnline(cfg, specs, LiveFaultAware{}, f)
+	aware, tr, err := EvaluateOnline(cfg, specs, FaultAware{}, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestFaultAwareRecoveryUnderAdversarialFaults(t *testing.T) {
 	t.Logf("fault-aware:   %+v", aware)
 
 	if base.Replaced != 0 {
-		t.Fatalf("LiveShortestWait is not a Replacer; Replaced = %d", base.Replaced)
+		t.Fatalf("PredictedWait is not a Replacer; Replaced = %d", base.Replaced)
 	}
 	if aware.Replaced == 0 {
 		t.Fatal("adversarial outages never triggered a re-placement; the reactive path is dead")
@@ -55,7 +55,7 @@ func TestFaultAwareRecoveryUnderAdversarialFaults(t *testing.T) {
 	// function of (seed, workload), including across worker counts.
 	cfgW := cfg
 	cfgW.Workers = 4
-	again, _, err := EvaluateOnline(cfgW, specs, LiveFaultAware{}, f)
+	again, _, err := EvaluateOnline(cfgW, specs, FaultAware{}, f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,14 +4,15 @@
 // (with user-constraints) should be explored") together with the
 // queue-time prediction of §V-E.
 //
-// Two placement pipelines coexist as an A/B pair. The offline one
-// builds an Estimator from a background-only pre-simulation (stale
-// sampled pending counts and mean service times), rewrites the whole
-// workload, and replays it through the simulator. The online one
-// (online.go) opens a cloud.Session and decides each job at its
-// actual submit instant from live QueueState snapshots — the
-// vendor-side, machine-aware management the paper argues for, with no
-// pre-simulation at all.
+// One placement pipeline runs every policy: it opens a cloud.Session,
+// walks the workload in arrival order, asks the Policy for each job's
+// machine and submits it. A policy reads queues through a View, and
+// there are two. The Estimator is the offline one: stale sampled
+// pending counts and mean service times from a background-only
+// pre-simulation (Evaluate). The live one reads the open session's
+// QueueState at each job's submit instant — the vendor-side,
+// machine-aware management the paper argues for, with no
+// pre-simulation at all (EvaluateOnline).
 package sched
 
 import (
@@ -28,10 +29,9 @@ import (
 
 // FleetInfo is the static, no-simulation-needed machine knowledge
 // every placement policy shares — the fleet roster, calibration
-// access, and mean background service times. The offline Estimator
-// layers pre-simulated queue statistics on top of it; the online
-// session policies (online.go) combine it with live QueueState
-// snapshots instead.
+// access, and mean background service times. The Estimator layers
+// pre-simulated queue statistics on top of it; the live view combines
+// it with QueueState snapshots instead.
 type FleetInfo struct {
 	machines map[string]*backend.Machine
 	meanExec map[string]float64
@@ -84,7 +84,12 @@ func BuildEstimator(cfg cloud.Config) (*Estimator, error) {
 		// stale for placement decisions.
 		cfg.PendingSampleEvery = 30 * time.Minute
 	}
-	tr, err := cloud.Simulate(cfg, nil)
+	sess, err := cloud.Open(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("sched: background simulation: %w", err)
+	}
+	defer sess.Close()
+	tr, err := sess.Run()
 	if err != nil {
 		return nil, fmt.Errorf("sched: background simulation: %w", err)
 	}
@@ -122,12 +127,14 @@ func (e *Estimator) PendingAt(machine string, t time.Time) int {
 	return samples[lo-1].Pending
 }
 
-// EstimatedWaitSeconds predicts the queue wait for a job submitted to
-// the machine at time t: pending jobs times the machine's mean service
-// time. This is exactly the estimate a vendor can compute from public
-// queue lengths plus the Fig 15 runtime predictor.
-func (e *Estimator) EstimatedWaitSeconds(machine string, t time.Time) float64 {
-	return float64(e.PendingAt(machine, t)) * e.meanExec[machine]
+// Queue implements View from the sampled series. The wait it predicts
+// for a job submitted to the machine at time t is pending jobs times
+// the machine's mean service time: exactly the estimate a vendor can
+// compute from public queue lengths plus the Fig 15 runtime predictor.
+// The samples carry no fault state, so a machine is never Down.
+func (e *Estimator) Queue(machine string, t time.Time) (Reading, error) {
+	n := e.PendingAt(machine, t)
+	return Reading{Pending: n, WaitSeconds: float64(n) * e.meanExec[machine]}, nil
 }
 
 // EstimatedFidelity scores the expected per-circuit success of a job on
@@ -172,11 +179,61 @@ func (f *FleetInfo) Candidates(spec *cloud.JobSpec) []*backend.Machine {
 	return out
 }
 
-// Policy picks a machine for a job from the legal candidates. A nil
-// return keeps the user's original choice.
+// Reading is one machine's queue as a View sees it at an instant.
+type Reading struct {
+	// Pending counts the jobs queued ahead of a new arrival.
+	Pending int
+	// WaitSeconds predicts the queue wait of a job submitted now.
+	WaitSeconds float64
+	// Down reports an unplanned outage in progress.
+	Down bool
+}
+
+// View is what a Policy knows about the fleet at a decision instant:
+// a machine's queue and the fidelity a job can expect there. The
+// Estimator is one view; the live view over an open session
+// (evaluate.go) is the other.
+type View interface {
+	Queue(machine string, t time.Time) (Reading, error)
+	EstimatedFidelity(spec *cloud.JobSpec, machine string, t time.Time) float64
+}
+
+// Policy picks a machine for a job from the legal candidates, reading
+// queues through the view at the job's submit instant. A nil return
+// keeps the user's original choice.
 type Policy interface {
 	Name() string
-	Choose(spec *cloud.JobSpec, candidates []*backend.Machine, e *Estimator) *backend.Machine
+	Choose(spec *cloud.JobSpec, candidates []*backend.Machine, v View) *backend.Machine
+}
+
+// cheapest is the one selection every policy makes: the candidate
+// whose queue reading costs least, the first of equals. Machines whose
+// queue cannot be read, or whose cost is +Inf, are skipped; nil means
+// none remained.
+func cheapest(spec *cloud.JobSpec, cands []*backend.Machine, v View, cost func(*backend.Machine, Reading) float64) *backend.Machine {
+	var best *backend.Machine
+	bestCost := math.Inf(1)
+	for _, m := range cands {
+		r, err := v.Queue(m.Name, spec.SubmitTime)
+		if err != nil {
+			continue
+		}
+		if c := cost(m, r); c < bestCost {
+			best, bestCost = m, c
+		}
+	}
+	return best
+}
+
+// waitCost costs a machine by its predicted wait.
+func waitCost(_ *backend.Machine, r Reading) float64 { return r.WaitSeconds }
+
+// upWaitCost is waitCost that skips machines that are down.
+func upWaitCost(m *backend.Machine, r Reading) float64 {
+	if r.Down {
+		return math.Inf(1)
+	}
+	return waitCost(m, r)
 }
 
 // UserChoice is the baseline: whatever machine the user picked.
@@ -186,7 +243,7 @@ type UserChoice struct{}
 func (UserChoice) Name() string { return "user-choice" }
 
 // Choose implements Policy.
-func (UserChoice) Choose(*cloud.JobSpec, []*backend.Machine, *Estimator) *backend.Machine {
+func (UserChoice) Choose(*cloud.JobSpec, []*backend.Machine, View) *backend.Machine {
 	return nil
 }
 
@@ -198,37 +255,24 @@ type LeastPending struct{}
 func (LeastPending) Name() string { return "least-pending" }
 
 // Choose implements Policy.
-func (LeastPending) Choose(spec *cloud.JobSpec, cands []*backend.Machine, e *Estimator) *backend.Machine {
-	var best *backend.Machine
-	bestP := 0
-	for _, m := range cands {
-		p := e.PendingAt(m.Name, spec.SubmitTime)
-		if best == nil || p < bestP {
-			best, bestP = m, p
-		}
-	}
-	return best
+func (LeastPending) Choose(spec *cloud.JobSpec, cands []*backend.Machine, v View) *backend.Machine {
+	return cheapest(spec, cands, v, func(_ *backend.Machine, r Reading) float64 { return float64(r.Pending) })
 }
 
-// PredictedWait routes to the machine with the lowest predicted wait
-// (pending x mean service), which beats raw pending counts when
-// machines have different service rates.
+// PredictedWait routes to the machine with the lowest predicted wait,
+// which beats raw pending counts when machines have different service
+// rates. On the live view the prediction is the in-flight job's
+// remaining service plus the queued backlog's predicted runtimes: the
+// backlog's actual composition at the submit instant, not a pending
+// count sampled half an hour earlier times a fleet-wide mean.
 type PredictedWait struct{}
 
 // Name implements Policy.
 func (PredictedWait) Name() string { return "predicted-wait" }
 
 // Choose implements Policy.
-func (PredictedWait) Choose(spec *cloud.JobSpec, cands []*backend.Machine, e *Estimator) *backend.Machine {
-	var best *backend.Machine
-	bestW := 0.0
-	for _, m := range cands {
-		w := e.EstimatedWaitSeconds(m.Name, spec.SubmitTime)
-		if best == nil || w < bestW {
-			best, bestW = m, w
-		}
-	}
-	return best
+func (PredictedWait) Choose(spec *cloud.JobSpec, cands []*backend.Machine, v View) *backend.Machine {
+	return cheapest(spec, cands, v, waitCost)
 }
 
 // FidelityAware trades waiting time against expected fidelity, the
@@ -243,37 +287,57 @@ type FidelityAware struct {
 // Name implements Policy.
 func (FidelityAware) Name() string { return "fidelity-aware" }
 
-// Choose implements Policy.
-func (p FidelityAware) Choose(spec *cloud.JobSpec, cands []*backend.Machine, e *Estimator) *backend.Machine {
+// Choose implements Policy. The cost is the score negated, which
+// floating point computes exactly: a-b == -(b-a).
+func (p FidelityAware) Choose(spec *cloud.JobSpec, cands []*backend.Machine, v View) *backend.Machine {
 	penalty := p.WaitPenaltyPerHour
 	if penalty <= 0 {
 		penalty = 0.02
 	}
-	var best *backend.Machine
-	bestScore := math.Inf(-1)
-	for _, m := range cands {
-		fid := e.EstimatedFidelity(spec, m.Name, spec.SubmitTime)
-		waitH := e.EstimatedWaitSeconds(m.Name, spec.SubmitTime) / 3600
-		score := fid - penalty*waitH
-		if score > bestScore {
-			best, bestScore = m, score
-		}
-	}
-	return best
+	return cheapest(spec, cands, v, func(m *backend.Machine, r Reading) float64 {
+		return penalty*(r.WaitSeconds/3600) - v.EstimatedFidelity(spec, m.Name, spec.SubmitTime)
+	})
 }
 
-// Place rewrites each spec's target machine according to the policy.
-// Specs are copied; the input slice is not mutated.
-func Place(specs []*cloud.JobSpec, policy Policy, e *Estimator) []*cloud.JobSpec {
-	out := make([]*cloud.JobSpec, len(specs))
-	for i, s := range specs {
-		c := *s
-		if m := policy.Choose(&c, e.Candidates(&c), e); m != nil {
-			c.Machine = m.Name
-		}
-		out[i] = &c
+// FaultAware is PredictedWait that also reads the fleet's health:
+// machines observably down right now (an unplanned outage in progress,
+// Reading.Down) are skipped, falling back to overall shortest wait only
+// when every candidate is down. As a Replacer it additionally
+// withdraws its own queued jobs from machines that have since gone
+// down and re-places them, the reactive half of the vendor-side
+// management the paper argues for. The Estimator never reports a
+// machine down, so there FaultAware places as PredictedWait does.
+//
+//qcloud:keep CI's chaos pass runs it: TestFaultAwareRecoveryUnderAdversarialFaults
+type FaultAware struct{}
+
+// Name implements Policy.
+func (FaultAware) Name() string { return "fault-aware" }
+
+// Choose implements Policy.
+func (FaultAware) Choose(spec *cloud.JobSpec, cands []*backend.Machine, v View) *backend.Machine {
+	if m := cheapest(spec, cands, v, upWaitCost); m != nil {
+		return m
 	}
-	return out
+	return cheapest(spec, cands, v, waitCost)
+}
+
+// Replace implements Replacer: a queued job on a down machine moves to
+// the shortest-wait healthy candidate (nil when no healthy machine
+// exists — the job waits out the outage where it is).
+func (FaultAware) Replace(spec *cloud.JobSpec, cands []*backend.Machine, v View) *backend.Machine {
+	return cheapest(spec, cands, v, upWaitCost)
+}
+
+// Replacer is the optional Policy extension for reacting to machine
+// outages: when a previously-placed job is still queued on a machine
+// that is now down, the evaluation asks the policy to pick a
+// replacement machine (nil = leave the job waiting). Decisions are made
+// at workload arrival instants from deterministic QueueState and
+// JobStatus polls — not from the asynchronous Observe stream — so the
+// evaluation stays bit-identical across worker counts.
+type Replacer interface {
+	Replace(spec *cloud.JobSpec, cands []*backend.Machine, v View) *backend.Machine
 }
 
 // Summary aggregates a policy evaluation.
@@ -286,19 +350,8 @@ type Summary struct {
 	CancelledFraction float64
 	Jobs              int
 	// Replaced counts queued jobs a Replacer policy withdrew from a
-	// down machine and resubmitted elsewhere (online evaluation only).
+	// down machine and resubmitted elsewhere.
 	Replaced int
-}
-
-// Evaluate places the workload under the policy and replays it through
-// the cloud simulator, returning the realized queue/fidelity summary.
-func Evaluate(cfg cloud.Config, specs []*cloud.JobSpec, policy Policy, e *Estimator) (Summary, *trace.Trace, error) {
-	placed := Place(specs, policy, e)
-	tr, err := cloud.Simulate(cfg, placed)
-	if err != nil {
-		return Summary{}, nil, err
-	}
-	return summarize(policy.Name(), tr, e.FleetInfo, 0), tr, nil
 }
 
 // summarize aggregates the realized queue/fidelity outcomes of a

@@ -66,7 +66,7 @@ func TestEstimatedWaitTracksActualWait(t *testing.T) {
 		t.Fatal(err)
 	}
 	specs := schedWorkload(2)
-	tr, err := cloud.Simulate(cfg, specs)
+	_, tr, err := Evaluate(cfg, specs, UserChoice{}, e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,11 @@ func TestEstimatedWaitTracksActualWait(t *testing.T) {
 		if j.Status == trace.StatusCancelled {
 			continue
 		}
-		predicted = append(predicted, e.EstimatedWaitSeconds(j.Machine, j.SubmitTime))
+		r, err := e.Queue(j.Machine, j.SubmitTime)
+		if err != nil {
+			t.Fatal(err)
+		}
+		predicted = append(predicted, r.WaitSeconds)
 		actual = append(actual, j.QueueSeconds())
 	}
 	if len(actual) < 200 {
@@ -163,37 +167,45 @@ func TestFidelityAwareTradesWaitForFidelity(t *testing.T) {
 }
 
 func TestPlaceDoesNotMutateInput(t *testing.T) {
-	e, err := BuildEstimator(schedConfig(6))
+	cfg := schedConfig(6)
+	e, err := BuildEstimator(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	specs := schedWorkload(6)[:20]
-	before := make([]string, len(specs))
+	before := make([]cloud.JobSpec, len(specs))
+	privileged := make(map[string]bool)
 	for i, s := range specs {
-		before[i] = s.Machine
+		before[i] = *s
+		privileged[s.User] = s.Privileged
 	}
-	placed := Place(specs, LeastPending{}, e)
+	_, tr, err := Evaluate(cfg, specs, LeastPending{}, e)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, s := range specs {
-		if s.Machine != before[i] {
-			t.Fatal("Place mutated input specs")
+		if *s != before[i] {
+			t.Fatal("Evaluate mutated input specs")
 		}
-		_ = placed[i]
 	}
 	// Policies must only pick legal machines.
+	if len(tr.Jobs) != len(specs) {
+		t.Fatalf("placed %d jobs, want %d", len(tr.Jobs), len(specs))
+	}
 	byName := backend.FleetByName()
-	for i, p := range placed {
-		m := byName[p.Machine]
+	for _, j := range tr.Jobs {
+		m := byName[j.Machine]
 		if m == nil {
-			t.Fatalf("placed on unknown machine %s", p.Machine)
+			t.Fatalf("placed on unknown machine %s", j.Machine)
 		}
-		if !specs[i].Privileged && !m.Public {
-			t.Fatalf("public user placed on private %s", p.Machine)
+		if !privileged[j.User] && !m.Public {
+			t.Fatalf("public user placed on private %s", j.Machine)
 		}
 	}
 }
 
 func TestPolicyNames(t *testing.T) {
-	for _, p := range []Policy{UserChoice{}, LeastPending{}, PredictedWait{}, FidelityAware{}} {
+	for _, p := range []Policy{UserChoice{}, LeastPending{}, PredictedWait{}, FidelityAware{}, FaultAware{}} {
 		if p.Name() == "" {
 			t.Fatal("policy without a name")
 		}
@@ -248,11 +260,11 @@ func TestLiveShortestWaitUsesQueueState(t *testing.T) {
 		})
 	}
 	f := NewFleetInfo(cfg)
-	userChoice, _, err := EvaluateOnline(cfg, specs, LiveUserChoice{}, f)
+	userChoice, _, err := EvaluateOnline(cfg, specs, UserChoice{}, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	balanced, tr, err := EvaluateOnline(cfg, specs, LiveShortestWait{}, f)
+	balanced, tr, err := EvaluateOnline(cfg, specs, PredictedWait{}, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +294,7 @@ func TestSummaryFidelityFromJobRecords(t *testing.T) {
 			BatchSize: 4, Shots: 1024, CircuitName: "ladder", Width: 4, CXTotal: 400},
 	}
 	f := NewFleetInfo(cfg)
-	sum, tr, err := EvaluateOnline(cfg, specs, LiveUserChoice{}, f)
+	sum, tr, err := EvaluateOnline(cfg, specs, UserChoice{}, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,11 +324,11 @@ func TestOnlinePlacementBeatsUserChoice(t *testing.T) {
 	cfg := schedConfig(12)
 	specs := schedWorkload(12)
 	f := NewFleetInfo(cfg)
-	base, _, err := EvaluateOnline(cfg, specs, LiveUserChoice{}, f)
+	base, _, err := EvaluateOnline(cfg, specs, UserChoice{}, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, _, err := EvaluateOnline(cfg, specs, LiveShortestWait{}, f)
+	live, _, err := EvaluateOnline(cfg, specs, PredictedWait{}, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +349,7 @@ func TestWaitBoundsCoverActualWaits(t *testing.T) {
 		t.Fatal(err)
 	}
 	specs := schedWorkload(7)
-	tr, err := cloud.Simulate(cfg, specs)
+	_, tr, err := Evaluate(cfg, specs, UserChoice{}, e)
 	if err != nil {
 		t.Fatal(err)
 	}
