@@ -229,11 +229,11 @@ func cheapest(spec *cloud.JobSpec, cands []*backend.Machine, v View, cost func(*
 func waitCost(_ *backend.Machine, r Reading) float64 { return r.WaitSeconds }
 
 // upWaitCost is waitCost that skips machines that are down.
-func upWaitCost(m *backend.Machine, r Reading) float64 {
+func upWaitCost(_ *backend.Machine, r Reading) float64 {
 	if r.Down {
 		return math.Inf(1)
 	}
-	return waitCost(m, r)
+	return r.WaitSeconds
 }
 
 // UserChoice is the baseline: whatever machine the user picked.
