@@ -77,7 +77,7 @@ type Broker struct {
 	sess     *cloud.Session
 	cfg      Config
 	machines []*backend.Machine
-	machIdx  map[string]int
+	fleet    cloud.FleetIndex
 
 	queues []*queueState // declaration order, ledger-indexed
 	byName map[string]*queueState
@@ -131,10 +131,7 @@ func Open(ccfg cloud.Config, tcfg Config) (*Broker, error) {
 	}
 	b.sess = sess
 	b.machines = sess.Machines()
-	b.machIdx = make(map[string]int, len(b.machines))
-	for i, m := range b.machines {
-		b.machIdx[m.Name] = i
-	}
+	b.fleet = cloud.IndexFleet(ccfg)
 	b.perMach = make([]machBuf, len(b.machines))
 	b.machQueued = make([]int, len(b.machines))
 	b.machAdmitted = make([][]*Job, len(b.machines))
@@ -171,16 +168,18 @@ func (b *Broker) sink(machine int, spec *cloud.JobSpec, job *trace.Job) {
 
 // Submit enters a tenant job into its queue's backlog. The spec's
 // SubmitTime is the arrival instant and must not lie behind the
-// broker's frontier; the target machine must exist in the fleet.
+// broker's frontier, and the session must be able to run the spec (the
+// FleetIndex.Check that Session.Submit applies): a spec it would refuse
+// at admission is refused here instead of wedging its queue's head.
 func (b *Broker) Submit(queue string, spec *cloud.JobSpec) (*Job, error) {
 	q := b.byName[queue]
 	if q == nil {
 		return nil, fmt.Errorf("tenant: unknown queue %q", queue)
 	}
-	mi, ok := b.machIdx[spec.Machine]
-	if !ok {
-		return nil, fmt.Errorf("tenant: job targets unknown machine %q", spec.Machine)
+	if err := b.fleet.Check(spec); err != nil {
+		return nil, err
 	}
+	mi := b.fleet[spec.Machine]
 	arrive := b.toSec(spec.SubmitTime)
 	if arrive < b.nowSec {
 		return nil, fmt.Errorf("tenant: submission at %s is behind the broker frontier %s",

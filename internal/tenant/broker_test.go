@@ -164,6 +164,42 @@ func inversionScenario(t *testing.T) (tenant.Config, []tenant.Submission) {
 	return tcfg, subs
 }
 
+// TestBrokerSubmitRefusesUnrunnableSpec: a spec the session would
+// refuse at admission (no shots, no circuits, no such machine) is
+// refused by Broker.Submit, so it cannot sit at the head of its queue
+// failing every later tick; a valid stream then plays and runs.
+func TestBrokerSubmitRefusesUnrunnableSpec(t *testing.T) {
+	tcfg, subs := inversionScenario(t)
+	b, err := tenant.Open(btConfig(t, 13, 2), tcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		mutate func(*cloud.JobSpec)
+	}{
+		{"shots 0", func(s *cloud.JobSpec) { s.Shots = 0 }},
+		{"batch 0", func(s *cloud.JobSpec) { s.BatchSize = 0 }},
+		{"unknown machine", func(s *cloud.JobSpec) { s.Machine = "ibmq_nowhere" }},
+	} {
+		bad := *subs[0].Spec
+		c.mutate(&bad)
+		if _, err := b.Submit(subs[0].Queue, &bad); err == nil {
+			t.Fatalf("%s: Submit accepted a spec the session cannot run", c.name)
+		}
+	}
+	if err := b.Play(subs); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := b.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Jobs) == 0 {
+		t.Fatal("the valid stream ran no jobs")
+	}
+}
+
 // TestPreemptionBoundsPriorityWait is the A/B acceptance check: with
 // preemption on, the high-priority queue's mean release-to-start wait
 // drops well below the no-preemption run, at nonzero preemption count,
@@ -212,8 +248,8 @@ func TestPreemptReasonDistinct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, err := b.Session().Observe(cloud.EventFilter{})
-	if err != nil {
+	var events []cloud.Event
+	if err := b.Session().Observe(func(ev cloud.Event) { events = append(events, ev) }); err != nil {
 		t.Fatal(err)
 	}
 	// One explicit user cancel for contrast: a direct session
@@ -238,7 +274,7 @@ func TestPreemptReasonDistinct(t *testing.T) {
 	reasons := make(map[cloud.CancelReason]int)
 	enqueued := make(map[*cloud.JobHandle]bool)
 	preEnqueueCancels := 0
-	for ev := range events {
+	for _, ev := range events {
 		counts[ev.Kind]++
 		switch ev.Kind {
 		case cloud.EventEnqueue:
