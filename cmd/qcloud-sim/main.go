@@ -126,7 +126,7 @@ func main() {
 	} else if sess, err = cloud.Open(cfg); err != nil {
 		log.Fatal(err)
 	}
-	var tallied <-chan map[cloud.EventKind]int64
+	var tallied map[cloud.EventKind]int64
 	if *events {
 		tallied = tallyEvents(sess)
 	}
@@ -148,7 +148,7 @@ func main() {
 
 	writeOutputs(tr, *csvPath, *jsPath)
 	if *events {
-		printEventTally(<-tallied)
+		printEventTally(tallied)
 	}
 	if *quiet {
 		return
@@ -180,23 +180,14 @@ func writeFile(path string, write func(io.Writer) error) {
 	}
 }
 
-// tallyEvents counts the session's events by kind from its observation
-// stream while the fleet advances. The totals arrive on the returned
-// channel once the session has ended and closed the stream.
-func tallyEvents(sess *cloud.Session) <-chan map[cloud.EventKind]int64 {
-	stream, err := sess.Observe(cloud.EventFilter{})
-	if err != nil {
+// tallyEvents counts the session's events by kind as the fleet
+// advances. The counts are complete once the session's Run returns.
+func tallyEvents(sess *cloud.Session) map[cloud.EventKind]int64 {
+	counts := make(map[cloud.EventKind]int64)
+	if err := sess.Observe(func(ev cloud.Event) { counts[ev.Kind]++ }); err != nil {
 		log.Fatal(err)
 	}
-	tallied := make(chan map[cloud.EventKind]int64, 1)
-	go func() {
-		counts := make(map[cloud.EventKind]int64)
-		for ev := range stream {
-			counts[ev.Kind]++
-		}
-		tallied <- counts
-	}()
-	return tallied
+	return counts
 }
 
 func printEventTally(counts map[cloud.EventKind]int64) {
@@ -257,7 +248,7 @@ func runTenants(cfg cloud.Config, scenario string, tenantCount, jobs int, preemp
 	if err != nil {
 		log.Fatal(err)
 	}
-	var tallied <-chan map[cloud.EventKind]int64
+	var tallied map[cloud.EventKind]int64
 	if events {
 		tallied = tallyEvents(b.Session())
 	}
@@ -270,7 +261,7 @@ func runTenants(cfg cloud.Config, scenario string, tenantCount, jobs int, preemp
 	}
 	writeOutputs(tr, csvPath, jsPath)
 	if events {
-		printEventTally(<-tallied)
+		printEventTally(tallied)
 	}
 	if quiet {
 		return

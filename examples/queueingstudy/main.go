@@ -51,26 +51,20 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		// Watch our own jobs' terminal events while the session runs.
-		done := make(chan [2]int, 1)
-		events, err := sess.Observe(cloud.EventFilter{
-			StudyOnly: true,
-			Kinds:     []cloud.EventKind{cloud.EventDone, cloud.EventError, cloud.EventCancel},
+		// Count our own jobs' terminal events while the session runs.
+		finished, cancelled := 0, 0
+		err = sess.Observe(func(ev cloud.Event) {
+			switch {
+			case ev.Background:
+			case ev.Kind == cloud.EventCancel:
+				cancelled++
+			case ev.Kind == cloud.EventDone, ev.Kind == cloud.EventError:
+				finished++
+			}
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		go func() {
-			finished, cancelled := 0, 0
-			for ev := range events {
-				if ev.Kind == cloud.EventCancel {
-					cancelled++
-				} else {
-					finished++
-				}
-			}
-			done <- [2]int{finished, cancelled}
-		}()
 		// Drip each day's submissions in as the session reaches it —
 		// mid-run submission, not an up-front batch.
 		for day := 0; day < 7; day++ {
@@ -97,7 +91,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		counts := <-done
 		var perJob, perCirc, exec []float64
 		for _, j := range tr.Jobs {
 			if j.Status == trace.StatusCancelled {
@@ -109,7 +102,7 @@ func main() {
 			exec = append(exec, j.ExecSeconds()/60)
 		}
 		fmt.Printf("%-28s %8d %16.1f %20.4f %14.1f %9d\n",
-			s.name, counts[0], stats.Median(perJob), stats.Median(perCirc), stats.Median(exec), counts[1])
+			s.name, finished, stats.Median(perJob), stats.Median(perCirc), stats.Median(exec), cancelled)
 	}
 	fmt.Println("\nLarger batches pay the queue once for the whole batch: per-circuit")
 	fmt.Println("queuing collapses, exactly the Fig 11 effect the paper reports.")

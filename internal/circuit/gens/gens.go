@@ -337,28 +337,3 @@ func Teleport(theta, phi float64) *circuit.Circuit {
 	c.Measure(2, 0)
 	return c
 }
-
-// ApproxQFT returns the approximate QFT: controlled-phase rotations
-// smaller than pi/2^(degree-1) are dropped, cutting the gate count from
-// O(n^2) to O(n*degree) with negligible fidelity loss for degree ~
-// log2(n). This is the kind of "appropriate optimization threshold"
-// §III-E.2 recommends for keeping compilation tractable at 1000 qubits.
-//
-//qcloud:keep no binary builds it; it goes with its two gens_test.go tests in the next sweep (ROADMAP item 5)
-func ApproxQFT(n, degree int) *circuit.Circuit {
-	if degree < 1 {
-		degree = 1
-	}
-	c := circuit.New(fmt.Sprintf("aqft%d_d%d", n, degree), n)
-	for i := 0; i < n; i++ {
-		c.H(i)
-		for j := i + 1; j < n && j-i < degree; j++ {
-			c.CPhase(j, i, math.Pi/math.Pow(2, float64(j-i)))
-		}
-	}
-	for i := 0; i < n/2; i++ {
-		c.SWAP(i, n-1-i)
-	}
-	c.MeasureAll()
-	return c
-}

@@ -140,30 +140,3 @@ func TestRandomTwoQubitFraction(t *testing.T) {
 		t.Fatal("twoQubitFrac=0 should yield no CX")
 	}
 }
-
-func TestApproxQFTFullDegreeEqualsQFT(t *testing.T) {
-	n := 6
-	full := ApproxQFT(n, n)
-	exact := QFT(n)
-	if full.GateCounts()["cp"] != exact.GateCounts()["cp"] {
-		t.Fatalf("AQFT(n,n) cp = %d, QFT cp = %d",
-			full.GateCounts()["cp"], exact.GateCounts()["cp"])
-	}
-}
-
-func TestApproxQFTLinearScaling(t *testing.T) {
-	n := 64
-	approx := ApproxQFT(n, 6)
-	exact := QFT(n)
-	ac, ec := approx.GateCounts()["cp"], exact.GateCounts()["cp"]
-	if ac >= ec/4 {
-		t.Fatalf("AQFT should cut rotations drastically: %d vs %d", ac, ec)
-	}
-	// O(n*degree): exactly sum over i of min(degree-1, n-1-i).
-	if ac > n*6 {
-		t.Fatalf("AQFT cp count %d exceeds n*degree", ac)
-	}
-	if ApproxQFT(4, 0).GateCounts()["cp"] != 0 {
-		t.Fatal("degree<=1 keeps no controlled rotations")
-	}
-}

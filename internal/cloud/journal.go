@@ -356,7 +356,8 @@ func (s *Session) HeldTraceEntries() int {
 // fleet at the checkpoint cadence, finalizing, and sealing every
 // stream — without materializing the trace in memory. This is the
 // constant-memory path for million-job sessions: consume events
-// through Observe while it runs, and read the trace back later with
+// through an Observe callback while it runs (every call has returned
+// when DrainJournal does), and read the trace back later with
 // ReadJournalTrace if needed. The session is closed when it returns.
 func (s *Session) DrainJournal() (JournalStats, error) {
 	if s.closed {

@@ -2,6 +2,7 @@ package cloud_test
 
 import (
 	"bytes"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -273,8 +274,8 @@ func TestRetryBackoffRecoveryProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		events, err := sess.Observe(cloud.EventFilter{})
-		if err != nil {
+		var events []cloud.Event
+		if err := sess.Observe(func(ev cloud.Event) { events = append(events, ev) }); err != nil {
 			t.Fatal(err)
 		}
 		base := sessWindow.start.Add(24 * time.Hour)
@@ -292,7 +293,7 @@ func TestRetryBackoffRecoveryProperty(t *testing.T) {
 		counts := make(map[cloud.EventKind]int)
 		attempts := make(map[*cloud.JobHandle]int)
 		maxDelay := time.Duration(float64(policy.MaxBackoff))
-		for ev := range events {
+		for _, ev := range events {
 			counts[ev.Kind]++
 			switch ev.Kind {
 			case cloud.EventRetry:
@@ -347,8 +348,8 @@ func TestFaultOutageEventsConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, err := sess.Observe(cloud.EventFilter{})
-	if err != nil {
+	var events []cloud.Event
+	if err := sess.Observe(func(ev cloud.Event) { events = append(events, ev) }); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range faultSpecs(31) {
@@ -362,7 +363,7 @@ func TestFaultOutageEventsConservation(t *testing.T) {
 	counts := make(map[cloud.EventKind]int)
 	downs := make(map[string]int)
 	ups := make(map[string]int)
-	for ev := range events {
+	for _, ev := range events {
 		counts[ev.Kind]++
 		switch ev.Kind {
 		case cloud.EventMachineDown:
@@ -393,16 +394,98 @@ func TestFaultOutageEventsConservation(t *testing.T) {
 	}
 }
 
+// TestSessionObserveInLine pins the Observe contract on a faulted
+// multi-machine session at four workers: callbacks never overlap, each
+// has returned by the time AdvanceTo returns, every machine's events
+// arrive in the order a serial run emits them, and the conservation
+// laws hold.
+func TestSessionObserveInLine(t *testing.T) {
+	type step struct {
+		Kind    cloud.EventKind
+		Time    time.Time
+		Attempt int
+	}
+	run := func(workers int) (map[string][]step, map[cloud.EventKind]int) {
+		sess, err := cloud.Open(faultConfig(31, workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var inFlight atomic.Int32
+		var overlapped atomic.Bool
+		seqs := make(map[string][]step)
+		counts := make(map[cloud.EventKind]int)
+		err = sess.Observe(func(ev cloud.Event) {
+			if inFlight.Add(1) != 1 {
+				overlapped.Store(true)
+			}
+			seqs[ev.Machine] = append(seqs[ev.Machine], step{ev.Kind, ev.Time, ev.Attempt})
+			counts[ev.Kind]++
+			inFlight.Add(-1)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range faultSpecs(31) {
+			if _, err := sess.SubmitRetried(s, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for at := sessWindow.start; at.Before(sessWindow.end); at = at.AddDate(0, 0, 7) {
+			sess.AdvanceTo(at)
+			if n := inFlight.Load(); n != 0 {
+				t.Fatalf("workers=%d: %d callbacks still running after AdvanceTo returned", workers, n)
+			}
+		}
+		if _, err := sess.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if overlapped.Load() {
+			t.Fatalf("workers=%d: an Observe callback was entered while another was running", workers)
+		}
+		return seqs, counts
+	}
+	want, _ := run(1)
+	got, counts := run(4)
+	if len(got) != len(want) {
+		t.Fatalf("events from %d machines at 4 workers, %d serially", len(got), len(want))
+	}
+	for m, seq := range want {
+		g := got[m]
+		if len(g) != len(seq) {
+			t.Fatalf("machine %s: %d events at 4 workers, %d serially", m, len(g), len(seq))
+		}
+		for i := range seq {
+			if g[i].Kind != seq[i].Kind || !g[i].Time.Equal(seq[i].Time) || g[i].Attempt != seq[i].Attempt {
+				t.Fatalf("machine %s event %d: %+v at 4 workers, %+v serially", m, i, g[i], seq[i])
+			}
+		}
+	}
+	if counts[cloud.EventRetry] == 0 || counts[cloud.EventMachineDown] == 0 {
+		t.Fatal("chaos profile produced no retries or no outages")
+	}
+	if got, want := counts[cloud.EventEnqueue], counts[cloud.EventStart]+counts[cloud.EventCancel]; got != want {
+		t.Fatalf("enqueue ≡ start+cancel broken: %d vs %d", got, want)
+	}
+	if got, want := counts[cloud.EventStart], counts[cloud.EventDone]+counts[cloud.EventError]+counts[cloud.EventRetry]; got != want {
+		t.Fatalf("start ≡ done+error+retry broken: %d vs %d", got, want)
+	}
+	if counts[cloud.EventRequeue] != counts[cloud.EventRetry] {
+		t.Fatalf("retry ≡ requeue broken: %d vs %d", counts[cloud.EventRetry], counts[cloud.EventRequeue])
+	}
+	if counts[cloud.EventMachineDown] != counts[cloud.EventMachineUp] {
+		t.Fatalf("machine-down ≡ machine-up broken: %d vs %d", counts[cloud.EventMachineDown], counts[cloud.EventMachineUp])
+	}
+}
+
 // TestSessionCloseHardened pins the close-twice and use-after-close
-// semantics: sentinel errors everywhere, no panics on the cond-pumped
-// observer buffers.
+// semantics: sentinel errors everywhere, no panics with an observer
+// attached.
 func TestSessionCloseHardened(t *testing.T) {
 	sess, err := cloud.Open(quietConfig(2, "ibmq_rome"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, err := sess.Observe(cloud.EventFilter{})
-	if err != nil {
+	if err := sess.Observe(func(cloud.Event) {}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sess.Close(); err != nil {
@@ -411,10 +494,7 @@ func TestSessionCloseHardened(t *testing.T) {
 	if err := sess.Close(); err != cloud.ErrSessionClosed {
 		t.Fatalf("second close: err = %v, want ErrSessionClosed", err)
 	}
-	if _, ok := <-events; ok {
-		t.Fatal("observer channel should drain and close after Close")
-	}
-	if _, err := sess.Observe(cloud.EventFilter{}); err != cloud.ErrSessionClosed {
+	if err := sess.Observe(func(cloud.Event) {}); err != cloud.ErrSessionClosed {
 		t.Fatalf("observe after close: err = %v, want ErrSessionClosed", err)
 	}
 	if _, err := sess.Submit(quietSpec(0, "ibmq_rome", sessWindow.start)); err != cloud.ErrSessionClosed {
@@ -422,40 +502,5 @@ func TestSessionCloseHardened(t *testing.T) {
 	}
 	if _, err := sess.Run(); err != cloud.ErrSessionClosed {
 		t.Fatalf("run after close: err = %v, want ErrSessionClosed", err)
-	}
-}
-
-// TestEventFilterEmptyVsNil pins the satellite fix: a nil Kinds slice
-// subscribes to everything, an explicitly empty one to nothing.
-func TestEventFilterEmptyVsNil(t *testing.T) {
-	run := func(f cloud.EventFilter) int {
-		sess, err := cloud.Open(quietConfig(3, "ibmq_rome"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		events, err := sess.Observe(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base := sessWindow.start.Add(24 * time.Hour)
-		for i := 0; i < 10; i++ {
-			if _, err := sess.Submit(quietSpec(i, "ibmq_rome", base.Add(time.Duration(i)*time.Hour))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := sess.Run(); err != nil {
-			t.Fatal(err)
-		}
-		n := 0
-		for range events {
-			n++
-		}
-		return n
-	}
-	if n := run(cloud.EventFilter{Kinds: nil}); n == 0 {
-		t.Fatal("nil Kinds must subscribe to every kind")
-	}
-	if n := run(cloud.EventFilter{Kinds: []cloud.EventKind{}}); n != 0 {
-		t.Fatalf("empty non-nil Kinds matched %d events, want none", n)
 	}
 }

@@ -93,19 +93,6 @@ type Event struct {
 	Reason CancelReason
 }
 
-// EventFilter selects which events an observer receives. Nil slices
-// mean "everything"; an explicitly empty (non-nil) slice matches
-// nothing. The distinction matters to callers that build filters
-// programmatically: appending zero kinds to an allocated slice must
-// not silently subscribe to the whole stream.
-type EventFilter struct {
-	// Kinds restricts to the listed kinds (nil = all kinds, empty
-	// non-nil = none).
-	Kinds []EventKind
-	// StudyOnly drops background-population events.
-	StudyOnly bool
-}
-
 // JobHandle identifies a study job submitted to a session; it is the
 // token Cancel takes and the correlation key events carry.
 type JobHandle struct {
@@ -165,8 +152,8 @@ func (q QueueSnapshot) EstimatedWaitSeconds() float64 {
 //
 // A Session is driven from one goroutine: Submit/Cancel/AdvanceTo/
 // QueueState/Run must not be called concurrently with each other.
-// Event channels returned by Observe deliver asynchronously and may be
-// consumed from any goroutine.
+// Observe callbacks run in line on the advancing goroutines, one at a
+// time, and must not call back into the session.
 type Session struct {
 	cfg  Config
 	sims []*machineSim
@@ -177,7 +164,7 @@ type Session struct {
 	order []int
 
 	obsMu     sync.Mutex
-	observers []*observer
+	observers []func(Event)
 	hasObs    atomic.Bool
 	closed    bool
 
@@ -405,25 +392,24 @@ func (s *Session) QueueState(machine string) (QueueSnapshot, error) {
 	return ms.snapshot(), nil
 }
 
-// Observe subscribes to the session's event stream. The returned
-// channel delivers events matching the filter without ever blocking
-// the simulation (delivery is buffered and pumped asynchronously) and
-// closes once the session ends and the backlog has drained. Observing
-// a closed session returns ErrSessionClosed.
-func (s *Session) Observe(f EventFilter) (<-chan Event, error) {
-	o := newObserver(f)
+// Observe attaches fn to the session's event stream. Events are
+// delivered in line: fn runs on the goroutine advancing the event's
+// machine, under the session's observer lock, so calls never overlap,
+// each machine's events arrive in the order it emitted them, and every
+// call has returned by the time AdvanceTo, Run or DrainJournal
+// returns. Events from different machines interleave in no fixed
+// order. fn must not call the session, and it stalls the simulation
+// for as long as it runs. Observing a closed session returns
+// ErrSessionClosed.
+func (s *Session) Observe(fn func(Event)) error {
 	s.obsMu.Lock()
-	closed := s.closed
-	if !closed {
-		s.observers = append(s.observers, o)
+	defer s.obsMu.Unlock()
+	if s.closed {
+		return ErrSessionClosed
 	}
-	s.obsMu.Unlock()
-	if closed {
-		return nil, ErrSessionClosed
-	}
+	s.observers = append(s.observers, fn)
 	s.hasObs.Store(true)
-	go o.pump()
-	return o.ch, nil
+	return nil
 }
 
 // Run advances every machine to the end of the window, assembles the
@@ -466,11 +452,10 @@ func (s *Session) Run() (*trace.Trace, error) {
 	return out, nil
 }
 
-// Close releases the session: further calls fail, and observer
-// channels close once their backlog drains. Closing a session that is
-// already closed (Run closes implicitly) is safe — it touches nothing
-// and reports ErrSessionClosed so misuse is visible without
-// panicking on the cond-pumped observer buffers.
+// Close releases the session: further calls fail and observers are
+// detached. Closing a session that is already closed (Run closes
+// implicitly) is safe — it touches nothing and reports
+// ErrSessionClosed so misuse is visible.
 func (s *Session) Close() error {
 	s.obsMu.Lock()
 	if s.closed {
@@ -478,29 +463,22 @@ func (s *Session) Close() error {
 		return ErrSessionClosed
 	}
 	s.closed = true
-	obs := s.observers
 	s.observers = nil
 	s.obsMu.Unlock()
-	for _, o := range obs {
-		o.finish()
-	}
 	if s.jr != nil {
 		return s.jr.close()
 	}
 	return nil
 }
 
-// dispatch fans an event out to matching observers. Machines advance
-// in parallel, so this is the only cross-machine synchronization point
-// — and it is only reached when at least one observer is attached.
+// dispatch hands an event to every observer. Machines advance in
+// parallel, so this is the only cross-machine synchronization point —
+// and it is only reached when at least one observer is attached.
 func (s *Session) dispatch(ev Event) {
 	s.obsMu.Lock()
-	obs := s.observers
-	s.obsMu.Unlock()
-	for _, o := range obs {
-		if o.matches(ev) {
-			o.send(ev)
-		}
+	defer s.obsMu.Unlock()
+	for _, fn := range s.observers {
+		fn(ev)
 	}
 }
 
@@ -512,87 +490,3 @@ var ErrSessionClosed = errors.New("cloud: session is closed")
 // rejection: the job was NOT accepted, and the client may retry
 // (errors.Is-matchable; SubmitRetried does this automatically).
 var ErrTransientSubmit = errors.New("cloud: transient submit failure")
-
-// observer buffers matched events and pumps them to its channel from a
-// dedicated goroutine, so a slow (or absent) consumer can never stall
-// the simulation.
-type observer struct {
-	kinds map[EventKind]bool
-	study bool
-	ch    chan Event
-
-	mu   sync.Mutex
-	cond *sync.Cond
-	buf  []Event
-	done bool
-}
-
-func newObserver(f EventFilter) *observer {
-	o := &observer{study: f.StudyOnly, ch: make(chan Event, 64)}
-	// A non-nil slice builds a restriction map even when empty: an
-	// empty non-nil filter matches nothing, only nil means "all".
-	if f.Kinds != nil {
-		o.kinds = make(map[EventKind]bool, len(f.Kinds))
-		for _, k := range f.Kinds {
-			o.kinds[k] = true
-		}
-	}
-	o.cond = sync.NewCond(&o.mu)
-	return o
-}
-
-func (o *observer) matches(ev Event) bool {
-	if o.study && ev.Background {
-		return false
-	}
-	if o.kinds != nil && !o.kinds[ev.Kind] {
-		return false
-	}
-	return true
-}
-
-func (o *observer) send(ev Event) {
-	o.mu.Lock()
-	o.buf = append(o.buf, ev)
-	o.mu.Unlock()
-	o.cond.Signal()
-}
-
-func (o *observer) finish() {
-	o.mu.Lock()
-	o.done = true
-	o.mu.Unlock()
-	o.cond.Broadcast()
-}
-
-// pump is the session's owned event-delivery goroutine: it drains the
-// observer's cond-pumped buffer into the subscriber channel so a slow
-// consumer can never stall the sim. Delivery order within a machine is
-// the advance loop's emission order (dispatch appends under the buffer
-// lock); cross-machine interleaving is unordered by design.
-//
-//qcloud:eventowner
-func (o *observer) pump() {
-	for {
-		o.mu.Lock()
-		for len(o.buf) == 0 && !o.done {
-			o.cond.Wait()
-		}
-		batch := o.buf
-		o.buf = nil
-		done := o.done
-		o.mu.Unlock()
-		for _, ev := range batch {
-			o.ch <- ev
-		}
-		if done {
-			o.mu.Lock()
-			drained := len(o.buf) == 0
-			o.mu.Unlock()
-			if drained {
-				close(o.ch)
-				return
-			}
-		}
-	}
-}

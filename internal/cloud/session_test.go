@@ -357,7 +357,12 @@ func TestSessionObserveEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, err := sess.Observe(cloud.EventFilter{StudyOnly: true})
+	var events []cloud.Event
+	err = sess.Observe(func(ev cloud.Event) {
+		if !ev.Background {
+			events = append(events, ev)
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +378,7 @@ func TestSessionObserveEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := make(map[cloud.EventKind]int)
-	for ev := range events { // closes after Run drains the backlog
+	for _, ev := range events { // every call has returned with Run
 		if ev.Machine != "ibmq_rome" {
 			t.Fatalf("unexpected machine %q in filtered stream", ev.Machine)
 		}
@@ -402,7 +407,7 @@ func TestSessionObserveEvents(t *testing.T) {
 	}
 	// Observing a closed session reports the sentinel instead of
 	// silently subscribing to nothing.
-	if _, err := sess.Observe(cloud.EventFilter{}); err != cloud.ErrSessionClosed {
+	if err := sess.Observe(func(cloud.Event) {}); err != cloud.ErrSessionClosed {
 		t.Fatalf("observe after close: err = %v, want ErrSessionClosed", err)
 	}
 }
@@ -423,7 +428,12 @@ func TestSessionObserveBackgroundStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, err := sess.Observe(cloud.EventFilter{Kinds: []cloud.EventKind{cloud.EventEnqueue, cloud.EventPendingSample}})
+	var events []cloud.Event
+	err = sess.Observe(func(ev cloud.Event) {
+		if ev.Kind == cloud.EventEnqueue || ev.Kind == cloud.EventPendingSample {
+			events = append(events, ev)
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +441,7 @@ func TestSessionObserveBackgroundStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	bg, samples := 0, 0
-	for ev := range events {
+	for _, ev := range events {
 		switch {
 		case ev.Kind == cloud.EventPendingSample:
 			samples++

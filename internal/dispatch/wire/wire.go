@@ -14,9 +14,9 @@
 // internal/dispatch and is deliberately outside that scope.
 //
 // The event taxonomy is cloud.EventKind verbatim: a dispatcher event
-// stream is read with the same vocabulary as an in-process
-// Session.Observe stream (enqueue, start, done, error, cancel, retry,
-// requeue). Likewise a Spec's trace plane is cloud.JobSpec itself: its
+// stream is read with the same vocabulary as the events an in-process
+// Session.Observe callback receives (enqueue, start, done, error,
+// cancel, retry, requeue). Likewise a Spec's trace plane is cloud.JobSpec itself: its
 // JSON tags and, after the submit instant, its WAL field list
 // (cloud.AppendJobSpecFields) are the session's.
 package wire

@@ -19,7 +19,8 @@
 // goroutine, all decisions are pure functions of simulated time and
 // the seed, and completion accounting arrives through the session's
 // synchronous RecordSink (per-machine buffers merged in a fixed
-// order) — never through the asynchronous Observe stream. A
+// order) — never through Observe callbacks, whose machines interleave
+// in no fixed order. A
 // multi-tenant run is therefore bit-identical at any worker count,
 // like everything else in this repo.
 package tenant
