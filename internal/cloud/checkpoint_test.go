@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"os"
@@ -84,6 +85,25 @@ func TestCheckpointBytesIdenticalAcrossWorkers(t *testing.T) {
 		if again := ckptFile(t, back); !bytes.Equal(again, got) {
 			t.Fatalf("workers=%d: write → read → write changed the file (%d vs %d bytes)", workers, len(again), len(got))
 		}
+	}
+}
+
+// TestCheckpointFileGolden pins the serial checkpoint file of
+// ckptScenario: withdrawn specs, a queued study job, pending retries
+// and spent retry budgets, all written in their fixed order. A moved
+// hash is a layout or state change, and the version byte must move
+// with it.
+func TestCheckpointFileGolden(t *testing.T) {
+	s, _ := ckptScenario(t, 1)
+	defer s.Close()
+	ck, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := ckptFile(t, ck)
+	const golden = "58a4c3f8839c8125f2aed8309c19df979588d7644e6e25cb29aa6e1fc3af5de0"
+	if got := fmt.Sprintf("%x", sha256.Sum256(file)); got != golden {
+		t.Fatalf("checkpoint file (%d bytes) hashes to %s, want %s", len(file), got, golden)
 	}
 }
 

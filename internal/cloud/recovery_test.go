@@ -2,6 +2,8 @@ package cloud_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -503,4 +505,105 @@ func TestSessionCloseHardened(t *testing.T) {
 	if _, err := sess.Run(); err != cloud.ErrSessionClosed {
 		t.Fatalf("run after close: err = %v, want ErrSessionClosed", err)
 	}
+}
+
+// TestSessionEventStreamGolden pins each machine's event stream of a
+// faulted session whose study jobs end every way a job can: done,
+// error, retried, and cancelled by the user (before admission and while
+// queued), by patience and by the window closing. Every event's kind,
+// instant, background flag, queue length, attempt, cancel reason,
+// whether it carries a handle, and the ID its trace record ends up with
+// goes into the machine's SHA-256. If a hash moves, the order or the
+// content of the stream changed.
+func TestSessionEventStreamGolden(t *testing.T) {
+	cfg := faultConfig(31, 2)
+	sess, err := cloud.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := make(map[string][]cloud.Event)
+	if err := sess.Observe(func(ev cloud.Event) { events[ev.Machine] = append(events[ev.Machine], ev) }); err != nil {
+		t.Fatal(err)
+	}
+	specs := faultSpecs(31)
+	// Three jobs each machine cannot start before the window closes.
+	for i, m := range sessMachines() {
+		specs = append(specs, &cloud.JobSpec{
+			SubmitTime: sessWindow.end.Add(-time.Duration(i+1) * time.Minute),
+			User:       "late", Machine: m.Name, BatchSize: 4, Shots: 1024,
+			CircuitName: "qft", Width: 4, TotalDepth: 60, TotalGateOps: 200, CXTotal: 40, MemSlots: 4,
+		})
+	}
+	var handles []*cloud.JobHandle
+	for _, s := range specs {
+		h, err := sess.SubmitRetried(s, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles = append(handles, h)
+	}
+	// Every 9th job is withdrawn the first time a step finds it queued,
+	// every 13th the first time one finds it not yet admitted.
+	for at := sessWindow.start.Add(6 * time.Hour); at.Before(sessWindow.end); at = at.Add(6 * time.Hour) {
+		sess.AdvanceTo(at)
+		for i, h := range handles {
+			st, _ := sess.JobStatus(h)
+			if (i%9 == 0 && st == cloud.JobStateQueued) || (i%13 == 0 && st == cloud.JobStatePending) {
+				if err := sess.Cancel(h); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if _, err := sess.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	reasons := make(map[cloud.CancelReason]int)
+	enqueued := make(map[*cloud.JobHandle]bool)
+	var userQueued, userPending int
+	got := make(map[string]string)
+	for m, evs := range events {
+		h := sha256.New()
+		for _, ev := range evs {
+			var id int64
+			if ev.Job != nil {
+				id = ev.Job.ID
+			}
+			fmt.Fprintf(h, "%s|%d|%t|%d|%d|%s|%t|%d\n", ev.Kind, ev.Time.UnixNano(), ev.Background,
+				ev.Pending, ev.Attempt, ev.Reason, ev.Handle != nil, id)
+			switch {
+			case ev.Handle == nil:
+			case ev.Kind == cloud.EventEnqueue:
+				enqueued[ev.Handle] = true
+			case ev.Kind == cloud.EventCancel:
+				reasons[ev.Reason]++
+				if ev.Reason == cloud.CancelUser && enqueued[ev.Handle] {
+					userQueued++
+				} else if ev.Reason == cloud.CancelUser {
+					userPending++
+				}
+			}
+		}
+		got[m] = fmt.Sprintf("%x", h.Sum(nil))
+	}
+	for _, r := range []cloud.CancelReason{cloud.CancelUser, cloud.CancelPatience, cloud.CancelWindow} {
+		if reasons[r] == 0 {
+			t.Fatalf("no study job was cancelled with reason %q (study cancels by reason: %v)", r, reasons)
+		}
+	}
+	if userQueued == 0 || userPending == 0 {
+		t.Fatalf("user cancels: %d of queued jobs, %d before admission; want some of each", userQueued, userPending)
+	}
+	want := map[string]string{
+		"ibmq_athens":  "49cff53da632a712a58f82b4ae54e8333136401ec795d34bbd04548e7e413d43",
+		"ibmq_rome":    "1610d54838e49b4c71ee65c203a9bd709f0dfdefb3bbdca85af845354fd05e89",
+		"ibmq_toronto": "9aa0d7f0d9fc1fa436092bb2e5b99ce115db3b31f3d1f4c33e88e07501765924",
+	}
+	for m, w := range want {
+		if got[m] != w {
+			t.Errorf("%s: event stream hash %s, want %s", m, got[m], w)
+		}
+	}
+	t.Logf("study cancels by reason: %v; user cancels %d queued, %d before admission", reasons, userQueued, userPending)
 }
