@@ -288,7 +288,7 @@ func TestEnqueueOverwritesRecycledRecord(t *testing.T) {
 	ms := sess.sims[0]
 	spec := &JobSpec{User: "u"}
 	dirty := &queuedJob{
-		spec: spec, submit: 1, execSec: 2, patience: 3, priority: 4, seq: 5,
+		h: &JobHandle{spec: spec}, submit: 1, execSec: 2, patience: 3, priority: 4, seq: 5,
 		acct: &acct{}, user: "stale", id: 6, attempt: 7, pendingAtSubmit: 8,
 	}
 	ms.free = append(ms.free, dirty)

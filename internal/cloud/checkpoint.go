@@ -82,8 +82,8 @@ func (s *Session) Checkpoint() (*Checkpoint, error) {
 
 // appendCheckpoint appends the machine record: ms's state written
 // straight from its fields, in the order restore reads them. A pointer
-// to a spec becomes its position in the spec list, counted from 1 (0 =
-// a background job); the RNG is pinned by its draw count (construction
+// to a study job's handle becomes its position in the spec list,
+// counted from 1 (0 = a background job); the RNG is pinned by its draw count (construction
 // replays deterministically, then restore fast-forwards the source).
 // Every list goes in an order the state fixes, so two sessions at one
 // frontier write the same bytes whatever their worker counts.
@@ -116,22 +116,21 @@ func (ms *machineSim) appendCheckpoint(buf []byte) []byte {
 	buf = journal.AppendFloat64(buf, ms.bg.nextAt)
 	buf = journal.AppendBool(buf, ms.bg.exhausted)
 
-	// Each spec carries its own terminal-record and pending-withdrawal
-	// marks, so the spec-keyed maps are walked through the ordered spec
-	// slice (specs removed by a pre-admission cancel were recorded
+	// Each study job goes as its spec and the state its handle holds:
+	// the terminal-record mark, then the withdrawal with its instant and
+	// reason (jobs removed by a pre-admission cancel were recorded
 	// immediately and are unreachable after a restore; dropping them is
 	// safe). specRef[nil] is the 0 of a background job.
-	specRef := make(map[*JobSpec]uint64, len(ms.specs))
+	specRef := make(map[*JobHandle]uint64, len(ms.specs))
 	buf = binary.AppendUvarint(buf, uint64(len(ms.specs)))
-	for i, sp := range ms.specs {
-		specRef[sp] = uint64(i) + 1
-		buf = appendJobSpec(buf, sp)
-		buf = journal.AppendBool(buf, ms.recorded[sp])
-		at, cancelled := ms.cancelledAt[sp]
-		buf = journal.AppendBool(buf, cancelled)
-		if cancelled {
-			buf = journal.AppendFloat64(buf, at)
-			buf = journal.AppendString(buf, string(ms.cancelReason[sp]))
+	for i, h := range ms.specs {
+		specRef[h] = uint64(i) + 1
+		buf = appendJobSpec(buf, h.spec)
+		buf = journal.AppendBool(buf, h.recorded)
+		buf = journal.AppendBool(buf, h.withdrawn)
+		if h.withdrawn {
+			buf = journal.AppendFloat64(buf, h.cancelAt)
+			buf = journal.AppendString(buf, string(h.reason))
 		}
 	}
 	buf = binary.AppendVarint(buf, int64(ms.specIdx))
@@ -166,7 +165,7 @@ func (ms *machineSim) appendCheckpoint(buf []byte) []byte {
 	// retries in their (at, id) order.
 	buf = binary.AppendUvarint(buf, uint64(len(ms.queue)))
 	for _, q := range ms.queue {
-		buf = binary.AppendUvarint(buf, specRef[q.spec])
+		buf = binary.AppendUvarint(buf, specRef[q.h])
 		buf = journal.AppendFloat64(buf, q.submit)
 		buf = journal.AppendFloat64(buf, q.execSec)
 		buf = journal.AppendFloat64(buf, q.patience)
@@ -180,7 +179,7 @@ func (ms *machineSim) appendCheckpoint(buf []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(ms.retries)))
 	for i := range ms.retries {
 		rt := &ms.retries[i]
-		buf = binary.AppendUvarint(buf, specRef[rt.spec])
+		buf = binary.AppendUvarint(buf, specRef[rt.h])
 		buf = journal.AppendFloat64(buf, rt.at)
 		buf = journal.AppendFloat64(buf, rt.execSec)
 		buf = journal.AppendFloat64(buf, rt.patience)
@@ -273,22 +272,19 @@ func (ms *machineSim) restore(d *journal.RecordReader) error {
 	ms.bg.nextAt = d.Float64()
 	ms.bg.exhausted = d.Bool()
 
-	ms.specs = make([]*JobSpec, d.Count(20+2))
+	ms.specs = make([]*JobHandle, d.Count(20+2))
 	for i := range ms.specs {
-		sp := &JobSpec{}
-		readJobSpec(d, sp)
-		ms.specs[i] = sp
-		ms.handles[sp] = &JobHandle{spec: sp, machine: ms.m.Name, sess: ms.sess}
-		if d.Bool() {
-			ms.recorded[sp] = true
-		}
-		if d.Bool() {
-			ms.cancelledAt[sp] = d.Float64()
-			ms.cancelReason[sp] = CancelReason(d.String())
+		h := &JobHandle{spec: &JobSpec{}, machine: ms.m.Name, sess: ms.sess}
+		readJobSpec(d, h.spec)
+		ms.specs[i] = h
+		h.recorded = d.Bool()
+		if h.withdrawn = d.Bool(); h.withdrawn {
+			h.cancelAt = d.Float64()
+			h.reason = CancelReason(d.String())
 		}
 	}
 	ms.specIdx = d.Int()
-	specRef := func() *JobSpec {
+	specRef := func() *JobHandle {
 		i := d.Uvarint()
 		if i > uint64(len(ms.specs)) {
 			d.Reject("spec reference %d out of range (%d specs)", i, len(ms.specs))
@@ -321,7 +317,7 @@ func (ms *machineSim) restore(d *journal.RecordReader) error {
 	for i := range ms.queue {
 		q := &queuedJob{}
 		ms.queue[i] = q
-		q.spec = specRef()
+		q.h = specRef()
 		q.submit = d.Float64()
 		q.execSec = d.Float64()
 		q.patience = d.Float64()
@@ -338,7 +334,7 @@ func (ms *machineSim) restore(d *journal.RecordReader) error {
 	ms.retries = make([]pendingRetry, d.Count(1+3*8+3))
 	for i := range ms.retries {
 		rt := &ms.retries[i]
-		rt.spec = specRef()
+		rt.h = specRef()
 		rt.at = d.Float64()
 		rt.execSec = d.Float64()
 		rt.patience = d.Float64()

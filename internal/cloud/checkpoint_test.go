@@ -118,14 +118,20 @@ func TestMachineRecordMalformed(t *testing.T) {
 	src := s.sims[1]
 	var queued *queuedJob // a study job's queue entry
 	for _, q := range src.queue {
-		if q.spec != nil {
+		if q.h != nil {
 			queued = q
 		}
 	}
-	if queued == nil || len(src.cancelledAt) == 0 || len(src.retries) == 0 || len(src.jobs) == 0 ||
+	withdrawn := 0
+	for _, h := range src.specs {
+		if h.withdrawn {
+			withdrawn++
+		}
+	}
+	if queued == nil || withdrawn == 0 || len(src.retries) == 0 || len(src.jobs) == 0 ||
 		len(src.retrySpent) == 0 || len(src.waitRatios) == 0 || len(src.mstats.PendingSamples) == 0 {
 		t.Fatalf("scenario too quiet: study job queued %v, %d withdrawn, %d retries, %d jobs, %d budgets, %d wait ratios, %d samples",
-			queued != nil, len(src.cancelledAt), len(src.retries), len(src.jobs), len(src.retrySpent), len(src.waitRatios), len(src.mstats.PendingSamples))
+			queued != nil, withdrawn, len(src.retries), len(src.jobs), len(src.retrySpent), len(src.waitRatios), len(src.mstats.PendingSamples))
 	}
 	rec := src.appendCheckpoint(nil)
 

@@ -202,8 +202,8 @@ func Simulate(cfg Config, specs []*JobSpec) (*trace.Trace, error) {
 
 // queuedJob is a job waiting in a machine queue (study or background).
 type queuedJob struct {
-	spec     *JobSpec // nil for background jobs
-	submit   float64  // seconds since sim start
+	h        *JobHandle // nil for background jobs
+	submit   float64    // seconds since sim start
 	execSec  float64
 	patience float64 // 0 = infinite
 	priority float64 // fair-share score: lower runs first

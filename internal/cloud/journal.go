@@ -612,9 +612,9 @@ func readCheckpointFile(path string) (*Checkpoint, error) {
 }
 
 // ReadJournalTrace assembles the finished trace from a sealed journal
-// directory, assigning job IDs exactly as Session.Run does (fleet
-// order, then record order, then a (SubmitTime, ID) sort) so the
-// result is byte-identical to the in-memory trace. It fails on an
+// directory, reading the streams in fleet order and ordering the jobs
+// as Session.Run does, so the result is byte-identical to the
+// in-memory trace. It fails on an
 // unsealed stream — that journal belongs to a crashed run and needs
 // Recover first.
 func ReadJournalTrace(cfg Config) (*trace.Trace, error) {
@@ -623,7 +623,6 @@ func ReadJournalTrace(cfg Config) (*trace.Trace, error) {
 		return nil, errors.New("cloud: ReadJournalTrace needs Config.Journal.Dir")
 	}
 	out := &trace.Trace{}
-	var nextID int64
 	for _, m := range c.Machines {
 		// A sealed stream is job* stats end.
 		var mstats *trace.MachineStats
@@ -644,8 +643,6 @@ func ReadJournalTrace(cfg Config) (*trace.Trace, error) {
 				if err != nil {
 					return fmt.Errorf("cloud: %s record %d: %w", dir, rec, err)
 				}
-				nextID++
-				j.ID = nextID
 				out.Jobs = append(out.Jobs, j)
 			case jrecStats2:
 				d := journal.NewRecordReader(payload[1:])
@@ -671,11 +668,6 @@ func ReadJournalTrace(cfg Config) (*trace.Trace, error) {
 		}
 		out.Machines = append(out.Machines, mstats)
 	}
-	sort.Slice(out.Jobs, func(i, j int) bool {
-		if !out.Jobs[i].SubmitTime.Equal(out.Jobs[j].SubmitTime) {
-			return out.Jobs[i].SubmitTime.Before(out.Jobs[j].SubmitTime)
-		}
-		return out.Jobs[i].ID < out.Jobs[j].ID
-	})
+	orderTrace(out)
 	return out, nil
 }

@@ -69,8 +69,8 @@ type dtWin struct {
 // third arrival source (after the background stream and the study spec
 // stream) that re-enters the queue through the same enqueue path.
 type pendingRetry struct {
-	spec     *JobSpec // nil for background jobs
-	at       float64  // requeue instant (failure time + backoff)
+	h        *JobHandle // nil for background jobs
+	at       float64    // requeue instant (failure time + backoff)
 	execSec  float64
 	patience float64
 	user     string
@@ -144,13 +144,13 @@ type machineSim struct {
 	seq        int64
 	waitRatios []float64
 
-	// specs holds not-yet-admitted study submissions sorted by
-	// SubmitTime (ties keep submission order); specIdx is the admitted
-	// prefix. headSpecSec caches nextSpecTime for specs[specIdx] while
-	// headSpec still points at it.
-	specs       []*JobSpec
+	// specs holds the study submissions' handles sorted by SubmitTime
+	// (ties keep submission order); specIdx is the admitted prefix.
+	// headSpecSec caches nextSpecTime for specs[specIdx] while headSpec
+	// still points at it.
+	specs       []*JobHandle
 	specIdx     int
-	headSpec    *JobSpec
+	headSpec    *JobHandle
 	headSpecSec float64
 
 	sampleEvery float64
@@ -172,11 +172,6 @@ type machineSim struct {
 	admittedDuringStep int
 
 	finished bool
-
-	handles      map[*JobSpec]*JobHandle
-	cancelledAt  map[*JobSpec]float64
-	cancelReason map[*JobSpec]CancelReason
-	recorded     map[*JobSpec]bool
 
 	// idx is the machine's fleet position (selects its journal stream);
 	// jbuf is the reused journal-frame encode buffer.
@@ -214,21 +209,17 @@ func backgroundUserIndex(user string, names []string) (int, bool) {
 func newMachineSim(cfg Config, m *backend.Machine, sess *Session, bgNames []string) *machineSim {
 	src := newCountingSource(cfg.Seed*7919 + m.Seed)
 	ms := &machineSim{
-		cfg:          cfg,
-		m:            m,
-		sess:         sess,
-		r:            rand.New(src),
-		rsrc:         src,
-		mstats:       &trace.MachineStats{Name: m.Name, Qubits: m.NumQubits(), Public: m.Public},
-		simStart:     cfg.Start,
-		bgAccts:      make([]acct, len(bgNames)),
-		bgNames:      bgNames,
-		namedAccts:   make(map[string]*acct),
-		handles:      make(map[*JobSpec]*JobHandle),
-		cancelledAt:  make(map[*JobSpec]float64),
-		cancelReason: make(map[*JobSpec]CancelReason),
-		recorded:     make(map[*JobSpec]bool),
-		frontier:     math.Inf(-1),
+		cfg:        cfg,
+		m:          m,
+		sess:       sess,
+		r:          rand.New(src),
+		rsrc:       src,
+		mstats:     &trace.MachineStats{Name: m.Name, Qubits: m.NumQubits(), Public: m.Public},
+		simStart:   cfg.Start,
+		bgAccts:    make([]acct, len(bgNames)),
+		bgNames:    bgNames,
+		namedAccts: make(map[string]*acct),
+		frontier:   math.Inf(-1),
 	}
 	online := m.Online
 	if online.Before(cfg.Start) {
@@ -317,13 +308,12 @@ func (ms *machineSim) submit(spec *JobSpec) (*JobHandle, error) {
 func (ms *machineSim) insertSpec(spec *JobSpec) *JobHandle {
 	rest := ms.specs[ms.specIdx:]
 	i := ms.specIdx + sort.Search(len(rest), func(k int) bool {
-		return rest[k].SubmitTime.After(spec.SubmitTime)
+		return rest[k].spec.SubmitTime.After(spec.SubmitTime)
 	})
+	h := &JobHandle{spec: spec, machine: ms.m.Name, sess: ms.sess}
 	ms.specs = append(ms.specs, nil)
 	copy(ms.specs[i+1:], ms.specs[i:])
-	ms.specs[i] = spec
-	h := &JobHandle{spec: spec, machine: ms.m.Name, sess: ms.sess}
-	ms.handles[spec] = h
+	ms.specs[i] = h
 	return h
 }
 
@@ -348,34 +338,32 @@ func (ms *machineSim) resubmitJournaled(spec *JobSpec, submitSeq int64) error {
 // waiting (admitted or not) are recorded as CANCELLED at the cancel
 // instant; jobs already recorded report an error. The reason rides on
 // the terminal event.
-func (ms *machineSim) cancel(spec *JobSpec, atSec float64, reason CancelReason) error {
+func (ms *machineSim) cancel(h *JobHandle, atSec float64, reason CancelReason) error {
 	if ms.dead {
 		return nil // never-online machines record nothing
 	}
-	if ms.recorded[spec] {
+	if h.recorded {
 		return fmt.Errorf("cloud: job on %s already finished", ms.m.Name)
 	}
-	if _, ok := ms.cancelledAt[spec]; ok {
+	if h.withdrawn {
 		return fmt.Errorf("cloud: job on %s already cancelled", ms.m.Name)
 	}
 	for i := ms.specIdx; i < len(ms.specs); i++ {
-		if ms.specs[i] == spec {
+		if ms.specs[i] == h {
 			// Not yet admitted: drop it from the pending stream and
 			// record the cancellation immediately.
 			ms.specs = append(ms.specs[:i], ms.specs[i+1:]...)
 			at := ms.toTime(atSec)
-			if at.Before(spec.SubmitTime) {
-				at = spec.SubmitTime
+			if at.Before(h.spec.SubmitTime) {
+				at = h.spec.SubmitTime
 			}
-			ms.cancelReason[spec] = reason
-			ms.recordSpecCancelled(spec, at)
+			ms.record(h, at, at, trace.StatusCancelled, reason)
 			return nil
 		}
 	}
 	// Admitted and waiting in the queue: mark it; the record lands when
 	// the server reaches it (the same path patience cancellations take).
-	ms.cancelledAt[spec] = atSec
-	ms.cancelReason[spec] = reason
+	h.withdrawn, h.cancelAt, h.reason = true, atSec, reason
 	return nil
 }
 
@@ -405,14 +393,14 @@ func (ms *machineSim) newQueued() *queuedJob {
 	return &queuedJob{}
 }
 
-func (ms *machineSim) enqueue(spec *JobSpec, submit, execSec, patience float64, user string, a *acct) {
+func (ms *machineSim) enqueue(h *JobHandle, submit, execSec, patience float64, user string, a *acct) {
 	u := a.charged(submit)
 	ms.seq++
 	q := ms.newQueued()
 	// Every field is stored directly (attempt included, since q may be
 	// recycled): assigning a composite literal through the pointer
 	// builds it on the stack and block-copies it, once per arrival.
-	q.spec, q.submit, q.execSec, q.patience = spec, submit, execSec, patience
+	q.h, q.submit, q.execSec, q.patience = h, submit, execSec, patience
 	q.priority, q.seq, q.acct = submit+fairSharePenalty*u, ms.seq, a
 	q.user, q.id, q.attempt, q.pendingAtSubmit = user, ms.seq, 0, len(ms.queue)
 	ms.push(q)
@@ -429,7 +417,7 @@ func (ms *machineSim) requeue(rt pendingRetry) {
 	ms.seq++
 	q := ms.newQueued()
 	*q = queuedJob{
-		spec: rt.spec, submit: rt.at, execSec: rt.execSec, patience: rt.patience,
+		h: rt.h, submit: rt.at, execSec: rt.execSec, patience: rt.patience,
 		priority: rt.at + fairSharePenalty*u, seq: ms.seq, acct: a,
 		user: rt.user, id: rt.id, attempt: rt.attempt,
 		pendingAtSubmit: len(ms.queue),
@@ -437,8 +425,8 @@ func (ms *machineSim) requeue(rt pendingRetry) {
 	if ms.observed() {
 		ms.emit(Event{
 			Kind: EventRequeue, Machine: ms.m.Name, Time: ms.toTime(rt.at),
-			Background: rt.spec == nil, Pending: len(ms.queue),
-			Handle: ms.handles[rt.spec], Attempt: rt.attempt,
+			Background: rt.h == nil, Pending: len(ms.queue),
+			Handle: rt.h, Attempt: rt.attempt,
 		})
 	}
 	ms.push(q)
@@ -454,8 +442,8 @@ func (ms *machineSim) push(q *queuedJob) {
 	if ms.observed() {
 		ms.emit(Event{
 			Kind: EventEnqueue, Machine: ms.m.Name, Time: ms.toTime(q.submit),
-			Background: q.spec == nil, Pending: len(ms.queue),
-			Handle: ms.handles[q.spec], Attempt: q.attempt,
+			Background: q.h == nil, Pending: len(ms.queue),
+			Handle: q.h, Attempt: q.attempt,
 		})
 	}
 }
@@ -488,14 +476,14 @@ func (ms *machineSim) nextSpecTime() (float64, bool) {
 	if ms.specIdx >= len(ms.specs) {
 		return 0, false
 	}
-	s := ms.specs[ms.specIdx]
-	if s != ms.headSpec {
-		at := s.SubmitTime
+	h := ms.specs[ms.specIdx]
+	if h != ms.headSpec {
+		at := h.spec.SubmitTime
 		if at.Before(ms.online) {
 			// Submitted before machine online: queue at online time.
 			at = ms.online
 		}
-		ms.headSpec, ms.headSpecSec = s, ms.toSec(at)
+		ms.headSpec, ms.headSpecSec = h, ms.toSec(at)
 	}
 	return ms.headSpecSec, true
 }
@@ -533,10 +521,11 @@ func (ms *machineSim) admitArrivals(horizon float64, strict bool) {
 			ms.enqueue(nil, bgT, execSec, ms.bg.samplePatience(ms.r), ms.bgNames[n], &ms.bgAccts[n])
 			ms.mstats.BackgroundJobs++
 		case spOK:
-			s := ms.specs[ms.specIdx]
+			h := ms.specs[ms.specIdx]
 			ms.specIdx++
+			s := h.spec
 			execSec := ms.m.ExecSeconds(s.BatchSize, s.Shots, s.TotalDepth) * (0.9 + 0.2*ms.r.Float64())
-			ms.enqueue(s, spT, execSec, s.PatienceSec, s.User, ms.account(s.User))
+			ms.enqueue(h, spT, execSec, s.PatienceSec, s.User, ms.account(s.User))
 		default:
 			return
 		}
@@ -620,8 +609,10 @@ func (ms *machineSim) announceFaults() {
 	}
 }
 
-// record appends the spec's trace record and emits its terminal event.
-func (ms *machineSim) record(s *JobSpec, startT, endT time.Time, status trace.Status) {
+// record appends the study job's trace record and emits its terminal
+// event; reason classifies a cancellation.
+func (ms *machineSim) record(h *JobHandle, startT, endT time.Time, status trace.Status, reason CancelReason) {
+	s := h.spec
 	j := &trace.Job{
 		User: s.User, Machine: ms.m.Name,
 		MachineQubits: ms.m.NumQubits(), Public: ms.m.Public,
@@ -640,38 +631,41 @@ func (ms *machineSim) record(s *JobSpec, startT, endT time.Time, status trace.St
 	} else {
 		ms.jobs = append(ms.jobs, j)
 	}
-	ms.recorded[s] = true
+	h.recorded = true
 	if ms.cfg.RecordSink != nil {
 		ms.cfg.RecordSink(ms.idx, s, j)
 	}
 	if ms.observed() {
 		ms.emit(Event{
 			Kind: terminalKind(status), Machine: ms.m.Name, Time: endT,
-			Pending: len(ms.queue), Job: j, Handle: ms.handles[s],
-			Reason: ms.cancelReason[s],
+			Pending: len(ms.queue), Job: j, Handle: h, Reason: reason,
 		})
 	}
 }
 
-func (ms *machineSim) recordStudy(q *queuedJob, start, end float64, status trace.Status) {
-	s := q.spec
+// finish ends a served job, study or background, over machine seconds
+// [start, end]: a study job is recorded, a background job's terminal
+// event is emitted.
+func (ms *machineSim) finish(q *queuedJob, start, end float64, status trace.Status, reason CancelReason) {
+	if q.h == nil {
+		if ms.observed() {
+			ms.emit(Event{
+				Kind: terminalKind(status), Machine: ms.m.Name, Time: ms.toTime(end),
+				Background: true, Pending: len(ms.queue), Reason: reason,
+			})
+		}
+		return
+	}
 	startT, endT := ms.toTime(start), ms.toTime(end)
 	// Float-second round-tripping can land a nanosecond before the
 	// submission instant; clamp to keep records consistent.
-	if startT.Before(s.SubmitTime) {
-		startT = s.SubmitTime
+	if sub := q.h.spec.SubmitTime; startT.Before(sub) {
+		startT = sub
 	}
 	if endT.Before(startT) {
 		endT = startT
 	}
-	ms.record(s, startT, endT, status)
-}
-
-// recordSpecCancelled records a cancellation for a spec that never
-// entered the queue (explicit Cancel before admission, or the window
-// closing with the spec still pending).
-func (ms *machineSim) recordSpecCancelled(s *JobSpec, at time.Time) {
-	ms.record(s, at, at, trace.StatusCancelled)
+	ms.record(q.h, startT, endT, status, reason)
 }
 
 // startNext pops the highest-priority queued job, serves it, and
@@ -686,11 +680,9 @@ func (ms *machineSim) startNext() {
 // jobs open an in-flight step whose admissions run up to the
 // completion horizon.
 func (ms *machineSim) serve(q *queuedJob) {
-	if q.spec != nil {
-		if cancelAt, ok := ms.cancelledAt[q.spec]; ok {
-			ms.recordStudy(q, cancelAt, cancelAt, trace.StatusCancelled)
-			return
-		}
+	if q.h != nil && q.h.withdrawn {
+		ms.finish(q, q.h.cancelAt, q.h.cancelAt, trace.StatusCancelled, q.h.reason)
+		return
 	}
 	start := ms.busyUntil
 	if start < q.submit {
@@ -698,40 +690,31 @@ func (ms *machineSim) serve(q *queuedJob) {
 	}
 	start = ms.afterDowntime(start)
 	if start >= ms.endSec {
-		// Machine retires/window closes with jobs still queued: study
-		// jobs get cancelled at the boundary.
-		if q.spec != nil {
-			ms.cancelReason[q.spec] = CancelWindow
-			ms.recordStudy(q, ms.endSec, ms.endSec, trace.StatusCancelled)
-		} else if ms.observed() {
-			ms.emit(Event{
-				Kind: EventCancel, Machine: ms.m.Name, Time: ms.toTime(ms.endSec),
-				Background: true, Pending: len(ms.queue), Reason: CancelWindow,
-			})
-		}
+		// Machine retires/window closes with jobs still queued: they
+		// are cancelled at the boundary.
+		ms.finish(q, ms.endSec, ms.endSec, trace.StatusCancelled, CancelWindow)
 		return
 	}
 	if q.patience > 0 && start > q.submit+q.patience {
 		// User gave up while waiting.
 		cancelAt := q.submit + q.patience
-		if q.spec != nil {
-			ms.cancelReason[q.spec] = CancelPatience
-			ms.recordStudy(q, cancelAt, cancelAt, trace.StatusCancelled)
-		} else if ms.observed() {
-			ms.emit(Event{
-				Kind: EventCancel, Machine: ms.m.Name, Time: ms.toTime(cancelAt),
-				Background: true, Pending: len(ms.queue), Reason: CancelPatience,
-			})
-		}
+		ms.finish(q, cancelAt, cancelAt, trace.StatusCancelled, CancelPatience)
 		return
 	}
 	// Wait-prediction calibration sample (subsampled; background jobs
 	// only, on their first attempt, with a non-empty queue at
 	// submission — a requeued job's wait says nothing about fresh
 	// arrivals).
-	if q.spec == nil && q.attempt == 0 && q.pendingAtSubmit > 0 && q.seq%13 == 0 {
+	if q.h == nil && q.attempt == 0 && q.pendingAtSubmit > 0 && q.seq%13 == 0 {
 		ratio := (start - q.submit) / (float64(q.pendingAtSubmit) * ms.bg.meanExec)
 		ms.waitRatios = append(ms.waitRatios, ratio)
+	}
+	if ms.observed() {
+		ms.emit(Event{
+			Kind: EventStart, Machine: ms.m.Name, Time: ms.toTime(start),
+			Background: q.h == nil, Pending: len(ms.queue), Handle: q.h,
+			Attempt: q.attempt,
+		})
 	}
 	status := trace.StatusDone
 	execSec := q.execSec
@@ -765,21 +748,7 @@ func (ms *machineSim) serve(q *queuedJob) {
 		}
 	}
 	end := start + execSec
-	if ms.observed() {
-		ms.emit(Event{
-			Kind: EventStart, Machine: ms.m.Name, Time: ms.toTime(start),
-			Background: q.spec == nil, Pending: len(ms.queue), Handle: ms.handles[q.spec],
-			Attempt: q.attempt,
-		})
-	}
-	if q.spec != nil {
-		ms.recordStudy(q, start, end, status)
-	} else if ms.observed() {
-		ms.emit(Event{
-			Kind: terminalKind(status), Machine: ms.m.Name, Time: ms.toTime(end),
-			Background: true, Pending: len(ms.queue),
-		})
-	}
+	ms.finish(q, start, end, status, "")
 	// Charge fair-share usage at completion.
 	q.acct.usage += execSec
 	ms.busyUntil = end
@@ -788,23 +757,17 @@ func (ms *machineSim) serve(q *queuedJob) {
 	ms.admittedDuringStep = 0
 }
 
-// startTransientFail serves a start attempt that dies to a transient
-// backend fault a quarter of the way through: the burnt machine time
-// is charged like any other execution, and the job either schedules a
-// retry after its backoff (emitting retry, balanced later by a
-// requeue) or records a terminal error when the policy is exhausted.
+// startTransientFail serves a started attempt (serve has emitted its
+// start event) that dies to a transient backend fault a quarter of the
+// way through: the burnt machine time is charged like any other
+// execution, and the job either schedules a retry after its backoff
+// (emitting retry, balanced later by a requeue) or finishes with an
+// error when the policy is exhausted.
 // The failure occupies a normal busy step, preserving the
 // start ≡ done+error+retry conservation law.
 func (ms *machineSim) startTransientFail(q *queuedJob, start float64) {
 	burnt := 0.25 * q.execSec
 	failT := start + burnt
-	if ms.observed() {
-		ms.emit(Event{
-			Kind: EventStart, Machine: ms.m.Name, Time: ms.toTime(start),
-			Background: q.spec == nil, Pending: len(ms.queue), Handle: ms.handles[q.spec],
-			Attempt: q.attempt,
-		})
-	}
 	retryable := ms.retry != nil && q.attempt+1 < ms.retry.MaxAttempts
 	if retryable && ms.retry.BudgetPerUser > 0 && ms.retrySpent[q.user] >= ms.retry.BudgetPerUser {
 		retryable = false
@@ -817,31 +780,23 @@ func (ms *machineSim) startTransientFail(q *queuedJob, start float64) {
 		// instead, so finalize always drains the retry list.
 		retryable = retryAt < ms.endSec
 	}
-	switch {
-	case retryable:
+	if retryable {
 		if ms.retry.BudgetPerUser > 0 {
 			ms.retrySpent[q.user]++
 		}
 		ms.scheduleRetry(pendingRetry{
-			spec: q.spec, at: retryAt, execSec: q.execSec, patience: q.patience,
+			h: q.h, at: retryAt, execSec: q.execSec, patience: q.patience,
 			user: q.user, id: q.id, attempt: q.attempt + 1,
 		})
 		if ms.observed() {
 			ms.emit(Event{
 				Kind: EventRetry, Machine: ms.m.Name, Time: ms.toTime(failT),
-				Background: q.spec == nil, Pending: len(ms.queue), Handle: ms.handles[q.spec],
+				Background: q.h == nil, Pending: len(ms.queue), Handle: q.h,
 				Attempt: q.attempt + 1, NextAttemptAt: ms.toTime(retryAt),
 			})
 		}
-	case q.spec != nil:
-		ms.recordStudy(q, start, failT, trace.StatusError)
-	default:
-		if ms.observed() {
-			ms.emit(Event{
-				Kind: EventError, Machine: ms.m.Name, Time: ms.toTime(failT),
-				Background: true, Pending: len(ms.queue),
-			})
-		}
+	} else {
+		ms.finish(q, start, failT, trace.StatusError, "")
 	}
 	q.acct.usage += burnt
 	ms.busyUntil = failT
@@ -953,13 +908,12 @@ func (ms *machineSim) finalize() {
 	// Study jobs submitted after the machine went offline (or never
 	// admitted before the loop ended) are recorded as cancelled.
 	for ; ms.specIdx < len(ms.specs); ms.specIdx++ {
-		s := ms.specs[ms.specIdx]
-		at := s.SubmitTime
+		h := ms.specs[ms.specIdx]
+		at := h.spec.SubmitTime
 		if at.Before(ms.online) {
 			at = ms.online
 		}
-		ms.cancelReason[s] = CancelWindow
-		ms.recordSpecCancelled(s, at)
+		ms.record(h, at, at, trace.StatusCancelled, CancelWindow)
 	}
 	if len(ms.waitRatios) >= 30 {
 		sorted := stats.SortedCopy(ms.waitRatios)
@@ -983,8 +937,8 @@ func (ms *machineSim) snapshot() QueueSnapshot {
 	}
 	snap.Time = ms.toTime(f)
 	for _, q := range ms.queue {
-		if q.spec != nil {
-			if _, withdrawn := ms.cancelledAt[q.spec]; withdrawn {
+		if q.h != nil {
+			if q.h.withdrawn {
 				// Cancelled while queued: the server discards it on
 				// arrival, so it is not load a scheduler should see.
 				continue
@@ -1025,26 +979,26 @@ func (ms *machineSim) snapshot() QueueSnapshot {
 	return snap
 }
 
-// jobState reports where a submitted spec currently stands.
-func (ms *machineSim) jobState(spec *JobSpec) JobState {
-	if ms.dead || ms.recorded[spec] {
+// jobState reports where a submitted job currently stands.
+func (ms *machineSim) jobState(h *JobHandle) JobState {
+	if ms.dead || h.recorded {
 		return JobStateFinished
 	}
-	if _, ok := ms.cancelledAt[spec]; ok {
+	if h.withdrawn {
 		return JobStateWithdrawn
 	}
 	for i := ms.specIdx; i < len(ms.specs); i++ {
-		if ms.specs[i] == spec {
+		if ms.specs[i] == h {
 			return JobStatePending
 		}
 	}
 	for _, q := range ms.queue {
-		if q.spec == spec {
+		if q.h == h {
 			return JobStateQueued
 		}
 	}
 	for _, rt := range ms.retries {
-		if rt.spec == spec {
+		if rt.h == h {
 			return JobStateQueued
 		}
 	}

@@ -94,11 +94,22 @@ type Event struct {
 }
 
 // JobHandle identifies a study job submitted to a session; it is the
-// token Cancel takes and the correlation key events carry.
+// token Cancel takes and the correlation key events carry. Inside the
+// session it is also the job's one record: the queue, the retry list
+// and the pending stream hold the handle, and its state lives here,
+// written only by the goroutine advancing its machine.
 type JobHandle struct {
 	spec    *JobSpec
 	machine string
 	sess    *Session
+
+	// recorded: the job's terminal trace record is out. withdrawn: it
+	// was cancelled after admission, and its record (at cancelAt, in
+	// machine seconds, with reason) lands when the server reaches it.
+	recorded  bool
+	withdrawn bool
+	cancelAt  float64
+	reason    CancelReason
 }
 
 // QueueSnapshot is a live view of one machine's queue at its frontier
@@ -325,7 +336,7 @@ func (s *Session) JobStatus(h *JobHandle) (JobState, error) {
 	if h == nil || h.sess != s {
 		return "", fmt.Errorf("cloud: handle does not belong to this session")
 	}
-	return s.sim(h.machine).jobState(h.spec), nil
+	return s.sim(h.machine).jobState(h), nil
 }
 
 // Cancel withdraws a submitted job that has not finished; it is
@@ -355,7 +366,7 @@ func (s *Session) CancelWithReason(h *JobHandle, reason CancelReason) error {
 	if sub := ms.toSec(h.spec.SubmitTime); at < sub || math.IsInf(at, -1) {
 		at = sub
 	}
-	return ms.cancel(h.spec, at, reason)
+	return ms.cancel(h, at, reason)
 }
 
 // AdvanceTo moves every machine's frontier to t, processing all
@@ -429,18 +440,23 @@ func (s *Session) Run() (*trace.Trace, error) {
 		return ReadJournalTrace(cfg)
 	}
 	s.forEachSim((*machineSim).finalize)
-	// Job IDs are assigned in (machine order, record order) — the
-	// exact sequence the serial batch loop produced — keeping traces
-	// bit-identical across worker counts.
 	out := &trace.Trace{}
-	var nextID int64
 	for _, ms := range s.sims {
-		for _, j := range ms.jobs {
-			nextID++
-			j.ID = nextID
-		}
 		out.Jobs = append(out.Jobs, ms.jobs...)
 		out.Machines = append(out.Machines, ms.mstats)
+	}
+	orderTrace(out)
+	s.Close()
+	return out, nil
+}
+
+// orderTrace numbers out's jobs from 1 in the order they were appended,
+// fleet order then record order — the exact sequence the serial batch
+// loop produced, so traces are bit-identical across worker counts —
+// and sorts them by (SubmitTime, ID).
+func orderTrace(out *trace.Trace) {
+	for i, j := range out.Jobs {
+		j.ID = int64(i) + 1
 	}
 	sort.Slice(out.Jobs, func(i, j int) bool {
 		if !out.Jobs[i].SubmitTime.Equal(out.Jobs[j].SubmitTime) {
@@ -448,8 +464,6 @@ func (s *Session) Run() (*trace.Trace, error) {
 		}
 		return out.Jobs[i].ID < out.Jobs[j].ID
 	})
-	s.Close()
-	return out, nil
 }
 
 // Close releases the session: further calls fail and observers are
