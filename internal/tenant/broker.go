@@ -32,19 +32,9 @@ type Job struct {
 	est      float64 // estimated QPU-seconds (provisional ledger charge)
 	admitSec float64 // tick of the latest admission
 	preempts int
-	state    jobState
 	handle   *cloud.JobHandle
 	cur      *cloud.JobSpec // the currently admitted session-side clone
 }
-
-type jobState uint8
-
-const (
-	jobPending jobState = iota
-	jobAdmitted
-	jobFinished
-	jobUnserved
-)
 
 // admission links a session-side spec clone back to its broker job.
 // preempted marks clones the broker has withdrawn: their cancel record
@@ -287,7 +277,6 @@ func (b *Broker) drain() {
 		b.totalInFl--
 		b.machQueued[job.machIdx]--
 		b.removeAdmitted(job.machIdx, job)
-		job.state = jobFinished
 		switch rec.job.Status {
 		case trace.StatusDone:
 			q.done++
@@ -462,7 +451,6 @@ func (b *Broker) tryPreempt(s *queueState, mi int, ts, totalBase float64) error 
 	v.preempted++
 	b.preemptions++
 	best.preempts++
-	best.state = jobPending
 	best.handle, best.cur = nil, nil
 	v.insertPending(best)
 	b.totalPend++
@@ -488,7 +476,6 @@ func (b *Broker) admit(job *Job, ts float64) (bool, error) {
 	q.pending = q.pending[1:]
 	b.totalPend--
 	job.handle, job.cur = h, &clone
-	job.state = jobAdmitted
 	job.admitSec = ts
 	b.bySpec[&clone] = &admission{job: job}
 	q.outstanding += job.est
@@ -531,9 +518,6 @@ func (b *Broker) Run() (*trace.Trace, error) {
 		return nil, err
 	}
 	for _, q := range b.queues {
-		for _, job := range q.pending {
-			job.state = jobUnserved
-		}
 		q.unserved += len(q.pending)
 		b.totalPend -= len(q.pending)
 		q.pending = nil
