@@ -3,7 +3,8 @@
 // cloud session queues and executes it against the background load,
 // and the result is written as CSV (jobs) and/or JSON (jobs + machine
 // queue samples). With -events the session's lifecycle stream is
-// tallied live as the fleet advances.
+// tallied live as the fleet advances; a -recover run refuses it, since
+// the events before its checkpoint are not replayed.
 //
 // Fault injection is opt-in via -faults (a workload.FaultScenarios
 // preset).
@@ -60,7 +61,7 @@ func main() {
 		workers  = flag.Int("workers", 0, "worker pool size for the fleet sweep (0 = NumCPU, 1 = serial; output is identical either way)")
 		csvPath  = flag.String("csv", "", "write job records as CSV to this path")
 		jsPath   = flag.String("json", "", "write the full trace (jobs + machine stats) as JSON to this path")
-		events   = flag.Bool("events", false, "subscribe to the session event stream and print per-kind totals")
+		events   = flag.Bool("events", false, "subscribe to the session event stream and print per-kind totals (not with -recover)")
 		faults   = flag.String("faults", "", "fault-injection scenario preset (see -faults list)")
 		journal  = flag.String("journal", "", "durable journal directory: stream job records to disk with auto-checkpoints instead of holding the trace in memory")
 		recov    = flag.Bool("recover", false, "resume a killed -journal run from its journal directory and finish it")
@@ -79,6 +80,12 @@ func main() {
 	}
 	if *tenants != "" && *journal != "" {
 		log.Fatal("-tenants cannot combine with -journal/-recover")
+	}
+	if *recov && *events {
+		// The observer attaches to the recovered session, after the
+		// restored checkpoint: its tally would cover part of the run
+		// and break the conservation laws a whole tally keeps.
+		log.Fatal("-events cannot combine with -recover: a resumed run's events before its checkpoint are not replayed")
 	}
 	par.SetWorkers(*workers)
 	stopProf, err := prof.Start(*cpuProf, *memProf)

@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -72,4 +73,23 @@ func TestJournalSIGKILLRecovery(t *testing.T) {
 				delay, runErr, len(got), len(want))
 		}
 	}
+}
+
+// TestRecoverRefusesEvents: a recovered session's observer would see
+// only the events after the restored checkpoint, so -recover with
+// -events is refused before anything runs, even over a journal that
+// -recover alone resumes.
+func TestRecoverRefusesEvents(t *testing.T) {
+	bin := buildSim(t)
+	dir := filepath.Join(t.TempDir(), "journal")
+	base := []string{"-seed", "5", "-jobs", "100", "-days", "20", "-q", "-journal", dir, "-journal-ckpt-days", "5"}
+	mustRun(t, bin, base...)
+	out, err := exec.Command(bin, append(base, "-recover", "-events")...).CombinedOutput()
+	if err == nil {
+		t.Fatalf("-recover -events exited 0:\n%s", out)
+	}
+	if !strings.Contains(string(out), "-events cannot combine with -recover") || strings.Contains(string(out), "session events") {
+		t.Fatalf("-recover -events: want the refusal and no tally, got:\n%s", out)
+	}
+	mustRun(t, bin, append(base, "-recover")...)
 }
