@@ -83,8 +83,9 @@ func (s *Session) Checkpoint() (*Checkpoint, error) {
 // appendCheckpoint appends the machine record: ms's state written
 // straight from its fields, in the order restore reads them. A pointer
 // to a study job's handle becomes its position in the spec list,
-// counted from 1 (0 = a background job); the RNG is pinned by its draw count (construction
-// replays deterministically, then restore fast-forwards the source).
+// counted from 1 (0 = a background job); the RNG is pinned by its draw
+// count (construction replays deterministically, then restore
+// fast-forwards the source).
 // Every list goes in an order the state fixes, so two sessions at one
 // frontier write the same bytes whatever their worker counts.
 func (ms *machineSim) appendCheckpoint(buf []byte) []byte {

@@ -614,9 +614,8 @@ func readCheckpointFile(path string) (*Checkpoint, error) {
 // ReadJournalTrace assembles the finished trace from a sealed journal
 // directory, reading the streams in fleet order and ordering the jobs
 // as Session.Run does, so the result is byte-identical to the
-// in-memory trace. It fails on an
-// unsealed stream — that journal belongs to a crashed run and needs
-// Recover first.
+// in-memory trace. It fails on an unsealed stream — that journal
+// belongs to a crashed run and needs Recover first.
 func ReadJournalTrace(cfg Config) (*trace.Trace, error) {
 	c := cfg.withDefaults()
 	if c.Journal == nil || c.Journal.Dir == "" {
