@@ -2,8 +2,6 @@ package cloud_test
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -507,14 +505,12 @@ func TestSessionCloseHardened(t *testing.T) {
 	}
 }
 
-// TestSessionEventStreamGolden pins each machine's event stream of a
-// faulted session whose study jobs end every way a job can: done,
-// error, retried, and cancelled by the user (before admission and while
-// queued), by patience and by the window closing. Every event's kind,
-// instant, background flag, queue length, attempt, cancel reason,
-// whether it carries a handle, and the ID its trace record ends up with
-// goes into the machine's SHA-256. If a hash moves, the order or the
-// content of the stream changed.
+// TestSessionEventStreamGolden pins a faulted session whose study jobs
+// end every way a job can: done, error, retried, and cancelled by the
+// user (before admission and while queued), by patience and by the
+// window closing. Each machine's lifecycle counts are pinned as a
+// countVector, and the trace as the SHA-256 of its JSON. If a vector
+// moves, a job took another path; if the hash moves, a record changed.
 func TestSessionEventStreamGolden(t *testing.T) {
 	cfg := faultConfig(31, 2)
 	sess, err := cloud.Open(cfg)
@@ -555,55 +551,104 @@ func TestSessionEventStreamGolden(t *testing.T) {
 			}
 		}
 	}
-	if _, err := sess.Run(); err != nil {
+	tr, err := sess.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	reasons := make(map[cloud.CancelReason]int)
-	enqueued := make(map[*cloud.JobHandle]bool)
-	var userQueued, userPending int
-	got := make(map[string]string)
+	got := make(map[string]countVector)
+	var fleet countVector
 	for m, evs := range events {
-		h := sha256.New()
-		for _, ev := range evs {
-			var id int64
-			if ev.Job != nil {
-				id = ev.Job.ID
-			}
-			fmt.Fprintf(h, "%s|%d|%t|%d|%d|%s|%t|%d\n", ev.Kind, ev.Time.UnixNano(), ev.Background,
-				ev.Pending, ev.Attempt, ev.Reason, ev.Handle != nil, id)
-			switch {
-			case ev.Handle == nil:
-			case ev.Kind == cloud.EventEnqueue:
-				enqueued[ev.Handle] = true
-			case ev.Kind == cloud.EventCancel:
-				reasons[ev.Reason]++
-				if ev.Reason == cloud.CancelUser && enqueued[ev.Handle] {
-					userQueued++
-				} else if ev.Reason == cloud.CancelUser {
-					userPending++
-				}
-			}
-		}
-		got[m] = fmt.Sprintf("%x", h.Sum(nil))
-	}
-	for _, r := range []cloud.CancelReason{cloud.CancelUser, cloud.CancelPatience, cloud.CancelWindow} {
-		if reasons[r] == 0 {
-			t.Fatalf("no study job was cancelled with reason %q (study cancels by reason: %v)", r, reasons)
+		v := tallyVector(evs)
+		got[m] = v
+		for k := range fleet {
+			fleet[k] += v[k]
 		}
 	}
-	if userQueued == 0 || userPending == 0 {
-		t.Fatalf("user cancels: %d of queued jobs, %d before admission; want some of each", userQueued, userPending)
-	}
-	want := map[string]string{
-		"ibmq_athens":  "49cff53da632a712a58f82b4ae54e8333136401ec795d34bbd04548e7e413d43",
-		"ibmq_rome":    "1610d54838e49b4c71ee65c203a9bd709f0dfdefb3bbdca85af845354fd05e89",
-		"ibmq_toronto": "9aa0d7f0d9fc1fa436092bb2e5b99ce115db3b31f3d1f4c33e88e07501765924",
+	want := map[string]countVector{
+		"ibmq_athens": {
+			188, 161, 133, 5, 23, 23, 28, 0, 9, 4,
+			55986, 45507, 38934, 2009, 4564, 4564, 0, 0, 9370, 1109,
+			5, 236, 9, 9},
+		"ibmq_rome": {
+			22, 22, 21, 1, 0, 0, 1, 0, 0, 0,
+			28245, 27504, 23869, 1368, 2267, 2267, 0, 0, 741, 0,
+			3, 235, 10, 10},
+		"ibmq_toronto": {
+			40, 37, 32, 0, 5, 5, 6, 0, 0, 1,
+			22707, 22236, 19275, 961, 2000, 2000, 0, 0, 401, 70,
+			3, 236, 12, 12},
 	}
 	for m, w := range want {
 		if got[m] != w {
-			t.Errorf("%s: event stream hash %s, want %s", m, got[m], w)
+			t.Errorf("%s: counts %v, want %v", m, got[m], w)
 		}
 	}
-	t.Logf("study cancels by reason: %v; user cancels %d queued, %d before admission", reasons, userQueued, userPending)
+	if h, w := traceHash(t, tr), "2036462797fad1ebc26fac17072434d174584808f7c8c3b8f79ef400af888039"; h != w {
+		t.Errorf("trace hash %s, want %s", h, w)
+	}
+	for _, c := range []struct {
+		reason cloud.CancelReason
+		at     int
+	}{{cloud.CancelUser, 6}, {cloud.CancelPatience, 8}, {cloud.CancelWindow, 9}} {
+		if fleet[c.at] == 0 {
+			t.Fatalf("no study job was cancelled with reason %q (study counts %v)", c.reason, fleet[:10])
+		}
+	}
+	// A job cancelled before admission was never enqueued, so study
+	// cancels beyond enqueue − start show that some cancel came before
+	// admission.
+	if cancels, queued := fleet[6]+fleet[7]+fleet[8]+fleet[9], fleet[0]-fleet[1]; cancels <= queued {
+		t.Fatalf("study cancels %d, enqueue − start %d: no job was cancelled before admission", cancels, queued)
+	}
+}
+
+// countVector lays out one machine's lifecycle counts: for study jobs
+// and then background jobs, enqueue, start, done, error, retry, requeue
+// and cancels by reason (user, preempted, patience, window); then
+// downtime, pending-sample, machine-down and machine-up.
+type countVector [24]int64
+
+func tallyVector(evs []cloud.Event) countVector {
+	var v countVector
+	for _, ev := range evs {
+		pop := 0
+		if ev.Background {
+			pop = 10
+		}
+		switch ev.Kind {
+		case cloud.EventEnqueue:
+			v[pop]++
+		case cloud.EventStart:
+			v[pop+1]++
+		case cloud.EventDone:
+			v[pop+2]++
+		case cloud.EventError:
+			v[pop+3]++
+		case cloud.EventRetry:
+			v[pop+4]++
+		case cloud.EventRequeue:
+			v[pop+5]++
+		case cloud.EventCancel:
+			switch ev.Reason {
+			case cloud.CancelUser:
+				v[pop+6]++
+			case cloud.CancelPreempted:
+				v[pop+7]++
+			case cloud.CancelPatience:
+				v[pop+8]++
+			case cloud.CancelWindow:
+				v[pop+9]++
+			}
+		case cloud.EventDowntime:
+			v[20]++
+		case cloud.EventPendingSample:
+			v[21]++
+		case cloud.EventMachineDown:
+			v[22]++
+		case cloud.EventMachineUp:
+			v[23]++
+		}
+	}
+	return v
 }
