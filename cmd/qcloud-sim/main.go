@@ -2,9 +2,9 @@
 // workload model produces the study's job stream, an event-driven
 // cloud session queues and executes it against the background load,
 // and the result is written as CSV (jobs) and/or JSON (jobs + machine
-// queue samples). With -events the session's lifecycle stream is
-// tallied live as the fleet advances; a -recover run refuses it, since
-// the events before its checkpoint are not replayed.
+// queue samples). With -events the session's lifecycle counts
+// (Session.Stats, summed over the fleet) are printed after the run; a
+// -recover run refuses it, since the counts start at its checkpoint.
 //
 // Fault injection is opt-in via -faults (a workload.FaultScenarios
 // preset).
@@ -61,7 +61,7 @@ func main() {
 		workers  = flag.Int("workers", 0, "worker pool size for the fleet sweep (0 = NumCPU, 1 = serial; output is identical either way)")
 		csvPath  = flag.String("csv", "", "write job records as CSV to this path")
 		jsPath   = flag.String("json", "", "write the full trace (jobs + machine stats) as JSON to this path")
-		events   = flag.Bool("events", false, "subscribe to the session event stream and print per-kind totals (not with -recover)")
+		events   = flag.Bool("events", false, "print the session's lifecycle counts per event kind after the run (not with -recover)")
 		faults   = flag.String("faults", "", "fault-injection scenario preset (see -faults list)")
 		journal  = flag.String("journal", "", "durable journal directory: stream job records to disk with auto-checkpoints instead of holding the trace in memory")
 		recov    = flag.Bool("recover", false, "resume a killed -journal run from its journal directory and finish it")
@@ -82,9 +82,9 @@ func main() {
 		log.Fatal("-tenants cannot combine with -journal/-recover")
 	}
 	if *recov && *events {
-		// The observer attaches to the recovered session, after the
-		// restored checkpoint: its tally would cover part of the run
-		// and break the conservation laws a whole tally keeps.
+		// A recovered session counts from its restored checkpoint: its
+		// tally would cover part of the run and break the conservation
+		// laws a whole tally keeps.
 		log.Fatal("-events cannot combine with -recover: a resumed run's events before its checkpoint are not replayed")
 	}
 	par.SetWorkers(*workers)
@@ -133,10 +133,6 @@ func main() {
 	} else if sess, err = cloud.Open(cfg); err != nil {
 		log.Fatal(err)
 	}
-	var tallied map[cloud.EventKind]int64
-	if *events {
-		tallied = tallyEvents(sess)
-	}
 	// A fresh session gets the generated study stream (SubmitRetried
 	// rides out the fault injector's transient submission rejections).
 	// A recovered journal session replays its accepted submissions from
@@ -155,7 +151,7 @@ func main() {
 
 	writeOutputs(tr, *csvPath, *jsPath)
 	if *events {
-		printEventTally(tallied)
+		printStats(sess.Stats())
 	}
 	if *quiet {
 		return
@@ -187,17 +183,25 @@ func writeFile(path string, write func(io.Writer) error) {
 	}
 }
 
-// tallyEvents counts the session's events by kind as the fleet
-// advances. The counts are complete once the session's Run returns.
-func tallyEvents(sess *cloud.Session) map[cloud.EventKind]int64 {
+// printStats prints the fleet's lifecycle counts, study and background
+// summed, one row per event kind.
+func printStats(machines []cloud.MachineCounts) {
 	counts := make(map[cloud.EventKind]int64)
-	if err := sess.Observe(func(ev cloud.Event) { counts[ev.Kind]++ }); err != nil {
-		log.Fatal(err)
+	for _, m := range machines {
+		for _, c := range []cloud.Counts{m.Study, m.Background} {
+			counts[cloud.EventEnqueue] += c.Enqueue
+			counts[cloud.EventStart] += c.Start
+			counts[cloud.EventDone] += c.Done
+			counts[cloud.EventError] += c.Error
+			counts[cloud.EventCancel] += c.Cancels()
+			counts[cloud.EventRetry] += c.Retry
+			counts[cloud.EventRequeue] += c.Requeue
+		}
+		counts[cloud.EventDowntime] += m.Downtime
+		counts[cloud.EventPendingSample] += m.PendingSample
+		counts[cloud.EventMachineDown] += m.MachineDown
+		counts[cloud.EventMachineUp] += m.MachineUp
 	}
-	return counts
-}
-
-func printEventTally(counts map[cloud.EventKind]int64) {
 	fmt.Println("session events (study + background):")
 	for _, k := range []cloud.EventKind{
 		cloud.EventEnqueue, cloud.EventStart, cloud.EventDone, cloud.EventError,
@@ -255,10 +259,6 @@ func runTenants(cfg cloud.Config, scenario string, tenantCount, jobs int, preemp
 	if err != nil {
 		log.Fatal(err)
 	}
-	var tallied map[cloud.EventKind]int64
-	if events {
-		tallied = tallyEvents(b.Session())
-	}
 	if err := b.Play(subs); err != nil {
 		log.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func runTenants(cfg cloud.Config, scenario string, tenantCount, jobs int, preemp
 	}
 	writeOutputs(tr, csvPath, jsPath)
 	if events {
-		printEventTally(tallied)
+		printStats(b.Session().Stats())
 	}
 	if quiet {
 		return

@@ -10,9 +10,9 @@
 // 10 and the pending-job counts of Fig 9.
 //
 // The core is the event-driven Session API: Open a session, Submit
-// jobs (up-front or mid-run), Observe lifecycle events through an
-// in-line callback, query live QueueState snapshots, and Run to the end
-// of the window. Simulate is the batch convenience wrapper over it.
+// jobs (up-front or mid-run), query live QueueState snapshots and the
+// per-machine lifecycle counts of Stats, and Run to the end of the
+// window. Simulate is the batch convenience wrapper over it.
 package cloud
 
 import (
@@ -96,9 +96,9 @@ type Config struct {
 	// record concurrently under the worker budget — implementations
 	// must be race-free across indices (e.g. append to a per-machine
 	// buffer and merge after AdvanceTo returns). This is the tenant
-	// broker's allocation-accounting hook; unlike Observe it carries
-	// only study records and takes no lock, since each machine writes
-	// its own buffer.
+	// broker's allocation-accounting hook; it carries only study
+	// records and takes no lock, since each machine writes its own
+	// buffer.
 	RecordSink func(machine int, spec *JobSpec, job *trace.Job)
 }
 

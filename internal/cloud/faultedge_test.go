@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"qcloud/internal/backend"
+	"qcloud/internal/fault"
 	"qcloud/internal/trace"
 )
 
@@ -201,5 +202,43 @@ func TestCancelBeforeAdmissionInsideDowntime(t *testing.T) {
 	if !tr.Jobs[0].EndTime.Equal(submitAt) {
 		t.Fatalf("cancellation at %v, want %v (submit instant, inside the outage)",
 			tr.Jobs[0].EndTime, submitAt)
+	}
+}
+
+// TestRetryAttemptCap: one study job per session, every attempt of it
+// meeting a transient fault, is started at most MaxAttempts times, and
+// every start but its last is retried. Execution errors (raised here)
+// end some jobs early; at least one seed must run into the cap.
+func TestRetryAttemptCap(t *testing.T) {
+	cfg := edgeConfig(t, 0)
+	setErrorRate(t, 0.2)
+	cfg.Faults = &fault.Profile{TransientErrorRate: 1}
+	cfg.Retry = &RetryPolicy{MaxAttempts: 4, BaseBackoff: 5 * time.Minute, MaxBackoff: 20 * time.Minute}
+	capped := 0
+	for seed := int64(1); seed <= 8; seed++ {
+		cfg.Seed = seed
+		sess, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Submit(edgeSpec(0, cfg.Start.Add(24*time.Hour))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Run(); err != nil {
+			t.Fatal(err)
+		}
+		c := sess.Stats()[0].Study
+		if c.Start < 1 || c.Start > int64(cfg.Retry.MaxAttempts) {
+			t.Fatalf("seed %d: %d starts, want 1 to %d", seed, c.Start, cfg.Retry.MaxAttempts)
+		}
+		if c.Retry != c.Start-1 || c.Error != 1 {
+			t.Fatalf("seed %d: %d starts, %d retries, %d errors; want every start but the last retried and one error", seed, c.Start, c.Retry, c.Error)
+		}
+		if c.Start == int64(cfg.Retry.MaxAttempts) {
+			capped++
+		}
+	}
+	if capped == 0 {
+		t.Fatal("no seed ran into the attempt cap")
 	}
 }

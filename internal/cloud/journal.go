@@ -355,10 +355,10 @@ func (s *Session) HeldTraceEntries() int {
 // DrainJournal runs a journaled session to completion — stepping the
 // fleet at the checkpoint cadence, finalizing, and sealing every
 // stream — without materializing the trace in memory. This is the
-// constant-memory path for million-job sessions: consume events
-// through an Observe callback while it runs (every call has returned
-// when DrainJournal does), and read the trace back later with
-// ReadJournalTrace if needed. The session is closed when it returns.
+// constant-memory path for million-job sessions: Stats holds the
+// lifecycle counts once DrainJournal returns, and ReadJournalTrace
+// reads the trace back later if needed. The session is closed when it
+// returns.
 func (s *Session) DrainJournal() (JournalStats, error) {
 	if s.closed {
 		return JournalStats{}, ErrSessionClosed

@@ -110,8 +110,8 @@ type machineSim struct {
 	dtIdx     int
 
 	// Fault-injection state: unplanned outage windows (also merged
-	// into downtimes), with the announcement cursor that emits
-	// machine-down/up events as the frontier crosses them; failure
+	// into downtimes), with the announcement cursor that counts
+	// machine-down/up as the frontier crosses them; failure
 	// bursts and staleness waves with their own monotone cursors; and
 	// the submit-fault sequence number.
 	outages   []fault.Window
@@ -177,6 +177,10 @@ type machineSim struct {
 	// jbuf is the reused journal-frame encode buffer.
 	idx  int
 	jbuf []byte
+
+	// counts is the lifecycle tally Session.Stats reports. It starts at
+	// zero at Open and Restore and is not checkpointed.
+	counts MachineCounts
 }
 
 // backgroundUserNames interns the background pool's fair-share keys,
@@ -336,8 +340,8 @@ func (ms *machineSim) resubmitJournaled(spec *JobSpec, submitSeq int64) error {
 
 // cancel withdraws a study job that has not finished. Jobs still
 // waiting (admitted or not) are recorded as CANCELLED at the cancel
-// instant; jobs already recorded report an error. The reason rides on
-// the terminal event.
+// instant; jobs already recorded report an error. reason classifies
+// the cancel in Stats.
 func (ms *machineSim) cancel(h *JobHandle, atSec float64, reason CancelReason) error {
 	if ms.dead {
 		return nil // never-online machines record nothing
@@ -409,7 +413,7 @@ func (ms *machineSim) enqueue(h *JobHandle, submit, execSec, patience float64, u
 // requeue re-enters a transiently-failed job after its backoff: same
 // fair-share scoring as a fresh arrival (a retry queues like anyone
 // else — no priority boost), with the original job identity carried
-// through. Emits requeue then enqueue, keeping retry ≡ requeue and
+// through. Counts requeue then enqueue, keeping retry ≡ requeue and
 // enqueue ≡ start+cancel conservation.
 func (ms *machineSim) requeue(rt pendingRetry) {
 	a := ms.account(rt.user)
@@ -422,30 +426,18 @@ func (ms *machineSim) requeue(rt pendingRetry) {
 		user: rt.user, id: rt.id, attempt: rt.attempt,
 		pendingAtSubmit: len(ms.queue),
 	}
-	if ms.observed() {
-		ms.emit(Event{
-			Kind: EventRequeue, Machine: ms.m.Name, Time: ms.toTime(rt.at),
-			Background: rt.h == nil, Pending: len(ms.queue),
-			Handle: rt.h, Attempt: rt.attempt,
-		})
-	}
+	ms.pop(rt.h).Requeue++
 	ms.push(q)
 }
 
 // push is the shared enqueue tail: heap insert, in-flight-step
-// accounting, and the enqueue event.
+// accounting, and the enqueue count.
 func (ms *machineSim) push(q *queuedJob) {
 	ms.queue.push(q)
 	if ms.inStep {
 		ms.admittedDuringStep++
 	}
-	if ms.observed() {
-		ms.emit(Event{
-			Kind: EventEnqueue, Machine: ms.m.Name, Time: ms.toTime(q.submit),
-			Background: q.h == nil, Pending: len(ms.queue),
-			Handle: q.h, Attempt: q.attempt,
-		})
-	}
+	ms.pop(q.h).Enqueue++
 }
 
 // scheduleRetry inserts a pending retry keeping (at, id) order, so
@@ -532,7 +524,7 @@ func (ms *machineSim) admitArrivals(horizon float64, strict bool) {
 	}
 }
 
-// samplePending emits queue-length samples up to now. pending is
+// samplePending takes queue-length samples up to now. pending is
 // passed explicitly because an in-flight step's deferred sampling must
 // report the queue length before that step's admissions, matching the
 // batch loop's sample-then-admit call order.
@@ -540,9 +532,7 @@ func (ms *machineSim) samplePending(now float64, pending int) {
 	for ms.nextSample <= now && ms.nextSample <= ms.endSec {
 		s := trace.PendingSample{Machine: ms.m.Name, Time: ms.toTime(ms.nextSample), Pending: pending}
 		ms.mstats.PendingSamples = append(ms.mstats.PendingSamples, s)
-		if ms.observed() {
-			ms.emit(Event{Kind: EventPendingSample, Machine: ms.m.Name, Time: s.Time, Pending: pending})
-		}
+		ms.counts.PendingSample++
 		ms.nextSample += ms.sampleEvery
 	}
 }
@@ -552,9 +542,9 @@ func (ms *machineSim) samplePending(now float64, pending int) {
 // Start times are monotone (the server is serial), so a moving index
 // applies the displacement in O(1) amortized. Back-to-back (or
 // overlapping, once outages join the calendar) windows displace a
-// start repeatedly until it lands in uptime. Planned windows emit
-// EventDowntime; outage visibility comes from the machine-down/up
-// announcements instead.
+// start repeatedly until it lands in uptime. Planned windows count as
+// Downtime; outages are counted by the machine-down/up announcements
+// instead.
 func (ms *machineSim) afterDowntime(t float64) float64 {
 	for ms.dtIdx < len(ms.downtimes) && t >= ms.downtimes[ms.dtIdx].end {
 		ms.dtIdx++
@@ -565,20 +555,15 @@ func (ms *machineSim) afterDowntime(t float64) float64 {
 			t = win.end
 		}
 		ms.dtIdx++
-		if !win.fault && ms.observed() {
-			ms.emit(Event{
-				Kind: EventDowntime, Machine: ms.m.Name, Time: ms.toTime(win.start),
-				Downtime: [2]time.Time{ms.toTime(win.start), ms.toTime(win.end)},
-			})
+		if !win.fault {
+			ms.counts.Downtime++
 		}
 	}
 	return t
 }
 
-// announceFaults emits machine-down/up events for every outage
-// boundary the frontier has crossed. The cursor advances whether or
-// not anyone observes, so attaching an observer mid-run simply misses
-// history instead of replaying it.
+// announceFaults counts machine-down/up for every outage boundary the
+// frontier has crossed.
 func (ms *machineSim) announceFaults() {
 	f := ms.frontier
 	for ms.annIdx < len(ms.outages) {
@@ -587,30 +572,20 @@ func (ms *machineSim) announceFaults() {
 			if w.Start > f {
 				return
 			}
-			if ms.observed() {
-				ms.emit(Event{
-					Kind: EventMachineDown, Machine: ms.m.Name, Time: ms.toTime(w.Start),
-					Downtime: [2]time.Time{ms.toTime(w.Start), ms.toTime(w.End)},
-				})
-			}
+			ms.counts.MachineDown++
 			ms.annPhase = 1
 		}
 		if w.End > f {
 			return
 		}
-		if ms.observed() {
-			ms.emit(Event{
-				Kind: EventMachineUp, Machine: ms.m.Name, Time: ms.toTime(w.End),
-				Downtime: [2]time.Time{ms.toTime(w.Start), ms.toTime(w.End)},
-			})
-		}
+		ms.counts.MachineUp++
 		ms.annPhase = 0
 		ms.annIdx++
 	}
 }
 
-// record appends the study job's trace record and emits its terminal
-// event; reason classifies a cancellation.
+// record appends the study job's trace record and counts its terminal
+// state; reason classifies a cancellation.
 func (ms *machineSim) record(h *JobHandle, startT, endT time.Time, status trace.Status, reason CancelReason) {
 	s := h.spec
 	j := &trace.Job{
@@ -635,25 +610,15 @@ func (ms *machineSim) record(h *JobHandle, startT, endT time.Time, status trace.
 	if ms.cfg.RecordSink != nil {
 		ms.cfg.RecordSink(ms.idx, s, j)
 	}
-	if ms.observed() {
-		ms.emit(Event{
-			Kind: terminalKind(status), Machine: ms.m.Name, Time: endT,
-			Pending: len(ms.queue), Job: j, Handle: h, Reason: reason,
-		})
-	}
+	ms.counts.Study.end(status, reason)
 }
 
 // finish ends a served job, study or background, over machine seconds
 // [start, end]: a study job is recorded, a background job's terminal
-// event is emitted.
+// state is counted.
 func (ms *machineSim) finish(q *queuedJob, start, end float64, status trace.Status, reason CancelReason) {
 	if q.h == nil {
-		if ms.observed() {
-			ms.emit(Event{
-				Kind: terminalKind(status), Machine: ms.m.Name, Time: ms.toTime(end),
-				Background: true, Pending: len(ms.queue), Reason: reason,
-			})
-		}
+		ms.counts.Background.end(status, reason)
 		return
 	}
 	startT, endT := ms.toTime(start), ms.toTime(end)
@@ -709,13 +674,7 @@ func (ms *machineSim) serve(q *queuedJob) {
 		ratio := (start - q.submit) / (float64(q.pendingAtSubmit) * ms.bg.meanExec)
 		ms.waitRatios = append(ms.waitRatios, ratio)
 	}
-	if ms.observed() {
-		ms.emit(Event{
-			Kind: EventStart, Machine: ms.m.Name, Time: ms.toTime(start),
-			Background: q.h == nil, Pending: len(ms.queue), Handle: q.h,
-			Attempt: q.attempt,
-		})
-	}
+	ms.pop(q.h).Start++
 	status := trace.StatusDone
 	execSec := q.execSec
 	errRate := errorRate
@@ -757,12 +716,12 @@ func (ms *machineSim) serve(q *queuedJob) {
 	ms.admittedDuringStep = 0
 }
 
-// startTransientFail serves a started attempt (serve has emitted its
-// start event) that dies to a transient backend fault a quarter of the
-// way through: the burnt machine time is charged like any other
-// execution, and the job either schedules a retry after its backoff
-// (emitting retry, balanced later by a requeue) or finishes with an
-// error when the policy is exhausted.
+// startTransientFail serves a started attempt (serve has counted its
+// start) that dies to a transient backend fault a quarter of the way
+// through: the burnt machine time is charged like any other execution,
+// and the job either schedules a retry after its backoff (counting a
+// retry, balanced later by a requeue) or finishes with an error when
+// the policy is exhausted.
 // The failure occupies a normal busy step, preserving the
 // start ≡ done+error+retry conservation law.
 func (ms *machineSim) startTransientFail(q *queuedJob, start float64) {
@@ -776,7 +735,7 @@ func (ms *machineSim) startTransientFail(q *queuedJob, start float64) {
 	if retryable {
 		retryAt = failT + ms.retry.backoffSec(q.attempt+1, ms.cfg.Seed, ms.m.Seed, q.id)
 		// A retry that cannot re-enter the window would orphan its
-		// retry event (no requeue could balance it): fail terminally
+		// retry (no requeue could balance it): fail terminally
 		// instead, so finalize always drains the retry list.
 		retryable = retryAt < ms.endSec
 	}
@@ -788,13 +747,7 @@ func (ms *machineSim) startTransientFail(q *queuedJob, start float64) {
 			h: q.h, at: retryAt, execSec: q.execSec, patience: q.patience,
 			user: q.user, id: q.id, attempt: q.attempt + 1,
 		})
-		if ms.observed() {
-			ms.emit(Event{
-				Kind: EventRetry, Machine: ms.m.Name, Time: ms.toTime(failT),
-				Background: q.h == nil, Pending: len(ms.queue), Handle: q.h,
-				Attempt: q.attempt + 1, NextAttemptAt: ms.toTime(retryAt),
-			})
-		}
+		ms.pop(q.h).Retry++
 	} else {
 		ms.finish(q, start, failT, trace.StatusError, "")
 	}
@@ -1007,8 +960,6 @@ func (ms *machineSim) jobState(h *JobHandle) JobState {
 	return JobStateFinished
 }
 
-func (ms *machineSim) observed() bool { return ms.sess != nil && ms.sess.hasObs.Load() }
-
 func (ms *machineSim) journal() *sessionJournal {
 	if ms.sess == nil {
 		return nil
@@ -1016,15 +967,11 @@ func (ms *machineSim) journal() *sessionJournal {
 	return ms.sess.jr
 }
 
-func (ms *machineSim) emit(ev Event) { ms.sess.dispatch(ev) }
-
-func terminalKind(status trace.Status) EventKind {
-	switch status {
-	case trace.StatusError:
-		return EventError
-	case trace.StatusCancelled:
-		return EventCancel
-	default:
-		return EventDone
+// pop returns the counts of h's population: a study job has a handle,
+// a background job none.
+func (ms *machineSim) pop(h *JobHandle) *Counts {
+	if h == nil {
+		return &ms.counts.Background
 	}
+	return &ms.counts.Study
 }

@@ -2,7 +2,7 @@ package cloud_test
 
 import (
 	"bytes"
-	"sync/atomic"
+	"slices"
 	"testing"
 	"time"
 
@@ -251,11 +251,11 @@ func TestCheckpointRestoreValidation(t *testing.T) {
 }
 
 // TestRetryBackoffRecoveryProperty drives a flaky single-machine fleet
-// and checks the retry policy's promises against the event stream:
-// per-job attempts stay within MaxAttempts, every announced backoff
-// respects the cap, the per-user retry budget holds, and the extended
-// conservation laws (enqueue ≡ start+cancel, start ≡ done+error+retry,
-// retry ≡ requeue) balance exactly.
+// and checks the retry policy's promises against the session's counts:
+// the per-user retry budget holds, and the conservation laws
+// (enqueue ≡ start+cancel, start ≡ done+error+retry, retry ≡ requeue)
+// balance exactly. The per-job attempt cap is TestRetryAttemptCap's,
+// the backoff bound TestRetryBackoffBounded's.
 func TestRetryBackoffRecoveryProperty(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		cfg := quietConfig(seed, "ibmq_rome")
@@ -266,16 +266,12 @@ func TestRetryBackoffRecoveryProperty(t *testing.T) {
 			MaxBackoff:  20 * time.Minute,
 			JitterFrac:  0.4,
 			// All study jobs below share one user, so the budget is a
-			// hard global cap in this scenario.
+			// hard global cap on study retries in this scenario.
 			BudgetPerUser: 12,
 		}
 		cfg.Retry = policy
 		sess, err := cloud.Open(cfg)
 		if err != nil {
-			t.Fatal(err)
-		}
-		var events []cloud.Event
-		if err := sess.Observe(func(ev cloud.Event) { events = append(events, ev) }); err != nil {
 			t.Fatal(err)
 		}
 		base := sessWindow.start.Add(24 * time.Hour)
@@ -290,66 +286,74 @@ func TestRetryBackoffRecoveryProperty(t *testing.T) {
 		if _, err := sess.Run(); err != nil {
 			t.Fatal(err)
 		}
-		counts := make(map[cloud.EventKind]int)
-		attempts := make(map[*cloud.JobHandle]int)
-		maxDelay := time.Duration(float64(policy.MaxBackoff))
-		for _, ev := range events {
-			counts[ev.Kind]++
-			switch ev.Kind {
-			case cloud.EventRetry:
-				if ev.Handle != nil {
-					attempts[ev.Handle]++
-				}
-				delay := ev.NextAttemptAt.Sub(ev.Time)
-				if delay <= 0 || delay > maxDelay+time.Second {
-					t.Fatalf("seed %d: retry backoff %v violates (0, %v]", seed, delay, maxDelay)
-				}
-				if ev.Attempt < 1 || ev.Attempt >= policy.MaxAttempts {
-					t.Fatalf("seed %d: retry announced attempt %d outside [1, %d)", seed, ev.Attempt, policy.MaxAttempts)
-				}
-			case cloud.EventStart:
-				if ev.Attempt >= policy.MaxAttempts {
-					t.Fatalf("seed %d: start attempt %d exceeds budget %d", seed, ev.Attempt, policy.MaxAttempts)
-				}
-			}
-		}
-		if counts[cloud.EventRetry] == 0 {
+		stats := sess.Stats()
+		study := stats[0].Study
+		if study.Retry == 0 {
 			t.Fatalf("seed %d: flaky fleet produced no retries; scenario too tame to test anything", seed)
 		}
-		for h, k := range attempts {
-			if k > policy.MaxAttempts-1 {
-				t.Fatalf("seed %d: job %p retried %d times, budget is %d attempts total",
-					seed, h, k, policy.MaxAttempts)
-			}
-		}
-		if counts[cloud.EventRetry] > policy.BudgetPerUser {
+		if study.Retry > int64(policy.BudgetPerUser) {
 			t.Fatalf("seed %d: %d retries charged to one user, budget is %d",
-				seed, counts[cloud.EventRetry], policy.BudgetPerUser)
+				seed, study.Retry, policy.BudgetPerUser)
 		}
-		if counts[cloud.EventRequeue] != counts[cloud.EventRetry] {
-			t.Fatalf("seed %d: retry ≡ requeue broken: %d retries, %d requeues",
-				seed, counts[cloud.EventRetry], counts[cloud.EventRequeue])
+		checkConservation(t, stats)
+	}
+}
+
+// TestRetryBackoffBounded: every retry delay lies in (0, MaxBackoff],
+// whatever the attempt and the job, with or without jitter.
+func TestRetryBackoffBounded(t *testing.T) {
+	for _, p := range []*cloud.RetryPolicy{
+		{MaxAttempts: 3, BaseBackoff: 5 * time.Minute, MaxBackoff: 20 * time.Minute, JitterFrac: 0.4},
+		{MaxAttempts: 8, BaseBackoff: time.Second, MaxBackoff: time.Minute, JitterFrac: 0.99},
+		{MaxAttempts: 5, BaseBackoff: 10 * time.Minute, MaxBackoff: time.Hour, JitterFrac: -1},
+		{}, // the defaults
+	} {
+		maxAttempts, maxSec := p.MaxAttempts, p.MaxBackoff.Seconds()
+		if maxAttempts == 0 {
+			maxAttempts, maxSec = 3, time.Hour.Seconds()
 		}
-		if got, want := counts[cloud.EventEnqueue], counts[cloud.EventStart]+counts[cloud.EventCancel]; got != want {
-			t.Fatalf("seed %d: enqueue ≡ start+cancel broken: %d vs %d", seed, got, want)
-		}
-		if got, want := counts[cloud.EventStart], counts[cloud.EventDone]+counts[cloud.EventError]+counts[cloud.EventRetry]; got != want {
-			t.Fatalf("seed %d: start ≡ done+error+retry broken: %d vs %d", seed, got, want)
+		for attempt := 1; attempt < maxAttempts; attempt++ {
+			for id := int64(1); id <= 200; id++ {
+				if d := p.Backoff(attempt, 7, 11, id); !(d > 0 && d <= maxSec) {
+					t.Fatalf("policy %+v: attempt %d of job %d waits %gs, want (0, %g]", p, attempt, id, d, maxSec)
+				}
+			}
 		}
 	}
 }
 
-// TestFaultOutageEventsConservation runs the full chaos profile with
-// an observer attached and checks machine-down/up pairing plus the
+// checkConservation checks the laws each machine's counts keep once
+// its session has run to the end of the window with no job cancelled
+// before admission: per population, enqueue ≡ start+cancel,
+// start ≡ done+error+retry and retry ≡ requeue; per machine,
+// machine-down ≡ machine-up.
+func checkConservation(t *testing.T, stats []cloud.MachineCounts) {
+	t.Helper()
+	for i, m := range stats {
+		for _, c := range []cloud.Counts{m.Study, m.Background} {
+			if c.Enqueue != c.Start+c.Cancels() {
+				t.Fatalf("machine %d: enqueue ≡ start+cancel broken: %d vs %d", i, c.Enqueue, c.Start+c.Cancels())
+			}
+			if c.Start != c.Done+c.Error+c.Retry {
+				t.Fatalf("machine %d: start ≡ done+error+retry broken: %d vs %d", i, c.Start, c.Done+c.Error+c.Retry)
+			}
+			if c.Retry != c.Requeue {
+				t.Fatalf("machine %d: retry ≡ requeue broken: %d vs %d", i, c.Retry, c.Requeue)
+			}
+		}
+		if m.MachineDown != m.MachineUp {
+			t.Fatalf("machine %d: %d downs vs %d ups (finalize must announce every boundary)", i, m.MachineDown, m.MachineUp)
+		}
+	}
+}
+
+// TestFaultOutageEventsConservation runs the full chaos profile and
+// checks that outages happen and every machine's counts keep the
 // conservation laws under every fault mechanism at once.
 func TestFaultOutageEventsConservation(t *testing.T) {
 	cfg := faultConfig(31, 2)
 	sess, err := cloud.Open(cfg)
 	if err != nil {
-		t.Fatal(err)
-	}
-	var events []cloud.Event
-	if err := sess.Observe(func(ev cloud.Event) { events = append(events, ev) }); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range faultSpecs(31) {
@@ -360,68 +364,24 @@ func TestFaultOutageEventsConservation(t *testing.T) {
 	if _, err := sess.Run(); err != nil {
 		t.Fatal(err)
 	}
-	counts := make(map[cloud.EventKind]int)
-	downs := make(map[string]int)
-	ups := make(map[string]int)
-	for _, ev := range events {
-		counts[ev.Kind]++
-		switch ev.Kind {
-		case cloud.EventMachineDown:
-			downs[ev.Machine]++
-			if !ev.Downtime[1].After(ev.Downtime[0]) {
-				t.Fatalf("empty outage window on %s", ev.Machine)
-			}
-		case cloud.EventMachineUp:
-			ups[ev.Machine]++
-		}
+	stats := sess.Stats()
+	var downs int64
+	for _, m := range stats {
+		downs += m.MachineDown
 	}
-	if counts[cloud.EventMachineDown] == 0 {
+	if downs == 0 {
 		t.Fatal("chaos profile produced no outages")
 	}
-	for m, d := range downs {
-		if ups[m] != d {
-			t.Fatalf("machine %s: %d downs vs %d ups (finalize must announce every boundary)", m, d, ups[m])
-		}
-	}
-	if got, want := counts[cloud.EventEnqueue], counts[cloud.EventStart]+counts[cloud.EventCancel]; got != want {
-		t.Fatalf("enqueue ≡ start+cancel broken under chaos: %d vs %d", got, want)
-	}
-	if got, want := counts[cloud.EventStart], counts[cloud.EventDone]+counts[cloud.EventError]+counts[cloud.EventRetry]; got != want {
-		t.Fatalf("start ≡ done+error+retry broken under chaos: %d vs %d", got, want)
-	}
-	if counts[cloud.EventRequeue] != counts[cloud.EventRetry] {
-		t.Fatalf("retry ≡ requeue broken under chaos: %d vs %d", counts[cloud.EventRetry], counts[cloud.EventRequeue])
-	}
+	checkConservation(t, stats)
 }
 
-// TestSessionObserveInLine pins the Observe contract on a faulted
-// multi-machine session at four workers: callbacks never overlap, each
-// has returned by the time AdvanceTo returns, every machine's events
-// arrive in the order a serial run emits them, and the conservation
-// laws hold.
+// TestSessionObserveInLine pins Stats on a faulted multi-machine
+// session: the counts read after each weekly AdvanceTo, and after Run,
+// are the same at one worker and at four, and the finished counts keep
+// the conservation laws.
 func TestSessionObserveInLine(t *testing.T) {
-	type step struct {
-		Kind    cloud.EventKind
-		Time    time.Time
-		Attempt int
-	}
-	run := func(workers int) (map[string][]step, map[cloud.EventKind]int) {
+	run := func(workers int) [][]cloud.MachineCounts {
 		sess, err := cloud.Open(faultConfig(31, workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var inFlight atomic.Int32
-		var overlapped atomic.Bool
-		seqs := make(map[string][]step)
-		counts := make(map[cloud.EventKind]int)
-		err = sess.Observe(func(ev cloud.Event) {
-			if inFlight.Add(1) != 1 {
-				overlapped.Store(true)
-			}
-			seqs[ev.Machine] = append(seqs[ev.Machine], step{ev.Kind, ev.Time, ev.Attempt})
-			counts[ev.Kind]++
-			inFlight.Add(-1)
-		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -430,62 +390,44 @@ func TestSessionObserveInLine(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		var steps [][]cloud.MachineCounts
 		for at := sessWindow.start; at.Before(sessWindow.end); at = at.AddDate(0, 0, 7) {
 			sess.AdvanceTo(at)
-			if n := inFlight.Load(); n != 0 {
-				t.Fatalf("workers=%d: %d callbacks still running after AdvanceTo returned", workers, n)
-			}
+			steps = append(steps, sess.Stats())
 		}
 		if _, err := sess.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if overlapped.Load() {
-			t.Fatalf("workers=%d: an Observe callback was entered while another was running", workers)
-		}
-		return seqs, counts
+		return append(steps, sess.Stats())
 	}
-	want, _ := run(1)
-	got, counts := run(4)
+	want := run(1)
+	got := run(4)
 	if len(got) != len(want) {
-		t.Fatalf("events from %d machines at 4 workers, %d serially", len(got), len(want))
+		t.Fatalf("%d reads at 4 workers, %d serially", len(got), len(want))
 	}
-	for m, seq := range want {
-		g := got[m]
-		if len(g) != len(seq) {
-			t.Fatalf("machine %s: %d events at 4 workers, %d serially", m, len(g), len(seq))
-		}
-		for i := range seq {
-			if g[i].Kind != seq[i].Kind || !g[i].Time.Equal(seq[i].Time) || g[i].Attempt != seq[i].Attempt {
-				t.Fatalf("machine %s event %d: %+v at 4 workers, %+v serially", m, i, g[i], seq[i])
-			}
+	for i := range want {
+		if !slices.Equal(got[i], want[i]) {
+			t.Fatalf("read %d: %+v at 4 workers, %+v serially", i, got[i], want[i])
 		}
 	}
-	if counts[cloud.EventRetry] == 0 || counts[cloud.EventMachineDown] == 0 {
+	final := got[len(got)-1]
+	var retries, downs int64
+	for _, m := range final {
+		retries += m.Study.Retry + m.Background.Retry
+		downs += m.MachineDown
+	}
+	if retries == 0 || downs == 0 {
 		t.Fatal("chaos profile produced no retries or no outages")
 	}
-	if got, want := counts[cloud.EventEnqueue], counts[cloud.EventStart]+counts[cloud.EventCancel]; got != want {
-		t.Fatalf("enqueue ≡ start+cancel broken: %d vs %d", got, want)
-	}
-	if got, want := counts[cloud.EventStart], counts[cloud.EventDone]+counts[cloud.EventError]+counts[cloud.EventRetry]; got != want {
-		t.Fatalf("start ≡ done+error+retry broken: %d vs %d", got, want)
-	}
-	if counts[cloud.EventRequeue] != counts[cloud.EventRetry] {
-		t.Fatalf("retry ≡ requeue broken: %d vs %d", counts[cloud.EventRetry], counts[cloud.EventRequeue])
-	}
-	if counts[cloud.EventMachineDown] != counts[cloud.EventMachineUp] {
-		t.Fatalf("machine-down ≡ machine-up broken: %d vs %d", counts[cloud.EventMachineDown], counts[cloud.EventMachineUp])
-	}
+	checkConservation(t, final)
 }
 
 // TestSessionCloseHardened pins the close-twice and use-after-close
-// semantics: sentinel errors everywhere, no panics with an observer
-// attached.
+// semantics: sentinel errors everywhere, no panics, and the counts
+// still readable.
 func TestSessionCloseHardened(t *testing.T) {
 	sess, err := cloud.Open(quietConfig(2, "ibmq_rome"))
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.Observe(func(cloud.Event) {}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sess.Close(); err != nil {
@@ -494,8 +436,8 @@ func TestSessionCloseHardened(t *testing.T) {
 	if err := sess.Close(); err != cloud.ErrSessionClosed {
 		t.Fatalf("second close: err = %v, want ErrSessionClosed", err)
 	}
-	if err := sess.Observe(func(cloud.Event) {}); err != cloud.ErrSessionClosed {
-		t.Fatalf("observe after close: err = %v, want ErrSessionClosed", err)
+	if got := sess.Stats(); len(got) != 1 || got[0] != (cloud.MachineCounts{}) {
+		t.Fatalf("stats after close = %+v, want one machine's zero counts", got)
 	}
 	if _, err := sess.Submit(quietSpec(0, "ibmq_rome", sessWindow.start)); err != cloud.ErrSessionClosed {
 		t.Fatalf("submit after close: err = %v, want ErrSessionClosed", err)
@@ -515,10 +457,6 @@ func TestSessionEventStreamGolden(t *testing.T) {
 	cfg := faultConfig(31, 2)
 	sess, err := cloud.Open(cfg)
 	if err != nil {
-		t.Fatal(err)
-	}
-	events := make(map[string][]cloud.Event)
-	if err := sess.Observe(func(ev cloud.Event) { events[ev.Machine] = append(events[ev.Machine], ev) }); err != nil {
 		t.Fatal(err)
 	}
 	specs := faultSpecs(31)
@@ -558,9 +496,9 @@ func TestSessionEventStreamGolden(t *testing.T) {
 
 	got := make(map[string]countVector)
 	var fleet countVector
-	for m, evs := range events {
-		v := tallyVector(evs)
-		got[m] = v
+	for i, mc := range sess.Stats() {
+		v := vectorOf(mc)
+		got[sess.Machines()[i].Name] = v
 		for k := range fleet {
 			fleet[k] += v[k]
 		}
@@ -609,46 +547,12 @@ func TestSessionEventStreamGolden(t *testing.T) {
 // downtime, pending-sample, machine-down and machine-up.
 type countVector [24]int64
 
-func tallyVector(evs []cloud.Event) countVector {
+func vectorOf(mc cloud.MachineCounts) countVector {
 	var v countVector
-	for _, ev := range evs {
-		pop := 0
-		if ev.Background {
-			pop = 10
-		}
-		switch ev.Kind {
-		case cloud.EventEnqueue:
-			v[pop]++
-		case cloud.EventStart:
-			v[pop+1]++
-		case cloud.EventDone:
-			v[pop+2]++
-		case cloud.EventError:
-			v[pop+3]++
-		case cloud.EventRetry:
-			v[pop+4]++
-		case cloud.EventRequeue:
-			v[pop+5]++
-		case cloud.EventCancel:
-			switch ev.Reason {
-			case cloud.CancelUser:
-				v[pop+6]++
-			case cloud.CancelPreempted:
-				v[pop+7]++
-			case cloud.CancelPatience:
-				v[pop+8]++
-			case cloud.CancelWindow:
-				v[pop+9]++
-			}
-		case cloud.EventDowntime:
-			v[20]++
-		case cloud.EventPendingSample:
-			v[21]++
-		case cloud.EventMachineDown:
-			v[22]++
-		case cloud.EventMachineUp:
-			v[23]++
-		}
+	for k, c := range []cloud.Counts{mc.Study, mc.Background} {
+		copy(v[10*k:], []int64{c.Enqueue, c.Start, c.Done, c.Error, c.Retry, c.Requeue,
+			c.CancelUser, c.CancelPreempted, c.CancelPatience, c.CancelWindow})
 	}
+	copy(v[20:], []int64{mc.Downtime, mc.PendingSample, mc.MachineDown, mc.MachineUp})
 	return v
 }

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"qcloud/internal/backend"
@@ -14,10 +12,12 @@ import (
 	"qcloud/internal/trace"
 )
 
-// EventKind classifies session events.
+// EventKind names a job or machine lifecycle event. A session counts
+// each kind in Stats; the dispatcher's event stream uses the same
+// names.
 type EventKind string
 
-// Session event kinds.
+// Lifecycle event kinds.
 const (
 	// EventEnqueue fires when a job (study or background) enters a
 	// machine queue.
@@ -45,11 +45,10 @@ const (
 	EventRequeue EventKind = "requeue"
 )
 
-// CancelReason classifies why a job was withdrawn. It rides on the
-// terminal cancel event so consumers can tell a tenant-broker
-// preemption (the job will be requeued and tried again) apart from a
-// user giving up — the two move opposite directions in fairness
-// accounting.
+// CancelReason classifies why a job was withdrawn. Stats counts each
+// reason apart, so a tenant-broker preemption (the job will be
+// requeued and tried again) stays distinct from a user giving up — the
+// two move opposite directions in fairness accounting.
 type CancelReason string
 
 const (
@@ -65,39 +64,59 @@ const (
 	CancelWindow CancelReason = "window"
 )
 
-// Event is one observation from the simulated cloud's lifecycle stream.
-type Event struct {
-	Kind    EventKind
-	Machine string
-	// Time is the simulated instant of the event.
-	Time time.Time
-	// Background marks events of the modeled non-study population.
-	Background bool
-	// Pending is the queue length after the event (for enqueue/start/
-	// terminal events) or the sampled value (for pending-sample).
-	Pending int
-	// Job is the trace record for terminal study-job events.
-	Job *trace.Job
-	// Handle identifies the study job for enqueue/start/terminal
-	// events (nil for background jobs).
-	Handle *JobHandle
-	// Downtime is the window for downtime and machine-down/up events.
-	Downtime [2]time.Time
-	// Attempt is the execution attempt the event belongs to (0 = first
-	// try; for retry/requeue events, the upcoming attempt).
-	Attempt int
-	// NextAttemptAt is when a retry re-enters the queue (retry events
-	// only).
-	NextAttemptAt time.Time
-	// Reason classifies cancel events (empty for other kinds).
-	Reason CancelReason
+// Counts tallies one population's job lifecycle on one machine. Once
+// the machine has run to the end of its window the tallies keep three
+// conservation laws: Enqueue = Start + the cancels of enqueued jobs,
+// Start = Done + Error + Retry, and Retry = Requeue.
+type Counts struct {
+	// Enqueue counts queue entries, requeues included.
+	Enqueue, Start, Done, Error int64
+	// Retry counts transient failures scheduled for another attempt,
+	// Requeue the retries that re-entered the queue after their backoff.
+	Retry, Requeue int64
+	// Cancels by reason. A study job cancelled before admission is
+	// counted here without an Enqueue.
+	CancelUser, CancelPreempted, CancelPatience, CancelWindow int64
+}
+
+// Cancels sums the cancels of every reason.
+func (c *Counts) Cancels() int64 {
+	return c.CancelUser + c.CancelPreempted + c.CancelPatience + c.CancelWindow
+}
+
+// end counts a job's terminal state.
+func (c *Counts) end(status trace.Status, reason CancelReason) {
+	switch {
+	case status == trace.StatusDone:
+		c.Done++
+	case status == trace.StatusError:
+		c.Error++
+	case reason == CancelUser:
+		c.CancelUser++
+	case reason == CancelPreempted:
+		c.CancelPreempted++
+	case reason == CancelPatience:
+		c.CancelPatience++
+	default:
+		c.CancelWindow++
+	}
+}
+
+// MachineCounts is one machine's lifecycle tally since the session was
+// opened or restored: its study and background jobs, the planned downtime windows that
+// displaced a start, the queue-length samples taken, and the unplanned
+// outages whose start (MachineDown) and end (MachineUp) the frontier
+// has crossed.
+type MachineCounts struct {
+	Study, Background                               Counts
+	Downtime, PendingSample, MachineDown, MachineUp int64
 }
 
 // JobHandle identifies a study job submitted to a session; it is the
-// token Cancel takes and the correlation key events carry. Inside the
-// session it is also the job's one record: the queue, the retry list
-// and the pending stream hold the handle, and its state lives here,
-// written only by the goroutine advancing its machine.
+// token Cancel and JobStatus take. Inside the session it is also the
+// job's one record: the queue, the retry list and the pending stream
+// hold the handle, and its state lives here, written only by the
+// goroutine advancing its machine.
 type JobHandle struct {
 	spec    *JobSpec
 	machine string
@@ -158,13 +177,11 @@ func (q QueueSnapshot) EstimatedWaitSeconds() float64 {
 
 // Session is an open, steppable cloud simulation: jobs can be
 // submitted while it runs, queues observed at their live frontier, and
-// lifecycle events streamed. The batch Simulate call is a thin wrapper
+// lifecycle counts read. The batch Simulate call is a thin wrapper
 // (open, submit everything, run) and produces bit-identical traces.
 //
 // A Session is driven from one goroutine: Submit/Cancel/AdvanceTo/
-// QueueState/Run must not be called concurrently with each other.
-// Observe callbacks run in line on the advancing goroutines, one at a
-// time, and must not call back into the session.
+// QueueState/Stats/Run must not be called concurrently with each other.
 type Session struct {
 	cfg  Config
 	sims []*machineSim
@@ -174,10 +191,7 @@ type Session struct {
 	// the order forEachSim hands machines to workers.
 	order []int
 
-	obsMu     sync.Mutex
-	observers []func(Event)
-	hasObs    atomic.Bool
-	closed    bool
+	closed bool
 
 	// jr is non-nil when the session journals durably (Config.Journal).
 	jr *sessionJournal
@@ -341,16 +355,16 @@ func (s *Session) JobStatus(h *JobHandle) (JobState, error) {
 
 // Cancel withdraws a submitted job that has not finished; it is
 // recorded as CANCELLED at the machine's current frontier (or its
-// submit instant, if that is later). The terminal event carries
-// CancelUser.
+// submit instant, if that is later) and counted as CancelUser.
 func (s *Session) Cancel(h *JobHandle) error {
 	return s.CancelWithReason(h, CancelUser)
 }
 
-// CancelWithReason is Cancel with an explicit classification on the
-// terminal event — CancelPreempted is how the tenant broker marks a
-// withdrawal it will follow with a requeue, keeping preemptions
-// distinguishable from users giving up in event tallies and metrics.
+// CancelWithReason is Cancel with an explicit classification of the
+// cancel — CancelPreempted is how the tenant broker marks a withdrawal
+// it will follow with a requeue, keeping preemptions distinguishable
+// from users giving up in Stats and metrics. An empty reason is
+// CancelUser; a reason outside the four is refused.
 func (s *Session) CancelWithReason(h *JobHandle, reason CancelReason) error {
 	if s.closed {
 		return ErrSessionClosed
@@ -358,8 +372,12 @@ func (s *Session) CancelWithReason(h *JobHandle, reason CancelReason) error {
 	if h == nil || h.sess != s {
 		return fmt.Errorf("cloud: handle does not belong to this session")
 	}
-	if reason == "" {
+	switch reason {
+	case "":
 		reason = CancelUser
+	case CancelUser, CancelPreempted, CancelPatience, CancelWindow:
+	default:
+		return fmt.Errorf("cloud: unknown cancel reason %q", reason)
 	}
 	ms := s.sim(h.machine)
 	at := ms.frontier
@@ -403,24 +421,16 @@ func (s *Session) QueueState(machine string) (QueueSnapshot, error) {
 	return ms.snapshot(), nil
 }
 
-// Observe attaches fn to the session's event stream. Events are
-// delivered in line: fn runs on the goroutine advancing the event's
-// machine, under the session's observer lock, so calls never overlap,
-// each machine's events arrive in the order it emitted them, and every
-// call has returned by the time AdvanceTo, Run or DrainJournal
-// returns. Events from different machines interleave in no fixed
-// order. fn must not call the session, and it stalls the simulation
-// for as long as it runs. Observing a closed session returns
-// ErrSessionClosed.
-func (s *Session) Observe(fn func(Event)) error {
-	s.obsMu.Lock()
-	defer s.obsMu.Unlock()
-	if s.closed {
-		return ErrSessionClosed
+// Stats returns every machine's lifecycle counts in fleet order, the
+// order Machines returns. Each machine counts on its own goroutine as
+// it advances, so Stats is read between steps: mid-run once AdvanceTo
+// returns, and after Run or Close.
+func (s *Session) Stats() []MachineCounts {
+	out := make([]MachineCounts, len(s.sims))
+	for i, ms := range s.sims {
+		out[i] = ms.counts
 	}
-	s.observers = append(s.observers, fn)
-	s.hasObs.Store(true)
-	return nil
+	return out
 }
 
 // Run advances every machine to the end of the window, assembles the
@@ -466,34 +476,18 @@ func orderTrace(out *trace.Trace) {
 	})
 }
 
-// Close releases the session: further calls fail and observers are
-// detached. Closing a session that is already closed (Run closes
-// implicitly) is safe — it touches nothing and reports
-// ErrSessionClosed so misuse is visible.
+// Close releases the session: further calls fail. Closing a session
+// that is already closed (Run closes implicitly) is safe — it touches
+// nothing and reports ErrSessionClosed so misuse is visible.
 func (s *Session) Close() error {
-	s.obsMu.Lock()
 	if s.closed {
-		s.obsMu.Unlock()
 		return ErrSessionClosed
 	}
 	s.closed = true
-	s.observers = nil
-	s.obsMu.Unlock()
 	if s.jr != nil {
 		return s.jr.close()
 	}
 	return nil
-}
-
-// dispatch hands an event to every observer. Machines advance in
-// parallel, so this is the only cross-machine synchronization point —
-// and it is only reached when at least one observer is attached.
-func (s *Session) dispatch(ev Event) {
-	s.obsMu.Lock()
-	defer s.obsMu.Unlock()
-	for _, fn := range s.observers {
-		fn(ev)
-	}
 }
 
 // ErrSessionClosed is returned by every Session call made after Close

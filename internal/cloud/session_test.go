@@ -306,6 +306,10 @@ func TestSessionCancel(t *testing.T) {
 		}
 		handles = append(handles, h)
 	}
+	// A reason outside the four is refused and leaves the job as it was.
+	if err := sess.CancelWithReason(handles[1], "bored"); err == nil {
+		t.Fatal("cancel with an unknown reason should fail")
+	}
 	// Cancel the second job before the session reaches it at all.
 	if err := sess.Cancel(handles[1]); err != nil {
 		t.Fatal(err)
@@ -351,18 +355,12 @@ func TestSessionCancel(t *testing.T) {
 	}
 }
 
+// TestSessionObserveEvents checks a quiet session's study counts: one
+// enqueue per submission, one terminal count per trace job, and one
+// start per executed job.
 func TestSessionObserveEvents(t *testing.T) {
 	cfg := quietConfig(6, "ibmq_rome")
 	sess, err := cloud.Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var events []cloud.Event
-	err = sess.Observe(func(ev cloud.Event) {
-		if !ev.Background {
-			events = append(events, ev)
-		}
-	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,44 +375,26 @@ func TestSessionObserveEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := make(map[cloud.EventKind]int)
-	for _, ev := range events { // every call has returned with Run
-		if ev.Machine != "ibmq_rome" {
-			t.Fatalf("unexpected machine %q in filtered stream", ev.Machine)
-		}
-		counts[ev.Kind]++
-		switch ev.Kind {
-		case cloud.EventEnqueue, cloud.EventStart:
-			if ev.Handle == nil {
-				t.Fatalf("study %s event without a handle", ev.Kind)
-			}
-		case cloud.EventDone, cloud.EventError, cloud.EventCancel:
-			if ev.Job == nil {
-				t.Fatalf("terminal %s event without a job record", ev.Kind)
-			}
-		}
+	stats := sess.Stats() // valid after Run has closed the session
+	if len(stats) != 1 {
+		t.Fatalf("stats for %d machines, want 1", len(stats))
 	}
-	if counts[cloud.EventEnqueue] != n {
-		t.Fatalf("enqueue events = %d, want %d", counts[cloud.EventEnqueue], n)
+	c := stats[0].Study
+	if c.Enqueue != n {
+		t.Fatalf("study enqueues = %d, want %d", c.Enqueue, n)
 	}
-	terminal := counts[cloud.EventDone] + counts[cloud.EventError] + counts[cloud.EventCancel]
-	if terminal != len(tr.Jobs) {
-		t.Fatalf("terminal events = %d, want one per trace job (%d)", terminal, len(tr.Jobs))
+	if terminal := c.Done + c.Error + c.Cancels(); terminal != int64(len(tr.Jobs)) {
+		t.Fatalf("study terminal counts = %d, want one per trace job (%d)", terminal, len(tr.Jobs))
 	}
-	if counts[cloud.EventStart] != counts[cloud.EventDone]+counts[cloud.EventError] {
-		t.Fatalf("start events = %d, want one per executed job (%d)",
-			counts[cloud.EventStart], counts[cloud.EventDone]+counts[cloud.EventError])
-	}
-	// Observing a closed session reports the sentinel instead of
-	// silently subscribing to nothing.
-	if err := sess.Observe(func(cloud.Event) {}); err != cloud.ErrSessionClosed {
-		t.Fatalf("observe after close: err = %v, want ErrSessionClosed", err)
+	if c.Start != c.Done+c.Error {
+		t.Fatalf("study starts = %d, want one per executed job (%d)", c.Start, c.Done+c.Error)
 	}
 }
 
-// TestSessionObserveBackgroundStream checks the unfiltered stream
-// carries the modeled population too: on a busy public machine the
-// background enqueue/terminal traffic dwarfs the study jobs.
+// TestSessionObserveBackgroundStream checks the counts cover the
+// modeled population too: on a busy public machine the background
+// enqueues dwarf the study jobs, and the queue is sampled on its
+// cadence.
 func TestSessionObserveBackgroundStream(t *testing.T) {
 	m, err := backend.FindMachine(backend.Fleet(), "ibmq_athens")
 	if err != nil {
@@ -428,31 +408,18 @@ func TestSessionObserveBackgroundStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var events []cloud.Event
-	err = sess.Observe(func(ev cloud.Event) {
-		if ev.Kind == cloud.EventEnqueue || ev.Kind == cloud.EventPendingSample {
-			events = append(events, ev)
-		}
-	})
+	tr, err := sess.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Run(); err != nil {
-		t.Fatal(err)
+	st := sess.Stats()[0]
+	if st.Background.Enqueue < 100 {
+		t.Fatalf("background enqueues = %d, want a busy public stream", st.Background.Enqueue)
 	}
-	bg, samples := 0, 0
-	for _, ev := range events {
-		switch {
-		case ev.Kind == cloud.EventPendingSample:
-			samples++
-		case ev.Background:
-			bg++
-		}
+	if st.PendingSample < 20 {
+		t.Fatalf("pending samples = %d, want the 6h cadence", st.PendingSample)
 	}
-	if bg < 100 {
-		t.Fatalf("background enqueue events = %d, want a busy public stream", bg)
-	}
-	if samples < 20 {
-		t.Fatalf("pending-sample events = %d, want the 6h cadence", samples)
+	if got := int64(len(tr.Machines[0].PendingSamples)); st.PendingSample != got {
+		t.Fatalf("pending samples counted %d, trace holds %d", st.PendingSample, got)
 	}
 }

@@ -14,9 +14,9 @@
 // internal/dispatch and is deliberately outside that scope.
 //
 // The event taxonomy is cloud.EventKind verbatim: a dispatcher event
-// stream is read with the same vocabulary as the events an in-process
-// Session.Observe callback receives (enqueue, start, done, error,
-// cancel, retry, requeue). Likewise a Spec's trace plane is cloud.JobSpec itself: its
+// stream is read with the same vocabulary as the lifecycle counts of
+// an in-process Session.Stats (enqueue, start, done, error, cancel,
+// retry, requeue). Likewise a Spec's trace plane is cloud.JobSpec itself: its
 // JSON tags and, after the submit instant, its WAL field list
 // (cloud.AppendJobSpecFields) are the session's.
 package wire
@@ -81,8 +81,8 @@ func (s *Spec) ExecLabel() string {
 // slice as it stands. It is cloud.Count, the type of the CSV cell.
 type Count = cloud.Count
 
-// Event mirrors cloud.Event for the dispatcher's observable stream.
-// Seq is the dispatcher-assigned submission sequence (the analogue of
+// Event is one entry of the dispatcher's observable stream, its Kind
+// one of cloud.EventKind's. Seq is the dispatcher-assigned submission sequence (the analogue of
 // a session job ID), Attempt the lease attempt it describes.
 type Event struct {
 	Kind    cloud.EventKind `json:"kind"`

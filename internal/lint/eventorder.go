@@ -1,116 +1,32 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/ast"
 
-// EventOrder enforces the session's event-emission ownership: only the
-// machineSim advance loop (and the session's owned delivery machinery,
-// marked //qcloud:eventowner) may send on Event channels or append to
-// trace.Trace records. Machines advance in parallel, but each
-// machine's loop is a serial event source; an Event send or a trace
-// append from an ad-hoc goroutine interleaves nondeterministically
-// with the owned stream and breaks the per-machine ordering (and with
-// it trace bit-identity).
-//
-// Mechanically: for every `go` statement, the analyzer inspects the
-// launched body — a function literal inline, or the body of a
-// same-package function started by name — and flags sends on channels
-// of cloud.Event and appends to trace.Trace fields. Functions carrying
-// //qcloud:eventowner in their doc comment are the sanctioned delivery
-// path and are skipped. The check is one level deep by design: the
-// owned paths are shallow, and deeper indirection through goroutines
-// is itself a smell in this codebase.
+// EventOrder flags every go statement in the session packages:
+// internal/cloud, internal/journal and internal/tenant, test files
+// included. Each machine's lifecycle (its queue, counts, journal
+// stream and records) is written by one goroutine at a time, and the
+// fan-out over machines is internal/par's ForEach, which joins before
+// it returns. A goroutine started anywhere else could outlive the call
+// that started it or interleave with a machine's own writes, and the
+// per-machine order, and with it trace bit-identity, would depend on
+// the scheduler. These packages have no go statement; this keeps it so.
 var EventOrder = &Analyzer{
-	Name:  "eventorder",
-	Doc:   "flag Event-channel sends and trace.Trace appends from goroutines outside the machineSim advance loop",
-	Scope: []string{"qcloud/internal/cloud", "qcloud/internal/journal", "qcloud/internal/tenant"},
-	Run:   runEventOrder,
+	Name:         "eventorder",
+	Doc:          "flag go statements in internal/cloud, internal/journal and internal/tenant, whose fan-out is internal/par",
+	Scope:        []string{"qcloud/internal/cloud", "qcloud/internal/journal", "qcloud/internal/tenant"},
+	IncludeTests: true,
+	Run:          runEventOrder,
 }
 
-const (
-	cloudPkgPath = "qcloud/internal/cloud"
-	tracePkgPath = "qcloud/internal/trace"
-)
-
 func runEventOrder(p *Pass) error {
-	// Resolve same-package function declarations so `go f()` can be
-	// followed into f's body.
-	decls := make(map[types.Object]*ast.FuncDecl)
-	for _, f := range p.Files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok {
-				if obj := p.TypesInfo.Defs[fd.Name]; obj != nil {
-					decls[obj] = fd
-				}
-			}
-		}
-	}
-	// A named function may be launched from several sites; report each
-	// offending send once.
-	reported := make(map[ast.Node]bool)
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			g, ok := n.(*ast.GoStmt)
-			if !ok {
-				return true
-			}
-			switch fun := g.Call.Fun.(type) {
-			case *ast.FuncLit:
-				checkGoroutineBody(p, fun.Body, reported)
-			default:
-				var obj types.Object
-				switch e := fun.(type) {
-				case *ast.Ident:
-					obj = p.TypesInfo.Uses[e]
-				case *ast.SelectorExpr:
-					obj = p.TypesInfo.Uses[e.Sel]
-				}
-				if fd := decls[obj]; fd != nil && fd.Body != nil && !hasDirective(fd.Doc, DirectiveEventOwner) {
-					checkGoroutineBody(p, fd.Body, reported)
-				}
+			if g, ok := n.(*ast.GoStmt); ok {
+				p.Reportf(g.Pos(), "go statement in a session package; fan out through internal/par so each machine keeps one event order")
 			}
 			return true
 		})
 	}
 	return nil
-}
-
-// checkGoroutineBody flags Event sends and trace.Trace appends inside
-// a body that runs on a non-owned goroutine.
-func checkGoroutineBody(p *Pass, body *ast.BlockStmt, reported map[ast.Node]bool) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.SendStmt:
-			t := p.TypesInfo.TypeOf(n.Chan)
-			if t == nil {
-				return true
-			}
-			ch, ok := t.Underlying().(*types.Chan)
-			if !ok || !isNamedType(ch.Elem(), cloudPkgPath, "Event") {
-				return true
-			}
-			if !reported[n] {
-				reported[n] = true
-				p.Reportf(n.Pos(), "send on Event channel from a goroutine outside the machineSim advance loop; only the session's owned delivery path (//%s) may deliver events", DirectiveEventOwner)
-			}
-		case *ast.CallExpr:
-			if !isBuiltin(p.TypesInfo, n.Fun, "append") || len(n.Args) == 0 {
-				return true
-			}
-			sel, ok := n.Args[0].(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			if !isNamedType(p.TypesInfo.TypeOf(sel.X), tracePkgPath, "Trace") {
-				return true
-			}
-			if !reported[n] {
-				reported[n] = true
-				p.Reportf(n.Pos(), "append to trace.Trace field %s from a goroutine outside the machineSim advance loop breaks trace bit-identity", types.ExprString(n.Args[0]))
-			}
-		}
-		return true
-	})
 }

@@ -2,9 +2,10 @@
 // analyzers that mechanically enforce the repo's determinism and
 // hot-path contracts. Every PR so far stakes correctness on invariants
 // held only by convention — bit-identical traces at any worker count,
-// per-(job,shot) RNG streams, a zero-alloc shot loop, event emission
-// owned by the machineSim advance loop — and this package turns each
-// into a diagnostic that fails review instead of (or before) a test.
+// per-(job,shot) RNG streams, a zero-alloc shot loop, no goroutine in
+// the session packages beyond internal/par's fan-out — and this
+// package turns each into a diagnostic that fails review instead of
+// (or before) a test.
 //
 // The suite is built on stdlib go/parser + go/types only, so it adds
 // no module dependencies. The Analyzer/Pass split deliberately mirrors
@@ -22,9 +23,9 @@
 //     from a per-(job,shot) seed.
 //   - noalloc: functions annotated //qcloud:noalloc may not contain
 //     allocation-forcing constructs.
-//   - eventorder: Event-channel sends and trace.Trace appends may not
-//     happen on goroutines outside the session's owned delivery path
-//     (//qcloud:eventowner).
+//   - eventorder: no go statement in internal/cloud, internal/journal
+//     or internal/tenant, test files included; their fan-out is
+//     internal/par.
 //   - unreachable: no declaration of a non-main package that no main,
 //     init, var initializer or other package's test reaches, and no
 //     exported field of a reached struct that none of them writes,
@@ -54,10 +55,6 @@ const (
 	// not depend on iteration order (exact commutative folds such as
 	// integer sums, or selections with a total-order tie-break).
 	DirectiveOrderInvariant = "qcloud:orderinvariant"
-	// DirectiveEventOwner marks a function that is part of the
-	// session's owned event-delivery machinery and may therefore send
-	// events from its own goroutine.
-	DirectiveEventOwner = "qcloud:eventowner"
 	// DirectiveKeep keeps a declaration the unreachable analyzer would
 	// report; the text after it must say why (the test that compares
 	// against a reference implementation, the CI step that runs it).
@@ -289,23 +286,6 @@ func pkgNameOf(info *types.Info, e ast.Expr) *types.PkgName {
 	}
 	pn, _ := info.Uses[id].(*types.PkgName)
 	return pn
-}
-
-// isNamedType reports whether t (after pointer indirection) is the
-// named type path.name.
-func isNamedType(t types.Type, path, name string) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == path
 }
 
 // enclosingFuncBody returns the body of the innermost function

@@ -158,10 +158,9 @@ func TestEventOrderFixtures(t *testing.T) {
 	checkFixture(t, "eventorder_fixed", "qcloud/internal/cloud/lintfixture")
 }
 
-// The tenant twin pins the broker's record-sink contract: machine
-// goroutines may only append into eventowner-marked per-machine
-// buffers; the merge into the shared trace belongs to the driver
-// goroutine. Claiming qcloud/internal/tenant/... also proves the
+// The tenant twin pins the broker's record-sink contract: the merge of
+// the per-machine record buffers into the shared trace belongs to the
+// driver goroutine. Claiming qcloud/internal/tenant/... also proves the
 // scope extension took.
 func TestEventOrderTenantFixtures(t *testing.T) {
 	checkFixture(t, "eventorder_tenant_broken", "qcloud/internal/tenant/lintfixture")

@@ -1,36 +1,28 @@
-// Package fixture is the deliberately-broken eventorder fixture: it
-// launches goroutines that emit session events and mutate traces
-// outside the owned delivery path, so each site must be flagged.
+// Package fixture is the deliberately-broken eventorder fixture: a
+// machine fan-out written with go statements instead of internal/par,
+// so each go statement must be flagged.
 package fixture
 
-import (
-	"qcloud/internal/cloud"
-	"qcloud/internal/trace"
-)
+import "sync"
 
-func leak(ch chan cloud.Event, ev cloud.Event, tr *trace.Trace, j *trace.Job) {
-	go func() {
-		ch <- ev                     // want `send on Event channel from a goroutine outside the machineSim advance loop`
-		tr.Jobs = append(tr.Jobs, j) // want `append to trace.Trace field tr.Jobs from a goroutine`
-	}()
-	go relay(ch, ev)
+type machine struct{ frontier float64 }
+
+func (m *machine) advanceTo(t float64) { m.frontier = t }
+
+// advanceAll starts one goroutine per machine and joins them by hand.
+func advanceAll(ms []*machine, t float64) {
+	var wg sync.WaitGroup
+	for _, m := range ms {
+		wg.Add(1)
+		go func() { // want `go statement in a session package`
+			defer wg.Done()
+			m.advanceTo(t)
+		}()
+	}
+	wg.Wait()
 }
 
-// relay is started as a goroutine above and carries no eventowner
-// directive, so its send is flagged at the send site.
-func relay(ch chan cloud.Event, ev cloud.Event) {
-	ch <- ev // want `send on Event channel from a goroutine outside the machineSim advance loop`
-}
-
-// retryLeak is the fault-recovery anti-pattern: announcing a retry's
-// requeue from an unsanctioned goroutine when the backoff timer fires.
-func retryLeak(ch chan cloud.Event, retry, requeue cloud.Event) {
-	ch <- retry
-	go announceRequeue(ch, requeue)
-}
-
-// announceRequeue emits requeue events asynchronously but carries no
-// eventowner directive, so the send must be flagged.
-func announceRequeue(ch chan cloud.Event, ev cloud.Event) {
-	ch <- ev // want `send on Event channel from a goroutine outside the machineSim advance loop`
+// advanceLater never joins the goroutine it starts.
+func advanceLater(m *machine, t float64) {
+	go m.advanceTo(t) // want `go statement in a session package`
 }

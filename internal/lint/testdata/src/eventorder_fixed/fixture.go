@@ -1,41 +1,13 @@
-// Package fixture is the fixed twin of eventorder_broken: emission
-// happens on the calling goroutine (the advance-loop pattern) or in a
-// sanctioned //qcloud:eventowner delivery function, so the analyzer
-// must stay quiet.
+// Package fixture is the fixed twin of eventorder_broken: the same
+// fan-out through par.ForEach, so the analyzer must stay quiet.
 package fixture
 
-import (
-	"qcloud/internal/cloud"
-	"qcloud/internal/trace"
-)
+import "qcloud/internal/par"
 
-// advance emits from the calling goroutine — the advance loop itself —
-// and hands asynchronous delivery to the sanctioned path.
-func advance(ch chan cloud.Event, ev cloud.Event, tr *trace.Trace, j *trace.Job) {
-	ch <- ev
-	tr.Jobs = append(tr.Jobs, j)
-	go deliver(ch, ev)
-}
+type machine struct{ frontier float64 }
 
-// deliver is the session's owned asynchronous delivery path.
-//
-//qcloud:eventowner
-func deliver(ch chan cloud.Event, ev cloud.Event) {
-	ch <- ev
-}
+func (m *machine) advanceTo(t float64) { m.frontier = t }
 
-// retryLater mirrors the fault-recovery shape: the advance loop emits
-// the retry event inline, then hands its matching requeue announcement
-// to a sanctioned delivery goroutine once the backoff elapses.
-func retryLater(ch chan cloud.Event, retry, requeue cloud.Event) {
-	ch <- retry
-	go deliverRequeue(ch, requeue)
-}
-
-// deliverRequeue is the owned retry-delivery path: requeue events are
-// paired with their retry and may be announced asynchronously.
-//
-//qcloud:eventowner
-func deliverRequeue(ch chan cloud.Event, ev cloud.Event) {
-	ch <- ev
+func advanceAll(ms []*machine, t float64) {
+	par.ForEach(len(ms), 0, func(i int) { ms[i].advanceTo(t) })
 }

@@ -1,37 +1,17 @@
 // Package fixture is the deliberately-broken tenant eventorder
-// fixture: a broker-shaped drain that merges per-machine record
-// buffers into the tenant trace from ad-hoc goroutines (and forwards
-// tenant events the same way), so each site must be flagged.
+// fixture: a broker-shaped drain that hands each machine's record
+// buffer to its own goroutine, so the merge order into the tenant
+// trace depends on the scheduler and the go statement must be flagged.
 package fixture
 
-import (
-	"qcloud/internal/cloud"
-	"qcloud/internal/trace"
-)
+import "qcloud/internal/trace"
 
-// drainAsync is the record-sink anti-pattern: one goroutine per
-// machine buffer, all appending into the shared trace concurrently.
-// The merge order then depends on goroutine scheduling, not on the
-// deterministic per-machine event order.
 func drainAsync(tr *trace.Trace, perMach [][]*trace.Job) {
+	bufs := make(chan []*trace.Job)
 	for _, buf := range perMach {
-		buf := buf
-		go func() {
-			for _, j := range buf {
-				tr.Jobs = append(tr.Jobs, j) // want `append to trace.Trace field tr.Jobs from a goroutine`
-			}
-		}()
+		go func() { bufs <- buf }() // want `go statement in a session package`
 	}
-}
-
-// forward is started as a goroutine below and carries no eventowner
-// directive, so its send is flagged at the send site.
-func forward(ch chan cloud.Event, ev cloud.Event) {
-	ch <- ev // want `send on Event channel from a goroutine outside the machineSim advance loop`
-}
-
-// observe relays broker admission events to a subscriber channel from
-// an unsanctioned goroutine.
-func observe(ch chan cloud.Event, ev cloud.Event) {
-	go forward(ch, ev)
+	for range perMach {
+		tr.Jobs = append(tr.Jobs, <-bufs...)
+	}
 }

@@ -1,52 +1,12 @@
 // Package fixture is the fixed twin of eventorder_tenant_broken: the
-// broker's record sink appends into per-machine buffers from the
-// machine goroutines (the sanctioned //qcloud:eventowner path) and the
-// merge into the shared trace happens on the driver goroutine between
-// advances, so the analyzer must stay quiet.
+// driver goroutine drains the per-machine record buffers in fleet
+// order, so the analyzer must stay quiet.
 package fixture
 
-import (
-	"qcloud/internal/cloud"
-	"qcloud/internal/trace"
-)
+import "qcloud/internal/trace"
 
-// sink is the broker's per-machine record hook: machine goroutines
-// append into their own buffer, never into the shared trace.
-//
-//qcloud:eventowner per-machine append buffer drained on the driver goroutine
-func sink(perMach [][]*trace.Job, machine int, j *trace.Job) {
-	perMach[machine] = append(perMach[machine], j)
-}
-
-// drain merges the per-machine buffers on the calling (driver)
-// goroutine between AdvanceTo calls — the advance-loop pattern — so
-// the trace append is owned and ordered.
 func drain(tr *trace.Trace, perMach [][]*trace.Job) {
-	for mi, buf := range perMach {
+	for _, buf := range perMach {
 		tr.Jobs = append(tr.Jobs, buf...)
-		perMach[mi] = buf[:0]
 	}
-	go startSink(perMach)
-}
-
-// startSink is the session's owned delivery machinery for the sink
-// path and may run on its own goroutine.
-//
-//qcloud:eventowner
-func startSink(perMach [][]*trace.Job) {
-	_ = perMach
-}
-
-// relay emits broker events from the calling goroutine and hands
-// asynchronous delivery to the sanctioned path.
-func relay(ch chan cloud.Event, ev cloud.Event) {
-	ch <- ev
-	go deliver(ch, ev)
-}
-
-// deliver is the broker's owned asynchronous delivery path.
-//
-//qcloud:eventowner
-func deliver(ch chan cloud.Event, ev cloud.Event) {
-	ch <- ev
 }

@@ -334,9 +334,8 @@ func (FaultAware) Replace(spec *cloud.JobSpec, cands []*backend.Machine, v View)
 // that is now down, the evaluation asks the policy to pick a
 // replacement machine (nil = leave the job waiting). Decisions are made
 // at workload arrival instants from deterministic QueueState and
-// JobStatus polls — not from Observe callbacks, whose machines
-// interleave in no fixed order — so the evaluation stays bit-identical
-// across worker counts.
+// JobStatus polls, never in the order machines happen to advance, so
+// the evaluation stays bit-identical across worker counts.
 type Replacer interface {
 	Replace(spec *cloud.JobSpec, cands []*backend.Machine, v View) *backend.Machine
 }

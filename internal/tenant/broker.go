@@ -132,7 +132,7 @@ func Open(ccfg cloud.Config, tcfg Config) (*Broker, error) {
 	return b, nil
 }
 
-// Session exposes the underlying session (for Observe, QueueState and
+// Session exposes the underlying session (for Stats, QueueState and
 // direct submissions, which the broker's accounting simply ignores).
 func (b *Broker) Session() *cloud.Session { return b.sess }
 
@@ -148,9 +148,8 @@ func (b *Broker) toTime(s float64) time.Time {
 }
 
 // sink is the session's RecordSink: called synchronously from each
-// machine's advance loop with that machine's finished study records.
-//
-//qcloud:eventowner per-machine append buffer drained on the driver goroutine
+// machine's advance loop with that machine's finished study records,
+// into that machine's own buffer, which the driver goroutine drains.
 func (b *Broker) sink(machine int, spec *cloud.JobSpec, job *trace.Job) {
 	mb := &b.perMach[machine]
 	mb.recs = append(mb.recs, sinkRec{spec: spec, job: job})

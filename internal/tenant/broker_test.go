@@ -237,19 +237,15 @@ func TestPreemptionBoundsPriorityWait(t *testing.T) {
 	}
 }
 
-// TestPreemptReasonDistinct: broker preemptions surface as cancel
-// events with CancelPreempted — distinguishable from user cancels —
-// the event conservation laws hold, and the broker's preemption count
-// matches both the event stream and the per-queue counters.
+// TestPreemptReasonDistinct: broker preemptions are counted as
+// CancelPreempted — distinguishable from user cancels — the
+// conservation laws hold, and the broker's preemption count matches
+// both the session's counts and the per-queue counters.
 func TestPreemptReasonDistinct(t *testing.T) {
 	tcfg, subs := inversionScenario(t)
 	tcfg.Preemption = true
 	b, err := tenant.Open(btConfig(t, 13, 2), tcfg)
 	if err != nil {
-		t.Fatal(err)
-	}
-	var events []cloud.Event
-	if err := b.Session().Observe(func(ev cloud.Event) { events = append(events, ev) }); err != nil {
 		t.Fatal(err)
 	}
 	// One explicit user cancel for contrast: a direct session
@@ -270,49 +266,43 @@ func TestPreemptReasonDistinct(t *testing.T) {
 	if _, err := b.Run(); err != nil {
 		t.Fatal(err)
 	}
-	counts := make(map[cloud.EventKind]int)
-	reasons := make(map[cloud.CancelReason]int)
-	enqueued := make(map[*cloud.JobHandle]bool)
-	preEnqueueCancels := 0
-	for _, ev := range events {
-		counts[ev.Kind]++
-		switch ev.Kind {
-		case cloud.EventEnqueue:
-			enqueued[ev.Handle] = true
-		case cloud.EventCancel:
-			reasons[ev.Reason]++
-			if ev.Handle == nil || !enqueued[ev.Handle] {
-				preEnqueueCancels++
+	var preempted, userCancels int64
+	for i, m := range b.Session().Stats() {
+		preempted += m.Study.CancelPreempted
+		userCancels += m.Study.CancelUser
+		if m.Background.CancelPreempted != 0 {
+			t.Fatalf("machine %d: %d background jobs counted as preempted; the broker preempts only its own", i, m.Background.CancelPreempted)
+		}
+		// The only cancel allowed to skip the queue entirely is the one
+		// explicit pre-admission user cancel; every broker preemption
+		// must hit a job that was actually enqueued.
+		if got, want := m.Study.Enqueue, m.Study.Start+m.Study.Cancels()-m.Study.CancelUser; got != want {
+			t.Fatalf("machine %d: study enqueue ≡ start+cancel−user cancels broken under preemption: %d vs %d", i, got, want)
+		}
+		if got, want := m.Background.Enqueue, m.Background.Start+m.Background.Cancels(); got != want {
+			t.Fatalf("machine %d: background enqueue ≡ start+cancel broken under preemption: %d vs %d", i, got, want)
+		}
+		for _, c := range []cloud.Counts{m.Study, m.Background} {
+			if got, want := c.Start, c.Done+c.Error+c.Retry; got != want {
+				t.Fatalf("machine %d: start ≡ done+error+retry broken under preemption: %d vs %d", i, got, want)
 			}
 		}
 	}
-	if got := reasons[cloud.CancelPreempted]; got != b.Metrics().Preemptions {
-		t.Fatalf("%d cancel events carry CancelPreempted, broker reports %d preemptions", got, b.Metrics().Preemptions)
+	if preempted != int64(b.Metrics().Preemptions) {
+		t.Fatalf("%d study cancels counted as CancelPreempted, broker reports %d preemptions", preempted, b.Metrics().Preemptions)
 	}
 	if b.Metrics().Preemptions == 0 {
 		t.Fatal("fixture fired no preemptions")
 	}
-	if reasons[cloud.CancelUser] == 0 {
-		t.Fatal("explicit user cancel did not surface as CancelUser")
+	if userCancels != 1 {
+		t.Fatalf("%d study cancels counted as CancelUser, want the 1 explicit user cancel", userCancels)
 	}
-	preempted := 0
+	queued := 0
 	for _, st := range b.States() {
-		preempted += st.Preempted
+		queued += st.Preempted
 	}
-	if preempted != b.Metrics().Preemptions {
-		t.Fatalf("per-queue preempted counters sum to %d, broker reports %d", preempted, b.Metrics().Preemptions)
-	}
-	// The only cancel allowed to skip the queue entirely is the one
-	// explicit pre-admission user cancel; every broker preemption must
-	// hit a job that was actually enqueued.
-	if preEnqueueCancels != 1 {
-		t.Fatalf("%d cancels of never-enqueued jobs, want exactly the 1 user cancel", preEnqueueCancels)
-	}
-	if got, want := counts[cloud.EventEnqueue], counts[cloud.EventStart]+counts[cloud.EventCancel]-preEnqueueCancels; got != want {
-		t.Fatalf("enqueue ≡ start+cancel broken under preemption: %d vs %d", got, want)
-	}
-	if got, want := counts[cloud.EventStart], counts[cloud.EventDone]+counts[cloud.EventError]+counts[cloud.EventRetry]; got != want {
-		t.Fatalf("start ≡ done+error+retry broken under preemption: %d vs %d", got, want)
+	if queued != b.Metrics().Preemptions {
+		t.Fatalf("per-queue preempted counters sum to %d, broker reports %d", queued, b.Metrics().Preemptions)
 	}
 	if err := b.Close(); err != nil {
 		t.Fatal(err)

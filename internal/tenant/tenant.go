@@ -19,10 +19,9 @@
 // goroutine, all decisions are pure functions of simulated time and
 // the seed, and completion accounting arrives through the session's
 // synchronous RecordSink (per-machine buffers merged in a fixed
-// order) — never through Observe callbacks, whose machines interleave
-// in no fixed order. A
-// multi-tenant run is therefore bit-identical at any worker count,
-// like everything else in this repo.
+// order), never in the order machines happen to finish. A multi-tenant
+// run is therefore bit-identical at any worker count, like everything
+// else in this repo.
 package tenant
 
 import (
