@@ -87,6 +87,19 @@ func main() {
 		// laws a whole tally keeps.
 		log.Fatal("-events cannot combine with -recover: a resumed run's events before its checkpoint are not replayed")
 	}
+	// Out-of-range values would otherwise fall back to defaults
+	// further down (a study of 6200 jobs, the full window, a 30-day
+	// checkpoint cadence) and run a study nobody asked for.
+	switch {
+	case *jobs < 1:
+		log.Fatalf("-jobs must be at least 1 (got %d)", *jobs)
+	case !(*days >= 0): // NaN included
+		log.Fatalf("-days must be a number of days, 0 or more (got %g)", *days)
+	case *tcount < 0:
+		log.Fatalf("-tenant-count must not be negative (got %d)", *tcount)
+	case !(*jrnlDays > 0):
+		log.Fatalf("-journal-ckpt-days must be positive (got %g)", *jrnlDays)
+	}
 	par.SetWorkers(*workers)
 	stopProf, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {

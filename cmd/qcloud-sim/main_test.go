@@ -93,3 +93,31 @@ func TestRecoverRefusesEvents(t *testing.T) {
 	}
 	mustRun(t, bin, append(base, "-recover")...)
 }
+
+// TestOutOfRangeFlagsRefused: a flag value outside its range is refused
+// before anything runs, instead of quietly becoming a default (6200
+// jobs for -jobs -1, the full two years for -days -5, a 30-day cadence
+// for -journal-ckpt-days -1).
+func TestOutOfRangeFlagsRefused(t *testing.T) {
+	bin := buildSim(t)
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-jobs", "-1", "-days", "5"}, "-jobs must be at least 1"},
+		{[]string{"-jobs", "0", "-days", "5"}, "-jobs must be at least 1"},
+		{[]string{"-jobs", "100", "-days", "-5"}, "-days must be a number of days, 0 or more"},
+		{[]string{"-jobs", "100", "-days", "5", "-tenants", "skewed", "-tenant-count", "-1"}, "-tenant-count must not be negative"},
+		{[]string{"-jobs", "100", "-days", "5", "-journal-ckpt-days", "-1"}, "-journal-ckpt-days must be positive"},
+		{[]string{"-jobs", "100", "-days", "5", "-journal-ckpt-days", "0"}, "-journal-ckpt-days must be positive"},
+	} {
+		csv := filepath.Join(t.TempDir(), "out.csv")
+		out, err := exec.Command(bin, append(c.args, "-q", "-csv", csv)...).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), c.want) {
+			t.Errorf("%v: want a refusal naming %q, got err=%v:\n%s", c.args, c.want, err, out)
+		}
+		if _, err := os.Stat(csv); err == nil {
+			t.Errorf("%v: the run went ahead and wrote its CSV", c.args)
+		}
+	}
+}
