@@ -85,7 +85,7 @@ func main() {
 		// A recovered session counts from its restored checkpoint: its
 		// tally would cover part of the run and break the conservation
 		// laws a whole tally keeps.
-		log.Fatal("-events cannot combine with -recover: a resumed run's events before its checkpoint are not replayed")
+		log.Fatal("-events cannot combine with -recover: a resumed run counts only from its checkpoint")
 	}
 	// Out-of-range values would otherwise fall back to defaults
 	// further down (a study of 6200 jobs, the full window, a 30-day
