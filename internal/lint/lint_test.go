@@ -160,8 +160,8 @@ func TestEventOrderFixtures(t *testing.T) {
 
 // The tenant twin pins the broker's record-sink contract: the merge of
 // the per-machine record buffers into the shared trace belongs to the
-// driver goroutine. Claiming qcloud/internal/tenant/... also proves the
-// scope extension took.
+// goroutine that advances the session. Claiming
+// qcloud/internal/tenant/... also proves the scope extension took.
 func TestEventOrderTenantFixtures(t *testing.T) {
 	checkFixture(t, "eventorder_tenant_broken", "qcloud/internal/tenant/lintfixture")
 	checkFixture(t, "eventorder_tenant_fixed", "qcloud/internal/tenant/lintfixture")

@@ -1,5 +1,5 @@
 // Package fixture is the fixed twin of eventorder_tenant_broken: the
-// driver goroutine drains the per-machine record buffers in fleet
+// calling goroutine drains the per-machine record buffers in fleet
 // order, so the analyzer must stay quiet.
 package fixture
 

@@ -149,7 +149,8 @@ func (b *Broker) toTime(s float64) time.Time {
 
 // sink is the session's RecordSink: called synchronously from each
 // machine's advance loop with that machine's finished study records,
-// into that machine's own buffer, which the driver goroutine drains.
+// into that machine's own buffer; Broker drains the buffers between
+// AdvanceTo calls.
 func (b *Broker) sink(machine int, spec *cloud.JobSpec, job *trace.Job) {
 	mb := &b.perMach[machine]
 	mb.recs = append(mb.recs, sinkRec{spec: spec, job: job})
