@@ -2,6 +2,8 @@ package tenant_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strings"
@@ -150,6 +152,90 @@ func TestBrokerBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 	if !bytes.Equal(st1, st4) {
 		t.Fatalf("state dump differs between serial and 4-worker runs:\n%s\nvs\n%s", st1, st4)
+	}
+}
+
+// TestBrokerGolden pins two brokered runs bit for bit: the SHA-256 of
+// the trace JSON, of DumpStates, and of the float64 bits of every
+// queue's decayed and raw ledger entry (Ledger.Dump rounds to 6 places
+// and would hide a moved last bit). The skewed run preempts at 4
+// workers. The priority-inversion run ends its window over backlogged
+// machines, so zero-length window cancels share an end time on one
+// machine: the one tie the drain's merge order within a machine meets.
+func TestBrokerGolden(t *testing.T) {
+	for _, c := range []struct {
+		name                  string
+		open                  func() (tenant.Config, []tenant.Submission, cloud.Config)
+		trace, states, ledger string
+	}{
+		{
+			name: "skewed",
+			open: func() (tenant.Config, []tenant.Submission, cloud.Config) {
+				tcfg, subs := btScenario(t, "skewed", workload.TenantConfig{
+					Seed: 5, Start: btWindow.start, End: btWindow.end,
+					Machines: btMachines(t), Tenants: 6, TotalJobs: 250,
+				})
+				tcfg.Preemption = true
+				return tcfg, subs, btConfig(t, 9, 4)
+			},
+			trace:  "1813776fd8756e27be7e158b8b48f6b0e1868208cb7d0cf0239a359597889ac0",
+			states: "2560ca0db3af316faae1647c5b021632ec7d5f48f6760677ac19eb7a95db1eaf",
+			ledger: "45770faee1cd733239c9519d392e3ee2857da25a2c37d00dee3127cc4b38c782",
+		},
+		{
+			name: "priority-inversion",
+			open: func() (tenant.Config, []tenant.Submission, cloud.Config) {
+				tcfg, subs := inversionScenario(t)
+				ccfg := btConfig(t, 13, 2)
+				ccfg.End = btWindow.start.Add(48 * time.Hour)
+				return tcfg, subs, ccfg
+			},
+			trace:  "2af6fa11a0125d14d2cf635f3da2858cd088fad75232b2a111fba3ac1da5eb47",
+			states: "1c27db05c119e0b49d078147e3d4ea2fd35b11b00977004deafe504a1919b756",
+			ledger: "c86ec89e1df902a8679d34fec0a6bbd968c826ca60e79e9e2cf13f6bff6a74f8",
+		},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tcfg, subs, ccfg := c.open()
+			b, tr := btRun(t, ccfg, tcfg, subs)
+			var tj, st bytes.Buffer
+			if err := trace.WriteJSON(&tj, tr); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.DumpStates(&st); err != nil {
+				t.Fatal(err)
+			}
+			var bits []byte
+			for _, s := range b.States() {
+				bits = binary.LittleEndian.AppendUint64(bits, math.Float64bits(s.Decayed))
+				bits = binary.LittleEndian.AppendUint64(bits, math.Float64bits(s.Raw))
+			}
+			for _, g := range []struct {
+				what string
+				data []byte
+				want string
+			}{{"trace", tj.Bytes(), c.trace}, {"states", st.Bytes(), c.states}, {"ledger bits", bits, c.ledger}} {
+				if got := fmt.Sprintf("%x", sha256.Sum256(g.data)); got != g.want {
+					t.Errorf("%s hashes to %s, want %s", g.what, got, g.want)
+				}
+			}
+			if c.name != "priority-inversion" {
+				return
+			}
+			ends := make(map[string]int)
+			ties := 0
+			for _, j := range tr.Jobs {
+				if strings.HasPrefix(j.User, "tenant:") {
+					k := j.Machine + " " + j.EndTime.Format(time.RFC3339Nano)
+					if ends[k]++; ends[k] == 2 {
+						ties++
+					}
+				}
+			}
+			if ties == 0 {
+				t.Fatal("no two tenant records share an end time on one machine; the tie case is not covered")
+			}
+		})
 	}
 }
 
