@@ -275,7 +275,7 @@ func (ms *machineSim) restore(d *journal.RecordReader) error {
 
 	ms.specs = make([]*JobHandle, d.Count(20+2))
 	for i := range ms.specs {
-		h := &JobHandle{spec: &JobSpec{}, machine: ms.m.Name, sess: ms.sess}
+		h := &JobHandle{spec: &JobSpec{}, ms: ms}
 		readJobSpec(d, h.spec)
 		ms.specs[i] = h
 		h.recorded = d.Bool()

@@ -89,17 +89,6 @@ type Config struct {
 	// auto-checkpoints itself, and a killed run resumes with Recover
 	// (nil = in-memory traces, the default).
 	Journal *JournalConfig
-	// RecordSink, if set, receives every finished study-job record
-	// synchronously from the recording machine's advance loop, tagged
-	// with the machine's fleet index. Calls for one machine arrive in
-	// that machine's deterministic record order, but different machines
-	// record concurrently under the worker budget — implementations
-	// must be race-free across indices (e.g. append to a per-machine
-	// buffer and merge after AdvanceTo returns). This is the tenant
-	// broker's allocation-accounting hook; it carries only study
-	// records and takes no lock, since each machine writes its own
-	// buffer.
-	RecordSink func(machine int, spec *JobSpec, job *trace.Job)
 }
 
 // RetryPolicy governs how a machine requeues jobs killed by transient

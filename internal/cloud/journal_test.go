@@ -131,10 +131,13 @@ func TestJournaledRunMatchesInMemory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var handles []*JobHandle
 		for _, sp := range jtSpecs() {
-			if _, err := s.SubmitRetried(sp, 0); err != nil {
+			h, err := s.SubmitRetried(sp, 0)
+			if err != nil {
 				t.Fatal(err)
 			}
+			handles = append(handles, h)
 		}
 		s.AdvanceTo(cfg.Start.Add(10 * 24 * time.Hour))
 		if n := s.HeldTraceEntries(); n != 0 {
@@ -143,6 +146,11 @@ func TestJournaledRunMatchesInMemory(t *testing.T) {
 		tr, err := s.Run()
 		if err != nil {
 			t.Fatal(err)
+		}
+		for i, h := range handles {
+			if !h.recorded || h.Record() != nil {
+				t.Fatalf("workers=%d: handle %d recorded %v with record %v, want recorded and no record held", workers, i, h.recorded, h.Record())
+			}
 		}
 		if !bytes.Equal(jtJSON(t, tr), golden) {
 			t.Fatalf("workers=%d: journaled trace differs from in-memory trace", workers)

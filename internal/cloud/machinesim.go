@@ -314,7 +314,7 @@ func (ms *machineSim) insertSpec(spec *JobSpec) *JobHandle {
 	i := ms.specIdx + sort.Search(len(rest), func(k int) bool {
 		return rest[k].spec.SubmitTime.After(spec.SubmitTime)
 	})
-	h := &JobHandle{spec: spec, machine: ms.m.Name, sess: ms.sess}
+	h := &JobHandle{spec: spec, ms: ms}
 	ms.specs = append(ms.specs, nil)
 	copy(ms.specs[i+1:], ms.specs[i:])
 	ms.specs[i] = h
@@ -605,11 +605,9 @@ func (ms *machineSim) record(h *JobHandle, startT, endT time.Time, status trace.
 		jr.appendJob(ms, j)
 	} else {
 		ms.jobs = append(ms.jobs, j)
+		h.rec = j
 	}
 	h.recorded = true
-	if ms.cfg.RecordSink != nil {
-		ms.cfg.RecordSink(ms.idx, s, j)
-	}
 	ms.counts.Study.end(status, reason)
 }
 

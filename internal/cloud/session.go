@@ -118,9 +118,11 @@ type MachineCounts struct {
 // hold the handle, and its state lives here, written only by the
 // goroutine advancing its machine.
 type JobHandle struct {
-	spec    *JobSpec
-	machine string
-	sess    *Session
+	spec *JobSpec
+	ms   *machineSim
+	// rec is the job's in-memory trace record once it is out; a
+	// journaled session streams records to disk and keeps none.
+	rec *trace.Job
 
 	// recorded: the job's terminal trace record is out. withdrawn: it
 	// was cancelled after admission, and its record (at cancelAt, in
@@ -130,6 +132,13 @@ type JobHandle struct {
 	cancelAt  float64
 	reason    CancelReason
 }
+
+// Record returns the job's trace record, the one the session's trace
+// holds: nil until the machine has recorded the job, and always nil in
+// a journaled session. It stays readable after Run has closed the
+// session. The record is written by the goroutine advancing the job's
+// machine, so read it between AdvanceTo/Run calls, not during one.
+func (h *JobHandle) Record() *trace.Job { return h.rec }
 
 // QueueSnapshot is a live view of one machine's queue at its frontier
 // — the information a vendor-side scheduler can act on at a job's
@@ -229,8 +238,8 @@ func Open(cfg Config) (*Session, error) {
 	return s, nil
 }
 
-// Machines returns the fleet in machine-index order — the index a
-// RecordSink call reports. Callers must not mutate the slice.
+// Machines returns the fleet in machine-index order, the order Stats
+// reports it in. Callers must not mutate the slice.
 func (s *Session) Machines() []*backend.Machine { return s.cfg.Machines }
 
 // Window returns the simulated window after defaulting.
@@ -347,10 +356,10 @@ func (s *Session) JobStatus(h *JobHandle) (JobState, error) {
 	if s.closed {
 		return "", ErrSessionClosed
 	}
-	if h == nil || h.sess != s {
+	if h == nil || h.ms.sess != s {
 		return "", fmt.Errorf("cloud: handle does not belong to this session")
 	}
-	return s.sim(h.machine).jobState(h), nil
+	return h.ms.jobState(h), nil
 }
 
 // Cancel withdraws a submitted job that has not finished; it is
@@ -369,7 +378,7 @@ func (s *Session) CancelWithReason(h *JobHandle, reason CancelReason) error {
 	if s.closed {
 		return ErrSessionClosed
 	}
-	if h == nil || h.sess != s {
+	if h == nil || h.ms.sess != s {
 		return fmt.Errorf("cloud: handle does not belong to this session")
 	}
 	switch reason {
@@ -379,7 +388,7 @@ func (s *Session) CancelWithReason(h *JobHandle, reason CancelReason) error {
 	default:
 		return fmt.Errorf("cloud: unknown cancel reason %q", reason)
 	}
-	ms := s.sim(h.machine)
+	ms := h.ms
 	at := ms.frontier
 	if sub := ms.toSec(h.spec.SubmitTime); at < sub || math.IsInf(at, -1) {
 		at = sub

@@ -305,6 +305,9 @@ func TestSessionCancel(t *testing.T) {
 			t.Fatal(err)
 		}
 		handles = append(handles, h)
+		if rec := h.Record(); rec != nil {
+			t.Fatalf("job %d has a record before the machine reached it: %+v", i, rec)
+		}
 	}
 	// A reason outside the four is refused and leaves the job as it was.
 	if err := sess.CancelWithReason(handles[1], "bored"); err == nil {
@@ -352,6 +355,13 @@ func TestSessionCancel(t *testing.T) {
 	}
 	if byUser["s-0"].Status == trace.StatusCancelled {
 		t.Fatal("job s-0 should have run")
+	}
+	// After Run has closed the session, each handle still reads its
+	// job's record: the very one the trace holds.
+	for i, h := range handles {
+		if u := fmt.Sprintf("s-%d", i); h.Record() != byUser[u] {
+			t.Fatalf("handle %d reads record %+v, want the trace's %s record", i, h.Record(), u)
+		}
 	}
 }
 

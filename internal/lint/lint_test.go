@@ -158,13 +158,13 @@ func TestEventOrderFixtures(t *testing.T) {
 	checkFixture(t, "eventorder_fixed", "qcloud/internal/cloud/lintfixture")
 }
 
-// The tenant twin pins the broker's record-sink contract: the merge of
-// the per-machine record buffers into the shared trace belongs to the
-// goroutine that advances the session. Claiming
-// qcloud/internal/tenant/... also proves the scope extension took.
+// The same twin claimed in the two other session packages proves the
+// analyzer's scope covers internal/tenant and internal/journal too.
 func TestEventOrderTenantFixtures(t *testing.T) {
-	checkFixture(t, "eventorder_tenant_broken", "qcloud/internal/tenant/lintfixture")
-	checkFixture(t, "eventorder_tenant_fixed", "qcloud/internal/tenant/lintfixture")
+	for _, path := range []string{"qcloud/internal/tenant/lintfixture", "qcloud/internal/journal/lintfixture"} {
+		checkFixture(t, "eventorder_broken", path)
+		checkFixture(t, "eventorder_fixed", path)
+	}
 }
 
 // The dispatch twin pins the service-decomposition boundary: the

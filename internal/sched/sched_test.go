@@ -268,10 +268,10 @@ func TestLiveShortestWaitUsesQueueState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perMachine := tr.JobsByMachine()
-	if len(perMachine["ibmq_rome"]) == 0 || len(perMachine["ibmq_bogota"]) == 0 {
+	byMachine := tr.JobsByMachine()
+	if len(byMachine["ibmq_rome"]) == 0 || len(byMachine["ibmq_bogota"]) == 0 {
 		t.Fatalf("live placement should spread the flood: rome=%d bogota=%d",
-			len(perMachine["ibmq_rome"]), len(perMachine["ibmq_bogota"]))
+			len(byMachine["ibmq_rome"]), len(byMachine["ibmq_bogota"]))
 	}
 	if balanced.MeanQueueMin >= userChoice.MeanQueueMin/2 {
 		t.Fatalf("live shortest-wait mean queue %v min should collapse vs user choice %v min",

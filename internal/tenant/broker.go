@@ -32,30 +32,7 @@ type Job struct {
 	est      float64 // estimated QPU-seconds (provisional ledger charge)
 	admitSec float64 // tick of the latest admission
 	preempts int
-	handle   *cloud.JobHandle
-	cur      *cloud.JobSpec // the currently admitted session-side clone
-}
-
-// admission links a session-side spec clone back to its broker job.
-// preempted marks clones the broker has withdrawn: their cancel record
-// still drains through the sink, but all accounting already happened
-// at the preemption decision.
-type admission struct {
-	job       *Job
-	preempted bool
-}
-
-type sinkRec struct {
-	spec *cloud.JobSpec
-	job  *trace.Job
-}
-
-// machBuf is one machine's synchronous record buffer. Each machine's
-// advance loop appends only to its own buffer (the RecordSink
-// contract), and the broker drains all of them between AdvanceTo
-// calls, so no locking is needed.
-type machBuf struct {
-	recs []sinkRec
+	handle   *cloud.JobHandle // the current admission; nil while backlogged
 }
 
 // Broker admits tenant submissions into a shared cloud.Session from
@@ -79,10 +56,10 @@ type Broker struct {
 	tick    int64 // next unprocessed tick index
 	nowSec  float64
 
-	perMach      []machBuf
-	bySpec       map[*cloud.JobSpec]*admission
-	machQueued   []int    // admitted-and-unrecorded broker jobs per machine
-	machAdmitted [][]*Job // same jobs in admission order (preemption scan)
+	// machAdmitted holds each machine's admitted-and-unrecorded broker
+	// jobs in admission order: the slots MaxPerMachine caps, the
+	// preemption scan and the jobs drain looks for records in.
+	machAdmitted [][]*Job
 
 	seq         int64
 	totalPend   int
@@ -91,12 +68,12 @@ type Broker struct {
 	finished    bool
 }
 
-// Open opens a session from ccfg with the broker's accounting hook
-// attached and resolves the queues. The cloud config must not carry
-// its own RecordSink.
+// Open opens a session from ccfg and resolves the queues. The broker
+// charges its ledger from the records the session keeps in memory, so
+// ccfg must not journal.
 func Open(ccfg cloud.Config, tcfg Config) (*Broker, error) {
-	if ccfg.RecordSink != nil {
-		return nil, fmt.Errorf("tenant: cloud config already has a RecordSink")
+	if ccfg.Journal != nil {
+		return nil, fmt.Errorf("tenant: a journaled session keeps no records for the broker to account")
 	}
 	tcfg = tcfg.withDefaults()
 	queues, byName, err := resolveTree(tcfg.Queues)
@@ -107,14 +84,12 @@ func Open(ccfg cloud.Config, tcfg Config) (*Broker, error) {
 		cfg:     tcfg,
 		queues:  queues,
 		byName:  byName,
-		bySpec:  make(map[*cloud.JobSpec]*admission),
 		tickSec: tcfg.Tick.Seconds(),
 	}
 	names := make([]string, len(queues))
 	for i, q := range queues {
 		names[i] = q.cfg.Name
 	}
-	ccfg.RecordSink = b.sink
 	sess, err := cloud.Open(ccfg)
 	if err != nil {
 		return nil, err
@@ -122,8 +97,6 @@ func Open(ccfg cloud.Config, tcfg Config) (*Broker, error) {
 	b.sess = sess
 	b.machines = sess.Machines()
 	b.fleet = cloud.IndexFleet(ccfg)
-	b.perMach = make([]machBuf, len(b.machines))
-	b.machQueued = make([]int, len(b.machines))
 	b.machAdmitted = make([][]*Job, len(b.machines))
 	start, end := sess.Window()
 	b.start = start
@@ -145,15 +118,6 @@ func (b *Broker) Now() float64 { return b.nowSec }
 func (b *Broker) toSec(t time.Time) float64 { return t.Sub(b.start).Seconds() }
 func (b *Broker) toTime(s float64) time.Time {
 	return b.start.Add(time.Duration(s * float64(time.Second)))
-}
-
-// sink is the session's RecordSink: called synchronously from each
-// machine's advance loop with that machine's finished study records,
-// into that machine's own buffer; Broker drains the buffers between
-// AdvanceTo calls.
-func (b *Broker) sink(machine int, spec *cloud.JobSpec, job *trace.Job) {
-	mb := &b.perMach[machine]
-	mb.recs = append(mb.recs, sinkRec{spec: spec, job: job})
 }
 
 // Submit enters a tenant job into its queue's backlog. The spec's
@@ -238,35 +202,32 @@ func (b *Broker) processTick(ts float64) error {
 	return b.decide(ts)
 }
 
-// drain merges every machine's new completion records in a
-// deterministic order (end time, then machine index, then per-machine
-// sequence — the stable sort preserves append order on ties) and
-// charges the ledger.
+// drain charges the ledger for every admitted job the session has
+// recorded since the last drain, in a deterministic order: end time,
+// then machine index, then admission order (the stable sort keeps the
+// collection order on ties). Preempted jobs left machAdmitted when
+// they were withdrawn, and direct session submissions were never in
+// it, so neither is charged here.
 func (b *Broker) drain() {
-	var batch []sinkRec
-	for mi := range b.perMach {
-		mb := &b.perMach[mi]
-		batch = append(batch, mb.recs...)
-		mb.recs = mb.recs[:0]
+	var done []*Job
+	for mi, adm := range b.machAdmitted {
+		kept := adm[:0]
+		for _, job := range adm {
+			if job.handle.Record() != nil {
+				done = append(done, job)
+			} else {
+				kept = append(kept, job)
+			}
+		}
+		b.machAdmitted[mi] = kept
 	}
-	if len(batch) == 0 {
-		return
-	}
-	sort.SliceStable(batch, func(i, j int) bool {
-		return batch[i].job.EndTime.Before(batch[j].job.EndTime)
+	sort.SliceStable(done, func(i, j int) bool {
+		return done[i].handle.Record().EndTime.Before(done[j].handle.Record().EndTime)
 	})
-	for _, rec := range batch {
-		adm := b.bySpec[rec.spec]
-		if adm == nil {
-			continue // not a broker job (direct session submission)
-		}
-		delete(b.bySpec, rec.spec)
-		if adm.preempted {
-			continue // accounted at the preemption decision
-		}
-		job := adm.job
+	for _, job := range done {
+		rec := job.handle.Record()
 		q := job.queue
-		startSec, endSec := b.toSec(rec.job.StartTime), b.toSec(rec.job.EndTime)
+		startSec, endSec := b.toSec(rec.StartTime), b.toSec(rec.EndTime)
 		dur := endSec - startSec
 		if dur < 0 {
 			dur = 0
@@ -275,9 +236,7 @@ func (b *Broker) drain() {
 		q.outstanding -= job.est
 		q.inFlight--
 		b.totalInFl--
-		b.machQueued[job.machIdx]--
-		b.removeAdmitted(job.machIdx, job)
-		switch rec.job.Status {
+		switch rec.Status {
 		case trace.StatusDone:
 			q.done++
 		case trace.StatusError:
@@ -285,7 +244,7 @@ func (b *Broker) drain() {
 		default:
 			q.cancelled++
 		}
-		if rec.job.Status != trace.StatusCancelled {
+		if rec.Status != trace.StatusCancelled {
 			wait := startSec - job.arrive
 			if wait < 0 {
 				wait = 0
@@ -376,12 +335,12 @@ func (b *Broker) decide(ts float64) error {
 		for _, c := range cands {
 			job := c.q.pending[0]
 			mi := job.machIdx
-			if b.machQueued[mi] >= b.cfg.MaxPerMachine && b.cfg.Preemption {
+			if len(b.machAdmitted[mi]) >= b.cfg.MaxPerMachine && b.cfg.Preemption {
 				if err := b.tryPreempt(c.q, mi, ts, total); err != nil {
 					return err
 				}
 			}
-			if b.machQueued[mi] >= b.cfg.MaxPerMachine {
+			if len(b.machAdmitted[mi]) >= b.cfg.MaxPerMachine {
 				continue
 			}
 			ok, err := b.admit(job, ts)
@@ -441,17 +400,15 @@ func (b *Broker) tryPreempt(s *queueState, mi int, ts, totalBase float64) error 
 	if err := b.sess.CancelWithReason(best.handle, cloud.CancelPreempted); err != nil {
 		return fmt.Errorf("tenant: preempt on %s: %w", b.machines[mi].Name, err)
 	}
-	b.bySpec[best.cur].preempted = true
 	v := best.queue
 	v.outstanding -= best.est
 	v.inFlight--
 	b.totalInFl--
-	b.machQueued[mi]--
 	b.removeAdmitted(mi, best)
 	v.preempted++
 	b.preemptions++
 	best.preempts++
-	best.handle, best.cur = nil, nil
+	best.handle = nil
 	v.insertPending(best)
 	b.totalPend++
 	return nil
@@ -475,13 +432,11 @@ func (b *Broker) admit(job *Job, ts float64) (bool, error) {
 	}
 	q.pending = q.pending[1:]
 	b.totalPend--
-	job.handle, job.cur = h, &clone
+	job.handle = h
 	job.admitSec = ts
-	b.bySpec[&clone] = &admission{job: job}
 	q.outstanding += job.est
 	q.inFlight++
 	b.totalInFl++
-	b.machQueued[job.machIdx]++
 	b.machAdmitted[job.machIdx] = append(b.machAdmitted[job.machIdx], job)
 	q.admitted++
 	return true, nil

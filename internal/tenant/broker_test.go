@@ -253,9 +253,16 @@ func inversionScenario(t *testing.T) (tenant.Config, []tenant.Submission) {
 // TestBrokerSubmitRefusesUnrunnableSpec: a spec the session would
 // refuse at admission (no shots, no circuits, no such machine) is
 // refused by Broker.Submit, so it cannot sit at the head of its queue
-// failing every later tick; a valid stream then plays and runs.
+// failing every later tick; a valid stream then plays and runs. Open
+// refuses a journaled session, which keeps no records to account.
 func TestBrokerSubmitRefusesUnrunnableSpec(t *testing.T) {
 	tcfg, subs := inversionScenario(t)
+	jcfg := btConfig(t, 13, 2)
+	jcfg.Journal = &cloud.JournalConfig{Dir: t.TempDir()}
+	if jb, err := tenant.Open(jcfg, tcfg); err == nil {
+		jb.Close()
+		t.Fatal("Open accepted a journaled session config")
+	}
 	b, err := tenant.Open(btConfig(t, 13, 2), tcfg)
 	if err != nil {
 		t.Fatal(err)

@@ -17,11 +17,12 @@
 //
 // Determinism contract: the broker runs entirely on the driver
 // goroutine, all decisions are pure functions of simulated time and
-// the seed, and completion accounting arrives through the session's
-// synchronous RecordSink (per-machine buffers merged in a fixed
-// order), never in the order machines happen to finish. A multi-tenant
-// run is therefore bit-identical at any worker count, like everything
-// else in this repo.
+// the seed, and completion accounting reads each admitted job's record
+// through its cloud.JobHandle between AdvanceTo calls, merged in a
+// fixed order (end time, then fleet order, then admission order),
+// never in the order machines happen to finish. A multi-tenant run is
+// therefore bit-identical at any worker count, like everything else in
+// this repo.
 package tenant
 
 import (
