@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -51,6 +52,10 @@ import (
 	"qcloud/internal/trace"
 	"qcloud/internal/workload"
 )
+
+// maxDays is the longest -days window whose end a time.Duration from
+// the study start can hold.
+const maxDays = math.MaxInt64 / int64(24*time.Hour)
 
 func main() {
 	log.SetFlags(0)
@@ -95,11 +100,24 @@ func main() {
 		log.Fatalf("-jobs must be at least 1 (got %d)", *jobs)
 	case !(*days >= 0): // NaN included
 		log.Fatalf("-days must be a number of days, 0 or more (got %g)", *days)
+	case *days > float64(maxDays): // +Inf included
+		log.Fatalf("-days must be at most %d, the longest window a time.Duration holds (got %g)", maxDays, *days)
 	case *tcount < 0:
 		log.Fatalf("-tenant-count must not be negative (got %d)", *tcount)
 	case !(*jrnlDays > 0):
 		log.Fatalf("-journal-ckpt-days must be positive (got %g)", *jrnlDays)
+	case *preempt != "scenario" && *preempt != "on" && *preempt != "off":
+		log.Fatalf("-preempt must be scenario, on or off (got %q)", *preempt)
 	}
+	// A mode's flags set without their mode would be ignored.
+	flag.Visit(func(f *flag.Flag) {
+		switch {
+		case (f.Name == "preempt" || f.Name == "tenant-count") && *tenants == "":
+			log.Fatalf("-%s requires -tenants", f.Name)
+		case f.Name == "journal-ckpt-days" && *journal == "":
+			log.Fatal("-journal-ckpt-days requires -journal")
+		}
+	})
 	par.SetWorkers(*workers)
 	stopProf, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
@@ -260,13 +278,10 @@ func runTenants(cfg cloud.Config, scenario string, tenantCount, jobs int, preemp
 		Tenants: tenantCount, TotalJobs: jobs,
 	})
 	switch preempt {
-	case "scenario":
 	case "on":
 		tcfg.Preemption = true
 	case "off":
 		tcfg.Preemption = false
-	default:
-		log.Fatalf("-preempt must be scenario, on or off (got %q)", preempt)
 	}
 	b, err := tenant.Open(cfg, tcfg)
 	if err != nil {

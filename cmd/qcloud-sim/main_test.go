@@ -97,7 +97,8 @@ func TestRecoverRefusesEvents(t *testing.T) {
 // TestOutOfRangeFlagsRefused: a flag value outside its range is refused
 // before anything runs, instead of quietly becoming a default (6200
 // jobs for -jobs -1, the full two years for -days -5, a 30-day cadence
-// for -journal-ckpt-days -1).
+// for -journal-ckpt-days -1) or overflowing (-days 200000 ran no jobs).
+// So is a mode's flag set without its mode, which would be ignored.
 func TestOutOfRangeFlagsRefused(t *testing.T) {
 	bin := buildSim(t)
 	for _, c := range []struct {
@@ -110,6 +111,11 @@ func TestOutOfRangeFlagsRefused(t *testing.T) {
 		{[]string{"-jobs", "100", "-days", "5", "-tenants", "skewed", "-tenant-count", "-1"}, "-tenant-count must not be negative"},
 		{[]string{"-jobs", "100", "-days", "5", "-journal-ckpt-days", "-1"}, "-journal-ckpt-days must be positive"},
 		{[]string{"-jobs", "100", "-days", "5", "-journal-ckpt-days", "0"}, "-journal-ckpt-days must be positive"},
+		{[]string{"-jobs", "10", "-days", "200000"}, "-days must be at most 106751"},
+		{[]string{"-jobs", "10", "-days", "5", "-preempt", "bogus"}, "-preempt must be scenario, on or off"},
+		{[]string{"-jobs", "10", "-days", "5", "-preempt", "on"}, "-preempt requires -tenants"},
+		{[]string{"-jobs", "10", "-days", "5", "-tenant-count", "7"}, "-tenant-count requires -tenants"},
+		{[]string{"-jobs", "10", "-days", "5", "-journal-ckpt-days", "7"}, "-journal-ckpt-days requires -journal"},
 	} {
 		csv := filepath.Join(t.TempDir(), "out.csv")
 		out, err := exec.Command(bin, append(c.args, "-q", "-csv", csv)...).CombinedOutput()
