@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"encoding/csv"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -116,6 +118,94 @@ func TestCSVRejectsCorrupt(t *testing.T) {
 	if _, err := ReadCSV(strings.NewReader(reordered)); err == nil || !strings.Contains(err.Error(), `column 7 is "shots", want "batch_size"`) {
 		t.Fatalf("reordered header columns: got %v", err)
 	}
+}
+
+// encodingCSV is the oracle WriteCSV is held to: the bytes csv.Writer
+// writes for the header and one []string of formatted fields per job.
+func encodingCSV(t *testing.T, jobs []*Job) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	cw := csv.NewWriter(&buf)
+	if err := cw.Write(csvHeader); err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range jobs {
+		rec := []string{
+			strconv.FormatInt(j.ID, 10),
+			j.User,
+			j.Machine,
+			strconv.Itoa(j.MachineQubits),
+			strconv.FormatBool(j.Public),
+			j.CircuitName,
+			strconv.Itoa(j.BatchSize),
+			strconv.Itoa(j.Shots),
+			strconv.Itoa(j.Width),
+			strconv.Itoa(j.TotalDepth),
+			strconv.Itoa(j.TotalGateOps),
+			strconv.Itoa(j.CXTotal),
+			strconv.Itoa(j.MemSlots),
+			j.SubmitTime.UTC().Format(time.RFC3339),
+			j.StartTime.UTC().Format(time.RFC3339),
+			j.EndTime.UTC().Format(time.RFC3339),
+			string(j.Status),
+			strconv.Itoa(j.CompileEpoch),
+			strconv.Itoa(j.ExecEpoch),
+		}
+		if err := cw.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cw.Flush()
+	if err := cw.Error(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestWriteCSVMatchesEncodingCSV holds a trace of many rows, longer
+// than one write to w, to the oracle, and an empty one to its header.
+func TestWriteCSVMatchesEncodingCSV(t *testing.T) {
+	var jobs []*Job
+	for len(jobs) < 4000 {
+		jobs = append(jobs, streamJobs()...)
+	}
+	for _, js := range [][]*Job{nil, jobs[:1], jobs} {
+		var got bytes.Buffer
+		if err := WriteCSV(&got, js); err != nil {
+			t.Fatal(err)
+		}
+		if want := encodingCSV(t, js); !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("%d jobs: WriteCSV wrote %d bytes, encoding/csv %d, and they differ", len(js), got.Len(), len(want))
+		}
+	}
+}
+
+// FuzzWriteCSV holds the trace CSV to encoding/csv: whatever one job's
+// strings, integers and times (in any zone), WriteCSV writes the bytes
+// a csv.Writer writes for the formatted fields, header included.
+func FuzzWriteCSV(f *testing.F) {
+	f.Add(int64(1), "u1", "ibmq_athens", 5, true, "qft4", 20, 4096, 4, 240, 800, 120, 4, int64(1590998400), int64(1591001100), int64(1591001220), 0, "DONE", 100, 100)
+	f.Add(int64(-1), `a,"b"`, " leading space", -5, false, `\.`, 0, -1, -2, -3, -4, -5, -6, int64(-62135596800), int64(0), int64(253402300799), 3600, "line\r\nbreak", -7, -8)
+	f.Add(int64(7), "\u00a0nbsp", `\.`, 1, true, " x,y", 1, 1, 1, 1, 1, 1, 1, int64(1), int64(2), int64(3), -19800, "cr\ronly", 0, 1)
+	f.Add(int64(9), "\t", "\"", 1, false, "", 1, 1, 1, 1, 1, 1, 1, int64(1e9), int64(1e9), int64(1e9), 45296, "", 2, 2)
+	f.Add(int64(11), "\xff", "\xff", 1, false, "\xff", 1, 1, 1, 1, 1, 1, 1, int64(-1), int64(-1), int64(-1), -43200, "\xff", 3, 4)
+	f.Fuzz(func(t *testing.T, id int64, user, machine string, qubits int, public bool, circuit string,
+		batch, shots, width, depth, gateOps, cx, memSlots int, submit, start, end int64, zoneSec int, status string, compileEpoch, execEpoch int) {
+		zone := time.FixedZone("fuzz", zoneSec%(18*3600))
+		j := &Job{
+			ID: id, User: user, Machine: machine, MachineQubits: qubits, Public: public, CircuitName: circuit,
+			BatchSize: batch, Shots: shots, Width: width, TotalDepth: depth, TotalGateOps: gateOps, CXTotal: cx, MemSlots: memSlots,
+			SubmitTime: time.Unix(submit, 0).In(zone), StartTime: time.Unix(start, 0).In(zone), EndTime: time.Unix(end, 0).In(zone),
+			Status: Status(status), CompileEpoch: compileEpoch, ExecEpoch: execEpoch,
+		}
+		var got bytes.Buffer
+		if err := WriteCSV(&got, []*Job{j}); err != nil {
+			t.Fatal(err)
+		}
+		if want := encodingCSV(t, []*Job{j}); !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("WriteCSV = %q, encoding/csv writes %q", got.Bytes(), want)
+		}
+	})
 }
 
 func TestJSONRoundtrip(t *testing.T) {
