@@ -7,8 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"unicode"
-	"unicode/utf8"
+
+	"qcloud/internal/trace"
 )
 
 // JobResult is one execution outcome arriving from a worker (or from
@@ -131,7 +131,8 @@ const CountsHeader = "seq,circuit,batch,shots,status,error,counts\n"
 // AppendCountsRow appends one unit's counts-plane CSV row to buf, with
 // the bytes encoding/csv's Writer would write for it. ResultSet.WriteCSV
 // and the dispatcher's task table both write through it, so the status
-// names, the quoting and the cell form exist once. A cancelled unit's
+// names and the cell form exist once; fields are quoted by
+// trace.AppendField, the rule the trace CSV uses too. A cancelled unit's
 // status is "cancelled" whatever else it carries; otherwise a non-empty
 // errMsg makes it "error". counts must be sorted by Bits without
 // repeats.
@@ -144,56 +145,20 @@ func AppendCountsRow(buf []byte, seq int64, circuit string, batch, shots int, ca
 		status = "error"
 	}
 	buf = strconv.AppendInt(buf, seq, 10)
-	buf = appendField(append(buf, ','), circuit)
+	buf = trace.AppendField(append(buf, ','), circuit)
 	buf = strconv.AppendInt(append(buf, ','), int64(batch), 10)
 	buf = strconv.AppendInt(append(buf, ','), int64(shots), 10)
 	buf = append(append(buf, ','), status...)
-	buf = appendField(append(buf, ','), errMsg)
+	buf = trace.AppendField(append(buf, ','), errMsg)
 	buf = append(buf, ',')
 	// The cell is built in place; one whose bits need quoting is
 	// rewritten.
 	at := len(buf)
 	buf = appendCounts(buf, counts)
-	if needsQuotes(buf[at:]) {
-		buf = appendField(buf[:at], string(buf[at:]))
+	if trace.NeedsQuotes(buf[at:]) {
+		buf = trace.AppendField(buf[:at], string(buf[at:]))
 	}
 	return append(buf, '\n')
-}
-
-// needsQuotes reports whether encoding/csv's Writer (Comma ',', UseCRLF
-// false) quotes field f: f is `\.`, holds a comma, a quote, CR or LF,
-// or starts with a space rune.
-func needsQuotes[T string | []byte](f T) bool {
-	if len(f) == 0 {
-		return false
-	}
-	if string(f) == `\.` {
-		return true
-	}
-	for i := 0; i < len(f); i++ {
-		switch f[i] {
-		case ',', '"', '\r', '\n':
-			return true
-		}
-	}
-	r, _ := utf8.DecodeRuneInString(string(f[:min(len(f), utf8.UTFMax)]))
-	return unicode.IsSpace(r)
-}
-
-// appendField appends f as encoding/csv's Writer writes a field: as it
-// is, or quoted with each quote doubled when needsQuotes says so.
-func appendField(buf []byte, f string) []byte {
-	if !needsQuotes(f) {
-		return append(buf, f...)
-	}
-	buf = append(buf, '"')
-	for i := 0; i < len(f); i++ {
-		if f[i] == '"' {
-			buf = append(buf, '"')
-		}
-		buf = append(buf, f[i])
-	}
-	return append(buf, '"')
 }
 
 // WriteCSV writes the merged results in seq order. The bytes are a

@@ -1,12 +1,15 @@
 package trace
 
 import (
+	"bufio"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
 	"time"
+	"unicode"
+	"unicode/utf8"
 )
 
 // csvHeader is the column layout of the CSV codec, stable across
@@ -18,40 +21,94 @@ var csvHeader = []string{
 	"status", "compile_epoch", "exec_epoch",
 }
 
-// WriteCSV streams the trace's jobs as CSV with a header row.
+// csvChunk is the size of the writes WriteCSV makes to w: large enough
+// that a trace is a few hundred writes, small enough that the CSV is
+// never held in memory twice. Every write but the last is exactly this
+// long, as csv.Writer's are exactly 4 KiB, so a bytes.Buffer behind w
+// grows to the capacity it reached under csv.Writer.
+const csvChunk = 64 << 10
+
+// WriteCSV streams the trace's jobs as CSV with a header row, with the
+// bytes encoding/csv's Writer writes for the same fields. Each row is
+// appended by hand into one reused buffer.
 func WriteCSV(w io.Writer, jobs []*Job) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader); err != nil {
+	bw := bufio.NewWriterSize(w, csvChunk)
+	var row []byte
+	for i, h := range csvHeader {
+		if i > 0 {
+			row = append(row, ',')
+		}
+		row = AppendField(row, h)
+	}
+	row = append(row, '\n')
+	if _, err := bw.Write(row); err != nil {
 		return err
 	}
 	for _, j := range jobs {
-		rec := []string{
-			strconv.FormatInt(j.ID, 10),
-			j.User,
-			j.Machine,
-			strconv.Itoa(j.MachineQubits),
-			strconv.FormatBool(j.Public),
-			j.CircuitName,
-			strconv.Itoa(j.BatchSize),
-			strconv.Itoa(j.Shots),
-			strconv.Itoa(j.Width),
-			strconv.Itoa(j.TotalDepth),
-			strconv.Itoa(j.TotalGateOps),
-			strconv.Itoa(j.CXTotal),
-			strconv.Itoa(j.MemSlots),
-			j.SubmitTime.UTC().Format(time.RFC3339),
-			j.StartTime.UTC().Format(time.RFC3339),
-			j.EndTime.UTC().Format(time.RFC3339),
-			string(j.Status),
-			strconv.Itoa(j.CompileEpoch),
-			strconv.Itoa(j.ExecEpoch),
-		}
-		if err := cw.Write(rec); err != nil {
+		row = appendCSVRow(row[:0], j)
+		if _, err := bw.Write(row); err != nil {
 			return err
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return bw.Flush()
+}
+
+// appendCSVRow appends one job's CSV row. Only the string fields can
+// need quoting; numbers, booleans and RFC 3339 times never do.
+func appendCSVRow(buf []byte, j *Job) []byte {
+	buf = strconv.AppendInt(buf, j.ID, 10)
+	buf = AppendField(append(buf, ','), j.User)
+	buf = AppendField(append(buf, ','), j.Machine)
+	buf = strconv.AppendInt(append(buf, ','), int64(j.MachineQubits), 10)
+	buf = strconv.AppendBool(append(buf, ','), j.Public)
+	buf = AppendField(append(buf, ','), j.CircuitName)
+	for _, n := range [...]int{j.BatchSize, j.Shots, j.Width, j.TotalDepth, j.TotalGateOps, j.CXTotal, j.MemSlots} {
+		buf = strconv.AppendInt(append(buf, ','), int64(n), 10)
+	}
+	for _, t := range [...]time.Time{j.SubmitTime, j.StartTime, j.EndTime} {
+		buf = t.UTC().AppendFormat(append(buf, ','), time.RFC3339)
+	}
+	buf = AppendField(append(buf, ','), string(j.Status))
+	buf = strconv.AppendInt(append(buf, ','), int64(j.CompileEpoch), 10)
+	buf = strconv.AppendInt(append(buf, ','), int64(j.ExecEpoch), 10)
+	return append(buf, '\n')
+}
+
+// NeedsQuotes reports whether encoding/csv's Writer (Comma ',', UseCRLF
+// false) quotes field f: f is `\.`, holds a comma, a quote, CR or LF,
+// or starts with a space rune. Both CSV planes, the trace here and the
+// counts rows of cloud.AppendCountsRow, quote by this rule.
+func NeedsQuotes[T string | []byte](f T) bool {
+	if len(f) == 0 {
+		return false
+	}
+	if string(f) == `\.` {
+		return true
+	}
+	for i := 0; i < len(f); i++ {
+		switch f[i] {
+		case ',', '"', '\r', '\n':
+			return true
+		}
+	}
+	r, _ := utf8.DecodeRuneInString(string(f[:min(len(f), utf8.UTFMax)]))
+	return unicode.IsSpace(r)
+}
+
+// AppendField appends f as encoding/csv's Writer writes a field: as it
+// is, or quoted with each quote doubled when NeedsQuotes says so.
+func AppendField(buf []byte, f string) []byte {
+	if !NeedsQuotes(f) {
+		return append(buf, f...)
+	}
+	buf = append(buf, '"')
+	for i := 0; i < len(f); i++ {
+		if f[i] == '"' {
+			buf = append(buf, '"')
+		}
+		buf = append(buf, f[i])
+	}
+	return append(buf, '"')
 }
 
 // ReadCSV parses a trace written by WriteCSV.
