@@ -428,6 +428,12 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cloud: read checkpoint: %w", err)
 	}
+	return decodeCheckpoint(file)
+}
+
+// decodeCheckpoint decodes a whole checkpoint file in place: the
+// machine records it delimits are slices of file.
+func decodeCheckpoint(file []byte) (*Checkpoint, error) {
 	if len(file) <= len(checkpointMagic) || string(file[:len(checkpointMagic)]) != checkpointMagic {
 		return nil, fmt.Errorf("cloud: not a checkpoint file (no %q header)", checkpointMagic)
 	}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"qcloud/internal/journal"
+	"qcloud/internal/par"
 	"qcloud/internal/trace"
 )
 
@@ -602,71 +603,99 @@ func removeCheckpointsAfter(dir string, seq int64) error {
 	return nil
 }
 
+// readCheckpointFile reads a checkpoint file once, at its size, and
+// decodes it in place.
 func readCheckpointFile(path string) (*Checkpoint, error) {
-	f, err := os.Open(path)
+	file, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return ReadCheckpoint(f)
+	return decodeCheckpoint(file)
 }
 
 // ReadJournalTrace assembles the finished trace from a sealed journal
-// directory, reading the streams in fleet order and ordering the jobs
-// as Session.Run does, so the result is byte-identical to the
-// in-memory trace. It fails on an unsealed stream — that journal
-// belongs to a crashed run and needs Recover first.
+// directory and orders the jobs as Session.Run does, so the result is
+// byte-identical to the in-memory trace. The machine streams are
+// decoded concurrently (Config.Workers of them at a time), each into
+// its own slot, and merged in fleet order; so the trace and the error
+// are the same at any worker count. It fails on an unsealed stream —
+// that journal belongs to a crashed run and needs Recover first — and
+// when several streams fail, the error names the first in fleet order.
 func ReadJournalTrace(cfg Config) (*trace.Trace, error) {
 	c := cfg.withDefaults()
 	if c.Journal == nil || c.Journal.Dir == "" {
 		return nil, errors.New("cloud: ReadJournalTrace needs Config.Journal.Dir")
 	}
-	out := &trace.Trace{}
-	for _, m := range c.Machines {
-		// A sealed stream is job* stats end.
-		var mstats *trace.MachineStats
-		sealed := false
-		dir := machineStreamDir(c.Journal.Dir, m.Name)
-		_, err := journal.ForEach(dir, func(rec int64, payload []byte) error {
-			switch {
-			case len(payload) == 0:
-				return fmt.Errorf("cloud: %s record %d is empty", dir, rec)
-			case sealed:
-				return fmt.Errorf("cloud: %s record %d lies past the seal marker", dir, rec)
-			case mstats != nil && payload[0] != jrecEnd:
-				return fmt.Errorf("cloud: %s record %d (type %d) follows the stats frame, which only the seal marker may", dir, rec, payload[0])
-			}
-			switch payload[0] {
-			case jrecJob:
-				j, err := trace.DecodeJob(payload[1:])
-				if err != nil {
-					return fmt.Errorf("cloud: %s record %d: %w", dir, rec, err)
-				}
-				out.Jobs = append(out.Jobs, j)
-			case jrecStats2:
-				d := journal.NewRecordReader(payload[1:])
-				mstats = trace.ReadMachineStats(d)
-				if err := d.Finish(); err != nil {
-					return fmt.Errorf("cloud: %s record %d: machine stats: %w", dir, rec, err)
-				}
-			case jrecEnd:
-				if mstats == nil {
-					return fmt.Errorf("cloud: %s record %d seals the stream before any stats frame", dir, rec)
-				}
-				sealed = true
-			default:
-				return fmt.Errorf("cloud: %s record %d has unknown type %d", dir, rec, payload[0])
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
+	type stream struct {
+		jobs  []*trace.Job
+		stats *trace.MachineStats
+		err   error
+	}
+	streams := make([]stream, len(c.Machines))
+	par.ForEach(len(c.Machines), c.Workers, func(i int) {
+		st := &streams[i]
+		st.jobs, st.stats, st.err = readMachineStream(c.Journal.Dir, c.Machines[i].Name)
+	})
+	n := 0
+	for _, st := range streams {
+		if st.err != nil {
+			return nil, st.err
 		}
-		if !sealed {
-			return nil, fmt.Errorf("cloud: journal stream for %s is not sealed — the run did not complete (use Recover)", m.Name)
-		}
-		out.Machines = append(out.Machines, mstats)
+		n += len(st.jobs)
+	}
+	out := &trace.Trace{Jobs: make([]*trace.Job, 0, n), Machines: make([]*trace.MachineStats, 0, len(streams))}
+	for _, st := range streams {
+		out.Jobs = append(out.Jobs, st.jobs...)
+		out.Machines = append(out.Machines, st.stats)
 	}
 	orderTrace(out)
 	return out, nil
+}
+
+// readMachineStream decodes one machine's sealed stream: job* stats end.
+func readMachineStream(root, name string) ([]*trace.Job, *trace.MachineStats, error) {
+	var jobs []*trace.Job
+	var dec trace.JobDecoder
+	var mstats *trace.MachineStats
+	sealed := false
+	dir := machineStreamDir(root, name)
+	_, err := journal.ForEach(dir, func(rec int64, payload []byte) error {
+		switch {
+		case len(payload) == 0:
+			return fmt.Errorf("cloud: %s record %d is empty", dir, rec)
+		case sealed:
+			return fmt.Errorf("cloud: %s record %d lies past the seal marker", dir, rec)
+		case mstats != nil && payload[0] != jrecEnd:
+			return fmt.Errorf("cloud: %s record %d (type %d) follows the stats frame, which only the seal marker may", dir, rec, payload[0])
+		}
+		switch payload[0] {
+		case jrecJob:
+			j, err := dec.Decode(payload[1:])
+			if err != nil {
+				return fmt.Errorf("cloud: %s record %d: %w", dir, rec, err)
+			}
+			jobs = append(jobs, j)
+		case jrecStats2:
+			d := journal.NewRecordReader(payload[1:])
+			mstats = trace.ReadMachineStats(d)
+			if err := d.Finish(); err != nil {
+				return fmt.Errorf("cloud: %s record %d: machine stats: %w", dir, rec, err)
+			}
+		case jrecEnd:
+			if mstats == nil {
+				return fmt.Errorf("cloud: %s record %d seals the stream before any stats frame", dir, rec)
+			}
+			sealed = true
+		default:
+			return fmt.Errorf("cloud: %s record %d has unknown type %d", dir, rec, payload[0])
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	if !sealed {
+		return nil, nil, fmt.Errorf("cloud: journal stream for %s is not sealed — the run did not complete (use Recover)", name)
+	}
+	return jobs, mstats, nil
 }

@@ -166,6 +166,69 @@ func TestJournaledRunMatchesInMemory(t *testing.T) {
 	}
 }
 
+// TestReadJournalTraceAcrossWorkers pins the concurrent read-back: one
+// sealed journal of a five-machine fleet reads back, at 1, 2 and 8
+// workers, to the in-memory trace's bytes; and with two streams left
+// unsealed, every worker count fails naming the earlier of the two in
+// fleet order.
+func TestReadJournalTraceAcrossWorkers(t *testing.T) {
+	fleetCfg := func(workers int) Config {
+		cfg := jtConfig(3, workers)
+		cfg.Machines = testConfig(3, "ibmq_athens", "ibmq_rome", "ibmq_bogota", "ibmq_casablanca", "ibmq_lima").Machines
+		return cfg
+	}
+	mem, err := Simulate(fleetCfg(1), jtSpecs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := jtJSON(t, mem)
+	cfg := fleetCfg(1)
+	cfg.Journal = &JournalConfig{Dir: t.TempDir(), CheckpointEvery: 4 * 24 * time.Hour}
+	if _, killed := runJournaled(t, cfg, jtSpecs()); killed {
+		t.Fatal("an unkilled run reported a kill")
+	}
+	for _, workers := range []int{1, 2, 8} {
+		cfg.Workers = workers
+		tr, err := ReadJournalTrace(cfg)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !bytes.Equal(jtJSON(t, tr), golden) {
+			t.Fatalf("workers=%d: ReadJournalTrace differs from the in-memory trace", workers)
+		}
+	}
+
+	// Cut the seal marker, the last frame, off two streams: the later
+	// one first, so a reader that reported whichever failure it met
+	// first would have a chance to name it.
+	machines := cfg.withDefaults().Machines
+	seal := journal.AppendFrame(nil, []byte{jrecEnd})
+	for _, m := range []string{machines[3].Name, machines[1].Name} {
+		segs, err := filepath.Glob(filepath.Join(machineStreamDir(cfg.Journal.Dir, m), "*.seg"))
+		if err != nil || len(segs) == 0 {
+			t.Fatalf("no segments for %s (err %v)", m, err)
+		}
+		last := segs[len(segs)-1]
+		raw, err := os.ReadFile(last)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasSuffix(raw, seal) {
+			t.Fatalf("%s does not end with the seal marker", last)
+		}
+		if err := os.WriteFile(last, raw[:len(raw)-len(seal)], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := "journal stream for " + machines[1].Name + " is not sealed"
+	for _, workers := range []int{1, 2, 8} {
+		cfg.Workers = workers
+		if _, err := ReadJournalTrace(cfg); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("workers=%d: ReadJournalTrace of two unsealed streams: got %v, want %q", workers, err, want)
+		}
+	}
+}
+
 // journalRecordTotal measures how many journal appends a full
 // uninterrupted run performs, so kill points can cover the whole run.
 func journalRecordTotal(t *testing.T, workers int) int64 {

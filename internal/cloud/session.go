@@ -1,9 +1,11 @@
 package cloud
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -477,11 +479,13 @@ func orderTrace(out *trace.Trace) {
 	for i, j := range out.Jobs {
 		j.ID = int64(i) + 1
 	}
-	sort.Slice(out.Jobs, func(i, j int) bool {
-		if !out.Jobs[i].SubmitTime.Equal(out.Jobs[j].SubmitTime) {
-			return out.Jobs[i].SubmitTime.Before(out.Jobs[j].SubmitTime)
+	// IDs are unique, so this is a total order: any sort algorithm
+	// leaves the same slice.
+	slices.SortFunc(out.Jobs, func(a, b *trace.Job) int {
+		if c := a.SubmitTime.Compare(b.SubmitTime); c != 0 {
+			return c
 		}
-		return out.Jobs[i].ID < out.Jobs[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 }
 

@@ -50,26 +50,39 @@ func AppendJob(buf []byte, j *Job) []byte {
 // DecodeJob decodes one record produced by AppendJob. It never
 // panics: malformed input (truncation, bad lengths) is an error, a
 // second line of defense behind the journal's frame checksums.
-func DecodeJob(b []byte) (*Job, error) {
+func DecodeJob(b []byte) (*Job, error) { return (*JobDecoder)(nil).Decode(b) }
+
+// ReadJob reads what AppendJob wrote from a record that holds more
+// than the one job (a session checkpoint); the caller owns d's error.
+func ReadJob(d *journal.RecordReader) *Job { return (*JobDecoder)(nil).read(d) }
+
+// A JobDecoder decodes the records of one stream as DecodeJob does,
+// but gives every job it returns the same copy of each string value.
+// A machine's stream repeats one machine name, three statuses and a
+// few users and circuit names, so a job costs one allocation instead
+// of five. The zero value is ready; a nil decoder shares nothing.
+type JobDecoder struct{ strs map[string]string }
+
+// Decode is DecodeJob, sharing strings with the jobs dec returned
+// before.
+func (dec *JobDecoder) Decode(b []byte) (*Job, error) {
 	d := journal.NewRecordReader(b)
-	j := ReadJob(d)
+	j := dec.read(d)
 	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("trace: job record: %w", err)
 	}
 	return j, nil
 }
 
-// ReadJob reads what AppendJob wrote from a record that holds more
-// than the one job (a session checkpoint); the caller owns d's error.
-func ReadJob(d *journal.RecordReader) *Job {
+func (dec *JobDecoder) read(d *journal.RecordReader) *Job {
 	d.Version(jobWireVersion)
 	j := &Job{}
 	j.ID = d.Varint()
-	j.User = d.String()
-	j.Machine = d.String()
+	j.User = dec.string(d)
+	j.Machine = dec.string(d)
 	j.MachineQubits = d.Int()
 	j.Public = d.Bool()
-	j.CircuitName = d.String()
+	j.CircuitName = dec.string(d)
 	j.BatchSize = d.Int()
 	j.Shots = d.Int()
 	j.Width = d.Int()
@@ -80,10 +93,28 @@ func ReadJob(d *journal.RecordReader) *Job {
 	j.SubmitTime = d.Time()
 	j.StartTime = d.Time()
 	j.EndTime = d.Time()
-	j.Status = Status(d.String())
+	j.Status = Status(dec.string(d))
 	j.CompileEpoch = d.Int()
 	j.ExecEpoch = d.Int()
 	return j
+}
+
+// string reads a string, returning the copy an earlier job already
+// holds when there is one.
+func (dec *JobDecoder) string(d *journal.RecordReader) string {
+	if dec == nil {
+		return d.String()
+	}
+	b := d.Bytes()
+	if s, ok := dec.strs[string(b)]; ok {
+		return s
+	}
+	if dec.strs == nil {
+		dec.strs = make(map[string]string)
+	}
+	s := string(b)
+	dec.strs[s] = s
+	return s
 }
 
 // AppendMachineStats appends the binary encoding of st: the machine

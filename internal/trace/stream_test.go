@@ -116,7 +116,16 @@ func FuzzDecodeJob(f *testing.F) {
 	f.Add(bad)
 	f.Add(append(bytes.Clone(full), 0x7f))
 	f.Fuzz(func(t *testing.T, b []byte) {
+		// A decoder that shares strings must decode as DecodeJob does,
+		// on the first record and on one whose strings it has seen.
+		var dec JobDecoder
 		j, err := DecodeJob(b)
+		for range 2 {
+			shared, sharedErr := dec.Decode(b)
+			if (err == nil) != (sharedErr == nil) || !reflect.DeepEqual(shared, j) {
+				t.Fatalf("JobDecoder.Decode = %+v, %v; DecodeJob = %+v, %v", shared, sharedErr, j, err)
+			}
+		}
 		if err != nil {
 			return
 		}
