@@ -54,7 +54,7 @@ func Parse(r io.Reader) (*Circuit, error) {
 
 // ParseString parses the textual circuit form from a string.
 //
-//qcloud:keep no binary reads QASM; the reader goes with parse_test.go and FuzzParse in the next sweep (ROADMAP item 5)
+//qcloud:keep no binary reads QASM; the reader goes with parse_test.go and FuzzParse in the next sweep (ROADMAP "Finish the sweep")
 func ParseString(s string) (*Circuit, error) { return Parse(strings.NewReader(s)) }
 
 var opByName = map[string]Op{

@@ -10,6 +10,7 @@ import (
 
 	"qcloud/internal/fault"
 	"qcloud/internal/journal"
+	"qcloud/internal/par"
 	"qcloud/internal/trace"
 )
 
@@ -56,7 +57,10 @@ type Checkpoint struct {
 
 // Checkpoint snapshots the session's full state at its current
 // frontiers. The session stays open and can keep advancing; the
-// snapshot is an independent copy.
+// snapshot is an independent copy. The machines encode their records
+// concurrently, Config.Workers at a time, each into its own slot in
+// fleet order, so the snapshot's bytes are the same at any worker
+// count.
 func (s *Session) Checkpoint() (*Checkpoint, error) {
 	if s.closed {
 		return nil, ErrSessionClosed
@@ -74,16 +78,39 @@ func (s *Session) Checkpoint() (*Checkpoint, error) {
 		Retry:    s.cfg.Retry,
 		machines: make([][]byte, len(s.sims)),
 	}
-	for i, ms := range s.sims {
-		ck.machines[i] = ms.appendCheckpoint(nil)
-	}
+	s.forEachSim(func(ms *machineSim) {
+		ck.machines[ms.idx] = ms.appendCheckpoint(make([]byte, 0, ms.checkpointSizeHint()))
+	})
 	return ck, nil
+}
+
+// checkpointSizeHint estimates the length of ms's machine record from
+// its list lengths, so appendCheckpoint fills one buffer instead of
+// growing it by doubling. Each element is allowed its fixed fields at
+// typical varint widths, the machine name where the element repeats it,
+// and a typical length for the user and circuit names it does not
+// scan; a record of unusually long names grows the buffer once.
+func (ms *machineSim) checkpointSizeHint() int {
+	name := len(ms.m.Name)
+	n := 256 + 2*name
+	if ms.dead {
+		return n
+	}
+	n += len(ms.specs) * (48 + name)
+	// Every background user is counted, not only the seen ones.
+	n += (len(ms.bgAccts) + len(ms.namedAccts)) * 32
+	n += len(ms.queue) * 56
+	n += len(ms.retries) * 48
+	n += len(ms.jobs) * (64 + name)
+	n += len(ms.mstats.PendingSamples) * (14 + name)
+	return n + len(ms.waitRatios)*8
 }
 
 // appendCheckpoint appends the machine record: ms's state written
 // straight from its fields, in the order restore reads them. A pointer
 // to a study job's handle becomes its position in the spec list,
-// counted from 1 (0 = a background job); the RNG is pinned by its draw
+// counted from 1 (0 = a background job), which the spec list's loop
+// stamps on the handle as it writes it; the RNG is pinned by its draw
 // count (construction replays deterministically, then restore
 // fast-forwards the source).
 // Every list goes in an order the state fixes, so two sessions at one
@@ -121,11 +148,12 @@ func (ms *machineSim) appendCheckpoint(buf []byte) []byte {
 	// the terminal-record mark, then the withdrawal with its instant and
 	// reason (jobs removed by a pre-admission cancel were recorded
 	// immediately and are unreachable after a restore; dropping them is
-	// safe). specRef[nil] is the 0 of a background job.
-	specRef := make(map[*JobHandle]uint64, len(ms.specs))
+	// safe). Every handle the queue or the retries hold is admitted, and
+	// only a pre-admission cancel leaves the list, so each of them is
+	// stamped here before the entries below read its position.
 	buf = binary.AppendUvarint(buf, uint64(len(ms.specs)))
 	for i, h := range ms.specs {
-		specRef[h] = uint64(i) + 1
+		h.ckptPos = uint64(i) + 1
 		buf = appendJobSpec(buf, h.spec)
 		buf = journal.AppendBool(buf, h.recorded)
 		buf = journal.AppendBool(buf, h.withdrawn)
@@ -166,7 +194,7 @@ func (ms *machineSim) appendCheckpoint(buf []byte) []byte {
 	// retries in their (at, id) order.
 	buf = binary.AppendUvarint(buf, uint64(len(ms.queue)))
 	for _, q := range ms.queue {
-		buf = binary.AppendUvarint(buf, specRef[q.h])
+		buf = binary.AppendUvarint(buf, q.h.specPos())
 		buf = journal.AppendFloat64(buf, q.submit)
 		buf = journal.AppendFloat64(buf, q.execSec)
 		buf = journal.AppendFloat64(buf, q.patience)
@@ -180,7 +208,7 @@ func (ms *machineSim) appendCheckpoint(buf []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(ms.retries)))
 	for i := range ms.retries {
 		rt := &ms.retries[i]
-		buf = binary.AppendUvarint(buf, specRef[rt.h])
+		buf = binary.AppendUvarint(buf, rt.h.specPos())
 		buf = journal.AppendFloat64(buf, rt.at)
 		buf = journal.AppendFloat64(buf, rt.execSec)
 		buf = journal.AppendFloat64(buf, rt.patience)
@@ -201,6 +229,16 @@ func (ms *machineSim) appendCheckpoint(buf []byte) []byte {
 	return buf
 }
 
+// specPos is what a queue or retry entry writes for h: the position
+// the running encode stamped on it, or 0 for a background job's nil
+// handle.
+func (h *JobHandle) specPos() uint64 {
+	if h == nil {
+		return 0
+	}
+	return h.ckptPos
+}
+
 // Restore opens a new session from cfg and overwrites its state with
 // the checkpoint: construction replays the deterministic setup
 // (downtime calendars, fault windows, surge episodes), the RNG
@@ -208,7 +246,10 @@ func (ms *machineSim) appendCheckpoint(buf []byte) []byte {
 // entry and record is reloaded. The config must be the one the
 // checkpointed session was opened with; the identifying fields are
 // validated, the rest (fleet composition, background model) must match
-// by contract.
+// by contract. The machines decode their records concurrently,
+// Config.Workers at a time; when several records are malformed, the
+// error names the first in fleet order, so it too is the same at any
+// worker count.
 func Restore(cfg Config, ck *Checkpoint) (*Session, error) {
 	if cfg.Journal != nil {
 		return nil, fmt.Errorf("cloud: Restore cannot attach a journal; use Recover for journaled sessions")
@@ -233,10 +274,14 @@ func Restore(cfg Config, ck *Checkpoint) (*Session, error) {
 	}
 	// A machine that fails part-way is left half-read; the session is
 	// dropped with it, so that state is never visible.
-	for i, ms := range s.sims {
-		if err := ms.restore(journal.NewRecordReader(ck.machines[i])); err != nil {
-			return nil, fmt.Errorf("cloud: restore machine %d (%s): %w", i, ms.m.Name, err)
+	errs := make([]error, len(s.sims))
+	s.forEachSim(func(ms *machineSim) {
+		if err := ms.restore(journal.NewRecordReader(ck.machines[ms.idx])); err != nil {
+			errs[ms.idx] = fmt.Errorf("cloud: restore machine %d (%s): %w", ms.idx, ms.m.Name, err)
 		}
+	})
+	if err := par.FirstError(errs); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -378,41 +423,52 @@ func faultFields(p *fault.Profile) [11]*float64 {
 }
 
 // WriteCheckpoint writes ck as a checkpoint file: the magic, the
-// version, and one journal frame around the checkpoint record.
+// version, and one journal frame around the checkpoint record. The
+// file is sized before the record is encoded into it, behind room for
+// the frame header, so the machine records are copied once.
 func WriteCheckpoint(w io.Writer, ck *Checkpoint) error {
-	var rec []byte
-	rec = binary.AppendVarint(rec, ck.Seed)
-	rec = journal.AppendInstant(rec, ck.Start)
-	rec = journal.AppendInstant(rec, ck.End)
-	rec = journal.AppendBool(rec, ck.Faults != nil)
+	// 256 bytes hold every fixed field at its widest.
+	size := len(checkpointMagic) + 1 + journal.FrameHeaderLen + 256 +
+		binary.MaxVarintLen64*(len(ck.JournalMachineRecords)+len(ck.machines))
+	for _, m := range ck.machines {
+		size += len(m)
+	}
+	file := append(make([]byte, 0, size), checkpointMagic...)
+	file = append(file, checkpointVersion)
+	frame := len(file)
+	file = append(file, make([]byte, journal.FrameHeaderLen)...)
+	file = binary.AppendVarint(file, ck.Seed)
+	file = journal.AppendInstant(file, ck.Start)
+	file = journal.AppendInstant(file, ck.End)
+	file = journal.AppendBool(file, ck.Faults != nil)
 	if ck.Faults != nil {
 		for _, f := range faultFields(ck.Faults) {
-			rec = journal.AppendFloat64(rec, *f)
+			file = journal.AppendFloat64(file, *f)
 		}
 	}
-	rec = journal.AppendBool(rec, ck.Retry != nil)
+	file = journal.AppendBool(file, ck.Retry != nil)
 	if p := ck.Retry; p != nil {
-		rec = binary.AppendVarint(rec, int64(p.MaxAttempts))
-		rec = binary.AppendVarint(rec, int64(p.BaseBackoff))
-		rec = binary.AppendVarint(rec, int64(p.MaxBackoff))
-		rec = journal.AppendFloat64(rec, p.JitterFrac)
-		rec = binary.AppendVarint(rec, int64(p.BudgetPerUser))
+		file = binary.AppendVarint(file, int64(p.MaxAttempts))
+		file = binary.AppendVarint(file, int64(p.BaseBackoff))
+		file = binary.AppendVarint(file, int64(p.MaxBackoff))
+		file = journal.AppendFloat64(file, p.JitterFrac)
+		file = binary.AppendVarint(file, int64(p.BudgetPerUser))
 	}
-	rec = binary.AppendUvarint(rec, uint64(len(ck.JournalMachineRecords)))
+	file = binary.AppendUvarint(file, uint64(len(ck.JournalMachineRecords)))
 	for _, n := range ck.JournalMachineRecords {
-		rec = binary.AppendVarint(rec, n)
+		file = binary.AppendVarint(file, n)
 	}
-	rec = binary.AppendVarint(rec, ck.JournalSubmits)
-	rec = binary.AppendVarint(rec, ck.JournalSeq)
-	rec = journal.AppendInstant(rec, ck.JournalNextCkpt)
-	rec = binary.AppendUvarint(rec, uint64(len(ck.machines)))
+	file = binary.AppendVarint(file, ck.JournalSubmits)
+	file = binary.AppendVarint(file, ck.JournalSeq)
+	file = journal.AppendInstant(file, ck.JournalNextCkpt)
+	file = binary.AppendUvarint(file, uint64(len(ck.machines)))
 	for _, m := range ck.machines {
-		rec = journal.AppendBytes(rec, m)
+		file = journal.AppendBytes(file, m)
 	}
-	if uint64(len(rec)) > math.MaxUint32 {
-		return fmt.Errorf("cloud: checkpoint record of %d bytes exceeds a frame's 32-bit length", len(rec))
+	if n := len(file) - frame - journal.FrameHeaderLen; uint64(n) > math.MaxUint32 {
+		return fmt.Errorf("cloud: checkpoint record of %d bytes exceeds a frame's 32-bit length", n)
 	}
-	file := journal.AppendFrame(append([]byte(checkpointMagic), checkpointVersion), rec)
+	journal.SealFrame(file[frame:])
 	if _, err := w.Write(file); err != nil {
 		return fmt.Errorf("cloud: write checkpoint: %w", err)
 	}

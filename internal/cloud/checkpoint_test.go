@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -61,11 +62,12 @@ func ckptFile(t testing.TB, ck *Checkpoint) []byte {
 }
 
 // TestCheckpointBytesIdenticalAcrossWorkers: the checkpoint file is a
-// function of the frontier alone — a serial and a 4-worker session
-// write the same bytes — and reading one back re-writes those bytes.
+// function of the frontier alone — sessions at 1, 2 and 8 workers,
+// whose machines encode their records concurrently, write the same
+// bytes — and reading one back re-writes those bytes.
 func TestCheckpointBytesIdenticalAcrossWorkers(t *testing.T) {
 	var want []byte
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{1, 2, 8} {
 		s, _ := ckptScenario(t, workers)
 		ck, err := s.Checkpoint()
 		if err != nil {
@@ -104,6 +106,62 @@ func TestCheckpointFileGolden(t *testing.T) {
 	const golden = "58a4c3f8839c8125f2aed8309c19df979588d7644e6e25cb29aa6e1fc3af5de0"
 	if got := fmt.Sprintf("%x", sha256.Sum256(file)); got != golden {
 		t.Fatalf("checkpoint file (%d bytes) hashes to %s, want %s", len(file), got, golden)
+	}
+}
+
+// TestRestoreAcrossWorkersNamesFirstBadMachine: a checkpoint of a
+// five-machine fleet restores, at 1, 2 and 8 workers, to a session that
+// checkpoints to the same bytes; and with the records of machines 3 and
+// 1 both cut short, every worker count fails naming machine 1, the
+// first in fleet order.
+func TestRestoreAcrossWorkersNamesFirstBadMachine(t *testing.T) {
+	fleetCfg := func(workers int) Config {
+		cfg := jtConfig(3, workers)
+		cfg.Machines = testConfig(3, "ibmq_athens", "ibmq_rome", "ibmq_bogota", "ibmq_casablanca", "ibmq_lima").Machines
+		return cfg
+	}
+	s, err := Open(fleetCfg(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range jtSpecs() {
+		if _, err := s.SubmitRetried(sp, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.AdvanceTo(s.cfg.Start.Add(5 * 24 * time.Hour))
+	ck, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	want := ckptFile(t, ck)
+	for _, workers := range []int{1, 2, 8} {
+		r, err := Restore(fleetCfg(workers), ck)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		again, err := r.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Close()
+		if got := ckptFile(t, again); !bytes.Equal(got, want) {
+			t.Fatalf("workers=%d: restored session checkpoints to %d bytes, the original %d, not the same", workers, len(got), len(want))
+		}
+	}
+
+	bad := *ck
+	bad.machines = slices.Clone(ck.machines)
+	for _, i := range []int{3, 1} {
+		bad.machines[i] = bad.machines[i][:len(bad.machines[i])/2]
+	}
+	name := fleetCfg(1).withDefaults().Machines[1].Name
+	wantErr := fmt.Sprintf("restore machine 1 (%s)", name)
+	for _, workers := range []int{1, 2, 8} {
+		if _, err := Restore(fleetCfg(workers), &bad); err == nil || !strings.Contains(err.Error(), wantErr) {
+			t.Fatalf("workers=%d: restore of two cut records: got %v, want %q", workers, err, wantErr)
+		}
 	}
 }
 

@@ -133,6 +133,7 @@ func openSessionJournal(s *Session, jc *JournalConfig) error {
 	jr.machines = make([]*journal.Writer, len(s.sims))
 	for i, ms := range s.sims {
 		if jr.machines[i], err = journal.Create(machineStreamDir(jc.Dir, ms.m.Name), opts); err != nil {
+			jr.abandon()
 			return fmt.Errorf("cloud: open journal (did you mean Recover?): %w", err)
 		}
 	}
@@ -154,6 +155,17 @@ func (jr *sessionJournal) append(w *journal.Writer, payload []byte) {
 	}
 	if err := w.Append(payload); err != nil {
 		jr.fail(err)
+	}
+}
+
+// abandon closes every writer opened so far without flushing: a
+// halted session's, and a journal's that failed part-way through
+// opening, whose session is never returned for anyone to close.
+func (jr *sessionJournal) abandon() {
+	for _, w := range append([]*journal.Writer{jr.submits}, jr.machines...) {
+		if w != nil {
+			w.Abandon()
+		}
 	}
 }
 
@@ -230,11 +242,8 @@ func (jr *sessionJournal) close() error {
 	}
 	jr.closed = true
 	jr.mu.Unlock()
-	all := append([]*journal.Writer{jr.submits}, jr.machines...)
 	if jr.stop.Load() {
-		for _, w := range all {
-			w.Abandon()
-		}
+		jr.abandon()
 		err := jr.haltErr()
 		jr.mu.Lock()
 		jr.closeErr = err
@@ -242,7 +251,7 @@ func (jr *sessionJournal) close() error {
 		return err
 	}
 	var first error
-	for _, w := range all {
+	for _, w := range append([]*journal.Writer{jr.submits}, jr.machines...) {
 		if err := w.Close(); err != nil && first == nil {
 			first = err
 		}
@@ -445,11 +454,15 @@ func Recover(cfg Config) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The machine streams are scanned concurrently, each into its own
+	// slot; the first error in fleet order is the one reported.
 	mScans := make([]journal.ScanResult, len(c.Machines))
-	for i, m := range c.Machines {
-		if mScans[i], err = journal.Scan(machineStreamDir(jc.Dir, m.Name)); err != nil {
-			return nil, err
-		}
+	errs := make([]error, len(c.Machines))
+	par.ForEach(len(c.Machines), c.Workers, func(i int) {
+		mScans[i], errs[i] = journal.Scan(machineStreamDir(jc.Dir, c.Machines[i].Name))
+	})
+	if err := par.FirstError(errs); err != nil {
+		return nil, err
 	}
 	chosen, chosenSeq, err := pickCheckpoint(c, jc.Dir, subScan, mScans)
 	if err != nil {
@@ -488,6 +501,7 @@ func Recover(cfg Config) (*Session, error) {
 			at = chosen.JournalMachineRecords[i]
 		}
 		if jr.machines[i], err = journal.OpenAt(machineStreamDir(jc.Dir, ms.m.Name), mScans[i], at, opts); err != nil {
+			jr.abandon()
 			return nil, err
 		}
 	}
@@ -520,6 +534,7 @@ func Recover(cfg Config) (*Session, error) {
 		return ms.resubmitJournaled(&js.Spec, js.SubmitSeq)
 	})
 	if err != nil {
+		jr.abandon()
 		return nil, err
 	}
 	return s, nil

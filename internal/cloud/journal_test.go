@@ -229,6 +229,51 @@ func TestReadJournalTraceAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestCheckpointFilesIdenticalAcrossWorkers: the auto-checkpoints a
+// drained session writes, encoded by its machines concurrently, are
+// the same files at 1 and 4 workers, byte for byte.
+func TestCheckpointFilesIdenticalAcrossWorkers(t *testing.T) {
+	var want map[string][]byte
+	for _, workers := range []int{1, 4} {
+		cfg := jtConfig(3, workers)
+		cfg.Journal = &JournalConfig{Dir: t.TempDir(), CheckpointEvery: 4 * 24 * time.Hour}
+		s, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sp := range jtSpecs() {
+			if _, err := s.SubmitRetried(sp, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := s.DrainJournal(); err != nil {
+			t.Fatal(err)
+		}
+		paths, err := filepath.Glob(filepath.Join(cfg.Journal.Dir, "ckpt-*.qcsn"))
+		if err != nil || len(paths) < 2 {
+			t.Fatalf("workers=%d: want >=2 checkpoint files, got %d (err %v)", workers, len(paths), err)
+		}
+		got := map[string][]byte{}
+		for _, p := range paths {
+			if got[filepath.Base(p)], err = os.ReadFile(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d: %d checkpoint files, the serial run wrote %d", workers, len(got), len(want))
+		}
+		for name, b := range want {
+			if !bytes.Equal(got[name], b) {
+				t.Fatalf("workers=%d: %s differs from the serial run's (%d vs %d bytes)", workers, name, len(got[name]), len(b))
+			}
+		}
+	}
+}
+
 // journalRecordTotal measures how many journal appends a full
 // uninterrupted run performs, so kill points can cover the whole run.
 func journalRecordTotal(t *testing.T, workers int) int64 {
@@ -422,6 +467,83 @@ func (ff *flakyFile) Write(p []byte) (int, error) {
 }
 func (ff *flakyFile) Sync() error  { return ff.f.Sync() }
 func (ff *flakyFile) Close() error { return ff.f.Close() }
+
+// countedFile counts the segment files a journal closes.
+type countedFile struct {
+	journal.File
+	closes *int
+}
+
+func (cf countedFile) Close() error {
+	*cf.closes++
+	return cf.File.Close()
+}
+
+// TestJournalErrorPathsCloseSegments: an Open whose machine stream
+// cannot be created, a Recover whose machine stream cannot be
+// reopened, and a Recover whose input log replay fails each return an
+// error with every segment file they opened closed again.
+func TestJournalErrorPathsCloseSegments(t *testing.T) {
+	killed := func(t *testing.T) string {
+		dir := t.TempDir()
+		cfg := jtConfig(3, 1)
+		cfg.Journal = &JournalConfig{Dir: dir, CheckpointEvery: 4 * 24 * time.Hour, killAfterRecords: 200}
+		if _, killed := runJournaled(t, cfg, jtSpecs()); !killed {
+			t.Fatal("kill did not fire")
+		}
+		return dir
+	}
+	// run calls f with a journal whose segment opens are counted and
+	// fail under a stream directory named failDir, and checks the error
+	// and that every opened file was closed.
+	run := func(t *testing.T, dir, failDir string, f func(Config) (*Session, error), wantErr string) {
+		opens, closes := 0, 0
+		cfg := jtConfig(3, 1)
+		cfg.Journal = &JournalConfig{Dir: dir, CheckpointEvery: 4 * 24 * time.Hour,
+			openFile: func(path string) (journal.File, error) {
+				if filepath.Base(filepath.Dir(path)) == failDir {
+					return nil, errors.New("injected open failure")
+				}
+				f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+				if err != nil {
+					return nil, err
+				}
+				opens++
+				return countedFile{f, &closes}, nil
+			}}
+		if _, err := f(cfg); err == nil || !strings.Contains(err.Error(), wantErr) {
+			t.Fatalf("got error %v, want one naming %q", err, wantErr)
+		}
+		if opens == 0 || closes != opens {
+			t.Fatalf("%d segment files opened, %d closed", opens, closes)
+		}
+	}
+	t.Run("open", func(t *testing.T) {
+		run(t, t.TempDir(), "m_ibmq_rome", Open, "injected open failure")
+	})
+	t.Run("recover reopen", func(t *testing.T) {
+		run(t, killed(t), "m_ibmq_rome", Recover, "injected open failure")
+	})
+	t.Run("recover replay", func(t *testing.T) {
+		dir := killed(t)
+		segs, err := filepath.Glob(filepath.Join(submitStreamDir(dir), "*.seg"))
+		if err != nil || len(segs) == 0 {
+			t.Fatalf("no input log segments (err %v)", err)
+		}
+		f, err := os.OpenFile(segs[len(segs)-1], os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = f.Write(journal.AppendFrame(nil, appendSubmitRecord(nil, "ibmq_nowhere", 1, jtSpecs()[0])))
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		run(t, dir, "", Recover, `unknown machine "ibmq_nowhere"`)
+	})
+}
 
 // TestPersistentWriteFailureFailStops: when journal writes keep
 // failing past the retry cap, the session fail-stops with a clear

@@ -133,6 +133,11 @@ type JobHandle struct {
 	withdrawn bool
 	cancelAt  float64
 	reason    CancelReason
+
+	// ckptPos is the handle's position in its machine's spec list,
+	// counted from 1, as the last checkpoint encode of that machine
+	// stamped it.
+	ckptPos uint64
 }
 
 // Record returns the job's trace record, the one the session's trace

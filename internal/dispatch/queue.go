@@ -115,7 +115,7 @@ type QueueConfig struct {
 	SyncEvery int
 	// Now supplies wall time (default time.Now; tests inject clocks).
 	//
-	//qcloud:keep the queue tests' clock until one clock seam replaces it (ROADMAP item 3)
+	//qcloud:keep the queue tests' clock until one clock seam replaces it (ROADMAP "One clock and one filesystem seam in `dispatch`")
 	Now func() time.Time
 	// OnEvent, if set, observes the queue's live event stream (called
 	// synchronously under the queue lock — keep it cheap and never

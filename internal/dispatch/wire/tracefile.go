@@ -91,8 +91,7 @@ func EncodeTraceFile(b *TraceBinding, writeCSV func(io.Writer) error) (file, csv
 	head = binary.AppendUvarint(head, uint64(n))
 	payload := buf.Bytes()[room-len(head):]
 	copy(payload, head)
-	frameHeader := len(journal.AppendFrame(nil, nil))
-	file = make([]byte, 0, len(TraceFileMagic)+frameHeader+len(payload))
+	file = make([]byte, 0, len(TraceFileMagic)+journal.FrameHeaderLen+len(payload))
 	file = journal.AppendFrame(append(file, TraceFileMagic...), payload)
 	return file, file[len(file)-n:], nil
 }

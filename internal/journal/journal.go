@@ -53,9 +53,9 @@ import (
 	"strings"
 )
 
-// frameHeaderLen is the fixed per-record overhead: u32le payload
+// FrameHeaderLen is the fixed per-record overhead: u32le payload
 // length followed by u32le CRC32C over (length bytes ‖ payload).
-const frameHeaderLen = 8
+const FrameHeaderLen = 8
 
 // maxPayload bounds a single record. The cap exists so a corrupted
 // length field cannot make a reader attempt a multi-gigabyte
@@ -170,19 +170,29 @@ func frameCRC(hdr []byte, payload []byte) uint32 {
 // frame. The length field holds 32 bits; Writer.Append enforces the
 // smaller per-record cap of a stream.
 func AppendFrame(buf, payload []byte) []byte {
-	var hdr [frameHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], frameCRC(hdr[:], payload))
-	return append(append(buf, hdr[:]...), payload...)
+	at := len(buf)
+	buf = append(append(buf, make([]byte, FrameHeaderLen)...), payload...)
+	SealFrame(buf[at:])
+	return buf
+}
+
+// SealFrame fills in the header of frame, FrameHeaderLen bytes of room
+// followed by the payload, so that a payload encoded in place behind
+// the room needs no copy to be framed. The payload must be shorter
+// than 4 GiB.
+func SealFrame(frame []byte) {
+	payload := frame[FrameHeaderLen:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], frameCRC(frame, payload))
 }
 
 // Frame returns the payload of b, which must be exactly one frame: a
 // short, long, torn or bit-flipped b is an error. The payload aliases b.
 func Frame(b []byte) ([]byte, error) {
-	if len(b) < frameHeaderLen || uint64(binary.LittleEndian.Uint32(b[0:4])) != uint64(len(b)-frameHeaderLen) {
+	if len(b) < FrameHeaderLen || uint64(binary.LittleEndian.Uint32(b[0:4])) != uint64(len(b)-FrameHeaderLen) {
 		return nil, fmt.Errorf("journal: torn frame: %d bytes are not a header and the payload length it declares", len(b))
 	}
-	payload := b[frameHeaderLen:]
+	payload := b[FrameHeaderLen:]
 	if have, want := frameCRC(b, payload), binary.LittleEndian.Uint32(b[4:8]); have != want {
 		return nil, fmt.Errorf("journal: frame checksum mismatch (have %08x, want %08x): torn or corrupt", have, want)
 	}

@@ -164,7 +164,7 @@ func TestTruncateFinalRecordEveryOffset(t *testing.T) {
 	}
 	path, data := lastSegment(t, dir)
 	last := payloads[len(payloads)-1]
-	frameLen := frameHeaderLen + len(last)
+	frameLen := FrameHeaderLen + len(last)
 	frameStart := len(data) - frameLen
 	if frameStart < 0 {
 		t.Fatalf("last segment smaller than final frame (%d < %d)", len(data), frameLen)
@@ -207,7 +207,7 @@ func TestBitFlipEveryFrameField(t *testing.T) {
 	off := 0
 	for i, p := range payloads {
 		offsets[i] = off
-		off += frameHeaderLen + len(p)
+		off += FrameHeaderLen + len(p)
 	}
 	for i, p := range payloads {
 		fields := map[string]int{
@@ -215,7 +215,7 @@ func TestBitFlipEveryFrameField(t *testing.T) {
 			"checksum": offsets[i] + 5,
 		}
 		if len(p) > 0 {
-			fields["payload"] = offsets[i] + frameHeaderLen + len(p)/2
+			fields["payload"] = offsets[i] + FrameHeaderLen + len(p)/2
 		}
 		for field, target := range fields {
 			corrupt := bytes.Clone(data)
@@ -427,7 +427,7 @@ func boundaryStream(t *testing.T, dir string, payloads [][]byte, opts Options, s
 	case "torn":
 		data, err := os.ReadFile(path)
 		if err == nil {
-			err = os.WriteFile(path, data[:frameHeaderLen-3], 0o644)
+			err = os.WriteFile(path, data[:FrameHeaderLen-3], 0o644)
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -141,7 +141,7 @@ func scanSegment(path string, rec, upTo int64, fn func(rec int64, payload []byte
 		br.Reset(nil)
 		readers.Put(br)
 	}()
-	var hdr [frameHeaderLen]byte
+	var hdr [FrameHeaderLen]byte
 	var payload []byte
 	for upTo < 0 || out.nextRec < upTo {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -180,7 +180,7 @@ func scanSegment(path string, rec, upTo int64, fn func(rec int64, payload []byte
 			}
 		}
 		out.nextRec++
-		out.validBytes += int64(frameHeaderLen) + int64(n)
+		out.validBytes += int64(FrameHeaderLen) + int64(n)
 	}
 	return out, nil
 }

@@ -166,7 +166,7 @@ func (w *Writer) Append(payload []byte) error {
 	if len(payload) > maxPayload {
 		return fmt.Errorf("journal: record of %d bytes exceeds the %d-byte frame cap", len(payload), maxPayload)
 	}
-	frameLen := int64(frameHeaderLen + len(payload))
+	frameLen := int64(FrameHeaderLen + len(payload))
 	if have := w.segBytes + int64(len(w.pending)); have > 0 && have+frameLen > segmentBytes {
 		if err := w.rotate(); err != nil {
 			return err
