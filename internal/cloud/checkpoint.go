@@ -21,7 +21,7 @@ import (
 // checkpoint or machine record layout changes.
 const (
 	checkpointMagic        = "QCSN"
-	checkpointVersion byte = 4
+	checkpointVersion byte = 5
 )
 
 // Checkpoint is a complete, restorable snapshot of an open session:
@@ -96,23 +96,33 @@ func (ms *machineSim) checkpointSizeHint() int {
 	if ms.dead {
 		return n
 	}
-	n += len(ms.specs) * (48 + name)
+	spec := 48 + name
+	n += len(ms.specs) * spec
 	// Every background user is counted, not only the seen ones.
 	n += (len(ms.bgAccts) + len(ms.namedAccts)) * 32
-	n += len(ms.queue) * 56
-	n += len(ms.retries) * 48
+	// A queue or retry entry of a study job carries its spec too.
+	for _, q := range ms.queue {
+		if n += 56; q.h != nil {
+			n += spec
+		}
+	}
+	for i := range ms.retries {
+		if n += 48; ms.retries[i].h != nil {
+			n += spec
+		}
+	}
 	n += len(ms.jobs) * (64 + name)
 	n += len(ms.mstats.PendingSamples) * (14 + name)
 	return n + len(ms.waitRatios)*8
 }
 
 // appendCheckpoint appends the machine record: ms's state written
-// straight from its fields, in the order restore reads them. A pointer
-// to a study job's handle becomes its position in the spec list,
-// counted from 1 (0 = a background job), which the spec list's loop
-// stamps on the handle as it writes it; the RNG is pinned by its draw
-// count (construction replays deterministically, then restore
-// fast-forwards the source).
+// straight from its fields, in the order restore reads them. Each live
+// study job is written once, where the machine holds its handle: in the
+// pending stream, the queue or the retries. A recorded job is held by
+// none of them, so none is written. The RNG is pinned by its draw count
+// (construction replays deterministically, then restore fast-forwards
+// the source).
 // Every list goes in an order the state fixes, so two sessions at one
 // frontier write the same bytes whatever their worker counts.
 func (ms *machineSim) appendCheckpoint(buf []byte) []byte {
@@ -144,25 +154,12 @@ func (ms *machineSim) appendCheckpoint(buf []byte) []byte {
 	buf = journal.AppendFloat64(buf, ms.bg.nextAt)
 	buf = journal.AppendBool(buf, ms.bg.exhausted)
 
-	// Each study job goes as its spec and the state its handle holds:
-	// the terminal-record mark, then the withdrawal with its instant and
-	// reason (jobs removed by a pre-admission cancel were recorded
-	// immediately and are unreachable after a restore; dropping them is
-	// safe). Every handle the queue or the retries hold is admitted, and
-	// only a pre-admission cancel leaves the list, so each of them is
-	// stamped here before the entries below read its position.
+	// A pending job is its spec alone: a cancel before admission records
+	// the job and drops it from the stream at once.
 	buf = binary.AppendUvarint(buf, uint64(len(ms.specs)))
-	for i, h := range ms.specs {
-		h.ckptPos = uint64(i) + 1
+	for _, h := range ms.specs {
 		buf = appendJobSpec(buf, h.spec)
-		buf = journal.AppendBool(buf, h.recorded)
-		buf = journal.AppendBool(buf, h.withdrawn)
-		if h.withdrawn {
-			buf = journal.AppendFloat64(buf, h.cancelAt)
-			buf = journal.AppendString(buf, string(h.reason))
-		}
 	}
-	buf = binary.AppendVarint(buf, int64(ms.specIdx))
 
 	// Accumulators go by name, whichever table holds them (restore's
 	// account maps the names back), before the queue that refers to them.
@@ -194,7 +191,7 @@ func (ms *machineSim) appendCheckpoint(buf []byte) []byte {
 	// retries in their (at, id) order.
 	buf = binary.AppendUvarint(buf, uint64(len(ms.queue)))
 	for _, q := range ms.queue {
-		buf = binary.AppendUvarint(buf, q.h.specPos())
+		buf = appendHeldJob(buf, q.h)
 		buf = journal.AppendFloat64(buf, q.submit)
 		buf = journal.AppendFloat64(buf, q.execSec)
 		buf = journal.AppendFloat64(buf, q.patience)
@@ -208,7 +205,7 @@ func (ms *machineSim) appendCheckpoint(buf []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(ms.retries)))
 	for i := range ms.retries {
 		rt := &ms.retries[i]
-		buf = binary.AppendUvarint(buf, rt.h.specPos())
+		buf = appendHeldJob(buf, rt.h)
 		buf = journal.AppendFloat64(buf, rt.at)
 		buf = journal.AppendFloat64(buf, rt.execSec)
 		buf = journal.AppendFloat64(buf, rt.patience)
@@ -229,14 +226,37 @@ func (ms *machineSim) appendCheckpoint(buf []byte) []byte {
 	return buf
 }
 
-// specPos is what a queue or retry entry writes for h: the position
-// the running encode stamped on it, or 0 for a background job's nil
-// handle.
-func (h *JobHandle) specPos() uint64 {
+// appendHeldJob writes the study job a queue or retry entry holds: a
+// presence byte (0 for a background job's nil handle), then the spec
+// and the withdrawal, with its instant and reason. A held job is never
+// recorded: the server records a job as it takes it off the queue.
+func appendHeldJob(buf []byte, h *JobHandle) []byte {
+	buf = journal.AppendBool(buf, h != nil)
 	if h == nil {
-		return 0
+		return buf
 	}
-	return h.ckptPos
+	buf = appendJobSpec(buf, h.spec)
+	buf = journal.AppendBool(buf, h.withdrawn)
+	if h.withdrawn {
+		buf = journal.AppendFloat64(buf, h.cancelAt)
+		buf = journal.AppendString(buf, string(h.reason))
+	}
+	return buf
+}
+
+// readHeldJob reads what appendHeldJob wrote into a fresh handle on ms
+// (nil for a background job); Bool refuses a presence byte above 1.
+func (ms *machineSim) readHeldJob(d *journal.RecordReader) *JobHandle {
+	if !d.Bool() {
+		return nil
+	}
+	h := &JobHandle{spec: &JobSpec{}, ms: ms}
+	readJobSpec(d, h.spec)
+	if h.withdrawn = d.Bool(); h.withdrawn {
+		h.cancelAt = d.Float64()
+		h.reason = CancelReason(d.String())
+	}
+	return h
 }
 
 // Restore opens a new session from cfg and overwrites its state with
@@ -318,27 +338,10 @@ func (ms *machineSim) restore(d *journal.RecordReader) error {
 	ms.bg.nextAt = d.Float64()
 	ms.bg.exhausted = d.Bool()
 
-	ms.specs = make([]*JobHandle, d.Count(20+2))
+	ms.specs = make([]*JobHandle, d.Count(20))
 	for i := range ms.specs {
-		h := &JobHandle{spec: &JobSpec{}, ms: ms}
-		readJobSpec(d, h.spec)
-		ms.specs[i] = h
-		h.recorded = d.Bool()
-		if h.withdrawn = d.Bool(); h.withdrawn {
-			h.cancelAt = d.Float64()
-			h.reason = CancelReason(d.String())
-		}
-	}
-	ms.specIdx = d.Int()
-	specRef := func() *JobHandle {
-		i := d.Uvarint()
-		if i > uint64(len(ms.specs)) {
-			d.Reject("spec reference %d out of range (%d specs)", i, len(ms.specs))
-		}
-		if i == 0 || d.Err() != nil {
-			return nil
-		}
-		return ms.specs[i-1]
+		ms.specs[i] = &JobHandle{spec: &JobSpec{}, ms: ms}
+		readJobSpec(d, ms.specs[i].spec)
 	}
 
 	// Names go strictly ascending and an unspent budget is a 0, never a
@@ -363,7 +366,7 @@ func (ms *machineSim) restore(d *journal.RecordReader) error {
 	for i := range ms.queue {
 		q := &queuedJob{}
 		ms.queue[i] = q
-		q.h = specRef()
+		q.h = ms.readHeldJob(d)
 		q.submit = d.Float64()
 		q.execSec = d.Float64()
 		q.patience = d.Float64()
@@ -380,7 +383,7 @@ func (ms *machineSim) restore(d *journal.RecordReader) error {
 	ms.retries = make([]pendingRetry, d.Count(1+3*8+3))
 	for i := range ms.retries {
 		rt := &ms.retries[i]
-		rt.h = specRef()
+		rt.h = ms.readHeldJob(d)
 		rt.at = d.Float64()
 		rt.execSec = d.Float64()
 		rt.patience = d.Float64()

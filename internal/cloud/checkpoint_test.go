@@ -91,10 +91,10 @@ func TestCheckpointBytesIdenticalAcrossWorkers(t *testing.T) {
 }
 
 // TestCheckpointFileGolden pins the serial checkpoint file of
-// ckptScenario: withdrawn specs, a queued study job, pending retries
-// and spent retry budgets, all written in their fixed order. A moved
-// hash is a layout or state change, and the version byte must move
-// with it.
+// ckptScenario: pending specs, queued study jobs withdrawn and not,
+// pending retries and spent retry budgets, all written in their fixed
+// order. A moved hash is a layout or state change, and the version
+// byte must move with it.
 func TestCheckpointFileGolden(t *testing.T) {
 	s, _ := ckptScenario(t, 1)
 	defer s.Close()
@@ -103,7 +103,7 @@ func TestCheckpointFileGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	file := ckptFile(t, ck)
-	const golden = "58a4c3f8839c8125f2aed8309c19df979588d7644e6e25cb29aa6e1fc3af5de0"
+	const golden = "b86a83fe397465762f79585429ff3e5ede90b06ae720e847a526c3243694120b"
 	if got := fmt.Sprintf("%x", sha256.Sum256(file)); got != golden {
 		t.Fatalf("checkpoint file (%d bytes) hashes to %s, want %s", len(file), got, golden)
 	}
@@ -165,6 +165,86 @@ func TestRestoreAcrossWorkersNamesFirstBadMachine(t *testing.T) {
 	}
 }
 
+// TestRestoreHoldsOnlyLiveJobs: a checkpoint carries no finished study
+// job, so every handle a restored machine's spec list holds is pending
+// and none is recorded, though jobs were recorded before the checkpoint.
+func TestRestoreHoldsOnlyLiveJobs(t *testing.T) {
+	cfg := jtConfig(3, 1)
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range jtSpecs() {
+		if _, err := s.SubmitRetried(sp, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.AdvanceTo(cfg.Start.Add(5 * 24 * time.Hour))
+	ck, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recorded := 0
+	for _, ms := range s.sims {
+		recorded += len(ms.jobs)
+	}
+	s.Close()
+	r, err := Restore(cfg, ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	pending := 0
+	for _, ms := range r.sims {
+		for i, h := range ms.specs {
+			if st := ms.jobState(h); st != JobStatePending || h.recorded {
+				t.Fatalf("%s: restored spec %d is %s (recorded %v), want pending", ms.m.Name, i, st, h.recorded)
+			}
+		}
+		pending += len(ms.specs)
+	}
+	if recorded == 0 || pending == 0 {
+		t.Fatalf("scenario too quiet: %d jobs recorded, %d pending at the checkpoint", recorded, pending)
+	}
+}
+
+// TestCheckpointDropsFinishedJobs: once every study job is recorded, a
+// checkpoint holds no spec entry; none of the submitted specs' bytes is
+// anywhere in its file.
+func TestCheckpointDropsFinishedJobs(t *testing.T) {
+	cfg := jtConfig(3, 1)
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	specs := jtSpecs()[:40]
+	var handles []*JobHandle
+	for _, sp := range specs {
+		h, err := s.SubmitRetried(sp, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles = append(handles, h)
+	}
+	s.AdvanceTo(cfg.Start.Add(15 * 24 * time.Hour))
+	for i, h := range handles {
+		if st, _ := s.JobStatus(h); st != JobStateFinished {
+			t.Fatalf("job %d is %s at the checkpoint, want finished", i, st)
+		}
+	}
+	ck, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := ckptFile(t, ck)
+	for i, sp := range specs {
+		if bytes.Contains(file, appendJobSpec(nil, sp)) {
+			t.Fatalf("the %d-byte checkpoint still holds finished job %d's spec", len(file), i)
+		}
+	}
+}
+
 // TestMachineRecordMalformed runs one machine's record against fresh
 // copies of that machine: the whole record restores and re-encodes to
 // itself, every strict prefix is an error (never a panic, never a
@@ -174,19 +254,21 @@ func TestMachineRecordMalformed(t *testing.T) {
 	s, cfg := ckptScenario(t, 1)
 	defer s.Close()
 	src := s.sims[1]
-	var queued *queuedJob // a study job's queue entry
-	for _, q := range src.queue {
-		if q.h != nil {
-			queued = q
-		}
-	}
+	var queued, background *queuedJob // a study job's and a background job's queue entries
 	withdrawn := 0
-	for _, h := range src.specs {
-		if h.withdrawn {
+	for _, q := range src.queue {
+		if q.h == nil {
+			background = q
+		} else if queued = q; q.h.withdrawn {
 			withdrawn++
 		}
 	}
-	if queued == nil || withdrawn == 0 || len(src.retries) == 0 || len(src.jobs) == 0 ||
+	for _, rt := range src.retries {
+		if rt.h != nil && rt.h.withdrawn {
+			withdrawn++
+		}
+	}
+	if queued == nil || background == nil || withdrawn == 0 || len(src.retries) == 0 || len(src.jobs) == 0 ||
 		len(src.retrySpent) == 0 || len(src.waitRatios) == 0 || len(src.mstats.PendingSamples) == 0 {
 		t.Fatalf("scenario too quiet: study job queued %v, %d withdrawn, %d retries, %d jobs, %d budgets, %d wait ratios, %d samples",
 			queued != nil, withdrawn, len(src.retries), len(src.jobs), len(src.retrySpent), len(src.waitRatios), len(src.mstats.PendingSamples))
@@ -225,9 +307,9 @@ func TestMachineRecordMalformed(t *testing.T) {
 		out[i+delta] = b
 		return out
 	}
-	// A queue entry is its spec reference, one uvarint byte here, then
-	// its submit and service times.
-	entry := journal.AppendFloat64(journal.AppendFloat64(nil, queued.submit), queued.execSec)
+	// A background job's queue entry is its presence byte, then its
+	// submit and service times.
+	entry := journal.AppendFloat64(journal.AppendFloat64(nil, background.submit), background.execSec)
 	var users []string
 	for n, a := range src.bgAccts {
 		if a.seen {
@@ -245,10 +327,10 @@ func TestMachineRecordMalformed(t *testing.T) {
 		rec     []byte
 		want    string
 	}{
-		"spec reference out of range": {1, patch(entry, -1, 64), "spec reference 64 out of range"},
-		"accumulators out of order":   {1, patch(journal.AppendString(nil, users[0]), 1, '~'), "usage accumulators out of order"},
-		"wrong machine name":          {0, rec, "record is for machine ibmq_rome (dead=false), not ibmq_athens"},
-		"dead in the record":          {1, dead, "record is for machine ibmq_rome (dead=true)"},
+		"bad presence byte":         {1, patch(entry, -1, 2), "bool byte 2"},
+		"accumulators out of order": {1, patch(journal.AppendString(nil, users[0]), 1, '~'), "usage accumulators out of order"},
+		"wrong machine name":        {0, rec, "record is for machine ibmq_rome (dead=false), not ibmq_athens"},
+		"dead in the record":        {1, dead, "record is for machine ibmq_rome (dead=true)"},
 	} {
 		err := restore(tc.machine, tc.rec)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -288,7 +370,7 @@ func TestCheckpointFileBitFlipRejected(t *testing.T) {
 // version, the input log's submission and the machine stream's stats
 // frame by record type — and none is misread.
 func TestGobEraJournalRefused(t *testing.T) {
-	for v := byte(1); v <= 3; v++ {
+	for v := byte(1); v < checkpointVersion; v++ {
 		file := append([]byte(checkpointMagic), v, 0x2d, 0xff, 0x81, 0x03, 0x01, 0x01)
 		_, err := ReadCheckpoint(bytes.NewReader(file))
 		if want := "checkpoint version " + string('0'+v) + " not supported"; err == nil || !strings.Contains(err.Error(), want) {
@@ -317,11 +399,18 @@ func TestGobEraJournalRefused(t *testing.T) {
 }
 
 // TestRecoverSkipsGobEraCheckpoints: a journal directory whose only
-// checkpoints are of another version is recovered like one whose
-// checkpoints are corrupt — from the window start, to the golden bytes.
+// checkpoints are of another version (3, the last gob one, or 4, the
+// last to carry finished specs) is recovered like one whose checkpoints
+// are corrupt — from the window start, to the golden bytes.
 func TestRecoverSkipsGobEraCheckpoints(t *testing.T) {
 	golden := jtGolden(t, 1)
 	total := journalRecordTotal(t, 1)
+	for _, v := range []byte{3, 4} {
+		t.Run(fmt.Sprintf("v%d", v), func(t *testing.T) { recoverPastVersion(t, v, total, golden) })
+	}
+}
+
+func recoverPastVersion(t *testing.T, version byte, total int64, golden []byte) {
 	dir := t.TempDir()
 	cfg := jtConfig(3, 1)
 	cfg.Journal = &JournalConfig{Dir: dir, CheckpointEvery: 4 * 24 * time.Hour, killAfterRecords: 4 * total / 5}
@@ -337,7 +426,7 @@ func TestRecoverSkipsGobEraCheckpoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw[len(checkpointMagic)] = 3
+		raw[len(checkpointMagic)] = version
 		if err := os.WriteFile(ckptFilePath(dir, seq), raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -345,7 +434,7 @@ func TestRecoverSkipsGobEraCheckpoints(t *testing.T) {
 	cfg.Journal = &JournalConfig{Dir: dir, CheckpointEvery: 4 * 24 * time.Hour}
 	tr := recoverAndFinish(t, cfg, jtSpecs())
 	if !bytes.Equal(jtJSON(t, tr), golden) {
-		t.Fatal("recovered trace differs when every checkpoint is of another version")
+		t.Fatalf("recovered trace differs when every checkpoint is of version %d", version)
 	}
 }
 

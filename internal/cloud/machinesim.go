@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -144,12 +145,11 @@ type machineSim struct {
 	seq        int64
 	waitRatios []float64
 
-	// specs holds the study submissions' handles sorted by SubmitTime
-	// (ties keep submission order); specIdx is the admitted prefix.
-	// headSpecSec caches nextSpecTime for specs[specIdx] while headSpec
-	// still points at it.
+	// specs holds the pending (not yet admitted) study submissions'
+	// handles sorted by SubmitTime (ties keep submission order);
+	// admission pops the head. headSpecSec caches nextSpecTime for
+	// specs[0] while headSpec still points at it.
 	specs       []*JobHandle
-	specIdx     int
 	headSpec    *JobHandle
 	headSpecSec float64
 
@@ -310,14 +310,11 @@ func (ms *machineSim) submit(spec *JobSpec) (*JobHandle, error) {
 // SubmitTime order; equal times go after existing entries, so replaying
 // the same arrival order reproduces the trace.
 func (ms *machineSim) insertSpec(spec *JobSpec) *JobHandle {
-	rest := ms.specs[ms.specIdx:]
-	i := ms.specIdx + sort.Search(len(rest), func(k int) bool {
-		return rest[k].spec.SubmitTime.After(spec.SubmitTime)
+	i := sort.Search(len(ms.specs), func(k int) bool {
+		return ms.specs[k].spec.SubmitTime.After(spec.SubmitTime)
 	})
 	h := &JobHandle{spec: spec, ms: ms}
-	ms.specs = append(ms.specs, nil)
-	copy(ms.specs[i+1:], ms.specs[i:])
-	ms.specs[i] = h
+	ms.specs = slices.Insert(ms.specs, i, h)
 	return h
 }
 
@@ -352,18 +349,16 @@ func (ms *machineSim) cancel(h *JobHandle, atSec float64, reason CancelReason) e
 	if h.withdrawn {
 		return fmt.Errorf("cloud: job on %s already cancelled", ms.m.Name)
 	}
-	for i := ms.specIdx; i < len(ms.specs); i++ {
-		if ms.specs[i] == h {
-			// Not yet admitted: drop it from the pending stream and
-			// record the cancellation immediately.
-			ms.specs = append(ms.specs[:i], ms.specs[i+1:]...)
-			at := ms.toTime(atSec)
-			if at.Before(h.spec.SubmitTime) {
-				at = h.spec.SubmitTime
-			}
-			ms.record(h, at, at, trace.StatusCancelled, reason)
-			return nil
+	if i := slices.Index(ms.specs, h); i >= 0 {
+		// Not yet admitted: drop it from the pending stream and record
+		// the cancellation immediately.
+		ms.specs = slices.Delete(ms.specs, i, i+1)
+		at := ms.toTime(atSec)
+		if at.Before(h.spec.SubmitTime) {
+			at = h.spec.SubmitTime
 		}
+		ms.record(h, at, at, trace.StatusCancelled, reason)
+		return nil
 	}
 	// Admitted and waiting in the queue: mark it; the record lands when
 	// the server reaches it (the same path patience cancellations take).
@@ -465,10 +460,10 @@ func (ms *machineSim) nextRetryTime() (float64, bool) {
 // loop asks once per background arrival, so the time.Time arithmetic
 // is done once per head spec and remembered against its pointer.
 func (ms *machineSim) nextSpecTime() (float64, bool) {
-	if ms.specIdx >= len(ms.specs) {
+	if len(ms.specs) == 0 {
 		return 0, false
 	}
-	h := ms.specs[ms.specIdx]
+	h := ms.specs[0]
 	if h != ms.headSpec {
 		at := h.spec.SubmitTime
 		if at.Before(ms.online) {
@@ -513,8 +508,11 @@ func (ms *machineSim) admitArrivals(horizon float64, strict bool) {
 			ms.enqueue(nil, bgT, execSec, ms.bg.samplePatience(ms.r), ms.bgNames[n], &ms.bgAccts[n])
 			ms.mstats.BackgroundJobs++
 		case spOK:
-			h := ms.specs[ms.specIdx]
-			ms.specIdx++
+			// Pop the head, clearing its slot: once recorded, the
+			// handle is held nowhere.
+			h := ms.specs[0]
+			ms.specs[0] = nil
+			ms.specs = ms.specs[1:]
 			s := h.spec
 			execSec := ms.m.ExecSeconds(s.BatchSize, s.Shots, s.TotalDepth) * (0.9 + 0.2*ms.r.Float64())
 			ms.enqueue(h, spT, execSec, s.PatienceSec, s.User, ms.account(s.User))
@@ -858,14 +856,14 @@ func (ms *machineSim) finalize() {
 	ms.advanceTo(math.Inf(1))
 	// Study jobs submitted after the machine went offline (or never
 	// admitted before the loop ended) are recorded as cancelled.
-	for ; ms.specIdx < len(ms.specs); ms.specIdx++ {
-		h := ms.specs[ms.specIdx]
+	for _, h := range ms.specs {
 		at := h.spec.SubmitTime
 		if at.Before(ms.online) {
 			at = ms.online
 		}
 		ms.record(h, at, at, trace.StatusCancelled, CancelWindow)
 	}
+	ms.specs = nil
 	if len(ms.waitRatios) >= 30 {
 		sorted := stats.SortedCopy(ms.waitRatios)
 		qs := stats.QuantilesSorted(sorted, 0.1, 0.5, 0.9)
@@ -938,10 +936,8 @@ func (ms *machineSim) jobState(h *JobHandle) JobState {
 	if h.withdrawn {
 		return JobStateWithdrawn
 	}
-	for i := ms.specIdx; i < len(ms.specs); i++ {
-		if ms.specs[i] == h {
-			return JobStatePending
-		}
+	if slices.Contains(ms.specs, h) {
+		return JobStatePending
 	}
 	for _, q := range ms.queue {
 		if q.h == h {

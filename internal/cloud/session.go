@@ -116,9 +116,11 @@ type MachineCounts struct {
 
 // JobHandle identifies a study job submitted to a session; it is the
 // token Cancel and JobStatus take. Inside the session it is also the
-// job's one record: the queue, the retry list and the pending stream
-// hold the handle, and its state lives here, written only by the
-// goroutine advancing its machine.
+// job's one record: the pending stream holds the handle until
+// admission, then the queue or the retry list until the job is
+// recorded, and no list after that; a checkpoint writes each live
+// handle where its list holds it. Its state lives here, written only by
+// the goroutine advancing its machine.
 type JobHandle struct {
 	spec *JobSpec
 	ms   *machineSim
@@ -133,11 +135,6 @@ type JobHandle struct {
 	withdrawn bool
 	cancelAt  float64
 	reason    CancelReason
-
-	// ckptPos is the handle's position in its machine's spec list,
-	// counted from 1, as the last checkpoint encode of that machine
-	// stamped it.
-	ckptPos uint64
 }
 
 // Record returns the job's trace record, the one the session's trace
