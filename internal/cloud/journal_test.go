@@ -583,3 +583,29 @@ func TestPersistentWriteFailureFailStops(t *testing.T) {
 		t.Fatalf("persistent write failure surfaced as %v, want fail-stopped error", failed)
 	}
 }
+
+// TestJournaledSessionRefusesCancel: the input log records submissions
+// only, so Recover could not replay a cancel made after the newest
+// checkpoint. A journaled session refuses Cancel and CancelWithReason
+// alike, and the job stays as it was.
+func TestJournaledSessionRefusesCancel(t *testing.T) {
+	cfg := jtConfig(3, 1)
+	cfg.Journal = &JournalConfig{Dir: t.TempDir()}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h, err := s.SubmitRetried(jtSpecs()[0], 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, err := range []error{s.Cancel(h), s.CancelWithReason(h, CancelPreempted)} {
+		if err == nil || !strings.Contains(err.Error(), "journaled session cannot cancel") {
+			t.Errorf("cancel %d on a journaled session: error %v", i, err)
+		}
+	}
+	if st, err := s.JobStatus(h); st != JobStatePending || err != nil {
+		t.Fatalf("job is %s (err %v) after the refused cancels, want pending", st, err)
+	}
+}

@@ -368,7 +368,9 @@ func (s *Session) JobStatus(h *JobHandle) (JobState, error) {
 
 // Cancel withdraws a submitted job that has not finished; it is
 // recorded as CANCELLED at the machine's current frontier (or its
-// submit instant, if that is later) and counted as CancelUser.
+// submit instant, if that is later) and counted as CancelUser. A
+// journaled session refuses it: its input log holds submissions only,
+// so Recover would lose a cancel made after the newest checkpoint.
 func (s *Session) Cancel(h *JobHandle) error {
 	return s.CancelWithReason(h, CancelUser)
 }
@@ -381,6 +383,9 @@ func (s *Session) Cancel(h *JobHandle) error {
 func (s *Session) CancelWithReason(h *JobHandle, reason CancelReason) error {
 	if s.closed {
 		return ErrSessionClosed
+	}
+	if s.jr != nil {
+		return errors.New("cloud: a journaled session cannot cancel: its input log records submissions only, so Recover would lose the cancel")
 	}
 	if h == nil || h.ms.sess != s {
 		return fmt.Errorf("cloud: handle does not belong to this session")
