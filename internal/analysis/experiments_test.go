@@ -15,8 +15,8 @@ func TestFig05CompilePassProfileScales(t *testing.T) {
 	// Scaled-down instance of the paper's (64q->Manhattan, 980q->1000q)
 	// pair. Fig 5's quantitative claim is that per-pass times grow by
 	// orders of magnitude with problem size, with routing among the
-	// most expensive passes; that is what we assert (cmd/qcloud-compilebench
-	// runs the full-size instance).
+	// most expensive passes; that is what we assert (qcloud-analyze -fig 5
+	// -fig5-large N runs a larger instance).
 	costs, err := CompilePassProfile(8, small, 64, nil, 3)
 	if err != nil {
 		t.Fatal(err)
