@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
@@ -10,6 +9,8 @@ import (
 	"time"
 	"unicode"
 	"unicode/utf8"
+
+	"qcloud/internal/par"
 )
 
 // csvHeader is the column layout of the CSV codec, stable across
@@ -28,11 +29,12 @@ var csvHeader = []string{
 // grows to the capacity it reached under csv.Writer.
 const csvChunk = 64 << 10
 
-// WriteCSV streams the trace's jobs as CSV with a header row, with the
-// bytes encoding/csv's Writer writes for the same fields. Each row is
-// appended by hand into one reused buffer.
-func WriteCSV(w io.Writer, jobs []*Job) error {
-	bw := bufio.NewWriterSize(w, csvChunk)
+// csvBlockRows is how many rows one worker formats into a block at a
+// time.
+const csvBlockRows = 2048
+
+// csvHeaderRow is the header line, quoted as csv.Writer quotes it.
+var csvHeaderRow = func() []byte {
 	var row []byte
 	for i, h := range csvHeader {
 		if i > 0 {
@@ -40,17 +42,64 @@ func WriteCSV(w io.Writer, jobs []*Job) error {
 		}
 		row = AppendField(row, h)
 	}
-	row = append(row, '\n')
-	if _, err := bw.Write(row); err != nil {
-		return err
+	return append(row, '\n')
+}()
+
+// WriteCSV streams the trace's jobs as CSV with a header row, with the
+// bytes encoding/csv's Writer writes for the same fields. Each row is
+// appended by hand. par.Workers() blocks of csvBlockRows rows are
+// formatted at a time, one a worker, into block buffers reused from
+// round to round; the blocks are then written in order through one
+// csvChunk buffer, so the write sizes do not depend on the worker count.
+func WriteCSV(w io.Writer, jobs []*Job) error {
+	cw := chunkWriter{w: w, buf: make([]byte, 0, csvChunk)}
+	cw.write(csvHeaderRow)
+	workers := par.Workers()
+	blocks := make([][]byte, workers)
+	for round := jobs; len(round) > 0 && cw.err == nil; {
+		n := min(len(round), workers*csvBlockRows)
+		par.ForEach((n+csvBlockRows-1)/csvBlockRows, workers, func(b int) {
+			buf := blocks[b][:0]
+			for _, j := range round[b*csvBlockRows : min(n, (b+1)*csvBlockRows)] {
+				buf = appendCSVRow(buf, j)
+			}
+			blocks[b] = buf
+		})
+		for b := 0; b*csvBlockRows < n; b++ {
+			cw.write(blocks[b])
+		}
+		round = round[n:]
 	}
-	for _, j := range jobs {
-		row = appendCSVRow(row[:0], j)
-		if _, err := bw.Write(row); err != nil {
-			return err
+	return cw.flush()
+}
+
+// chunkWriter writes what it is given to w in writes of exactly
+// csvChunk bytes, the last excepted. The first write error sticks.
+type chunkWriter struct {
+	w   io.Writer
+	buf []byte
+	err error
+}
+
+func (c *chunkWriter) write(p []byte) {
+	for len(p) > 0 && c.err == nil {
+		k := copy(c.buf[len(c.buf):cap(c.buf)], p)
+		c.buf, p = c.buf[:len(c.buf)+k], p[k:]
+		if len(c.buf) == cap(c.buf) {
+			c.flush()
 		}
 	}
-	return bw.Flush()
+}
+
+func (c *chunkWriter) flush() error {
+	if c.err == nil && len(c.buf) > 0 {
+		var n int
+		if n, c.err = c.w.Write(c.buf); c.err == nil && n < len(c.buf) {
+			c.err = io.ErrShortWrite
+		}
+		c.buf = c.buf[:0]
+	}
+	return c.err
 }
 
 // appendCSVRow appends one job's CSV row. Only the string fields can

@@ -57,11 +57,21 @@ func DecodeJob(b []byte) (*Job, error) { return (*JobDecoder)(nil).Decode(b) }
 func ReadJob(d *journal.RecordReader) *Job { return (*JobDecoder)(nil).read(d) }
 
 // A JobDecoder decodes the records of one stream as DecodeJob does,
-// but gives every job it returns the same copy of each string value.
-// A machine's stream repeats one machine name, three statuses and a
-// few users and circuit names, so a job costs one allocation instead
-// of five. The zero value is ready; a nil decoder shares nothing.
-type JobDecoder struct{ strs map[string]string }
+// but gives every job it returns the same copy of each string value
+// and carves the jobs from chunks of jobChunk. A machine's stream
+// repeats one machine name, three statuses and a few users and circuit
+// names, so its jobs cost one allocation per chunk where DecodeJob's
+// cost five each. The zero value is ready; a nil decoder shares
+// nothing and allocates each job on its own.
+type JobDecoder struct {
+	strs map[string]string
+	// spare is the rest of the current chunk. A chunk never grows, so
+	// the jobs handed out of it stay put.
+	spare []Job
+}
+
+// jobChunk is how many jobs one JobDecoder allocation holds.
+const jobChunk = 256
 
 // Decode is DecodeJob, sharing strings with the jobs dec returned
 // before.
@@ -76,7 +86,7 @@ func (dec *JobDecoder) Decode(b []byte) (*Job, error) {
 
 func (dec *JobDecoder) read(d *journal.RecordReader) *Job {
 	d.Version(jobWireVersion)
-	j := &Job{}
+	j := dec.job()
 	j.ID = d.Varint()
 	j.User = dec.string(d)
 	j.Machine = dec.string(d)
@@ -96,6 +106,20 @@ func (dec *JobDecoder) read(d *journal.RecordReader) *Job {
 	j.Status = Status(dec.string(d))
 	j.CompileEpoch = d.Int()
 	j.ExecEpoch = d.Int()
+	return j
+}
+
+// job returns a zeroed job for read to fill: the next one of the
+// current chunk, or a job of its own for a nil decoder.
+func (dec *JobDecoder) job() *Job {
+	if dec == nil {
+		return &Job{}
+	}
+	if len(dec.spare) == 0 {
+		dec.spare = make([]Job, jobChunk)
+	}
+	j := &dec.spare[0]
+	dec.spare = dec.spare[1:]
 	return j
 }
 

@@ -77,6 +77,38 @@ func TestJobStreamRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJobDecoderChunks decodes a stream longer than two chunks with one
+// decoder, a bad record among them: every job it returned is still the
+// job its record holds once the stream is read, and none is another's.
+func TestJobDecoderChunks(t *testing.T) {
+	jobs := streamJobs()
+	var dec JobDecoder
+	var got, want []*Job
+	for i := 0; len(got) < 2*jobChunk+3; i++ {
+		frame := AppendJob(nil, jobs[i%len(jobs)])
+		if i == jobChunk-1 {
+			if _, err := dec.Decode(frame[:len(frame)-1]); err == nil {
+				t.Fatal("a truncated record decoded without error")
+			}
+		}
+		j, err := dec.Decode(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want = append(got, j), append(want, jobs[i%len(jobs)])
+	}
+	seen := make(map[*Job]bool, len(got))
+	for i, j := range got {
+		if seen[j] {
+			t.Fatalf("job %d shares its address with an earlier job", i)
+		}
+		seen[j] = true
+		if !reflect.DeepEqual(j, want[i]) {
+			t.Fatalf("job %d changed after later decodes:\n got %+v\nwant %+v", i, j, want[i])
+		}
+	}
+}
+
 // TestJobStreamTruncationSafe decodes every strict prefix of an
 // encoded record and a version-mangled copy: all must error, none may
 // panic.

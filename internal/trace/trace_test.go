@@ -1,12 +1,17 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/csv"
+	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"qcloud/internal/par"
 )
 
 func sampleJob(id int64) *Job {
@@ -176,6 +181,100 @@ func TestWriteCSVMatchesEncodingCSV(t *testing.T) {
 		}
 		if want := encodingCSV(t, js); !bytes.Equal(got.Bytes(), want) {
 			t.Fatalf("%d jobs: WriteCSV wrote %d bytes, encoding/csv %d, and they differ", len(js), got.Len(), len(want))
+		}
+	}
+}
+
+// recordingWriter keeps what it is written and the size of each write.
+type recordingWriter struct {
+	buf    bytes.Buffer
+	writes []int
+}
+
+func (r *recordingWriter) Write(p []byte) (int, error) {
+	r.writes = append(r.writes, len(p))
+	return r.buf.Write(p)
+}
+
+// serialCSV is WriteCSV as one goroutine writes it, a row at a time
+// through a csvChunk bufio.Writer: the writer whose write sizes, and so
+// whose bytes.Buffer capacity, WriteCSV keeps.
+func serialCSV(t *testing.T, w io.Writer, jobs []*Job) {
+	t.Helper()
+	bw := bufio.NewWriterSize(w, csvChunk)
+	bw.Write(csvHeaderRow)
+	var row []byte
+	for _, j := range jobs {
+		row = appendCSVRow(row[:0], j)
+		bw.Write(row)
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWriteCSVAcrossWorkers formats the rows at 1, 2 and 8 workers: the
+// bytes, the write sizes and the capacity of a bytes.Buffer behind the
+// writer are the serial writer's, and every write but the last is
+// csvChunk long. The traces run from none to several rounds of blocks
+// at every worker count; one holds a row longer than csvChunk, which
+// is written in csvChunk pieces all the same.
+func TestWriteCSVAcrossWorkers(t *testing.T) {
+	t.Cleanup(func() { par.SetWorkers(0) })
+	var many []*Job
+	for len(many) < 4000 {
+		many = append(many, streamJobs()...)
+	}
+	var rounds []*Job
+	for len(rounds) < 8*csvBlockRows*2+77 {
+		rounds = append(rounds, streamJobs()...)
+	}
+	long := append([]*Job(nil), rounds[:3*csvBlockRows]...)
+	giant := *long[csvBlockRows+5]
+	giant.User = strings.Repeat("a,b", csvChunk)
+	long[csvBlockRows+5] = &giant
+	for _, tc := range []struct {
+		name   string
+		jobs   []*Job
+		serial bool // the serial writer's write sizes hold
+	}{
+		{"empty", nil, true},
+		{"one row", many[:1], true},
+		{"many rows", many, true},
+		{"rounds", rounds, true},
+		{"a row longer than a write", long, false},
+	} {
+		var want recordingWriter
+		serialCSV(t, &want, tc.jobs)
+		var first []int
+		for _, workers := range []int{1, 2, 8} {
+			par.SetWorkers(workers)
+			var got recordingWriter
+			if err := WriteCSV(&got, tc.jobs); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.buf.Bytes(), want.buf.Bytes()) {
+				t.Fatalf("%s at %d workers: WriteCSV wrote %d bytes, the serial writer %d, and they differ", tc.name, workers, got.buf.Len(), want.buf.Len())
+			}
+			for i, n := range got.writes[:len(got.writes)-1] {
+				if n != csvChunk {
+					t.Fatalf("%s at %d workers: write %d of %d is %d bytes, want %d", tc.name, workers, i, len(got.writes), n, csvChunk)
+				}
+			}
+			if first == nil {
+				first = got.writes
+			} else if !slices.Equal(got.writes, first) {
+				t.Fatalf("%s at %d workers: write sizes %v, at 1 worker %v", tc.name, workers, got.writes, first)
+			}
+			if !tc.serial {
+				continue
+			}
+			if !slices.Equal(got.writes, want.writes) {
+				t.Fatalf("%s at %d workers: write sizes %v, the serial writer's %v", tc.name, workers, got.writes, want.writes)
+			}
+			if got.buf.Cap() != want.buf.Cap() {
+				t.Fatalf("%s at %d workers: bytes.Buffer capacity %d, behind the serial writer %d", tc.name, workers, got.buf.Cap(), want.buf.Cap())
+			}
 		}
 	}
 }
