@@ -514,15 +514,14 @@ func Recover(cfg Config) (*Session, error) {
 	s.jr = jr
 	// Replay the input log's suffix: accepted submissions after the
 	// checkpoint re-enter exactly as first accepted (the recorded
-	// submit-fault sequence bypasses re-deciding their attempts).
+	// submit-fault sequence bypasses re-deciding their attempts). The
+	// replay resumes from the scan, so the records before the
+	// checkpoint are not read a second time.
 	var from int64
 	if chosen != nil {
 		from = chosen.JournalSubmits
 	}
-	_, err = journal.ForEach(submitStreamDir(jc.Dir), func(rec int64, payload []byte) error {
-		if rec < from {
-			return nil
-		}
+	err = journal.Replay(submitStreamDir(jc.Dir), subScan, from, func(rec int64, payload []byte) error {
 		js, err := decodeSubmitRecord(payload)
 		if err != nil {
 			return fmt.Errorf("cloud: input log record %d: %w", rec, err)
@@ -631,9 +630,9 @@ func readCheckpointFile(path string) (*Checkpoint, error) {
 // ReadJournalTrace assembles the finished trace from a sealed journal
 // directory and orders the jobs as Session.Run does, so the result is
 // byte-identical to the in-memory trace. The machine streams are
-// decoded concurrently (Config.Workers of them at a time), each into
-// its own slot, and merged in fleet order; so the trace and the error
-// are the same at any worker count. It fails on an unsealed stream —
+// decoded and sorted concurrently (Config.Workers of them at a time),
+// each into its own slot, and merged in fleet order; so the trace and
+// the error are the same at any worker count. It fails on an unsealed stream —
 // that journal belongs to a crashed run and needs Recover first — and
 // when several streams fail, the error names the first in fleet order.
 func ReadJournalTrace(cfg Config) (*trace.Trace, error) {
@@ -641,30 +640,23 @@ func ReadJournalTrace(cfg Config) (*trace.Trace, error) {
 	if c.Journal == nil || c.Journal.Dir == "" {
 		return nil, errors.New("cloud: ReadJournalTrace needs Config.Journal.Dir")
 	}
-	type stream struct {
-		jobs  []*trace.Job
-		stats *trace.MachineStats
-		err   error
-	}
-	streams := make([]stream, len(c.Machines))
+	ord := newTraceOrder(len(c.Machines))
+	stats := make([]*trace.MachineStats, len(c.Machines))
+	errs := make([]error, len(c.Machines))
 	par.ForEach(len(c.Machines), c.Workers, func(i int) {
-		st := &streams[i]
-		st.jobs, st.stats, st.err = readMachineStream(c.Journal.Dir, c.Machines[i].Name)
-	})
-	n := 0
-	for _, st := range streams {
-		if st.err != nil {
-			return nil, st.err
+		var jobs []*trace.Job
+		if jobs, stats[i], errs[i] = readMachineStream(c.Journal.Dir, c.Machines[i].Name); errs[i] == nil {
+			ord.sort(i, jobs)
 		}
-		n += len(st.jobs)
+	})
+	if err := par.FirstError(errs); err != nil {
+		return nil, err
 	}
-	out := &trace.Trace{Jobs: make([]*trace.Job, 0, n), Machines: make([]*trace.MachineStats, 0, len(streams))}
-	for _, st := range streams {
-		out.Jobs = append(out.Jobs, st.jobs...)
-		out.Machines = append(out.Machines, st.stats)
+	n := 0
+	for _, jobs := range ord.jobs {
+		n += len(jobs)
 	}
-	orderTrace(out)
-	return out, nil
+	return &trace.Trace{Jobs: ord.merge(make([]*trace.Job, 0, n)), Machines: stats}, nil
 }
 
 // readMachineStream decodes one machine's sealed stream: job* stats end.

@@ -1,11 +1,9 @@
 package cloud
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"time"
 
@@ -467,33 +465,17 @@ func (s *Session) Run() (*trace.Trace, error) {
 		}
 		return ReadJournalTrace(cfg)
 	}
-	s.forEachSim((*machineSim).finalize)
-	out := &trace.Trace{}
+	ord := newTraceOrder(len(s.sims))
+	s.forEachSim(func(ms *machineSim) {
+		ms.finalize()
+		ord.sort(ms.idx, ms.jobs)
+	})
+	out := &trace.Trace{Jobs: ord.merge(nil)}
 	for _, ms := range s.sims {
-		out.Jobs = append(out.Jobs, ms.jobs...)
 		out.Machines = append(out.Machines, ms.mstats)
 	}
-	orderTrace(out)
 	s.Close()
 	return out, nil
-}
-
-// orderTrace numbers out's jobs from 1 in the order they were appended,
-// fleet order then record order — the exact sequence the serial batch
-// loop produced, so traces are bit-identical across worker counts —
-// and sorts them by (SubmitTime, ID).
-func orderTrace(out *trace.Trace) {
-	for i, j := range out.Jobs {
-		j.ID = int64(i) + 1
-	}
-	// IDs are unique, so this is a total order: any sort algorithm
-	// leaves the same slice.
-	slices.SortFunc(out.Jobs, func(a, b *trace.Job) int {
-		if c := a.SubmitTime.Compare(b.SubmitTime); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.ID, b.ID)
-	})
 }
 
 // Close releases the session: further calls fail. Closing a session

@@ -26,7 +26,10 @@
 // OpenAt walks only the segment holding it. OpenAt is what repairs the
 // tail, so a caller that holds the prefix to an outside watermark
 // checks it between the scan and the open: a log it refuses stays on
-// disk as it was found.
+// disk as it was found. A reader that needs only the records from some
+// record on resumes from the scan the same way: Replay opens no
+// segment wholly before that record, and none at all when the record
+// is the end of the prefix.
 //
 // Durability is configurable: SyncEvery fsyncs the active segment
 // every N records, and rotation/Close always fsync, so a sealed

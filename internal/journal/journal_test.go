@@ -499,6 +499,136 @@ func TestOpenAtRotationBoundary(t *testing.T) {
 	}
 }
 
+// replayed collects what Replay hands fn from record from on.
+func replayed(dir string, scan ScanResult, from int64) ([]int64, [][]byte, error) {
+	var recs []int64
+	var got [][]byte
+	err := Replay(dir, scan, from, func(rec int64, payload []byte) error {
+		recs = append(recs, rec)
+		got = append(got, bytes.Clone(payload))
+		return nil
+	})
+	return recs, got, err
+}
+
+// checkReplay holds Replay from every record of the scanned prefix,
+// and from its end, to ForEach's records filtered to rec >= from.
+func checkReplay(t *testing.T, dir string, scan ScanResult) {
+	t.Helper()
+	var all [][]byte
+	if _, err := ForEach(dir, func(_ int64, payload []byte) error {
+		all = append(all, bytes.Clone(payload))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(all)) != scan.Records {
+		t.Fatalf("ForEach read %d records, the scan %d", len(all), scan.Records)
+	}
+	for from := int64(0); from <= scan.Records; from++ {
+		recs, got, err := replayed(dir, scan, from)
+		if err != nil {
+			t.Fatalf("Replay(%d): %v", from, err)
+		}
+		if len(got) != len(all)-int(from) {
+			t.Fatalf("Replay(%d) handed fn %d records, want %d", from, len(got), len(all)-int(from))
+		}
+		for i := range got {
+			if recs[i] != from+int64(i) || !bytes.Equal(got[i], all[from+int64(i)]) {
+				t.Fatalf("Replay(%d): call %d is record %d, want record %d as ForEach read it", from, i, recs[i], from+int64(i))
+			}
+		}
+	}
+}
+
+// TestReplaySuffix resumes a replay from a scan, for every record of a
+// stream that rotates many times: it hands fn what ForEach would from
+// that record on, and reads no segment wholly before it — a segment
+// damaged after the scan goes unnoticed by a replay that starts past
+// it — and no frame at all from the end of the prefix. A damaged tail
+// ends the replay where it ended the scan.
+func TestReplaySuffix(t *testing.T) {
+	payloads := testPayloads(200)
+	smallSegments(t, 8<<10)
+	dir := t.TempDir()
+	if err := writeStream(t, dir, payloads, Options{}).Close(); err != nil {
+		t.Fatal(err)
+	}
+	scan := mustScan(t, dir)
+	checkReplay(t, dir, scan)
+	for _, from := range []int64{-1, scan.Records + 1} {
+		if _, _, err := replayed(dir, scan, from); err == nil {
+			t.Fatalf("Replay(%d) of a %d-record scan must be refused", from, scan.Records)
+		}
+	}
+	stop := errors.New("stop")
+	if err := Replay(dir, scan, 3, func(int64, []byte) error { return stop }); err != stop {
+		t.Fatalf("Replay returned %v, want fn's error as it is", err)
+	}
+
+	// Damage the first segment after the scan: a replay from the second
+	// segment on does not read it, one from record 0 finds the stream
+	// shorter than the scan.
+	starts, err := segments(dir)
+	if err != nil || len(starts) < 4 {
+		t.Fatalf("want several segments, have %v (%v)", starts, err)
+	}
+	first := segPath(dir, starts[0])
+	data, err := os.ReadFile(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[FrameHeaderLen] ^= 0x40
+	if err := os.WriteFile(first, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, got, err := replayed(dir, scan, starts[1]); err != nil || len(got) != len(payloads)-int(starts[1]) {
+		t.Fatalf("Replay(%d) past a damaged first segment read %d records, %v", starts[1], len(got), err)
+	}
+	if _, _, err := replayed(dir, scan, 0); err == nil {
+		t.Fatal("Replay(0) of a stream damaged after its scan must fail")
+	}
+
+	// From the end of the prefix nothing is opened: not even a stream
+	// whose segments are all gone.
+	for _, s := range starts {
+		if err := os.Remove(segPath(dir, s)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if recs, _, err := replayed(dir, scan, scan.Records); err != nil || len(recs) != 0 {
+		t.Fatalf("Replay(%d) of a %d-record scan = %v, %v; want no record and no error", scan.Records, scan.Records, recs, err)
+	}
+	if _, _, err := replayed(dir, scan, scan.Records-1); err == nil {
+		t.Fatal("Replay of a stream removed after its scan must fail")
+	}
+
+	// Damaged tails: a torn final record, and prefixes that end at a
+	// rotation boundary with a later segment still on disk.
+	torn := t.TempDir()
+	if err := writeStream(t, torn, payloads, Options{}).Close(); err != nil {
+		t.Fatal(err)
+	}
+	path, data := lastSegment(t, torn)
+	if err := os.WriteFile(path, data[:len(data)-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if scan := mustScan(t, torn); !scan.Truncated {
+		t.Fatalf("torn stream scans as %+v", scan)
+	} else {
+		checkReplay(t, torn, scan)
+	}
+	for _, shape := range []string{"torn", "empty", "gone"} {
+		dir := t.TempDir()
+		end := boundaryStream(t, dir, payloads, Options{}, shape)
+		scan := mustScan(t, dir)
+		if scan.Records != end {
+			t.Fatalf("%s: boundary stream scans as %+v, want %d records", shape, scan, end)
+		}
+		checkReplay(t, dir, scan)
+	}
+}
+
 func TestCreateOnNonEmptyStream(t *testing.T) {
 	dir := t.TempDir()
 	w := writeStream(t, dir, testPayloads(3), Options{})

@@ -105,6 +105,63 @@ func ForEach(dir string, fn func(rec int64, payload []byte) error) (ScanResult, 
 	return out, nil
 }
 
+// Replay hands fn the records [from, scan.Records) of the stream in
+// dir, after scan, the Scan or ForEach of dir just before it. It opens
+// only the segments that hold those records, walking the one that holds
+// record from from its start, and stops where the scan ended the valid
+// prefix, so a damaged tail ends the replay where it ended the scan.
+// At from == scan.Records it reads no frame. from must lie in
+// [0, scan.Records], and a stream that no longer holds the prefix the
+// scan found is an error. An fn error aborts the replay and is
+// returned as-is; fn must not retain the payload.
+func Replay(dir string, scan ScanResult, from int64, fn func(rec int64, payload []byte) error) error {
+	if from < 0 || from > scan.Records {
+		return fmt.Errorf("journal: Replay(%d) outside the %d valid records scanned in %s", from, scan.Records, dir)
+	}
+	if from == scan.Records {
+		return nil
+	}
+	starts, err := segments(dir)
+	if err != nil {
+		return err
+	}
+	// The first segment read is the last one starting at or before from.
+	first := 0
+	for i, s := range starts {
+		if s <= from {
+			first = i
+		}
+	}
+	changed := fmt.Errorf("journal: %s no longer holds the %d valid records its scan found", dir, scan.Records)
+	if len(starts) == 0 || starts[first] > from {
+		return changed
+	}
+	rec := starts[first]
+	skip := func(r int64, payload []byte) error {
+		if r < from {
+			return nil
+		}
+		return fn(r, payload)
+	}
+	for _, s := range starts[first:] {
+		if rec >= scan.Records || s != rec {
+			break
+		}
+		res, err := scanSegment(segPath(dir, s), s, scan.Records, skip)
+		if err != nil {
+			return err
+		}
+		rec = res.nextRec
+		if res.reason != "" {
+			break
+		}
+	}
+	if rec < scan.Records {
+		return changed
+	}
+	return nil
+}
+
 // readers recycles the scanners' read buffers, so the streams a
 // restart scans one after another share one buffer rather than
 // allocating one per segment. 64 KiB a read keeps the syscalls per
