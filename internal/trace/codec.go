@@ -31,7 +31,7 @@ const csvChunk = 64 << 10
 
 // csvBlockRows is how many rows one worker formats into a block at a
 // time.
-const csvBlockRows = 2048
+const csvBlockRows = 1024
 
 // csvHeaderRow is the header line, quoted as csv.Writer quotes it.
 var csvHeaderRow = func() []byte {
