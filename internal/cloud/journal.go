@@ -632,9 +632,10 @@ func readCheckpointFile(path string) (*Checkpoint, error) {
 // byte-identical to the in-memory trace. The machine streams are
 // decoded and sorted concurrently (Config.Workers of them at a time),
 // each into its own slot, and merged in fleet order; so the trace and
-// the error are the same at any worker count. It fails on an unsealed stream —
-// that journal belongs to a crashed run and needs Recover first — and
-// when several streams fail, the error names the first in fleet order.
+// the error are the same at any worker count. It fails on an unsealed
+// stream — that journal belongs to a crashed run and needs Recover
+// first — and when several streams fail, the error names the first in
+// fleet order.
 func ReadJournalTrace(cfg Config) (*trace.Trace, error) {
 	c := cfg.withDefaults()
 	if c.Journal == nil || c.Journal.Dir == "" {
@@ -652,11 +653,9 @@ func ReadJournalTrace(cfg Config) (*trace.Trace, error) {
 	if err := par.FirstError(errs); err != nil {
 		return nil, err
 	}
-	n := 0
-	for _, jobs := range ord.jobs {
-		n += len(jobs)
-	}
-	return &trace.Trace{Jobs: ord.merge(make([]*trace.Job, 0, n)), Machines: stats}, nil
+	// Jobs is never nil here: a journal without jobs reads back as an
+	// empty list, not as the nil one an empty Session.Run returns.
+	return &trace.Trace{Jobs: ord.merge([]*trace.Job{}), Machines: stats}, nil
 }
 
 // readMachineStream decodes one machine's sealed stream: job* stats end.
