@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -40,13 +41,24 @@ func main() {
 		tracePath = flag.String("trace", "", "JSON trace from qcloud-sim (empty: generate with -seed)")
 		seed      = flag.Int64("seed", 42, "seed for generated traces and experiments")
 		jobs      = flag.Int("jobs", 6200, "study job count when generating")
-		figs      = flag.String("fig", "all", "comma-separated figure ids (2a,2b,3,4,5,6,7,8,9,10,11,12a,12b,13,14,15,16) or 'all'")
+		figs      = flag.String("fig", "all", "comma-separated figure ids ("+strings.Join(figIDs, ",")+") or 'all'")
 		largeQFT  = flag.Int("fig5-large", 64, "large QFT size for Fig 5 (the paper uses 980; that run takes hours)")
 		workers   = flag.Int("workers", 0, "worker pool size for simulation and the analysis sweeps (0 = NumCPU, 1 = serial; results are identical either way)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this path (output is unaffected)")
 		memProf   = flag.String("memprofile", "", "write a heap profile at exit to this path (output is unaffected)")
 	)
 	flag.Parse()
+	want := map[string]bool{}
+	for _, f := range strings.Split(*figs, ",") {
+		f = strings.TrimSpace(f)
+		if f != "all" && !slices.Contains(figIDs, f) {
+			fmt.Fprintf(os.Stderr, "qcloud-analyze: unknown -fig id %q (want %s or all)\n", f, strings.Join(figIDs, ","))
+			os.Exit(2)
+		}
+		want[f] = true
+	}
+	all := want["all"]
+	show := func(id string) bool { return all || want[id] }
 	par.SetWorkers(*workers)
 	stopProf, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
@@ -58,17 +70,14 @@ func main() {
 		}
 	}()
 
-	tr, err := loadOrGenerate(*tracePath, *seed, *jobs)
-	if err != nil {
-		log.Fatal(err)
+	// Only the trace figures read the trace: a run of substrate figures
+	// alone neither loads nor simulates one.
+	var tr *trace.Trace
+	if slices.ContainsFunc(traceFigs, show) {
+		if tr, err = loadOrGenerate(*tracePath, *seed, *jobs); err != nil {
+			log.Fatal(err)
+		}
 	}
-
-	want := map[string]bool{}
-	for _, f := range strings.Split(*figs, ",") {
-		want[strings.TrimSpace(f)] = true
-	}
-	all := want["all"]
-	show := func(id string) bool { return all || want[id] }
 
 	if show("2a") {
 		fig2a(tr)
@@ -122,6 +131,13 @@ func main() {
 		fig16(tr, *seed)
 	}
 }
+
+// figIDs are the figure ids -fig takes, in print order; traceFigs
+// are those drawn from the trace.
+var (
+	figIDs    = []string{"2a", "2b", "3", "4", "5", "6", "7", "8", "9", "10", "11", "12a", "12b", "13", "14", "15", "16"}
+	traceFigs = []string{"2a", "2b", "3", "4", "8", "9", "10", "11", "12a", "13", "14", "15", "16"}
+)
 
 func loadOrGenerate(path string, seed int64, jobs int) (*trace.Trace, error) {
 	if path != "" {

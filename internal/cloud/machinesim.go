@@ -174,9 +174,11 @@ type machineSim struct {
 	finished bool
 
 	// idx is the machine's fleet position (selects its journal stream);
-	// jbuf is the reused journal-frame encode buffer.
+	// jbuf is the reused journal-frame encode buffer, and jrec the
+	// record a journaled session encodes into it.
 	idx  int
 	jbuf []byte
+	jrec trace.Job
 
 	// counts is the lifecycle tally Session.Stats reports. It starts at
 	// zero at Open and Restore and is not checkpointed.
@@ -308,12 +310,18 @@ func (ms *machineSim) submit(spec *JobSpec) (*JobHandle, error) {
 
 // insertSpec places an accepted spec into the pending stream keeping
 // SubmitTime order; equal times go after existing entries, so replaying
-// the same arrival order reproduces the trace.
+// the same arrival order reproduces the trace. A spec no earlier than
+// the tail — every one, when submissions come in time order — is
+// appended without a search.
 func (ms *machineSim) insertSpec(spec *JobSpec) *JobHandle {
+	h := &JobHandle{spec: spec, ms: ms}
+	if n := len(ms.specs); n == 0 || !spec.SubmitTime.Before(ms.specs[n-1].spec.SubmitTime) {
+		ms.specs = append(ms.specs, h)
+		return h
+	}
 	i := sort.Search(len(ms.specs), func(k int) bool {
 		return ms.specs[k].spec.SubmitTime.After(spec.SubmitTime)
 	})
-	h := &JobHandle{spec: spec, ms: ms}
 	ms.specs = slices.Insert(ms.specs, i, h)
 	return h
 }
@@ -586,7 +594,15 @@ func (ms *machineSim) announceFaults() {
 // state; reason classifies a cancellation.
 func (ms *machineSim) record(h *JobHandle, startT, endT time.Time, status trace.Status, reason CancelReason) {
 	s := h.spec
-	j := &trace.Job{
+	// Journal mode streams the record to disk and retains nothing — the
+	// constant-memory contract for million-job sessions — so the record
+	// is the machine's scratch one; otherwise the trace keeps it.
+	jr := ms.journal()
+	j := &ms.jrec
+	if jr == nil {
+		j = new(trace.Job)
+	}
+	*j = trace.Job{
 		User: s.User, Machine: ms.m.Name,
 		MachineQubits: ms.m.NumQubits(), Public: ms.m.Public,
 		CircuitName: s.CircuitName, BatchSize: s.BatchSize, Shots: s.Shots,
@@ -597,9 +613,7 @@ func (ms *machineSim) record(h *JobHandle, startT, endT time.Time, status trace.
 		CompileEpoch: ms.m.CalibrationEpochAt(s.SubmitTime),
 		ExecEpoch:    ms.m.CalibrationEpochAt(startT),
 	}
-	if jr := ms.journal(); jr != nil {
-		// Journal mode streams the record to disk and retains nothing —
-		// the constant-memory contract for million-job sessions.
+	if jr != nil {
 		jr.appendJob(ms, j)
 	} else {
 		ms.jobs = append(ms.jobs, j)

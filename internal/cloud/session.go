@@ -270,13 +270,21 @@ func indexFleet(ms []*backend.Machine) FleetIndex {
 // the fleet has no such machine, or the job's batch size or shot count
 // is one a trace record cannot hold.
 func (f FleetIndex) Check(spec *JobSpec) error {
-	if _, ok := f[spec.Machine]; !ok {
-		return fmt.Errorf("cloud: study job targets unknown machine %q", spec.Machine)
+	_, err := f.index(spec)
+	return err
+}
+
+// index is Check that also returns the fleet index of the job's
+// machine.
+func (f FleetIndex) index(spec *JobSpec) (int, error) {
+	i, ok := f[spec.Machine]
+	if !ok {
+		return 0, fmt.Errorf("cloud: study job targets unknown machine %q", spec.Machine)
 	}
 	if spec.BatchSize < 1 || spec.Shots < 1 {
-		return fmt.Errorf("cloud: study job has batch size %d and %d shots, want at least 1 of each", spec.BatchSize, spec.Shots)
+		return 0, fmt.Errorf("cloud: study job has batch size %d and %d shots, want at least 1 of each", spec.BatchSize, spec.Shots)
 	}
-	return nil
+	return i, nil
 }
 
 // sim returns the named machine's state machine, nil when the fleet
@@ -298,10 +306,11 @@ func (s *Session) Submit(spec *JobSpec) (*JobHandle, error) {
 	if s.closed {
 		return nil, ErrSessionClosed
 	}
-	if err := s.fleet.Check(spec); err != nil {
+	i, err := s.fleet.index(spec)
+	if err != nil {
 		return nil, err
 	}
-	ms := s.sim(spec.Machine)
+	ms := s.sims[i]
 	h, err := ms.submit(spec)
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -163,6 +164,32 @@ func TestSessionTraceBitIdentical(t *testing.T) {
 		if got := traceJSON(t, tr); !bytes.Equal(got, want) {
 			t.Fatalf("%s: session trace differs from batch Simulate", v.name)
 		}
+	}
+
+	// Out of order and tied: every fourth job moves onto the instant of
+	// the job three before it, on the same machine. Submitted in stream
+	// order each machine's arrivals never go back in time; submitted
+	// latest first, ties still in stream order, every arrival but a
+	// tie's second lands before the tail. Both must be the same trace.
+	tied := sessSpecs()
+	for i := 4; i < len(tied); i += 4 {
+		tied[i].SubmitTime = tied[i-3].SubmitTime
+	}
+	inOrder, err := cloud.Simulate(cfg, tied)
+	if err != nil {
+		t.Fatal(err)
+	}
+	latestFirst := slices.Clone(tied)
+	slices.SortStableFunc(latestFirst, func(a, b *cloud.JobSpec) int { return b.SubmitTime.Compare(a.SubmitTime) })
+	backwards, err := cloud.Simulate(cfg, latestFirst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(traceJSON(t, backwards), traceJSON(t, inOrder)) {
+		t.Fatal("submitted latest first, the tied stream gives another trace than in order")
+	}
+	if bytes.Equal(traceJSON(t, inOrder), want) {
+		t.Fatal("the ties changed nothing: they do not test the tie rule")
 	}
 }
 

@@ -43,55 +43,86 @@ var maxResponseBytes int64 = 256 << 20
 // do runs one JSON round trip; non-200 responses surface the server's
 // error string.
 func (c *Client) do(method, path string, req, resp any) error {
-	var body io.Reader
+	var raw []byte
 	if req != nil {
-		raw, err := json.Marshal(req)
-		if err != nil {
+		var err error
+		if raw, err = json.Marshal(req); err != nil {
 			return err
 		}
-		body = bytes.NewReader(raw)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), c.timeout())
-	defer cancel()
-	hr, err := http.NewRequestWithContext(ctx, method, c.Server+path, body)
+	data, err := c.send(method, path, raw)
 	if err != nil {
 		return err
 	}
-	if req != nil {
+	if out, ok := resp.(*[]byte); ok {
+		*out = data
+		return nil
+	}
+	return json.Unmarshal(data, resp)
+}
+
+// doCanonical is do for the submit and exchange messages: wire's
+// appender writes the request and its canonical decoder reads the
+// response. encoding/json writes a request the appender refuses and
+// reads a response the decoder does not, so the outcome is do's.
+func (c *Client) doCanonical(path string, req interface{ AppendJSON([]byte) ([]byte, error) }, resp interface{ DecodeCanonical([]byte) error }) error {
+	raw, err := req.AppendJSON(make([]byte, 0, 512))
+	if err != nil {
+		if raw, err = json.Marshal(req); err != nil {
+			return err
+		}
+	}
+	data, err := c.send(http.MethodPost, path, raw)
+	if err != nil || resp.DecodeCanonical(data) == nil {
+		return err
+	}
+	return json.Unmarshal(data, resp)
+}
+
+// send posts body (a GET without one when nil) and returns the response
+// body of a 200.
+func (c *Client) send(method, path string, body []byte) ([]byte, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), c.timeout())
+	defer cancel()
+	hr, err := http.NewRequestWithContext(ctx, method, c.Server+path, rd)
+	if err != nil {
+		return nil, err
+	}
+	if body != nil {
 		hr.Header.Set("Content-Type", "application/json")
 	}
 	res, err := c.http().Do(hr)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer res.Body.Close()
 	// One byte past the cap tells a response at the cap from a longer
 	// one, which would otherwise come back truncated as a success.
 	data, err := io.ReadAll(io.LimitReader(res.Body, maxResponseBytes+1))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if int64(len(data)) > maxResponseBytes {
-		return fmt.Errorf("dispatch: %s: response exceeds %d bytes", path, maxResponseBytes)
+		return nil, fmt.Errorf("dispatch: %s: response exceeds %d bytes", path, maxResponseBytes)
 	}
 	if res.StatusCode != http.StatusOK {
 		var ge wire.GenericResponse
 		if json.Unmarshal(data, &ge) == nil && ge.Err != "" {
-			return fmt.Errorf("dispatch: %s: %s", path, ge.Err)
+			return nil, fmt.Errorf("dispatch: %s: %s", path, ge.Err)
 		}
-		return fmt.Errorf("dispatch: %s: HTTP %d", path, res.StatusCode)
+		return nil, fmt.Errorf("dispatch: %s: HTTP %d", path, res.StatusCode)
 	}
-	if raw, ok := resp.(*[]byte); ok {
-		*raw = data
-		return nil
-	}
-	return json.Unmarshal(data, resp)
+	return data, nil
 }
 
 // Submit submits one spec under an idempotency key.
 func (c *Client) Submit(key string, spec wire.Spec) (wire.SubmitResponse, error) {
 	var resp wire.SubmitResponse
-	err := c.do(http.MethodPost, "/v1/submit", wire.SubmitRequest{V: wire.Version, Key: key, Spec: spec}, &resp)
+	err := c.doCanonical("/v1/submit", &wire.SubmitRequest{V: wire.Version, Key: key, Spec: spec}, &resp)
 	return resp, err
 }
 
@@ -105,7 +136,7 @@ func (c *Client) Seal() error {
 // and lease up to pull new units (see wire.ResultsRequest).
 func (c *Client) Exchange(worker string, results []wire.UnitResult, pull int) (wire.ResultsResponse, error) {
 	var resp wire.ResultsResponse
-	err := c.do(http.MethodPost, "/v1/results", wire.ResultsRequest{V: wire.Version, Worker: worker, Results: results, Pull: pull}, &resp)
+	err := c.doCanonical("/v1/results", &wire.ResultsRequest{V: wire.Version, Worker: worker, Results: results, Pull: pull}, &resp)
 	return resp, err
 }
 

@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -337,9 +338,37 @@ func (d *Dispatcher) Handler() http.Handler {
 	return mux
 }
 
+// versioned is a request body decode can check the version of.
+type versioned interface{ version() int }
+
 // decode parses a versioned JSON body of at most maxBodyBytes.
-func decode[T interface{ version() int }](w http.ResponseWriter, r *http.Request, dst T) bool {
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(dst); err != nil {
+func decode[T versioned](w http.ResponseWriter, r *http.Request, dst T) bool {
+	return decodeJSON(w, http.MaxBytesReader(w, r.Body, maxBodyBytes), dst)
+}
+
+// maxCanonicalBytes bounds the head of a body decodeCanonical holds
+// before it decides: a longer body streams into encoding/json as any
+// other does.
+const maxCanonicalBytes = 1 << 20
+
+// decodeCanonical is decode for the submit and exchange bodies. It
+// reads the body and gives it to canon, wire's one-pass decoder of the
+// canonical form. A body canon does not read — not canonical, or
+// longer than maxCanonicalBytes — goes to decode's own path from its
+// first byte, so its value, status and error text are decode's.
+func decodeCanonical[T versioned](w http.ResponseWriter, r *http.Request, dst T, canon func([]byte) error) bool {
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	head, err := io.ReadAll(io.LimitReader(body, maxCanonicalBytes+1))
+	if err == nil && len(head) <= maxCanonicalBytes && canon(head) == nil {
+		return versionOK(w, dst)
+	}
+	// The reader's errors are sticky, so the rest of body reads as it
+	// would have the first time.
+	return decodeJSON(w, io.MultiReader(bytes.NewReader(head), body), dst)
+}
+
+func decodeJSON[T versioned](w http.ResponseWriter, body io.Reader, dst T) bool {
+	if err := json.NewDecoder(body).Decode(dst); err != nil {
 		code := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -348,6 +377,10 @@ func decode[T interface{ version() int }](w http.ResponseWriter, r *http.Request
 		httpError(w, code, fmt.Sprintf("bad request body: %v", err))
 		return false
 	}
+	return versionOK(w, dst)
+}
+
+func versionOK(w http.ResponseWriter, dst versioned) bool {
 	if err := wire.CheckVersion(dst.version()); err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return false
@@ -366,9 +399,22 @@ func writeJSON(w http.ResponseWriter, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// writeCanonical is writeJSON for the submit and exchange responses:
+// wire's appender writes json.Encoder's bytes, and a value it refuses
+// goes to writeJSON, to be refused there as any other is.
+func writeCanonical(w http.ResponseWriter, v interface{ AppendJSON([]byte) ([]byte, error) }) {
+	b, err := v.AppendJSON(make([]byte, 0, 512))
+	if err != nil {
+		writeJSON(w, v)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(append(b, '\n'))
+}
+
 func (d *Dispatcher) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitReq
-	if !decode(w, r, &req) {
+	if !decodeCanonical(w, r, &req, req.DecodeCanonical) {
 		return
 	}
 	if err := d.fleet().Check(&req.Spec.TracePlane); err != nil {
@@ -388,7 +434,7 @@ func (d *Dispatcher) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeJSON(w, wire.SubmitResponse{V: wire.Version, Seq: seq, Dup: dup})
+	writeCanonical(w, &wire.SubmitResponse{V: wire.Version, Seq: seq, Dup: dup})
 }
 
 func (d *Dispatcher) handleSeal(w http.ResponseWriter, r *http.Request) {
@@ -462,7 +508,7 @@ func (d *Dispatcher) touch(worker string) {
 // While draining the reports still land but nothing is leased.
 func (d *Dispatcher) handleResults(w http.ResponseWriter, r *http.Request) {
 	var req resultsReq
-	if !decode(w, r, &req) {
+	if !decodeCanonical(w, r, &req, req.DecodeCanonical) {
 		return
 	}
 	if req.Worker == "" {
@@ -492,7 +538,7 @@ func (d *Dispatcher) handleResults(w http.ResponseWriter, r *http.Request) {
 			resp.Results[i] = wire.UnitAck{Accepted: o.Accepted, State: o.State.String()}
 		}
 	}
-	writeJSON(w, resp)
+	writeCanonical(w, &resp)
 }
 
 func (d *Dispatcher) handleHeartbeat(w http.ResponseWriter, r *http.Request) {

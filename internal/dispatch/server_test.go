@@ -487,3 +487,70 @@ func TestNonCanonicalReportLandsAsTheMapPath(t *testing.T) {
 		}
 	}
 }
+
+// TestNonCanonicalBodiesAnswerAsEncodingJSON posts submit and exchange
+// bodies that are not in the wire codec's canonical form. encoding/json
+// reads them, so each is answered with the status and body bytes it had
+// before the codec existed, pinned here: a body encoding/json reads is
+// accepted, trailing data after the first value included, and the rest
+// are refused with encoding/json's own message.
+func TestNonCanonicalBodiesAnswerAsEncodingJSON(t *testing.T) {
+	d := newTestDispatcher(t)
+	h := d.Handler()
+	spec, err := json.Marshal(testPlans(t, 3, 1)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func(head string) string { return head + `"spec":` + string(spec) + `}` }
+	cases := []struct{ name, path, body string }{
+		{"canonical", "/v1/submit", submit(`{"v":1,"key":"k/0",`)},
+		{"whitespace", "/v1/submit", submit("{ \"v\": 1,\n\t\"key\" :\"k/1\" ,")},
+		{"reordered keys", "/v1/submit", `{"spec":` + string(spec) + `,"key":"k/2","v":1}`},
+		{"unknown key", "/v1/submit", submit(`{"v":1,"key":"k/3","extra":[1,{"a":null}],`)},
+		{"upper-case key", "/v1/submit", submit(`{"V":1,"KEY":"k/4",`)},
+		{"escaped string", "/v1/submit", submit(`{"v":1,"key":"k\/5\u00e9",`)},
+		{"non-ASCII string", "/v1/submit", submit(`{"v":1,"key":"k/6é",`)},
+		{"a duplicate, escaped", "/v1/submit", submit(`{"v":1,"key":"k/0",`)},
+		{"leading zero", "/v1/submit", submit(`{"v":01,"key":"k/7",`)},
+		{"trailing data", "/v1/submit", submit(`{"v":1,"key":"k/8",`) + `{"v":2} trailing`},
+		{"trailing newlines", "/v1/submit", submit(`{"v":1,"key":"k/9",`) + "\n\n"},
+		{"wrong version", "/v1/submit", submit(`{"v":2,"key":"k/10",`)},
+		{"exchange, canonical", "/v1/results", `{"v":1,"worker":"w","pull":1}`},
+		{"exchange, whitespace", "/v1/results", `{"v":1, "worker":"w", "pull":1}`},
+		{"exchange, leading zero", "/v1/results", `{"v":1,"worker":"w","results":[{"seq":00}],"pull":0}`},
+		{"exchange, escaped string", "/v1/results", `{"v":1,"worker":"w","results":[{"seq":1,"attempt":0,"counts":[{"bits":"\u0031","n":2}]}],"pull":0}`},
+		{"exchange, trailing data", "/v1/results", `{"v":1,"worker":"w","pull":0}]`},
+	}
+	var got strings.Builder
+	answer := func(name, path string, body io.Reader) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, body))
+		fmt.Fprintf(&got, "%s: %d %s", name, rec.Code, rec.Body.String())
+	}
+	for _, c := range cases {
+		answer(c.name, c.path, strings.NewReader(c.body))
+	}
+	answer("oversized", "/v1/submit", io.MultiReader(strings.NewReader(`{"v":1,"key":"`), io.LimitReader(zeros{}, maxBodyBytes), strings.NewReader(`"}`)))
+	want := `canonical: 200 {"v":1,"seq":0}
+whitespace: 200 {"v":1,"seq":1}
+reordered keys: 200 {"v":1,"seq":2}
+unknown key: 200 {"v":1,"seq":3}
+upper-case key: 200 {"v":1,"seq":4}
+escaped string: 200 {"v":1,"seq":5}
+non-ASCII string: 200 {"v":1,"seq":6}
+a duplicate, escaped: 200 {"v":1,"seq":0,"dup":true}
+leading zero: 400 {"v":1,"err":"bad request body: invalid character '1' after object key:value pair"}
+trailing data: 200 {"v":1,"seq":7}
+trailing newlines: 200 {"v":1,"seq":8}
+wrong version: 400 {"v":1,"err":"wire: message version 2, want 1"}
+exchange, canonical: 200 {"v":1,"sealed":false,"units":[{"seq":0,"attempt":0,"spec":` + string(spec) + `,"lease_sec":10}]}
+exchange, whitespace: 200 {"v":1,"sealed":false,"units":[{"seq":1,"attempt":0,"spec":` + string(spec) + `,"lease_sec":10}]}
+exchange, leading zero: 400 {"v":1,"err":"bad request body: invalid character '0' after object key:value pair"}
+exchange, escaped string: 200 {"v":1,"results":[{"accepted":true,"state":"done"}],"sealed":false}
+exchange, trailing data: 200 {"v":1,"sealed":false}
+oversized: 413 {"v":1,"err":"bad request body: http: request body too large"}
+`
+	if got.String() != want {
+		t.Errorf("answers:\n%s\nwant:\n%s", got.String(), want)
+	}
+}

@@ -44,19 +44,24 @@ func goldenJobSpecs() []cloud.JobSpec {
 }
 
 // TestSpecEncodingsGolden pins the bytes of the two encodings a Spec
-// has: the POST /v1/submit JSON body and the WAL submit record. Round
-// trips cannot see a change of field order, name or tag; these hashes
-// can.
+// has: the POST /v1/submit JSON body, as json.Marshal and the canonical
+// appender each write it, and the WAL submit record. Round trips cannot
+// see a change of field order, name or tag; these hashes can.
 func TestSpecEncodingsGolden(t *testing.T) {
 	js := goldenJobSpecs()
-	body, wal := sha256.New(), sha256.New()
+	body, appended, wal := sha256.New(), sha256.New(), sha256.New()
 	for i := range js {
 		spec := Plan(&js[i], ExecCaps{}, 11, i)
-		raw, err := json.Marshal(SubmitRequest{V: Version, Key: fmt.Sprint("load/", i), Spec: spec})
+		req := SubmitRequest{V: Version, Key: fmt.Sprint("load/", i), Spec: spec}
+		raw, err := json.Marshal(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		body.Write(raw)
+		if raw, err = req.AppendJSON(nil); err != nil {
+			t.Fatal(err)
+		}
+		appended.Write(raw)
 		wal.Write(AppendWALRecord(nil, &WALRecord{Type: WALSubmit, Seq: int64(i), Key: fmt.Sprint("load/", i), Spec: spec}))
 	}
 	for _, c := range []struct {
@@ -65,6 +70,7 @@ func TestSpecEncodingsGolden(t *testing.T) {
 		want string
 	}{
 		{"SubmitRequest JSON", body.Sum(nil), "2eb3acb3efcacf059e5c061b91c32e8fbd60bad21635be3345c855d8c91be349"},
+		{"SubmitRequest appended", appended.Sum(nil), "2eb3acb3efcacf059e5c061b91c32e8fbd60bad21635be3345c855d8c91be349"},
 		{"WAL submit records", wal.Sum(nil), "676d3cef6753e374a3d4f8918ec066532ce871f5e415a7fb16f826c07ce0d7c0"},
 	} {
 		if got := hex.EncodeToString(c.got); got != c.want {

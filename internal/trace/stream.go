@@ -3,6 +3,7 @@ package trace
 import (
 	"encoding/binary"
 	"fmt"
+	"unsafe"
 
 	"qcloud/internal/journal"
 )
@@ -70,8 +71,10 @@ type JobDecoder struct {
 	spare []Job
 }
 
-// jobChunk is how many jobs one JobDecoder allocation holds.
-const jobChunk = 256
+// jobChunk is how many jobs one JobDecoder allocation holds: as many
+// as fill 64 KiB, the eight pages the runtime rounds a chunk up to, so
+// the span holds no tail that no job can use.
+const jobChunk = 64 << 10 / int(unsafe.Sizeof(Job{}))
 
 // Decode is DecodeJob, sharing strings with the jobs dec returned
 // before.
