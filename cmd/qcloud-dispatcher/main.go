@@ -108,9 +108,10 @@ func main() {
 	// format stable.
 	fmt.Printf("listening on %s\n", ln.Addr())
 	// Bound what a slow or silent client can hold: headers must arrive
-	// promptly and idle keep-alive connections are reaped. Bodies are
-	// bounded by size in the handlers; no whole-request timeout, since a
-	// trace CSV legitimately takes long to compute.
+	// promptly and idle keep-alive connections are reaped. Request
+	// bodies are bounded in size and in time where the handlers read
+	// them (a stalled one is answered 408); no whole-request timeout,
+	// since a trace CSV legitimately takes long to compute.
 	srv := &http.Server{
 		Handler:           d.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,

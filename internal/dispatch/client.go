@@ -41,12 +41,13 @@ func (c *Client) timeout() time.Duration {
 var maxResponseBytes int64 = 256 << 20
 
 // do runs one JSON round trip; non-200 responses surface the server's
-// error string.
+// error string. marshal and unmarshal try wire's codec first, so the
+// outcome, a refused value's error included, is encoding/json's.
 func (c *Client) do(method, path string, req, resp any) error {
 	var raw []byte
 	if req != nil {
 		var err error
-		if raw, err = json.Marshal(req); err != nil {
+		if raw, err = marshal(req); err != nil {
 			return err
 		}
 	}
@@ -58,25 +59,7 @@ func (c *Client) do(method, path string, req, resp any) error {
 		*out = data
 		return nil
 	}
-	return json.Unmarshal(data, resp)
-}
-
-// doCanonical is do for the submit and exchange messages: wire's
-// appender writes the request and its canonical decoder reads the
-// response. encoding/json writes a request the appender refuses and
-// reads a response the decoder does not, so the outcome is do's.
-func (c *Client) doCanonical(path string, req interface{ AppendJSON([]byte) ([]byte, error) }, resp interface{ DecodeCanonical([]byte) error }) error {
-	raw, err := req.AppendJSON(make([]byte, 0, 512))
-	if err != nil {
-		if raw, err = json.Marshal(req); err != nil {
-			return err
-		}
-	}
-	data, err := c.send(http.MethodPost, path, raw)
-	if err != nil || resp.DecodeCanonical(data) == nil {
-		return err
-	}
-	return json.Unmarshal(data, resp)
+	return unmarshal(data, resp)
 }
 
 // send posts body (a GET without one when nil) and returns the response
@@ -122,7 +105,7 @@ func (c *Client) send(method, path string, body []byte) ([]byte, error) {
 // Submit submits one spec under an idempotency key.
 func (c *Client) Submit(key string, spec wire.Spec) (wire.SubmitResponse, error) {
 	var resp wire.SubmitResponse
-	err := c.doCanonical("/v1/submit", &wire.SubmitRequest{V: wire.Version, Key: key, Spec: spec}, &resp)
+	err := c.do(http.MethodPost, "/v1/submit", &wire.SubmitRequest{V: wire.Version, Key: key, Spec: spec}, &resp)
 	return resp, err
 }
 
@@ -136,7 +119,7 @@ func (c *Client) Seal() error {
 // and lease up to pull new units (see wire.ResultsRequest).
 func (c *Client) Exchange(worker string, results []wire.UnitResult, pull int) (wire.ResultsResponse, error) {
 	var resp wire.ResultsResponse
-	err := c.doCanonical("/v1/results", &wire.ResultsRequest{V: wire.Version, Worker: worker, Results: results, Pull: pull}, &resp)
+	err := c.do(http.MethodPost, "/v1/results", &wire.ResultsRequest{V: wire.Version, Worker: worker, Results: results, Pull: pull}, &resp)
 	return resp, err
 }
 

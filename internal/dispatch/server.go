@@ -1,7 +1,6 @@
 package dispatch
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -338,50 +337,63 @@ func (d *Dispatcher) Handler() http.Handler {
 	return mux
 }
 
-// versioned is a request body decode can check the version of.
-type versioned interface{ version() int }
+// bodyTimeout bounds how long decode waits for a request body, so a
+// client that stalls mid-body is answered 408 instead of holding the
+// handler. It is a variable only so that tests can lower it.
+var bodyTimeout = 30 * time.Second
 
-// decode parses a versioned JSON body of at most maxBodyBytes.
-func decode[T versioned](w http.ResponseWriter, r *http.Request, dst T) bool {
-	return decodeJSON(w, http.MaxBytesReader(w, r.Body, maxBodyBytes), dst)
-}
-
-// maxCanonicalBytes bounds the head of a body decodeCanonical holds
-// before it decides: a longer body streams into encoding/json as any
-// other does.
-const maxCanonicalBytes = 1 << 20
-
-// decodeCanonical is decode for the submit and exchange bodies. It
-// reads the body and gives it to canon, wire's one-pass decoder of the
-// canonical form. A body canon does not read — not canonical, or
-// longer than maxCanonicalBytes — goes to decode's own path from its
-// first byte, so its value, status and error text are decode's.
-func decodeCanonical[T versioned](w http.ResponseWriter, r *http.Request, dst T, canon func([]byte) error) bool {
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	head, err := io.ReadAll(io.LimitReader(body, maxCanonicalBytes+1))
-	if err == nil && len(head) <= maxCanonicalBytes && canon(head) == nil {
-		return versionOK(w, dst)
+// marshal is json.Marshal, through the appender of wire's canonical
+// codec (wire/json.go) when v has one that takes it.
+func marshal(v any) ([]byte, error) {
+	if a, ok := v.(interface{ AppendJSON([]byte) ([]byte, error) }); ok {
+		if b, err := a.AppendJSON(make([]byte, 0, 512)); err == nil {
+			return b, nil
+		}
 	}
-	// The reader's errors are sticky, so the rest of body reads as it
-	// would have the first time.
-	return decodeJSON(w, io.MultiReader(bytes.NewReader(head), body), dst)
+	return json.Marshal(v)
 }
 
-func decodeJSON[T versioned](w http.ResponseWriter, body io.Reader, dst T) bool {
-	if err := json.NewDecoder(body).Decode(dst); err != nil {
-		code := http.StatusBadRequest
+// unmarshal is json.Unmarshal, through the codec's decoder when v has
+// one that reads data.
+func unmarshal(data []byte, v any) error {
+	if c, ok := v.(interface{ DecodeCanonical([]byte) error }); ok && c.DecodeCanonical(data) == nil {
+		return nil
+	}
+	return json.Unmarshal(data, v)
+}
+
+// decode reads a request body of at most maxBodyBytes into dst and
+// checks the protocol version it carries in *v. A refused body is
+// answered here — 413 past the limit, 408 past bodyTimeout, 400 for
+// anything json.Unmarshal refuses (trailing data included) or a wrong
+// version — and decode reports false.
+func decode(w http.ResponseWriter, r *http.Request, dst any, v *int) bool {
+	rc := http.NewResponseController(w)
+	// Only a writer with no connection, such as a ResponseRecorder,
+	// refuses a deadline.
+	timed := rc.SetReadDeadline(time.Now().Add(bodyTimeout)) == nil
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err == nil {
+		// Cleared only after a whole body: past a timeout, net/http's
+		// discard of the unread rest would otherwise wait on the client.
+		if timed {
+			_ = rc.SetReadDeadline(time.Time{})
+		}
+		err = unmarshal(body, dst)
+	}
+	if err != nil {
+		code, msg := http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err)
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			code = http.StatusRequestEntityTooLarge
+		} else if errors.Is(err, os.ErrDeadlineExceeded) {
+			// A fixed text: the error names the socket's addresses.
+			code, msg = http.StatusRequestTimeout, "bad request body: not received in time"
 		}
-		httpError(w, code, fmt.Sprintf("bad request body: %v", err))
+		httpError(w, code, msg)
 		return false
 	}
-	return versionOK(w, dst)
-}
-
-func versionOK(w http.ResponseWriter, dst versioned) bool {
-	if err := wire.CheckVersion(dst.version()); err != nil {
+	if err := wire.CheckVersion(*v); err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return false
 	}
@@ -394,27 +406,17 @@ func httpError(w http.ResponseWriter, code int, msg string) {
 	_ = json.NewEncoder(w).Encode(wire.GenericResponse{V: wire.Version, Err: msg})
 }
 
+// writeJSON answers 200 with v and a newline: json.Encoder's bytes.
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// writeCanonical is writeJSON for the submit and exchange responses:
-// wire's appender writes json.Encoder's bytes, and a value it refuses
-// goes to writeJSON, to be refused there as any other is.
-func writeCanonical(w http.ResponseWriter, v interface{ AppendJSON([]byte) ([]byte, error) }) {
-	b, err := v.AppendJSON(make([]byte, 0, 512))
-	if err != nil {
-		writeJSON(w, v)
-		return
+	if b, err := marshal(v); err == nil {
+		_, _ = w.Write(append(b, '\n'))
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(append(b, '\n'))
 }
 
 func (d *Dispatcher) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req submitReq
-	if !decodeCanonical(w, r, &req, req.DecodeCanonical) {
+	var req wire.SubmitRequest
+	if !decode(w, r, &req, &req.V) {
 		return
 	}
 	if err := d.fleet().Check(&req.Spec.TracePlane); err != nil {
@@ -434,12 +436,12 @@ func (d *Dispatcher) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeCanonical(w, &wire.SubmitResponse{V: wire.Version, Seq: seq, Dup: dup})
+	writeJSON(w, &wire.SubmitResponse{V: wire.Version, Seq: seq, Dup: dup})
 }
 
 func (d *Dispatcher) handleSeal(w http.ResponseWriter, r *http.Request) {
-	var req sealReq
-	if !decode(w, r, &req) {
+	var req wire.SealRequest
+	if !decode(w, r, &req, &req.V) {
 		return
 	}
 	if err := d.q.Seal(); err != nil {
@@ -450,8 +452,8 @@ func (d *Dispatcher) handleSeal(w http.ResponseWriter, r *http.Request) {
 }
 
 func (d *Dispatcher) handleRegister(w http.ResponseWriter, r *http.Request) {
-	var req registerReq
-	if !decode(w, r, &req) {
+	var req wire.RegisterRequest
+	if !decode(w, r, &req, &req.V) {
 		return
 	}
 	if req.Name == "" {
@@ -465,8 +467,8 @@ func (d *Dispatcher) handleRegister(w http.ResponseWriter, r *http.Request) {
 }
 
 func (d *Dispatcher) handleDeregister(w http.ResponseWriter, r *http.Request) {
-	var req registerReq
-	if !decode(w, r, &req) {
+	var req wire.RegisterRequest
+	if !decode(w, r, &req, &req.V) {
 		return
 	}
 	d.mu.Lock()
@@ -476,8 +478,8 @@ func (d *Dispatcher) handleDeregister(w http.ResponseWriter, r *http.Request) {
 }
 
 func (d *Dispatcher) handlePull(w http.ResponseWriter, r *http.Request) {
-	var req pullReq
-	if !decode(w, r, &req) {
+	var req wire.PullRequest
+	if !decode(w, r, &req, &req.V) {
 		return
 	}
 	if req.Worker == "" {
@@ -507,8 +509,8 @@ func (d *Dispatcher) touch(worker string) {
 // handleResults is the worker's whole exchange: reports in, leases out.
 // While draining the reports still land but nothing is leased.
 func (d *Dispatcher) handleResults(w http.ResponseWriter, r *http.Request) {
-	var req resultsReq
-	if !decodeCanonical(w, r, &req, req.DecodeCanonical) {
+	var req wire.ResultsRequest
+	if !decode(w, r, &req, &req.V) {
 		return
 	}
 	if req.Worker == "" {
@@ -538,12 +540,12 @@ func (d *Dispatcher) handleResults(w http.ResponseWriter, r *http.Request) {
 			resp.Results[i] = wire.UnitAck{Accepted: o.Accepted, State: o.State.String()}
 		}
 	}
-	writeCanonical(w, &resp)
+	writeJSON(w, &resp)
 }
 
 func (d *Dispatcher) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var req heartbeatReq
-	if !decode(w, r, &req) {
+	var req wire.HeartbeatRequest
+	if !decode(w, r, &req, &req.V) {
 		return
 	}
 	n := d.q.Heartbeat(req.Worker, req.Seqs)
@@ -551,8 +553,8 @@ func (d *Dispatcher) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 }
 
 func (d *Dispatcher) handleResult(w http.ResponseWriter, r *http.Request) {
-	var req resultReq
-	if !decode(w, r, &req) {
+	var req wire.ResultRequest
+	if !decode(w, r, &req, &req.V) {
 		return
 	}
 	accepted, state, err := d.q.report(req.Worker, Report{Seq: req.Seq, Attempt: req.Attempt, Counts: req.Counts, Err: req.Err})
@@ -564,8 +566,8 @@ func (d *Dispatcher) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 func (d *Dispatcher) handleCancel(w http.ResponseWriter, r *http.Request) {
-	var req cancelReq
-	if !decode(w, r, &req) {
+	var req wire.CancelRequest
+	if !decode(w, r, &req, &req.V) {
 		return
 	}
 	accepted, state, err := d.q.Cancel(req.Key, req.Seq)
@@ -623,25 +625,3 @@ func writeCSV(w http.ResponseWriter, csv []byte, err error) {
 	w.Header().Set("Content-Type", "text/csv")
 	_, _ = w.Write(csv)
 }
-
-// Version-probe wrappers so decode can enforce the protocol version
-// without reflection.
-type (
-	submitReq    struct{ wire.SubmitRequest }
-	sealReq      struct{ wire.SealRequest }
-	registerReq  struct{ wire.RegisterRequest }
-	pullReq      struct{ wire.PullRequest }
-	heartbeatReq struct{ wire.HeartbeatRequest }
-	resultReq    struct{ wire.ResultRequest }
-	resultsReq   struct{ wire.ResultsRequest }
-	cancelReq    struct{ wire.CancelRequest }
-)
-
-func (r *submitReq) version() int    { return r.V }
-func (r *sealReq) version() int      { return r.V }
-func (r *registerReq) version() int  { return r.V }
-func (r *pullReq) version() int      { return r.V }
-func (r *heartbeatReq) version() int { return r.V }
-func (r *resultReq) version() int    { return r.V }
-func (r *resultsReq) version() int   { return r.V }
-func (r *cancelReq) version() int    { return r.V }

@@ -1,14 +1,17 @@
 package dispatch
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -58,12 +61,39 @@ func (zeros) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestHTTPRefusesBadBodies: a body over the limit, malformed JSON and a
-// wrong protocol version are each answered with the matching status and
-// a GenericResponse naming the problem, and change nothing.
+// TestHTTPRefusesBadBodies: a body over the limit, malformed JSON, a
+// wrong protocol version and a valid request followed by trailing data
+// are each answered with the matching status and a GenericResponse
+// naming the problem, and change nothing.
 func TestHTTPRefusesBadBodies(t *testing.T) {
 	d := newTestDispatcher(t)
 	h := d.Handler()
+	spec, err := json.Marshal(testPlans(t, 3, 1)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One valid request per route, in an order a fresh dispatcher
+	// answers each with 200: the submit makes the task the rest act on.
+	valid := []struct{ path, body string }{
+		{"/v1/submit", `{"v":1,"key":"k","spec":` + string(spec) + `}`},
+		{"/v1/results", `{"v":1,"worker":"w","pull":1}`},
+		{"/v1/pull", `{"v":1,"worker":"w","max":1}`},
+		{"/v1/result", `{"v":1,"worker":"w","seq":0,"counts":[{"bits":"0","n":1}]}`},
+		{"/v1/cancel", `{"v":1,"key":"k"}`},
+		{"/v1/heartbeat", `{"v":1,"worker":"w","seqs":[0]}`},
+		{"/v1/seal", `{"v":1}`},
+		{"/v1/register", `{"v":1,"name":"w"}`},
+	}
+	fresh := newTestDispatcher(t).Handler()
+	for _, v := range valid {
+		var resp wire.GenericResponse
+		if code := post(t, fresh, v.path, strings.NewReader(v.body), &resp); code != http.StatusOK {
+			t.Fatalf("%s answered the valid body %s with %d %+v", v.path, v.body, code, resp)
+		}
+		if code := post(t, h, v.path, strings.NewReader(v.body+` {"v":1}`), &resp); code != http.StatusBadRequest || resp.V != wire.Version || !strings.Contains(resp.Err, "after top-level value") {
+			t.Errorf("%s, trailing data: answered %d %+v, want 400 and an error", v.path, code, resp)
+		}
+	}
 	bodies := []struct {
 		name string
 		body func() io.Reader
@@ -89,8 +119,70 @@ func TestHTTPRefusesBadBodies(t *testing.T) {
 			}
 		}
 	}
-	if st := d.Stats(); st.Jobs != 0 || st.Sealed || len(st.Workers) != 0 {
-		t.Errorf("refused requests changed state: %+v", st)
+	if st := d.Stats(); st.Jobs != 0 || st.Sealed || len(st.Workers) != 0 || d.q.submits.Records() != 0 {
+		t.Errorf("refused requests changed state: %+v, %d submit records", st, d.q.submits.Records())
+	}
+}
+
+// TestSlowBodyTimesOut: a client that sends its headers and part of a
+// submit body, then stalls, is answered 408 soon after bodyTimeout and
+// its connection closed, with nothing enqueued; a request on another
+// connection is served meanwhile.
+func TestSlowBodyTimesOut(t *testing.T) {
+	timeout := bodyTimeout
+	t.Cleanup(func() { bodyTimeout = timeout })
+	bodyTimeout = time.Second
+
+	d := newTestDispatcher(t)
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+	plans := testPlans(t, 3, 12)
+	body, err := json.Marshal(wire.SubmitRequest{V: wire.Version, Key: "k/slow", Spec: plans[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	head := fmt.Sprintf("POST /v1/submit HTTP/1.1\r\nHost: dispatcher\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n", len(body))
+	if _, err := io.WriteString(conn, head+string(body[:len(body)/2])); err != nil {
+		t.Fatal(err)
+	}
+
+	cl := &Client{Server: srv.URL}
+	if resp, err := cl.Submit("k/0", plans[1]); err != nil || resp.Seq != 0 {
+		t.Fatalf("a submit beside the stalled one answered %+v, %v", resp, err)
+	}
+	if waited := time.Since(start); waited >= bodyTimeout {
+		t.Fatalf("the submit beside the stalled one took %v, past the %v body deadline", waited, bodyTimeout)
+	}
+
+	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	rd := bufio.NewReader(conn)
+	res, err := http.ReadResponse(rd, nil)
+	if err != nil {
+		t.Fatalf("no answer to the stalled body: %v", err)
+	}
+	waited := time.Since(start)
+	var ge wire.GenericResponse
+	if err := json.NewDecoder(res.Body).Decode(&ge); err != nil {
+		t.Fatal(err)
+	}
+	res.Body.Close()
+	if res.StatusCode != http.StatusRequestTimeout || ge.Err != "bad request body: not received in time" {
+		t.Fatalf("the stalled body was answered %d %+v, want 408", res.StatusCode, ge)
+	}
+	if waited < bodyTimeout || waited > bodyTimeout+5*time.Second {
+		t.Errorf("the 408 came %v after the headers; the body deadline is %v", waited, bodyTimeout)
+	}
+	if _, err := rd.ReadByte(); err != io.EOF {
+		t.Errorf("after the 408 the connection read %v, want it closed", err)
+	}
+	if st := d.Stats(); st.Jobs != 1 || d.q.submits.Records() != 1 {
+		t.Errorf("after the stalled submit: %+v, %d submit records; want only the other one", st, d.q.submits.Records())
 	}
 }
 
@@ -489,11 +581,10 @@ func TestNonCanonicalReportLandsAsTheMapPath(t *testing.T) {
 }
 
 // TestNonCanonicalBodiesAnswerAsEncodingJSON posts submit and exchange
-// bodies that are not in the wire codec's canonical form. encoding/json
-// reads them, so each is answered with the status and body bytes it had
-// before the codec existed, pinned here: a body encoding/json reads is
-// accepted, trailing data after the first value included, and the rest
-// are refused with encoding/json's own message.
+// bodies that are not in the wire codec's canonical form. json.Unmarshal
+// reads them, so each is answered as encoding/json answers it, pinned
+// here: a body json.Unmarshal reads is accepted, and the rest — trailing
+// data after the value included — are refused with its own message.
 func TestNonCanonicalBodiesAnswerAsEncodingJSON(t *testing.T) {
 	d := newTestDispatcher(t)
 	h := d.Handler()
@@ -540,17 +631,89 @@ escaped string: 200 {"v":1,"seq":5}
 non-ASCII string: 200 {"v":1,"seq":6}
 a duplicate, escaped: 200 {"v":1,"seq":0,"dup":true}
 leading zero: 400 {"v":1,"err":"bad request body: invalid character '1' after object key:value pair"}
-trailing data: 200 {"v":1,"seq":7}
-trailing newlines: 200 {"v":1,"seq":8}
+trailing data: 400 {"v":1,"err":"bad request body: invalid character '{' after top-level value"}
+trailing newlines: 200 {"v":1,"seq":7}
 wrong version: 400 {"v":1,"err":"wire: message version 2, want 1"}
 exchange, canonical: 200 {"v":1,"sealed":false,"units":[{"seq":0,"attempt":0,"spec":` + string(spec) + `,"lease_sec":10}]}
 exchange, whitespace: 200 {"v":1,"sealed":false,"units":[{"seq":1,"attempt":0,"spec":` + string(spec) + `,"lease_sec":10}]}
 exchange, leading zero: 400 {"v":1,"err":"bad request body: invalid character '0' after object key:value pair"}
 exchange, escaped string: 200 {"v":1,"results":[{"accepted":true,"state":"done"}],"sealed":false}
-exchange, trailing data: 200 {"v":1,"sealed":false}
+exchange, trailing data: 400 {"v":1,"err":"bad request body: invalid character ']' after top-level value"}
 oversized: 413 {"v":1,"err":"bad request body: http: request body too large"}
 `
 	if got.String() != want {
 		t.Errorf("answers:\n%s\nwant:\n%s", got.String(), want)
+	}
+}
+
+// FuzzDecodeBody posts arbitrary bytes as the body of /v1/submit and
+// /v1/results, whose messages wire's canonical codec covers, and of
+// /v1/cancel, whose message it does not. decode must answer exactly as
+// json.Unmarshal and wire.CheckVersion alone would: the same accept or
+// refuse, the same status and error body, and a reflect.DeepEqual value.
+// Whatever json.Unmarshal leaves in the message is posted too, as
+// json.Marshal writes it, which is canonical, at a version the body's
+// length picks, so the codec's branch meets wrong versions as often as
+// right ones.
+func FuzzDecodeBody(f *testing.F) {
+	spec := testPlans(f, 3, 1)[0]
+	for _, m := range []any{
+		wire.SubmitRequest{V: wire.Version, Key: "k/0", Spec: spec},
+		wire.ResultsRequest{V: wire.Version, Worker: "w", Results: []wire.UnitResult{{Seq: 1, Counts: []wire.Count{{Bits: "01", N: 2}}}, {Seq: 2, Err: "e"}}, Pull: 1},
+		wire.CancelRequest{V: wire.Version, Key: "k/0"},
+	} {
+		b, err := json.Marshal(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkDecode(t, body, func(m *wire.SubmitRequest) *int { return &m.V })
+		checkDecode(t, body, func(m *wire.ResultsRequest) *int { return &m.V })
+		checkDecode(t, body, func(m *wire.CancelRequest) *int { return &m.V })
+	})
+}
+
+// checkDecode holds decode's answers to body and to its re-encoding
+// against json.Unmarshal's. version picks a T's V.
+func checkDecode[T any](t *testing.T, body []byte, version func(*T) *int) {
+	t.Helper()
+	var m T
+	_ = json.Unmarshal(body, &m)
+	*version(&m) = len(body) % 3
+	if again, err := json.Marshal(&m); err == nil {
+		answersAsUnmarshal(t, again, version)
+	}
+	answersAsUnmarshal(t, body, version)
+}
+
+// answersAsUnmarshal runs decode on body into a T and requires the
+// answer json.Unmarshal and wire.CheckVersion give.
+func answersAsUnmarshal[T any](t *testing.T, body []byte, version func(*T) *int) {
+	t.Helper()
+	var want T
+	wantCode, wantErr := http.StatusOK, ""
+	if err := json.Unmarshal(body, &want); err != nil {
+		wantCode, wantErr = http.StatusBadRequest, "bad request body: "+err.Error()
+	} else if err := wire.CheckVersion(*version(&want)); err != nil {
+		wantCode, wantErr = http.StatusBadRequest, err.Error()
+	}
+
+	var got T
+	rec := httptest.NewRecorder()
+	ok := decode(rec, httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body)), &got, version(&got))
+	if ok != (wantCode == http.StatusOK) || rec.Code != wantCode {
+		t.Fatalf("%T from %q: decode answered %v, %d %s; json.Unmarshal answers %d %q", got, body, ok, rec.Code, rec.Body, wantCode, wantErr)
+	}
+	if !ok {
+		want, _ := json.Marshal(wire.GenericResponse{V: wire.Version, Err: wantErr})
+		if !bytes.Equal(rec.Body.Bytes(), append(want, '\n')) {
+			t.Fatalf("%T from %q: decode answered %s, want %s", got, body, rec.Body, want)
+		}
+		return
+	}
+	if rec.Body.Len() != 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("%T from %q: decode read %+v (and wrote %q), json.Unmarshal %+v", got, body, got, rec.Body, want)
 	}
 }
