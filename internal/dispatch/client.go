@@ -85,7 +85,7 @@ func (c *Client) send(method, path string, body []byte) ([]byte, error) {
 	defer res.Body.Close()
 	// One byte past the cap tells a response at the cap from a longer
 	// one, which would otherwise come back truncated as a success.
-	data, err := io.ReadAll(io.LimitReader(res.Body, maxResponseBytes+1))
+	data, err := readBody(io.LimitReader(res.Body, maxResponseBytes+1), res.ContentLength)
 	if err != nil {
 		return nil, err
 	}

@@ -342,12 +342,25 @@ func (d *Dispatcher) Handler() http.Handler {
 // handler. It is a variable only so that tests can lower it.
 var bodyTimeout = 30 * time.Second
 
+// scratchBufs holds marshal's scratch buffers: one is kept only while
+// it is at most maxScratchBytes long.
+var scratchBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxScratchBytes = 1 << 20
+
 // marshal is json.Marshal, through the appender of wire's canonical
-// codec (wire/json.go) when v has one that takes it.
+// codec (wire/json.go) when v has one that takes it. The appender
+// writes into a pooled scratch buffer, and its bytes are copied out at
+// their size, with room for writeJSON's newline.
 func marshal(v any) ([]byte, error) {
 	if a, ok := v.(interface{ AppendJSON([]byte) ([]byte, error) }); ok {
-		if b, err := a.AppendJSON(make([]byte, 0, 512)); err == nil {
-			return b, nil
+		bp := scratchBufs.Get().(*[]byte)
+		defer scratchBufs.Put(bp)
+		if b, err := a.AppendJSON((*bp)[:0]); err == nil {
+			if cap(b) <= maxScratchBytes {
+				*bp = b
+			}
+			return append(make([]byte, 0, len(b)+1), b...), nil
 		}
 	}
 	return json.Marshal(v)
@@ -372,7 +385,7 @@ func decode(w http.ResponseWriter, r *http.Request, dst any, v *int) bool {
 	// Only a writer with no connection, such as a ResponseRecorder,
 	// refuses a deadline.
 	timed := rc.SetReadDeadline(time.Now().Add(bodyTimeout)) == nil
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body, err := readBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
 	if err == nil {
 		// Cleared only after a whole body: past a timeout, net/http's
 		// discard of the unread rest would otherwise wait on the client.
@@ -398,6 +411,39 @@ func decode(w http.ResponseWriter, r *http.Request, dst any, v *int) bool {
 		return false
 	}
 	return true
+}
+
+// preallocBytes is as much of a body's declared length as readBody
+// allocates before any of the body has arrived.
+const preallocBytes = 128 << 10
+
+// readBody reads r to its end as io.ReadAll does, into a buffer sized
+// from the length the sender declared (-1 when it declared none). It
+// takes at most preallocBytes on the sender's word; past that, each
+// growth at most doubles what has arrived, and stops at the declared
+// length.
+func readBody(r io.Reader, declared int64) ([]byte, error) {
+	// One byte past the declared length lets the read that finds the
+	// end do so without a growth.
+	want := declared + 1
+	b := make([]byte, 0, min(max(want, 512), preallocBytes))
+	for {
+		if len(b) == cap(b) {
+			n := 2 * int64(cap(b))
+			if want > int64(cap(b)) && want < n {
+				n = want
+			}
+			b = append(make([]byte, 0, n), b...)
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return b, err
+		}
+	}
 }
 
 func httpError(w http.ResponseWriter, code int, msg string) {

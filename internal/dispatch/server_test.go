@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -15,6 +16,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"qcloud/internal/dispatch/wire"
@@ -183,6 +185,131 @@ func TestSlowBodyTimesOut(t *testing.T) {
 	}
 	if st := d.Stats(); st.Jobs != 1 || d.q.submits.Records() != 1 {
 		t.Errorf("after the stalled submit: %+v, %d submit records; want only the other one", st, d.q.submits.Records())
+	}
+}
+
+// TestReadBodySizing: readBody returns io.ReadAll's bytes and error
+// whatever length the sender declares, allocates a body that matches
+// its declaration once, and takes no more than preallocBytes on the
+// word of a sender that declares more than it sends.
+func TestReadBodySizing(t *testing.T) {
+	body := bytes.Repeat([]byte(`{"seq":1,"n":2}`), 5000) // 75 KB, a large exchange
+	for _, c := range []struct {
+		name     string
+		body     []byte
+		declared int64
+		allocs   float64
+		maxCap   int
+	}{
+		{"declared exactly", body, int64(len(body)), 1, len(body) + 1},
+		{"declared too high", body[:10], 1 << 40, 1, preallocBytes},
+		{"declared too low", body, 10, -1, 2 * len(body)},
+		{"not declared", body, -1, -1, 2 * len(body)},
+		{"empty", nil, 0, 1, 512},
+	} {
+		got, err := readBody(bytes.NewReader(c.body), c.declared)
+		if err != nil || !bytes.Equal(got, c.body) {
+			t.Errorf("%s: read %d bytes, %v; want the %d sent", c.name, len(got), err, len(c.body))
+		}
+		if cap(got) > c.maxCap {
+			t.Errorf("%s: %d bytes sent, a buffer of %d; want at most %d", c.name, len(c.body), cap(got), c.maxCap)
+		}
+		if c.allocs >= 0 {
+			rd := bytes.NewReader(nil)
+			if a := testing.AllocsPerRun(10, func() { rd.Reset(c.body); _, _ = readBody(rd, c.declared) }); a != c.allocs {
+				t.Errorf("%s: %v allocations, want %v", c.name, a, c.allocs)
+			}
+		}
+	}
+	broken := errors.New("connection reset")
+	r := io.MultiReader(bytes.NewReader(body[:100]), iotest.ErrReader(broken))
+	if got, err := readBody(r, int64(len(body))); err != broken || !bytes.Equal(got, body[:100]) {
+		t.Errorf("a body cut by an error read %d bytes, %v; want the 100 sent and the error", len(got), err)
+	}
+}
+
+// TestMarshalCopiesOnce: a large appender message is copied out of the
+// pooled scratch buffer once, at about its size, not grown by doubling.
+func TestMarshalCopiesOnce(t *testing.T) {
+	counts := make([]wire.Count, 4000)
+	for i := range counts {
+		counts[i] = wire.Count{Bits: fmt.Sprintf("%012b", i), N: i}
+	}
+	req := &wire.ResultsRequest{V: wire.Version, Worker: "w", Results: []wire.UnitResult{{Seq: 1, Counts: counts}}, Pull: 2}
+	want, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := marshal(req)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("marshal: %v; the bytes differ from json.Marshal's", err)
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			_, _ = marshal(req)
+		}
+	})
+	if per := res.AllocedBytesPerOp(); per > int64(len(want))+int64(len(want))/4 {
+		t.Errorf("marshal of a %d-byte message allocates %d bytes", len(want), per)
+	}
+}
+
+// TestDeclaredLengthMismatch posts submit bodies over a socket whose
+// Content-Length is wrong. One that declares more than it sends is
+// answered 400 when the client stops sending, one that declares less is
+// read to its declared length and answered 400, one that declares and
+// sends more than the limit is answered 413, each with the error body
+// decode has always given, and none enqueues anything.
+func TestDeclaredLengthMismatch(t *testing.T) {
+	d := newTestDispatcher(t)
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+	body, err := json.Marshal(wire.SubmitRequest{V: wire.Version, Key: "k/0", Spec: testPlans(t, 3, 1)[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name     string
+		declared int64
+		body     io.Reader
+		code     int
+		answer   string
+	}{
+		{"declared too high", int64(len(body)) + 100, bytes.NewReader(body), http.StatusBadRequest,
+			`{"v":1,"err":"bad request body: unexpected EOF"}`},
+		{"declared far too high", 1 << 40, bytes.NewReader(body), http.StatusBadRequest,
+			`{"v":1,"err":"bad request body: unexpected EOF"}`},
+		{"declared too low", int64(len(body)) - 10, bytes.NewReader(body), http.StatusBadRequest,
+			`{"v":1,"err":"bad request body: unexpected end of JSON input"}`},
+		{"declared and sent past the limit", maxBodyBytes + 1, io.LimitReader(zeros{}, maxBodyBytes+1), http.StatusRequestEntityTooLarge,
+			`{"v":1,"err":"bad request body: http: request body too large"}`},
+	} {
+		conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetDeadline(time.Now().Add(30 * time.Second))
+		head := fmt.Sprintf("POST /v1/submit HTTP/1.1\r\nHost: dispatcher\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n", c.declared)
+		go func() {
+			// The server may answer and close before the whole body
+			// is written; the write error is then expected.
+			_, _ = io.Copy(conn, io.MultiReader(strings.NewReader(head), c.body))
+			_ = conn.(*net.TCPConn).CloseWrite()
+		}()
+		res, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatalf("%s: no answer: %v", c.name, err)
+		}
+		answer, _ := io.ReadAll(res.Body)
+		res.Body.Close()
+		conn.Close()
+		if res.StatusCode != c.code || string(answer) != c.answer+"\n" {
+			t.Errorf("%s: answered %d %s, want %d %s", c.name, res.StatusCode, answer, c.code, c.answer)
+		}
+	}
+	if st := d.Stats(); st.Jobs != 0 || d.q.submits.Records() != 0 {
+		t.Errorf("refused bodies changed state: %+v, %d submit records", st, d.q.submits.Records())
 	}
 }
 

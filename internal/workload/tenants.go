@@ -3,7 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"qcloud/internal/backend"
@@ -108,9 +108,11 @@ func brokerDefaults(queues []tenant.QueueConfig) tenant.Config {
 
 // tenantJob synthesizes one tenant job spec: modest NISQ circuits on a
 // popularity-weighted public machine that is online at submission.
-func tenantJob(r *rand.Rand, c TenantConfig, cache templateCache, at time.Time) *cloud.JobSpec {
-	var candidates []*backend.Machine
-	var weights []float64
+func tenantJob(r *rand.Rand, c TenantConfig, cache *templateCache, at time.Time) *cloud.JobSpec {
+	// The buffers stay on the stack for any fleet up to 32 machines.
+	var candBuf [32]*backend.Machine
+	var weightBuf [32]float64
+	candidates, weights := candBuf[:0], weightBuf[:0]
 	for _, m := range c.Machines {
 		if !m.Public || m.Simulator || !m.AvailableAt(at) || m.NumQubits() < 4 {
 			continue
@@ -122,35 +124,34 @@ func tenantJob(r *rand.Rand, c TenantConfig, cache templateCache, at time.Time) 
 		return nil
 	}
 	machine := candidates[stats.WeightedChoice(r, weights)]
-	kinds := []circuitKind{kindGHZ, kindBV, kindQFT}
+	kinds := [...]circuitKind{kindGHZ, kindBV, kindQFT}
 	kind := kinds[r.Intn(len(kinds))]
 	width := 3 + r.Intn(3)
 	if width > machine.NumQubits() {
 		width = machine.NumQubits()
 	}
-	m := cache.metrics(kind, width, r)
+	t := cache.get(kind, width, r)
 	batch := 1 + int(stats.Clamp((&stats.LogNormal{Mu: 2.2, Sigma: 0.8}).Sample(r), 0, 120))
-	shots := []int{1024, 4096, 8192}[r.Intn(3)]
+	shots := shotPresets[r.Intn(len(shotPresets))]
 	varf := 0.85 + 0.3*r.Float64()
 	return &cloud.JobSpec{
 		SubmitTime:   at,
 		Machine:      machine.Name,
 		BatchSize:    batch,
 		Shots:        shots,
-		CircuitName:  fmt.Sprintf("%s%d", kind, m.Width),
-		Width:        m.Width,
-		TotalDepth:   int(float64(m.Depth*batch) * varf),
-		TotalGateOps: int(float64(m.GateOps*batch) * varf),
-		CXTotal:      int(float64(m.CXCount*batch) * varf),
-		MemSlots:     m.Width,
+		CircuitName:  t.name,
+		Width:        t.m.Width,
+		TotalDepth:   int(float64(t.m.Depth*batch) * varf),
+		TotalGateOps: int(float64(t.m.GateOps*batch) * varf),
+		CXTotal:      int(float64(t.m.CXCount*batch) * varf),
+		MemSlots:     t.m.Width,
 	}
 }
 
-// tenantStream emits ~n submissions for one queue, arrivals uniform in
-// [from, to).
-func tenantStream(r *rand.Rand, c TenantConfig, cache templateCache, queue string, n int, from, to time.Time) []tenant.Submission {
+// tenantStream appends ~n submissions for one queue to subs, arrivals
+// uniform in [from, to).
+func tenantStream(subs []tenant.Submission, r *rand.Rand, c TenantConfig, cache *templateCache, queue string, n int, from, to time.Time) []tenant.Submission {
 	span := to.Sub(from)
-	var subs []tenant.Submission
 	for i := 0; i < n; i++ {
 		at := from.Add(time.Duration(r.Float64() * float64(span)))
 		if spec := tenantJob(r, c, cache, at); spec != nil {
@@ -160,9 +161,10 @@ func tenantStream(r *rand.Rand, c TenantConfig, cache templateCache, queue strin
 	return subs
 }
 
+// sortSubs orders the submissions by arrival, ties in stream order.
 func sortSubs(subs []tenant.Submission) []tenant.Submission {
-	sort.SliceStable(subs, func(i, j int) bool {
-		return subs[i].Spec.SubmitTime.Before(subs[j].Spec.SubmitTime)
+	slices.SortStableFunc(subs, func(a, b tenant.Submission) int {
+		return a.Spec.SubmitTime.Compare(b.Spec.SubmitTime)
 	})
 	return subs
 }
@@ -170,14 +172,15 @@ func sortSubs(subs []tenant.Submission) []tenant.Submission {
 func buildUniform(cfg TenantConfig) (tenant.Config, []tenant.Submission) {
 	c := cfg.withDefaults()
 	r := rand.New(rand.NewSource(c.Seed))
-	cache := make(templateCache)
+	cache := new(templateCache)
 	var queues []tenant.QueueConfig
-	var subs []tenant.Submission
+	// Every preset submits at most TotalJobs.
+	subs := make([]tenant.Submission, 0, c.TotalJobs)
 	per := c.TotalJobs / c.Tenants
 	for i := 0; i < c.Tenants; i++ {
 		name := fmt.Sprintf("t%02d", i)
 		queues = append(queues, tenant.QueueConfig{Name: name, Share: 1})
-		subs = append(subs, tenantStream(r, c, cache, name, per, c.Start, c.End)...)
+		subs = tenantStream(subs, r, c, cache, name, per, c.Start, c.End)
 	}
 	return brokerDefaults(queues), sortSubs(subs)
 }
@@ -188,9 +191,10 @@ func buildUniform(cfg TenantConfig) (tenant.Config, []tenant.Submission) {
 func buildSkewed(cfg TenantConfig) (tenant.Config, []tenant.Submission) {
 	c := cfg.withDefaults()
 	r := rand.New(rand.NewSource(c.Seed))
-	cache := make(templateCache)
+	cache := new(templateCache)
 	var queues []tenant.QueueConfig
-	var subs []tenant.Submission
+	// Every preset submits at most TotalJobs.
+	subs := make([]tenant.Submission, 0, c.TotalJobs)
 	per := c.TotalJobs / c.Tenants
 	for i := 0; i < c.Tenants; i++ {
 		name := fmt.Sprintf("t%02d", i)
@@ -199,7 +203,7 @@ func buildSkewed(cfg TenantConfig) (tenant.Config, []tenant.Submission) {
 			Share:           1 / float64(i+1),
 			OverQuotaWeight: 1 / float64(i+1),
 		})
-		subs = append(subs, tenantStream(r, c, cache, name, per, c.Start, c.End)...)
+		subs = tenantStream(subs, r, c, cache, name, per, c.Start, c.End)
 	}
 	return brokerDefaults(queues), sortSubs(subs)
 }
@@ -211,26 +215,26 @@ func buildSkewed(cfg TenantConfig) (tenant.Config, []tenant.Submission) {
 func buildFlashCrowd(cfg TenantConfig) (tenant.Config, []tenant.Submission) {
 	c := cfg.withDefaults()
 	r := rand.New(rand.NewSource(c.Seed))
-	cache := make(templateCache)
+	cache := new(templateCache)
 	var queues []tenant.QueueConfig
-	var subs []tenant.Submission
+	// Every preset submits at most TotalJobs.
+	subs := make([]tenant.Submission, 0, c.TotalJobs)
 	per := c.TotalJobs / (2 * c.Tenants)
 	for i := 0; i < c.Tenants; i++ {
 		name := fmt.Sprintf("t%02d", i)
 		queues = append(queues, tenant.QueueConfig{Name: name, Share: 1})
-		subs = append(subs, tenantStream(r, c, cache, name, per, c.Start, c.End)...)
+		subs = tenantStream(subs, r, c, cache, name, per, c.Start, c.End)
 	}
 	mid := c.Start.Add(c.End.Sub(c.Start) / 2)
-	subs = append(subs, tenantStream(r, c, cache, "t00", c.TotalJobs/2, mid, mid.Add(48*time.Hour))...)
+	subs = tenantStream(subs, r, c, cache, "t00", c.TotalJobs/2, mid, mid.Add(48*time.Hour))
 	return brokerDefaults(queues), sortSubs(subs)
 }
 
-// bulkStream emits ~n long-running submissions for one queue: maxed
-// batches at the full shot preset, the multi-hour jobs that wedge a
-// machine queue.
-func bulkStream(r *rand.Rand, c TenantConfig, cache templateCache, queue string, n int, from, to time.Time) []tenant.Submission {
+// bulkStream appends ~n long-running submissions for one queue to
+// subs: maxed batches at the full shot preset, the multi-hour jobs
+// that wedge a machine queue.
+func bulkStream(subs []tenant.Submission, r *rand.Rand, c TenantConfig, cache *templateCache, queue string, n int, from, to time.Time) []tenant.Submission {
 	span := to.Sub(from)
-	var subs []tenant.Submission
 	for i := 0; i < n; i++ {
 		at := from.Add(time.Duration(r.Float64() * float64(span)))
 		spec := tenantJob(r, c, cache, at)
@@ -256,9 +260,10 @@ func bulkStream(r *rand.Rand, c TenantConfig, cache templateCache, queue string,
 func buildPriorityInversion(cfg TenantConfig) (tenant.Config, []tenant.Submission) {
 	c := cfg.withDefaults()
 	r := rand.New(rand.NewSource(c.Seed))
-	cache := make(templateCache)
+	cache := new(templateCache)
 	var queues []tenant.QueueConfig
-	var subs []tenant.Submission
+	// Every preset submits at most TotalJobs.
+	subs := make([]tenant.Submission, 0, c.TotalJobs)
 	bulk := c.Tenants - 1
 	if bulk < 1 {
 		bulk = 1
@@ -268,10 +273,10 @@ func buildPriorityInversion(cfg TenantConfig) (tenant.Config, []tenant.Submissio
 	for i := 0; i < bulk; i++ {
 		name := fmt.Sprintf("bulk%02d", i)
 		queues = append(queues, tenant.QueueConfig{Name: name, Share: 1})
-		subs = append(subs, bulkStream(r, c, cache, name, per, c.Start, mid)...)
+		subs = bulkStream(subs, r, c, cache, name, per, c.Start, mid)
 	}
 	queues = append(queues, tenant.QueueConfig{Name: "interactive", Share: 1, Priority: 1})
-	subs = append(subs, tenantStream(r, c, cache, "interactive", c.TotalJobs/10, mid, c.End)...)
+	subs = tenantStream(subs, r, c, cache, "interactive", c.TotalJobs/10, mid, c.End)
 	tc := brokerDefaults(queues)
 	tc.Preemption = true
 	return tc, sortSubs(subs)

@@ -10,7 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"qcloud/internal/backend"
@@ -103,14 +103,27 @@ func (k circuitKind) String() string {
 	}
 }
 
-// templateMetrics builds (and caches) logical circuit metrics per
-// (kind, width) template.
-type templateCache map[string]circuit.Metrics
+// maxWidth is the widest template: pickWidth's clamp, and no machine
+// or tenant job widens a circuit past its draw.
+const maxWidth = 30
 
-func (tc templateCache) metrics(kind circuitKind, width int, r *rand.Rand) circuit.Metrics {
-	key := fmt.Sprintf("%s/%d", kind, width)
-	if m, ok := tc[key]; ok {
-		return m
+// template is one (kind, width) circuit template: its logical metrics
+// and the CircuitName its jobs carry.
+type template struct {
+	built bool
+	m     circuit.Metrics
+	name  string
+}
+
+// templateCache holds the templates by (kind, width), each built on
+// its first use. A BV template draws its secret from the stream's
+// generator then, so the cache is part of a stream's state.
+type templateCache [numKinds][maxWidth + 1]template
+
+func (tc *templateCache) get(kind circuitKind, width int, r *rand.Rand) *template {
+	t := &tc[kind][width]
+	if t.built {
+		return t
 	}
 	var c *circuit.Circuit
 	switch kind {
@@ -127,17 +140,136 @@ func (tc templateCache) metrics(kind circuitKind, width int, r *rand.Rand) circu
 	default:
 		c = gens.Random(rand.New(rand.NewSource(int64(width)*17+3)), width, 8+width, 0.3)
 	}
-	m := circuit.ComputeMetrics(c)
-	tc[key] = m
-	return m
+	t.m = circuit.ComputeMetrics(c)
+	t.name = fmt.Sprintf("%s%d", kind, t.m.Width)
+	t.built = true
+	return t
+}
+
+// patience is the job-side cancellation wait: log-normal around 2.2
+// days.
+var patience = stats.LogNormal{Mu: math.Log(2.2 * 24 * 3600), Sigma: 0.8}
+
+// fleetMachine is one machine as pickMachine reads it inside the
+// current month.
+type fleetMachine struct {
+	m      *backend.Machine
+	qubits int
+	public bool
+	// wPriv and wPub are the selection weights of a privileged and a
+	// public user.
+	wPriv, wPub float64
+	// on and off bound the machine's online window as offsets from the
+	// month's first instant: it is online at offset at iff
+	// on <= at < off.
+	on, off time.Duration
+}
+
+// generator is one stream's state: its random source, users and
+// templates, the fleet as seen from the current month, and the buffers
+// pickMachine reuses from job to job.
+type generator struct {
+	r     *rand.Rand
+	users []*user
+	cache templateCache
+	fleet []fleetMachine
+
+	// from is the current month's first instant inside the window and
+	// span its length; fromNs is from's offset into its UTC day and
+	// fromDay its weekday.
+	from    time.Time
+	span    float64
+	fromNs  int64
+	fromDay int64
+
+	cand    []*backend.Machine
+	weights []float64
+}
+
+func newGenerator(c Config) *generator {
+	g := &generator{r: rand.New(rand.NewSource(c.Seed))}
+	g.users = makeUsers(g.r)
+	g.fleet = make([]fleetMachine, len(c.Machines))
+	for i, m := range c.Machines {
+		f := fleetMachine{m: m, qubits: m.NumQubits(), public: m.Public, wPriv: m.Popularity, wPub: m.Popularity}
+		if !m.Public {
+			f.wPriv *= 3 // privileged users exploit their quieter machines
+		} else {
+			f.wPriv *= 0.6
+		}
+		if m.Simulator {
+			// The study focuses on hardware.
+			f.wPriv *= 0.5
+			f.wPub *= 0.5
+		}
+		g.fleet[i] = f
+	}
+	g.cand = make([]*backend.Machine, 0, len(c.Machines))
+	g.weights = make([]float64, 0, len(c.Machines))
+	return g
+}
+
+// setMonth moves the generator to the month [from, next).
+func (g *generator) setMonth(from, next time.Time) {
+	g.from = from
+	g.span = float64(next.Sub(from))
+	h, m, s := from.Clock()
+	g.fromNs = int64(((h*60+m)*60+s))*int64(time.Second) + int64(from.Nanosecond())
+	g.fromDay = int64(from.Weekday())
+	for i := range g.fleet {
+		f := &g.fleet[i]
+		// Sub saturates, which keeps every comparison with an offset
+		// inside the month exact.
+		f.on, f.off = f.m.Online.Sub(from), time.Duration(math.MaxInt64)
+		if !f.m.Retired.IsZero() {
+			f.off = f.m.Retired.Sub(from)
+		}
+	}
+}
+
+// jobKey is one kept job of the month: its submission offset and its
+// generation index.
+type jobKey struct {
+	at  time.Duration
+	idx int
+}
+
+// sortKeys orders keys by offset and, among equal offsets, by
+// generation index, a total order: an LSD radix sort over the offsets'
+// bytes, which is stable, from keys in generation order. tmp must be as
+// long as keys; the sorted keys are in one of the two.
+func sortKeys(keys, tmp []jobKey) []jobKey {
+	var bits uint64
+	for _, k := range keys {
+		bits |= uint64(k.at)
+	}
+	for shift := 0; shift < 64 && bits>>shift != 0; shift += 8 {
+		var start [256]int
+		for _, k := range keys {
+			start[uint64(k.at)>>shift&0xff]++
+		}
+		pos := 0
+		for d, n := range start {
+			start[d], pos = pos, pos+n
+		}
+		for _, k := range keys {
+			d := uint64(k.at) >> shift & 0xff
+			tmp[start[d]] = k
+			start[d]++
+		}
+		keys, tmp = tmp, keys
+	}
+	return keys
 }
 
 // Generate produces the study job stream, sorted by submission time.
 func Generate(cfg Config) []*cloud.JobSpec {
 	c := cfg.withDefaults()
-	r := rand.New(rand.NewSource(c.Seed))
-	users := makeUsers(r)
-	cache := make(templateCache)
+	if !c.Start.Before(c.End) {
+		return nil
+	}
+	g := newGenerator(c)
+	r := g.r
 
 	months := monthsBetween(c.Start, c.End)
 	weights := make([]float64, len(months))
@@ -146,24 +278,75 @@ func Generate(cfg Config) []*cloud.JobSpec {
 		weights[i] = math.Exp(c.GrowthPerMonth * float64(i))
 		total += weights[i]
 	}
-	var specs []*cloud.JobSpec
+	slabs := make([][]cloud.JobSpec, 0, len(months))
+	var keys, tmp []jobKey
+	kept := 0
 	for i, m := range months {
 		expected := float64(c.TotalJobs) * weights[i] / total
 		n := stats.Poisson(r, expected)
 		// progress in [0,1] tracks how late in the study we are; job
 		// shapes grow with it.
 		progress := float64(i) / math.Max(float64(len(months)-1), 1)
+		// A month that began before the window is drawn from the
+		// window's start.
+		from := m
+		if c.Start.After(m) {
+			from = c.Start.UTC()
+		}
+		next := m.AddDate(0, 1, 0)
+		if next.After(c.End) {
+			next = c.End
+		}
+		g.setMonth(from, next)
+		slab := make([]cloud.JobSpec, n)
+		keys = slices.Grow(keys[:0], n)
 		for j := 0; j < n; j++ {
-			at := randomTimeInMonth(r, m, c.End)
-			u := users[r.Intn(len(users))]
-			spec := makeJob(r, c, u, cache, at, progress)
-			if spec != nil {
-				specs = append(specs, spec)
+			at := g.randomOffset()
+			u := g.users[r.Intn(len(g.users))]
+			if g.makeJob(&slab[len(keys)], u, at, progress) {
+				keys = append(keys, jobKey{at, len(keys)})
 			}
 		}
+		// The months do not overlap, so ordering each one orders the
+		// stream.
+		tmp = slices.Grow(tmp[:0], len(keys))[:len(keys)]
+		permute(slab, sortKeys(keys, tmp))
+		if len(keys) < n {
+			// Pin no slot a rejected job left empty.
+			slab = append([]cloud.JobSpec(nil), slab[:len(keys)]...)
+		}
+		slabs = append(slabs, slab)
+		kept += len(slab)
 	}
-	sort.Slice(specs, func(a, b int) bool { return specs[a].SubmitTime.Before(specs[b].SubmitTime) })
+	specs := make([]*cloud.JobSpec, 0, kept)
+	for _, slab := range slabs {
+		for i := range slab {
+			specs = append(specs, &slab[i])
+		}
+	}
 	return specs
+}
+
+// permute reorders s[:len(keys)] so that s[k] holds what s[keys[k].idx]
+// held, following each cycle of the permutation once. It consumes the
+// keys' indices.
+func permute(s []cloud.JobSpec, keys []jobKey) {
+	for k := range keys {
+		if keys[k].idx < 0 {
+			continue // moved by an earlier cycle
+		}
+		first := s[k]
+		for j := k; ; {
+			src := keys[j].idx
+			keys[j].idx = -1
+			if src == k {
+				s[j] = first
+				break
+			}
+			s[j] = s[src]
+			j = src
+		}
+	}
 }
 
 func makeUsers(r *rand.Rand) []*user {
@@ -192,83 +375,90 @@ func monthsBetween(start, end time.Time) []time.Time {
 	return months
 }
 
-// randomTimeInMonth picks a submission instant inside the month,
-// biased toward weekday working hours.
-func randomTimeInMonth(r *rand.Rand, month, end time.Time) time.Time {
-	next := month.AddDate(0, 1, 0)
-	if next.After(end) {
-		next = end
-	}
-	span := next.Sub(month)
+// randomOffset picks a submission instant inside the current month, as
+// an offset from its first instant, biased toward weekday working
+// hours.
+func (g *generator) randomOffset() time.Duration {
 	for attempt := 0; attempt < 8; attempt++ {
-		at := month.Add(time.Duration(r.Float64() * float64(span)))
-		h, wd := at.Hour(), at.Weekday()
+		at := time.Duration(g.r.Float64() * g.span)
 		// Accept working-hours weekday times always; off-hours with
 		// lower probability.
 		accept := 0.35
-		if wd != time.Saturday && wd != time.Sunday && h >= 8 && h <= 22 {
+		if g.workingHours(at) {
 			accept = 1.0
 		}
-		if r.Float64() < accept {
+		if g.r.Float64() < accept {
 			return at
 		}
 	}
-	return month.Add(time.Duration(r.Float64() * float64(span)))
+	return time.Duration(g.r.Float64() * g.span)
 }
 
-// makeJob assembles one JobSpec, or nil when no machine fits.
-func makeJob(r *rand.Rand, cfg Config, u *user, cache templateCache, at time.Time, progress float64) *cloud.JobSpec {
+// workingHours reports whether the instant at the offset falls on a
+// weekday between 08:00 and 22:59 UTC.
+func (g *generator) workingHours(at time.Duration) bool {
+	const day = int64(24 * time.Hour)
+	ns := g.fromNs + int64(at)
+	wd := (g.fromDay + ns/day) % 7
+	h := ns % day / int64(time.Hour)
+	return wd != int64(time.Saturday) && wd != int64(time.Sunday) && h >= 8 && h <= 22
+}
+
+// makeJob fills s with one job submitted at the offset, or reports
+// false when no machine fits.
+func (g *generator) makeJob(s *cloud.JobSpec, u *user, at time.Duration, progress float64) bool {
+	r := g.r
 	kind := pickKind(r, u)
 	width := pickWidth(r, progress)
-	machine := pickMachine(r, cfg.Machines, u, at, width)
+	machine := g.pickMachine(u, at, width)
 	if machine == nil {
-		return nil
+		return false
 	}
-	if width > machine.NumQubits() {
-		width = machine.NumQubits()
-	}
-	if width < 1 {
-		width = 1
-	}
-	m := cache.metrics(kind, maxInt(width, 2), r)
+	width = max(min(width, machine.NumQubits()), 1)
+	t := g.cache.get(kind, max(width, 2), r)
 	batch := pickBatch(r, u, progress)
 	shots := pickShots(r, progress)
 	// Aggregate batch-level features with mild per-circuit variation.
 	varf := 0.85 + 0.3*r.Float64()
-	spec := &cloud.JobSpec{
-		SubmitTime:   at,
+	*s = cloud.JobSpec{
+		SubmitTime:   g.from.Add(at),
 		User:         u.name,
 		Machine:      machine.Name,
 		BatchSize:    batch,
 		Shots:        shots,
-		CircuitName:  fmt.Sprintf("%s%d", kind, m.Width),
-		Width:        m.Width,
-		TotalDepth:   int(float64(m.Depth*batch) * varf),
-		TotalGateOps: int(float64(m.GateOps*batch) * varf),
-		CXTotal:      int(float64(m.CXCount*batch) * varf),
-		MemSlots:     m.Width,
-		PatienceSec:  (&stats.LogNormal{Mu: math.Log(2.2 * 24 * 3600), Sigma: 0.8}).Sample(r),
+		CircuitName:  t.name,
+		Width:        t.m.Width,
+		TotalDepth:   int(float64(t.m.Depth*batch) * varf),
+		TotalGateOps: int(float64(t.m.GateOps*batch) * varf),
+		CXTotal:      int(float64(t.m.CXCount*batch) * varf),
+		MemSlots:     t.m.Width,
+		PatienceSec:  patience.Sample(r),
 		Privileged:   u.privileged,
 	}
-	return spec
+	return true
 }
 
+//qcloud:noalloc
 func pickKind(r *rand.Rand, u *user) circuitKind {
 	// Favorite family gets extra weight.
-	w := []float64{2, 2, 2.5, 1.5, 1.5, 1}
+	w := [numKinds]float64{2, 2, 2.5, 1.5, 1.5, 1}
 	w[u.famBias] += 2.5
-	return circuitKind(stats.WeightedChoice(r, w))
+	return circuitKind(stats.WeightedChoice(r, w[:]))
 }
 
 // pickWidth draws a circuit width: NISQ-era circuits are small, with
 // the tail growing as the study progresses.
+//
+//qcloud:noalloc
 func pickWidth(r *rand.Rand, progress float64) int {
 	base := &stats.LogNormal{Mu: 1.1 + 0.5*progress, Sigma: 0.45}
-	return int(stats.Clamp(base.Sample(r), 2, 30))
+	return int(stats.Clamp(base.Sample(r), 2, maxWidth))
 }
 
 // pickBatch draws the circuits-per-job batch size (Fig 11's 1-900
 // spread). Disciplined users and later periods batch more.
+//
+//qcloud:noalloc
 func pickBatch(r *rand.Rand, u *user, progress float64) int {
 	mu := 1.8 + 2.6*u.batchDiscipline + 1.7*progress
 	b := int(stats.Clamp((&stats.LogNormal{Mu: mu, Sigma: 1.0}).Sample(r), 1, 900))
@@ -279,51 +469,40 @@ func pickBatch(r *rand.Rand, u *user, progress float64) int {
 	return b
 }
 
+// shotPresets are IBM's per-circuit shot presets, the last one the cap.
+var shotPresets = [...]int{1024, 4096, 8192}
+
 // pickShots draws the per-circuit shot count from the IBM presets,
 // capped at 8192.
+//
+//qcloud:noalloc
 func pickShots(r *rand.Rand, progress float64) int {
-	w := []float64{0.30 - 0.15*progress, 0.30, 0.40 + 0.15*progress}
-	presets := []int{1024, 4096, 8192}
-	return presets[stats.WeightedChoice(r, w)]
+	w := [len(shotPresets)]float64{0.30 - 0.15*progress, 0.30, 0.40 + 0.15*progress}
+	return shotPresets[stats.WeightedChoice(r, w[:])]
 }
 
 // pickMachine implements the user machine-selection heuristic: among
-// machines online at submission with enough qubits, weight by
+// machines online at the offset with enough qubits, weight by
 // popularity; privileged users triple the weight of private machines,
 // public users can only use public ones.
-func pickMachine(r *rand.Rand, machines []*backend.Machine, u *user, at time.Time, width int) *backend.Machine {
-	var candidates []*backend.Machine
-	var weights []float64
-	for _, m := range machines {
-		if !m.AvailableAt(at) || m.NumQubits() < width {
+//
+//qcloud:noalloc
+func (g *generator) pickMachine(u *user, at time.Duration, width int) *backend.Machine {
+	g.cand, g.weights = g.cand[:0], g.weights[:0]
+	for i := range g.fleet {
+		f := &g.fleet[i]
+		if at < f.on || at >= f.off || f.qubits < width || !f.public && !u.privileged {
 			continue
 		}
-		if !m.Public && !u.privileged {
-			continue
-		}
-		w := m.Popularity
+		w := f.wPub
 		if u.privileged {
-			if !m.Public {
-				w *= 3 // privileged users exploit their quieter machines
-			} else {
-				w *= 0.6
-			}
+			w = f.wPriv
 		}
-		if m.Simulator {
-			w *= 0.5 // the study focuses on hardware
-		}
-		candidates = append(candidates, m)
-		weights = append(weights, w)
+		g.cand = append(g.cand, f.m)
+		g.weights = append(g.weights, w)
 	}
-	if len(candidates) == 0 {
+	if len(g.cand) == 0 {
 		return nil
 	}
-	return candidates[stats.WeightedChoice(r, weights)]
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return g.cand[stats.WeightedChoice(g.r, g.weights)]
 }

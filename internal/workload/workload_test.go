@@ -1,12 +1,15 @@
 package workload
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"qcloud/internal/backend"
+	"qcloud/internal/cloud"
 	"qcloud/internal/stats"
 )
 
@@ -179,5 +182,121 @@ func TestWidthGrowsWithProgress(t *testing.T) {
 	}
 	if math.IsNaN(stats.Mean(early)) {
 		t.Fatal("width sampling broken")
+	}
+}
+
+// BenchmarkGenerate times the journaled workload's stream: 100 000
+// jobs over 90 days.
+func BenchmarkGenerate(b *testing.B) {
+	start, end := days(90)
+	cfg := Config{Seed: 1, TotalJobs: 100_000, Start: start, End: end}
+	b.ReportAllocs()
+	for b.Loop() {
+		Generate(cfg)
+	}
+}
+
+// TestGenerateMidMonthStart draws a window that opens mid-month: its
+// first month's jobs must fall inside the window, not from the 1st.
+func TestGenerateMidMonthStart(t *testing.T) {
+	start := backend.StudyStart.Add(40 * 24 * time.Hour)
+	end := backend.StudyStart.Add(90 * 24 * time.Hour)
+	specs := Generate(Config{Seed: 1, TotalJobs: 1000, Start: start, End: end})
+	if len(specs) == 0 {
+		t.Fatal("no specs")
+	}
+	early := 0
+	for _, s := range specs {
+		if s.SubmitTime.Before(start) || !s.SubmitTime.Before(end) {
+			early++
+		}
+	}
+	if early > 0 {
+		t.Fatalf("%d of %d specs fall outside [%v, %v)", early, len(specs), start, end)
+	}
+}
+
+// TestGenerateEmptyWindow: a window that ends at or before its start
+// holds no jobs.
+func TestGenerateEmptyWindow(t *testing.T) {
+	start := backend.StudyStart.Add(40 * 24 * time.Hour)
+	for _, end := range []time.Time{start, start.Add(-time.Hour)} {
+		if specs := Generate(Config{Seed: 1, Start: start, End: end}); len(specs) != 0 {
+			t.Fatalf("window [%v, %v) generated %d specs", start, end, len(specs))
+		}
+	}
+}
+
+// smallFleet is the fleet's machines of at most 5 qubits: a stream on
+// it builds its few templates (one per kind and width) in its first
+// hundreds of jobs.
+func smallFleet() []*backend.Machine {
+	var small []*backend.Machine
+	for _, m := range backend.Fleet() {
+		if m.NumQubits() <= 5 {
+			small = append(small, m)
+		}
+	}
+	return small
+}
+
+// TestGenerateAllocsGrowWithMonths: past its templates, Generate
+// allocates per month, not per job, and a job allocates nothing. The
+// two streams build the same templates; only a BV template's secret,
+// and with it its circuit's size, differs between them.
+func TestGenerateAllocsGrowWithMonths(t *testing.T) {
+	start, end := days(90)
+	allocs := func(jobs int) float64 {
+		cfg := Config{Seed: 1, TotalJobs: jobs, Start: start, End: end, Machines: smallFleet()}
+		return testing.AllocsPerRun(2, func() { Generate(cfg) })
+	}
+	few, many := allocs(1000), allocs(100_000)
+	t.Logf("allocations: %v at 1 000 jobs, %v at 100 000", few, many)
+	if many > few*1.05 {
+		t.Fatalf("100 000 jobs allocate %v times, 1 000 jobs %v", many, few)
+	}
+
+	g := newGenerator(Config{Seed: 1, Start: start, End: end, Machines: smallFleet()}.withDefaults())
+	g.setMonth(start, start.AddDate(0, 1, 0))
+	var s cloud.JobSpec
+	job := func() {
+		g.makeJob(&s, g.users[g.r.Intn(len(g.users))], g.randomOffset(), 0.5)
+	}
+	for range 1000 {
+		job() // builds every template
+	}
+	if a := testing.AllocsPerRun(1000, job); a != 0 {
+		t.Fatalf("a job allocates %v times", a)
+	}
+}
+
+// TestSortKeysTotalOrder: the month order is the (offset, generation
+// index) order, ties included, and permute lays the slab out in it.
+func TestSortKeysTotalOrder(t *testing.T) {
+	r := newRand(3)
+	for _, n := range []int{0, 1, 2, 100, 5000} {
+		keys := make([]jobKey, n)
+		for i := range keys {
+			// Few distinct offsets, in every byte a month's offset uses.
+			keys[i] = jobKey{at: time.Duration(r.Intn(16)) << (8 * r.Intn(7)), idx: i}
+		}
+		want := slices.Clone(keys)
+		slices.SortFunc(want, func(a, b jobKey) int {
+			return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.idx, b.idx))
+		})
+		got := sortKeys(keys, make([]jobKey, n))
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d: sortKeys is not the (offset, index) order", n)
+		}
+		slab := make([]cloud.JobSpec, n)
+		for i := range slab {
+			slab[i].BatchSize = i
+		}
+		permute(slab, got)
+		for k := range slab {
+			if slab[k].BatchSize != want[k].idx {
+				t.Fatalf("n=%d: slab[%d] holds job %d, want %d", n, k, slab[k].BatchSize, want[k].idx)
+			}
+		}
 	}
 }
