@@ -244,6 +244,9 @@ func TestMarshalCopiesOnce(t *testing.T) {
 	if err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("marshal: %v; the bytes differ from json.Marshal's", err)
 	}
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {

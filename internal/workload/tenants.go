@@ -174,8 +174,7 @@ func buildUniform(cfg TenantConfig) (tenant.Config, []tenant.Submission) {
 	r := rand.New(rand.NewSource(c.Seed))
 	cache := new(templateCache)
 	var queues []tenant.QueueConfig
-	// Every preset submits at most TotalJobs.
-	subs := make([]tenant.Submission, 0, c.TotalJobs)
+	var subs []tenant.Submission
 	per := c.TotalJobs / c.Tenants
 	for i := 0; i < c.Tenants; i++ {
 		name := fmt.Sprintf("t%02d", i)
@@ -193,8 +192,7 @@ func buildSkewed(cfg TenantConfig) (tenant.Config, []tenant.Submission) {
 	r := rand.New(rand.NewSource(c.Seed))
 	cache := new(templateCache)
 	var queues []tenant.QueueConfig
-	// Every preset submits at most TotalJobs.
-	subs := make([]tenant.Submission, 0, c.TotalJobs)
+	var subs []tenant.Submission
 	per := c.TotalJobs / c.Tenants
 	for i := 0; i < c.Tenants; i++ {
 		name := fmt.Sprintf("t%02d", i)
@@ -217,8 +215,7 @@ func buildFlashCrowd(cfg TenantConfig) (tenant.Config, []tenant.Submission) {
 	r := rand.New(rand.NewSource(c.Seed))
 	cache := new(templateCache)
 	var queues []tenant.QueueConfig
-	// Every preset submits at most TotalJobs.
-	subs := make([]tenant.Submission, 0, c.TotalJobs)
+	var subs []tenant.Submission
 	per := c.TotalJobs / (2 * c.Tenants)
 	for i := 0; i < c.Tenants; i++ {
 		name := fmt.Sprintf("t%02d", i)
@@ -262,8 +259,7 @@ func buildPriorityInversion(cfg TenantConfig) (tenant.Config, []tenant.Submissio
 	r := rand.New(rand.NewSource(c.Seed))
 	cache := new(templateCache)
 	var queues []tenant.QueueConfig
-	// Every preset submits at most TotalJobs.
-	subs := make([]tenant.Submission, 0, c.TotalJobs)
+	var subs []tenant.Submission
 	bulk := c.Tenants - 1
 	if bulk < 1 {
 		bulk = 1
