@@ -14,19 +14,22 @@ import (
 	"qcloud/internal/qsim"
 )
 
-// PassCost is one compiler pass's wall time at the small and large
-// problem size (Fig 5's paired bars).
+// PassCost is one compiler pass's cost at the small and large problem
+// size (Fig 5's paired bars): wall time, and the work count
+// compile.PassTiming.Ops, which host load does not move.
 type PassCost struct {
 	Pass               string
 	SmallSec, LargeSec float64
+	SmallOps, LargeOps int64
 }
 
 // CompilePassProfile compiles a QFT of smallN qubits onto smallM and a
 // QFT of largeN onto largeM (nil largeM uses the fake 1000q machine),
-// returning cumulative per-pass wall times. The paper's instance is
-// (64q QFT -> 65q Manhattan) vs (980q QFT -> fake 1000q machine); that
-// full-size run takes hours exactly as the paper reports, so callers
-// may scale the large size down and extrapolate the trend.
+// returning cumulative per-pass wall times and work counts. The
+// paper's instance is (64q QFT -> 65q Manhattan) vs (980q QFT -> fake
+// 1000q machine); that full-size run takes hours exactly as the paper
+// reports, so callers may scale the large size down and extrapolate
+// the trend.
 func CompilePassProfile(smallN int, smallM *backend.Machine, largeN int, largeM *backend.Machine, seed int64) ([]PassCost, error) {
 	if largeM == nil {
 		largeM = backend.Fake1000()
@@ -67,8 +70,10 @@ func CompilePassProfile(smallN int, smallM *backend.Machine, largeN int, largeM 
 			}
 			if large {
 				pc.LargeSec += t.Seconds
+				pc.LargeOps += t.Ops
 			} else {
 				pc.SmallSec += t.Seconds
+				pc.SmallOps += t.Ops
 			}
 		}
 	}

@@ -13,38 +13,43 @@ func TestFig05CompilePassProfileScales(t *testing.T) {
 	byName := backend.FleetByName()
 	small := byName["ibmq_16_melbourne"]
 	// Scaled-down instance of the paper's (64q->Manhattan, 980q->1000q)
-	// pair. Fig 5's quantitative claim is that per-pass times grow by
+	// pair. Fig 5's quantitative claim is that per-pass costs grow by
 	// orders of magnitude with problem size, with routing among the
 	// most expensive passes; that is what we assert (qcloud-analyze -fig 5
-	// -fig5-large N runs a larger instance).
+	// -fig5-large N runs a larger instance). The assertions read the
+	// passes' work counts, not their seconds: the two compiles run at
+	// once, and single-run wall-clock ratios moved with host load.
+	// Measured: the large compile does 511x the small one's work
+	// (10 378 -> 5 300 401 ops), and routing 1290x (985 -> 1 270 330),
+	// the most of any pass.
 	costs, err := CompilePassProfile(8, small, 64, nil, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var totalSmall, totalLarge float64
+	var totalSmall, totalLarge int64
 	byPass := make(map[string]PassCost)
 	for _, c := range costs {
-		totalSmall += c.SmallSec
-		totalLarge += c.LargeSec
+		totalSmall += c.SmallOps
+		totalLarge += c.LargeOps
 		byPass[c.Pass] = c
 	}
-	if totalLarge < 20*totalSmall {
-		t.Fatalf("large compile %.4fs not orders slower than small %.4fs", totalLarge, totalSmall)
+	if totalLarge < 100*totalSmall {
+		t.Fatalf("large compile did %d ops, not orders more than the small one's %d", totalLarge, totalSmall)
 	}
 	swap := byPass["StochasticSwap"]
-	if swap.LargeSec < 30*swap.SmallSec {
-		t.Fatalf("routing grew only %.1fx (%.5fs -> %.5fs), want orders of magnitude",
-			swap.LargeSec/(swap.SmallSec+1e-12), swap.SmallSec, swap.LargeSec)
+	if swap.LargeOps < 300*swap.SmallOps {
+		t.Fatalf("routing grew only %.1fx (%d -> %d ops), want orders of magnitude",
+			float64(swap.LargeOps)/float64(max(swap.SmallOps, 1)), swap.SmallOps, swap.LargeOps)
 	}
 	// Routing sits among the top passes of the large compile.
 	higher := 0
 	for _, c := range costs {
-		if c.LargeSec > swap.LargeSec {
+		if c.LargeOps > swap.LargeOps {
 			higher++
 		}
 	}
 	if higher > 4 {
-		t.Fatalf("StochasticSwap ranked %d-th by large-compile cost, want top 5", higher+1)
+		t.Fatalf("StochasticSwap ranked %d-th by large-compile work, want top 5", higher+1)
 	}
 }
 

@@ -51,6 +51,8 @@ type passContext struct {
 	excluded []bool
 	// dists caches the machine's all-pairs distances.
 	dists [][]int
+	// ops is the running pass's work count (see PassTiming.Ops).
+	ops int64
 }
 
 // IsExcluded reports whether physical qubit q is off-limits.
@@ -62,14 +64,22 @@ func (ctx *passContext) IsExcluded(q int) bool {
 func (ctx *passContext) Distances() [][]int {
 	if ctx.dists == nil {
 		ctx.dists = ctx.Machine.Topo.Distances()
+		ctx.ops += int64(len(ctx.dists)) * int64(len(ctx.dists))
 	}
 	return ctx.dists
 }
 
-// PassTiming records the cumulative wall time spent in one named pass.
+// PassTiming records the cumulative cost of one named pass: its wall
+// time, and Ops, a count of the work it did that depends on the
+// compilation alone, so no load on the host moves it. Each run of a
+// pass counts the gates it is handed, and the passes count what they
+// do beyond one walk over them: StochasticSwap each trial's walk and
+// the neighbors it scans at every hop, and whichever pass first needs
+// the machine's all-pairs distance table its entries.
 type PassTiming struct {
 	Name    string
 	Seconds float64
+	Ops     int64
 }
 
 // Result is the outcome of a full compilation.
@@ -78,7 +88,7 @@ type Result struct {
 	Circ *circuit.Circuit
 	// Layout is the initial logical->physical mapping chosen.
 	Layout []int
-	// Timings lists cumulative per-pass wall time in pipeline order.
+	// Timings lists cumulative per-pass cost in pipeline order.
 	Timings []PassTiming
 	// Metrics are the structural metrics of the compiled circuit.
 	Metrics circuit.Metrics
@@ -143,16 +153,21 @@ func Compile(c *circuit.Circuit, m *backend.Machine, cal *backend.Calibration, o
 		}
 	}
 	res := &Result{}
-	timings := make(map[string]float64)
-	var order []string
+	// index maps a pass name to its entry in res.Timings.
+	index := make(map[string]int)
 	runPass := func(p pass) error {
+		ctx.ops = int64(len(ctx.Circ.Gates))
 		start := time.Now()
 		err := p.Run(ctx)
 		sec := time.Since(start).Seconds()
-		if _, seen := timings[p.Name()]; !seen {
-			order = append(order, p.Name())
+		i, seen := index[p.Name()]
+		if !seen {
+			i = len(res.Timings)
+			index[p.Name()] = i
+			res.Timings = append(res.Timings, PassTiming{Name: p.Name()})
 		}
-		timings[p.Name()] += sec
+		res.Timings[i].Seconds += sec
+		res.Timings[i].Ops += ctx.ops
 		return err
 	}
 
@@ -224,9 +239,6 @@ func Compile(c *circuit.Circuit, m *backend.Machine, cal *backend.Calibration, o
 	res.Metrics = circuit.ComputeMetrics(ctx.Circ)
 	res.SwapsInserted = ctx.Props["swaps_inserted"]
 	res.LayoutMethod = layoutMethodName(ctx)
-	for _, name := range order {
-		res.Timings = append(res.Timings, PassTiming{Name: name, Seconds: timings[name]})
-	}
 	return res, nil
 }
 

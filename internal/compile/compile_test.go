@@ -156,6 +156,26 @@ func TestTimingsCoverPipeline(t *testing.T) {
 	}
 }
 
+// TestPassOpsRepeat pins PassTiming.Ops as a function of the
+// compilation alone: the same compile counts the same work per pass,
+// and every pass that ran counts at least the gates it was handed.
+func TestPassOpsRepeat(t *testing.T) {
+	m := fleetMachine(t, "ibmq_16_melbourne")
+	a := compileOn(t, gens.QFT(8), m, Options{Seed: 3})
+	b := compileOn(t, gens.QFT(8), m, Options{Seed: 3})
+	if len(a.Timings) != len(b.Timings) {
+		t.Fatalf("%d timings, then %d", len(a.Timings), len(b.Timings))
+	}
+	for i, tm := range a.Timings {
+		if tm.Ops <= 0 {
+			t.Fatalf("%s counted %d ops", tm.Name, tm.Ops)
+		}
+		if tm.Name != b.Timings[i].Name || tm.Ops != b.Timings[i].Ops {
+			t.Fatalf("%s counted %d ops, then %s %d", tm.Name, tm.Ops, b.Timings[i].Name, b.Timings[i].Ops)
+		}
+	}
+}
+
 func TestNoiseAdaptiveLayoutChangesWithCalibration(t *testing.T) {
 	// Fig 12b: the same circuit compiled against two calibration cycles
 	// can get different mappings. With heavy spatial error variation the

@@ -90,12 +90,14 @@ func routeOnce(ctx *passContext, r *rand.Rand) (*circuit.Circuit, int) {
 		swaps++
 	}
 	scratch := make([]int, 0, 8)
+	ctx.ops += int64(len(ctx.Circ.Gates))
 	for _, g := range ctx.Circ.Gates {
 		if g.Op.IsTwoQubit() {
 			pa, pb := l2p[g.Qubits[0]], l2p[g.Qubits[1]]
 			for dist[pa][pb] > 1 {
 				// Step pa one hop toward pb along a random shortest path.
 				scratch = scratch[:0]
+				ctx.ops += int64(len(topo.Neighbors(pa)))
 				for _, nb := range topo.Neighbors(pa) {
 					if dist[nb][pb] == dist[pa][pb]-1 {
 						scratch = append(scratch, nb)

@@ -115,17 +115,17 @@ func (bw *batchWorker) state(n, workers int) (*State, error) {
 // pool instead of nesting serial inner pools. Exact jobs with equal
 // circuits share one unit and one evolution.
 func BatchRun(jobs []BatchJob, p Parallelism) []BatchResult {
-	return runJobs(jobs, nil, p, true, true)
+	return runJobs(jobs, nil, p, fuseCommuting)
 }
 
 // runJobs is BatchRun and RunOpts. A job's generator contributes its
 // trajectory base seed or every exact sample: the caller's r when it is
 // not nil (RunOpts' one job), else a pool slot's generator reseeded to
-// the job's Seed, which replays rand.NewSource(Seed). fuse and fuse2q
-// are compileProgram's passes; production runs both, and the
-// equivalence suites turn them off to compare against the unfused
-// engine.
-func runJobs(jobs []BatchJob, r *rand.Rand, p Parallelism, fuse, fuse2q bool) []BatchResult {
+// the job's Seed, which replays rand.NewSource(Seed). level is
+// compileProgram's fusion level; production runs fuseCommuting, and the
+// equivalence suites lower it to compare against the linear fuser and
+// the unfused engine.
+func runJobs(jobs []BatchJob, r *rand.Rand, p Parallelism, level fusion) []BatchResult {
 	results := make([]BatchResult, len(jobs))
 	type jobProg struct {
 		prog  *program
@@ -176,7 +176,7 @@ func runJobs(jobs []BatchJob, r *rand.Rand, p Parallelism, fuse, fuse2q bool) []
 			units = append(units, unit{job: j})
 			continue
 		}
-		prog, err := compileProgram(job.Circ, job.Noise, fuse, fuse2q)
+		prog, err := compileProgram(job.Circ, job.Noise, level)
 		if err != nil {
 			results[j].Err = err
 			continue
@@ -229,7 +229,7 @@ func runJobs(jobs []BatchJob, r *rand.Rand, p Parallelism, fuse, fuse2q bool) []
 			// scratch; each job samples them with its own generator, and
 			// a twin's counts go straight to its result.
 			st.Reset()
-			dist, err := evolveDist(job.Circ, fuse, fuse2q, st, bw.cum)
+			dist, err := evolveDist(job.Circ, level, st, bw.cum)
 			bw.cum = dist.cum
 			if err != nil {
 				unitErrs[u] = err

@@ -97,7 +97,7 @@ func TestBatchRunFusionToggles(t *testing.T) {
 	base := BatchRun(jobs, Parallelism{Workers: 2})
 	for _, w := range []int{2, runtime.NumCPU()} {
 		for _, mode := range fusionModes {
-			got := runJobs(jobs, nil, Parallelism{Workers: w}, mode.fuse, mode.fuse2q)
+			got := runJobs(jobs, nil, Parallelism{Workers: w}, mode.level)
 			for j := range jobs {
 				if got[j].Err != nil {
 					t.Fatalf("job %d (%s, workers=%d): %v", j, mode.name, w, got[j].Err)
@@ -127,7 +127,7 @@ func TestExactPrefixRestoresSlotWidth(t *testing.T) {
 			t.Fatal(err)
 		}
 		st.Reset()
-		dist, err := evolveDist(c, true, true, st, bw.cum)
+		dist, err := evolveDist(c, fuseCommuting, st, bw.cum)
 		if err != nil {
 			t.Fatal(err)
 		}

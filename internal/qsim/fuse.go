@@ -4,38 +4,49 @@
 //
 // Four prepasses run during compilation:
 //
-//   - consecutive 1q gates on the same qubit are merged into one
-//     precomputed Mat2 (the classic rz-sx-rz-sx-rz chains compiled
-//     circuits are full of become a single sweep);
-//   - runs of gates touching the same qubit pair — 1q gates on either
-//     qubit, CX/CZ/CPhase/SWAP on the pair — collapse into one
-//     precomputed Mat4 (qsim/qulacs-style 2q block fusion): a compiled
+//   - 1q gates on the same qubit are merged into one precomputed Mat2
+//     (the classic rz-sx-rz-sx-rz chains compiled circuits are full of
+//     become a single sweep);
+//   - gates touching the same qubit pair — 1q gates on either qubit,
+//     CX/CZ/CPhase/SWAP on the pair — collapse into one precomputed
+//     Mat4 (qsim/qulacs-style 2q block fusion): a compiled
 //     rz·sx·rz—cx—rz·sx·rz conjugation becomes a single
 //     four-amplitude sweep instead of five to seven;
-//   - runs of diagonal gates (I/Z/S/Sdg/T/Tdg/RZ/CZ/CPhase) collapse
-//     into a single phase-table kernel: one sweep multiplies each
-//     amplitude by a precomputed phase indexed by the gathered bits of
-//     the run's touched qubits;
+//   - diagonal gates (I/Z/S/Sdg/T/Tdg/RZ/CZ/CPhase) collapse into a
+//     single phase-table kernel: one sweep multiplies each amplitude by
+//     a precomputed phase indexed by the gathered bits of the run's
+//     touched qubits;
 //   - noise-channel probabilities are sampled from the model once per
 //     gate at compile time instead of once per gate per shot.
 //
-// Determinism: fusion never reorders gates and never changes the
-// per-shot RNG draw sequence. Noise draws are state-independent (a
-// uniform variate compared against the gate's precomputed probability),
-// so the executor consumes them gate by gate in program order before
-// applying a fused kernel; in the rare shot where a draw fires inside a
-// fused block, the executor falls back to replaying that block's
-// original gates one by one with the Pauli injected in place, exactly
-// as the unfused engine would. Counts for a fixed seed are therefore
-// identical across fused/unfused execution and any worker count (fused
-// amplitudes may differ from unfused in the last ulps — matrix products
-// associate differently — which leaves every sampled outcome unchanged).
+// Two fusers apply them. A noisy program compiles with the linear
+// fuser, which only ever merges a gate into the newest op, so its ops
+// keep the gates in program order. A noise-free program compiles with
+// the commuting fuser (commute), which merges a gate into the last op
+// on its own qubits wherever that op sits: it moves gates past gates on
+// other qubits, which commute with them, and never past a gate,
+// measurement or reset on one of its own qubits.
+//
+// Determinism: fusion never changes the per-shot RNG draw sequence.
+// Noise draws are state-independent (a uniform variate compared
+// against the gate's precomputed probability), so the executor
+// consumes them gate by gate in program order before applying a fused
+// kernel; in the rare shot where a draw fires inside a fused block, the
+// executor falls back to replaying that block's original gates one by
+// one with the Pauli injected in place, exactly as the unfused engine
+// would. The commuting fuser reorders no measurement or reset, and a
+// noise-free program draws nowhere else. Counts for a fixed seed are
+// therefore identical across fused/unfused execution and any worker
+// count (fused amplitudes may differ from unfused in the last ulps —
+// matrix products associate differently — which leaves every sampled
+// outcome unchanged).
 package qsim
 
 import (
 	"fmt"
 	"math/cmplx"
 	"math/rand"
+	"slices"
 
 	"qcloud/internal/circuit"
 )
@@ -85,6 +96,10 @@ const (
 	opDiag
 	opMeasure
 	opReset
+	// opVacated marks, during compilation only, the slot of a fused 1q
+	// run that a later two-qubit block took in; compileProgram drops
+	// these slots once the stream is complete.
+	opVacated
 )
 
 // srcGate is the unfused view of one original gate: enough precomputed
@@ -171,20 +186,48 @@ func gateNoiseP(noise *NoiseModel, g circuit.Gate) float64 {
 	return 0
 }
 
-// compileProgram lowers a circuit into a fused op stream. With fuse
-// false every unitary becomes its own opSrc — the pre-fusion engine,
-// which small exact evolutions run and the equivalence tests and
-// KernelCounts compare against. fuse2q additionally enables two-qubit
-// block fusion (4x4 kernels), and is ignored when fuse is false.
-func compileProgram(c *circuit.Circuit, noise *NoiseModel, fuse, fuse2q bool) (*program, error) {
+// fusion selects compileProgram's prepasses; each level runs every pass
+// of the levels below it.
+type fusion uint8
+
+const (
+	// fuseNone compiles every unitary to its own opSrc: the pre-fusion
+	// engine, which small exact evolutions run and the equivalence
+	// suites and KernelCounts compare against.
+	fuseNone fusion = iota
+	// fuse1Q merges 1q chains into Mat2s and diagonal runs into phase
+	// tables, each only into the newest op.
+	fuse1Q
+	// fuseBlocks adds two-qubit blocks (4x4 kernels), still only into
+	// the newest op: the linear fuser, which every noisy program
+	// compiles with.
+	fuseBlocks
+	// fuseCommuting folds each gate into the last op on its own qubits,
+	// wherever that op sits in the stream (see commute). Production
+	// compiles at this level; it applies to noise-free programs only.
+	fuseCommuting
+)
+
+// compileProgram lowers a circuit into a fused op stream at the given
+// fusion level. A noisy program draws its noise in stream order, so
+// moving a gate would move its draw: it compiles at fuseBlocks at most,
+// to the stream the linear fuser has always given it.
+func compileProgram(c *circuit.Circuit, noise *NoiseModel, level fusion) (*program, error) {
 	p := &program{nqubits: c.NQubits, nclbits: c.NClbits, noisy: noise != nil}
 	p.ops = make([]fusedOp, 0, len(c.Gates))
+	var front []int
+	if level == fuseCommuting && noise == nil {
+		front = make([]int, c.NQubits)
+		for q := range front {
+			front[q] = -1
+		}
+	}
 	for _, g := range c.Gates {
 		switch g.Op {
 		case circuit.OpBarrier:
 			continue
 		case circuit.OpMeasure:
-			p.ops = append(p.ops, fusedOp{
+			p.push(front, g.Qubits, fusedOp{
 				kind:  opMeasure,
 				q0:    g.Qubits[0],
 				clbit: g.Clbit,
@@ -192,64 +235,217 @@ func compileProgram(c *circuit.Circuit, noise *NoiseModel, fuse, fuse2q bool) (*
 			})
 			continue
 		case circuit.OpReset:
-			p.ops = append(p.ops, fusedOp{kind: opReset, q0: g.Qubits[0]})
+			p.push(front, g.Qubits, fusedOp{kind: opReset, q0: g.Qubits[0]})
 			continue
 		}
 		src, err := lowerGate(g, noise)
 		if err != nil {
 			return nil, err
 		}
-		last := p.lastOp()
-		switch {
-		case fuse && fuse2q && last != nil && last.kind == opMat4 && last.canAbsorb2Q(g):
-			// The open two-qubit block takes 1q gates on either pair
-			// qubit and CX/CZ/CPhase/SWAP on the pair: one 4x4 product.
-			last.absorb2Q(g, src)
-		case fuse && len(g.Qubits) == 1 && last != nil && last.kind == opMat2 && last.q0 == g.Qubits[0]:
-			// Adjacent 1q gates on the same qubit: one matrix product.
-			last.mat = src.mat.Mul(last.mat)
-			last.identity = last.mat.IsIdentity()
-			last.src = append(last.src, src)
-		case fuse && g.Op.IsDiagonal() && last != nil && last.kind == opDiag && last.diagCanAbsorb(g):
-			last.absorbDiag(g, src)
-		case fuse && fuse2q && (g.Op == circuit.OpCX || g.Op == circuit.OpSWAP) && p.open2QBlock(g, src):
-			// A non-diagonal 2q gate preceded by fused 1q runs on its
-			// qubits: the runs and the gate collapsed into one 4x4 block.
-		case fuse && (g.Op == circuit.OpCZ || g.Op == circuit.OpCPhase):
-			// 2q diagonal: starts a phase-table run.
-			op := fusedOp{kind: opDiag, identity: true}
-			op.absorbDiag(g, src)
-			p.ops = append(p.ops, op)
-		case fuse && len(g.Qubits) == 1:
-			// Lone 1q gate: seed a Mat2 op so later neighbors merge in.
-			p.ops = append(p.ops, fusedOp{
-				kind:     opMat2,
-				q0:       g.Qubits[0],
-				mat:      src.mat,
-				identity: src.mat.IsIdentity(),
-				src:      []srcGate{src},
-			})
-		default:
-			p.ops = append(p.ops, fusedOp{kind: opSrc, src: []srcGate{src}})
+		if front != nil {
+			p.commute(front, g, src)
+		} else {
+			p.fuseNewest(g, src, level >= fuse1Q, level >= fuseBlocks)
 		}
 	}
+	// Blocks leave the slots of the runs they took behind.
+	p.ops = slices.DeleteFunc(p.ops, func(op fusedOp) bool { return op.kind == opVacated })
 	for oi := range p.ops {
 		p.ops[oi].finalizeDiag(c.NQubits)
 	}
 	return p, nil
 }
 
+// fuseNewest is the linear fuser: g joins the newest op or starts a new
+// one. With fuse false every unitary becomes its own opSrc; fuse2q
+// enables two-qubit blocks, which a noise-free program opens only where
+// they pay (blockPays).
+func (p *program) fuseNewest(g circuit.Gate, src srcGate, fuse, fuse2q bool) {
+	last := p.lastOp()
+	switch {
+	case fuse && fuse2q && last != nil && last.kind == opMat4 && last.canAbsorb2Q(g):
+		// The open two-qubit block takes 1q gates on either pair
+		// qubit and CX/CZ/CPhase/SWAP on the pair: one 4x4 product.
+		last.absorb2Q(g, src)
+	case fuse && len(g.Qubits) == 1 && last != nil && last.kind == opMat2 && last.q0 == g.Qubits[0]:
+		// Adjacent 1q gates on the same qubit: one matrix product.
+		last.absorb1Q(src)
+	case fuse && g.Op.IsDiagonal() && last != nil && last.kind == opDiag && last.diagCanAbsorb(g):
+		last.absorbDiag(g, src)
+	case fuse && fuse2q && (g.Op == circuit.OpCX || g.Op == circuit.OpSWAP) &&
+		(p.noisy || blockPays(g.Qubits[0], g.Qubits[1])) && p.open2QBlock(g, src, p.newestRuns(g)):
+		// A non-diagonal 2q gate preceded by fused 1q runs on its
+		// qubits: the runs and the gate collapsed into one 4x4 block.
+		// A noisy program opens one on any pair, as it always has.
+	case fuse && (g.Op == circuit.OpCZ || g.Op == circuit.OpCPhase):
+		// 2q diagonal: starts a phase-table run.
+		p.ops = append(p.ops, diagOp(g, src))
+	case fuse && len(g.Qubits) == 1:
+		// Lone 1q gate: seed a Mat2 op so later neighbors merge in.
+		p.ops = append(p.ops, mat2Op(src))
+	default:
+		p.ops = append(p.ops, fusedOp{kind: opSrc, src: []srcGate{src}})
+	}
+}
+
+// newestRuns finds the fused 1q runs a CX/SWAP on (a, b) opens a block
+// from in the linear fuser: the newest op if it is a Mat2 on a or b,
+// and the op before it if that is a Mat2 on the other qubit. It returns
+// their indices on a and on b, -1 where there is none.
+func (p *program) newestRuns(g circuit.Gate) [2]int {
+	runs := [2]int{-1, -1}
+	for k := len(p.ops) - 1; k >= 0 && k >= len(p.ops)-2; k-- {
+		op := &p.ops[k]
+		if op.kind != opMat2 {
+			break
+		}
+		i := slices.Index(g.Qubits, op.q0)
+		if i < 0 || runs[i] >= 0 {
+			break
+		}
+		runs[i] = k
+	}
+	return runs
+}
+
+// commute is the fuser noise-free programs compile with. front[q] is
+// the index of the last op that touches qubit q, -1 while none has.
+// Every op after front[q] acts on other qubits only, and gates on
+// disjoint qubits commute, so g may join the op at front[q] wherever it
+// sits in the stream; a gate on two qubits may join any op at or after
+// both of their fronts. Measurements and resets are ops like any
+// other, so a gate never moves before one on its own qubit.
+func (p *program) commute(front []int, g circuit.Gate, src srcGate) {
+	switch len(g.Qubits) {
+	case 1:
+		q := g.Qubits[0]
+		if f := front[q]; f >= 0 && p.ops[f].fold1Q(g, src) {
+			return
+		}
+		if last := p.lastOp(); g.Op.IsDiagonal() && last != nil && last.kind == opDiag && last.diagCanAbsorb(g) {
+			last.absorbDiag(g, src)
+			front[q] = len(p.ops) - 1
+			return
+		}
+		p.push(front, g.Qubits, mat2Op(src))
+	case 2:
+		a, b := g.Qubits[0], g.Qubits[1]
+		fa, fb := front[a], front[b]
+		if fa == fb && fa >= 0 && p.ops[fa].kind == opMat4 {
+			// The block on exactly this pair.
+			p.ops[fa].absorb2Q(g, src)
+			return
+		}
+		switch g.Op {
+		case circuit.OpCZ, circuit.OpCPhase:
+			for _, k := range [2]int{max(fa, fb), len(p.ops) - 1} {
+				if k >= 0 && p.ops[k].kind == opDiag && p.ops[k].diagCanAbsorb(g) {
+					p.ops[k].absorbDiag(g, src)
+					front[a], front[b] = k, k
+					return
+				}
+			}
+			p.push(front, g.Qubits, diagOp(g, src))
+		default:
+			run := func(f int) int {
+				if f >= 0 && p.ops[f].kind == opMat2 {
+					return f
+				}
+				return -1
+			}
+			if blockPays(a, b) && p.open2QBlock(g, src, [2]int{run(fa), run(fb)}) {
+				front[a], front[b] = len(p.ops)-1, len(p.ops)-1
+				return
+			}
+			p.push(front, g.Qubits, fusedOp{kind: opSrc, src: []srcGate{src}})
+		}
+	default:
+		p.push(front, g.Qubits, fusedOp{kind: opSrc, src: []srcGate{src}})
+	}
+}
+
+// blockPays reports whether a 4x4 sweep on the pair (a, b) costs less
+// than the sweeps a block opened there replaces: the fused 1q runs on a
+// and b and the CX/SWAP exchange. That holds where both qubits are 2 or
+// more, whose innermost runs are four amplitudes or longer and go to
+// run2Q on an AVX2 host (1.6–2.1 ns an amplitude on execute's units,
+// against 0.8 for each 2x2 and 0.3 for the exchange); on qubit 0 or 1
+// the 4x4 sweep is the scalar loop (5.7–8.1 ns), dearer than the 2x2
+// sweeps (in-register there) and the exchange (1.0–1.4 ns) together.
+// The rule reads the pair only, not the host, so a circuit compiles to
+// the same stream everywhere.
+func blockPays(a, b int) bool {
+	return min(a, b) >= 2
+}
+
+// push appends op, the newest op on qubits; front is commute's, nil
+// for the linear fuser.
+func (p *program) push(front []int, qubits []int, op fusedOp) {
+	p.ops = append(p.ops, op)
+	if front != nil {
+		for _, q := range qubits {
+			front[q] = len(p.ops) - 1
+		}
+	}
+}
+
+// fold1Q folds the 1q gate g into op, the last op on g's qubit, if op
+// can take it: a Mat2 (on that qubit), a block (containing it), or,
+// for a diagonal g, a phase table with room.
+func (op *fusedOp) fold1Q(g circuit.Gate, src srcGate) bool {
+	switch {
+	case op.kind == opMat2:
+		op.absorb1Q(src)
+	case op.kind == opMat4:
+		op.absorb2Q(g, src)
+	case op.kind == opDiag && g.Op.IsDiagonal() && op.diagCanAbsorb(g):
+		op.absorbDiag(g, src)
+	default:
+		return false
+	}
+	return true
+}
+
+// mat2Op seeds a Mat2 op with one 1q gate so later gates on its qubit
+// merge in.
+func mat2Op(src srcGate) fusedOp {
+	return fusedOp{
+		kind:     opMat2,
+		q0:       src.q0,
+		mat:      src.mat,
+		identity: src.mat.IsIdentity(),
+		src:      []srcGate{src},
+	}
+}
+
+// diagOp starts a phase-table run at the 2q diagonal gate g.
+func diagOp(g circuit.Gate, src srcGate) fusedOp {
+	op := fusedOp{kind: opDiag, identity: true}
+	op.absorbDiag(g, src)
+	return op
+}
+
+// absorb1Q folds a 1q gate on the op's qubit into its Mat2 (one matrix
+// product, later gates on the left).
+func (op *fusedOp) absorb1Q(src srcGate) {
+	op.mat = src.mat.Mul(op.mat)
+	op.identity = op.mat.IsIdentity()
+	op.src = append(op.src, src)
+}
+
 // KernelCounts reports the compiled op-stream length of circuit c under
-// each fusion setting: no fusion, 1q-chain + diagonal-run fusion (the
-// PR 2 engine), and full two-qubit block fusion. It is the
+// each fusion setting: no fusion, 1q-chain + diagonal-run fusion, and
+// the production compile — two-qubit blocks, fused along each qubit's
+// own timeline when noise is nil (a noisy program compiles with the
+// linear fuser, which only ever fuses into the newest op). It is the
 // kernel-sweep-count lever the prepasses pull, recorded by bench/ as
 // qsim.kernel_sweeps_per_circuit.
 func KernelCounts(c *circuit.Circuit, noise *NoiseModel) (unfused, fused1q, blocked int, err error) {
 	for _, cfg := range []struct {
-		fuse, fuse2q bool
-		out          *int
-	}{{false, false, &unfused}, {true, false, &fused1q}, {true, true, &blocked}} {
-		prog, cerr := compileProgram(c, noise, cfg.fuse, cfg.fuse2q)
+		level fusion
+		out   *int
+	}{{fuseNone, &unfused}, {fuse1Q, &fused1q}, {fuseCommuting, &blocked}} {
+		prog, cerr := compileProgram(c, noise, cfg.level)
 		if cerr != nil {
 			return 0, 0, 0, cerr
 		}
@@ -337,7 +533,8 @@ func (op *fusedOp) canAbsorb2Q(g circuit.Gate) bool {
 func (op *fusedOp) absorb2Q(g circuit.Gate, src srcGate) {
 	m, ok := circuit.GateMat4(g, op.q0, op.q1)
 	if !ok {
-		// canAbsorb2Q guarantees the embedding exists.
+		// canAbsorb2Q, or the block being the last op on g's qubits,
+		// guarantees the embedding exists.
 		panic(fmt.Sprintf("qsim: unembeddable gate %v in 2q block (%d,%d)", g.Op, op.q0, op.q1))
 	}
 	op.mat4 = m.Mul(op.mat4)
@@ -346,43 +543,36 @@ func (op *fusedOp) absorb2Q(g circuit.Gate, src srcGate) {
 }
 
 // open2QBlock tries to start a two-qubit block at a CX/SWAP on the
-// pair (a, b) by folding in the trailing fused 1q runs on a and/or b.
-// A block only opens when at least one such run is waiting — a bare
-// CX/SWAP keeps its cheaper dedicated exchange kernel — so opening
-// always strictly reduces the sweep count. Absorbed run matrices are
-// multiplied in program order, which preserves both the semantics and
-// the noise-draw sequence (src lists concatenate in program order).
-func (p *program) open2QBlock(g circuit.Gate, src srcGate) bool {
-	a, b := g.Qubits[0], g.Qubits[1]
-	n := len(p.ops)
-	take := 0
-	if n > 0 && p.ops[n-1].kind == opMat2 && (p.ops[n-1].q0 == a || p.ops[n-1].q0 == b) {
-		take = 1
-		other := a
-		if p.ops[n-1].q0 == a {
-			other = b
-		}
-		if n > 1 && p.ops[n-2].kind == opMat2 && p.ops[n-2].q0 == other {
-			take = 2
-		}
-	}
-	if take == 0 {
+// pair (a, b) by folding in the fused 1q runs at ops runs[0] (on a) and
+// runs[1] (on b), -1 for none. A block only opens when at least one such run
+// is waiting — a bare CX/SWAP keeps its cheaper dedicated exchange
+// kernel — so opening always strictly reduces the sweep count. The runs
+// are multiplied in stream order, which preserves both the semantics
+// and the noise-draw sequence (src lists concatenate in stream order);
+// the block is appended, and the runs' slots are left vacated.
+func (p *program) open2QBlock(g circuit.Gate, src srcGate, runs [2]int) bool {
+	if runs[0] < 0 && runs[1] < 0 {
 		return false
 	}
+	a, b := g.Qubits[0], g.Qubits[1]
 	block := fusedOp{kind: opMat4, q0: a, q1: b, mat4: circuit.Identity4}
-	for k := n - take; k < n; k++ {
-		prev := &p.ops[k]
-		block.mat4 = circuit.Kron1Q(prev.mat, prev.q0 == b).Mul(block.mat4)
-		block.src = append(block.src, prev.src...)
+	for _, k := range [2]int{min(runs[0], runs[1]), max(runs[0], runs[1])} {
+		if k < 0 {
+			continue
+		}
+		run := &p.ops[k]
+		block.mat4 = circuit.Kron1Q(run.mat, run.q0 == b).Mul(block.mat4)
+		block.src = append(block.src, run.src...)
+		*run = fusedOp{kind: opVacated}
 	}
 	gm, ok := circuit.GateMat4(g, a, b)
 	if !ok {
-		return false // unreachable: CX/SWAP on (a, b) always embeds
+		panic(fmt.Sprintf("qsim: unembeddable gate %v in 2q block (%d,%d)", g.Op, a, b)) // unreachable: CX/SWAP on (a, b) always embeds
 	}
 	block.mat4 = gm.Mul(block.mat4)
 	block.identity = block.mat4.IsIdentity()
 	block.src = append(block.src, src)
-	p.ops = append(p.ops[:n-take], block)
+	p.ops = append(p.ops, block)
 	return true
 }
 

@@ -84,29 +84,33 @@ func conjugationCircuit(n, rounds int) *circuit.Circuit {
 
 // TestFusion2QCollapsesConjugation is the tentpole's compile-shape
 // contract: a full rz·sx·rz — cx — rz·sx·rz conjugation on one pair
-// compiles to exactly one 4x4 sweep, and the blocked stream of a
-// conjugation-chain circuit is much shorter than the PR 2 stream.
+// compiles to exactly one 4x4 sweep under both fusers (on qubits 2 and
+// 3, where the commuting fuser opens blocks), and the blocked stream of
+// a conjugation-chain circuit is much shorter than the PR 2 stream.
 func TestFusion2QCollapsesConjugation(t *testing.T) {
-	c := circuit.New("conj", 2)
-	c.RZ(0, 0.3).SX(0).RZ(0, 0.5)
-	c.RZ(1, 0.7).SX(1).RZ(1, 0.9)
-	c.CX(0, 1)
-	c.RZ(1, 1.1).SX(1).RZ(1, 1.3)
-	c.RZ(0, 1.5).SX(0).RZ(0, 1.7)
-	prog, err := compileProgram(c, nil, true, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(prog.ops) != 1 {
-		t.Fatalf("conjugation compiled to %d ops, want 1: %+v", len(prog.ops), prog.ops)
-	}
-	op := &prog.ops[0]
-	if op.kind != opMat4 || len(op.src) != 13 {
-		t.Fatalf("want one opMat4 holding all 13 source gates, got kind=%d src=%d", op.kind, len(op.src))
+	c := circuit.New("conj", 4)
+	c.RZ(2, 0.3).SX(2).RZ(2, 0.5)
+	c.RZ(3, 0.7).SX(3).RZ(3, 0.9)
+	c.CX(2, 3)
+	c.RZ(3, 1.1).SX(3).RZ(3, 1.3)
+	c.RZ(2, 1.5).SX(2).RZ(2, 1.7)
+	for _, level := range []fusion{fuseBlocks, fuseCommuting} {
+		prog, err := compileProgram(c, nil, level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(prog.ops) != 1 {
+			t.Fatalf("level %d: conjugation compiled to %d ops, want 1: %+v", level, len(prog.ops), prog.ops)
+		}
+		op := &prog.ops[0]
+		if op.kind != opMat4 || len(op.src) != 13 {
+			t.Fatalf("level %d: want one opMat4 holding all 13 source gates, got kind=%d src=%d", level, op.kind, len(op.src))
+		}
 	}
 
+	// Noisy, so blocks open on qubits 0 and 1 too.
 	big := conjugationCircuit(6, 20)
-	unfused, fused1q, blocked, err := KernelCounts(big, nil)
+	unfused, fused1q, blocked, err := KernelCounts(big, UniformNoise(0.01, 0.02, 0.01))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,14 +119,16 @@ func TestFusion2QCollapsesConjugation(t *testing.T) {
 	}
 }
 
-// Test2QBlockGrammar pins when blocks open and close: a bare CX keeps
-// its dedicated exchange kernel, a CX preceded by a fused 1q run opens
-// a block, CZ/CPhase prefer diagonal runs unless a same-pair block is
-// already open, and a gate off the pair closes the block.
+// Test2QBlockGrammar pins when the linear fuser (every noisy program's)
+// opens and closes blocks: a bare CX keeps its dedicated exchange
+// kernel, a CX preceded by a fused 1q run opens a block, CZ/CPhase
+// prefer diagonal runs unless a same-pair block is already open, and a
+// gate off the pair closes the block.
 func Test2QBlockGrammar(t *testing.T) {
+	noise := UniformNoise(0.01, 0.02, 0.01)
 	// GHZ: h(0) cx(0,1) opens a block (the H is waiting); the later
 	// bare cx(1,2), cx(2,3) stay opSrc exchanges.
-	prog, err := compileProgram(gens.GHZ(4), nil, true, true)
+	prog, err := compileProgram(gens.GHZ(4), noise, fuseCommuting)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +146,7 @@ func Test2QBlockGrammar(t *testing.T) {
 	// opens on the preceding mixer 1q run, then rz and cx absorb).
 	c := circuit.New("rzz", 2)
 	c.H(0).H(1).CX(0, 1).RZ(1, 0.8).CX(0, 1)
-	prog, err = compileProgram(c, nil, true, true)
+	prog, err = compileProgram(c, noise, fuseCommuting)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +169,7 @@ func Test2QBlockGrammar(t *testing.T) {
 	// different-pair block precedes it.
 	c = circuit.New("czdiag", 3)
 	c.H(0).CX(0, 1).CZ(1, 2).CZ(0, 2)
-	prog, err = compileProgram(c, nil, true, true)
+	prog, err = compileProgram(c, noise, fuseCommuting)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +180,7 @@ func Test2QBlockGrammar(t *testing.T) {
 	// A same-pair CZ absorbs into the open block instead.
 	c = circuit.New("czblock", 2)
 	c.H(0).CX(0, 1).CZ(0, 1)
-	prog, err = compileProgram(c, nil, true, true)
+	prog, err = compileProgram(c, noise, fuseCommuting)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +291,7 @@ func TestFused2QPropertySuite(t *testing.T) {
 // injected in place.
 func TestForcedMidBlockSlowPath(t *testing.T) {
 	c := conjugationCircuit(4, 6)
-	prog, err := compileProgram(c, UniformNoise(1, 1, 0.2), true, true)
+	prog, err := compileProgram(c, UniformNoise(1, 1, 0.2), fuseCommuting)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +321,7 @@ func TestForcedMidBlockSlowPath(t *testing.T) {
 func TestBlockedShotLoopAllocationFree(t *testing.T) {
 	c := conjugationCircuit(6, 12)
 	noise := UniformNoise(0.01, 0.03, 0.02)
-	prog, err := compileProgram(c, noise, true, true)
+	prog, err := compileProgram(c, noise, fuseCommuting)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,23 +44,25 @@ func fusionCases() []struct {
 	}
 }
 
-// fusionModes are compileProgram's pass settings the equivalence suites
-// compare: full 2q block fusion (what Run uses), 1q-chain and
-// diagonal-run fusion only, and the unfused engine.
+// fusionModes are compileProgram's fusion levels the equivalence suites
+// compare: fusion along each qubit's timeline (what Run uses), the
+// linear fuser with 2q blocks (what noisy programs compile with), 1q-chain
+// and diagonal-run fusion only, and the unfused engine.
 var fusionModes = []struct {
-	name         string
-	fuse, fuse2q bool
+	name  string
+	level fusion
 }{
-	{"blocked", true, true},
-	{"fused-no2q", true, false},
-	{"unfused", false, false},
+	{"commuting", fuseCommuting},
+	{"linear", fuseBlocks},
+	{"fused-no2q", fuse1Q},
+	{"unfused", fuseNone},
 }
 
-// runFusion is RunOpts with compileProgram's passes chosen and the
+// runFusion is RunOpts compiled at the given fusion level, with the
 // generator seeded from seed.
-func runFusion(c *circuit.Circuit, shots int, noise *NoiseModel, seed int64, p Parallelism, fuse, fuse2q bool) (Counts, error) {
+func runFusion(c *circuit.Circuit, shots int, noise *NoiseModel, seed int64, p Parallelism, level fusion) (Counts, error) {
 	r := rand.New(rand.NewSource(seed))
-	res := runJobs([]BatchJob{{Circ: c, Shots: shots, Noise: noise}}, r, p, fuse, fuse2q)
+	res := runJobs([]BatchJob{{Circ: c, Shots: shots, Noise: noise}}, r, p, level)
 	return res[0].Counts, res[0].Err
 }
 
@@ -73,7 +75,7 @@ func TestFusedMatchesUnfusedCounts(t *testing.T) {
 		var want Counts
 		for _, w := range []int{1, 2, runtime.NumCPU()} {
 			for _, mode := range fusionModes {
-				got, err := runFusion(tc.circ, 600, tc.noise, 41, Parallelism{Workers: w}, mode.fuse, mode.fuse2q)
+				got, err := runFusion(tc.circ, 600, tc.noise, 41, Parallelism{Workers: w}, mode.level)
 				if err != nil {
 					t.Fatalf("%s workers=%d %s: %v", tc.name, w, mode.name, err)
 				}
@@ -209,7 +211,7 @@ func TestPooledMatchesFreshReference(t *testing.T) {
 func TestShotLoopAllocationFree(t *testing.T) {
 	c := gens.QFTBench(8)
 	noise := UniformNoise(0.002, 0.02, 0.02)
-	prog, err := compileProgram(c, noise, true, true)
+	prog, err := compileProgram(c, noise, fuseCommuting)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,11 +248,11 @@ func TestShotLoopAllocationFree(t *testing.T) {
 // compile to far fewer kernel sweeps than source gates.
 func TestFusionCollapsesOps(t *testing.T) {
 	c := gens.QFTBench(10)
-	fused, err := compileProgram(c, nil, true, true)
+	fused, err := compileProgram(c, nil, fuseCommuting)
 	if err != nil {
 		t.Fatal(err)
 	}
-	unfused, err := compileProgram(c, nil, false, false)
+	unfused, err := compileProgram(c, nil, fuseNone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +283,7 @@ func TestFusedAmplitudesMatchNaive(t *testing.T) {
 	}
 	c.T(0).Z(1).CZ(0, 2).CPhase(3, 1, 0.8).RZ(4, 0.7).S(5).Sdg(2).
 		CPhase(5, 0, 0).Tdg(3).CZ(4, 5).H(0).SX(0).RX(1, 0.3).RY(1, 1.1)
-	prog, err := compileProgram(c, nil, true, true)
+	prog, err := compileProgram(c, nil, fuseCommuting)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +337,7 @@ func TestCPhaseZeroThetaIsFree(t *testing.T) {
 
 	c := circuit.New("cp0", 3)
 	c.CPhase(0, 1, 0).CPhase(1, 2, 0).CPhase(0, 2, 0)
-	prog, err := compileProgram(c, nil, true, true)
+	prog, err := compileProgram(c, nil, fuseCommuting)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,8 @@ import (
 // on, every sweep that has one leaves exactly the amplitudes its Go loop
 // leaves — compared with ==, not a tolerance — for every qubit (complex
 // and real 2x2; qubits 0 and 1 take the in-register kernels) and every
-// ordered pair (complex 4x4, CX, SWAP), over the full index range and
+// ordered pair (complex 4x4, CX, SWAP, and a real 4x4, which the
+// complex kernel takes where it runs), over the full index range and
 // over shard ranges whose ends fall inside a four-lane run.
 func TestAVX2RunsMatchGo(t *testing.T) {
 	if !hasAVX2 {
@@ -36,9 +37,10 @@ func TestAVX2RunsMatchGo(t *testing.T) {
 		cm2[k] = complex(r.NormFloat64(), r.NormFloat64())
 		rm2[k] = complex(r.NormFloat64(), 0)
 	}
-	var cm4 circuit.Mat4
+	var cm4, rm4 circuit.Mat4
 	for k := range cm4 {
 		cm4[k] = complex(r.NormFloat64(), r.NormFloat64())
+		rm4[k] = complex(r.NormFloat64(), 0)
 	}
 
 	type sweep struct {
@@ -56,6 +58,7 @@ func TestAVX2RunsMatchGo(t *testing.T) {
 			}
 			sweeps = append(sweeps,
 				sweep{fmt.Sprintf("apply2QRange q0=%d q1=%d", q, q1), func(s *State, lo, hi int) { s.apply2QRange(&cm4, q, q1, lo, hi) }},
+				sweep{fmt.Sprintf("apply2QMatRange real q0=%d q1=%d", q, q1), func(s *State, lo, hi int) { s.apply2QMatRange(&rm4, q, q1, lo, hi) }},
 				sweep{fmt.Sprintf("applyCXRange c=%d t=%d", q, q1), func(s *State, lo, hi int) { s.applyCXRange(q, q1, lo, hi) }},
 				sweep{fmt.Sprintf("applySWAPRange a=%d b=%d", q, q1), func(s *State, lo, hi int) { s.applySWAPRange(q, q1, lo, hi) }})
 		}

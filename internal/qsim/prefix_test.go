@@ -107,7 +107,7 @@ func TestExactPrefixMatchesFullWidth(t *testing.T) {
 			seed := int64(100*n + k)
 			want := referenceExact(t, c, shots, seed)
 			for _, mode := range fusionModes {
-				prog, err := compileProgram(c, nil, mode.fuse, mode.fuse2q)
+				prog, err := compileProgram(c, nil, mode.level)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -130,7 +130,7 @@ func TestExactPrefixMatchesFullWidth(t *testing.T) {
 					}
 				}
 				for _, w := range []int{1, 4} {
-					got, err := runFusion(c, shots, nil, seed, Parallelism{Workers: w}, mode.fuse, mode.fuse2q)
+					got, err := runFusion(c, shots, nil, seed, Parallelism{Workers: w}, mode.level)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -154,7 +154,7 @@ func TestPrefixSkipsIdentityOps(t *testing.T) {
 	c.CX(1, 4)     // w = 5
 	c.CZ(0, 5)     // diagonal: w stays 5
 	c.SWAP(2, 5)   // w = 6
-	prog, err := compileProgram(c, nil, false, false)
+	prog, err := compileProgram(c, nil, fuseNone)
 	if err != nil {
 		t.Fatal(err)
 	}

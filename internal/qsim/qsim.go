@@ -427,8 +427,10 @@ func (s *State) apply2QRange(m *circuit.Mat4, q0, q1, lo, hi int) {
 
 // apply2QRealRange is apply2QRange specialized for matrices with no
 // imaginary parts: half the multiplies, and the real and imaginary
-// state halves decouple into independent SIMD-friendly streams. It has
-// no run kernel: the sweep is 1.5 % of an execute worker's CPU profile.
+// state halves decouple into independent streams. It has no run kernel:
+// where run2Q can take a sweep's runs, a real matrix goes to
+// apply2QRange instead (apply2QMatRange), and this loop runs only on
+// pairs with qubit 0 or 1 and off AVX2.
 //
 //qcloud:noalloc
 func (s *State) apply2QRealRange(m *circuit.Mat4, q0, q1, lo, hi int) {
@@ -516,11 +518,16 @@ func (s *State) Apply2Q(m circuit.Mat4, q0, q1 int) {
 }
 
 // apply2QMatRange is apply2QRealRange for a real m and apply2QRange
-// otherwise.
+// otherwise, except where apply2QRange hands its runs to run2Q (an AVX2
+// host, both qubits >= 2): there a real m goes to apply2QRange too.
+// With every imaginary part zero its loop computes the real loop's sums
+// with zero terms between them, so each amplitude comes out == to the
+// real loop's (at most a zero's sign differs), at 2.1 ns an amplitude
+// where the real loop takes 2.9–3.5 on execute's units.
 //
 //qcloud:noalloc
 func (s *State) apply2QMatRange(m *circuit.Mat4, q0, q1, lo, hi int) {
-	if isRealMat4(m) {
+	if isRealMat4(m) && !(hasAVX2 && min(q0, q1) >= 2) {
 		s.apply2QRealRange(m, q0, q1, lo, hi)
 		return
 	}

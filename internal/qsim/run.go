@@ -107,7 +107,7 @@ func Run(c *circuit.Circuit, shots int, noise *NoiseModel, r *rand.Rand) (Counts
 // shot by shot on pooled per-worker state buffers. Counts are
 // bit-identical across worker counts for the same caller seed.
 func RunOpts(c *circuit.Circuit, shots int, noise *NoiseModel, r *rand.Rand, p Parallelism) (Counts, error) {
-	res := runJobs([]BatchJob{{Circ: c, Shots: shots, Noise: noise}}, r, p, true, true)
+	res := runJobs([]BatchJob{{Circ: c, Shots: shots, Noise: noise}}, r, p, fuseCommuting)
 	return res[0].Counts, res[0].Err
 }
 
@@ -145,13 +145,15 @@ type exactDist struct {
 }
 
 // evolveDist evolves st (which must be |0...0> over c.NQubits) through
-// the op stream compiled with the given fusion passes and sums its
+// the op stream compiled at the given fusion level and sums its
 // cumulative distribution into cum, grown if it is too small; the
 // returned dist holds it for the caller's next call. The sums are taken
 // in index order whatever cum held, so the samples do not depend on it.
-func evolveDist(c *circuit.Circuit, fuse, fuse2q bool, st *State, cum []float64) (exactDist, error) {
-	fuse = fuse && c.NQubits >= exactFuseMinQubits
-	prog, err := compileProgram(c, nil, fuse, fuse && fuse2q)
+func evolveDist(c *circuit.Circuit, level fusion, st *State, cum []float64) (exactDist, error) {
+	if c.NQubits < exactFuseMinQubits {
+		level = fuseNone
+	}
+	prog, err := compileProgram(c, nil, level)
 	if err != nil {
 		return exactDist{cum: cum}, err
 	}

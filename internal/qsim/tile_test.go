@@ -46,7 +46,7 @@ func TestTiledEvolutionMatchesUntiled(t *testing.T) {
 		tileQubits = MaxQubits
 		want := BatchRun([]BatchJob{{Circ: c, Shots: shots, Seed: int64(k)}}, Parallelism{Workers: 1})[0]
 		for _, mode := range fusionModes {
-			prog, err := compileProgram(c, nil, mode.fuse, mode.fuse2q)
+			prog, err := compileProgram(c, nil, mode.level)
 			if err != nil {
 				t.Fatal(err)
 			}
